@@ -6,14 +6,14 @@ fourth-moment method when the variance over the slice is large, otherwise
 reduce to an O(t^2)-variable kernel and enumerate it exactly.
 """
 
-from .cardinal_dist import (CardinalDist, delta_sequence, expectation, mc_moment,
-                            sample, second_moment, variance)
+from .cardinal_dist import (CardinalDist, chi_expectation, chi_variance,
+                            delta_sequence, mc_moment, sample)
 from .config import DEFAULT_CONFIG, SolverConfig, load_config, parse_config
 from .csp_model import (Constraint, CspInstance, GlobalCardinality,
                         constraint_count, format_instance, parse_instance,
                         to_polynomial)
-from .errors import (CardCspError, DegenerateInput, InputError, NumericalError,
-                     ParseError, PreconditionError, ResourceError)
+from .errors import (CardCspError, DegenerateInput, InputError, ParseError,
+                     PreconditionError, ResourceError)
 from .poly import Assignment, Basis, MultilinearPoly, convert_basis
 from .rounding import (RoundingOutcome, active_variables, reconstruct_h,
                        round_bisection, round_global)

@@ -16,8 +16,9 @@ each shared index expands by phi_i^2 = q*phi_i + 1, giving
 
   E[phi_S phi_T] = sum_{j=0}^{c} C(c,j) q^j delta_{u+j},   c=|S^T|, u=|S delta T|.
 
-Second moments use this exact pairwise form by default; the simplified
-delta_{|S delta T|} form is available behind a flag for spectrum comparisons.
+The moments of an instance are taken in the chi basis, where eps_k is
+rational for every p; the pairwise phi moments feed the set-symmetric forms
+in spectra.
 """
 
 from __future__ import annotations
@@ -91,49 +92,6 @@ def delta_sequence(n: int, p, kmax: int) -> List[Scalar]:
     return [dist.delta(k) for k in range(kmax + 1)]
 
 
-def _require_phi(f: MultilinearPoly, dist: CardinalDist) -> None:
-    if f.n != dist.n:
-        raise InputError("variable counts differ")
-    if f.basis is Basis.PHI:
-        if f.p != dist.p:
-            raise InputError(f"polynomial bias {f.p} != distribution bias {dist.p}")
-    elif dist.p != Fraction(1, 2):
-        # chi and phi coincide only at p = 1/2
-        raise InputError("convert to the phi basis before taking D_p moments")
-
-
-def expectation(f: MultilinearPoly, dist: CardinalDist) -> Scalar:
-    """E_{D_p}[f] = sum_S fhat(S) * delta_{|S|} (phi basis)."""
-    _require_phi(f, dist)
-    total: Scalar = Fraction(0)
-    for s, c in f.coeffs.items():
-        total = total + c * dist.delta(len(s))
-    return total
-
-
-def second_moment(f: MultilinearPoly, dist: CardinalDist, exact: bool = True) -> Scalar:
-    """E_{D_p}[f^2] via the exact pairwise moments (or the simplified
-    delta_{|S delta T|} approximation when exact=False)."""
-    _require_phi(f, dist)
-    items = list(f.coeffs.items())
-    total: Scalar = Fraction(0)
-    for i, (s, cs) in enumerate(items):
-        set_s = set(s)
-        for j in range(i, len(items)):
-            t, ct = items[j]
-            common = len(set_s.intersection(t))
-            u = len(s) + len(t) - 2 * common
-            mom = dist.phi_pair_moment(common, u) if exact else dist.delta(u)
-            term = cs * ct * mom
-            total = total + (term if i == j else 2 * term)
-    return total
-
-
-def variance(f: MultilinearPoly, dist: CardinalDist, exact: bool = True) -> Scalar:
-    mean = expectation(f, dist)
-    return second_moment(f, dist, exact=exact) - mean * mean
-
-
 def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     """E_{D_p}[f] for a chi-basis f, via the rational chi moment sequence."""
     if f.basis is not Basis.CHI:
@@ -150,8 +108,8 @@ def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     """Var_{D_p}(f) for chi-basis f with rational coefficients.
 
     Squares f in the chi basis (cheap symmetric-difference convolution) and
-    applies the chi moment sequence; agrees exactly with variance() on the
-    phi-converted polynomial.
+    applies the chi moment sequence; agrees exactly with the variance form of
+    spectra.quadratic_form_value on the phi-converted polynomial.
     """
     mean = chi_expectation(f, dist)
     return chi_expectation(f * f, dist) - mean * mean

@@ -3,8 +3,7 @@
 Every subcommand writes a single JSON document (schema 1) to stdout and
 diagnostics to stderr.  Numeric fields carry both the exact value as a string
 and a float rendering.  Exit codes: 0 = decision "yes", 1 = decision "no",
-2 = domain error, 64 = usage error.  `--seed` pins every randomized path;
-`--threads` is accepted for compatibility (results never depend on it).
+2 = domain error, 64 = usage error.  `--seed` pins every randomized path.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .cardinal_dist import (CardinalDist, delta_sequence, expectation, mc_moment,
-                            second_moment, variance)
+from .cardinal_dist import (CardinalDist, chi_expectation, chi_variance,
+                            delta_sequence, mc_moment)
 from .config import DEFAULT_CONFIG, load_config
 from .csp_model import parse_instance, to_polynomial
 from .errors import CardCspError
@@ -110,15 +109,16 @@ def _cmd_moments(args) -> int:
     inst, card = _load_instance(args.instance)
     dist = CardinalDist.from_card(card)
     f = to_polynomial(inst)
-    g = f if card.p == Fraction(1, 2) else convert_basis(f, Basis.PHI, card.p)
+    avg = chi_expectation(f, dist)
+    var = chi_variance(f, dist)
     doc = {
         "schema": 1,
-        "avg": _num(expectation(g, dist)),
-        "second_moment": _num(second_moment(g, dist)),
-        "variance": _num(variance(g, dist)),
+        "avg": _num(avg),
+        "second_moment": _num(var + avg * avg),
+        "variance": _num(var),
     }
     if args.mc:
-        est, err = mc_moment(g, dist, args.power, args.mc, args.seed)
+        est, err = mc_moment(f, dist, args.power, args.mc, args.seed)
         doc["mc"] = {"power": args.power, "samples": args.mc,
                      "estimate": est, "stderr": err, "seed": args.seed}
     _emit(doc)
@@ -164,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cardcsp",
         description="Above-average decisions for CSPs under a cardinality constraint")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (results are independent of it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the decision procedure")

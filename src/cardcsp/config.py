@@ -1,4 +1,4 @@
-"""Runtime caps and tolerances, overridable from a key=value config file."""
+"""Runtime caps, overridable from a key=value config file."""
 
 from __future__ import annotations
 
@@ -12,18 +12,20 @@ from .errors import InputError
 class SolverConfig:
     enum_cap: int = 10 ** 7          # max slice points any exhaustive walk may visit
     kernel_cap: int = 40             # max kernel variables the solver will enumerate
-    dense_cap: int = 2000            # max dimension for dense set-symmetric builds
-    float_tol: float = 1e-9          # tolerance of float-mode linear algebra
+    dense_cap: int = 2000            # max dimension of a dense build (Gram system, forms)
     p0: Fraction = Fraction(1, 100)  # solver accepts p in [p0, 1-p0]
-    threads: int | None = None       # accepted for CLI compatibility; results
-                                     # are independent of it by construction
+
+    def __post_init__(self):
+        for name in ("enum_cap", "kernel_cap", "dense_cap"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} = {getattr(self, name)} is negative")
+        if not 0 < self.p0 < Fraction(1, 2):
+            raise InputError(f"p0 = {self.p0} outside (0, 1/2)")
 
 
 DEFAULT_CONFIG = SolverConfig()
 
-_INT_KEYS = {"enum_cap", "kernel_cap", "dense_cap", "threads"}
-_FLOAT_KEYS = {"float_tol"}
-_FRACTION_KEYS = {"p0"}
+_KEY_TYPES = {"enum_cap": int, "kernel_cap": int, "dense_cap": int, "p0": Fraction}
 
 
 def parse_config(text: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
@@ -36,14 +38,13 @@ def parse_config(text: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig
         if "=" not in body:
             raise InputError(f"config line {idx}: expected key = value")
         key, value = (part.strip() for part in body.split("=", 1))
-        if key in _INT_KEYS:
-            updates[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            updates[key] = float(value)
-        elif key in _FRACTION_KEYS:
-            updates[key] = Fraction(value)
-        else:
+        convert = _KEY_TYPES.get(key)
+        if convert is None:
             raise InputError(f"config line {idx}: unknown key {key!r}")
+        try:
+            updates[key] = convert(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"config line {idx}: bad value for {key}: {exc}") from exc
     return replace(base, **updates)
 
 

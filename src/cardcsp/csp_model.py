@@ -71,21 +71,37 @@ class GlobalCardinality:
         return self.n - 2 * self.num_negative
 
 
+def _check_scope(variables: Tuple[int, ...], n: int, d: int) -> None:
+    if not 1 <= len(variables) <= d:
+        raise InputError(f"constraint arity {len(variables)} outside [1..{d}]")
+    if len(set(variables)) != len(variables):
+        raise InputError(f"duplicate variable in constraint {variables}")
+    if any(not 1 <= v <= n for v in variables):
+        raise InputError(f"variable out of range in constraint {variables}")
+
+
+def _check_pattern(pat: Pattern, arity: int) -> None:
+    if len(pat) != arity:
+        raise InputError(f"pattern {pat} has arity {len(pat)}, not {arity}")
+    if any(v not in (-1, 1) for v in pat):
+        raise InputError(f"pattern {pat} has entries outside +-1")
+
+
 def validate_instance(inst: CspInstance) -> None:
     for c in inst.constraints:
-        if len(set(c.variables)) != len(c.variables):
-            raise InputError(f"duplicate variable in constraint {c.variables}")
-        if any(not 1 <= v <= inst.n for v in c.variables):
-            raise InputError(f"variable out of range in constraint {c.variables}")
-        if c.arity == 0 or c.arity > inst.d:
-            raise InputError(f"constraint arity {c.arity} outside [1..{inst.d}]")
+        _check_scope(c.variables, inst.n, inst.d)
         if not c.patterns:
             raise InputError("empty predicate")
         for pat in c.patterns:
-            if len(pat) != c.arity:
-                raise InputError(f"pattern {pat} has wrong arity")
-            if any(v not in (-1, 1) for v in pat):
-                raise InputError(f"pattern {pat} has entries outside +-1")
+            _check_pattern(pat, c.arity)
+
+
+def _at_line(line: int, check, *args):
+    """check(*args), with an InputError re-raised as a ParseError at line."""
+    try:
+        return check(*args)
+    except InputError as exc:
+        raise ParseError(str(exc), line) from exc
 
 
 def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
@@ -108,10 +124,7 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
         raise ParseError(f"bad header field: {exc}", line_no) from exc
     if n < 1 or m < 0 or d < 1:
         raise ParseError("n and d must be positive, m nonnegative", line_no)
-    if not 0 < p < 1:
-        raise ParseError(f"p = {p} outside (0,1)", line_no)
-    if (p * n).denominator != 1:
-        raise ParseError(f"p*n = {p * n} is not an integer", line_no)
+    card = _at_line(line_no, GlobalCardinality, n, p)
 
     constraints: List[Constraint] = []
     pos = 1
@@ -126,12 +139,7 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
             raise ParseError(f"bad constraint line: {exc}", line_no) from exc
         if len(variables) != arity:
             raise ParseError(f"arity {arity} but {len(variables)} variables", line_no)
-        if arity == 0 or arity > d:
-            raise ParseError(f"arity {arity} outside [1..{d}]", line_no)
-        if len(set(variables)) != arity:
-            raise ParseError("duplicate variable in constraint", line_no)
-        if any(not 1 <= v <= n for v in variables):
-            raise ParseError("variable index out of range", line_no)
+        _at_line(line_no, _check_scope, variables, n, d)
         pos += 1
         patterns = set()
         while pos < len(tokens) and tokens[pos][1][0] == "s":
@@ -144,8 +152,7 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
                     vals.append(-1)
                 else:
                     raise ParseError(f"pattern entry {field!r} is not +-1", s_line)
-            if len(vals) != arity:
-                raise ParseError(f"pattern arity {len(vals)} != {arity}", s_line)
+            _at_line(s_line, _check_pattern, tuple(vals), arity)
             patterns.add(tuple(vals))
             pos += 1
         if not patterns:
@@ -154,9 +161,7 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     if len(constraints) != m:
         raise ParseError(f"header declares m={m} but found {len(constraints)} constraints",
                          tokens[0][0])
-    inst = CspInstance(n=n, d=d, constraints=tuple(constraints))
-    validate_instance(inst)
-    return inst, GlobalCardinality(n=n, p=p)
+    return CspInstance(n=n, d=d, constraints=tuple(constraints)), card
 
 
 def format_instance(inst: CspInstance, card: GlobalCardinality) -> str:

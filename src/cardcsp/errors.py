@@ -33,9 +33,5 @@ class PreconditionError(CardCspError):
     """A documented hypothesis of the operation does not hold for the input."""
 
 
-class NumericalError(CardCspError):
-    """Float-mode linear algebra failed to converge to the requested tolerance."""
-
-
 class DegenerateInput(CardCspError):
     """Statistic is undefined for this input (e.g. a ratio with zero denominator)."""

@@ -15,12 +15,13 @@ from itertools import combinations
 from math import comb
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .config import DEFAULT_CONFIG
 from .csp_model import CspInstance, GlobalCardinality, constraint_count
 from .errors import DegenerateInput, InputError, ResourceError
 from .exact import QE, Scalar, make_qe, scalar_sign
 from .poly import Assignment, Basis, MultilinearPoly
 
-DEFAULT_ENUM_CAP = 10 ** 7
+DEFAULT_ENUM_CAP = DEFAULT_CONFIG.enum_cap
 
 
 def _revolving_door(n: int, k: int) -> Iterator[Tuple[int, ...]]:

@@ -26,11 +26,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import List, Optional, Tuple
 
 from .cardinal_dist import CardinalDist, chi_expectation, chi_variance
 from .config import DEFAULT_CONFIG, SolverConfig
-from .csp_model import CspInstance, GlobalCardinality, constraint_count, to_polynomial
+from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
+                        to_polynomial, validate_instance)
 from .errors import InputError, ResourceError
 from .exact import fraction_str, sqrt_upper
 from .poly import Assignment, MultilinearPoly
@@ -198,6 +200,7 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
     """Decide whether some valid assignment satisfies >= AVG + t constraints."""
     if inst.n != card.n:
         raise InputError("instance and cardinality constraint sizes differ")
+    validate_instance(inst)
     if not config.p0 <= card.p <= 1 - config.p0:
         raise InputError(f"p = {card.p} outside [{config.p0}, {1 - config.p0}]")
     f = to_polynomial(inst)
@@ -221,6 +224,11 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
             "is not established at this size; results remain exact")
     gamma = Fraction(1, 2 ** d)
     if card.p == Fraction(1, 2):
+        gram_dim = sum(comb(card.n, k) for k in range(f.degree_bound))
+        if gram_dim > config.dense_cap:
+            raise ResourceError(
+                f"projection Gram dimension {gram_dim} exceeds dense cap "
+                f"{config.dense_cap}", payload=f)
         proj = project_null(f, dist, mode="exact")
         if Fraction(proj.residual_norm_sq) ** 2 > card.n:
             warnings.append(
@@ -236,10 +244,10 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
                                allow_large_variance=True)
         base_correction = Fraction(0)
     kernel = tuple(sorted(outcome.active_set))
-    if len(kernel) > config.kernel_cap:
+    if 2 ** len(kernel) > config.enum_cap:
         raise ResourceError(
-            f"kernel of {len(kernel)} variables exceeds enumeration cap "
-            f"{config.kernel_cap}", payload=kernel)
+            f"kernel walk of 2^{len(kernel)} points exceeds enumeration cap "
+            f"{config.enum_cap}", payload=kernel)
     opt, arg = enumerate_kernel(outcome.reduced, kernel, card, base_correction,
                                 cap=config.kernel_cap)
     witness = _complete_witness(kernel, arg, card)

@@ -35,7 +35,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .cardinal_dist import CardinalDist
-from .errors import InputError, NumericalError, ResourceError
+from .errors import InputError, ResourceError
 from .exact import (Scalar, make_qe, nullspace_exact, scalar_sign,
                     solve_linear_exact, to_float)
 from .poly import Basis, MultilinearPoly, Subset
@@ -341,8 +341,8 @@ def constraint_poly(n: int, basis: Basis, p=None) -> MultilinearPoly:
     return MultilinearPoly(n, {(i,): Fraction(1) for i in range(1, n + 1)}, basis, p)
 
 
-def project_null(f: MultilinearPoly, dist: CardinalDist, mode: str = "exact",
-                 float_tol: float = 1e-9) -> ProjectionResult:
+def project_null(f: MultilinearPoly, dist: CardinalDist,
+                 mode: str = "exact") -> ProjectionResult:
     """Least-squares projection of f - fhat(0) onto the null space of the
     variance form: span{1} + span{(sum_i phi_i) phi_S : |S| <= deg(f)-1}.
 
@@ -350,9 +350,12 @@ def project_null(f: MultilinearPoly, dist: CardinalDist, mode: str = "exact",
     f - fhat(0) - c* - (sum_i phi_i) h, where the constant c* absorbs the
     empty-set component (the residual has no constant term).  Equivalently:
     the generators are projected with their empty-set coordinate dropped.
-    The residual is orthogonal to 1 and to every generator, exactly in
-    exact mode.  Chi input is accepted at p = 1/2 where the bases coincide.
+    The residual is orthogonal to 1 and to every generator, exactly: the
+    Gram system is solved in exact arithmetic (the only mode is "exact").
+    Chi input is accepted at p = 1/2 where the bases coincide.
     """
+    if mode != "exact":
+        raise InputError("mode must be 'exact'")
     if f.basis is Basis.PHI:
         if f.p != dist.p:
             raise InputError("bias mismatch between f and dist")
@@ -372,12 +375,7 @@ def project_null(f: MultilinearPoly, dist: CardinalDist, mode: str = "exact",
     size = len(generators)
     gram = [[_dot(generators[i], generators[j]) for j in range(size)] for i in range(size)]
     rhs = [_dot(generators[i], g0.coeffs) for i in range(size)]
-    if mode == "exact":
-        coeffs = solve_linear_exact(gram, rhs)
-    elif mode == "float":
-        coeffs = _solve_float(gram, rhs, float_tol)
-    else:
-        raise InputError("mode must be 'exact' or 'float'")
+    coeffs = solve_linear_exact(gram, rhs)
     h = MultilinearPoly(f.n, {s: c for s, c in zip(gen_sets, coeffs)
                               if scalar_sign(c) != 0}, f.basis, f.p)
     residual = (g0 - constraint_poly(f.n, f.basis, f.p) * h).without_constant()
@@ -395,19 +393,3 @@ def _dot(vec: Dict[Subset, Scalar], other: Dict[Subset, Scalar]) -> Scalar:
             total = total + c * oc
     return total
 
-
-def _solve_float(gram, rhs, tol: float):
-    g = np.array([[to_float(v) for v in row] for row in gram])
-    b = np.array([to_float(v) for v in rhs])
-    x = np.linalg.solve(g, b)
-    scale = max(1.0, float(np.linalg.norm(b)))
-    for _ in range(4):
-        resid = b - g @ x
-        if float(np.linalg.norm(resid)) <= tol * scale:
-            break
-        x = x + np.linalg.solve(g, resid)
-    else:
-        raise NumericalError(
-            f"projection solve did not reach tolerance {tol}; "
-            f"condition estimate {np.linalg.cond(g):.3e}")
-    return [Fraction(float(v)) for v in x]

@@ -4,14 +4,13 @@ from math import comb
 import pytest
 
 from cardcsp.cardinal_dist import (CardinalDist, chi_expectation, chi_variance,
-                                   delta_sequence, expectation, mc_moment, sample,
-                                   second_moment, variance)
+                                   delta_sequence, mc_moment, sample)
 from cardcsp.csp_model import GlobalCardinality
 from cardcsp.errors import InputError
 from cardcsp.exact import scalar_sign, to_float
 from cardcsp.oracle import brute_moment, brute_variance, slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, convert_basis
-from cardcsp.spectra import constraint_poly
+from cardcsp.spectra import SetSymmetricForm, constraint_poly, quadratic_form_value
 from cardcsp.solver import bisection_fourth_moment_bound
 
 from conftest import random_poly, star_graph
@@ -82,30 +81,30 @@ def test_expectation_maxbisection_avg():
         dist = CardinalDist(n, F(1, 2))
         from cardcsp.csp_model import to_polynomial
         f = to_polynomial(inst)
-        assert expectation(f, dist) == (F(1, 2) + F(1, 2 * (n - 1))) * m
+        assert chi_expectation(f, dist) == (F(1, 2) + F(1, 2 * (n - 1))) * m
 
 
 def test_expectation_constant():
     dist = CardinalDist(6, F(1, 3))
-    f = MultilinearPoly.constant(6, F(7, 3), Basis.PHI, F(1, 3))
-    assert expectation(f, dist) == F(7, 3)
+    f = MultilinearPoly.constant(6, F(7, 3))
+    assert chi_expectation(f, dist) == F(7, 3)
 
 
 def test_expectation_matches_brute(rng):
     n, p = 10, F(3, 10)
     dist = CardinalDist(n, p)
     card = GlobalCardinality(n, p)
-    f = random_poly(rng, n, 3, 8, Basis.PHI, p)
-    assert expectation(f, dist) == brute_moment(f, card, 1)
+    f = random_poly(rng, n, 3, 8)
+    assert chi_expectation(f, dist) == brute_moment(f, card, 1)
 
 
 def test_expectation_bias_mismatch():
+    # the rational moment route takes chi input of the distribution's size only
     dist = CardinalDist(6, F(1, 3))
-    f = phi_monomial(6, (1,), F(1, 2))
     with pytest.raises(InputError):
-        expectation(f, dist)
+        chi_expectation(phi_monomial(6, (1,), F(1, 3)), dist)
     with pytest.raises(InputError):
-        expectation(MultilinearPoly(6, {(1,): F(1)}), dist)  # chi at p != 1/2
+        chi_expectation(MultilinearPoly(5, {(1,): F(1)}), dist)
 
 
 def test_variance_zero_for_complete_and_star():
@@ -115,7 +114,7 @@ def test_variance_zero_for_complete_and_star():
         for inst in (complete_graph(n), star_graph(n)):
             dist = CardinalDist(n, F(1, 2))
             f = to_polynomial(inst)
-            assert variance(f, dist) == 0
+            assert chi_variance(f, dist) == 0
 
 
 def test_second_moment_and_variance_match_brute(rng):
@@ -123,32 +122,38 @@ def test_second_moment_and_variance_match_brute(rng):
     dist = CardinalDist(n, p)
     card = GlobalCardinality(n, p)
     for _ in range(10):
-        f = random_poly(rng, n, 2, 6, Basis.PHI, p)
-        assert second_moment(f, dist) == brute_moment(f, card, 2)
-        assert variance(f, dist) == brute_variance(f, card)
+        f = random_poly(rng, n, 2, 6)
+        assert chi_expectation(f * f, dist) == brute_moment(f, card, 2)
+        assert chi_variance(f, dist) == brute_variance(f, card)
 
 
 def test_simplified_second_moment_differs_only_off_half(rng):
+    def second_moment(f, p, exact):
+        form = SetSymmetricForm(n=n, d=2, p=p, kind="A", exact=exact)
+        return quadratic_form_value(form, f)
+
     n = 8
     f_half = random_poly(rng, n, 2, 6, Basis.PHI, F(1, 2))
-    dist = CardinalDist(n, F(1, 2))
-    assert second_moment(f_half, dist, exact=False) == second_moment(f_half, dist)
+    assert second_moment(f_half, F(1, 2), False) == second_moment(f_half, F(1, 2), True)
     p = F(1, 4)
-    dist4 = CardinalDist(n, p)
     f = MultilinearPoly(n, {(1,): F(1), (1, 2): F(1)}, Basis.PHI, p)
-    assert second_moment(f, dist4, exact=False) != second_moment(f, dist4)
+    assert second_moment(f, p, False) != second_moment(f, p, True)
 
 
 def test_null_space_identities(rng):
-    # E[(sum phi_i) g] = 0 and Var(c + (sum phi_i) h) = 0, exactly
+    # E[(sum x_i - (1-2p)n) g] = 0 and Var(c + (sum x_i - (1-2p)n) h) = 0,
+    # exactly; in the phi basis the variance form vanishes on c + (sum phi_i) h
     for n, p in ((8, F(1, 4)), (9, F(1, 3)), (10, F(1, 2))):
         dist = CardinalDist(n, p)
-        constraint = constraint_poly(n, Basis.PHI, p)
+        constraint = constraint_poly(n, Basis.CHI) - dist.card.target_sum
+        phi_constraint = constraint_poly(n, Basis.PHI, p)
+        form_b = SetSymmetricForm(n=n, d=3, p=p, kind="B", dist=dist)
         for _ in range(10):
-            g = random_poly(rng, n, 2, 5, Basis.PHI, p)
-            assert scalar_sign(expectation(constraint * g, dist)) == 0
-            f = constraint * g + F(3, 7)
-            assert scalar_sign(variance(f, dist)) == 0
+            g = random_poly(rng, n, 2, 5)
+            assert chi_expectation(constraint * g, dist) == 0
+            assert chi_variance(constraint * g + F(3, 7), dist) == 0
+            h = random_poly(rng, n, 2, 5, Basis.PHI, p)
+            assert scalar_sign(quadratic_form_value(form_b, phi_constraint * h + F(3, 7))) == 0
 
 
 def test_chi_route_agrees_with_phi_route(rng):
@@ -156,8 +161,10 @@ def test_chi_route_agrees_with_phi_route(rng):
         dist = CardinalDist(n, p)
         f = random_poly(rng, n, 3, 8)
         g = convert_basis(f, Basis.PHI, p)
-        assert chi_expectation(f, dist) == expectation(g, dist)
-        assert chi_variance(f, dist) == variance(g, dist)
+        form_a = SetSymmetricForm(n=n, d=3, p=p, kind="A", dist=dist)
+        form_b = SetSymmetricForm(n=n, d=3, p=p, kind="B", dist=dist)
+        assert chi_expectation(f * f, dist) == quadratic_form_value(form_a, g)
+        assert chi_variance(f, dist) == quadratic_form_value(form_b, g)
 
 
 def test_sample_counts_and_determinism():
@@ -197,8 +204,8 @@ def test_mc_moment_constant_exact():
 def test_mc_moment_consistency(rng):
     n, p = 30, F(1, 2)
     dist = CardinalDist(n, p)
-    f = random_poly(rng, n, 2, 10, Basis.PHI, p, include_constant=False)
-    exact = to_float(second_moment(f, dist))
+    f = random_poly(rng, n, 2, 10, include_constant=False)
+    exact = to_float(chi_expectation(f * f, dist))
     est, err = mc_moment(f, dist, 2, 4000, 11)
     assert abs(est - exact) <= 4 * max(err, 1e-12)
 
@@ -207,8 +214,8 @@ def test_mc_moment_fourth_power_bound(rng):
     n, p, d = 30, F(1, 2), 2
     dist = CardinalDist(n, p)
     bound = float(bisection_fourth_moment_bound(d))
-    f = random_poly(rng, n, d, 10, Basis.PHI, p, include_constant=False)
-    m2 = to_float(second_moment(f, dist))
+    f = random_poly(rng, n, d, 10, include_constant=False)
+    m2 = to_float(chi_expectation(f * f, dist))
     est, _ = mc_moment(f, dist, 4, 3000, 13)
     assert est <= bound * m2 * m2
 

@@ -132,6 +132,31 @@ def test_oracle_report(capsys, k4_file):
     assert doc["opt"] == 4 and doc["decision"] is False
 
 
+def test_moments_match_oracle_off_half(capsys, tmp_path):
+    import random
+    from fractions import Fraction
+
+    from cardcsp.csp_model import GlobalCardinality, format_instance, to_polynomial
+    from cardcsp.exact import fraction_str
+    from cardcsp.oracle import brute_average, brute_moment, brute_variance
+    from conftest import random_instance
+
+    inst = random_instance(random.Random(5), 9, 3, 8)
+    card = GlobalCardinality(9, Fraction(1, 3))
+    path = tmp_path / "biased.csp"
+    path.write_text(format_instance(inst, card))
+    code, doc, _ = run(capsys, ["moments", "--instance", str(path)])
+    f = to_polynomial(inst)
+    assert code == 0
+    assert doc["avg"]["exact"] == fraction_str(brute_average(inst, card))
+    assert doc["second_moment"]["exact"] == fraction_str(brute_moment(f, card, 2))
+    assert doc["variance"]["exact"] == fraction_str(brute_variance(f, card))
+
+
+def test_threads_flag_is_gone(p4_file):
+    assert main(["--threads", "1", "solve", "--instance", p4_file, "--t", "1"]) == 64
+
+
 def test_usage_error():
     assert main(["solve", "--bogus"]) == 64
     assert main(["nonsense"]) == 64

@@ -2,9 +2,12 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cardcsp.csp_model import (GlobalCardinality, constraint_count, format_instance,
-                               parse_instance, to_polynomial)
+from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality,
+                               constraint_count, format_instance, parse_instance,
+                               to_polynomial)
 from cardcsp.errors import InputError, ParseError
 
 from conftest import complete_graph, graph_instance, random_instance, star_graph
@@ -73,6 +76,28 @@ def test_format_round_trip(rng):
     assert inst2.n == inst.n and inst2.m == inst.m
     for a, b in zip(inst.constraints, inst2.constraints):
         assert a.variables == b.variables and a.patterns == b.patterns
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 10))
+    d = draw(st.integers(1, 3))
+    p = F(draw(st.integers(1, n - 1)), n)
+    constraints = []
+    for _ in range(draw(st.integers(0, 6))):
+        arity = draw(st.integers(1, min(d, n)))
+        variables = tuple(draw(st.permutations(range(1, n + 1)))[:arity])
+        patterns = draw(st.frozensets(
+            st.tuples(*[st.sampled_from((-1, 1))] * arity), min_size=1))
+        constraints.append(Constraint(variables, patterns))
+    return CspInstance(n=n, d=d, constraints=tuple(constraints)), GlobalCardinality(n, p)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(instances())
+def test_format_parse_round_trip_property(drawn):
+    inst, card = drawn
+    assert parse_instance(format_instance(inst, card)) == (inst, card)
 
 
 def test_cardinality_invariants():

@@ -64,13 +64,13 @@ def test_brute_moment_pair_is_delta2():
 
 
 def test_brute_moment_matches_closed_form(rng):
-    from cardcsp.cardinal_dist import second_moment
+    from cardcsp.spectra import SetSymmetricForm, quadratic_form_value
     n, p = 9, F(1, 3)
     card = GlobalCardinality(n, p)
-    dist = CardinalDist(n, p)
+    form_a = SetSymmetricForm(n=n, d=2, p=p, kind="A")
     for _ in range(10):
         f = random_poly(rng, n, 2, 6, Basis.PHI, p)
-        assert brute_moment(f, card, 2) == second_moment(f, dist)
+        assert brute_moment(f, card, 2) == quadratic_form_value(form_a, f)
 
 
 def test_brute_force_decision_examples():

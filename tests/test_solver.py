@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from cardcsp.config import SolverConfig
-from cardcsp.csp_model import GlobalCardinality, constraint_count
+import cardcsp.solver as solver
+from cardcsp.config import SolverConfig, parse_config
+from cardcsp.csp_model import Constraint, CspInstance, GlobalCardinality, constraint_count
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.oracle import brute_force_decision, brute_opt
 from cardcsp.poly import MultilinearPoly
@@ -11,7 +12,7 @@ from cardcsp.solver import (average, certification_threshold, decide,
                             enumerate_kernel, general_fourth_moment_bound,
                             instance_variance, kernel_bound_constant)
 
-from conftest import (complete_graph, graph_instance, path_graph, random_instance,
+from conftest import (CUT, complete_graph, graph_instance, path_graph, random_instance,
                       star_graph, valid_biases)
 
 
@@ -132,6 +133,57 @@ def test_decide_kernel_cap():
     with pytest.raises(ResourceError) as err:
         decide(inst, card, 1, SolverConfig(kernel_cap=2))
     assert err.value.payload  # the kernel is handed back
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran past a cap that should have stopped it")
+
+
+def test_decide_enum_cap_checked_before_enumeration(monkeypatch):
+    inst = path_graph(10)
+    card = GlobalCardinality(10, F(1, 2))
+    monkeypatch.setattr(solver, "enumerate_kernel", _must_not_run)
+    with pytest.raises(ResourceError) as err:
+        decide(inst, card, 1, SolverConfig(enum_cap=1))
+    assert err.value.payload  # the kernel is handed back
+
+
+def test_decide_dense_cap_checked_before_projection(monkeypatch):
+    inst = path_graph(10)  # degree 2: Gram dimension C(10,0) + C(10,1) = 11
+    card = GlobalCardinality(10, F(1, 2))
+    monkeypatch.setattr(solver, "project_null", _must_not_run)
+    with pytest.raises(ResourceError) as err:
+        decide(inst, card, 1, SolverConfig(dense_cap=10))
+    assert "11" in str(err.value) and err.value.payload is not None
+
+
+def test_decide_validates_api_instance():
+    # arity 2 above the declared d = 1: rejected, not solved with the d = 1 constant
+    inst = CspInstance(n=6, d=1, constraints=(Constraint((1, 2), CUT),))
+    for p in (F(1, 3), F(1, 2)):
+        with pytest.raises(InputError, match="arity 2 outside"):
+            decide(inst, GlobalCardinality(6, p), 1)
+
+
+def test_config_rejects_negative_caps():
+    for key in ("enum_cap", "kernel_cap", "dense_cap"):
+        with pytest.raises(InputError):
+            SolverConfig(**{key: -1})
+        with pytest.raises(InputError):
+            parse_config(f"{key} = -1")
+
+
+def test_config_rejects_p0_outside_open_half_interval():
+    for p0 in (F(0), F(-1, 10), F(1, 2), F(3, 5)):
+        with pytest.raises(InputError):
+            SolverConfig(p0=p0)
+    assert SolverConfig(p0=F(49, 100)).p0 == F(49, 100)
+
+
+def test_config_rejects_unread_keys_and_bad_values():
+    for line in ("threads = 2", "float_tol = 1e-9", "enum_cap = lots", "p0 = 1/0"):
+        with pytest.raises(InputError):
+            parse_config(line)
 
 
 def test_decide_deterministic_json():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cardcsp.cardinal_dist import CardinalDist, variance
+from cardcsp.cardinal_dist import CardinalDist
 from cardcsp.csp_model import GlobalCardinality
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.exact import scalar_sign, to_float
@@ -253,6 +253,8 @@ def test_projection_examples():
     pr = project_null(star, dist)
     assert pr.residual_norm_sq == 0
     assert pr.h.coefficient((1,)) == F(-1, 2)
+    with pytest.raises(InputError):
+        project_null(star, dist, mode="float")
 
 
 def test_projection_sandwich(rng):
@@ -282,11 +284,3 @@ def test_projection_orthogonality_and_idempotence(rng):
         assert again.h.coeffs == {}
         assert again.residual == pr.residual
 
-
-def test_projection_float_mode(rng):
-    n = 10
-    dist = CardinalDist(n, F(1, 2))
-    f = random_poly(rng, n, 2, 8)
-    exact = project_null(f, dist, mode="exact")
-    approx = project_null(f, dist, mode="float")
-    assert abs(to_float(exact.residual_norm_sq) - to_float(approx.residual_norm_sq)) <= 1e-8
