@@ -53,6 +53,8 @@ class GlobalCardinality:
     p: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise InputError(f"n = {self.n!r} is not a positive integer")
         if not 0 < self.p < 1:
             raise InputError("p must lie in (0,1)")
         if (self.p * self.n).denominator != 1:

@@ -256,35 +256,45 @@ def nearest_multiple(x: Fraction, step: Fraction) -> Fraction:
 def solve_linear_exact(matrix, rhs):
     """Solve M x = b exactly by Gaussian elimination over Q[sqrt(r)].
 
-    ``matrix`` is a list of row lists, mutated freely (pass copies).
-    Raises ValueError if M is singular.
+    ``matrix`` is a list of row lists; it is copied, not mutated.  A singular
+    but consistent system (such as the normal equations of dependent
+    least-squares generators) is solved with the unknown of every column
+    without a pivot set to 0.  Raises ValueError if the system is
+    inconsistent.
     """
     m = [row[:] for row in matrix]
     b = list(rhs)
     size = len(m)
+    pivots = []  # pivots[r] is the column of row r's pivot
     for col in range(size):
-        piv = next((i for i in range(col, size) if scalar_sign(m[i][col]) != 0), None)
+        top = len(pivots)
+        piv = next((i for i in range(top, size) if scalar_sign(m[i][col]) != 0), None)
         if piv is None:
-            raise ValueError("singular system")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = scalar_inverse(m[col][col])
-        for i in range(col + 1, size):
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            b[top], b[piv] = b[piv], b[top]
+        inv = scalar_inverse(m[top][col])
+        for i in range(top + 1, size):
             factor = m[i][col] * inv
             if scalar_sign(factor) == 0:
                 continue
-            row_i, row_c = m[i], m[col]
+            row_i, row_c = m[i], m[top]
             for j in range(col, size):
                 row_i[j] = row_i[j] - factor * row_c[j]
-            b[i] = b[i] - factor * b[col]
+            b[i] = b[i] - factor * b[top]
+        pivots.append(col)
+    # rows below the last pivot are zero; consistency needs their b zero too
+    if any(scalar_sign(b[i]) != 0 for i in range(len(pivots), size)):
+        raise ValueError("inconsistent linear system")
     x = [Fraction(0)] * size
-    for i in range(size - 1, -1, -1):
-        acc = b[i]
-        row = m[i]
-        for j in range(i + 1, size):
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        acc = b[r]
+        row = m[r]
+        for j in range(col + 1, size):
             acc = acc - row[j] * x[j]
-        x[i] = acc * scalar_inverse(row[i])
+        x[col] = acc * scalar_inverse(row[col])
     return x
 
 

@@ -293,7 +293,10 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
     h_total = MultilinearPoly.zero(n, Basis.CHI)
     for level in range(d, 0, -1):
         top = {s: c for s, c in f_cur.coeffs.items() if len(s) == level}
-        if not top:
+        # reconstruct_h pairs each weight-(level-1) set with a disjoint
+        # level-set pivot; with fewer than 2*level - 1 variables none exists,
+        # so the level is left as it is (its variables stay in the kernel)
+        if not top or n < 2 * level - 1:
             continue
         best_count = -1
         best_subset = None

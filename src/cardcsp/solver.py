@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from math import comb
+from itertools import combinations
+from math import comb, lcm
 from typing import List, Optional, Tuple
 
 from .cardinal_dist import CardinalDist, chi_expectation, chi_variance
@@ -34,7 +34,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
                         to_polynomial, validate_instance)
 from .errors import InputError, ResourceError
-from .exact import fraction_str, sqrt_upper
+from .exact import as_fraction, fraction_str, sqrt_upper
 from .poly import Assignment, MultilinearPoly
 from .rounding import (active_bound_constant, gamma_denominator,
                        round_bisection, round_global)
@@ -141,41 +141,57 @@ def instance_variance(inst: CspInstance, card: GlobalCardinality) -> Fraction:
     return chi_variance(to_polynomial(inst), dist)
 
 
+def _feasible_layers(size: int, card: GlobalCardinality) -> range:
+    """The -1 counts a kernel of `size` variables can take and still extend
+    to the slice: at most p*n entries -1 and at most (1-p)n entries +1."""
+    return range(max(0, size - card.num_positive), min(size, card.num_negative) + 1)
+
+
 def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
                      base_correction, cap: int = DEFAULT_CONFIG.kernel_cap
                      ) -> Tuple[Fraction, Tuple[int, ...]]:
     """Exact max of reduced + base_correction over feasible kernel assignments.
 
-    Feasible: at most p*n entries -1 and at most (1-p)n entries +1, so the
-    assignment extends to the slice.  Returns (opt, values over sorted(kernel)),
-    ties resolved toward the lexicographically smallest assignment.
+    Only feasible points are visited: for each -1 count j in _feasible_layers,
+    every j-subset of the kernel takes the value -1.  reduced's coefficients
+    are put over one common denominator as int numerators keyed by an int
+    bitmask over the kernel, so a term's sign at a point is the parity of
+    its mask's overlap with the point's -1 mask.  Returns (opt, values over
+    sorted(kernel)), ties resolved toward the lexicographically smallest
+    assignment (-1 before +1).
     """
     kernel = tuple(sorted(kernel))
-    if len(kernel) > cap:
-        raise ResourceError(f"kernel size {len(kernel)} exceeds cap {cap}",
+    size = len(kernel)
+    if size > cap:
+        raise ResourceError(f"kernel size {size} exceeds cap {cap}",
                             payload=kernel)
     extra = set(reduced.variables_used()) - set(kernel)
     if extra:
         raise InputError(f"reduced polynomial depends on non-kernel variables {sorted(extra)}")
     base_correction = Fraction(base_correction)
-    max_neg = card.num_negative
-    max_pos = card.num_positive
-    best: Optional[Fraction] = None
-    best_arg: Optional[Tuple[int, ...]] = None
-    outside = card.n - len(kernel)
-    for values in product((-1, 1), repeat=len(kernel)):
-        negs = values.count(-1)
-        poss = len(values) - negs
-        if negs > max_neg or poss > max_pos:
-            continue
-        point = dict(zip(kernel, values))
-        full = tuple(point.get(i, 1) for i in range(1, reduced.n + 1))
-        val = Fraction(reduced.evaluate(full)) + base_correction
-        if best is None or val > best:
-            best, best_arg = val, values
-    if best is None:
+    layers = _feasible_layers(size, card)
+    if not layers:
         raise InputError("no feasible kernel assignment (inconsistent budgets)")
-    return best, best_arg
+    try:
+        coeffs = {s: as_fraction(c) for s, c in reduced.coeffs.items()}
+    except ValueError as exc:
+        raise InputError(f"reduced polynomial is not rational: {exc}") from exc
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    # Kernel position i is bit size-1-i: between two -1 masks, the larger is
+    # the lexicographically smaller assignment.
+    bit = {v: 1 << (size - 1 - i) for i, v in enumerate(kernel)}
+    terms = [(sum(bit[v] for v in s), c.numerator * (den // c.denominator))
+             for s, c in coeffs.items()]
+    total = sum(c for _, c in terms)
+    best = best_mask = None
+    for j in layers:
+        for negs in combinations(range(size), j):
+            neg_mask = sum(1 << b for b in negs)
+            val = total - 2 * sum(c for m, c in terms if (m & neg_mask).bit_count() & 1)
+            if best is None or val > best or (val == best and neg_mask > best_mask):
+                best, best_mask = val, neg_mask
+    arg = tuple(-1 if best_mask & bit[v] else 1 for v in kernel)
+    return Fraction(best, den) + base_correction, arg
 
 
 def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
@@ -244,9 +260,10 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
                                allow_large_variance=True)
         base_correction = Fraction(0)
     kernel = tuple(sorted(outcome.active_set))
-    if 2 ** len(kernel) > config.enum_cap:
+    points = sum(comb(len(kernel), j) for j in _feasible_layers(len(kernel), card))
+    if points > config.enum_cap:
         raise ResourceError(
-            f"kernel walk of 2^{len(kernel)} points exceeds enumeration cap "
+            f"kernel walk of {points} feasible points exceeds enumeration cap "
             f"{config.enum_cap}", payload=kernel)
     opt, arg = enumerate_kernel(outcome.reduced, kernel, card, base_correction,
                                 cap=config.kernel_cap)

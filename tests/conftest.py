@@ -4,6 +4,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from cardcsp.csp_model import Constraint, CspInstance
 from cardcsp.poly import Basis, MultilinearPoly
@@ -41,6 +42,19 @@ def random_instance(rng: random.Random, n: int, d: int, m: int) -> CspInstance:
                         for _ in range(rng.randint(1, 2 ** k - 1))}
         cons.append(Constraint(variables, frozenset(patterns)))
     return CspInstance(n=n, d=d, constraints=tuple(cons))
+
+
+@st.composite
+def csp_instances(draw, n: int, d: int) -> CspInstance:
+    """Up to six constraints of arity at most min(d, n) over n variables."""
+    constraints = []
+    for _ in range(draw(st.integers(0, 6))):
+        arity = draw(st.integers(1, min(d, n)))
+        variables = tuple(draw(st.permutations(range(1, n + 1)))[:arity])
+        patterns = draw(st.frozensets(
+            st.tuples(*[st.sampled_from((-1, 1))] * arity), min_size=1))
+        constraints.append(Constraint(variables, patterns))
+    return CspInstance(n=n, d=d, constraints=tuple(constraints))
 
 
 def random_poly(rng: random.Random, n: int, degree: int, terms: int,

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality,
-                               constraint_count, format_instance, parse_instance,
-                               to_polynomial)
+from cardcsp.csp_model import (GlobalCardinality, constraint_count, format_instance,
+                               parse_instance, to_polynomial)
 from cardcsp.errors import InputError, ParseError
 
-from conftest import complete_graph, graph_instance, random_instance, star_graph
+from conftest import (complete_graph, csp_instances, graph_instance, random_instance,
+                      star_graph)
 
 CUT_EDGE_FILE = """\
 # a single MaxCut edge under the bisection constraint
@@ -83,14 +83,7 @@ def instances(draw):
     n = draw(st.integers(2, 10))
     d = draw(st.integers(1, 3))
     p = F(draw(st.integers(1, n - 1)), n)
-    constraints = []
-    for _ in range(draw(st.integers(0, 6))):
-        arity = draw(st.integers(1, min(d, n)))
-        variables = tuple(draw(st.permutations(range(1, n + 1)))[:arity])
-        patterns = draw(st.frozensets(
-            st.tuples(*[st.sampled_from((-1, 1))] * arity), min_size=1))
-        constraints.append(Constraint(variables, patterns))
-    return CspInstance(n=n, d=d, constraints=tuple(constraints)), GlobalCardinality(n, p)
+    return draw(csp_instances(n, d)), GlobalCardinality(n, p)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -109,6 +102,13 @@ def test_cardinality_invariants():
         GlobalCardinality(5, F(1, 2))
     with pytest.raises(InputError):
         GlobalCardinality(4, F(0))
+
+
+@pytest.mark.parametrize("n", [-4, 0, 4.0, F(4)])
+def test_cardinality_rejects_n_that_is_not_a_positive_int(n):
+    # n = -4 used to build with num_negative == num_positive == -2
+    with pytest.raises(InputError, match="positive integer"):
+        GlobalCardinality(n, F(1, 2))
 
 
 def test_to_polynomial_cut_constraint():

@@ -88,6 +88,13 @@ def test_solve_linear_exact():
         solve_linear_exact([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
 
 
+def test_solve_linear_exact_singular_consistent():
+    # dependent normal equations: the pivot-free column's unknown is 0
+    m = [[F(1), F(2), F(0)], [F(2), F(4), F(0)], [F(0), F(0), F(3)]]
+    assert solve_linear_exact(m, [F(1), F(2), F(6)]) == [F(1), F(0), F(2)]
+    assert solve_linear_exact([[F(0)]], [F(0)]) == [F(0)]
+
+
 def test_solve_linear_exact_quadratic_field():
     s = sqrt_scalar(F(2))
     m = [[1 + s, F(1)], [F(1), 2 - s]]

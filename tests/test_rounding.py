@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
-from cardcsp.csp_model import GlobalCardinality
+from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly
@@ -12,7 +14,7 @@ from cardcsp.rounding import (active_bound_constant, active_variables,
                               round_bisection, round_global)
 from cardcsp.spectra import constraint_poly, project_null
 
-from conftest import random_poly
+from conftest import csp_instances, random_poly
 
 
 def mono(n, subset, c=F(1)):
@@ -149,6 +151,36 @@ def test_round_bisection_slice_equivalence(rng):
         base = f.coefficient(())
         for a in slice_assignments(card):
             assert out.reduced.evaluate(a) + base == f.evaluate(a)
+
+
+@st.composite
+def reductions(draw):
+    """decide's kernelization on a random instance: round_bisection at
+    p = 1/2 (n even) or round_global at p = 1/3 (n a multiple of 3), with
+    decide's gamma and the constant decide adds back to the reduced
+    polynomial."""
+    p = draw(st.sampled_from((F(1, 2), F(1, 3))))
+    n = draw(st.sampled_from((2, 4, 6, 8) if p == F(1, 2) else (3, 6)))
+    d = draw(st.integers(1, 3))
+    f = to_polynomial(draw(csp_instances(n, d)))
+    dist = CardinalDist(n, p)
+    gamma = F(1, 2 ** d)
+    if p == F(1, 2):
+        pr = project_null(f, dist)
+        out = round_bisection(f, pr.h, gamma, d=d, allow_large_residual=True)
+        return f, dist.card, out.reduced, f.coefficient(())
+    out = round_global(f, dist, gamma, d=d, allow_large_variance=True)
+    return f, dist.card, out.reduced, F(0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(reductions())
+def test_reduced_plus_base_correction_equals_f_on_the_slice(drawn):
+    # enumerate_kernel maximizes reduced + base_correction over the kernel
+    # alone; that is f's maximum over the slice only if the two agree there
+    f, card, reduced, base_correction = drawn
+    for a in slice_assignments(card):
+        assert reduced.evaluate(a) + base_correction == f.evaluate(a)
 
 
 def test_round_bisection_rejects_non_multiples():

@@ -1,11 +1,16 @@
 from fractions import Fraction as F
+from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cardcsp.solver as solver
 from cardcsp.config import SolverConfig, parse_config
 from cardcsp.csp_model import Constraint, CspInstance, GlobalCardinality, constraint_count
 from cardcsp.errors import InputError, ResourceError
+from cardcsp.exact import sqrt_scalar
 from cardcsp.oracle import brute_force_decision, brute_opt
 from cardcsp.poly import MultilinearPoly
 from cardcsp.solver import (average, certification_threshold, decide,
@@ -110,6 +115,103 @@ def test_enumerate_kernel_cap():
     reduced = MultilinearPoly(6, {(1, 2): F(1)})
     with pytest.raises(ResourceError):
         enumerate_kernel(reduced, (1, 2), card, 0, cap=1)
+
+
+def test_enumerate_kernel_rejects_irrational_coefficients():
+    card = GlobalCardinality(4, F(1, 2))
+    reduced = MultilinearPoly(4, {(1,): sqrt_scalar(F(2))})
+    with pytest.raises(InputError, match="not rational"):
+        enumerate_kernel(reduced, (1,), card, 0)
+
+
+def test_enumerate_kernel_rejects_kernel_without_feasible_layer():
+    # five kernel variables cannot fit a slice of four
+    card = GlobalCardinality(4, F(1, 2))
+    reduced = MultilinearPoly(5, {(5,): F(1)})
+    with pytest.raises(InputError, match="no feasible kernel assignment"):
+        enumerate_kernel(reduced, (1, 2, 3, 4, 5), card, 0)
+
+
+def _enumerate_kernel_reference(reduced, kernel, card, base_correction):
+    """The walk enumerate_kernel replaced: all 2^|K| points in lexicographic
+    order (-1 before +1), infeasible ones skipped, the generic evaluate at
+    every feasible one, the first maximizer kept."""
+    kernel = tuple(sorted(kernel))
+    best = best_arg = None
+    for values in product((-1, 1), repeat=len(kernel)):
+        negs = values.count(-1)
+        if negs > card.num_negative or len(values) - negs > card.num_positive:
+            continue
+        point = dict(zip(kernel, values))
+        full = tuple(point.get(i, 1) for i in range(1, reduced.n + 1))
+        val = F(reduced.evaluate(full)) + F(base_correction)
+        if best is None or val > best:
+            best, best_arg = val, values
+    return best, best_arg
+
+
+MIXED_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 8, 12)
+
+
+@st.composite
+def kernel_problems(draw):
+    """A chi polynomial on a kernel of at most 8 variables, a bias and a
+    base correction.  n is a small multiple of p's denominator, so a kernel
+    close to n leaves whole -1 layers infeasible at both ends; small-integer
+    coefficients make ties common."""
+    p = draw(st.sampled_from((F(1, 2), F(1, 3), F(1, 4), F(2, 3))))
+    n = p.denominator * draw(st.integers(1, 4))
+    size = draw(st.integers(0, min(8, n)))
+    kernel = tuple(sorted(draw(st.permutations(range(1, n + 1)))[:size]))
+    if draw(st.booleans()):
+        coefficient = st.integers(-1, 1).map(F)
+    else:
+        coefficient = st.builds(F, st.integers(-30, 30),
+                                st.sampled_from(MIXED_DENOMINATORS))
+    subsets = st.lists(st.sampled_from(kernel), unique=True, max_size=4) \
+        if kernel else st.just([])
+    coeffs = {tuple(sorted(s)): draw(coefficient)
+              for s in draw(st.lists(subsets, max_size=12))}
+    base_correction = draw(coefficient)
+    return MultilinearPoly(n, coeffs), kernel, GlobalCardinality(n, p), base_correction
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kernel_problems())
+@example((MultilinearPoly(4, {(1, 2): F(1), (3,): F(-1, 3)}), (1, 2, 3, 4),
+          GlobalCardinality(4, F(1, 4)), F(1, 2)))   # only the 1-layer is feasible
+@example((MultilinearPoly(3, {}), (), GlobalCardinality(3, F(2, 3)), F(0)))
+def test_enumerate_kernel_matches_reference_walk(problem):
+    reduced, kernel, card, base_correction = problem
+    assert enumerate_kernel(reduced, kernel, card, base_correction) == \
+        _enumerate_kernel_reference(reduced, kernel, card, base_correction)
+
+
+def test_decide_enum_cap_counts_feasible_points_only():
+    inst = path_graph(10)
+    card = GlobalCardinality(10, F(1, 2))
+    v = decide(inst, card, 1)
+    assert v.kernel == tuple(range(1, 11))
+    feasible = comb(10, 5)  # p = 1/2: the kernel takes exactly five -1 values
+    assert 2 ** 10 > feasible
+    assert decide(inst, card, 1, SolverConfig(enum_cap=feasible)).opt == v.opt
+    with pytest.raises(ResourceError, match=str(feasible)):
+        decide(inst, card, 1, SolverConfig(enum_cap=feasible - 1))
+
+
+@pytest.mark.parametrize("n, p, d", [(2, F(1, 2), 2), (4, F(1, 2), 3),
+                                     (3, F(1, 3), 3), (4, F(1, 4), 3)])
+def test_decide_smallest_instances_match_oracle(n, p, d):
+    # at p = 1/2, degree 2 at n = 2 and degree 3 at n = 4 used to raise
+    # "singular system" in project_null; at p != 1/2, degree 3 at n < 5 used
+    # to raise "not enough variables to build a pivot set" in round_global
+    for patterns in ({(1,) * d}, {(1,) * (d - 1) + (-1,), (-1,) * d}):
+        inst = CspInstance(n=n, d=d, constraints=(
+            Constraint(tuple(range(1, d + 1)), frozenset(patterns)),))
+        card = GlobalCardinality(n, p)
+        v = decide(inst, card, 1)
+        assert v.opt == brute_opt(inst, card)[0]
+        assert v.answer_bool == brute_force_decision(inst, card, 1)
 
 
 def test_decide_t_nonpositive():
