@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 from .csp_model import GlobalCardinality
 from .errors import InputError
-from .exact import Scalar, make_qe, to_float
+from .exact import Scalar, _over_common_denominator, make_qe, to_float
 from .poly import Assignment, Basis, MultilinearPoly
 
 
@@ -92,12 +92,16 @@ def delta_sequence(n: int, p, kmax: int) -> List[Scalar]:
     return [dist.delta(k) for k in range(kmax + 1)]
 
 
-def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
-    """E_{D_p}[f] for a chi-basis f, via the rational chi moment sequence."""
+def _require_chi(f: MultilinearPoly, dist: CardinalDist) -> None:
     if f.basis is not Basis.CHI:
-        raise InputError("chi_expectation expects the chi basis")
+        raise InputError("chi-basis moments expect the chi basis")
     if f.n != dist.n:
         raise InputError("variable counts differ")
+
+
+def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
+    """E_{D_p}[f] for a chi-basis f, via the rational chi moment sequence."""
+    _require_chi(f, dist)
     total = Fraction(0)
     for s, c in f.coeffs.items():
         total += c * dist.chi_moment(len(s))
@@ -107,12 +111,29 @@ def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
 def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     """Var_{D_p}(f) for chi-basis f with rational coefficients.
 
-    Squares f in the chi basis (cheap symmetric-difference convolution) and
-    applies the chi moment sequence; agrees exactly with the variance form of
+    E[f^2] = sum_{S,T} a_S a_T eps_{|S delta T|}, so the products are binned
+    by |S delta T| instead of forming f*f: with f over one common
+    denominator as int numerators keyed by int bitmasks, a_S^2 goes to bin 0
+    and 2 a_S a_T to bin popcount(mask_S ^ mask_T); the mean bins a_S by
+    |S|.  Agrees exactly with the variance form of
     spectra.quadratic_form_value on the phi-converted polynomial.
     """
-    mean = chi_expectation(f, dist)
-    return chi_expectation(f * f, dist) - mean * mean
+    _require_chi(f, dist)
+    try:
+        den, nums = _over_common_denominator(f.coeffs.values())
+    except ValueError as exc:
+        raise InputError(f"chi_variance needs rational coefficients: {exc}") from exc
+    terms = list(zip((sum(1 << (i - 1) for i in s) for s in f.coeffs), nums))
+    first = [0] * (f.degree_bound + 1)
+    second = [0] * (min(2 * f.degree_bound, f.n) + 1)
+    for k, (mask, a) in enumerate(terms):
+        first[mask.bit_count()] += a
+        second[0] += a * a
+        for other, b in terms[k + 1:]:
+            second[(mask ^ other).bit_count()] += 2 * a * b
+    mean = Fraction(sum(h * dist.chi_moment(j) for j, h in enumerate(first) if h), den)
+    square = sum(h * dist.chi_moment(j) for j, h in enumerate(second) if h)
+    return Fraction(square, den * den) - mean * mean
 
 
 def sample(dist: CardinalDist, seed) -> Assignment:

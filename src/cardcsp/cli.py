@@ -22,7 +22,7 @@ from .exact import fraction_str, to_float
 from .oracle import brute_average, brute_force_decision, brute_opt, hyper_ratio
 from .poly import Basis, convert_basis
 from .rounding import round_bisection, round_global
-from .solver import decide, fourth_moment_bound
+from .solver import _check_projection_cap, decide, fourth_moment_bound
 from .spectra import SetSymmetricForm, eigen_summary, project_null
 
 EXIT_YES = 0
@@ -55,10 +55,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_kernel(args) -> int:
     inst, card = _load_instance(args.instance)
+    config = load_config(args.config) if args.config else DEFAULT_CONFIG
     f = to_polynomial(inst)
     dist = CardinalDist.from_card(card)
     gamma = Fraction(args.gamma) if args.gamma else Fraction(1, 2 ** inst.d)
     if card.p == Fraction(1, 2):
+        _check_projection_cap(f, config.dense_cap)
         proj = project_null(f, dist, mode="exact")
         outcome = round_bisection(f, proj.h, gamma, d=inst.d,
                                   allow_large_residual=True)
@@ -175,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel = sub.add_parser("kernel", help="projection/rounding kernel report")
     p_kernel.add_argument("--instance", required=True)
     p_kernel.add_argument("--gamma", default=None, help="coefficient granularity a/b")
+    p_kernel.add_argument("--config", default=None)
     p_kernel.set_defaults(func=_cmd_kernel)
 
     p_spectra = sub.add_parser("spectra", help="eigen report of the moment forms")

@@ -179,21 +179,26 @@ def format_instance(inst: CspInstance, card: GlobalCardinality) -> str:
 def to_polynomial(inst: CspInstance) -> MultilinearPoly:
     """Chi-basis polynomial whose value at any assignment is the number of
     satisfied constraints.  Every coefficient is a multiple of 2^-arity of
-    the constraint contributing it, hence of 2^-d overall."""
-    coeffs: Dict[Subset, Fraction] = {}
+    the constraint contributing it, hence of 2^-d overall: the coefficients
+    are summed as int numerators over 2^top, top the largest arity."""
+    top = max((c.arity for c in inst.constraints), default=0)
+    nums: Dict[Subset, int] = {}
     for c in inst.constraints:
         k = c.arity
-        scale = Fraction(1, 2 ** k)
-        for pat in c.patterns:
-            # prod_j (1 + pat_j x_{v_j}) / 2^k expands over subsets of positions
-            for r in range(k + 1):
-                for positions in combinations(range(k), r):
-                    sign = 1
-                    for j in positions:
-                        sign *= pat[j]
-                    key = tuple(sorted(c.variables[j] for j in positions))
-                    coeffs[key] = coeffs.get(key, Fraction(0)) + sign * scale
-    return MultilinearPoly(inst.n, coeffs, Basis.CHI)
+        weight = 1 << (top - k)
+        # bit j of a pattern's mask is set when its position j is -1
+        neg_masks = [sum(1 << j for j, v in enumerate(pat) if v < 0)
+                     for pat in c.patterns]
+        # prod_j (1 + pat_j x_{v_j}) / 2^k expands over subsets of positions
+        for r in range(k + 1):
+            for positions in combinations(range(k), r):
+                mask = sum(1 << j for j in positions)
+                odd = sum((mask & neg).bit_count() & 1 for neg in neg_masks)
+                key = tuple(sorted(c.variables[j] for j in positions))
+                nums[key] = nums.get(key, 0) + (len(neg_masks) - 2 * odd) * weight
+    den = 1 << top
+    return MultilinearPoly(inst.n, {s: Fraction(v, den) for s, v in nums.items() if v},
+                           Basis.CHI)
 
 
 def constraint_count(inst: CspInstance, a: Assignment) -> int:

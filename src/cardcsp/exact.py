@@ -13,7 +13,7 @@ Zero tolerance everywhere: equality of these scalars is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 Scalar = Union[int, Fraction, "QE"]
@@ -253,19 +253,56 @@ def nearest_multiple(x: Fraction, step: Fraction) -> Fraction:
     return k * step
 
 
-def solve_linear_exact(matrix, rhs):
-    """Solve M x = b exactly by Gaussian elimination over Q[sqrt(r)].
+def _over_common_denominator(values):
+    """(den, nums) with values[i] == nums[i] / den, den the lcm of the
+    denominators.  Raises ValueError if a value has an irrational part."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, QE):
+            raise ValueError(f"value {v!r} is not rational")
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
-    ``matrix`` is a list of row lists; it is copied, not mutated.  A singular
-    but consistent system (such as the normal equations of dependent
-    least-squares generators) is solved with the unknown of every column
-    without a pivot set to 0.  Raises ValueError if the system is
+
+def _bareiss_div(num, den):
+    """num / den, known to be exact: int division checked for a zero
+    remainder, field division once a QE or Fraction has entered."""
+    if type(num) is int and type(den) is int:
+        quo, rem = divmod(num, den)
+        if rem:
+            raise AssertionError(f"Bareiss division {num} / {den} is not exact")
+        return quo
+    return num / den
+
+
+def solve_linear_exact(matrix, rhs):
+    """Solve M x = b exactly by fraction-free (Bareiss) elimination.
+
+    Each all-rational row and its rhs entry are scaled by the lcm of their
+    denominators, so at p = 1/2 the elimination runs on Python ints: every
+    entry it forms is a minor of the scaled system, and each division by the
+    previous pivot is exact (checked).  Rows with QE entries stay in
+    Q[sqrt(r)] and divide in the field.  Bareiss rows are nonzero multiples
+    of Gauss rows, so the pivot columns and the solution are those of
+    Gaussian elimination with the first nonzero pivot at or below the
+    current row.  ``matrix`` is a list of row lists; it is not mutated.  A
+    singular but consistent system (such as the normal equations of
+    dependent least-squares generators) is solved with the unknown of every
+    column without a pivot set to 0.  Raises ValueError if the system is
     inconsistent.
     """
-    m = [row[:] for row in matrix]
-    b = list(rhs)
-    size = len(m)
+    size = len(matrix)
+    m, b = [], []
+    for row, rhs_i in zip(matrix, rhs):
+        values = list(row) + [rhs_i]
+        try:
+            _, values = _over_common_denominator(values)
+        except ValueError:
+            pass    # a row with QE entries stays in Q[sqrt(r)]
+        m.append(values[:size])
+        b.append(values[size])
     pivots = []  # pivots[r] is the column of row r's pivot
+    prev = 1     # the previous pivot: every update divides by it exactly
     for col in range(size):
         top = len(pivots)
         piv = next((i for i in range(top, size) if scalar_sign(m[i][col]) != 0), None)
@@ -274,16 +311,18 @@ def solve_linear_exact(matrix, rhs):
         if piv != top:
             m[top], m[piv] = m[piv], m[top]
             b[top], b[piv] = b[piv], b[top]
-        inv = scalar_inverse(m[top][col])
+        row_c = m[top]
+        pivot = row_c[col]
+        tail = row_c[col + 1:]
         for i in range(top + 1, size):
-            factor = m[i][col] * inv
-            if scalar_sign(factor) == 0:
-                continue
-            row_i, row_c = m[i], m[top]
-            for j in range(col, size):
-                row_i[j] = row_i[j] - factor * row_c[j]
-            b[i] = b[i] - factor * b[top]
+            row_i = m[i]
+            factor = row_i[col]
+            row_i[col + 1:] = [_bareiss_div(pivot * a - factor * c, prev)
+                               for a, c in zip(row_i[col + 1:], tail)]
+            row_i[col] = 0
+            b[i] = _bareiss_div(pivot * b[i] - factor * b[top], prev)
         pivots.append(col)
+        prev = pivot
     # rows below the last pivot are zero; consistency needs their b zero too
     if any(scalar_sign(b[i]) != 0 for i in range(len(pivots), size)):
         raise ValueError("inconsistent linear system")

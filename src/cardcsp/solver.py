@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import List, Optional, Tuple
 
 from .cardinal_dist import CardinalDist, chi_expectation, chi_variance
@@ -34,7 +34,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
                         to_polynomial, validate_instance)
 from .errors import InputError, ResourceError
-from .exact import as_fraction, fraction_str, sqrt_upper
+from .exact import _over_common_denominator, fraction_str, sqrt_upper
 from .poly import Assignment, MultilinearPoly
 from .rounding import (active_bound_constant, gamma_denominator,
                        round_bisection, round_global)
@@ -173,15 +173,13 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     if not layers:
         raise InputError("no feasible kernel assignment (inconsistent budgets)")
     try:
-        coeffs = {s: as_fraction(c) for s, c in reduced.coeffs.items()}
+        den, nums = _over_common_denominator(reduced.coeffs.values())
     except ValueError as exc:
         raise InputError(f"reduced polynomial is not rational: {exc}") from exc
-    den = lcm(*(c.denominator for c in coeffs.values()))
     # Kernel position i is bit size-1-i: between two -1 masks, the larger is
     # the lexicographically smaller assignment.
     bit = {v: 1 << (size - 1 - i) for i, v in enumerate(kernel)}
-    terms = [(sum(bit[v] for v in s), c.numerator * (den // c.denominator))
-             for s, c in coeffs.items()]
+    terms = [(sum(bit[v] for v in s), c) for s, c in zip(reduced.coeffs, nums)]
     total = sum(c for _, c in terms)
     best = best_mask = None
     for j in layers:
@@ -192,6 +190,17 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
                 best, best_mask = val, neg_mask
     arg = tuple(-1 if best_mask & bit[v] else 1 for v in kernel)
     return Fraction(best, den) + base_correction, arg
+
+
+def _check_projection_cap(f: MultilinearPoly, dense_cap: int) -> None:
+    """Raise ResourceError (payload: f) if project_null's Gram system, of
+    dimension sum_{k < deg f} C(n, k), exceeds dense_cap; call it before
+    the projection."""
+    gram_dim = sum(comb(f.n, k) for k in range(f.degree_bound))
+    if gram_dim > dense_cap:
+        raise ResourceError(
+            f"projection Gram dimension {gram_dim} exceeds dense cap "
+            f"{dense_cap}", payload=f)
 
 
 def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
@@ -240,11 +249,7 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
             "is not established at this size; results remain exact")
     gamma = Fraction(1, 2 ** d)
     if card.p == Fraction(1, 2):
-        gram_dim = sum(comb(card.n, k) for k in range(f.degree_bound))
-        if gram_dim > config.dense_cap:
-            raise ResourceError(
-                f"projection Gram dimension {gram_dim} exceeds dense cap "
-                f"{config.dense_cap}", payload=f)
+        _check_projection_cap(f, config.dense_cap)
         proj = project_null(f, dist, mode="exact")
         if Fraction(proj.residual_norm_sq) ** 2 > card.n:
             warnings.append(

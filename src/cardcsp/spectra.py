@@ -121,15 +121,13 @@ class SetSymmetricForm:
         return subsets_upto(self.n, self.d, include_empty=(self.kind == "A"))
 
 
-def build_dense(form: SetSymmetricForm, dense_cap: int = 2000):
-    """(labels, matrix) with exact entries; entries shared via the
-    (|S|,|T|,|S^T|) table so the dense build is cheap."""
-    labels = form.labels()
-    size = len(labels)
-    if size > dense_cap:
-        raise ResourceError(f"dense form of dimension {size} exceeds cap {dense_cap}")
+def _set_symmetric_matrix(labels: List[Subset], value) -> List[List[Scalar]]:
+    """Symmetric matrix over labels whose (S, T) entry depends only on
+    key = (|S|, |T|, |S^T|): value(key, i, j) runs once per key, at the
+    first pair (i <= j) that has it."""
     table: Dict[Tuple[int, int, int], Scalar] = {}
     sets = [set(s) for s in labels]
+    size = len(labels)
     matrix = [[None] * size for _ in range(size)]
     for i in range(size):
         si = sets[i]
@@ -139,11 +137,20 @@ def build_dense(form: SetSymmetricForm, dense_cap: int = 2000):
             key = (li, len(sets[j]), len(si & sets[j]))
             val = table.get(key)
             if val is None:
-                val = form.entry(*key)
-                table[key] = val
+                val = table[key] = value(key, i, j)
             row[j] = val
             matrix[j][i] = val
-    return labels, matrix
+    return matrix
+
+
+def build_dense(form: SetSymmetricForm, dense_cap: int = 2000):
+    """(labels, matrix) with exact entries; entries shared via the
+    (|S|,|T|,|S^T|) table so the dense build is cheap."""
+    labels = form.labels()
+    size = len(labels)
+    if size > dense_cap:
+        raise ResourceError(f"dense form of dimension {size} exceeds cap {dense_cap}")
+    return labels, _set_symmetric_matrix(labels, lambda key, i, j: form.entry(*key))
 
 
 def quadratic_form_value(form: SetSymmetricForm, f: MultilinearPoly) -> Scalar:
@@ -372,9 +379,11 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
         vec = null_space_vector(dist, s)
         vec.pop((), None)   # the constant direction is spanned separately
         generators.append(vec)
-    size = len(generators)
-    gram = [[_dot(generators[i], generators[j]) for j in range(size)] for i in range(size)]
-    rhs = [_dot(generators[i], g0.coeffs) for i in range(size)]
+    # The generators are permutation-equivariant, so the Gram matrix is
+    # set-symmetric: one _dot per (|S|, |T|, |S^T|).
+    gram = _set_symmetric_matrix(
+        gen_sets, lambda key, i, j: _dot(generators[i], generators[j]))
+    rhs = [_dot(gen, g0.coeffs) for gen in generators]
     coeffs = solve_linear_exact(gram, rhs)
     h = MultilinearPoly(f.n, {s: c for s, c in zip(gen_sets, coeffs)
                               if scalar_sign(c) != 0}, f.basis, f.p)

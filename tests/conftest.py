@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cardcsp.csp_model import Constraint, CspInstance
+from cardcsp.exact import scalar_inverse, scalar_sign
 from cardcsp.poly import Basis, MultilinearPoly
 
 CUT = frozenset({(1, -1), (-1, 1)})
@@ -78,3 +79,37 @@ def valid_biases(n):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def gauss_solve_reference(matrix, rhs):
+    """The Gaussian elimination solve_linear_exact replaced: Fraction/QE
+    arithmetic throughout, the first nonzero pivot at or below the current
+    row, pivot-free unknowns set to 0, ValueError when inconsistent."""
+    m = [row[:] for row in matrix]
+    b = list(rhs)
+    size = len(m)
+    pivots = []
+    for col in range(size):
+        top = len(pivots)
+        piv = next((i for i in range(top, size) if scalar_sign(m[i][col]) != 0), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        b[top], b[piv] = b[piv], b[top]
+        inv = scalar_inverse(m[top][col])
+        for i in range(top + 1, size):
+            factor = m[i][col] * inv
+            for j in range(col, size):
+                m[i][j] = m[i][j] - factor * m[top][j]
+            b[i] = b[i] - factor * b[top]
+        pivots.append(col)
+    if any(scalar_sign(b[i]) != 0 for i in range(len(pivots), size)):
+        raise ValueError("inconsistent linear system")
+    x = [Fraction(0)] * size
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        acc = b[r]
+        for j in range(col + 1, size):
+            acc = acc - m[r][j] * x[j]
+        x[col] = acc * scalar_inverse(m[r][col])
+    return x

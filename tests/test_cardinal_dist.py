@@ -2,18 +2,20 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcsp.cardinal_dist import (CardinalDist, chi_expectation, chi_variance,
                                    delta_sequence, mc_moment, sample)
-from cardcsp.csp_model import GlobalCardinality
+from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError
-from cardcsp.exact import scalar_sign, to_float
+from cardcsp.exact import scalar_sign, sqrt_scalar, to_float
 from cardcsp.oracle import brute_moment, brute_variance, slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, convert_basis
 from cardcsp.spectra import SetSymmetricForm, constraint_poly, quadratic_form_value
 from cardcsp.solver import bisection_fourth_moment_bound
 
-from conftest import random_poly, star_graph
+from conftest import csp_instances, random_poly, star_graph
 
 
 def phi_monomial(n, subset, p):
@@ -227,3 +229,39 @@ def test_mc_moment_input_errors():
         mc_moment(f, dist, 3, 10, 0)
     with pytest.raises(InputError):
         mc_moment(f, dist, 2, 0, 0)
+
+
+def _chi_variance_reference(f, dist):
+    """The route chi_variance replaced: square f as a polynomial."""
+    mean = chi_expectation(f, dist)
+    return chi_expectation(f * f, dist) - mean * mean
+
+
+@st.composite
+def counting_polys(draw):
+    """The counting polynomial of a random CSP at p in {1/2, 1/3}, n <= 9."""
+    p = draw(st.sampled_from((F(1, 2), F(1, 3))))
+    n = p.denominator * draw(st.integers(1, 4 if p == F(1, 2) else 3))
+    inst = draw(csp_instances(n, draw(st.integers(1, 3))))
+    return to_polynomial(inst), CardinalDist(n, p)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(counting_polys())
+def test_chi_variance_matches_squaring_reference(case):
+    f, dist = case
+    assert chi_variance(f, dist) == _chi_variance_reference(f, dist)
+
+
+def test_chi_variance_mixed_denominators_match_reference(rng):
+    for p in (F(1, 2), F(1, 3)):
+        dist = CardinalDist(6, p)
+        for _ in range(10):
+            f = random_poly(rng, 6, 3, 8)   # denominators 1..4
+            assert chi_variance(f, dist) == _chi_variance_reference(f, dist)
+
+
+def test_chi_variance_rejects_irrational_coefficient():
+    f = MultilinearPoly(4, {(1,): sqrt_scalar(F(2)), (2, 3): F(1)})
+    with pytest.raises(InputError, match="rational"):
+        chi_variance(f, CardinalDist(4, F(1, 2)))

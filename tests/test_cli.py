@@ -120,6 +120,27 @@ def test_kernel_report(capsys, p4_file):
     assert set(doc["active_set"]) <= {1, 2, 3, 4}
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran past a cap that should have stopped it")
+
+
+def test_kernel_checks_dense_cap_before_projection(capsys, tmp_path, monkeypatch):
+    import cardcsp.cli as cli
+    # a 10-vertex path at p = 1/2: degree 2, Gram dimension C(10,0) + C(10,1) = 11
+    path = tmp_path / "p10.csp"
+    path.write_text("csp 10 9 2 1/2\n" + "".join(
+        f"c 2 {i} {i + 1}\ns +1 -1\ns -1 +1\n" for i in range(1, 10)))
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("dense_cap = 11\n")
+    code, doc, _ = run(capsys, ["kernel", "--instance", str(path), "--config", str(cfg)])
+    assert code == 0 and doc["active_set"]
+    cfg.write_text("dense_cap = 10\n")
+    monkeypatch.setattr(cli, "project_null", _must_not_run)
+    code, doc, err = run(capsys, ["kernel", "--instance", str(path), "--config", str(cfg)])
+    assert code == 2 and doc is None
+    assert "11" in err and "dense cap 10" in err
+
+
 def test_hyper_report(capsys, p4_file):
     code, doc, _ = run(capsys, ["hyper", "--instance", p4_file])
     assert code == 0

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cardcsp.csp_model import (GlobalCardinality, constraint_count, format_instance,
                                parse_instance, to_polynomial)
 from cardcsp.errors import InputError, ParseError
+from cardcsp.poly import Basis, MultilinearPoly
 
 from conftest import (complete_graph, csp_instances, graph_instance, random_instance,
                       star_graph)
@@ -157,3 +158,30 @@ def test_duplicate_constraints_allowed():
     inst = graph_instance(2, [(1, 2), (1, 2)])
     assert constraint_count(inst, (1, -1)) == 2
     assert to_polynomial(inst).coefficient(()) == 1
+
+
+def _to_polynomial_reference(inst):
+    """The compile to_polynomial replaced: Fraction terms, one per pattern
+    and subset of positions."""
+    coeffs = {}
+    for c in inst.constraints:
+        scale = F(1, 2 ** c.arity)
+        for pat in c.patterns:
+            for r in range(c.arity + 1):
+                for positions in combinations(range(c.arity), r):
+                    sign = 1
+                    for j in positions:
+                        sign *= pat[j]
+                    key = tuple(sorted(c.variables[j] for j in positions))
+                    coeffs[key] = coeffs.get(key, F(0)) + sign * scale
+    return MultilinearPoly(inst.n, coeffs, Basis.CHI)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.integers(1, 4).flatmap(lambda d: csp_instances(n, d))))
+def test_to_polynomial_matches_fraction_reference(inst):
+    # arities are drawn per constraint, so most instances mix them
+    ref = _to_polynomial_reference(inst)
+    # same coefficients, same term order
+    assert list(to_polynomial(inst).coeffs.items()) == list(ref.coeffs.items())

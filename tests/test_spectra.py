@@ -2,19 +2,21 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cardcsp.cardinal_dist import CardinalDist
-from cardcsp.csp_model import GlobalCardinality
+from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.exact import scalar_sign, to_float
 from cardcsp.oracle import brute_moment, brute_variance
-from cardcsp.poly import Basis, MultilinearPoly
+from cardcsp.poly import Basis, MultilinearPoly, convert_basis
 from cardcsp.spectra import (SetSymmetricForm, _dot, alpha_table, build_dense,
                              constraint_poly, eigen_summary, eigenvalue_closed_form,
                              null_space_vector, project_null, quadratic_form_value,
                              subsets_upto, vk_basis, vk_eigenvalue_exact)
 
-from conftest import random_poly
+from conftest import csp_instances, gauss_solve_reference, random_poly
 
 
 def test_alpha_zero_at_half():
@@ -284,3 +286,46 @@ def test_projection_orthogonality_and_idempotence(rng):
         assert again.h.coeffs == {}
         assert again.residual == pr.residual
 
+
+
+def _project_null_reference(f, dist):
+    """(h, residual) as project_null computed them before the set-symmetric
+    table: one _dot per Gram entry and Gaussian elimination."""
+    g0 = f.without_constant()
+    gen_sets = subsets_upto(f.n, f.degree_bound - 1)
+    generators = []
+    for s in gen_sets:
+        vec = null_space_vector(dist, s)
+        vec.pop((), None)
+        generators.append(vec)
+    gram = [[_dot(a, b) for b in generators] for a in generators]
+    rhs = [_dot(a, g0.coeffs) for a in generators]
+    coeffs = gauss_solve_reference(gram, rhs)
+    h = MultilinearPoly(f.n, {s: c for s, c in zip(gen_sets, coeffs)
+                              if scalar_sign(c) != 0}, f.basis, f.p)
+    residual = (g0 - constraint_poly(f.n, f.basis, f.p) * h).without_constant()
+    return h, residual
+
+
+@st.composite
+def projection_cases(draw):
+    """A CSP counting polynomial of degree 1..3: chi at p = 1/2 (n <= 8),
+    phi-converted at p = 1/3 (n in {3, 6}, Gram entries in Q[sqrt(2/9)])."""
+    p = draw(st.sampled_from((F(1, 2), F(1, 3))))
+    n = p.denominator * draw(st.integers(1, 4 if p == F(1, 2) else 2))
+    f = to_polynomial(draw(csp_instances(n, draw(st.integers(1, 3)))))
+    assume(f.degree_bound >= 1)
+    if p != F(1, 2):
+        f = convert_basis(f, Basis.PHI, p)
+    return f, CardinalDist(n, p)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(projection_cases())
+def test_project_null_matches_per_entry_gram_reference(case):
+    f, dist = case
+    pr = project_null(f, dist)
+    h, residual = _project_null_reference(f, dist)
+    assert pr.h == h
+    assert pr.residual == residual
+    assert pr.residual_norm_sq == residual.l2_norm_sq()
