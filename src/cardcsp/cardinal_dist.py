@@ -30,8 +30,8 @@ from typing import List, Tuple
 
 from .csp_model import GlobalCardinality
 from .errors import InputError
-from .exact import Scalar, _over_common_denominator, make_qe, to_float
-from .poly import Assignment, Basis, MultilinearPoly
+from .exact import Scalar, _over_common_denominator, to_float
+from .poly import Assignment, Basis, MultilinearPoly, phi_square_q
 
 
 class CardinalDist:
@@ -43,7 +43,7 @@ class CardinalDist:
         self.n = n
         self.p = p
         self.r = p * (1 - p)
-        self.q: Scalar = make_qe(0, (2 * p - 1) / self.r, self.r)
+        self.q: Scalar = phi_square_q(p)
         self._delta: List[Scalar] = [Fraction(1), Fraction(0)]
         self._eps: List[Fraction] = [Fraction(1), 1 - 2 * p]
         self._pair: dict = {}
@@ -92,20 +92,29 @@ def delta_sequence(n: int, p, kmax: int) -> List[Scalar]:
     return [dist.delta(k) for k in range(kmax + 1)]
 
 
-def _require_chi(f: MultilinearPoly, dist: CardinalDist) -> None:
+def _chi_numerators(f: MultilinearPoly, dist: CardinalDist):
+    """f's coefficients over one common denominator: (den, [(mask, num)])
+    with int bitmask keys, for the chi-basis moment routines."""
     if f.basis is not Basis.CHI:
         raise InputError("chi-basis moments expect the chi basis")
     if f.n != dist.n:
         raise InputError("variable counts differ")
+    try:
+        den, nums = _over_common_denominator(f.coeffs.values())
+    except ValueError as exc:
+        raise InputError(f"chi-basis moments need rational coefficients: {exc}") from exc
+    return den, list(zip((sum(1 << (i - 1) for i in s) for s in f.coeffs), nums))
 
 
 def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
-    """E_{D_p}[f] for a chi-basis f, via the rational chi moment sequence."""
-    _require_chi(f, dist)
-    total = Fraction(0)
-    for s, c in f.coeffs.items():
-        total += c * dist.chi_moment(len(s))
-    return total
+    """E_{D_p}[f] for a chi-basis f with rational coefficients: the int
+    numerators are binned by |S| and weighted by the rational chi moment
+    sequence."""
+    den, terms = _chi_numerators(f, dist)
+    first = [0] * (f.degree_bound + 1)
+    for mask, a in terms:
+        first[mask.bit_count()] += a
+    return Fraction(sum(h * dist.chi_moment(j) for j, h in enumerate(first) if h), den)
 
 
 def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
@@ -114,24 +123,17 @@ def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     E[f^2] = sum_{S,T} a_S a_T eps_{|S delta T|}, so the products are binned
     by |S delta T| instead of forming f*f: with f over one common
     denominator as int numerators keyed by int bitmasks, a_S^2 goes to bin 0
-    and 2 a_S a_T to bin popcount(mask_S ^ mask_T); the mean bins a_S by
-    |S|.  Agrees exactly with the variance form of
-    spectra.quadratic_form_value on the phi-converted polynomial.
+    and 2 a_S a_T to bin popcount(mask_S ^ mask_T).  Agrees exactly with
+    the variance form of spectra.quadratic_form_value on the phi-converted
+    polynomial.
     """
-    _require_chi(f, dist)
-    try:
-        den, nums = _over_common_denominator(f.coeffs.values())
-    except ValueError as exc:
-        raise InputError(f"chi_variance needs rational coefficients: {exc}") from exc
-    terms = list(zip((sum(1 << (i - 1) for i in s) for s in f.coeffs), nums))
-    first = [0] * (f.degree_bound + 1)
+    mean = chi_expectation(f, dist)
+    den, terms = _chi_numerators(f, dist)
     second = [0] * (min(2 * f.degree_bound, f.n) + 1)
     for k, (mask, a) in enumerate(terms):
-        first[mask.bit_count()] += a
         second[0] += a * a
         for other, b in terms[k + 1:]:
             second[(mask ^ other).bit_count()] += 2 * a * b
-    mean = Fraction(sum(h * dist.chi_moment(j) for j, h in enumerate(first) if h), den)
     square = sum(h * dist.chi_moment(j) for j, h in enumerate(second) if h)
     return Fraction(square, den * den) - mean * mean
 

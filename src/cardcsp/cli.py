@@ -39,6 +39,15 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact rational such as 1/3; a bad value is a
+    usage error, not a traceback."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _load_instance(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
@@ -58,7 +67,7 @@ def _cmd_kernel(args) -> int:
     config = load_config(args.config) if args.config else DEFAULT_CONFIG
     f = to_polynomial(inst)
     dist = CardinalDist.from_card(card)
-    gamma = Fraction(args.gamma) if args.gamma else Fraction(1, 2 ** inst.d)
+    gamma = args.gamma if args.gamma is not None else Fraction(1, 2 ** inst.d)
     if card.p == Fraction(1, 2):
         _check_projection_cap(f, config.dense_cap)
         proj = project_null(f, dist, mode="exact")
@@ -83,7 +92,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    form = SetSymmetricForm(n=args.n, d=args.d, p=Fraction(args.p),
+    form = SetSymmetricForm(n=args.n, d=args.d, p=args.p,
                             kind=args.kind, exact=(args.entries == "exact"))
     summary = eigen_summary(form, dense_cap=args.dense_cap)
     _emit({
@@ -99,9 +108,9 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    values = delta_sequence(args.n, Fraction(args.p), args.kmax)
+    values = delta_sequence(args.n, args.p, args.kmax)
     _emit({
-        "schema": 1, "n": args.n, "p": str(Fraction(args.p)),
+        "schema": 1, "n": args.n, "p": str(args.p),
         "delta": [_num(v) for v in values],
     })
     return EXIT_YES
@@ -176,14 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kernel = sub.add_parser("kernel", help="projection/rounding kernel report")
     p_kernel.add_argument("--instance", required=True)
-    p_kernel.add_argument("--gamma", default=None, help="coefficient granularity a/b")
+    p_kernel.add_argument("--gamma", type=_fraction, default=None,
+                          help="coefficient granularity a/b")
     p_kernel.add_argument("--config", default=None)
     p_kernel.set_defaults(func=_cmd_kernel)
 
     p_spectra = sub.add_parser("spectra", help="eigen report of the moment forms")
     p_spectra.add_argument("--n", type=int, required=True)
     p_spectra.add_argument("--d", type=int, required=True)
-    p_spectra.add_argument("--p", required=True)
+    p_spectra.add_argument("--p", type=_fraction, required=True)
     p_spectra.add_argument("--kind", choices=["A", "B"], default="A")
     p_spectra.add_argument("--entries", choices=["exact", "simplified"],
                            default="exact")
@@ -192,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_delta = sub.add_parser("delta", help="moment coefficients of the slice")
     p_delta.add_argument("--n", type=int, required=True)
-    p_delta.add_argument("--p", required=True)
+    p_delta.add_argument("--p", type=_fraction, required=True)
     p_delta.add_argument("--kmax", type=int, required=True)
     p_delta.set_defaults(func=_cmd_delta)
 

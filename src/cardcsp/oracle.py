@@ -19,7 +19,7 @@ from .config import DEFAULT_CONFIG
 from .csp_model import CspInstance, GlobalCardinality, constraint_count
 from .errors import DegenerateInput, InputError, ResourceError
 from .exact import QE, Scalar, make_qe, scalar_sign
-from .poly import Assignment, Basis, MultilinearPoly
+from .poly import Assignment, Basis, MultilinearPoly, basis_constants
 
 DEFAULT_ENUM_CAP = DEFAULT_CONFIG.enum_cap
 
@@ -82,19 +82,16 @@ class _IncrementalEval:
 
     Values live in Q[sqrt(r)] and are carried as (a, b) Fraction pairs with
     a fixed radicand (inline pair arithmetic is several times faster than
-    generic scalar objects in this hot loop).  A chi term flips sign when a
-    member variable flips; a phi term is scaled by the rational ratio of the
-    two phi values.  Exact throughout.
+    generic scalar objects in this hot loop).  Flipping a member variable
+    scales a term by the rational ratio of the basis function's two point
+    values (-1 for chi).  Exact throughout.
     """
 
     def __init__(self, f: MultilinearPoly, start: Assignment):
+        pos, neg, _ = basis_constants(f.basis, f.p)
+        self.flip_to_neg = neg / pos
+        self.flip_to_pos = pos / neg
         self.by_var: Dict[int, List[int]] = {}
-        self.chi = f.basis is Basis.CHI
-        self.radicand = Fraction(0) if self.chi else f.p * (1 - f.p)
-        if not self.chi:
-            p = f.p
-            self.flip_to_neg = -(1 - p) / p   # phi(-1)/phi(+1)
-            self.flip_to_pos = -p / (1 - p)   # phi(+1)/phi(-1)
         zero = Fraction(0)
         self.terms: List[list] = []
         val_a, val_b = zero, zero
@@ -117,26 +114,14 @@ class _IncrementalEval:
         if not idxs:
             return
         value = self.value_pair
-        if self.chi:
-            for idx in idxs:
-                pair = self.terms[idx]
-                a, b = pair
-                value[0] -= 2 * a
-                value[1] -= 2 * b
-                pair[0], pair[1] = -a, -b
-        else:
-            ratio = self.flip_to_pos if now_positive else self.flip_to_neg
-            delta = ratio - 1
-            for idx in idxs:
-                pair = self.terms[idx]
-                a, b = pair
-                value[0] += delta * a
-                value[1] += delta * b
-                pair[0], pair[1] = ratio * a, ratio * b
-
-    def value(self) -> Scalar:
-        a, b = self.value_pair
-        return make_qe(a, b, self.radicand) if b else a
+        ratio = self.flip_to_pos if now_positive else self.flip_to_neg
+        delta = ratio - 1
+        for idx in idxs:
+            pair = self.terms[idx]
+            a, b = pair
+            value[0] += delta * a
+            value[1] += delta * b
+            pair[0], pair[1] = ratio * a, ratio * b
 
 
 def _slice_pairs(f: MultilinearPoly, card: GlobalCardinality):
@@ -158,13 +143,6 @@ def _slice_pairs(f: MultilinearPoly, card: GlobalCardinality):
                 evaluator.flip(i, False)
         current = new
         yield evaluator.value_pair
-
-
-def _slice_values(f: MultilinearPoly, card: GlobalCardinality) -> Iterator[Scalar]:
-    """f's exact value at every point of the slice."""
-    r = Fraction(0) if f.basis is Basis.CHI else f.p * (1 - f.p)
-    for a, b in _slice_pairs(f, card):
-        yield make_qe(a, b, r) if b else a
 
 
 def brute_opt(inst: CspInstance, card: GlobalCardinality,

@@ -9,7 +9,9 @@ chi_S(x) = prod_{i in S} x_i.  phi_i takes the value sqrt(p/(1-p)) at
 x_i = +1 and -sqrt((1-p)/p) at x_i = -1; phi_S is the product.  The two
 bases coincide at p = 1/2.  Conversion uses x_i = 2*sqrt(p(1-p))*phi_i
 + (1-2p); products of phi's reduce by phi_i^2 = q*phi_i + 1 with
-q = (2p-1)/sqrt(p(1-p)).
+q = (2p-1)/sqrt(p(1-p)).  chi_i^2 = 1 is the same rule with q = 0, so the
+product, evaluation and conversion read each basis through one
+(value at +1, value at -1, q) triple, basis_constants.
 """
 
 from __future__ import annotations
@@ -102,10 +104,6 @@ class MultilinearPoly:
             out.update(s)
         return out
 
-    def homogeneous_part(self, weight: int) -> "MultilinearPoly":
-        part = {s: c for s, c in self.coeffs.items() if len(s) == weight}
-        return MultilinearPoly(self.n, part, self.basis, self.p)
-
     def without_constant(self) -> "MultilinearPoly":
         part = {s: c for s, c in self.coeffs.items() if s}
         return MultilinearPoly(self.n, part, self.basis, self.p)
@@ -143,27 +141,24 @@ class MultilinearPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_space(other)
+        q = basis_constants(self.basis, self.p)[2]
+        expand = scalar_sign(q) != 0
         out: Dict[Subset, Scalar] = {}
-        if self.basis is Basis.CHI:
-            for s, cs in self.coeffs.items():
-                set_s = set(s)
-                for t, ct in other.coeffs.items():
-                    key = tuple(sorted(set_s.symmetric_difference(t)))
-                    out[key] = out.get(key, Fraction(0)) + cs * ct
-        else:
-            q = phi_square_q(self.p)
-            for s, cs in self.coeffs.items():
-                set_s = set(s)
-                for t, ct in other.coeffs.items():
-                    common = set_s.intersection(t)
-                    base = tuple(sorted(set_s.symmetric_difference(t)))
-                    prod = cs * ct
-                    # phi_S phi_T = phi_{S^T} * prod_{i in common} (q phi_i + 1)
-                    for k in range(len(common) + 1):
-                        weight = prod * q ** k if k else prod
-                        for extra in combinations(sorted(common), k):
-                            key = tuple(sorted(base + extra))
-                            out[key] = out.get(key, Fraction(0)) + weight
+        for s, cs in self.coeffs.items():
+            set_s = set(s)
+            for t, ct in other.coeffs.items():
+                base = tuple(sorted(set_s.symmetric_difference(t)))
+                prod = cs * ct
+                out[base] = out.get(base, Fraction(0)) + prod
+                if not expand:
+                    continue
+                # b_S b_T = b_{S^T} * prod_{i in common} (q b_i + 1)
+                common = sorted(set_s.intersection(t))
+                for k in range(1, len(common) + 1):
+                    weight = prod * q ** k
+                    for extra in combinations(common, k):
+                        key = tuple(sorted(base + extra))
+                        out[key] = out.get(key, Fraction(0)) + weight
         return MultilinearPoly(self.n, out, self.basis, self.p)
 
     __rmul__ = __mul__
@@ -172,14 +167,8 @@ class MultilinearPoly:
 
     def evaluate(self, a: Assignment) -> Scalar:
         check_assignment(a, self.n)
-        if self.basis is Basis.CHI:
-            total: Scalar = Fraction(0)
-            for s, c in self.coeffs.items():
-                negs = sum(1 for i in s if a[i - 1] < 0)
-                total = total + (c if negs % 2 == 0 else -c)
-            return total
-        pos, neg = phi_values(self.p)
-        total = Fraction(0)
+        pos, neg, _ = basis_constants(self.basis, self.p)
+        total: Scalar = Fraction(0)
         for s, c in self.coeffs.items():
             term = c
             for i in s:
@@ -235,6 +224,16 @@ def phi_square_q(p: Fraction) -> Scalar:
     return make_qe(0, (2 * p - 1) / r, r)
 
 
+def basis_constants(basis: Basis, p=None) -> tuple:
+    """(b_i at x_i=+1, b_i at x_i=-1, q) for one basis function b_i, which
+    obeys b_i^2 = q*b_i + 1: chi is the case q = 0 with values +-1.
+
+    All three are exact scalars (never ints: -1/1 must stay a Fraction)."""
+    if basis is Basis.CHI:
+        return Fraction(1), Fraction(-1), Fraction(0)
+    return (*phi_values(p), phi_square_q(p))
+
+
 def convert_basis(f: MultilinearPoly, target: Basis, p=None) -> MultilinearPoly:
     """Rewrite f in the other basis without changing its values anywhere.
 
@@ -243,39 +242,27 @@ def convert_basis(f: MultilinearPoly, target: Basis, p=None) -> MultilinearPoly:
     """
     if target is f.basis:
         raise InputError("target basis equals the current basis")
-    if target is Basis.PHI:
-        if p is None:
-            raise InputError("chi -> phi conversion requires p")
-        p = Fraction(p)
-        r = p * (1 - p)
-        lin = make_qe(0, 2, r)        # x_i = lin*phi_i + shift
-        shift = 1 - 2 * p
-        out: Dict[Subset, Scalar] = {}
-        for s, c in f.coeffs.items():
-            k = len(s)
-            for j in range(k + 1):
-                weight = c * lin ** j * shift ** (k - j)
-                if scalar_sign(weight) == 0:
-                    continue
-                for sub in combinations(s, j):
-                    out[sub] = out.get(sub, Fraction(0)) + weight
-        g = MultilinearPoly(f.n, out, Basis.PHI, p)
-    else:
+    if target is Basis.CHI:
         p = f.p
-        r = p * (1 - p)
-        inv_lin = make_qe(0, Fraction(1, 2) / r, r)   # 1/(2 sqrt r)
-        shift = 1 - 2 * p
-        out = {}
-        for s, c in f.coeffs.items():
-            k = len(s)
-            scale = c * inv_lin ** k
-            for j in range(k + 1):
-                weight = scale * (-shift) ** (k - j)
-                if scalar_sign(weight) == 0:
-                    continue
-                for sub in combinations(s, j):
-                    out[sub] = out.get(sub, Fraction(0)) + weight
-        g = MultilinearPoly(f.n, out, Basis.CHI)
+    elif p is None or not 0 < Fraction(p) < 1:
+        raise InputError("chi -> phi conversion requires p in (0,1)")
+    p = Fraction(p)
+    src_pos, src_neg, _ = basis_constants(f.basis, p)
+    dst_pos, dst_neg, _ = basis_constants(target, p)
+    # b_i = lin*b'_i + shift, solved from both bases' values at x_i = +-1;
+    # with L = 2 sqrt(p(1-p)), x_i = L phi_i + (1-2p), phi_i = x_i/L - (1-2p)/L
+    lin = (src_pos - src_neg) / (dst_pos - dst_neg)
+    shift = src_pos - lin * dst_pos
+    out: Dict[Subset, Scalar] = {}
+    for s, c in f.coeffs.items():
+        k = len(s)
+        for j in range(k + 1):
+            weight = c * lin ** j * shift ** (k - j)
+            if scalar_sign(weight) == 0:
+                continue
+            for sub in combinations(s, j):
+                out[sub] = out.get(sub, Fraction(0)) + weight
+    g = MultilinearPoly(f.n, out, target, p)
     if g.degree_bound != f.degree_bound:
         raise AssertionError("basis conversion changed the degree")
     return g

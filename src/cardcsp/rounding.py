@@ -273,6 +273,8 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
     if f.basis is not Basis.CHI:
         raise InputError("round_global works on the chi basis")
     gamma = Fraction(gamma)
+    if gamma <= 0:
+        raise InputError("gamma must be positive")
     var = chi_variance(f, dist) if variance is None else Fraction(variance)
     if var * var > f.n and not allow_large_variance:
         raise PreconditionError(

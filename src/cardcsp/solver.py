@@ -223,6 +223,8 @@ def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
 def decide(inst: CspInstance, card: GlobalCardinality, t: int,
            config: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Decide whether some valid assignment satisfies >= AVG + t constraints."""
+    if not isinstance(t, int):
+        raise InputError(f"t must be an int, got {t!r}")
     if inst.n != card.n:
         raise InputError("instance and cardinality constraint sizes differ")
     validate_instance(inst)

@@ -32,13 +32,11 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .cardinal_dist import CardinalDist
 from .errors import InputError, ResourceError
-from .exact import (Scalar, make_qe, nullspace_exact, scalar_sign,
+from .exact import (Scalar, nullspace_exact, scalar_sign,
                     solve_linear_exact, to_float)
-from .poly import Basis, MultilinearPoly, Subset
+from .poly import Basis, MultilinearPoly, Subset, phi_square_q
 
 
 def subsets_upto(n: int, d: int, include_empty: bool = True) -> List[Subset]:
@@ -73,7 +71,7 @@ def alpha_table(n: int, p, d: int) -> AlphaTable:
     if n <= 2 * d:
         raise InputError(f"alpha table needs n > 2d (n={n}, d={d})")
     p = Fraction(p)
-    q = make_qe(0, (2 * p - 1) / (p * (1 - p)), p * (1 - p))
+    q = phi_square_q(p)
     values: Dict[Tuple[int, int], Scalar] = {}
     for k in range(d + 1):
         values[(k, k)] = Fraction(1)
@@ -297,14 +295,13 @@ class EigenSummary:
     nonzero_eigenvalues: List[float]
     clusters: List[EigenCluster]
 
-    def eigenspace_dims(self) -> List[int]:
-        return [c.multiplicity for c in self.clusters]
-
 
 def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000,
                   null_tol: float = 1e-7) -> EigenSummary:
     """Dense symmetric eigensolve; clusters grouped within 10/n of each other
     and matched to the nearest closed-form value."""
+    import numpy as np   # only the eigensolve needs it; keeps `import cardcsp` light
+
     labels, matrix = build_dense(form, dense_cap)
     size = len(labels)
     m = np.empty((size, size))

@@ -1,14 +1,16 @@
 """Shared generators: graphs as cut instances, random CSPs, random polynomials."""
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
 import pytest
 from hypothesis import strategies as st
 
 from cardcsp.csp_model import Constraint, CspInstance
-from cardcsp.exact import scalar_inverse, scalar_sign
-from cardcsp.poly import Basis, MultilinearPoly
+from cardcsp.exact import QE, make_qe, scalar_inverse, scalar_sign
+from cardcsp.oracle import _revolving_door
+from cardcsp.poly import Basis, MultilinearPoly, phi_square_q, phi_values
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -113,3 +115,129 @@ def gauss_solve_reference(matrix, rhs):
             acc = acc - m[r][j] * x[j]
         x[col] = acc * scalar_inverse(m[r][col])
     return x
+
+
+# ---------------------------------------------------------------------------
+# References with chi and phi written out separately, for the code that
+# reads each basis through poly.basis_constants.
+# ---------------------------------------------------------------------------
+
+def mul_reference(f, g):
+    """f * g: chi keys by the symmetric difference; phi also expands each
+    shared index by phi_i^2 = q phi_i + 1."""
+    out = {}
+    if f.basis is Basis.CHI:
+        for s, cs in f.coeffs.items():
+            for t, ct in g.coeffs.items():
+                key = tuple(sorted(set(s).symmetric_difference(t)))
+                out[key] = out.get(key, Fraction(0)) + cs * ct
+    else:
+        q = phi_square_q(f.p)
+        for s, cs in f.coeffs.items():
+            for t, ct in g.coeffs.items():
+                common = set(s).intersection(t)
+                base = tuple(sorted(set(s).symmetric_difference(t)))
+                for k in range(len(common) + 1):
+                    weight = cs * ct * q ** k if k else cs * ct
+                    for extra in combinations(sorted(common), k):
+                        key = tuple(sorted(base + extra))
+                        out[key] = out.get(key, Fraction(0)) + weight
+    return MultilinearPoly(f.n, out, f.basis, f.p)
+
+
+def evaluate_reference(f, a):
+    """f(a): a chi term's sign is the parity of its -1 entries; a phi term
+    multiplies the point values."""
+    total = Fraction(0)
+    if f.basis is Basis.CHI:
+        for s, c in f.coeffs.items():
+            negs = sum(1 for i in s if a[i - 1] < 0)
+            total = total + (c if negs % 2 == 0 else -c)
+        return total
+    pos, neg = phi_values(f.p)
+    for s, c in f.coeffs.items():
+        term = c
+        for i in s:
+            term = term * (pos if a[i - 1] > 0 else neg)
+        total = total + term
+    return total
+
+
+def convert_basis_reference(f, target, p=None):
+    """One loop per direction: x_i = lin phi_i + shift into phi, and
+    phi_i = x_i / lin - shift / lin back to chi."""
+    p = Fraction(p) if target is Basis.PHI else f.p
+    r = p * (1 - p)
+    shift = 1 - 2 * p
+    out = {}
+    if target is Basis.PHI:
+        lin = make_qe(0, 2, r)
+        for s, c in f.coeffs.items():
+            for j in range(len(s) + 1):
+                weight = c * lin ** j * shift ** (len(s) - j)
+                for sub in combinations(s, j):
+                    out[sub] = out.get(sub, Fraction(0)) + weight
+    else:
+        inv_lin = make_qe(0, Fraction(1, 2) / r, r)
+        for s, c in f.coeffs.items():
+            scale = c * inv_lin ** len(s)
+            for j in range(len(s) + 1):
+                weight = scale * (-shift) ** (len(s) - j)
+                for sub in combinations(s, j):
+                    out[sub] = out.get(sub, Fraction(0)) + weight
+    return MultilinearPoly(f.n, out, target, p)
+
+
+def slice_pairs_reference(f, card):
+    """f's (a, b) value pairs, f = a + b sqrt(p(1-p)), along the oracle's
+    revolving-door walk: a chi flip negates each member term, a phi flip
+    scales it by the ratio of the phi point values."""
+    p = f.p
+    terms, by_var = [], {}
+    value = [Fraction(0), Fraction(0)]
+    current = set()
+    for step, subset in enumerate(_revolving_door(card.n, card.num_negative)):
+        new = set(subset)
+        if step == 0:
+            start = tuple(-1 if i + 1 in new else 1 for i in range(card.n))
+            for idx, (s, c) in enumerate(f.items_sorted()):
+                term = evaluate_reference(MultilinearPoly(f.n, {s: c}, f.basis, p), start)
+                pair = [term.a, term.b] if isinstance(term, QE) else [Fraction(term), Fraction(0)]
+                terms.append(pair)
+                for i in s:
+                    by_var.setdefault(i, []).append(idx)
+                value[0] += pair[0]
+                value[1] += pair[1]
+            flips = []
+        else:
+            flips = [(i, True) for i in current - new] + [(i, False) for i in new - current]
+        for var, now_positive in flips:
+            for idx in by_var.get(var, ()):
+                pair = terms[idx]
+                a, b = pair
+                if f.basis is Basis.CHI:
+                    value[0] -= 2 * a
+                    value[1] -= 2 * b
+                    pair[0], pair[1] = -a, -b
+                else:
+                    ratio = -p / (1 - p) if now_positive else -(1 - p) / p
+                    value[0] += (ratio - 1) * a
+                    value[1] += (ratio - 1) * b
+                    pair[0], pair[1] = ratio * a, ratio * b
+        current = new
+        yield tuple(value)
+
+
+@st.composite
+def basis_polys(draw, n: int, basis: Basis, p):
+    """Up to six terms of degree <= 3 over n variables in `basis`, with
+    small rational coefficients drawn in either basis; a draw in the other
+    basis is rewritten by convert_basis_reference, which gives QE
+    coefficients when p != 1/2."""
+    source = draw(st.sampled_from(Basis))
+    subsets = draw(st.lists(st.frozensets(st.integers(1, n), max_size=min(n, 3)),
+                            max_size=6))
+    coeffs = {tuple(sorted(s)): Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+              for s in subsets}
+    f = MultilinearPoly(n, coeffs, source, p)
+    return f if source is basis else convert_basis_reference(f, basis, p)

@@ -186,3 +186,23 @@ def test_usage_error():
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["solve", "--instance", "/no/such/file", "--t", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0"])
+def test_rational_options_reject_bad_values_as_usage_errors(capsys, p4_file, bad):
+    for argv in (["kernel", "--instance", p4_file, "--gamma", bad],
+                 ["spectra", "--n", "6", "--d", "2", "--p", bad],
+                 ["delta", "--n", "6", "--p", bad, "--kmax", "2"]):
+        code, doc, err = run(capsys, argv)
+        assert code == 64 and doc is None
+        assert "not a rational number" in err
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1/4"])
+def test_kernel_rejects_nonpositive_gamma_off_half(capsys, tmp_path, gamma):
+    path = tmp_path / "p6.csp"
+    path.write_text("csp 6 5 2 1/3\n" + "".join(
+        f"c 2 {i} {i + 1}\ns +1 -1\ns -1 +1\n" for i in range(1, 6)))
+    code, doc, err = run(capsys, ["kernel", "--instance", str(path), f"--gamma={gamma}"])
+    assert code == 2 and doc is None
+    assert "gamma must be positive" in err

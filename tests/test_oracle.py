@@ -2,19 +2,23 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
 from cardcsp.csp_model import GlobalCardinality
 from cardcsp.errors import DegenerateInput, InputError, ResourceError
 from cardcsp.exact import to_float
-from cardcsp.oracle import (brute_average, brute_force_decision, brute_moment,
-                            brute_opt, hyper_ratio, mean_restricted_variance,
-                            restriction_gap, slice_assignments, slice_count)
+from cardcsp.oracle import (_slice_pairs, brute_average, brute_force_decision,
+                            brute_moment, brute_moments, brute_opt, hyper_ratio,
+                            mean_restricted_variance, restriction_gap,
+                            slice_assignments, slice_count)
 from cardcsp.poly import Basis, MultilinearPoly
 from cardcsp.spectra import constraint_poly, project_null
 from cardcsp.solver import bisection_fourth_moment_bound
 
-from conftest import complete_graph, graph_instance, path_graph, random_poly
+from conftest import (basis_polys, complete_graph, graph_instance, path_graph,
+                      random_poly, slice_pairs_reference, valid_biases)
 
 
 def test_slice_enumeration_is_gray_coded():
@@ -176,3 +180,29 @@ def test_brute_average_matches_closed_form():
         inst = complete_graph(n)
         expected = (F(1, 2) + F(1, 2 * (n - 1))) * inst.m
         assert brute_average(inst, card) == expected
+
+
+@st.composite
+def slice_walks(draw):
+    """A chi or phi polynomial (QE coefficients included) and a slice it
+    can be walked on: n in {2, 3, 4, 6, 8}, p from {1/2, 1/3, 1/4}."""
+    n = draw(st.sampled_from((2, 3, 4, 6, 8)))
+    p = draw(st.sampled_from(valid_biases(n)))
+    f = draw(basis_polys(n, draw(st.sampled_from(Basis)), p))
+    return f, GlobalCardinality(n, p)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(slice_walks())
+def test_slice_walk_matches_two_branch_flip(drawn):
+    f, card = drawn
+    walk = [tuple(pair) for pair in _slice_pairs(f, card)]
+    assert walk == list(slice_pairs_reference(f, card))
+    assert all(type(v) is F for pair in walk for v in pair)
+
+
+def test_brute_moments_of_chi_polynomial_are_fractions(rng):
+    for n, p in ((8, F(1, 2)), (9, F(1, 3)), (8, F(1, 4))):
+        f = random_poly(rng, n, 3, 8)
+        moments = brute_moments(f, GlobalCardinality(n, p), (1, 2, 4))
+        assert all(type(v) is F for v in moments.values())

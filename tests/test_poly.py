@@ -2,12 +2,17 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcsp.errors import InputError
-from cardcsp.exact import make_qe, to_float
+from cardcsp.exact import QE, make_qe, to_float
 from cardcsp.poly import Basis, MultilinearPoly, convert_basis, phi_square_q
 
-from conftest import random_poly
+from conftest import (basis_polys, convert_basis_reference, evaluate_reference,
+                      mul_reference, random_poly)
+
+BIASES = (F(1, 2), F(1, 3), F(1, 4))
 
 
 def cut_poly(n=2):
@@ -186,3 +191,50 @@ def test_invalid_subsets_rejected():
         MultilinearPoly(3, {(0,): F(1)})
     with pytest.raises(InputError):
         MultilinearPoly(3, {(4,): F(1)})
+
+
+def _polys(count):
+    """`count` polynomials over one (n, basis, p), n <= 6, p from BIASES, and p."""
+    space = st.tuples(st.integers(1, 6), st.sampled_from(Basis), st.sampled_from(BIASES))
+    return space.flatmap(lambda s: st.tuples(*[basis_polys(*s)] * count, st.just(s[2])))
+
+
+def _exact(values):
+    return all(isinstance(v, (F, QE)) for v in values)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_polys(2))
+def test_product_matches_two_branch_reference(drawn):
+    f, g, _ = drawn
+    prod = f * g
+    assert prod == mul_reference(f, g)
+    assert _exact(prod.coeffs.values())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_polys(1))
+def test_evaluate_matches_two_branch_reference(drawn):
+    f, _ = drawn
+    for a in product((-1, 1), repeat=f.n):
+        value = f.evaluate(a)
+        assert value == evaluate_reference(f, a)
+        assert _exact([value])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_polys(1))
+def test_convert_basis_matches_two_loop_reference(drawn):
+    f, p = drawn
+    other = Basis.CHI if f.basis is Basis.PHI else Basis.PHI
+    g = convert_basis(f, other, p)
+    assert g == convert_basis_reference(f, other, p)
+    assert _exact(g.coeffs.values())
+    assert convert_basis(g, f.basis, p) == f
+
+
+def test_convert_requires_p_in_range():
+    f = MultilinearPoly(2, {(1,): F(1)})
+    for p in (None, 0, 1, F(3, 2)):
+        with pytest.raises(InputError):
+            convert_basis(f, Basis.PHI, p)

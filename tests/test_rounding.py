@@ -327,3 +327,11 @@ def test_round_global_precondition():
     f = MultilinearPoly(n, {(i, j): F(7) for i in range(1, 5) for j in range(5, 9)})
     with pytest.raises(PreconditionError):
         round_global(f, dist, F(1, 4))
+
+
+def test_round_global_rejects_nonpositive_gamma():
+    f = mono(9, (1, 2))
+    dist = CardinalDist(9, F(1, 3))
+    for gamma in (F(0), F(-1, 4)):
+        with pytest.raises(InputError, match="gamma must be positive"):
+            round_global(f, dist, gamma, allow_large_variance=True)

@@ -229,6 +229,14 @@ def test_decide_p_range_guard():
         decide(inst, card, 1)
 
 
+def test_decide_rejects_t_that_is_not_an_int():
+    inst = path_graph(4)
+    card = GlobalCardinality(4, F(1, 2))
+    for t in (F(3, 2), "2", None, 1.0):
+        with pytest.raises(InputError, match="t must be an int"):
+            decide(inst, card, t)
+
+
 def test_decide_kernel_cap():
     inst = path_graph(10)
     card = GlobalCardinality(10, F(1, 2))

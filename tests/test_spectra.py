@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cardcsp
 from cardcsp.cardinal_dist import CardinalDist
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, ResourceError
@@ -329,3 +333,13 @@ def test_project_null_matches_per_entry_gram_reference(case):
     assert pr.h == h
     assert pr.residual == residual
     assert pr.residual_norm_sq == residual.l2_norm_sq()
+
+
+def test_import_cardcsp_leaves_numpy_unloaded():
+    # numpy serves eigen_summary alone, so a plain import must not pay for it
+    src = os.path.dirname(os.path.dirname(cardcsp.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cardcsp; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
