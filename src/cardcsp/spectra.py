@@ -103,6 +103,8 @@ class SetSymmetricForm:
     def __post_init__(self):
         if self.kind not in ("A", "B"):
             raise InputError("kind must be 'A' or 'B'")
+        if self.d < 0:
+            raise InputError("d must be nonnegative")
         if self.dist is None:
             self.dist = CardinalDist(self.n, self.p)
         self.p = Fraction(self.p)

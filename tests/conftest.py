@@ -2,15 +2,19 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 import random
 
 import pytest
 from hypothesis import strategies as st
 
 from cardcsp.csp_model import Constraint, CspInstance
-from cardcsp.exact import QE, make_qe, scalar_inverse, scalar_sign
+from cardcsp.errors import InputError
+from cardcsp.exact import QE, as_fraction, make_qe, scalar_inverse, scalar_sign
 from cardcsp.oracle import _revolving_door
 from cardcsp.poly import Basis, MultilinearPoly, phi_square_q, phi_values
+from cardcsp.rounding import active_bound_constant
+from cardcsp.spectra import constraint_poly
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -241,3 +245,145 @@ def basis_polys(draw, n: int, basis: Basis, p):
               for s in subsets}
     f = MultilinearPoly(n, coeffs, source, p)
     return f if source is basis else convert_basis_reference(f, basis, p)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reconstruction scan that rounding's int numerators replaced:
+# one MultilinearPoly h per candidate, the s2 loop written out, Fraction
+# beta weights from their recurrence.
+# ---------------------------------------------------------------------------
+
+def beta_weights_reference(big_d):
+    """beta_{D-i,i} for i = 1..D-1 from beta_{D-1,1} = (D-2)! and
+    beta_{D-i-1,i+1} = -i/(D-i-1) beta_{D-i,i} (index 0 unused)."""
+    betas = [Fraction(0)] * big_d
+    betas[1] = Fraction(factorial(big_d - 2))
+    for i in range(1, big_d - 1):
+        betas[i + 1] = betas[i] * Fraction(-i, big_d - i - 1)
+    return betas
+
+
+class _ReconstructorReference:
+    def __init__(self, f, pivot_pool, shift):
+        self.f = f
+        self.n = f.n
+        self.pool = tuple(sorted(pivot_pool))
+        self.shift = shift
+        self.h = {}
+        self._f_cache = {}
+
+    def equation_constant(self, t):
+        val = self._f_cache.get(t)
+        if val is not None:
+            return val
+        val = as_fraction(self.f.coefficient(t))
+        if self.shift:
+            val += self.shift * self.h.get(t, Fraction(0))
+        t_set = set(t)
+        for j in range(1, self.n + 1):
+            if j not in t_set:
+                up = self.h.get(tuple(sorted(t + (j,))))
+                if up is not None:
+                    val -= up
+        self._f_cache[t] = val
+        return val
+
+    def pivot_for(self, s1, size):
+        s1_set = set(s1)
+        chosen = [v for v in self.pool if v not in s1_set][:size]
+        j = 1
+        while len(chosen) < size:
+            if j not in s1_set and j not in self.pool:
+                chosen.append(j)
+            j += 1
+            if j > self.n and len(chosen) < size:
+                raise InputError("not enough variables to build a pivot set")
+        return tuple(sorted(chosen))
+
+    def solve_weight(self, w):
+        big_d = w + 1
+        if big_d == 1:
+            self.h[()] = self.equation_constant((self.pool[0],))
+            return
+        betas = beta_weights_reference(big_d)
+        fact = factorial(big_d - 1)
+        sign_d = -1 if big_d % 2 else 1
+        new_coeffs = {}
+        for s1 in combinations(range(1, self.n + 1), w):
+            pivot = self.pivot_for(s1, big_d)
+            r_total = Fraction(0)
+            for s2 in combinations(pivot, w):
+                for i in range(1, big_d):
+                    for t1 in combinations(s1, big_d - i):
+                        for t2 in combinations(s2, i):
+                            r_total += betas[i] * self.equation_constant(
+                                tuple(sorted(t1 + t2)))
+            closing = self.equation_constant(pivot)
+            value = -sign_d * (closing - sign_d * r_total / fact) / big_d
+            if value != 0:
+                new_coeffs[s1] = value
+        self.h.update(new_coeffs)
+        self._f_cache.clear()
+
+
+def reconstruct_h_reference(f, pivot_pool, shift=0, top_weight_only=False):
+    pool = tuple(sorted(set(pivot_pool)))
+    rec = _ReconstructorReference(f, pool, shift)
+    bottom = len(pool) - 1 if top_weight_only else 0
+    for w in range(len(pool) - 1, bottom - 1, -1):
+        rec.solve_weight(w)
+    return MultilinearPoly(f.n, rec.h, Basis.CHI)
+
+
+def top_active_reference(f_cur, h_top, level, n):
+    """Active variables of the weight-`level` part of f_cur - (sum x_i) h_top."""
+    coeffs = {s: as_fraction(c) for s, c in f_cur.coeffs.items() if len(s) == level}
+    for s, c in h_top.coeffs.items():
+        if len(s) != level - 1:
+            continue
+        for j in range(1, n + 1):
+            if j not in s:
+                key = tuple(sorted(s + (j,)))
+                coeffs[key] = coeffs.get(key, Fraction(0)) - c
+    out = set()
+    for s, c in coeffs.items():
+        if c != 0:
+            out.update(s)
+    return out
+
+
+def survivors_reference(f_cur, cand, level, shift):
+    """Variables a candidate leaves inactive at weight `level`."""
+    h_top = reconstruct_h_reference(f_cur, cand, shift, top_weight_only=True)
+    return f_cur.n - len(top_active_reference(f_cur, h_top, level, f_cur.n))
+
+
+def round_global_scan_reference(f, dist, gamma, d, variance):
+    """round_global's scan: (h_total, reduced, [(level, f_cur,
+    exit_threshold, winner)] for every scanned level)."""
+    shift = dist.card.target_sum
+    n = f.n
+    cprime = active_bound_constant(dist.p, d) if d else Fraction(0)
+    bound = cprime * Fraction(variance) / (Fraction(gamma) ** 2)
+    bar = n - int(bound) if bound < n else 0
+    exit_threshold = bar if bar >= 1 else n
+    shifted = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, shift)
+    f_cur = f
+    h_total = MultilinearPoly.zero(n)
+    levels = []
+    for level in range(d, 0, -1):
+        top = {s: c for s, c in f_cur.coeffs.items() if len(s) == level}
+        if not top or n < 2 * level - 1:
+            continue
+        best_count, best_subset = -1, None
+        for cand in combinations(range(1, n + 1), level):
+            count = survivors_reference(f_cur, cand, level, shift)
+            if count > best_count:
+                best_count, best_subset = count, cand
+                if count >= exit_threshold:
+                    break
+        levels.append((level, f_cur, exit_threshold, best_subset))
+        h_level = reconstruct_h_reference(f_cur, best_subset, shift)
+        f_cur = f_cur - shifted * h_level
+        h_total = h_total + h_level
+    return h_total, f_cur, levels

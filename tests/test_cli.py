@@ -206,3 +206,9 @@ def test_kernel_rejects_nonpositive_gamma_off_half(capsys, tmp_path, gamma):
     code, doc, err = run(capsys, ["kernel", "--instance", str(path), f"--gamma={gamma}"])
     assert code == 2 and doc is None
     assert "gamma must be positive" in err
+
+
+def test_spectra_rejects_negative_degree(capsys):
+    code, doc, err = run(capsys, ["spectra", "--n", "6", "--d", "-1", "--p", "1/2"])
+    assert code == 2 and doc is None
+    assert "d must be nonnegative" in err

@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,18 @@ from hypothesis import strategies as st
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
+from cardcsp.exact import _bareiss_div, make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly
-from cardcsp.rounding import (active_bound_constant, active_variables,
-                              gamma_denominator, gamma_ladder, reconstruct_h,
-                              round_bisection, round_global)
+from cardcsp.rounding import (_WeightSolve, _best_candidate, _beta_weights,
+                              _int_table, active_bound_constant,
+                              active_variables, gamma_denominator, gamma_ladder,
+                              reconstruct_h, round_bisection, round_global)
 from cardcsp.spectra import constraint_poly, project_null
 
-from conftest import csp_instances, random_poly
+from conftest import (beta_weights_reference, csp_instances, random_poly,
+                      reconstruct_h_reference, round_global_scan_reference,
+                      survivors_reference)
 
 
 def mono(n, subset, c=F(1)):
@@ -335,3 +341,102 @@ def test_round_global_rejects_nonpositive_gamma():
     for gamma in (F(0), F(-1, 4)):
         with pytest.raises(InputError, match="gamma must be positive"):
             round_global(f, dist, gamma, allow_large_variance=True)
+
+
+def test_round_global_rejects_negative_variance_and_degree():
+    f = mono(9, (1, 2))
+    dist = CardinalDist(9, F(1, 3))
+    with pytest.raises(InputError, match="variance must be nonnegative"):
+        round_global(f, dist, F(1, 4), variance=F(-1))
+    with pytest.raises(InputError, match="d must be nonnegative"):
+        round_global(f, dist, F(1, 4), d=-1, allow_large_variance=True)
+
+
+def test_round_bisection_rejects_negative_degree():
+    f = mono(6, (1, 2), F(1, 4))
+    h_f = MultilinearPoly.zero(6)
+    with pytest.raises(InputError, match="d must be nonnegative"):
+        round_bisection(f, h_f, F(1, 4), d=-1, allow_large_residual=True)
+
+
+def test_reconstruction_rejects_irrational_coefficients():
+    # a QE coefficient (sqrt(2/9) is irrational) has no int numerator
+    f = MultilinearPoly(9, {(1, 2): make_qe(0, 1, F(2, 9)), (3,): F(1)})
+    dist = CardinalDist(9, F(1, 3))
+    with pytest.raises(InputError, match="rational"):
+        round_global(f, dist, F(1, 4), variance=F(0))
+    with pytest.raises(InputError, match="rational"):
+        reconstruct_h(f, (4, 5))
+
+
+def test_beta_closed_form_matches_recurrence():
+    # beta_{D-1,1} = (D-2)!, beta_{D-i-1,i+1} = -i/(D-i-1) beta_{D-i,i}, run
+    # on ints with every division checked exact
+    assert _beta_weights(1) == []
+    for big_d in range(2, 11):
+        betas = [factorial(big_d - 2)]
+        for i in range(1, big_d - 1):
+            betas.append(_bareiss_div(-i * betas[-1], big_d - i - 1))
+        closed = _beta_weights(big_d)
+        assert all(type(b) is int for b in closed)
+        assert closed == betas == beta_weights_reference(big_d)[1:]
+
+
+@st.composite
+def biased_polys(draw):
+    """(f, dist, d) at p in {1/3, 1/4}, n <= 9 with pn integral, d <= 3: a
+    counting polynomial or small random rational coefficients.  The slice's
+    shift (1-2p)n is never 0 here."""
+    p = draw(st.sampled_from((F(1, 3), F(1, 4))))
+    n = draw(st.sampled_from((3, 6, 9) if p == F(1, 3) else (4, 8)))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        f = to_polynomial(draw(csp_instances(n, d)))
+    else:
+        subsets = draw(st.lists(st.frozensets(st.integers(1, n), max_size=d),
+                                max_size=8))
+        f = MultilinearPoly(n, {tuple(sorted(s)): F(draw(st.integers(-6, 6)),
+                                                     draw(st.integers(1, 4)))
+                                for s in subsets})
+    return f, CardinalDist(n, p), d
+
+
+def _int_survivors(f_cur, level):
+    _, table = _int_table((s, c) for s, c in f_cur.coeffs.items() if len(s) == level)
+    solve = _WeightSolve(f_cur.n, level, table)
+    return [f_cur.n - solve.active_mask(solve.numerators(cand)).bit_count()
+            for cand in combinations(range(1, f_cur.n + 1), level)]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(biased_polys())
+def test_int_scan_matches_fraction_scan(drawn):
+    f, dist, d = drawn
+    gamma = F(1, 2 ** d)
+    var = chi_variance(f, dist)
+    h_ref, reduced_ref, levels = round_global_scan_reference(f, dist, gamma, d, var)
+    shift = dist.card.target_sum
+    for level, f_cur, exit_threshold, winner in levels:
+        assert _int_survivors(f_cur, level) == [
+            survivors_reference(f_cur, cand, level, shift)
+            for cand in combinations(range(1, f.n + 1), level)]
+        assert _best_candidate(f_cur, level, exit_threshold) == winner
+    out = round_global(f, dist, gamma, d=d, variance=var, allow_large_variance=True)
+    assert out.h == h_ref
+    assert out.reduced == reduced_ref
+    assert out.active_set == active_variables(reduced_ref)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(biased_polys(), st.data())
+def test_int_reconstruct_h_matches_fraction_reconstruction(drawn, data):
+    f, dist, d = drawn
+    pool = data.draw(st.frozensets(st.integers(1, f.n), min_size=1, max_size=d))
+    shift = data.draw(st.sampled_from((0, dist.card.target_sum, -2, 5)))
+    try:
+        expected = reconstruct_h_reference(f, pool, shift)
+    except InputError:
+        with pytest.raises(InputError, match="pivot"):
+            reconstruct_h(f, pool, shift)
+        return
+    assert reconstruct_h(f, pool, shift) == expected

@@ -343,3 +343,8 @@ def test_import_cardcsp_leaves_numpy_unloaded():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_set_symmetric_form_rejects_negative_degree():
+    with pytest.raises(InputError, match="d must be nonnegative"):
+        SetSymmetricForm(n=6, d=-1, p=F(1, 2), kind="A")
