@@ -30,8 +30,8 @@ from typing import List, Tuple
 
 from .csp_model import GlobalCardinality
 from .errors import InputError
-from .exact import Scalar, _over_common_denominator, to_float
-from .poly import Assignment, Basis, MultilinearPoly, phi_square_q
+from .exact import Scalar, to_float
+from .poly import Assignment, Basis, MultilinearPoly, int_numerators, phi_square_q
 
 
 class CardinalDist:
@@ -99,11 +99,8 @@ def _chi_numerators(f: MultilinearPoly, dist: CardinalDist):
         raise InputError("chi-basis moments expect the chi basis")
     if f.n != dist.n:
         raise InputError("variable counts differ")
-    try:
-        den, nums = _over_common_denominator(f.coeffs.values())
-    except ValueError as exc:
-        raise InputError(f"chi-basis moments need rational coefficients: {exc}") from exc
-    return den, list(zip((sum(1 << (i - 1) for i in s) for s in f.coeffs), nums))
+    den, table = int_numerators(f.coeffs.items(), "the chi-basis moment")
+    return den, list(table.items())
 
 
 def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:

@@ -24,32 +24,19 @@ from .poly import Assignment, Basis, MultilinearPoly, basis_constants
 DEFAULT_ENUM_CAP = DEFAULT_CONFIG.enum_cap
 
 
-def _revolving_door(n: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """All k-subsets of [1..n]; consecutive subsets differ by one swap."""
-    if k == 0:
-        yield ()
-        return
-    if k == n:
-        yield tuple(range(1, n + 1))
-        return
-    # G(n,k) = G(n-1,k), then reversed(G(n-1,k-1)) each extended by n.
-    def gen(n_: int, k_: int, reverse: bool) -> Iterator[Tuple[int, ...]]:
-        if k_ == 0:
-            yield ()
-            return
-        if k_ == n_:
-            yield tuple(range(1, n_ + 1))
-            return
-        if not reverse:
-            yield from gen(n_ - 1, k_, False)
-            for s in gen(n_ - 1, k_ - 1, True):
-                yield s + (n_,)
-        else:
-            for s in gen(n_ - 1, k_ - 1, False):
-                yield s + (n_,)
-            yield from gen(n_ - 1, k_, True)
-
-    yield from gen(n, k, False)
+def _revolving_door(n: int, k: int, reverse: bool = False) -> Iterator[Tuple[int, ...]]:
+    """All k-subsets of [1..n]; consecutive subsets differ by one swap.
+    G(n,k) = G(n-1,k), then reversed(G(n-1,k-1)) each extended by n."""
+    if k == 0 or k == n:
+        yield tuple(range(1, k + 1))
+    elif not reverse:
+        yield from _revolving_door(n - 1, k)
+        for s in _revolving_door(n - 1, k - 1, True):
+            yield s + (n,)
+    else:
+        for s in _revolving_door(n - 1, k - 1):
+            yield s + (n,)
+        yield from _revolving_door(n - 1, k, True)
 
 
 def slice_count(card: GlobalCardinality) -> int:

@@ -12,17 +12,20 @@ bases coincide at p = 1/2.  Conversion uses x_i = 2*sqrt(p(1-p))*phi_i
 q = (2p-1)/sqrt(p(1-p)).  chi_i^2 = 1 is the same rule with q = 0, so the
 product, evaluation and conversion read each basis through one
 (value at +1, value at -1, q) triple, basis_constants.
+
+The exact hot loops key subsets by bitmask (bit i-1 is variable i); on it,
+the adjoint pair up/down gives (sum_i b_i - shift) * h as times_constraint.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import InputError
-from .exact import Scalar, make_qe, scalar_sign
+from .exact import QE, Scalar, _over_common_denominator, make_qe, scalar_sign
 
 Subset = Tuple[int, ...]
 Assignment = Tuple[int, ...]  # entries in {-1, +1}, position i holds x_{i+1}
@@ -122,7 +125,7 @@ class MultilinearPoly:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, QE)):
             other = MultilinearPoly.constant(self.n, other, self.basis, self.p)
         self._same_space(other)
         out = dict(self.coeffs)
@@ -138,7 +141,7 @@ class MultilinearPoly:
                                self.basis, self.p)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, QE)):
             return self.scale(other)
         self._same_space(other)
         q = basis_constants(self.basis, self.p)[2]
@@ -266,3 +269,71 @@ def convert_basis(f: MultilinearPoly, target: Basis, p=None) -> MultilinearPoly:
     if g.degree_bound != f.degree_bound:
         raise AssertionError("basis conversion changed the degree")
     return g
+
+
+# -- the bitmask encoding and the constraint product -----------------------
+
+def mask_of(subset: Iterable[int]) -> int:
+    """Bitmask of a subset: bit i-1 stands for variable i."""
+    return sum(1 << (i - 1) for i in subset)
+
+
+def subset_of(mask: int) -> Subset:
+    """The sorted subset whose bitmask is mask."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def int_numerators(items, what: str) -> Tuple[int, Dict[int, int]]:
+    """(den, {mask_of(S): numerator}) for (S, c) items, c == numerator / den;
+    InputError, naming `what`, if some c is irrational."""
+    items = list(items)
+    try:
+        den, nums = _over_common_denominator(c for _, c in items)
+    except ValueError as exc:
+        raise InputError(f"{what} needs rational coefficients: {exc}") from exc
+    return den, {mask_of(s): a for (s, _), a in zip(items, nums)}
+
+
+def _flip_each(table: Mapping[int, Scalar], toggle: int) -> Dict[int, Scalar]:
+    """{S: a} -> sum over the bits b of S ^ toggle of a [S ^ b].  It only
+    adds values, so ints, Fractions and QEs share it."""
+    out: Dict[int, Scalar] = {}
+    for mask, a in table.items():
+        rest = mask ^ toggle
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            t = mask ^ low
+            out[t] = out[t] + a if t in out else a
+    return out
+
+
+def up(table: Mapping[int, Scalar], n: int) -> Dict[int, Scalar]:
+    """{S: a} -> sum_{j not in S} a [S u j] over j in [1..n], on bitmask
+    keys; the adjoint of down."""
+    return _flip_each(table, (1 << n) - 1)
+
+
+def down(table: Mapping[int, Scalar]) -> Dict[int, Scalar]:
+    """{S: a} -> sum_{i in S} a [S minus i] on bitmask keys; the adjoint of up."""
+    return _flip_each(table, 0)
+
+
+def times_constraint_table(table: Mapping[int, Scalar], n: int, q: Scalar,
+                           shift=0) -> Dict[int, Scalar]:
+    """(sum_i b_i - shift) * h on h's bitmask table: b_i b_S is b_{S u i}
+    for i not in S and q b_S + b_{S minus i} for i in S, so the product is
+    up(h) + down(h) + (|S| q - shift) h."""
+    out = up(table, n)
+    diagonal = {t: (t.bit_count() * q - shift) * a for t, a in table.items()}
+    for t, a in chain(down(table).items(), diagonal.items()):
+        out[t] = out[t] + a if t in out else a
+    return out
+
+
+def times_constraint(h: MultilinearPoly, shift=0) -> MultilinearPoly:
+    """(sum_i b_i - shift) * h in h's basis, q from basis_constants (0 for chi)."""
+    out = times_constraint_table({mask_of(s): c for s, c in h.coeffs.items()}, h.n,
+                                 basis_constants(h.basis, h.p)[2], shift)
+    return MultilinearPoly(h.n, {subset_of(t): c for t, c in out.items()},
+                           h.basis, h.p)

@@ -9,6 +9,10 @@ agrees with f - fhat(0) on every assignment with sum x_i = 0, and its squared
 coefficient norm is at most 7^d times the projection residual's when the
 residual is at most sqrt(n).
 
+Every reduction here is poly.times_constraint, (sum x_i - shift) h; on the
+scan's int numerators, its up half counts a candidate's survivors and its
+down half feeds reconstruct_h's equation constants.
+
 General path: a variable is inactive in g when no nonzero coefficient of g
 contains it.  If some h of degree <= d-1 makes every variable of a d-set S
 inactive in f - (sum x_i - shift) h, then h is determined by S and f alone:
@@ -42,15 +46,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from math import factorial
+from typing import Dict, FrozenSet, List, Optional
 
 from .cardinal_dist import CardinalDist, chi_variance
 from .errors import InputError, PreconditionError
-from .exact import (QE, Scalar, _over_common_denominator, as_fraction,
-                    nearest_multiple, scalar_sign)
-from .poly import Basis, MultilinearPoly, Subset
-from .spectra import constraint_poly
+from .exact import QE, Scalar, as_fraction, nearest_multiple, scalar_sign
+from .poly import (Basis, MultilinearPoly, Subset, down, int_numerators,
+                   times_constraint, up)
 
 
 def active_variables(f: MultilinearPoly) -> FrozenSet[int]:
@@ -112,11 +115,10 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     if d < 0:
         raise InputError("d must be nonnegative")
     g0 = f.without_constant()
-    constraint = constraint_poly(f.n, Basis.CHI)
     # Norms are taken constant-free: the constant component of g0 - (sum x) h
     # is the remaining null direction of the variance form and carries no
     # kernel variables.
-    residual = (g0 - constraint * h_f).without_constant()
+    residual = (g0 - times_constraint(h_f)).without_constant()
     residual_sq = residual.l2_norm_sq()
     # residual_sq <= sqrt(n)  <=>  residual_sq^2 <= n (exact comparison)
     if as_fraction(residual_sq) ** 2 > f.n and not allow_large_residual:
@@ -133,7 +135,7 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
         if snapped != 0:
             rounded[s] = snapped
     h = MultilinearPoly(f.n, rounded, Basis.CHI)
-    reduced = g0 - constraint * h
+    reduced = g0 - times_constraint(h)
     reduced_sq = reduced.without_constant().l2_norm_sq()
     if scalar_sign(residual_sq) == 0:
         if scalar_sign(reduced_sq) != 0:
@@ -157,42 +159,23 @@ def _beta_weights(big_d: int) -> List[int]:
             for i in range(1, big_d)]
 
 
-def _int_table(items) -> Tuple[int, Dict[int, int]]:
-    """(den, {bitmask of S: numerator}) for (S, c) items over one common
-    denominator, so that c == numerator / den."""
-    items = list(items)
-    try:
-        den, nums = _over_common_denominator(c for _, c in items)
-    except ValueError as exc:
-        raise InputError(f"the reconstruction needs rational coefficients: {exc}") from exc
-    return den, {sum(1 << (i - 1) for i in s): a for (s, _), a in zip(items, nums)}
-
-
 def _submasks(bits: List[int], sizes) -> List[List[int]]:
     """Masks of the k-subsets of `bits`, one list per k in sizes."""
     return [[sum(c) for c in combinations(bits, k)] for k in sizes]
 
 
-def _pivot(s1_mask: int, pool: Subset, size: int, n: int) -> int:
-    """Bitmask of a size-`size` pivot disjoint from s1: elements of the pool
-    first, then the smallest outside indices.  All size-`size` subsets of
-    s1 u pivot then contain a pool element, as the hypothesis requires."""
-    pivot = taken = 0
-    for v in pool:
-        bit = 1 << (v - 1)
-        if not bit & s1_mask:
+def _pivot(s1_mask: int, order: List[int], size: int) -> int:
+    """Bitmask of a size-`size` pivot disjoint from s1, taking the bits of
+    `order` (the pool's, then every variable's from the smallest) in turn.
+    All size-`size` subsets of s1 u pivot then contain a pool element, as
+    the hypothesis requires."""
+    pivot = 0
+    for bit in order:
+        if not bit & (s1_mask | pivot):
             pivot |= bit
-            taken += 1
-            if taken == size:
+            if pivot.bit_count() == size:
                 return pivot
-    free = ((1 << n) - 1) & ~s1_mask & ~sum(1 << (v - 1) for v in pool)
-    for _ in range(size - taken):
-        if not free:
-            raise InputError("not enough variables to build a pivot set")
-        low = free & -free
-        pivot |= low
-        free ^= low
-    return pivot
+    raise InputError("not enough variables to build a pivot set")
 
 
 class _WeightSolve:
@@ -220,9 +203,6 @@ class _WeightSolve:
         for s1 in combinations(range(1, n + 1), big_d - 1):
             bits = [1 << (v - 1) for v in s1]
             self.rows.append((s1, sum(bits), _submasks(bits, range(big_d - 1, 0, -1))))
-        # the weight-D supersets of each row's s1
-        self._ups = [[mask | 1 << j for j in range(n) if not mask >> j & 1]
-                     for _, mask, _ in self.rows]
         self._pivot_subs: Dict[int, List[List[int]]] = {}
 
     def _subsets_of_pivot(self, pivot: int) -> List[List[int]]:
@@ -238,9 +218,10 @@ class _WeightSolve:
         get = self.table.get
         fact = factorial(self.big_d - 1)
         sign = -1 if self.big_d % 2 else 1          # (-1)^D
+        order = [1 << (v - 1) for v in pool] + [1 << j for j in range(self.n)]
         out = []
         for _, mask, s1_subs in self.rows:
-            pivot = _pivot(mask, pool, self.big_d, self.n)
+            pivot = _pivot(mask, order, self.big_d)
             r_total = 0
             for weight, t1s, t2s in zip(self.weights, s1_subs,
                                         self._subsets_of_pivot(pivot)):
@@ -254,14 +235,13 @@ class _WeightSolve:
 
     def active_mask(self, nums: List[int]) -> int:
         """Union of the weight-D sets T left nonzero in the table minus
-        (sum x_i) h: D! E(T) - sum_{s < T, |s| = D-1} N(s) != 0 on numerators.
-        The shift term of the constraint product stays below weight D."""
+        (sum x_i) h: up(N)(T) - D! E(T) != 0 on numerators.  The down and
+        shift terms of the constraint product stay below weight D."""
+        acc = up({mask: num for (_, mask, _), num in zip(self.rows, nums) if num},
+                 self.n)
         scale = factorial(self.big_d)
-        acc = {t: scale * a for t, a in self.table.items()}
-        for ups, num in zip(self._ups, nums):
-            if num:
-                for t in ups:
-                    acc[t] = acc.get(t, 0) - num
+        for t, a in self.table.items():
+            acc[t] = acc.get(t, 0) - scale * a
         union = 0
         for t, a in acc.items():
             if a:
@@ -281,10 +261,12 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
     when f's are multiples of gamma (denominators grow by one factorial per
     weight below that).
 
-    Each weight w is one _WeightSolve on the equation constants
-    E(T) = fhat(T) + shift*h(T) - sum_{j not in T} h(T u j), |T| = w+1,
-    put over one denominator as int numerators from the numerators of f and
-    of the two weights of h above; each h entry is one Fraction.
+    Each weight w is one _WeightSolve on the equation constants E(T),
+    |T| = w+1: the coefficients of f - (sum_i x_i - shift) h over h's
+    weights above w, as int numerators over one denominator.  The up half
+    of that product lands on weights already solved, so each solved weight
+    only subtracts its down half and adds its shift term; each h entry is
+    one Fraction.
     """
     if f.basis is not Basis.CHI:
         raise InputError("reconstruct_h works on the chi basis")
@@ -293,35 +275,23 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
         raise InputError("pivot pool must be nonempty")
     if any(not 1 <= v <= f.n for v in pool):
         raise InputError("pivot pool variable out of range")
-    den_f, f_table = _int_table(f.coeffs.items())
+    den, table = int_numerators(f.coeffs.items(), "the reconstruction")
     h: Dict[Subset, Fraction] = {}
-    # h's numerators at weights D and D+1 for the constants of weight D
-    same: Tuple[int, Dict[int, int]] = (1, {})
-    up: Tuple[int, Dict[int, int]] = (1, {})
-    for w in range(len(pool) - 1, -1, -1):
-        big_d = w + 1
-        den = lcm(den_f, same[0], up[0])
-        table = {mask: a * (den // den_f) for mask, a in f_table.items()
-                 if mask.bit_count() == big_d}
-        if shift:
-            scale = shift * (den // same[0])
-            for mask, a in same[1].items():
-                table[mask] = table.get(mask, 0) + scale * a
-        scale = den // up[0]
-        for mask, a in up[1].items():
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                table[mask ^ low] = table.get(mask ^ low, 0) - scale * a
-        solve = _WeightSolve(f.n, big_d, table)
-        h_den = factorial(big_d) * den
+    for big_d in range(len(pool), 0, -1):
+        solve = _WeightSolve(f.n, big_d,
+                             {t: a for t, a in table.items() if t.bit_count() == big_d})
+        fact = factorial(big_d)
         level: Dict[int, int] = {}
         for (s1, mask, _), num in zip(solve.rows, solve.numerators(pool)):
             if num:
-                h[s1] = Fraction(num, h_den)
+                h[s1] = Fraction(num, fact * den)
                 level[mask] = num
-        up, same = same, (h_den, level)
+        den *= fact
+        table = {t: fact * a for t, a in table.items() if t.bit_count() < big_d}
+        for t, a in down(level).items():
+            table[t] = table.get(t, 0) - a
+        for t, a in level.items():
+            table[t] = table.get(t, 0) + shift * a
     return MultilinearPoly(f.n, h, Basis.CHI)
 
 
@@ -353,6 +323,8 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
         raise InputError("round_global works on the chi basis")
     if any(isinstance(c, QE) for c in f.coeffs.values()):
         raise InputError("round_global needs rational coefficients")
+    if f.n != dist.n:
+        raise InputError("variable counts differ between f and dist")
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise InputError("gamma must be positive")
@@ -375,7 +347,6 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
     # (then only a perfect candidate stops the scan early).
     bar = n - int(bound) if bound < n else 0
     exit_threshold = bar if bar >= 1 else n
-    constraint = constraint_poly(n, Basis.CHI)
     f_cur = f
     h_total = MultilinearPoly.zero(n, Basis.CHI)
     for level in range(d, 0, -1):
@@ -388,8 +359,7 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
         if best_subset is None:
             continue
         h_level = reconstruct_h(f_cur, best_subset, shift)
-        shifted = constraint - MultilinearPoly.constant(n, shift, Basis.CHI)
-        f_cur = f_cur - shifted * h_level
+        f_cur = f_cur - times_constraint(h_level, shift)
         h_total = h_total + h_level
     return RoundingOutcome(h=h_total, reduced=f_cur,
                            active_set=active_variables(f_cur),
@@ -404,7 +374,8 @@ def _best_candidate(f_cur: MultilinearPoly, level: int,
     weight-`level` coefficient.  A candidate's top-weight h depends on
     f_cur's weight-`level` coefficients alone, so one int table serves the
     whole scan."""
-    _, table = _int_table((s, c) for s, c in f_cur.coeffs.items() if len(s) == level)
+    _, table = int_numerators(((s, c) for s, c in f_cur.coeffs.items()
+                               if len(s) == level), "the reconstruction")
     if not table:
         return None
     n = f_cur.n

@@ -34,8 +34,8 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
                         to_polynomial, validate_instance)
 from .errors import InputError, ResourceError
-from .exact import _over_common_denominator, fraction_str, sqrt_upper
-from .poly import Assignment, MultilinearPoly
+from .exact import fraction_str, sqrt_upper
+from .poly import Assignment, MultilinearPoly, int_numerators, subset_of
 from .rounding import (active_bound_constant, gamma_denominator,
                        round_bisection, round_global)
 from .spectra import project_null
@@ -172,14 +172,11 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     layers = _feasible_layers(size, card)
     if not layers:
         raise InputError("no feasible kernel assignment (inconsistent budgets)")
-    try:
-        den, nums = _over_common_denominator(reduced.coeffs.values())
-    except ValueError as exc:
-        raise InputError(f"reduced polynomial is not rational: {exc}") from exc
+    den, table = int_numerators(reduced.coeffs.items(), "the reduced polynomial")
     # Kernel position i is bit size-1-i: between two -1 masks, the larger is
     # the lexicographically smaller assignment.
     bit = {v: 1 << (size - 1 - i) for i, v in enumerate(kernel)}
-    terms = [(sum(bit[v] for v in s), c) for s, c in zip(reduced.coeffs, nums)]
+    terms = [(sum(bit[v] for v in subset_of(m)), c) for m, c in table.items()]
     total = sum(c for _, c in terms)
     best = best_mask = None
     for j in layers:

@@ -10,8 +10,10 @@ depends only on (|S|, |T|, |S^T|).  Two entry conventions are supported:
 
 They coincide at p = 1/2.  The exact form is authoritative: its null space
 is exactly span{(sum_i phi_i) phi_S : |S| <= d-1} because the constraint
-polynomial vanishes on the support.  The variance form subtracts
-delta_{|S|} * delta_{|T|} and drops the empty-set row/column.
+polynomial vanishes on the support.  Each generator (in table form) and the
+projection's reduction by (sum_i phi_i) h are poly.times_constraint.  The
+variance form subtracts delta_{|S|} * delta_{|T|} and drops the empty-set
+row/column.
 
 Eigenvectors are built from harmonic weight-k coefficient vectors
 (sum_{j not in T} fhat(T u j) = 0 for all |T| = k-1) extended upward by the
@@ -36,7 +38,8 @@ from .cardinal_dist import CardinalDist
 from .errors import InputError, ResourceError
 from .exact import (Scalar, nullspace_exact, scalar_sign,
                     solve_linear_exact, to_float)
-from .poly import Basis, MultilinearPoly, Subset, phi_square_q
+from .poly import (Basis, MultilinearPoly, Subset, mask_of, phi_square_q,
+                   subset_of, times_constraint, times_constraint_table, up)
 
 
 def subsets_upto(n: int, d: int, include_empty: bool = True) -> List[Subset]:
@@ -155,6 +158,8 @@ def build_dense(form: SetSymmetricForm, dense_cap: int = 2000):
 
 def quadratic_form_value(form: SetSymmetricForm, f: MultilinearPoly) -> Scalar:
     """f^T M f without materializing the dense matrix (sparse f)."""
+    if f.n != form.n or (f.basis is Basis.PHI and f.p != form.p):
+        raise InputError("f's variable count or bias differs from the form's")
     if f.basis is not Basis.PHI and form.p != Fraction(1, 2):
         raise InputError("convert f to the phi basis first")
     items = list(f.coeffs.items())
@@ -220,18 +225,17 @@ def vk_eigenvalue_exact(n: int, p, d: int, k: int) -> Scalar:
 
 def harmonic_basis(n: int, k: int) -> List[Dict[Subset, Fraction]]:
     """Exact basis of weight-k coefficient vectors with all partial sums
-    sum_{j not in T} v(T u j) = 0 over |T| = k-1; dimension C(n,k)-C(n,k-1)."""
+    sum_{j not in T} v(T u j) = 0 over |T| = k-1; dimension C(n,k)-C(n,k-1).
+    Row T of the system is up of the unit vector at T."""
     cols = list(combinations(range(1, n + 1), k))
     if k == 0:
         return [{(): Fraction(1)}]
-    col_index = {s: i for i, s in enumerate(cols)}
+    col_index = {mask_of(s): i for i, s in enumerate(cols)}
     rows = []
     for t in combinations(range(1, n + 1), k - 1):
-        row = [Fraction(0)] * len(cols)
-        t_set = set(t)
-        for j in range(1, n + 1):
-            if j not in t_set:
-                row[col_index[tuple(sorted(t + (j,)))]] = Fraction(1)
+        row = [0] * len(cols)
+        for mask, a in up({mask_of(t): 1}, n).items():
+            row[col_index[mask]] = a
         rows.append(row)
     basis = nullspace_exact(rows, len(cols))
     return [{cols[i]: v for i, v in enumerate(vec) if v != 0} for vec in basis]
@@ -244,37 +248,14 @@ def vk_basis(n: int, p, d: int, k: int) -> List[Dict[Subset, Scalar]]:
     out = []
     for vec in harmonic_basis(n, k):
         ext: Dict[Subset, Scalar] = dict(vec)
+        # up^m / m! sums vec over the weight-k subsets of each weight-(k+m) set
+        layer = {mask_of(s): c for s, c in vec.items()}
         for size in range(k + 1, d + 1):
+            layer = {t: c / (size - k) for t, c in up(layer, n).items()}
             a = alphas.get(k, size)
-            if scalar_sign(a) == 0:
-                continue
-            for t in combinations(range(1, n + 1), size):
-                acc: Scalar = Fraction(0)
-                for s in combinations(t, k):
-                    c = vec.get(s)
-                    if c is not None:
-                        acc = acc + c
-                if scalar_sign(acc) != 0:
-                    ext[t] = a * acc
+            ext.update((subset_of(t), a * c) for t, c in layer.items()
+                       if scalar_sign(a * c) != 0)
         out.append(ext)
-    return out
-
-
-def null_space_vector(dist: CardinalDist, subset: Subset) -> Dict[Subset, Scalar]:
-    """Coefficients of (sum_i phi_i) * phi_S: the generic null direction."""
-    s = tuple(sorted(subset))
-    out: Dict[Subset, Scalar] = {}
-    set_s = set(s)
-    for j in range(1, dist.n + 1):
-        if j in set_s:
-            key = tuple(x for x in s if x != j)
-        else:
-            key = tuple(sorted(s + (j,)))
-        out[key] = out.get(key, Fraction(0)) + 1
-    if s:
-        out[s] = out.get(s, Fraction(0)) + len(s) * dist.q
-        if scalar_sign(out[s]) == 0:
-            del out[s]
     return out
 
 
@@ -342,11 +323,6 @@ class ProjectionResult:
     residual_norm_sq: Scalar
 
 
-def constraint_poly(n: int, basis: Basis, p=None) -> MultilinearPoly:
-    """sum_i phi_i (or sum_i x_i in the chi basis)."""
-    return MultilinearPoly(n, {(i,): Fraction(1) for i in range(1, n + 1)}, basis, p)
-
-
 def project_null(f: MultilinearPoly, dist: CardinalDist,
                  mode: str = "exact") -> ProjectionResult:
     """Least-squares projection of f - fhat(0) onto the null space of the
@@ -362,10 +338,9 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
     """
     if mode != "exact":
         raise InputError("mode must be 'exact'")
-    if f.basis is Basis.PHI:
-        if f.p != dist.p:
-            raise InputError("bias mismatch between f and dist")
-    elif dist.p != Fraction(1, 2):
+    if f.n != dist.n or (f.basis is Basis.PHI and f.p != dist.p):
+        raise InputError("f's variable count or bias differs from dist's")
+    if f.basis is not Basis.PHI and dist.p != Fraction(1, 2):
         raise InputError("projection needs the phi basis for p != 1/2")
     d = f.degree_bound
     g0 = f.without_constant()
@@ -373,25 +348,26 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
         zero = MultilinearPoly.zero(f.n, f.basis, f.p)
         return ProjectionResult(h=zero, residual=zero, residual_norm_sq=Fraction(0))
     gen_sets = subsets_upto(f.n, d - 1)
+    g0_table = {mask_of(s): c for s, c in g0.coeffs.items()}
     generators = []
     for s in gen_sets:
-        vec = null_space_vector(dist, s)
-        vec.pop((), None)   # the constant direction is spanned separately
-        generators.append(vec)
+        gen = times_constraint_table({mask_of(s): 1}, f.n, dist.q)
+        gen.pop(0, None)    # the constant direction is spanned separately
+        generators.append(gen)
     # The generators are permutation-equivariant, so the Gram matrix is
     # set-symmetric: one _dot per (|S|, |T|, |S^T|).
     gram = _set_symmetric_matrix(
         gen_sets, lambda key, i, j: _dot(generators[i], generators[j]))
-    rhs = [_dot(gen, g0.coeffs) for gen in generators]
+    rhs = [_dot(gen, g0_table) for gen in generators]
     coeffs = solve_linear_exact(gram, rhs)
     h = MultilinearPoly(f.n, {s: c for s, c in zip(gen_sets, coeffs)
                               if scalar_sign(c) != 0}, f.basis, f.p)
-    residual = (g0 - constraint_poly(f.n, f.basis, f.p) * h).without_constant()
+    residual = (g0 - times_constraint(h)).without_constant()
     return ProjectionResult(h=h, residual=residual,
                             residual_norm_sq=residual.l2_norm_sq())
 
 
-def _dot(vec: Dict[Subset, Scalar], other: Dict[Subset, Scalar]) -> Scalar:
+def _dot(vec: dict, other: dict) -> Scalar:
     if len(other) < len(vec):
         vec, other = other, vec
     total: Scalar = Fraction(0)

@@ -14,7 +14,6 @@ from cardcsp.exact import QE, as_fraction, make_qe, scalar_inverse, scalar_sign
 from cardcsp.oracle import _revolving_door
 from cardcsp.poly import Basis, MultilinearPoly, phi_square_q, phi_values
 from cardcsp.rounding import active_bound_constant
-from cardcsp.spectra import constraint_poly
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -125,6 +124,29 @@ def gauss_solve_reference(matrix, rhs):
 # References with chi and phi written out separately, for the code that
 # reads each basis through poly.basis_constants.
 # ---------------------------------------------------------------------------
+
+def constraint_poly(n, basis, p=None):
+    """sum_i phi_i (or sum_i x_i in the chi basis): (constraint_poly - shift) * h
+    through MultilinearPoly.__mul__ is the reference for poly.times_constraint."""
+    return MultilinearPoly(n, {(i,): Fraction(1) for i in range(1, n + 1)}, basis, p)
+
+
+def null_space_vector(dist, subset):
+    """Coefficients of (sum_i phi_i) * phi_S, written out on tuple keys."""
+    s = tuple(sorted(subset))
+    out = {}
+    for j in range(1, dist.n + 1):
+        if j in s:
+            key = tuple(x for x in s if x != j)
+        else:
+            key = tuple(sorted(s + (j,)))
+        out[key] = out.get(key, Fraction(0)) + 1
+    if s:
+        out[s] = out.get(s, Fraction(0)) + len(s) * dist.q
+        if scalar_sign(out[s]) == 0:
+            del out[s]
+    return out
+
 
 def mul_reference(f, g):
     """f * g: chi keys by the symmetric difference; phi also expands each

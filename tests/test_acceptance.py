@@ -21,11 +21,10 @@ from cardcsp.poly import Basis, MultilinearPoly
 from cardcsp.rounding import (gamma_denominator, round_bisection, round_global)
 from cardcsp.solver import (bisection_fourth_moment_bound, decide,
                             general_fourth_moment_bound)
-from cardcsp.spectra import (SetSymmetricForm, constraint_poly, eigen_summary,
-                             project_null)
+from cardcsp.spectra import SetSymmetricForm, eigen_summary, project_null
 
-from conftest import (complete_graph, graph_instance, path_graph, random_instance,
-                      random_poly, star_graph, valid_biases)
+from conftest import (complete_graph, constraint_poly, graph_instance, path_graph,
+                      random_instance, random_poly, star_graph, valid_biases)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

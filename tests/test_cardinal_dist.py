@@ -12,10 +12,10 @@ from cardcsp.errors import InputError
 from cardcsp.exact import scalar_sign, sqrt_scalar, to_float
 from cardcsp.oracle import brute_moment, brute_variance, slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, convert_basis
-from cardcsp.spectra import SetSymmetricForm, constraint_poly, quadratic_form_value
+from cardcsp.spectra import SetSymmetricForm, quadratic_form_value
 from cardcsp.solver import bisection_fourth_moment_bound
 
-from conftest import csp_instances, random_poly, star_graph
+from conftest import constraint_poly, csp_instances, random_poly, star_graph
 
 
 def phi_monomial(n, subset, p):

@@ -14,11 +14,11 @@ from cardcsp.oracle import (_slice_pairs, brute_average, brute_force_decision,
                             mean_restricted_variance, restriction_gap,
                             slice_assignments, slice_count)
 from cardcsp.poly import Basis, MultilinearPoly
-from cardcsp.spectra import constraint_poly, project_null
+from cardcsp.spectra import project_null
 from cardcsp.solver import bisection_fourth_moment_bound
 
-from conftest import (basis_polys, complete_graph, graph_instance, path_graph,
-                      random_poly, slice_pairs_reference, valid_biases)
+from conftest import (basis_polys, complete_graph, constraint_poly, graph_instance,
+                      path_graph, random_poly, slice_pairs_reference, valid_biases)
 
 
 def test_slice_enumeration_is_gray_coded():

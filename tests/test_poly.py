@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from cardcsp.errors import InputError
 from cardcsp.exact import QE, make_qe, to_float
-from cardcsp.poly import Basis, MultilinearPoly, convert_basis, phi_square_q
+from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
+                          times_constraint, up)
 
-from conftest import (basis_polys, convert_basis_reference, evaluate_reference,
-                      mul_reference, random_poly)
+from conftest import (basis_polys, constraint_poly, convert_basis_reference,
+                      evaluate_reference, mul_reference, random_poly)
 
 BIASES = (F(1, 2), F(1, 3), F(1, 4))
 
@@ -238,3 +239,45 @@ def test_convert_requires_p_in_range():
     for p in (None, 0, 1, F(3, 2)):
         with pytest.raises(InputError):
             convert_basis(f, Basis.PHI, p)
+
+
+@st.composite
+def constraint_cases(draw):
+    """(h, shift): h of degree <= 3 over n <= 9 variables in either basis at
+    p in {1/2, 1/3, 2/5}, shift in {0, (1-2p)n, -3}."""
+    n = draw(st.integers(1, 9))
+    p = draw(st.sampled_from((F(1, 2), F(1, 3), F(2, 5))))
+    h = draw(basis_polys(n, draw(st.sampled_from(Basis)), p))
+    return h, draw(st.sampled_from((0, (1 - 2 * p) * n, -3)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(constraint_cases())
+def test_times_constraint_matches_polynomial_product(case):
+    h, shift = case
+    out = times_constraint(h, shift)
+    assert out == (constraint_poly(h.n, h.basis, h.p) - shift) * h
+    assert _exact(out.coeffs.values())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n), *[st.dictionaries(st.integers(0, 2 ** n - 1), st.integers(-9, 9),
+                                  max_size=20)] * 2)))
+def test_up_and_down_are_adjoint(drawn):
+    n, a, b = drawn
+    lhs = sum(v * b.get(t, 0) for t, v in up(a, n).items())
+    rhs = sum(v * down(b).get(s, 0) for s, v in a.items())
+    assert lhs == rhs
+
+
+def test_qe_scalar_acts_as_a_scalar():
+    p = F(1, 3)
+    q = phi_square_q(p)
+    assert isinstance(q, QE)
+    f = MultilinearPoly(4, {(): F(1, 2), (1, 3): F(-2), (2,): make_qe(1, 3, p * (1 - p))},
+                        Basis.PHI, p)
+    assert f * q == q * f == f.scale(q)
+    constant = MultilinearPoly.constant(4, q, Basis.PHI, p)
+    assert f + q == f + constant
+    assert f - q == f - constant

@@ -11,16 +11,16 @@ from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import _bareiss_div, make_qe
 from cardcsp.oracle import slice_assignments
-from cardcsp.poly import Basis, MultilinearPoly
+from cardcsp.poly import Basis, MultilinearPoly, int_numerators
 from cardcsp.rounding import (_WeightSolve, _best_candidate, _beta_weights,
-                              _int_table, active_bound_constant,
-                              active_variables, gamma_denominator, gamma_ladder,
-                              reconstruct_h, round_bisection, round_global)
-from cardcsp.spectra import constraint_poly, project_null
+                              active_bound_constant, active_variables,
+                              gamma_denominator, gamma_ladder, reconstruct_h,
+                              round_bisection, round_global)
+from cardcsp.spectra import project_null
 
-from conftest import (beta_weights_reference, csp_instances, random_poly,
-                      reconstruct_h_reference, round_global_scan_reference,
-                      survivors_reference)
+from conftest import (beta_weights_reference, constraint_poly, csp_instances,
+                      random_poly, reconstruct_h_reference,
+                      round_global_scan_reference, survivors_reference)
 
 
 def mono(n, subset, c=F(1)):
@@ -352,6 +352,15 @@ def test_round_global_rejects_negative_variance_and_degree():
         round_global(f, dist, F(1, 4), d=-1, allow_large_variance=True)
 
 
+def test_round_global_rejects_mismatched_sizes():
+    # an n = 6 f on the n = 8 slice: with variance given, nothing else would
+    # notice, and the scan would run on the other slice's shift
+    f = mono(6, (1, 2), F(1, 4))
+    for variance in (F(0), None):
+        with pytest.raises(InputError, match="variable counts differ"):
+            round_global(f, CardinalDist(8, F(1, 4)), F(1, 4), variance=variance)
+
+
 def test_round_bisection_rejects_negative_degree():
     f = mono(6, (1, 2), F(1, 4))
     h_f = MultilinearPoly.zero(6)
@@ -402,7 +411,8 @@ def biased_polys(draw):
 
 
 def _int_survivors(f_cur, level):
-    _, table = _int_table((s, c) for s, c in f_cur.coeffs.items() if len(s) == level)
+    _, table = int_numerators(((s, c) for s, c in f_cur.coeffs.items()
+                               if len(s) == level), "the scan")
     solve = _WeightSolve(f_cur.n, level, table)
     return [f_cur.n - solve.active_mask(solve.numerators(cand)).bit_count()
             for cand in combinations(range(1, f_cur.n + 1), level)]

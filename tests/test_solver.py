@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 from math import comb
@@ -385,3 +386,23 @@ def test_verdict_shapes():
     assert set(doc) >= {"answer", "branch", "avg", "variance", "threshold",
                         "warnings", "opt", "witness", "kernel"}
     assert doc["avg"]["exact"] == "2"
+
+
+def test_decide_makes_no_polynomial_product(monkeypatch):
+    # every reduction goes through poly.times_constraint: kernelizing at
+    # p = 1/2 (projection, rounding) and at p = 1/3 (the scan) forms no
+    # polynomial-by-polynomial product
+    products = []
+    original = MultilinearPoly.__mul__
+
+    def counting(self, other):
+        if isinstance(other, MultilinearPoly):
+            products.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(MultilinearPoly, "__mul__", counting)
+    for p, n in ((F(1, 2), 8), (F(1, 3), 9)):
+        inst = random_instance(random.Random(n), n, 2, 14)
+        v = decide(inst, GlobalCardinality(n, p), 1)
+        assert v.branch == "SmallVariance" and v.kernel
+    assert products == []

@@ -16,11 +16,12 @@ from cardcsp.exact import scalar_sign, to_float
 from cardcsp.oracle import brute_moment, brute_variance
 from cardcsp.poly import Basis, MultilinearPoly, convert_basis
 from cardcsp.spectra import (SetSymmetricForm, _dot, alpha_table, build_dense,
-                             constraint_poly, eigen_summary, eigenvalue_closed_form,
-                             null_space_vector, project_null, quadratic_form_value,
-                             subsets_upto, vk_basis, vk_eigenvalue_exact)
+                             eigen_summary, eigenvalue_closed_form, project_null,
+                             quadratic_form_value, subsets_upto, vk_basis,
+                             vk_eigenvalue_exact)
 
-from conftest import csp_instances, gauss_solve_reference, random_poly
+from conftest import (constraint_poly, csp_instances, gauss_solve_reference,
+                      graph_instance, null_space_vector, random_poly)
 
 
 def test_alpha_zero_at_half():
@@ -348,3 +349,16 @@ def test_import_cardcsp_leaves_numpy_unloaded():
 def test_set_symmetric_form_rejects_negative_degree():
     with pytest.raises(InputError, match="d must be nonnegative"):
         SetSymmetricForm(n=6, d=-1, p=F(1, 2), kind="A")
+
+
+def test_projection_and_form_reject_mismatched_sizes():
+    f = to_polynomial(graph_instance(6, [(1, 2), (2, 3), (3, 4), (1, 5), (5, 6)]))
+    with pytest.raises(InputError, match="variable count or bias"):
+        project_null(f, CardinalDist(8, F(1, 2)))
+    with pytest.raises(InputError, match="variable count or bias"):
+        quadratic_form_value(SetSymmetricForm(10, 2, F(1, 2), "B"), f)
+    phi = convert_basis(f, Basis.PHI, F(1, 3))
+    with pytest.raises(InputError, match="variable count or bias"):
+        quadratic_form_value(SetSymmetricForm(6, 2, F(1, 2), "B"), phi)
+    form = SetSymmetricForm(6, 2, F(1, 2), "B")
+    assert quadratic_form_value(form, f) == brute_variance(f, GlobalCardinality(6, F(1, 2)))
