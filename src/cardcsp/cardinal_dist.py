@@ -3,13 +3,13 @@
 Moments of basis monomials under D_p are captured by two scalar sequences:
 
   delta_k = E[phi_S] for |S|=k, from  k*delta_{k-1} + k*q*delta_k + (n-k)*delta_{k+1} = 0
-            with delta_0 = 1, delta_1 = 0 and q = (2p-1)/sqrt(p(1-p));
+            with delta_0 = 1 and q = (2p-1)/sqrt(p(1-p));
   eps_k   = E[chi_S] for |S|=k, from  k*eps_{k-1} - (1-2p)n*eps_k + (n-k)*eps_{k+1} = 0
-            with eps_0 = 1, eps_1 = 1-2p.
+            with eps_0 = 1.
 
 Both recurrences follow from E[(sum_i phi_i) * phi_S] = 0 (resp. the chi
 analogue with the shifted constraint), since the constraint polynomial
-vanishes identically on the support.
+vanishes identically on the support; extend_slice_sequence runs both.
 
 E[phi_S phi_T] is NOT delta_{|S delta T|} when S and T overlap at p != 1/2:
 each shared index expands by phi_i^2 = q*phi_i + 1, giving
@@ -44,8 +44,8 @@ class CardinalDist:
         self.p = p
         self.r = p * (1 - p)
         self.q: Scalar = phi_square_q(p)
-        self._delta: List[Scalar] = [Fraction(1), Fraction(0)]
-        self._eps: List[Fraction] = [Fraction(1), 1 - 2 * p]
+        self._delta: List[Scalar] = [Fraction(1)]
+        self._eps: List[Fraction] = [Fraction(1)]
         self._pair: dict = {}
 
     @staticmethod
@@ -53,24 +53,12 @@ class CardinalDist:
         return CardinalDist(card.n, card.p)
 
     def delta(self, k: int) -> Scalar:
-        if k > self.n:
-            raise InputError(f"delta_{k} undefined beyond k = n = {self.n}")
-        d = self._delta
-        while len(d) <= k:
-            j = len(d) - 1  # recurrence at index j yields delta_{j+1}
-            d.append(-(j * d[j - 1] + j * self.q * d[j]) / (self.n - j))
-        return d[k]
+        return extend_slice_sequence(self._delta, k, self.n, q=self.q)[k]
 
     def chi_moment(self, k: int) -> Fraction:
         """E[chi_S] for |S| = k (rational for every p)."""
-        if k > self.n:
-            raise InputError(f"chi moment undefined beyond k = n = {self.n}")
-        e = self._eps
-        shift = (1 - 2 * self.p) * self.n
-        while len(e) <= k:
-            j = len(e) - 1
-            e.append((shift * e[j] - j * e[j - 1]) / (self.n - j))
-        return e[k]
+        return extend_slice_sequence(self._eps, k, self.n,
+                                     shift=(1 - 2 * self.p) * self.n)[k]
 
     def phi_pair_moment(self, common: int, sym_diff: int) -> Scalar:
         """E[phi_S phi_T] as a function of c = |S^T| and u = |S delta T|."""
@@ -84,34 +72,47 @@ class CardinalDist:
         return val
 
 
+def extend_slice_sequence(xs: List[Scalar], k: int, n: int, q: Scalar = 0,
+                          shift: Scalar = 0, offset: int = 0) -> List[Scalar]:
+    """Extend xs = [x_0 = 1, ...] in place through x_k, 0 <= k <= n, by
+    j x_{j-1} + ((offset+j) q - shift) x_j + (n-2 offset-j) x_{j+1} = 0:
+    delta is offset = shift = 0, eps is q = offset = 0 with shift = (1-2p)n,
+    and spectra's alpha_{k,k+i} is shift = 0 with offset = k."""
+    if not 0 <= k <= n:
+        raise InputError(f"index {k} outside [0..n] with n = {n}")
+    while len(xs) <= k:
+        j = len(xs) - 1
+        prev = xs[j - 1] if j else 0
+        xs.append(-(j * prev + ((offset + j) * q - shift) * xs[j]) / (n - 2 * offset - j))
+    return xs
+
+
 def delta_sequence(n: int, p, kmax: int) -> List[Scalar]:
-    """delta_0 .. delta_kmax for D_p; requires kmax <= n and p*n integral."""
-    if kmax > n:
-        raise InputError(f"kmax = {kmax} exceeds n = {n}")
-    dist = CardinalDist(n, p)
-    return [dist.delta(k) for k in range(kmax + 1)]
+    """delta_0 .. delta_kmax for D_p; requires 0 <= kmax <= n and p*n integral."""
+    if not 0 <= kmax <= n:
+        raise InputError(f"kmax = {kmax} outside [0..n] with n = {n}")
+    return extend_slice_sequence([Fraction(1)], kmax, n, q=CardinalDist(n, p).q)
 
 
 def _chi_numerators(f: MultilinearPoly, dist: CardinalDist):
-    """f's coefficients over one common denominator: (den, [(mask, num)])
-    with int bitmask keys, for the chi-basis moment routines."""
+    """(den, [(mask, num)], E_{D_p}[f]): f's coefficients as int numerators
+    over one denominator, and the mean, from the numerators binned by |S|
+    and weighted by the rational chi moment sequence."""
     if f.basis is not Basis.CHI:
         raise InputError("chi-basis moments expect the chi basis")
     if f.n != dist.n:
         raise InputError("variable counts differ")
-    den, table = int_numerators(f.coeffs.items(), "the chi-basis moment")
-    return den, list(table.items())
+    den, table = int_numerators(f.coeffs, "the chi-basis moment")
+    first = [0] * (f.degree_bound + 1)
+    for mask, a in table.items():
+        first[mask.bit_count()] += a
+    mean = Fraction(sum(h * dist.chi_moment(j) for j, h in enumerate(first) if h), den)
+    return den, list(table.items()), mean
 
 
 def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
-    """E_{D_p}[f] for a chi-basis f with rational coefficients: the int
-    numerators are binned by |S| and weighted by the rational chi moment
-    sequence."""
-    den, terms = _chi_numerators(f, dist)
-    first = [0] * (f.degree_bound + 1)
-    for mask, a in terms:
-        first[mask.bit_count()] += a
-    return Fraction(sum(h * dist.chi_moment(j) for j, h in enumerate(first) if h), den)
+    """E_{D_p}[f] for a chi-basis f with rational coefficients."""
+    return _chi_numerators(f, dist)[2]
 
 
 def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
@@ -124,8 +125,7 @@ def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     the variance form of spectra.quadratic_form_value on the phi-converted
     polynomial.
     """
-    mean = chi_expectation(f, dist)
-    den, terms = _chi_numerators(f, dist)
+    den, terms, mean = _chi_numerators(f, dist)
     second = [0] * (min(2 * f.degree_bound, f.n) + 1)
     for k, (mask, a) in enumerate(terms):
         second[0] += a * a

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import InputError, ParseError
-from .poly import Assignment, Basis, MultilinearPoly, Subset, check_assignment
+from .poly import Assignment, Basis, MultilinearPoly, check_assignment
 
 Pattern = Tuple[int, ...]
 
@@ -182,7 +182,7 @@ def to_polynomial(inst: CspInstance) -> MultilinearPoly:
     the constraint contributing it, hence of 2^-d overall: the coefficients
     are summed as int numerators over 2^top, top the largest arity."""
     top = max((c.arity for c in inst.constraints), default=0)
-    nums: Dict[Subset, int] = {}
+    nums: Dict[int, int] = {}
     for c in inst.constraints:
         k = c.arity
         weight = 1 << (top - k)
@@ -194,7 +194,7 @@ def to_polynomial(inst: CspInstance) -> MultilinearPoly:
             for positions in combinations(range(k), r):
                 mask = sum(1 << j for j in positions)
                 odd = sum((mask & neg).bit_count() & 1 for neg in neg_masks)
-                key = tuple(sorted(c.variables[j] for j in positions))
+                key = sum(1 << (c.variables[j] - 1) for j in positions)
                 nums[key] = nums.get(key, 0) + (len(neg_masks) - 2 * odd) * weight
     den = 1 << top
     return MultilinearPoly(inst.n, {s: Fraction(v, den) for s, v in nums.items() if v},

@@ -83,7 +83,7 @@ class _IncrementalEval:
         self.terms: List[list] = []
         val_a, val_b = zero, zero
         for idx, (s, c) in enumerate(f.items_sorted()):
-            restricted = MultilinearPoly(f.n, {s: c}, f.basis, f.p)
+            restricted = MultilinearPoly.from_subsets(f.n, {s: c}, f.basis, f.p)
             term = restricted.evaluate(start)
             if isinstance(term, QE):
                 pair = [term.a, term.b]
@@ -238,12 +238,12 @@ def restriction_gap(g: MultilinearPoly, card: GlobalCardinality, i: int,
     g must not depend on variable i (it is the spectator coordinate)."""
     if not 1 <= i <= card.n:
         raise InputError("variable index out of range")
-    if any(i in s for s in g.coeffs):
+    if i in g.variables_used():
         raise InputError(f"g must be independent of variable {i}")
     # reindex: variable j>i of g becomes j-1 on the shrunken slice
     re_coeffs = {tuple(v - 1 if v > i else v for v in s): c
-                 for s, c in g.coeffs.items()}
-    g_sub = MultilinearPoly(card.n - 1, re_coeffs, g.basis, g.p)
+                 for s, c in g.items_sorted()}
+    g_sub = MultilinearPoly.from_subsets(card.n - 1, re_coeffs, g.basis, g.p)
     out = []
     for negs in (card.num_negative, card.num_negative - 1):
         if negs < 0 or negs > card.n - 1:
@@ -277,8 +277,8 @@ def mean_restricted_variance(f: MultilinearPoly, card: GlobalCardinality,
         others = [i for i in range(1, card.n + 1) if i not in q]
         remap = {v: j + 1 for j, v in enumerate(others)}
         re_coeffs = {tuple(sorted(remap[v] for v in s)): c
-                     for s, c in f_q.coeffs.items()}
-        g = MultilinearPoly(rest, re_coeffs, Basis.CHI)
+                     for s, c in f_q.items_sorted()}
+        g = MultilinearPoly.from_subsets(rest, re_coeffs, Basis.CHI)
         sub_card = GlobalCardinality(n=rest, p=Fraction(1, 2))
         total += brute_variance(g, sub_card, cap)
         count += 1

@@ -1,9 +1,11 @@
 """Sparse multilinear polynomials over {-1,+1}^n in the chi or phi basis.
 
-A polynomial is a map from variable subsets (sorted tuples of 1-based
-indices, |S| <= degree_bound) to exact coefficients in Q[sqrt(p(1-p))].
-Zero coefficients are never stored and degree_bound is recomputed after
-every operation, so equal polynomials have equal representations.
+A polynomial maps variable subsets, keyed by int bitmask (bit i-1 stands
+for variable i), to exact coefficients in Q[sqrt(p(1-p))].  Sorted tuples
+of 1-based indices enter only through from_subsets and coefficient and
+leave only through items_sorted.  Zero coefficients are never stored and
+degree_bound (the largest popcount) is recomputed after every operation,
+so equal polynomials have equal representations.
 
 chi_S(x) = prod_{i in S} x_i.  phi_i takes the value sqrt(p/(1-p)) at
 x_i = +1 and -sqrt((1-p)/p) at x_i = -1; phi_S is the product.  The two
@@ -13,15 +15,15 @@ q = (2p-1)/sqrt(p(1-p)).  chi_i^2 = 1 is the same rule with q = 0, so the
 product, evaluation and conversion read each basis through one
 (value at +1, value at -1, q) triple, basis_constants.
 
-The exact hot loops key subsets by bitmask (bit i-1 is variable i); on it,
-the adjoint pair up/down gives (sum_i b_i - shift) * h as times_constraint.
+On the bitmask keys, the adjoint pair up/down gives (sum_i b_i - shift) * h
+as times_constraint.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import InputError
@@ -48,7 +50,7 @@ class MultilinearPoly:
 
     __slots__ = ("n", "basis", "p", "coeffs", "degree_bound")
 
-    def __init__(self, n: int, coeffs: Mapping[Subset, Scalar],
+    def __init__(self, n: int, coeffs: Mapping[int, Scalar],
                  basis: Basis = Basis.CHI, p: Fraction | None = None):
         if n < 0:
             raise InputError("n must be nonnegative")
@@ -60,22 +62,26 @@ class MultilinearPoly:
                 raise InputError("p must lie in (0,1)")
         else:
             p = None
-        clean: Dict[Subset, Scalar] = {}
-        for subset, value in coeffs.items():
-            s = tuple(subset)
-            if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-                raise InputError(f"subset {s} is not strictly increasing")
-            if s and (s[0] < 1 or s[-1] > n):
-                raise InputError(f"subset {s} out of range [1..{n}]")
+        top = 1 << n
+        clean: Dict[int, Scalar] = {}
+        for mask, value in coeffs.items():
+            if not isinstance(mask, int) or not 0 <= mask < top:
+                raise InputError(f"key {mask!r} is not a bitmask over {n} variables")
             if scalar_sign(value) != 0:
-                clean[s] = Fraction(value) if isinstance(value, int) else value
+                clean[mask] = Fraction(value) if isinstance(value, int) else value
         self.n = n
         self.basis = basis
         self.p = p
         self.coeffs = clean
-        self.degree_bound = max((len(s) for s in clean), default=0)
+        self.degree_bound = max((s.bit_count() for s in clean), default=0)
 
     # -- constructors ----------------------------------------------------
+
+    @staticmethod
+    def from_subsets(n: int, coeffs: Mapping[Subset, Scalar],
+                     basis: Basis = Basis.CHI, p=None) -> "MultilinearPoly":
+        """The polynomial with coefficient coeffs[S] on each sorted tuple S."""
+        return MultilinearPoly(n, {mask_of(s, n): c for s, c in coeffs.items()}, basis, p)
 
     @staticmethod
     def zero(n: int, basis: Basis = Basis.CHI, p=None) -> "MultilinearPoly":
@@ -83,7 +89,7 @@ class MultilinearPoly:
 
     @staticmethod
     def constant(n: int, c, basis: Basis = Basis.CHI, p=None) -> "MultilinearPoly":
-        return MultilinearPoly(n, {(): c}, basis, p)
+        return MultilinearPoly(n, {0: c}, basis, p)
 
     # -- helpers ---------------------------------------------------------
 
@@ -96,16 +102,18 @@ class MultilinearPoly:
             raise InputError("phi bias parameters differ")
 
     def coefficient(self, subset: Iterable[int]) -> Scalar:
-        return self.coeffs.get(tuple(subset), Fraction(0))
+        """The coefficient of the sorted subset (InputError if it is not one)."""
+        return self.coeffs.get(mask_of(subset, self.n), Fraction(0))
 
     def items_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0])
+        """[(sorted tuple S, coefficient)] in tuple order."""
+        return sorted((subset_of(s), c) for s, c in self.coeffs.items())
 
     def variables_used(self) -> set:
-        out: set = set()
+        union = 0
         for s in self.coeffs:
-            out.update(s)
-        return out
+            union |= s
+        return {i + 1 for i in range(union.bit_length()) if union >> i & 1}
 
     def without_constant(self) -> "MultilinearPoly":
         part = {s: c for s, c in self.coeffs.items() if s}
@@ -124,17 +132,19 @@ class MultilinearPoly:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other for a polynomial or scalar other."""
         if isinstance(other, (int, Fraction, QE)):
             other = MultilinearPoly.constant(self.n, other, self.basis, self.p)
         self._same_space(other)
         out = dict(self.coeffs)
         for s, c in other.coeffs.items():
-            out[s] = out.get(s, Fraction(0)) + c
+            c = c if sign > 0 else -c
+            out[s] = out[s] + c if s in out else c
         return MultilinearPoly(self.n, out, self.basis, self.p)
 
     def __sub__(self, other):
-        return self + (other * Fraction(-1) if isinstance(other, MultilinearPoly) else -other)
+        return self.__add__(other, -1)
 
     def scale(self, factor) -> "MultilinearPoly":
         return MultilinearPoly(self.n, {s: c * factor for s, c in self.coeffs.items()},
@@ -146,22 +156,16 @@ class MultilinearPoly:
         self._same_space(other)
         q = basis_constants(self.basis, self.p)[2]
         expand = scalar_sign(q) != 0
-        out: Dict[Subset, Scalar] = {}
+        out: Dict[int, Scalar] = {}
         for s, cs in self.coeffs.items():
-            set_s = set(s)
             for t, ct in other.coeffs.items():
-                base = tuple(sorted(set_s.symmetric_difference(t)))
                 prod = cs * ct
-                out[base] = out.get(base, Fraction(0)) + prod
-                if not expand:
-                    continue
-                # b_S b_T = b_{S^T} * prod_{i in common} (q b_i + 1)
-                common = sorted(set_s.intersection(t))
-                for k in range(1, len(common) + 1):
-                    weight = prod * q ** k
-                    for extra in combinations(common, k):
-                        key = tuple(sorted(base + extra))
-                        out[key] = out.get(key, Fraction(0)) + weight
+                # b_S b_T = b_{S^T} * prod_{i in S&T} (q b_i + 1): each
+                # submask E of S&T adds q^|E| prod at (S^T) | E
+                for extra in submasks(s & t) if expand else (0,):
+                    key = (s ^ t) | extra
+                    weight = prod * q ** extra.bit_count() if extra else prod
+                    out[key] = out[key] + weight if key in out else weight
         return MultilinearPoly(self.n, out, self.basis, self.p)
 
     __rmul__ = __mul__
@@ -171,12 +175,11 @@ class MultilinearPoly:
     def evaluate(self, a: Assignment) -> Scalar:
         check_assignment(a, self.n)
         pos, neg, _ = basis_constants(self.basis, self.p)
+        negs = mask_of([i for i, v in enumerate(a, 1) if v < 0], self.n)
         total: Scalar = Fraction(0)
         for s, c in self.coeffs.items():
-            term = c
-            for i in s:
-                term = term * (pos if a[i - 1] > 0 else neg)
-            total = total + term
+            j = (s & negs).bit_count()
+            total = total + c * pos ** (s.bit_count() - j) * neg ** j
         return total
 
     def l2_norm_sq(self) -> Scalar:
@@ -195,22 +198,15 @@ class MultilinearPoly:
         """
         if self.basis is not Basis.CHI:
             raise InputError("restrict is defined on the chi basis")
-        for i, v in fixed.items():
-            if not 1 <= i <= self.n:
-                raise InputError(f"fixed variable {i} out of range")
-            if v not in (-1, 1):
-                raise InputError("fixed values must be +1 or -1")
-        out: Dict[Subset, Scalar] = {}
+        if any(v not in (-1, 1) for v in fixed.values()):
+            raise InputError("fixed values must be +1 or -1")
+        keep = ~mask_of(sorted(fixed), self.n)   # InputError for i outside [1..n]
+        negs = mask_of(sorted(i for i, v in fixed.items() if v < 0), self.n)
+        out: Dict[int, Scalar] = {}
         for s, c in self.coeffs.items():
-            sign = 1
-            rest = []
-            for i in s:
-                if i in fixed:
-                    sign *= fixed[i]
-                else:
-                    rest.append(i)
-            key = tuple(rest)
-            out[key] = out.get(key, Fraction(0)) + (c if sign > 0 else -c)
+            key = s & keep
+            c = -c if (s & negs).bit_count() & 1 else c
+            out[key] = out[key] + c if key in out else c
         return MultilinearPoly(self.n, out, Basis.CHI)
 
 
@@ -256,15 +252,14 @@ def convert_basis(f: MultilinearPoly, target: Basis, p=None) -> MultilinearPoly:
     # with L = 2 sqrt(p(1-p)), x_i = L phi_i + (1-2p), phi_i = x_i/L - (1-2p)/L
     lin = (src_pos - src_neg) / (dst_pos - dst_neg)
     shift = src_pos - lin * dst_pos
-    out: Dict[Subset, Scalar] = {}
+    out: Dict[int, Scalar] = {}
     for s, c in f.coeffs.items():
-        k = len(s)
-        for j in range(k + 1):
-            weight = c * lin ** j * shift ** (k - j)
-            if scalar_sign(weight) == 0:
-                continue
-            for sub in combinations(s, j):
-                out[sub] = out.get(sub, Fraction(0)) + weight
+        k = s.bit_count()
+        weights = [c * lin ** j * shift ** (k - j) for j in range(k + 1)]
+        for sub in submasks(s):
+            weight = weights[sub.bit_count()]
+            if scalar_sign(weight) != 0:
+                out[sub] = out[sub] + weight if sub in out else weight
     g = MultilinearPoly(f.n, out, target, p)
     if g.degree_bound != f.degree_bound:
         raise AssertionError("basis conversion changed the degree")
@@ -273,9 +268,15 @@ def convert_basis(f: MultilinearPoly, target: Basis, p=None) -> MultilinearPoly:
 
 # -- the bitmask encoding and the constraint product -----------------------
 
-def mask_of(subset: Iterable[int]) -> int:
-    """Bitmask of a subset: bit i-1 stands for variable i."""
-    return sum(1 << (i - 1) for i in subset)
+def mask_of(subset: Iterable[int], n: int) -> int:
+    """Bitmask of a strictly increasing subset of [1..n] (bit i-1 stands for
+    variable i); InputError for any other sequence."""
+    s = tuple(subset)
+    if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
+        raise InputError(f"subset {s} is not strictly increasing")
+    if s and (s[0] < 1 or s[-1] > n):
+        raise InputError(f"subset {s} out of range [1..{n}]")
+    return sum(1 << (i - 1) for i in s)
 
 
 def subset_of(mask: int) -> Subset:
@@ -283,15 +284,24 @@ def subset_of(mask: int) -> Subset:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def int_numerators(items, what: str) -> Tuple[int, Dict[int, int]]:
-    """(den, {mask_of(S): numerator}) for (S, c) items, c == numerator / den;
+def submasks(mask: int):
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def int_numerators(table: Mapping[int, Scalar], what: str) -> Tuple[int, Dict[int, int]]:
+    """(den, {S: numerator}) for a bitmask table {S: c}, c == numerator / den;
     InputError, naming `what`, if some c is irrational."""
-    items = list(items)
     try:
-        den, nums = _over_common_denominator(c for _, c in items)
+        den, nums = _over_common_denominator(table.values())
     except ValueError as exc:
         raise InputError(f"{what} needs rational coefficients: {exc}") from exc
-    return den, {mask_of(s): a for (s, _), a in zip(items, nums)}
+    return den, dict(zip(table, nums))
 
 
 def _flip_each(table: Mapping[int, Scalar], toggle: int) -> Dict[int, Scalar]:
@@ -333,7 +343,5 @@ def times_constraint_table(table: Mapping[int, Scalar], n: int, q: Scalar,
 
 def times_constraint(h: MultilinearPoly, shift=0) -> MultilinearPoly:
     """(sum_i b_i - shift) * h in h's basis, q from basis_constants (0 for chi)."""
-    out = times_constraint_table({mask_of(s): c for s, c in h.coeffs.items()}, h.n,
-                                 basis_constants(h.basis, h.p)[2], shift)
-    return MultilinearPoly(h.n, {subset_of(t): c for t, c in out.items()},
-                           h.basis, h.p)
+    q = basis_constants(h.basis, h.p)[2]
+    return MultilinearPoly(h.n, times_constraint_table(h.coeffs, h.n, q, shift), h.basis, h.p)

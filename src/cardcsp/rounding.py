@@ -107,9 +107,9 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     if gamma <= 0:
         raise InputError("gamma must be positive")
     if require_multiples:
-        for s, c in f.coeffs.items():
+        for c in f.coeffs.values():
             if (as_fraction(c) / gamma).denominator != 1:
-                raise InputError(f"coefficient of {s} is not a multiple of gamma")
+                raise InputError(f"coefficient {c} is not a multiple of gamma")
     if d is None:
         d = f.degree_bound
     if d < 0:
@@ -126,9 +126,9 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
             f"projection residual {residual_sq} exceeds sqrt(n); the caller "
             "should not have taken the small-variance branch at this size")
     ladder = gamma_ladder(d, gamma)
-    rounded: Dict[Subset, Fraction] = {}
+    rounded: Dict[int, Fraction] = {}
     for s, c in h_f.coeffs.items():
-        w = len(s)
+        w = s.bit_count()
         if w >= d:
             raise InputError("h_f must have degree at most d-1")
         snapped = nearest_multiple(as_fraction(c), ladder[w])
@@ -198,11 +198,9 @@ class _WeightSolve:
         self.table = table
         self.weights = [beta * (big_d - i)
                         for i, beta in enumerate(_beta_weights(big_d), 1)]
-        # rows: (s1, mask of s1, [masks of the (D-i)-subsets of s1 for i = 1..D-1])
-        self.rows = []
-        for s1 in combinations(range(1, n + 1), big_d - 1):
-            bits = [1 << (v - 1) for v in s1]
-            self.rows.append((s1, sum(bits), _submasks(bits, range(big_d - 1, 0, -1))))
+        # rows: (mask of s1, [masks of the (D-i)-subsets of s1 for i = 1..D-1])
+        self.rows = [(sum(bits), _submasks(bits, range(big_d - 1, 0, -1)))
+                     for bits in combinations([1 << j for j in range(n)], big_d - 1)]
         self._pivot_subs: Dict[int, List[List[int]]] = {}
 
     def _subsets_of_pivot(self, pivot: int) -> List[List[int]]:
@@ -220,7 +218,7 @@ class _WeightSolve:
         sign = -1 if self.big_d % 2 else 1          # (-1)^D
         order = [1 << (v - 1) for v in pool] + [1 << j for j in range(self.n)]
         out = []
-        for _, mask, s1_subs in self.rows:
+        for mask, s1_subs in self.rows:
             pivot = _pivot(mask, order, self.big_d)
             r_total = 0
             for weight, t1s, t2s in zip(self.weights, s1_subs,
@@ -237,7 +235,7 @@ class _WeightSolve:
         """Union of the weight-D sets T left nonzero in the table minus
         (sum x_i) h: up(N)(T) - D! E(T) != 0 on numerators.  The down and
         shift terms of the constraint product stay below weight D."""
-        acc = up({mask: num for (_, mask, _), num in zip(self.rows, nums) if num},
+        acc = up({mask: num for (mask, _), num in zip(self.rows, nums) if num},
                  self.n)
         scale = factorial(self.big_d)
         for t, a in self.table.items():
@@ -275,16 +273,16 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
         raise InputError("pivot pool must be nonempty")
     if any(not 1 <= v <= f.n for v in pool):
         raise InputError("pivot pool variable out of range")
-    den, table = int_numerators(f.coeffs.items(), "the reconstruction")
-    h: Dict[Subset, Fraction] = {}
+    den, table = int_numerators(f.coeffs, "the reconstruction")
+    h: Dict[int, Fraction] = {}
     for big_d in range(len(pool), 0, -1):
         solve = _WeightSolve(f.n, big_d,
                              {t: a for t, a in table.items() if t.bit_count() == big_d})
         fact = factorial(big_d)
         level: Dict[int, int] = {}
-        for (s1, mask, _), num in zip(solve.rows, solve.numerators(pool)):
+        for (mask, _), num in zip(solve.rows, solve.numerators(pool)):
             if num:
-                h[s1] = Fraction(num, fact * den)
+                h[mask] = Fraction(num, fact * den)
                 level[mask] = num
         den *= fact
         table = {t: fact * a for t, a in table.items() if t.bit_count() < big_d}
@@ -374,8 +372,8 @@ def _best_candidate(f_cur: MultilinearPoly, level: int,
     weight-`level` coefficient.  A candidate's top-weight h depends on
     f_cur's weight-`level` coefficients alone, so one int table serves the
     whole scan."""
-    _, table = int_numerators(((s, c) for s, c in f_cur.coeffs.items()
-                               if len(s) == level), "the reconstruction")
+    _, table = int_numerators({s: c for s, c in f_cur.coeffs.items()
+                               if s.bit_count() == level}, "the reconstruction")
     if not table:
         return None
     n = f_cur.n

@@ -35,7 +35,7 @@ from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
                         to_polynomial, validate_instance)
 from .errors import InputError, ResourceError
 from .exact import fraction_str, sqrt_upper
-from .poly import Assignment, MultilinearPoly, int_numerators, subset_of
+from .poly import Assignment, MultilinearPoly, int_numerators
 from .rounding import (active_bound_constant, gamma_denominator,
                        round_bisection, round_global)
 from .spectra import project_null
@@ -154,14 +154,16 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
 
     Only feasible points are visited: for each -1 count j in _feasible_layers,
     every j-subset of the kernel takes the value -1.  reduced's coefficients
-    are put over one common denominator as int numerators keyed by an int
-    bitmask over the kernel, so a term's sign at a point is the parity of
-    its mask's overlap with the point's -1 mask.  Returns (opt, values over
-    sorted(kernel)), ties resolved toward the lexicographically smallest
-    assignment (-1 before +1).
+    are put over one common denominator as int numerators on their bitmask
+    keys, so a term's sign at a point is the parity of its mask's overlap
+    with the point's -1 mask.  Returns (opt, values over sorted(kernel)),
+    ties resolved toward the lexicographically smallest assignment (-1
+    before +1): the -1 mask that holds the lowest differing bit.
     """
     kernel = tuple(sorted(kernel))
     size = len(kernel)
+    if len(set(kernel)) < size or any(not 1 <= v <= reduced.n for v in kernel):
+        raise InputError(f"kernel {kernel} is not a set of variables in [1..{reduced.n}]")
     if size > cap:
         raise ResourceError(f"kernel size {size} exceeds cap {cap}",
                             payload=kernel)
@@ -172,20 +174,18 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     layers = _feasible_layers(size, card)
     if not layers:
         raise InputError("no feasible kernel assignment (inconsistent budgets)")
-    den, table = int_numerators(reduced.coeffs.items(), "the reduced polynomial")
-    # Kernel position i is bit size-1-i: between two -1 masks, the larger is
-    # the lexicographically smaller assignment.
-    bit = {v: 1 << (size - 1 - i) for i, v in enumerate(kernel)}
-    terms = [(sum(bit[v] for v in subset_of(m)), c) for m, c in table.items()]
-    total = sum(c for _, c in terms)
+    den, table = int_numerators(reduced.coeffs, "the reduced polynomial")
+    terms = list(table.items())
+    total = sum(table.values())
     best = best_mask = None
     for j in layers:
-        for negs in combinations(range(size), j):
-            neg_mask = sum(1 << b for b in negs)
+        for negs in combinations([1 << (v - 1) for v in kernel], j):
+            neg_mask = sum(negs)
             val = total - 2 * sum(c for m, c in terms if (m & neg_mask).bit_count() & 1)
-            if best is None or val > best or (val == best and neg_mask > best_mask):
+            if best is None or val > best or (
+                    val == best and neg_mask & (diff := neg_mask ^ best_mask) & -diff):
                 best, best_mask = val, neg_mask
-    arg = tuple(-1 if best_mask & bit[v] else 1 for v in kernel)
+    arg = tuple(-1 if best_mask >> (v - 1) & 1 else 1 for v in kernel)
     return Fraction(best, den) + base_correction, arg
 
 
@@ -220,7 +220,7 @@ def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
 def decide(inst: CspInstance, card: GlobalCardinality, t: int,
            config: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Decide whether some valid assignment satisfies >= AVG + t constraints."""
-    if not isinstance(t, int):
+    if not isinstance(t, int) or isinstance(t, bool):
         raise InputError(f"t must be an int, got {t!r}")
     if inst.n != card.n:
         raise InputError("instance and cardinality constraint sizes differ")

@@ -34,19 +34,20 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
-from .cardinal_dist import CardinalDist
+from .cardinal_dist import CardinalDist, extend_slice_sequence
 from .errors import InputError, ResourceError
 from .exact import (Scalar, nullspace_exact, scalar_sign,
                     solve_linear_exact, to_float)
-from .poly import (Basis, MultilinearPoly, Subset, mask_of, phi_square_q,
-                   subset_of, times_constraint, times_constraint_table, up)
+from .poly import (Basis, MultilinearPoly, phi_square_q, times_constraint,
+                   times_constraint_table, up)
 
 
-def subsets_upto(n: int, d: int, include_empty: bool = True) -> List[Subset]:
-    """All subsets of [1..n] of size <= d, ordered by (size, lex)."""
-    out: List[Subset] = [()] if include_empty else []
+def subsets_upto(n: int, d: int, include_empty: bool = True) -> List[int]:
+    """Bitmasks of all subsets of [1..n] of size <= d, ordered by (size, lex)."""
+    bits = [1 << i for i in range(n)]
+    out: List[int] = [0] if include_empty else []
     for k in range(1, d + 1):
-        out.extend(combinations(range(1, n + 1), k))
+        out.extend(sum(c) for c in combinations(bits, k))
     return out
 
 
@@ -77,13 +78,8 @@ def alpha_table(n: int, p, d: int) -> AlphaTable:
     q = phi_square_q(p)
     values: Dict[Tuple[int, int], Scalar] = {}
     for k in range(d + 1):
-        values[(k, k)] = Fraction(1)
-        prev: Scalar = Fraction(0)   # alpha_{k,k-1} plays no role at i = 0
-        cur: Scalar = Fraction(1)
-        for i in range(0, d - k):
-            nxt = -(i * prev + (k + i) * q * cur) / (n - 2 * k - i)
-            values[(k, k + i + 1)] = nxt
-            prev, cur = cur, nxt
+        seq = extend_slice_sequence([Fraction(1)], d - k, n, q=q, offset=k)
+        values.update(((k, k + i), a) for i, a in enumerate(seq))
     return AlphaTable(n=n, p=p, d=d, values=values)
 
 
@@ -120,24 +116,23 @@ class SetSymmetricForm:
             return base
         return base - self.dist.delta(s) * self.dist.delta(t)
 
-    def labels(self) -> List[Subset]:
+    def labels(self) -> List[int]:
         return subsets_upto(self.n, self.d, include_empty=(self.kind == "A"))
 
 
-def _set_symmetric_matrix(labels: List[Subset], value) -> List[List[Scalar]]:
-    """Symmetric matrix over labels whose (S, T) entry depends only on
-    key = (|S|, |T|, |S^T|): value(key, i, j) runs once per key, at the
+def _set_symmetric_matrix(labels: List[int], value) -> List[List[Scalar]]:
+    """Symmetric matrix over bitmask labels whose (S, T) entry depends only
+    on key = (|S|, |T|, |S^T|): value(key, i, j) runs once per key, at the
     first pair (i <= j) that has it."""
     table: Dict[Tuple[int, int, int], Scalar] = {}
-    sets = [set(s) for s in labels]
     size = len(labels)
     matrix = [[None] * size for _ in range(size)]
     for i in range(size):
-        si = sets[i]
-        li = len(si)
+        si = labels[i]
+        li = si.bit_count()
         row = matrix[i]
         for j in range(i, size):
-            key = (li, len(sets[j]), len(si & sets[j]))
+            key = (li, labels[j].bit_count(), (si & labels[j]).bit_count())
             val = table.get(key)
             if val is None:
                 val = table[key] = value(key, i, j)
@@ -167,12 +162,11 @@ def quadratic_form_value(form: SetSymmetricForm, f: MultilinearPoly) -> Scalar:
     for i, (s, cs) in enumerate(items):
         if form.kind == "B" and not s:
             continue
-        set_s = set(s)
         for j in range(i, len(items)):
             t, ct = items[j]
             if form.kind == "B" and not t:
                 continue
-            val = form.entry(len(s), len(t), len(set_s.intersection(t)))
+            val = form.entry(s.bit_count(), t.bit_count(), (s & t).bit_count())
             term = cs * ct * val
             total = total + (term if i == j else 2 * term)
     return total
@@ -223,38 +217,38 @@ def vk_eigenvalue_exact(n: int, p, d: int, k: int) -> Scalar:
     return total
 
 
-def harmonic_basis(n: int, k: int) -> List[Dict[Subset, Fraction]]:
-    """Exact basis of weight-k coefficient vectors with all partial sums
-    sum_{j not in T} v(T u j) = 0 over |T| = k-1; dimension C(n,k)-C(n,k-1).
-    Row T of the system is up of the unit vector at T."""
-    cols = list(combinations(range(1, n + 1), k))
+def harmonic_basis(n: int, k: int) -> List[Dict[int, Fraction]]:
+    """Exact basis of weight-k coefficient vectors, keyed by bitmask, with
+    all partial sums sum_{j not in T} v(T u j) = 0 over |T| = k-1; dimension
+    C(n,k)-C(n,k-1).  Row T of the system is up of the unit vector at T."""
     if k == 0:
-        return [{(): Fraction(1)}]
-    col_index = {mask_of(s): i for i, s in enumerate(cols)}
+        return [{0: Fraction(1)}]
+    bits = [1 << i for i in range(n)]
+    cols = [sum(c) for c in combinations(bits, k)]
+    col_index = {s: i for i, s in enumerate(cols)}
     rows = []
-    for t in combinations(range(1, n + 1), k - 1):
+    for t in combinations(bits, k - 1):
         row = [0] * len(cols)
-        for mask, a in up({mask_of(t): 1}, n).items():
+        for mask, a in up({sum(t): 1}, n).items():
             row[col_index[mask]] = a
         rows.append(row)
     basis = nullspace_exact(rows, len(cols))
     return [{cols[i]: v for i, v in enumerate(vec) if v != 0} for vec in basis]
 
 
-def vk_basis(n: int, p, d: int, k: int) -> List[Dict[Subset, Scalar]]:
-    """Basis of the extended weight-k eigenspace inside {phi_S : |S| <= d}:
-    harmonic at weight k, alpha-extended to the higher weights, zero below."""
+def vk_basis(n: int, p, d: int, k: int) -> List[Dict[int, Scalar]]:
+    """Basis of the extended weight-k eigenspace inside {phi_S : |S| <= d}
+    on bitmask keys: harmonic at weight k, alpha-extended above, zero below."""
     alphas = alpha_table(n, p, d)
     out = []
     for vec in harmonic_basis(n, k):
-        ext: Dict[Subset, Scalar] = dict(vec)
+        ext: Dict[int, Scalar] = dict(vec)
         # up^m / m! sums vec over the weight-k subsets of each weight-(k+m) set
-        layer = {mask_of(s): c for s, c in vec.items()}
+        layer = vec
         for size in range(k + 1, d + 1):
             layer = {t: c / (size - k) for t, c in up(layer, n).items()}
             a = alphas.get(k, size)
-            ext.update((subset_of(t), a * c) for t, c in layer.items()
-                       if scalar_sign(a * c) != 0)
+            ext.update((t, a * c) for t, c in layer.items() if scalar_sign(a * c) != 0)
         out.append(ext)
     return out
 
@@ -348,17 +342,16 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
         zero = MultilinearPoly.zero(f.n, f.basis, f.p)
         return ProjectionResult(h=zero, residual=zero, residual_norm_sq=Fraction(0))
     gen_sets = subsets_upto(f.n, d - 1)
-    g0_table = {mask_of(s): c for s, c in g0.coeffs.items()}
     generators = []
     for s in gen_sets:
-        gen = times_constraint_table({mask_of(s): 1}, f.n, dist.q)
+        gen = times_constraint_table({s: 1}, f.n, dist.q)
         gen.pop(0, None)    # the constant direction is spanned separately
         generators.append(gen)
     # The generators are permutation-equivariant, so the Gram matrix is
     # set-symmetric: one _dot per (|S|, |T|, |S^T|).
     gram = _set_symmetric_matrix(
         gen_sets, lambda key, i, j: _dot(generators[i], generators[j]))
-    rhs = [_dot(gen, g0_table) for gen in generators]
+    rhs = [_dot(gen, g0.coeffs) for gen in generators]
     coeffs = solve_linear_exact(gram, rhs)
     h = MultilinearPoly(f.n, {s: c for s, c in zip(gen_sets, coeffs)
                               if scalar_sign(c) != 0}, f.basis, f.p)

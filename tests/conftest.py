@@ -72,7 +72,7 @@ def random_poly(rng: random.Random, n: int, degree: int, terms: int,
         size = rng.randint(low, degree)
         s = tuple(sorted(rng.sample(range(1, n + 1), size)))
         coeffs[s] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return MultilinearPoly(n, coeffs, basis, p)
+    return MultilinearPoly.from_subsets(n, coeffs, basis, p)
 
 
 def valid_biases(n):
@@ -128,7 +128,8 @@ def gauss_solve_reference(matrix, rhs):
 def constraint_poly(n, basis, p=None):
     """sum_i phi_i (or sum_i x_i in the chi basis): (constraint_poly - shift) * h
     through MultilinearPoly.__mul__ is the reference for poly.times_constraint."""
-    return MultilinearPoly(n, {(i,): Fraction(1) for i in range(1, n + 1)}, basis, p)
+    return MultilinearPoly.from_subsets(n, {(i,): Fraction(1) for i in range(1, n + 1)},
+                                        basis, p)
 
 
 def null_space_vector(dist, subset):
@@ -148,19 +149,35 @@ def null_space_vector(dist, subset):
     return out
 
 
+def restrict_reference(f, fixed):
+    """f.restrict(fixed) as a loop over sorted-tuple keys."""
+    out = {}
+    for s, c in f.items_sorted():
+        sign = 1
+        rest = []
+        for i in s:
+            if i in fixed:
+                sign *= fixed[i]
+            else:
+                rest.append(i)
+        key = tuple(rest)
+        out[key] = out.get(key, Fraction(0)) + (c if sign > 0 else -c)
+    return MultilinearPoly.from_subsets(f.n, out, Basis.CHI)
+
+
 def mul_reference(f, g):
     """f * g: chi keys by the symmetric difference; phi also expands each
     shared index by phi_i^2 = q phi_i + 1."""
     out = {}
     if f.basis is Basis.CHI:
-        for s, cs in f.coeffs.items():
-            for t, ct in g.coeffs.items():
+        for s, cs in f.items_sorted():
+            for t, ct in g.items_sorted():
                 key = tuple(sorted(set(s).symmetric_difference(t)))
                 out[key] = out.get(key, Fraction(0)) + cs * ct
     else:
         q = phi_square_q(f.p)
-        for s, cs in f.coeffs.items():
-            for t, ct in g.coeffs.items():
+        for s, cs in f.items_sorted():
+            for t, ct in g.items_sorted():
                 common = set(s).intersection(t)
                 base = tuple(sorted(set(s).symmetric_difference(t)))
                 for k in range(len(common) + 1):
@@ -168,7 +185,7 @@ def mul_reference(f, g):
                     for extra in combinations(sorted(common), k):
                         key = tuple(sorted(base + extra))
                         out[key] = out.get(key, Fraction(0)) + weight
-    return MultilinearPoly(f.n, out, f.basis, f.p)
+    return MultilinearPoly.from_subsets(f.n, out, f.basis, f.p)
 
 
 def evaluate_reference(f, a):
@@ -176,12 +193,12 @@ def evaluate_reference(f, a):
     multiplies the point values."""
     total = Fraction(0)
     if f.basis is Basis.CHI:
-        for s, c in f.coeffs.items():
+        for s, c in f.items_sorted():
             negs = sum(1 for i in s if a[i - 1] < 0)
             total = total + (c if negs % 2 == 0 else -c)
         return total
     pos, neg = phi_values(f.p)
-    for s, c in f.coeffs.items():
+    for s, c in f.items_sorted():
         term = c
         for i in s:
             term = term * (pos if a[i - 1] > 0 else neg)
@@ -198,20 +215,20 @@ def convert_basis_reference(f, target, p=None):
     out = {}
     if target is Basis.PHI:
         lin = make_qe(0, 2, r)
-        for s, c in f.coeffs.items():
+        for s, c in f.items_sorted():
             for j in range(len(s) + 1):
                 weight = c * lin ** j * shift ** (len(s) - j)
                 for sub in combinations(s, j):
                     out[sub] = out.get(sub, Fraction(0)) + weight
     else:
         inv_lin = make_qe(0, Fraction(1, 2) / r, r)
-        for s, c in f.coeffs.items():
+        for s, c in f.items_sorted():
             scale = c * inv_lin ** len(s)
             for j in range(len(s) + 1):
                 weight = scale * (-shift) ** (len(s) - j)
                 for sub in combinations(s, j):
                     out[sub] = out.get(sub, Fraction(0)) + weight
-    return MultilinearPoly(f.n, out, target, p)
+    return MultilinearPoly.from_subsets(f.n, out, target, p)
 
 
 def slice_pairs_reference(f, card):
@@ -227,7 +244,8 @@ def slice_pairs_reference(f, card):
         if step == 0:
             start = tuple(-1 if i + 1 in new else 1 for i in range(card.n))
             for idx, (s, c) in enumerate(f.items_sorted()):
-                term = evaluate_reference(MultilinearPoly(f.n, {s: c}, f.basis, p), start)
+                term = evaluate_reference(
+                    MultilinearPoly.from_subsets(f.n, {s: c}, f.basis, p), start)
                 pair = [term.a, term.b] if isinstance(term, QE) else [Fraction(term), Fraction(0)]
                 terms.append(pair)
                 for i in s:
@@ -265,7 +283,7 @@ def basis_polys(draw, n: int, basis: Basis, p):
                             max_size=6))
     coeffs = {tuple(sorted(s)): Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
               for s in subsets}
-    f = MultilinearPoly(n, coeffs, source, p)
+    f = MultilinearPoly.from_subsets(n, coeffs, source, p)
     return f if source is basis else convert_basis_reference(f, basis, p)
 
 
@@ -354,13 +372,13 @@ def reconstruct_h_reference(f, pivot_pool, shift=0, top_weight_only=False):
     bottom = len(pool) - 1 if top_weight_only else 0
     for w in range(len(pool) - 1, bottom - 1, -1):
         rec.solve_weight(w)
-    return MultilinearPoly(f.n, rec.h, Basis.CHI)
+    return MultilinearPoly.from_subsets(f.n, rec.h, Basis.CHI)
 
 
 def top_active_reference(f_cur, h_top, level, n):
     """Active variables of the weight-`level` part of f_cur - (sum x_i) h_top."""
-    coeffs = {s: as_fraction(c) for s, c in f_cur.coeffs.items() if len(s) == level}
-    for s, c in h_top.coeffs.items():
+    coeffs = {s: as_fraction(c) for s, c in f_cur.items_sorted() if len(s) == level}
+    for s, c in h_top.items_sorted():
         if len(s) != level - 1:
             continue
         for j in range(1, n + 1):
@@ -394,7 +412,7 @@ def round_global_scan_reference(f, dist, gamma, d, variance):
     h_total = MultilinearPoly.zero(n)
     levels = []
     for level in range(d, 0, -1):
-        top = {s: c for s, c in f_cur.coeffs.items() if len(s) == level}
+        top = {s: c for s, c in f_cur.items_sorted() if len(s) == level}
         if not top or n < 2 * level - 1:
             continue
         best_count, best_subset = -1, None

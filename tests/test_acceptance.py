@@ -99,8 +99,8 @@ def test_criterion_2_delta_exactness():
             card = GlobalCardinality(n, p)
             kmax = min(n, 6)
             for k in range(kmax + 1):
-                phi_s = MultilinearPoly(n, {tuple(range(1, k + 1)): F(1)},
-                                        Basis.PHI, p)
+                phi_s = MultilinearPoly.from_subsets(n, {tuple(range(1, k + 1)): F(1)},
+                                                     Basis.PHI, p)
                 if dist.delta(k) != brute_moment(phi_s, card, 1):
                     violations.append((n, str(p), k))
                 checked += 1
@@ -207,10 +207,10 @@ def test_criterion_5_rounding_guarantees():
         shift = dist.card.target_sum
         base = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, shift)
         gamma = F(1, 4)
-        g = MultilinearPoly(
+        g = MultilinearPoly.from_subsets(
             n, {tuple(sorted(rng.sample(range(1, 5), rng.randint(1, 2)))):
                 gamma * rng.randint(-3, 3) for _ in range(4)})
-        h_star = MultilinearPoly(
+        h_star = MultilinearPoly.from_subsets(
             n, {tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, 1)))):
                 gamma * rng.randint(-2, 2) for _ in range(3)})
         out = round_global(g + base * h_star, dist, gamma, d=2,
@@ -309,8 +309,8 @@ def test_criterion_9_restriction_statistics():
         produced = 0
         while produced < 50:
             f = random_poly(rng, n, d, 6, Basis.PHI, p)
-            coeffs = {s: c for s, c in f.coeffs.items() if 1 not in s}
-            g = MultilinearPoly(n, coeffs, Basis.PHI, p)
+            coeffs = {s: c for s, c in f.items_sorted() if 1 not in s}
+            g = MultilinearPoly.from_subsets(n, coeffs, Basis.PHI, p)
             if not g.coeffs:
                 continue
             produced += 1

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from math import comb
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +13,15 @@ from cardcsp.errors import InputError
 from cardcsp.exact import scalar_sign, sqrt_scalar, to_float
 from cardcsp.oracle import brute_moment, brute_variance, slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, convert_basis
-from cardcsp.spectra import SetSymmetricForm, quadratic_form_value
+from cardcsp.spectra import SetSymmetricForm, alpha_table, quadratic_form_value
 from cardcsp.solver import bisection_fourth_moment_bound
 
-from conftest import constraint_poly, csp_instances, random_poly, star_graph
+from conftest import (constraint_poly, csp_instances, random_instance, random_poly,
+                      star_graph)
 
 
 def phi_monomial(n, subset, p):
-    return MultilinearPoly(n, {tuple(subset): F(1)}, Basis.PHI, p)
+    return MultilinearPoly.from_subsets(n, {tuple(subset): F(1)}, Basis.PHI, p)
 
 
 def test_delta_base_values():
@@ -106,7 +108,7 @@ def test_expectation_bias_mismatch():
     with pytest.raises(InputError):
         chi_expectation(phi_monomial(6, (1,), F(1, 3)), dist)
     with pytest.raises(InputError):
-        chi_expectation(MultilinearPoly(5, {(1,): F(1)}), dist)
+        chi_expectation(MultilinearPoly.from_subsets(5, {(1,): F(1)}), dist)
 
 
 def test_variance_zero_for_complete_and_star():
@@ -138,7 +140,7 @@ def test_simplified_second_moment_differs_only_off_half(rng):
     f_half = random_poly(rng, n, 2, 6, Basis.PHI, F(1, 2))
     assert second_moment(f_half, F(1, 2), False) == second_moment(f_half, F(1, 2), True)
     p = F(1, 4)
-    f = MultilinearPoly(n, {(1,): F(1), (1, 2): F(1)}, Basis.PHI, p)
+    f = MultilinearPoly.from_subsets(n, {(1,): F(1), (1, 2): F(1)}, Basis.PHI, p)
     assert second_moment(f, p, False) != second_moment(f, p, True)
 
 
@@ -222,6 +224,60 @@ def test_mc_moment_fourth_power_bound(rng):
     assert est <= bound * m2 * m2
 
 
+def test_mc_moment_pinned_at_a_third():
+    # mc_moment sums its float terms in items_sorted() order; these floats
+    # pin that order, down to the last digit of the standard error
+    f = to_polynomial(random_instance(random.Random(5), 9, 3, 12))
+    dist = CardinalDist(9, F(1, 3))
+    g = convert_basis(f, Basis.PHI, F(1, 3))
+    assert mc_moment(f, dist, 4, 200, 31) == (2308.58, 216.74156812843705)
+    assert mc_moment(g, dist, 4, 200, 31) == (2308.58, 216.74156812843702)
+    assert mc_moment(g, dist, 2, 200, 31) == (38.6, 2.028218021246372)
+
+
+def _slice_sequences_reference(n, p, d):
+    """delta, eps and the alpha table as three hand-written recurrences."""
+    q = CardinalDist(n, p).q
+    delta, eps, shift = [F(1), F(0)], [F(1), 1 - 2 * p], (1 - 2 * p) * n
+    for j in range(1, n):
+        delta.append(-(j * delta[j - 1] + j * q * delta[j]) / (n - j))
+        eps.append((shift * eps[j] - j * eps[j - 1]) / (n - j))
+    alpha = {}
+    for k in range(d + 1):
+        alpha[(k, k)] = F(1)
+        prev, cur = F(0), F(1)
+        for i in range(d - k):
+            nxt = -(i * prev + (k + i) * q * cur) / (n - 2 * k - i)
+            alpha[(k, k + i + 1)] = nxt
+            prev, cur = cur, nxt
+    return delta[:n + 1], eps[:n + 1], alpha
+
+
+@pytest.mark.parametrize("p", [F(1, 2), F(1, 3), F(1, 4), F(2, 5), F(3, 4), F(1, 6)])
+def test_one_recurrence_gives_the_three_slice_sequences(p):
+    for n in range(p.denominator, 25, p.denominator):
+        dist = CardinalDist(n, p)
+        delta, eps, alpha = _slice_sequences_reference(n, p, (n - 1) // 2)
+        for got, want in ((dist.delta, delta), (dist.chi_moment, eps)):
+            values = [got(k) for k in range(n + 1)]
+            assert values == want
+            assert [type(v) for v in values] == [type(v) for v in want]
+        table = alpha_table(n, p, (n - 1) // 2).values
+        assert table == alpha
+        assert {k: type(v) for k, v in table.items()} == \
+            {k: type(v) for k, v in alpha.items()}
+
+
+def test_slice_sequences_reject_a_negative_index():
+    dist = CardinalDist(6, F(1, 2))
+    with pytest.raises(InputError):
+        dist.delta(-1)
+    with pytest.raises(InputError):
+        dist.chi_moment(-2)
+    with pytest.raises(InputError, match="kmax"):
+        delta_sequence(6, F(1, 2), -1)
+
+
 def test_mc_moment_input_errors():
     dist = CardinalDist(6, F(1, 2))
     f = MultilinearPoly.constant(6, F(1))
@@ -262,6 +318,6 @@ def test_chi_variance_mixed_denominators_match_reference(rng):
 
 
 def test_chi_variance_rejects_irrational_coefficient():
-    f = MultilinearPoly(4, {(1,): sqrt_scalar(F(2)), (2, 3): F(1)})
+    f = MultilinearPoly.from_subsets(4, {(1,): sqrt_scalar(F(2)), (2, 3): F(1)})
     with pytest.raises(InputError, match="rational"):
         chi_variance(f, CardinalDist(4, F(1, 2)))

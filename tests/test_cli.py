@@ -85,6 +85,8 @@ def test_delta_table(capsys):
 def test_delta_domain_error(capsys):
     code, _, err = run(capsys, ["delta", "--n", "4", "--p", "1/2", "--kmax", "9"])
     assert code == 2 and "kmax" in err
+    code, _, err = run(capsys, ["delta", "--n", "6", "--p", "1/2", "--kmax", "-1"])
+    assert code == 2 and "kmax" in err
 
 
 def test_spectra_report(capsys):

@@ -63,7 +63,7 @@ def test_brute_moment_constraint_function_vanishes():
 
 def test_brute_moment_pair_is_delta2():
     card = GlobalCardinality(4, F(1, 2))
-    f = MultilinearPoly(4, {(1, 2): F(1)}, Basis.PHI, F(1, 2))
+    f = MultilinearPoly.from_subsets(4, {(1, 2): F(1)}, Basis.PHI, F(1, 2))
     assert brute_moment(f, card, 1) == F(-1, 3)
 
 
@@ -122,7 +122,7 @@ def test_restriction_gap_examples():
     card = GlobalCardinality(n, p)
     const = MultilinearPoly.constant(n, F(3), Basis.PHI, p)
     assert restriction_gap(const, card, 1) == 0
-    g = MultilinearPoly(n, {(2,): F(1)}, Basis.PHI, p)
+    g = MultilinearPoly.from_subsets(n, {(2,): F(1)}, Basis.PHI, p)
     gap = restriction_gap(g, card, 1)
     bound = 3 * 1 / (to_float(p) * (1 - to_float(p))) / n ** 0.5
     assert abs(to_float(gap)) <= bound
@@ -131,7 +131,7 @@ def test_restriction_gap_examples():
 def test_restriction_gap_requires_independence():
     n, p = 6, F(1, 2)
     card = GlobalCardinality(n, p)
-    g = MultilinearPoly(n, {(1,): F(1)}, Basis.PHI, p)
+    g = MultilinearPoly.from_subsets(n, {(1,): F(1)}, Basis.PHI, p)
     with pytest.raises(InputError):
         restriction_gap(g, card, 1)
 
@@ -143,8 +143,8 @@ def test_restriction_gap_scaling(rng):
         card = GlobalCardinality(n, p)
         for _ in range(5):
             f = random_poly(rng, n, d, 5, Basis.PHI, p)
-            coeffs = {s: c for s, c in f.coeffs.items() if 1 not in s}
-            g = MultilinearPoly(n, coeffs, Basis.PHI, p)
+            coeffs = {s: c for s, c in f.items_sorted() if 1 not in s}
+            g = MultilinearPoly.from_subsets(n, coeffs, Basis.PHI, p)
             if not g.coeffs:
                 continue
             gap = abs(to_float(restriction_gap(g, card, 1)))

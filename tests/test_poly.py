@@ -11,14 +11,15 @@ from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_squar
                           times_constraint, up)
 
 from conftest import (basis_polys, constraint_poly, convert_basis_reference,
-                      evaluate_reference, mul_reference, random_poly)
+                      evaluate_reference, mul_reference, random_poly,
+                      restrict_reference)
 
 BIASES = (F(1, 2), F(1, 3), F(1, 4))
 
 
 def cut_poly(n=2):
     """(1 - x1 x2)/2."""
-    return MultilinearPoly(n, {(): F(1, 2), (1, 2): F(-1, 2)})
+    return MultilinearPoly.from_subsets(n, {(): F(1, 2), (1, 2): F(-1, 2)})
 
 
 def star_poly(n):
@@ -26,7 +27,7 @@ def star_poly(n):
     coeffs = {(): F(n - 1, 2)}
     for i in range(2, n + 1):
         coeffs[(1, i)] = F(-1, 2)
-    return MultilinearPoly(n, coeffs)
+    return MultilinearPoly.from_subsets(n, coeffs)
 
 
 def test_evaluate_cut_edge():
@@ -49,19 +50,19 @@ def test_evaluate_length_mismatch():
 
 
 def test_multiply_chi_symmetric_difference():
-    f = MultilinearPoly(3, {(1, 2): F(1)})
-    g = MultilinearPoly(3, {(2, 3): F(1)})
-    assert (f * g).coeffs == {(1, 3): F(1)}
+    f = MultilinearPoly.from_subsets(3, {(1, 2): F(1)})
+    g = MultilinearPoly.from_subsets(3, {(2, 3): F(1)})
+    assert dict((f * g).items_sorted()) == {(1, 3): F(1)}
 
 
 def test_multiply_phi_half_reduces_to_one():
-    f = MultilinearPoly(2, {(1,): F(1)}, Basis.PHI, F(1, 2))
-    assert (f * f).coeffs == {(): F(1)}
+    f = MultilinearPoly.from_subsets(2, {(1,): F(1)}, Basis.PHI, F(1, 2))
+    assert dict((f * f).items_sorted()) == {(): F(1)}
 
 
 def test_multiply_phi_third_gives_q_term():
     p = F(1, 3)
-    f = MultilinearPoly(2, {(1,): F(1)}, Basis.PHI, p)
+    f = MultilinearPoly.from_subsets(2, {(1,): F(1)}, Basis.PHI, p)
     sq = f * f
     q = phi_square_q(p)
     assert sq.coefficient(()) == 1
@@ -71,21 +72,21 @@ def test_multiply_phi_third_gives_q_term():
 
 
 def test_multiply_basis_mismatch():
-    f = MultilinearPoly(2, {(1,): F(1)})
-    g = MultilinearPoly(2, {(1,): F(1)}, Basis.PHI, F(1, 2))
+    f = MultilinearPoly.from_subsets(2, {(1,): F(1)})
+    g = MultilinearPoly.from_subsets(2, {(1,): F(1)}, Basis.PHI, F(1, 2))
     with pytest.raises(InputError):
         f * g
 
 
 def test_convert_identity_at_half():
-    f = MultilinearPoly(3, {(1, 2): F(1, 2), (3,): F(-1)})
+    f = MultilinearPoly.from_subsets(3, {(1, 2): F(1, 2), (3,): F(-1)})
     g = convert_basis(f, Basis.PHI, F(1, 2))
     assert g.coeffs == f.coeffs
 
 
 def test_convert_linear_example():
     # x_1 at p=1/3 becomes 2*sqrt(2/9)*phi_1 + 1/3
-    f = MultilinearPoly(1, {(1,): F(1)})
+    f = MultilinearPoly.from_subsets(1, {(1,): F(1)})
     g = convert_basis(f, Basis.PHI, F(1, 3))
     assert g.coefficient(()) == F(1, 3)
     assert g.coefficient((1,)) == make_qe(0, 2, F(2, 9))
@@ -131,9 +132,9 @@ def test_l2_norm_is_product_measure_second_moment(rng):
 
 
 def test_restrict_single_variable():
-    f = MultilinearPoly(2, {(1, 2): F(1)})
-    assert f.restrict({1: 1}).coeffs == {(2,): F(1)}
-    assert f.restrict({1: -1}).coeffs == {(2,): F(-1)}
+    f = MultilinearPoly.from_subsets(2, {(1, 2): F(1)})
+    assert dict(f.restrict({1: 1}).items_sorted()) == {(2,): F(1)}
+    assert dict(f.restrict({1: -1}).items_sorted()) == {(2,): F(-1)}
 
 
 def test_restrict_star_matches_substitution():
@@ -147,6 +148,12 @@ def test_restrict_star_matches_substitution():
     for a in product((-1, 1), repeat=n):
         if a[0] == 1:
             assert g.evaluate(a) == f.evaluate(a)
+
+
+@pytest.mark.parametrize("fixed", [{0: 1}, {4: -1}, {1: 1, 2: 0}, {2: 2}])
+def test_restrict_rejects_a_bad_variable_or_value(fixed):
+    with pytest.raises(InputError):
+        star_poly(3).restrict(fixed)
 
 
 def test_restrict_commutes_on_disjoint_sets(rng):
@@ -172,26 +179,69 @@ def test_multiply_commutative_associative_pointwise(rng):
 
 
 def test_degree_bound_recomputed():
-    f = MultilinearPoly(4, {(1, 2): F(1), (): F(1)})
-    g = MultilinearPoly(4, {(1, 2): F(-1)})
+    f = MultilinearPoly.from_subsets(4, {(1, 2): F(1), (): F(1)})
+    g = MultilinearPoly.from_subsets(4, {(1, 2): F(-1)})
     assert (f + g).degree_bound == 0
-    h = MultilinearPoly(4, {(1, 2): F(1)})
+    h = MultilinearPoly.from_subsets(4, {(1, 2): F(1)})
     assert (h * h).degree_bound == 0  # chi squares to the constant 1
 
 
 def test_canonical_zero_pruning():
-    f = MultilinearPoly(3, {(1,): F(0), (2,): F(1)})
-    assert (1,) not in f.coeffs
+    f = MultilinearPoly.from_subsets(3, {(1,): F(0), (2,): F(1)})
+    assert (1,) not in dict(f.items_sorted())
     assert f.degree_bound == 1
 
 
 def test_invalid_subsets_rejected():
     with pytest.raises(InputError):
-        MultilinearPoly(3, {(2, 1): F(1)})
+        MultilinearPoly.from_subsets(3, {(2, 1): F(1)})
     with pytest.raises(InputError):
-        MultilinearPoly(3, {(0,): F(1)})
+        MultilinearPoly.from_subsets(3, {(0,): F(1)})
     with pytest.raises(InputError):
-        MultilinearPoly(3, {(4,): F(1)})
+        MultilinearPoly.from_subsets(3, {(4,): F(1)})
+
+
+@pytest.mark.parametrize("key", [-1, 8, 2 ** 40, (1,), "1", 1.0, None])
+def test_constructor_rejects_a_key_that_is_not_a_bitmask(key):
+    with pytest.raises(InputError):
+        MultilinearPoly(3, {key: F(1)})
+
+
+@pytest.mark.parametrize("subset", [(2, 1), (1, 1), (0,), (4,), (1, 2, 3, 4)])
+def test_coefficient_rejects_a_subset_that_is_not_sorted_in_range(subset):
+    f = MultilinearPoly.from_subsets(3, {(1, 2): F(1)})
+    with pytest.raises(InputError):
+        f.coefficient(subset)
+
+
+def test_coefficients_are_keyed_by_bitmask():
+    f = MultilinearPoly.from_subsets(4, {(): F(1), (1, 3): F(2), (4,): F(-1)})
+    assert f.coeffs == {0: F(1), 0b101: F(2), 0b1000: F(-1)}
+    assert MultilinearPoly(4, {0b101: 2, 0: 1, 0b1000: -1}) == f
+    assert f.degree_bound == 2
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    st.frozensets(st.integers(1, n), max_size=n).map(lambda s: tuple(sorted(s))),
+    st.fractions(max_denominator=5), max_size=12))))
+def test_from_subsets_round_trips_through_items_sorted(drawn):
+    n, coeffs = drawn
+    f = MultilinearPoly.from_subsets(n, coeffs)
+    nonzero = sorted((s, c) for s, c in coeffs.items() if c != 0)
+    assert f.items_sorted() == nonzero
+    assert all(isinstance(c, F) for _, c in f.items_sorted())
+    assert MultilinearPoly.from_subsets(n, dict(f.items_sorted())) == f
+    for s, c in coeffs.items():
+        assert f.coefficient(s) == c
+
+
+def test_restrict_matches_the_tuple_loop(rng):
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        f = random_poly(rng, n, min(n, 3), rng.randint(0, 9))
+        fixed = {i: rng.choice((-1, 1)) for i in rng.sample(range(1, n + 1), rng.randint(0, n))}
+        assert f.restrict(fixed) == restrict_reference(f, fixed)
 
 
 def _polys(count):
@@ -235,7 +285,7 @@ def test_convert_basis_matches_two_loop_reference(drawn):
 
 
 def test_convert_requires_p_in_range():
-    f = MultilinearPoly(2, {(1,): F(1)})
+    f = MultilinearPoly.from_subsets(2, {(1,): F(1)})
     for p in (None, 0, 1, F(3, 2)):
         with pytest.raises(InputError):
             convert_basis(f, Basis.PHI, p)
@@ -275,8 +325,8 @@ def test_qe_scalar_acts_as_a_scalar():
     p = F(1, 3)
     q = phi_square_q(p)
     assert isinstance(q, QE)
-    f = MultilinearPoly(4, {(): F(1, 2), (1, 3): F(-2), (2,): make_qe(1, 3, p * (1 - p))},
-                        Basis.PHI, p)
+    f = MultilinearPoly.from_subsets(
+        4, {(): F(1, 2), (1, 3): F(-2), (2,): make_qe(1, 3, p * (1 - p))}, Basis.PHI, p)
     assert f * q == q * f == f.scale(q)
     constant = MultilinearPoly.constant(4, q, Basis.PHI, p)
     assert f + q == f + constant

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cardcsp.poly as poly
 import cardcsp.solver as solver
 from cardcsp.config import SolverConfig, parse_config
 from cardcsp.csp_model import Constraint, CspInstance, GlobalCardinality, constraint_count
@@ -90,7 +91,7 @@ def test_enumerate_kernel_empty():
 
 def test_enumerate_kernel_pair():
     card = GlobalCardinality(6, F(1, 2))
-    reduced = MultilinearPoly(6, {(1, 2): F(1)})
+    reduced = MultilinearPoly.from_subsets(6, {(1, 2): F(1)})
     opt, arg = enumerate_kernel(reduced, (1, 2), card, 0)
     assert opt == 1
     assert arg == (-1, -1)  # lexicographically smallest maximizer
@@ -99,28 +100,36 @@ def test_enumerate_kernel_pair():
 def test_enumerate_kernel_respects_budgets():
     # p*n = 1: at most one -1 available, so (-1,-1) is infeasible
     card = GlobalCardinality(4, F(1, 4))
-    reduced = MultilinearPoly(4, {(1, 2): F(1)})
+    reduced = MultilinearPoly.from_subsets(4, {(1, 2): F(1)})
     opt, arg = enumerate_kernel(reduced, (1, 2), card, 0)
     assert opt == 1 and arg == (1, 1)
 
 
 def test_enumerate_kernel_rejects_stray_variables():
     card = GlobalCardinality(4, F(1, 2))
-    reduced = MultilinearPoly(4, {(3,): F(1)})
+    reduced = MultilinearPoly.from_subsets(4, {(3,): F(1)})
     with pytest.raises(InputError):
         enumerate_kernel(reduced, (1,), card, 0)
 
 
+@pytest.mark.parametrize("kernel", [(0, 1), (1, 5), (1, 1, 2)])
+def test_enumerate_kernel_rejects_a_kernel_that_is_not_a_set_of_variables(kernel):
+    card = GlobalCardinality(4, F(1, 2))
+    reduced = MultilinearPoly.from_subsets(4, {(1,): F(1)})
+    with pytest.raises(InputError, match="not a set of variables"):
+        enumerate_kernel(reduced, kernel, card, 0)
+
+
 def test_enumerate_kernel_cap():
     card = GlobalCardinality(6, F(1, 2))
-    reduced = MultilinearPoly(6, {(1, 2): F(1)})
+    reduced = MultilinearPoly.from_subsets(6, {(1, 2): F(1)})
     with pytest.raises(ResourceError):
         enumerate_kernel(reduced, (1, 2), card, 0, cap=1)
 
 
 def test_enumerate_kernel_rejects_irrational_coefficients():
     card = GlobalCardinality(4, F(1, 2))
-    reduced = MultilinearPoly(4, {(1,): sqrt_scalar(F(2))})
+    reduced = MultilinearPoly.from_subsets(4, {(1,): sqrt_scalar(F(2))})
     with pytest.raises(InputError, match="not rational"):
         enumerate_kernel(reduced, (1,), card, 0)
 
@@ -128,7 +137,7 @@ def test_enumerate_kernel_rejects_irrational_coefficients():
 def test_enumerate_kernel_rejects_kernel_without_feasible_layer():
     # five kernel variables cannot fit a slice of four
     card = GlobalCardinality(4, F(1, 2))
-    reduced = MultilinearPoly(5, {(5,): F(1)})
+    reduced = MultilinearPoly.from_subsets(5, {(5,): F(1)})
     with pytest.raises(InputError, match="no feasible kernel assignment"):
         enumerate_kernel(reduced, (1, 2, 3, 4, 5), card, 0)
 
@@ -174,14 +183,15 @@ def kernel_problems(draw):
     coeffs = {tuple(sorted(s)): draw(coefficient)
               for s in draw(st.lists(subsets, max_size=12))}
     base_correction = draw(coefficient)
-    return MultilinearPoly(n, coeffs), kernel, GlobalCardinality(n, p), base_correction
+    return (MultilinearPoly.from_subsets(n, coeffs), kernel, GlobalCardinality(n, p),
+            base_correction)
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(kernel_problems())
-@example((MultilinearPoly(4, {(1, 2): F(1), (3,): F(-1, 3)}), (1, 2, 3, 4),
+@example((MultilinearPoly.from_subsets(4, {(1, 2): F(1), (3,): F(-1, 3)}), (1, 2, 3, 4),
           GlobalCardinality(4, F(1, 4)), F(1, 2)))   # only the 1-layer is feasible
-@example((MultilinearPoly(3, {}), (), GlobalCardinality(3, F(2, 3)), F(0)))
+@example((MultilinearPoly.from_subsets(3, {}), (), GlobalCardinality(3, F(2, 3)), F(0)))
 def test_enumerate_kernel_matches_reference_walk(problem):
     reduced, kernel, card, base_correction = problem
     assert enumerate_kernel(reduced, kernel, card, base_correction) == \
@@ -406,3 +416,37 @@ def test_decide_makes_no_polynomial_product(monkeypatch):
         v = decide(inst, GlobalCardinality(n, p), 1)
         assert v.branch == "SmallVariance" and v.kernel
     assert products == []
+
+
+def test_decide_converts_no_subset_between_tuple_and_bitmask(monkeypatch):
+    # every layer of decide reads the bitmask keys of .coeffs: no tuple key
+    # enters through from_subsets and none leaves through subset_of
+    calls = []
+    from_subsets, subset_of = MultilinearPoly.from_subsets, poly.subset_of
+
+    def counted_from_subsets(*args, **kwargs):
+        calls.append("from_subsets")
+        return from_subsets(*args, **kwargs)
+
+    def counted_subset_of(mask):
+        calls.append("subset_of")
+        return subset_of(mask)
+
+    monkeypatch.setattr(MultilinearPoly, "from_subsets", staticmethod(counted_from_subsets))
+    monkeypatch.setattr(poly, "subset_of", counted_subset_of)
+    assert MultilinearPoly.from_subsets(2, {(1,): F(1)}).items_sorted() == [((1,), F(1))]
+    assert calls == ["from_subsets", "subset_of"]
+    calls.clear()
+    for p, n in ((F(1, 2), 8), (F(1, 3), 9)):
+        inst = random_instance(random.Random(n), n, 2, 14)
+        v = decide(inst, GlobalCardinality(n, p), 1)
+        assert v.branch == "SmallVariance" and v.kernel
+    assert calls == []
+
+
+def test_decide_rejects_a_bool_t():
+    inst = path_graph(4)
+    card = GlobalCardinality(4, F(1, 2))
+    for t in (True, False):
+        with pytest.raises(InputError, match="t must be an int"):
+            decide(inst, card, t)

@@ -14,7 +14,7 @@ from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.exact import scalar_sign, to_float
 from cardcsp.oracle import brute_moment, brute_variance
-from cardcsp.poly import Basis, MultilinearPoly, convert_basis
+from cardcsp.poly import Basis, MultilinearPoly, convert_basis, subset_of
 from cardcsp.spectra import (SetSymmetricForm, _dot, alpha_table, build_dense,
                              eigen_summary, eigenvalue_closed_form, project_null,
                              quadratic_form_value, subsets_upto, vk_basis,
@@ -80,7 +80,7 @@ def test_build_dense_singleton_block():
     form = SetSymmetricForm(n=n, d=1, p=F(1, 2), kind="A")
     labels, m = build_dense(form)
     assert labels == subsets_upto(n, 1)
-    idx = {s: i for i, s in enumerate(labels)}
+    idx = {subset_of(s): i for i, s in enumerate(labels)}
     for i in range(1, n + 1):
         assert m[idx[(i,)]][idx[(i,)]] == 1
         for j in range(i + 1, n + 1):
@@ -123,7 +123,7 @@ def test_vk_basis_partial_sums_vanish():
     n, d = 8, 3
     for k in (1, 2, 3):
         for vec in vk_basis(n, F(1, 2), d, k)[:4]:
-            weight_k = {s: c for s, c in vec.items() if len(s) == k}
+            weight_k = {subset_of(s): c for s, c in vec.items() if s.bit_count() == k}
             from itertools import combinations
             for size in range(k):
                 for small in combinations(range(1, n + 1), size):
@@ -172,10 +172,10 @@ def test_null_space_certification_exact():
     for n, p, d in ((8, F(1, 2), 2), (8, F(1, 4), 2), (9, F(1, 3), 3)):
         form = SetSymmetricForm(n=n, d=d, p=p, kind="A")
         labels, m = build_dense(form)
-        idx = {s: i for i, s in enumerate(labels)}
+        idx = {subset_of(s): i for i, s in enumerate(labels)}
         dist = CardinalDist(n, p)
         for s in subsets_upto(n, d - 1):
-            vec = null_space_vector(dist, s)
+            vec = null_space_vector(dist, subset_of(s))
             dense = [F(0)] * len(labels)
             for t, c in vec.items():
                 dense[idx[t]] = c
@@ -251,12 +251,13 @@ def test_projection_examples():
     n = 8
     dist = CardinalDist(n, F(1, 2))
     constraint = constraint_poly(n, Basis.CHI)
-    f = constraint * MultilinearPoly(n, {(1,): F(1)})
+    f = constraint * MultilinearPoly.from_subsets(n, {(1,): F(1)})
     pr = project_null(f, dist)
-    assert pr.h.coeffs == {(1,): F(1)}
+    assert dict(pr.h.items_sorted()) == {(1,): F(1)}
     assert pr.residual_norm_sq == 0
 
-    star = MultilinearPoly(n, {(): F(n, 2)}) - constraint * MultilinearPoly(n, {(1,): F(1, 2)})
+    star = MultilinearPoly.from_subsets(n, {(): F(n, 2)}) \
+        - constraint * MultilinearPoly.from_subsets(n, {(1,): F(1, 2)})
     pr = project_null(star, dist)
     assert pr.residual_norm_sq == 0
     assert pr.h.coefficient((1,)) == F(-1, 2)
@@ -284,9 +285,9 @@ def test_projection_orthogonality_and_idempotence(rng):
         f = random_poly(rng, n, 2, 6, basis, None if p == F(1, 2) else p)
         pr = project_null(f, dist)
         for s in subsets_upto(n, f.degree_bound - 1):
-            gen = null_space_vector(dist, s)
+            gen = null_space_vector(dist, subset_of(s))
             gen.pop((), None)
-            assert scalar_sign(_dot(gen, pr.residual.coeffs)) == 0
+            assert scalar_sign(_dot(gen, dict(pr.residual.items_sorted()))) == 0
         again = project_null(pr.residual, dist)
         assert again.h.coeffs == {}
         assert again.residual == pr.residual
@@ -297,17 +298,17 @@ def _project_null_reference(f, dist):
     """(h, residual) as project_null computed them before the set-symmetric
     table: one _dot per Gram entry and Gaussian elimination."""
     g0 = f.without_constant()
-    gen_sets = subsets_upto(f.n, f.degree_bound - 1)
+    gen_sets = [subset_of(s) for s in subsets_upto(f.n, f.degree_bound - 1)]
     generators = []
     for s in gen_sets:
         vec = null_space_vector(dist, s)
         vec.pop((), None)
         generators.append(vec)
     gram = [[_dot(a, b) for b in generators] for a in generators]
-    rhs = [_dot(a, g0.coeffs) for a in generators]
+    rhs = [_dot(a, dict(g0.items_sorted())) for a in generators]
     coeffs = gauss_solve_reference(gram, rhs)
-    h = MultilinearPoly(f.n, {s: c for s, c in zip(gen_sets, coeffs)
-                              if scalar_sign(c) != 0}, f.basis, f.p)
+    h = MultilinearPoly.from_subsets(f.n, {s: c for s, c in zip(gen_sets, coeffs)
+                                           if scalar_sign(c) != 0}, f.basis, f.p)
     residual = (g0 - constraint_poly(f.n, f.basis, f.p) * h).without_constant()
     return h, residual
 
