@@ -42,7 +42,6 @@ class CardinalDist:
         self.card = GlobalCardinality(n=n, p=p)
         self.n = n
         self.p = p
-        self.r = p * (1 - p)
         self.q: Scalar = phi_square_q(p)
         self._delta: List[Scalar] = [Fraction(1)]
         self._eps: List[Fraction] = [Fraction(1)]

@@ -21,9 +21,8 @@ from .errors import CardCspError
 from .exact import fraction_str, to_float
 from .oracle import brute_average, brute_force_decision, brute_opt, hyper_ratio
 from .poly import Basis, convert_basis
-from .rounding import round_bisection, round_global
-from .solver import _check_projection_cap, decide, fourth_moment_bound
-from .spectra import SetSymmetricForm, eigen_summary, project_null
+from .solver import decide, fourth_moment_bound, kernelize
+from .spectra import SetSymmetricForm, eigen_summary
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -68,13 +67,7 @@ def _cmd_kernel(args) -> int:
     f = to_polynomial(inst)
     dist = CardinalDist.from_card(card)
     gamma = args.gamma if args.gamma is not None else Fraction(1, 2 ** inst.d)
-    if card.p == Fraction(1, 2):
-        _check_projection_cap(f, config.dense_cap)
-        proj = project_null(f, dist, mode="exact")
-        outcome = round_bisection(f, proj.h, gamma, d=inst.d,
-                                  allow_large_residual=True)
-    else:
-        outcome = round_global(f, dist, gamma, d=inst.d, allow_large_variance=True)
+    outcome, _ = kernelize(f, dist, gamma, inst.d, config.dense_cap)
     bound = None
     if outcome.norm_blowup is not None:
         bound = {"limit": 7 ** inst.d,

@@ -336,40 +336,3 @@ def solve_linear_exact(matrix, rhs):
         x[col] = acc * scalar_inverse(row[col])
     return x
 
-
-def nullspace_exact(matrix, ncols: int):
-    """Basis of the right null space of a rational matrix (list of rows).
-
-    Returns a list of coordinate vectors (lists of Fractions), one per free
-    column after row reduction, in increasing free-column order.
-    """
-    m = [[Fraction(v) for v in row] for row in matrix]
-    nrows = len(m)
-    pivots = []  # (row, col)
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in pivots:
-            vec[c] = -m[r][free]
-        basis.append(vec)
-    return basis

@@ -36,8 +36,8 @@ from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
 from .errors import InputError, ResourceError
 from .exact import fraction_str, sqrt_upper
 from .poly import Assignment, MultilinearPoly, int_numerators
-from .rounding import (active_bound_constant, gamma_denominator,
-                       round_bisection, round_global)
+from .rounding import (RoundingOutcome, active_bound_constant,
+                       gamma_denominator, round_bisection, round_global)
 from .spectra import project_null
 
 
@@ -189,15 +189,25 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     return Fraction(best, den) + base_correction, arg
 
 
-def _check_projection_cap(f: MultilinearPoly, dense_cap: int) -> None:
-    """Raise ResourceError (payload: f) if project_null's Gram system, of
-    dimension sum_{k < deg f} C(n, k), exceeds dense_cap; call it before
-    the projection."""
-    gram_dim = sum(comb(f.n, k) for k in range(f.degree_bound))
-    if gram_dim > dense_cap:
-        raise ResourceError(
-            f"projection Gram dimension {gram_dim} exceeds dense cap "
-            f"{dense_cap}", payload=f)
+def kernelize(f: MultilinearPoly, dist: CardinalDist, gamma, d: int,
+              dense_cap: int, variance: Optional[Fraction] = None
+              ) -> Tuple[RoundingOutcome, Fraction]:
+    """The kernel step of decide and `cardcsp kernel`: at p = 1/2, check
+    project_null's Gram dimension sum_{k < deg f} C(n, k) against dense_cap
+    (ResourceError, payload f, before any work), project and round_bisection;
+    otherwise round_global.  Returns the outcome and the base correction
+    that the reduced polynomial drops: fhat(0) at p = 1/2, else 0."""
+    if dist.p == Fraction(1, 2):
+        gram_dim = sum(comb(f.n, k) for k in range(f.degree_bound))
+        if gram_dim > dense_cap:
+            raise ResourceError(
+                f"projection Gram dimension {gram_dim} exceeds dense cap "
+                f"{dense_cap}", payload=f)
+        proj = project_null(f, dist, mode="exact")
+        return (round_bisection(f, proj.h, gamma, d=d, allow_large_residual=True),
+                f.coefficient(()))
+    return (round_global(f, dist, gamma, d=d, variance=variance,
+                         allow_large_variance=True), Fraction(0))
 
 
 def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
@@ -246,23 +256,15 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
         warnings.append(
             f"t^2 = {t * t} exceeds sqrt(n)/2: the rounding norm hypothesis "
             "is not established at this size; results remain exact")
-    gamma = Fraction(1, 2 ** d)
-    if card.p == Fraction(1, 2):
-        _check_projection_cap(f, config.dense_cap)
-        proj = project_null(f, dist, mode="exact")
-        if Fraction(proj.residual_norm_sq) ** 2 > card.n:
-            warnings.append(
-                "projection residual exceeds sqrt(n); the 7^d blow-up bound "
-                "is heuristic here")
-        outcome = round_bisection(f, proj.h, gamma, d=d, allow_large_residual=True)
-        base_correction = f.coefficient(())
-    else:
-        if var * var > card.n:
-            warnings.append(
-                "variance exceeds sqrt(n); the kernel-size bound is heuristic here")
-        outcome = round_global(f, dist, gamma, d=d, variance=var,
-                               allow_large_variance=True)
-        base_correction = Fraction(0)
+    if card.p != Fraction(1, 2) and var * var > card.n:
+        warnings.append(
+            "variance exceeds sqrt(n); the kernel-size bound is heuristic here")
+    outcome, base_correction = kernelize(f, dist, Fraction(1, 2 ** d), d,
+                                         config.dense_cap, variance=var)
+    if card.p == Fraction(1, 2) and Fraction(outcome.residual_norm_sq) ** 2 > card.n:
+        warnings.append(
+            "projection residual exceeds sqrt(n); the 7^d blow-up bound "
+            "is heuristic here")
     kernel = tuple(sorted(outcome.active_set))
     points = sum(comb(len(kernel), j) for j in _feasible_layers(len(kernel), card))
     if points > config.enum_cap:

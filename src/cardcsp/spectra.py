@@ -36,8 +36,7 @@ from typing import Dict, List, Tuple
 
 from .cardinal_dist import CardinalDist, extend_slice_sequence
 from .errors import InputError, ResourceError
-from .exact import (Scalar, nullspace_exact, scalar_sign,
-                    solve_linear_exact, to_float)
+from .exact import Scalar, scalar_sign, solve_linear_exact, to_float
 from .poly import (Basis, MultilinearPoly, phi_square_q, times_constraint,
                    times_constraint_table, up)
 
@@ -198,6 +197,8 @@ def eigenvalue_closed_form(d: int, k: int) -> Fraction:
 def vk_eigenvalue_exact(n: int, p, d: int, k: int) -> Scalar:
     """Exact eigenvalue of the extended weight-k eigenspace in the simplified
     form (authoritative at p = 1/2 where simplified == exact)."""
+    if not 0 <= k <= d:
+        raise InputError("need 0 <= k <= d")
     dist = CardinalDist(n, p)
     alphas = alpha_table(n, p, d)
     tau: Dict[int, Scalar] = {}
@@ -218,27 +219,35 @@ def vk_eigenvalue_exact(n: int, p, d: int, k: int) -> Scalar:
 
 
 def harmonic_basis(n: int, k: int) -> List[Dict[int, Fraction]]:
-    """Exact basis of weight-k coefficient vectors, keyed by bitmask, with
-    all partial sums sum_{j not in T} v(T u j) = 0 over |T| = k-1; dimension
-    C(n,k)-C(n,k-1).  Row T of the system is up of the unit vector at T."""
-    if k == 0:
-        return [{0: Fraction(1)}]
-    bits = [1 << i for i in range(n)]
-    cols = [sum(c) for c in combinations(bits, k)]
-    col_index = {s: i for i, s in enumerate(cols)}
-    rows = []
-    for t in combinations(bits, k - 1):
-        row = [0] * len(cols)
-        for mask, a in up({sum(t): 1}, n).items():
-            row[col_index[mask]] = a
-        rows.append(row)
-    basis = nullspace_exact(rows, len(cols))
-    return [{cols[i]: v for i, v in enumerate(vec) if v != 0} for vec in basis]
+    """Specht basis of the weight-k harmonic vectors (down(v) = 0: every
+    partial sum sum_{j not in T} v(T u j) over |T| = k-1 vanishes), keyed by
+    bitmask; dimension C(n,k)-C(n,k-1) for k <= n/2, else 0.
+
+    One vector per top set B = (b_1 < ... < b_k), in lex order: with
+    a_1 < ... < a_k the first k variables outside B, B is kept when
+    a_i < b_i for every i, and its vector is the table of
+    prod_i (x_{a_i} - x_{b_i}), 2^k entries of +-1.  Each x_a - x_b has
+    down = 0, so the product does.  The vector's largest mask is B itself,
+    so the vectors are independent (Filmus 2016, the Specht-module basis).
+    """
+    out = []
+    for top in combinations(range(n), k):
+        rest = [i for i in range(n) if i not in top][:k]
+        if len(rest) < k or any(a > b for a, b in zip(rest, top)):
+            continue
+        vec = {0: Fraction(1)}
+        for a, b in zip(rest, top):
+            vec = ({m | 1 << a: c for m, c in vec.items()}
+                   | {m | 1 << b: -c for m, c in vec.items()})
+        out.append(vec)
+    return out
 
 
 def vk_basis(n: int, p, d: int, k: int) -> List[Dict[int, Scalar]]:
     """Basis of the extended weight-k eigenspace inside {phi_S : |S| <= d}
     on bitmask keys: harmonic at weight k, alpha-extended above, zero below."""
+    if not 0 <= k <= d:
+        raise InputError("need 0 <= k <= d")
     alphas = alpha_table(n, p, d)
     out = []
     for vec in harmonic_basis(n, k):
@@ -267,7 +276,6 @@ class EigenSummary:
     d: int
     p: Fraction
     kind: str
-    exact_entries: bool
     null_dim: int
     nonzero_eigenvalues: List[float]
     clusters: List[EigenCluster]
@@ -302,8 +310,8 @@ def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000,
                                          gap=abs(center - nearest)))
             start = i
     return EigenSummary(n=form.n, d=form.d, p=form.p, kind=form.kind,
-                        exact_entries=form.exact, null_dim=null_dim,
-                        nonzero_eigenvalues=nonzero, clusters=clusters)
+                        null_dim=null_dim, nonzero_eigenvalues=nonzero,
+                        clusters=clusters)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def _must_not_run(*args, **kwargs):
 
 
 def test_kernel_checks_dense_cap_before_projection(capsys, tmp_path, monkeypatch):
-    import cardcsp.cli as cli
+    import cardcsp.solver as solver
     # a 10-vertex path at p = 1/2: degree 2, Gram dimension C(10,0) + C(10,1) = 11
     path = tmp_path / "p10.csp"
     path.write_text("csp 10 9 2 1/2\n" + "".join(
@@ -137,7 +137,7 @@ def test_kernel_checks_dense_cap_before_projection(capsys, tmp_path, monkeypatch
     code, doc, _ = run(capsys, ["kernel", "--instance", str(path), "--config", str(cfg)])
     assert code == 0 and doc["active_set"]
     cfg.write_text("dense_cap = 10\n")
-    monkeypatch.setattr(cli, "project_null", _must_not_run)
+    monkeypatch.setattr(solver, "project_null", _must_not_run)
     code, doc, err = run(capsys, ["kernel", "--instance", str(path), "--config", str(cfg)])
     assert code == 2 and doc is None
     assert "11" in err and "dense cap 10" in err

@@ -14,14 +14,16 @@ from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.exact import scalar_sign, to_float
 from cardcsp.oracle import brute_moment, brute_variance
-from cardcsp.poly import Basis, MultilinearPoly, convert_basis, subset_of
+from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, subset_of,
+                          up)
 from cardcsp.spectra import (SetSymmetricForm, _dot, alpha_table, build_dense,
-                             eigen_summary, eigenvalue_closed_form, project_null,
-                             quadratic_form_value, subsets_upto, vk_basis,
-                             vk_eigenvalue_exact)
+                             eigen_summary, eigenvalue_closed_form,
+                             harmonic_basis, project_null, quadratic_form_value,
+                             subsets_upto, vk_basis, vk_eigenvalue_exact)
 
 from conftest import (constraint_poly, csp_instances, gauss_solve_reference,
-                      graph_instance, null_space_vector, random_poly)
+                      graph_instance, null_space_vector, nullspace_reference,
+                      random_poly)
 
 
 def test_alpha_zero_at_half():
@@ -138,6 +140,78 @@ def test_vk_dimension():
     for k in (0, 1, 2):
         dim = comb(n, k) - (comb(n, k - 1) if k else 0)
         assert len(vk_basis(n, F(1, 2), d, k)) == dim
+
+
+@pytest.mark.parametrize("k", [3, -1])
+@pytest.mark.parametrize("vk", [vk_eigenvalue_exact, vk_basis])
+def test_vk_functions_reject_k_outside_zero_to_d(vk, k):
+    # k = 3 returned 0 (eigenvalue) or 75 weight-3 vectors outside
+    # {phi_S : |S| <= 2}; vk_basis at k = -1 raised a bare ValueError
+    with pytest.raises(InputError, match="need 0 <= k <= d"):
+        vk(10, F(1, 2), 2, k)
+
+
+def _up_rows(n, k):
+    """(columns, rows): the weight-k masks in lex order, and for every
+    |T| = k-1 the row of up of the unit vector at T over those columns."""
+    from itertools import combinations
+    bits = [1 << i for i in range(n)]
+    cols = [sum(c) for c in combinations(bits, k)]
+    index = {s: i for i, s in enumerate(cols)}
+    rows = []
+    for t in (combinations(bits, k - 1) if k else ()):
+        row = [0] * len(cols)
+        for mask, a in up({sum(t): 1}, n).items():
+            row[index[mask]] = a
+        rows.append(row)
+    return cols, rows
+
+
+def test_harmonic_basis_spans_the_up_row_null_space():
+    for n in range(11):
+        for k in range(n + 2):
+            cols, rows = _up_rows(n, k)
+            reference = nullspace_reference(rows, len(cols))
+            basis = harmonic_basis(n, k)
+            supports = [[(i, a) for i, a in enumerate(row) if a] for row in rows]
+            for vec in basis:
+                dense = [vec.get(s, 0) for s in cols]
+                for support in supports:
+                    assert sum(a * dense[i] for i, a in support) == 0, (n, k)
+            # inside the null space, independent (distinct largest masks),
+            # and as many as the reference's dimension
+            assert len({max(vec) for vec in basis}) == len(basis) == len(reference), (n, k)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_harmonic_basis_is_harmonic_with_distinct_top_sets(n):
+    from math import comb
+    for k in range(n + 2):
+        basis = harmonic_basis(n, k)
+        tops = []
+        for vec in basis:
+            assert all(s.bit_count() == k for s in vec)
+            assert all(c == 0 for c in down(vec).values())
+            top = max(vec)
+            assert vec[top] in (1, -1)
+            tops.append(top)
+        assert len(set(tops)) == len(tops)
+        expected = comb(n, k) - (comb(n, k - 1) if k else 0) if 2 * k <= n else 0
+        assert len(basis) == expected, (n, k)
+
+
+def test_vk_basis_at_n12_k4_is_an_exact_eigenbasis():
+    # every vector of the largest weight at d = 4, n = 12 is an eigenvector (k = d: no extension)
+    n, d, k = 12, 4, 4
+    basis = vk_basis(n, F(1, 2), d, k)
+    assert len(basis) == 275
+    form = SetSymmetricForm(n=n, d=d, p=F(1, 2), kind="A")
+    ev = vk_eigenvalue_exact(n, F(1, 2), d, k)
+    for vec in basis[::91]:
+        for s in form.labels():
+            image = sum((c * form.entry(s.bit_count(), t.bit_count(), (s & t).bit_count())
+                         for t, c in vec.items()), F(0))
+            assert image == ev * vec.get(s, 0)
 
 
 def test_vk_vectors_are_exact_eigenvectors_at_half():
