@@ -24,4 +24,15 @@ from .spectra import (AlphaTable, ProjectionResult, SetSymmetricForm, alpha_tabl
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CardinalDist", "chi_expectation", "chi_variance", "delta_sequence", "mc_moment",
+    "sample", "DEFAULT_CONFIG", "SolverConfig", "load_config", "parse_config",
+    "Constraint", "CspInstance", "GlobalCardinality", "constraint_count",
+    "format_instance", "parse_instance", "to_polynomial", "CardCspError",
+    "DegenerateInput", "InputError", "ParseError", "PreconditionError", "ResourceError",
+    "Assignment", "Basis", "MultilinearPoly", "convert_basis", "RoundingOutcome",
+    "active_variables", "reconstruct_h", "round_bisection", "round_global", "Verdict",
+    "average", "certification_threshold", "decide", "enumerate_kernel", "AlphaTable",
+    "ProjectionResult", "SetSymmetricForm", "alpha_table", "build_dense",
+    "eigen_summary", "eigenvalue_closed_form", "project_null",
+]

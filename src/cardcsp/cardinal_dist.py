@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 from .csp_model import GlobalCardinality
 from .errors import InputError
-from .exact import Scalar, to_float
+from .exact import Scalar
 from .poly import Assignment, Basis, MultilinearPoly, int_numerators, phi_square_q
 
 
@@ -154,7 +154,7 @@ def mc_moment(f: MultilinearPoly, dist: CardinalDist, k: int, n_samples: int,
     if n_samples <= 0:
         raise InputError("need at least one sample")
     rng = random.Random(seed)
-    coeffs = [(s, to_float(c)) for s, c in f.items_sorted()]
+    coeffs = [(s, float(c)) for s, c in f.items_sorted()]
     if f.basis is Basis.PHI:
         pos = sqrt(f.p / (1 - f.p))
         neg = -sqrt((1 - f.p) / f.p)

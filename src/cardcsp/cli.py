@@ -18,7 +18,7 @@ from .cardinal_dist import (CardinalDist, chi_expectation, chi_variance,
 from .config import DEFAULT_CONFIG, load_config
 from .csp_model import parse_instance, to_polynomial
 from .errors import CardCspError
-from .exact import fraction_str, to_float
+from .exact import scalar_json
 from .oracle import brute_average, brute_force_decision, brute_opt, hyper_ratio
 from .poly import Basis, convert_basis
 from .solver import decide, fourth_moment_bound, kernelize
@@ -28,10 +28,6 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_USAGE = 64
-
-
-def _num(x) -> dict:
-    return {"exact": fraction_str(x), "approx": to_float(x)}
 
 
 def _emit(doc: dict) -> None:
@@ -75,11 +71,12 @@ def _cmd_kernel(args) -> int:
     _emit({
         "schema": 1,
         "active_set": sorted(outcome.active_set),
-        "h": {",".join(map(str, s)) or "const": _num(c)
+        "h": {",".join(map(str, s)) or "const": scalar_json(c)
               for s, c in outcome.h.items_sorted()},
-        "blowup": _num(outcome.norm_blowup) if outcome.norm_blowup is not None else None,
+        "blowup": (scalar_json(outcome.norm_blowup)
+                   if outcome.norm_blowup is not None else None),
         "bound_check": bound,
-        "gamma": _num(gamma),
+        "gamma": scalar_json(gamma),
     })
     return EXIT_YES
 
@@ -104,7 +101,7 @@ def _cmd_delta(args) -> int:
     values = delta_sequence(args.n, args.p, args.kmax)
     _emit({
         "schema": 1, "n": args.n, "p": str(args.p),
-        "delta": [_num(v) for v in values],
+        "delta": [scalar_json(v) for v in values],
     })
     return EXIT_YES
 
@@ -117,9 +114,9 @@ def _cmd_moments(args) -> int:
     var = chi_variance(f, dist)
     doc = {
         "schema": 1,
-        "avg": _num(avg),
-        "second_moment": _num(var + avg * avg),
-        "variance": _num(var),
+        "avg": scalar_json(avg),
+        "second_moment": scalar_json(var + avg * avg),
+        "variance": scalar_json(var),
     }
     if args.mc:
         est, err = mc_moment(f, dist, args.power, args.mc, args.seed)
@@ -137,9 +134,9 @@ def _cmd_hyper(args) -> int:
     bound = fourth_moment_bound(inst.d, card.p)
     _emit({
         "schema": 1,
-        "ratio_vs_second_moment": _num(ratio_m2),
-        "ratio_vs_norm": _num(ratio_norm),
-        "bound": _num(bound),
+        "ratio_vs_second_moment": scalar_json(ratio_m2),
+        "ratio_vs_norm": scalar_json(ratio_norm),
+        "bound": scalar_json(bound),
         "holds": bool(ratio_m2 <= bound),
     })
     return EXIT_YES
@@ -153,7 +150,7 @@ def _cmd_oracle(args) -> int:
         "schema": 1,
         "opt": opt,
         "argmax": list(arg),
-        "avg": _num(avg),
+        "avg": scalar_json(avg),
     }
     if args.t is not None:
         doc["t"] = args.t

@@ -17,8 +17,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("enum_cap", "kernel_cap", "dense_cap"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} = {getattr(self, name)} is negative")
+            cap = getattr(self, name)
+            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+                raise InputError(f"{name} = {cap!r} is not a nonnegative integer")
+        if not isinstance(self.p0, (int, Fraction)):
+            raise InputError(f"p0 = {self.p0!r} is not an int or Fraction")
         if not 0 < self.p0 < Fraction(1, 2):
             raise InputError(f"p0 = {self.p0} outside (0, 1/2)")
 

@@ -53,8 +53,10 @@ class GlobalCardinality:
     p: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InputError(f"n = {self.n!r} is not a positive integer")
+        if not isinstance(self.p, (int, Fraction)):
+            raise InputError(f"p = {self.p!r} is not an int or Fraction")
         if not 0 < self.p < 1:
             raise InputError("p must lie in (0,1)")
         if (self.p * self.n).denominator != 1:

@@ -12,7 +12,9 @@ Zero tolerance everywhere: equality of these scalars is exact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt, lcm
 from typing import Union
 
@@ -46,23 +48,19 @@ def sqrt_scalar(x) -> Scalar:
     return make_qe(0, 1, x)
 
 
+@total_ordering
+@dataclass(frozen=True, slots=True, repr=False)
 class QE:
     """a + b*sqrt(r) with a, b rational and sqrt(r) irrational (b != 0).
 
-    Instances are immutable.  Mixed arithmetic with int/Fraction is
-    supported; mixing two QE values with different radicands raises.
+    Built by make_qe, which normalizes, so a QE is never zero (always true)
+    and never equals an int or Fraction.  Mixed arithmetic and ordering with
+    int/Fraction are supported; mixing two QE radicands raises.
     """
 
-    __slots__ = ("a", "b", "r")
-
-    def __init__(self, a: Fraction, b: Fraction, r: Fraction):
-        # Assumes the caller (make_qe) already normalized; do not call directly.
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "r", r)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QE is immutable")
+    a: Fraction
+    b: Fraction
+    r: Fraction
 
     def _parts_of(self, other):
         if isinstance(other, QE):
@@ -154,36 +152,16 @@ class QE:
         return -1 if lhs > rhs else 1
 
     def _cmp(self, other):
+        """The sign of self - other, or None if other is not a scalar."""
         p = self._parts_of(other)
         if p is None:
             return None
-        return scalar_sign(make_qe(self.a - p[0], self.b - p[1], self.r))
+        diff = make_qe(self.a - p[0], self.b - p[1], self.r)
+        return diff.sign() if isinstance(diff, QE) else (diff > 0) - (diff < 0)
 
     def __lt__(self, other):
         s = self._cmp(other)
         return NotImplemented if s is None else s < 0
-
-    def __le__(self, other):
-        s = self._cmp(other)
-        return NotImplemented if s is None else s <= 0
-
-    def __gt__(self, other):
-        s = self._cmp(other)
-        return NotImplemented if s is None else s > 0
-
-    def __ge__(self, other):
-        s = self._cmp(other)
-        return NotImplemented if s is None else s >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, QE):
-            return self.r == other.r and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return False  # normalized QE always has an irrational part
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.r))
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -193,12 +171,6 @@ class QE:
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.r}))"
-
-
-def scalar_sign(x: Scalar) -> int:
-    if isinstance(x, QE):
-        return x.sign()
-    return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
 def scalar_inverse(x: Scalar) -> Scalar:
@@ -214,10 +186,6 @@ def as_fraction(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-def to_float(x) -> float:
-    return float(x)
-
-
 def fraction_str(x: Scalar) -> str:
     """Render exactly: 'a/b' for rationals, 'a/b + c/d*sqrt(r)' otherwise."""
     if isinstance(x, QE):
@@ -225,13 +193,18 @@ def fraction_str(x: Scalar) -> str:
     return str(Fraction(x))
 
 
-def sqrt_upper(x: Fraction, bits: int = 64) -> Fraction:
-    """A rational upper bound on sqrt(x), tight to relative error ~2^-bits."""
+def scalar_json(x: Scalar) -> dict:
+    """The JSON rendering of a number: its exact string and a float."""
+    return {"exact": fraction_str(x), "approx": float(x)}
+
+
+def sqrt_upper(x: Fraction) -> Fraction:
+    """A rational upper bound on sqrt(x), tight to relative error ~2^-64."""
     if x < 0:
         raise ValueError("negative radicand")
     if x == 0:
         return Fraction(0)
-    scale = 1 << bits
+    scale = 1 << 64
     # ceil(sqrt(num * scale^2 / den)) / scale >= sqrt(x)
     num = x.numerator * scale * scale
     den = x.denominator
@@ -305,7 +278,7 @@ def solve_linear_exact(matrix, rhs):
     prev = 1     # the previous pivot: every update divides by it exactly
     for col in range(size):
         top = len(pivots)
-        piv = next((i for i in range(top, size) if scalar_sign(m[i][col]) != 0), None)
+        piv = next((i for i in range(top, size) if m[i][col]), None)
         if piv is None:
             continue
         if piv != top:
@@ -324,7 +297,7 @@ def solve_linear_exact(matrix, rhs):
         pivots.append(col)
         prev = pivot
     # rows below the last pivot are zero; consistency needs their b zero too
-    if any(scalar_sign(b[i]) != 0 for i in range(len(pivots), size)):
+    if any(b[i] for i in range(len(pivots), size)):
         raise ValueError("inconsistent linear system")
     x = [Fraction(0)] * size
     for r in range(len(pivots) - 1, -1, -1):

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .config import DEFAULT_CONFIG
 from .csp_model import CspInstance, GlobalCardinality, constraint_count
 from .errors import DegenerateInput, InputError, ResourceError
-from .exact import QE, Scalar, make_qe, scalar_sign
+from .exact import QE, Scalar, make_qe
 from .poly import Assignment, Basis, MultilinearPoly, basis_constants
 
 DEFAULT_ENUM_CAP = DEFAULT_CONFIG.enum_cap
@@ -222,11 +222,11 @@ def hyper_ratio(f: MultilinearPoly, card: GlobalCardinality,
     """
     moments = brute_moments(f, card, (2, 4), cap)
     m2 = moments[2]
-    if scalar_sign(m2) == 0:
+    if not m2:
         raise DegenerateInput("f vanishes on the slice")
     m4 = moments[4]
     norm4 = f.l2_norm_sq() ** 2
-    if scalar_sign(norm4) == 0:
+    if not norm4:
         raise DegenerateInput("f is the zero polynomial")
     return m4 / (m2 * m2), m4 / norm4
 

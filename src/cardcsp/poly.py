@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import InputError
-from .exact import QE, Scalar, _over_common_denominator, make_qe, scalar_sign
+from .exact import QE, Scalar, _over_common_denominator, make_qe
 
 Subset = Tuple[int, ...]
 Assignment = Tuple[int, ...]  # entries in {-1, +1}, position i holds x_{i+1}
@@ -67,7 +67,9 @@ class MultilinearPoly:
         for mask, value in coeffs.items():
             if not isinstance(mask, int) or not 0 <= mask < top:
                 raise InputError(f"key {mask!r} is not a bitmask over {n} variables")
-            if scalar_sign(value) != 0:
+            if not isinstance(value, (int, Fraction, QE)):
+                raise InputError(f"coefficient {value!r} is not an int, Fraction or QE")
+            if value:
                 clean[mask] = Fraction(value) if isinstance(value, int) else value
         self.n = n
         self.basis = basis
@@ -155,7 +157,7 @@ class MultilinearPoly:
             return self.scale(other)
         self._same_space(other)
         q = basis_constants(self.basis, self.p)[2]
-        expand = scalar_sign(q) != 0
+        expand = bool(q)
         out: Dict[int, Scalar] = {}
         for s, cs in self.coeffs.items():
             for t, ct in other.coeffs.items():
@@ -258,7 +260,7 @@ def convert_basis(f: MultilinearPoly, target: Basis, p=None) -> MultilinearPoly:
         weights = [c * lin ** j * shift ** (k - j) for j in range(k + 1)]
         for sub in submasks(s):
             weight = weights[sub.bit_count()]
-            if scalar_sign(weight) != 0:
+            if weight:
                 out[sub] = out[sub] + weight if sub in out else weight
     g = MultilinearPoly(f.n, out, target, p)
     if g.degree_bound != f.degree_bound:

@@ -51,7 +51,7 @@ from typing import Dict, FrozenSet, List, Optional
 
 from .cardinal_dist import CardinalDist, chi_variance
 from .errors import InputError, PreconditionError
-from .exact import QE, Scalar, as_fraction, nearest_multiple, scalar_sign
+from .exact import QE, Scalar, as_fraction, nearest_multiple
 from .poly import (Basis, MultilinearPoly, Subset, down, int_numerators,
                    times_constraint, up)
 
@@ -70,6 +70,16 @@ def gamma_ladder(d: int, gamma: Fraction) -> List[Fraction]:
         acc *= factorial(w + 1)
         out[w] = gamma / acc
     return out
+
+
+def check_gamma(gamma) -> Fraction:
+    """gamma as a Fraction; InputError unless it is a positive int or
+    Fraction (a float's binary value is not the granularity meant)."""
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, Fraction)):
+        raise InputError(f"gamma = {gamma!r} is not an int or Fraction")
+    if gamma <= 0:
+        raise InputError("gamma must be positive")
+    return Fraction(gamma)
 
 
 def gamma_denominator(d: int) -> int:
@@ -103,9 +113,7 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     """
     if f.basis is not Basis.CHI:
         raise InputError("round_bisection works on the chi basis")
-    gamma = Fraction(gamma)
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
+    gamma = check_gamma(gamma)
     if require_multiples:
         for c in f.coeffs.values():
             if (as_fraction(c) / gamma).denominator != 1:
@@ -137,8 +145,8 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     h = MultilinearPoly(f.n, rounded, Basis.CHI)
     reduced = g0 - times_constraint(h)
     reduced_sq = reduced.without_constant().l2_norm_sq()
-    if scalar_sign(residual_sq) == 0:
-        if scalar_sign(reduced_sq) != 0:
+    if not residual_sq:
+        if reduced_sq:
             raise AssertionError("exact projection must round to itself")
         blowup = Fraction(1)
     else:
@@ -323,9 +331,7 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
         raise InputError("round_global needs rational coefficients")
     if f.n != dist.n:
         raise InputError("variable counts differ between f and dist")
-    gamma = Fraction(gamma)
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
+    gamma = check_gamma(gamma)
     if d is None:
         d = f.degree_bound
     if d < 0:

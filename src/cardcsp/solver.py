@@ -34,9 +34,9 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
                         to_polynomial, validate_instance)
 from .errors import InputError, ResourceError
-from .exact import fraction_str, sqrt_upper
+from .exact import scalar_json, sqrt_upper
 from .poly import Assignment, MultilinearPoly, int_numerators
-from .rounding import (RoundingOutcome, active_bound_constant,
+from .rounding import (RoundingOutcome, active_bound_constant, check_gamma,
                        gamma_denominator, round_bisection, round_global)
 from .spectra import project_null
 
@@ -105,21 +105,19 @@ class Verdict:
         return self.opt >= self.avg + self.t
 
     def as_dict(self) -> dict:
-        def num(x):
-            return {"exact": fraction_str(x), "approx": float(x)}
         out = {
             "schema": 1,
             "answer": self.answer,
             "answer_bool": self.answer_bool,
             "branch": self.branch,
             "t": self.t,
-            "avg": num(self.avg),
-            "variance": num(self.variance),
-            "threshold": num(self.threshold_used),
+            "avg": scalar_json(self.avg),
+            "variance": scalar_json(self.variance),
+            "threshold": scalar_json(self.threshold_used),
             "warnings": list(self.warnings),
         }
         if self.opt is not None:
-            out["opt"] = num(self.opt)
+            out["opt"] = scalar_json(self.opt)
         if self.witness is not None:
             out["witness"] = list(self.witness)
         if self.kernel is not None:
@@ -197,6 +195,7 @@ def kernelize(f: MultilinearPoly, dist: CardinalDist, gamma, d: int,
     (ResourceError, payload f, before any work), project and round_bisection;
     otherwise round_global.  Returns the outcome and the base correction
     that the reduced polynomial drops: fhat(0) at p = 1/2, else 0."""
+    gamma = check_gamma(gamma)
     if dist.p == Fraction(1, 2):
         gram_dim = sum(comb(f.n, k) for k in range(f.degree_bound))
         if gram_dim > dense_cap:

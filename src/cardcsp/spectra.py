@@ -28,7 +28,7 @@ whose leading term is the closed form sum_{even i <= d-k} ((i-1)!!)^2 / i!.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -36,7 +36,7 @@ from typing import Dict, List, Tuple
 
 from .cardinal_dist import CardinalDist, extend_slice_sequence
 from .errors import InputError, ResourceError
-from .exact import Scalar, scalar_sign, solve_linear_exact, to_float
+from .exact import Scalar, solve_linear_exact
 from .poly import (Basis, MultilinearPoly, phi_square_q, times_constraint,
                    times_constraint_table, up)
 
@@ -71,6 +71,8 @@ class AlphaTable:
 
 def alpha_table(n: int, p, d: int) -> AlphaTable:
     """Solve the alpha recurrence exactly; requires n > 2d (denominators)."""
+    if d < 0:
+        raise InputError(f"alpha table needs d >= 0 (d={d})")
     if n <= 2 * d:
         raise InputError(f"alpha table needs n > 2d (n={n}, d={d})")
     p = Fraction(p)
@@ -89,23 +91,22 @@ def alpha_table(n: int, p, d: int) -> AlphaTable:
 @dataclass
 class SetSymmetricForm:
     """Quadratic form over {phi_S : |S| <= d}; kind 'A' (second moment) or
-    'B' (variance, empty set omitted)."""
+    'B' (variance, empty set omitted).  Its entries are moments of the
+    slice distribution CardinalDist(n, p), kept as `dist`."""
 
     n: int
     d: int
     p: Fraction
     kind: str                 # 'A' or 'B'
     exact: bool = True
-    dist: CardinalDist = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("A", "B"):
             raise InputError("kind must be 'A' or 'B'")
         if self.d < 0:
             raise InputError("d must be nonnegative")
-        if self.dist is None:
-            self.dist = CardinalDist(self.n, self.p)
         self.p = Fraction(self.p)
+        self.dist = CardinalDist(self.n, self.p)
 
     def entry(self, s: int, t: int, c: int) -> Scalar:
         """Matrix entry for |S|=s, |T|=t, |S^T|=c."""
@@ -230,6 +231,8 @@ def harmonic_basis(n: int, k: int) -> List[Dict[int, Fraction]]:
     down = 0, so the product does.  The vector's largest mask is B itself,
     so the vectors are independent (Filmus 2016, the Specht-module basis).
     """
+    if n < 0 or k < 0:
+        raise InputError(f"harmonic basis needs n, k >= 0 (n={n}, k={k})")
     out = []
     for top in combinations(range(n), k):
         rest = [i for i in range(n) if i not in top][:k]
@@ -257,7 +260,7 @@ def vk_basis(n: int, p, d: int, k: int) -> List[Dict[int, Scalar]]:
         for size in range(k + 1, d + 1):
             layer = {t: c / (size - k) for t, c in up(layer, n).items()}
             a = alphas.get(k, size)
-            ext.update((t, a * c) for t, c in layer.items() if scalar_sign(a * c) != 0)
+            ext.update((t, a * c) for t, c in layer.items() if a * c)
         out.append(ext)
     return out
 
@@ -281,8 +284,10 @@ class EigenSummary:
     clusters: List[EigenCluster]
 
 
-def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000,
-                  null_tol: float = 1e-7) -> EigenSummary:
+NULL_TOL = 1e-7   # float eigenvalues this close to 0 count as the null space
+
+
+def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000) -> EigenSummary:
     """Dense symmetric eigensolve; clusters grouped within 10/n of each other
     and matched to the nearest closed-form value."""
     import numpy as np   # only the eigensolve needs it; keeps `import cardcsp` light
@@ -291,10 +296,10 @@ def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000,
     size = len(labels)
     m = np.empty((size, size))
     for i, row in enumerate(matrix):
-        m[i] = [to_float(v) for v in row]
+        m[i] = [float(v) for v in row]
     eigenvalues = np.linalg.eigvalsh(m)
-    null_dim = int(np.sum(np.abs(eigenvalues) <= null_tol))
-    nonzero = sorted(float(v) for v in eigenvalues if abs(v) > null_tol)
+    null_dim = int(np.sum(np.abs(eigenvalues) <= NULL_TOL))
+    nonzero = sorted(float(v) for v in eigenvalues if abs(v) > NULL_TOL)
     gap = 10.0 / form.n
     clusters: List[EigenCluster] = []
     candidates = [float(eigenvalue_closed_form(form.d, k))
@@ -361,8 +366,7 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
         gen_sets, lambda key, i, j: _dot(generators[i], generators[j]))
     rhs = [_dot(gen, g0.coeffs) for gen in generators]
     coeffs = solve_linear_exact(gram, rhs)
-    h = MultilinearPoly(f.n, {s: c for s, c in zip(gen_sets, coeffs)
-                              if scalar_sign(c) != 0}, f.basis, f.p)
+    h = MultilinearPoly(f.n, dict(zip(gen_sets, coeffs)), f.basis, f.p)
     residual = (g0 - times_constraint(h)).without_constant()
     return ProjectionResult(h=h, residual=residual,
                             residual_norm_sq=residual.l2_norm_sq())

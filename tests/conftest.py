@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cardcsp.csp_model import Constraint, CspInstance
 from cardcsp.errors import InputError
-from cardcsp.exact import QE, as_fraction, make_qe, scalar_inverse, scalar_sign
+from cardcsp.exact import QE, as_fraction, make_qe, scalar_inverse
 from cardcsp.oracle import _revolving_door
 from cardcsp.poly import Basis, MultilinearPoly, phi_square_q, phi_values
 from cardcsp.rounding import active_bound_constant
@@ -96,7 +96,7 @@ def gauss_solve_reference(matrix, rhs):
     pivots = []
     for col in range(size):
         top = len(pivots)
-        piv = next((i for i in range(top, size) if scalar_sign(m[i][col]) != 0), None)
+        piv = next((i for i in range(top, size) if m[i][col]), None)
         if piv is None:
             continue
         m[top], m[piv] = m[piv], m[top]
@@ -108,7 +108,7 @@ def gauss_solve_reference(matrix, rhs):
                 m[i][j] = m[i][j] - factor * m[top][j]
             b[i] = b[i] - factor * b[top]
         pivots.append(col)
-    if any(scalar_sign(b[i]) != 0 for i in range(len(pivots), size)):
+    if any(b[i] for i in range(len(pivots), size)):
         raise ValueError("inconsistent linear system")
     x = [Fraction(0)] * size
     for r in range(len(pivots) - 1, -1, -1):
@@ -181,7 +181,7 @@ def null_space_vector(dist, subset):
         out[key] = out.get(key, Fraction(0)) + 1
     if s:
         out[s] = out.get(s, Fraction(0)) + len(s) * dist.q
-        if scalar_sign(out[s]) == 0:
+        if out[s] == 0:
             del out[s]
     return out
 

@@ -14,7 +14,6 @@ import pytest
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
 from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality,
                                to_polynomial)
-from cardcsp.exact import to_float
 from cardcsp.oracle import (brute_force_decision, brute_moment, brute_variance,
                             hyper_ratio, mean_restricted_variance, restriction_gap)
 from cardcsp.poly import Basis, MultilinearPoly
@@ -305,7 +304,7 @@ def test_criterion_9_restriction_statistics():
     for n in (8, 10, 12):
         p = F(1, 2)
         card = GlobalCardinality(n, p)
-        bound_const = 3 * d ** 1.5 / (to_float(p) * (1 - to_float(p)))
+        bound_const = 3 * d ** 1.5 / (float(p) * (1 - float(p)))
         produced = 0
         while produced < 50:
             f = random_poly(rng, n, d, 6, Basis.PHI, p)
@@ -315,8 +314,8 @@ def test_criterion_9_restriction_statistics():
                 continue
             produced += 1
             checked += 1
-            gap = abs(to_float(restriction_gap(g, card, 1)))
-            limit = bound_const * to_float(g.l2_norm_sq()) / n ** 0.5
+            gap = abs(float(restriction_gap(g, card, 1)))
+            limit = bound_const * float(g.l2_norm_sq()) / n ** 0.5
             if gap > limit + 1e-12:
                 gap_violations += 1
     # averaged restricted variance, exact, n <= 10

@@ -105,11 +105,18 @@ def test_cardinality_invariants():
         GlobalCardinality(4, F(0))
 
 
-@pytest.mark.parametrize("n", [-4, 0, 4.0, F(4)])
+@pytest.mark.parametrize("n", [-4, 0, 4.0, F(4), True])
 def test_cardinality_rejects_n_that_is_not_a_positive_int(n):
     # n = -4 used to build with num_negative == num_positive == -2
     with pytest.raises(InputError, match="positive integer"):
         GlobalCardinality(n, F(1, 2))
+
+
+@pytest.mark.parametrize("p", [0.5, "1/2", None])
+def test_cardinality_rejects_p_that_is_not_exact(p):
+    # p = 0.5 raised AttributeError and p = "1/2" a TypeError
+    with pytest.raises(InputError, match="is not an int or Fraction"):
+        GlobalCardinality(4, p)
 
 
 def test_to_polynomial_cut_constraint():

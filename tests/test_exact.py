@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardcsp.exact import (QE, _bareiss_div, as_fraction, fraction_str, make_qe,
-                           nearest_multiple, scalar_sign, solve_linear_exact,
+                           nearest_multiple, solve_linear_exact,
                            sqrt_scalar, sqrt_upper)
 
 from conftest import gauss_solve_reference, nullspace_reference
@@ -45,13 +45,36 @@ def test_mixed_radicands_rejected():
 
 def test_sign_and_ordering():
     s2 = sqrt_scalar(F(2))
-    assert scalar_sign(s2 - 1) == 1          # sqrt2 > 1
-    assert scalar_sign(s2 - 2) == -1         # sqrt2 < 2
+    assert (s2 - 1).sign() == 1          # sqrt2 > 1
+    assert (s2 - 2).sign() == -1         # sqrt2 < 2
     assert make_qe(3, -2, F(2)) > 0          # 3 > 2 sqrt 2
     assert make_qe(-3, 2, F(2)) < 0
     assert make_qe(-1, 1, F(2)) > 0          # sqrt2 > 1
     assert s2 > F(7, 5) and s2 < F(3, 2)
     assert abs(make_qe(0, -1, F(2))) == s2
+
+
+def test_qe_is_a_frozen_ordered_value():
+    x = make_qe(F(1, 2), F(3), F(2, 9))
+    assert isinstance(x, QE) and bool(x) is True
+    with pytest.raises(AttributeError):
+        x.a = F(0)
+    assert {x: 1}[make_qe(F(1, 2), 3, F(2, 9))] == 1
+    assert hash(x) == hash((x.a, x.b, x.r))
+    for rational in (0, 1, F(1, 2), F(-3, 7)):
+        assert x != rational and rational != x
+        assert not x == rational and not rational == x
+    with pytest.raises(ValueError, match="mixed radicands"):
+        sqrt_scalar(F(2)) < sqrt_scalar(F(3))
+    values = (F(-2), F(-1, 2), F(0), F(1, 3), F(3))
+    coeffs = (F(-3, 2), F(-1), F(1, 2), F(2))
+    for r in (F(2), F(3), F(2, 9)):
+        qes = [make_qe(a, b, r) for a in values for b in coeffs]
+        for x in qes:
+            for y in qes + list(values) + [1, -2]:
+                fx, fy = float(x), float(y)
+                assert (x < y, x <= y, x > y, x >= y) == (fx < fy, fx <= fy, fx > fy, fx >= fy)
+                assert (y < x, y <= x, y > x, y >= x) == (fy < fx, fy <= fx, fy > fx, fy >= fx)
 
 
 def test_as_fraction_guards():

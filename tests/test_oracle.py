@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
 from cardcsp.csp_model import GlobalCardinality
 from cardcsp.errors import DegenerateInput, InputError, ResourceError
-from cardcsp.exact import to_float
 from cardcsp.oracle import (_slice_pairs, brute_average, brute_force_decision,
                             brute_moment, brute_moments, brute_opt, hyper_ratio,
                             mean_restricted_variance, restriction_gap,
@@ -124,8 +123,8 @@ def test_restriction_gap_examples():
     assert restriction_gap(const, card, 1) == 0
     g = MultilinearPoly.from_subsets(n, {(2,): F(1)}, Basis.PHI, p)
     gap = restriction_gap(g, card, 1)
-    bound = 3 * 1 / (to_float(p) * (1 - to_float(p))) / n ** 0.5
-    assert abs(to_float(gap)) <= bound
+    bound = 3 * 1 / (float(p) * (1 - float(p))) / n ** 0.5
+    assert abs(float(gap)) <= bound
 
 
 def test_restriction_gap_requires_independence():
@@ -147,9 +146,9 @@ def test_restriction_gap_scaling(rng):
             g = MultilinearPoly.from_subsets(n, coeffs, Basis.PHI, p)
             if not g.coeffs:
                 continue
-            gap = abs(to_float(restriction_gap(g, card, 1)))
-            bound = 3 * d ** 1.5 / (to_float(p) * (1 - to_float(p)))
-            assert gap * n ** 0.5 <= bound * to_float(g.l2_norm_sq()) + 1e-12
+            gap = abs(float(restriction_gap(g, card, 1)))
+            bound = 3 * d ** 1.5 / (float(p) * (1 - float(p)))
+            assert gap * n ** 0.5 <= bound * float(g.l2_norm_sq()) + 1e-12
 
 
 def test_mean_restricted_variance_inequality(rng):

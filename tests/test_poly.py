@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardcsp.errors import InputError
-from cardcsp.exact import QE, make_qe, to_float
+from cardcsp.exact import QE, make_qe
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
                           times_constraint, up)
 
@@ -15,6 +15,13 @@ from conftest import (basis_polys, constraint_poly, convert_basis_reference,
                       restrict_reference)
 
 BIASES = (F(1, 2), F(1, 3), F(1, 4))
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", None])
+def test_coefficients_must_be_exact_scalars(value):
+    # a float coefficient used to be stored and fail later in the moments
+    with pytest.raises(InputError, match="is not an int, Fraction or QE"):
+        MultilinearPoly(4, {1: value})
 
 
 def cut_poly(n=2):
@@ -68,7 +75,7 @@ def test_multiply_phi_third_gives_q_term():
     assert sq.coefficient(()) == 1
     assert sq.coefficient((1,)) == q
     # q = (2p-1)/sqrt(p(1-p)) = -1/sqrt(2)
-    assert q * q == F(1, 2) and to_float(q) < 0
+    assert q * q == F(1, 2) and float(q) < 0
 
 
 def test_multiply_basis_mismatch():

@@ -16,6 +16,7 @@ from cardcsp.rounding import (_WeightSolve, _best_candidate, _beta_weights,
                               active_bound_constant, active_variables,
                               gamma_denominator, gamma_ladder, reconstruct_h,
                               round_bisection, round_global)
+from cardcsp.solver import kernelize
 from cardcsp.spectra import project_null
 
 from conftest import (beta_weights_reference, constraint_poly, csp_instances,
@@ -341,6 +342,28 @@ def test_round_global_rejects_nonpositive_gamma():
     for gamma in (F(0), F(-1, 4)):
         with pytest.raises(InputError, match="gamma must be positive"):
             round_global(f, dist, gamma, allow_large_variance=True)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("reached past the gamma check")
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.1, True])
+@pytest.mark.parametrize("step", ["round_bisection", "round_global", "kernelize"])
+def test_gamma_must_be_exact(monkeypatch, step, gamma):
+    # round_global(..., 0.1) ran with gamma = 3602879701896397/36028797018963968;
+    # kernelize checks gamma before its projection starts
+    monkeypatch.setattr("cardcsp.solver.project_null", _fail)
+    f = mono(8, (1, 2), F(1, 4))
+    calls = {
+        "round_bisection": lambda: round_bisection(f, MultilinearPoly.zero(8), gamma,
+                                                   allow_large_residual=True),
+        "round_global": lambda: round_global(f, CardinalDist(8, F(1, 4)), gamma,
+                                             allow_large_variance=True),
+        "kernelize": lambda: kernelize(f, CardinalDist(8, F(1, 2)), gamma, 2, 2000),
+    }
+    with pytest.raises(InputError, match="is not an int or Fraction"):
+        calls[step]()
 
 
 def test_round_global_rejects_negative_variance_and_degree():

@@ -294,6 +294,13 @@ def test_config_rejects_negative_caps():
             parse_config(f"{key} = -1")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("enum_cap", 1.5), ("kernel_cap", True), ("dense_cap", 2000.0), ("p0", 0.1)])
+def test_config_rejects_inexact_values(field, value):
+    with pytest.raises(InputError, match=f"{field} = .* is not a"):
+        SolverConfig(**{field: value})
+
+
 def test_config_rejects_p0_outside_open_half_interval():
     for p0 in (F(0), F(-1, 10), F(1, 2), F(3, 5)):
         with pytest.raises(InputError):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,6 @@ import cardcsp
 from cardcsp.cardinal_dist import CardinalDist
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, ResourceError
-from cardcsp.exact import scalar_sign, to_float
 from cardcsp.oracle import brute_moment, brute_variance
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, subset_of,
                           up)
@@ -49,14 +49,14 @@ def test_alpha_recurrence_exact():
             prev = table.get(k, k + i - 1) if i >= 1 else F(0)
             lhs = i * prev + (k + i) * dist.q * table.get(k, k + i) \
                 + (n - 2 * k - i) * table.get(k, k + i + 1)
-            assert scalar_sign(lhs) == 0
+            assert lhs == 0
 
 
 def test_alpha_second_order_approximation():
     for n in (50, 100, 200):
         table = alpha_table(n, F(1, 4), 4)
         for k in range(3):
-            err = to_float(table.get(k, k + 2)) + 1.0 / (n - 2 * k - 1)
+            err = float(table.get(k, k + 2)) + 1.0 / (n - 2 * k - 1)
             assert abs(err) <= 10.0 / n ** 2
 
 
@@ -68,13 +68,24 @@ def test_alpha_asymptotics():
         for k in (0, 1):
             for i in (1, 2):
                 approx = (-1) ** i * dfact[i] / n ** i
-                err = abs(to_float(table.get(k, k + 2 * i)) - approx)
+                err = abs(float(table.get(k, k + 2 * i)) - approx)
                 assert err <= 60.0 / n ** (i + 1), (n, k, i, err)
 
 
 def test_alpha_requires_large_n():
     with pytest.raises(InputError):
         alpha_table(6, F(1, 2), 3)
+
+
+@pytest.mark.parametrize("build", [lambda: harmonic_basis(5, -1),
+                                   lambda: harmonic_basis(-1, 0),
+                                   lambda: alpha_table(10, F(1, 2), -1)],
+                         ids=["harmonic-k", "harmonic-n", "alpha-d"])
+def test_negative_sizes_are_input_errors(build):
+    # harmonic_basis(5, -1) raised a bare ValueError from itertools and
+    # alpha_table(10, 1/2, -1) returned an empty table
+    with pytest.raises(InputError, match=">= 0"):
+        build()
 
 
 def test_build_dense_singleton_block():
@@ -93,7 +104,7 @@ def test_quadratic_form_on_constraint_function():
     n = 6
     form = SetSymmetricForm(n=n, d=1, p=F(1, 2), kind="A")
     f = constraint_poly(n, Basis.PHI, F(1, 2))
-    assert scalar_sign(quadratic_form_value(form, f)) == 0
+    assert quadratic_form_value(form, f) == 0
 
 
 def test_quadratic_forms_match_brute(rng):
@@ -238,7 +249,7 @@ def test_vk_spaces_mutually_orthogonal():
             for k in range(j + 1, d + 1):
                 for u in spaces[j][:3]:
                     for v in spaces[k][:3]:
-                        assert scalar_sign(_dot(u, v)) == 0
+                        assert _dot(u, v) == 0
 
 
 def test_null_space_certification_exact():
@@ -255,7 +266,7 @@ def test_null_space_certification_exact():
                 dense[idx[t]] = c
             for i in range(len(labels)):
                 image = sum((m[i][j] * dense[j] for j in range(len(labels))), F(0))
-                assert scalar_sign(image) == 0, (p, s, labels[i])
+                assert image == 0, (p, s, labels[i])
 
 
 def test_eigen_summary_small_bisection():
@@ -296,7 +307,7 @@ def test_eigenvalue_convergence_rate():
     d, k = 2, 1
     cs = []
     for n in (20, 40, 80):
-        exact = to_float(vk_eigenvalue_exact(n, F(1, 2), d, k))
+        exact = float(vk_eigenvalue_exact(n, F(1, 2), d, k))
         closed = float(eigenvalue_closed_form(d, k))
         cs.append(abs(exact - closed) * n)
     assert max(cs) <= 10.0, cs
@@ -361,7 +372,7 @@ def test_projection_orthogonality_and_idempotence(rng):
         for s in subsets_upto(n, f.degree_bound - 1):
             gen = null_space_vector(dist, subset_of(s))
             gen.pop((), None)
-            assert scalar_sign(_dot(gen, dict(pr.residual.items_sorted()))) == 0
+            assert _dot(gen, dict(pr.residual.items_sorted())) == 0
         again = project_null(pr.residual, dist)
         assert again.h.coeffs == {}
         assert again.residual == pr.residual
@@ -382,7 +393,7 @@ def _project_null_reference(f, dist):
     rhs = [_dot(a, dict(g0.items_sorted())) for a in generators]
     coeffs = gauss_solve_reference(gram, rhs)
     h = MultilinearPoly.from_subsets(f.n, {s: c for s, c in zip(gen_sets, coeffs)
-                                           if scalar_sign(c) != 0}, f.basis, f.p)
+                                           if c}, f.basis, f.p)
     residual = (g0 - constraint_poly(f.n, f.basis, f.p) * h).without_constant()
     return h, residual
 
@@ -424,6 +435,23 @@ def test_import_cardcsp_leaves_numpy_unloaded():
 def test_set_symmetric_form_rejects_negative_degree():
     with pytest.raises(InputError, match="d must be nonnegative"):
         SetSymmetricForm(n=6, d=-1, p=F(1, 2), kind="A")
+
+
+def test_form_reads_its_own_slice():
+    # a dist for another slice used to be accepted: 608/441 for this f at
+    # n = 6, p = 1/2 with CardinalDist(8, 1/4), against 36/25 on its own slice
+    f = MultilinearPoly.from_subsets(6, {(1, 2): F(1), (1, 3): F(1)})
+    with pytest.raises(TypeError):
+        SetSymmetricForm(6, 2, F(1, 2), "B", dist=CardinalDist(8, F(1, 4)))
+    form = SetSymmetricForm(6, 2, F(1, 2), "B")
+    assert (form.dist.n, form.dist.p) == (6, F(1, 2))
+    assert quadratic_form_value(form, f) == F(36, 25)
+
+
+def test_all_lists_no_module():
+    assert cardcsp.__all__
+    for name in cardcsp.__all__:
+        assert not isinstance(getattr(cardcsp, name), types.ModuleType), name
 
 
 def test_projection_and_form_reject_mismatched_sizes():
