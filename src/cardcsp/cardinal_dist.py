@@ -31,14 +31,15 @@ from typing import List, Tuple
 from .csp_model import GlobalCardinality
 from .errors import InputError
 from .exact import Scalar
-from .poly import Assignment, Basis, MultilinearPoly, int_numerators, phi_square_q
+from .poly import (Assignment, Basis, MultilinearPoly, exact_bias, int_numerators,
+                   phi_square_q)
 
 
 class CardinalDist:
     """D_p with cached moment sequences; immutable after construction."""
 
     def __init__(self, n: int, p):
-        p = Fraction(p)
+        p = exact_bias(p)
         self.card = GlobalCardinality(n=n, p=p)
         self.n = n
         self.p = p

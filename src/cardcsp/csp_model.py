@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import InputError, ParseError
-from .poly import Assignment, Basis, MultilinearPoly, check_assignment
+from .poly import Assignment, Basis, MultilinearPoly, check_assignment, exact_bias
 
 Pattern = Tuple[int, ...]
 
@@ -55,10 +55,7 @@ class GlobalCardinality:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InputError(f"n = {self.n!r} is not a positive integer")
-        if not isinstance(self.p, (int, Fraction)):
-            raise InputError(f"p = {self.p!r} is not an int or Fraction")
-        if not 0 < self.p < 1:
-            raise InputError("p must lie in (0,1)")
+        exact_bias(self.p)
         if (self.p * self.n).denominator != 1:
             raise InputError(f"p*n = {self.p * self.n} is not an integer")
 

@@ -38,6 +38,16 @@ class Basis(Enum):
     PHI = "phi"
 
 
+def exact_bias(p) -> Fraction:
+    """The bias p as a Fraction in (0, 1); InputError, naming p, for a
+    float, bool or any other value that is not an int or Fraction."""
+    if not isinstance(p, (int, Fraction)) or isinstance(p, bool):
+        raise InputError(f"p = {p!r} is not an int or Fraction")
+    if not 0 < p < 1:
+        raise InputError("p must lie in (0,1)")
+    return Fraction(p)
+
+
 def check_assignment(a: Assignment, n: int) -> None:
     if len(a) != n:
         raise InputError(f"assignment length {len(a)} != n = {n}")
@@ -57,9 +67,7 @@ class MultilinearPoly:
         if basis is Basis.PHI:
             if p is None:
                 raise InputError("phi basis requires the bias parameter p")
-            p = Fraction(p)
-            if not 0 < p < 1:
-                raise InputError("p must lie in (0,1)")
+            p = exact_bias(p)
         else:
             p = None
         top = 1 << n
@@ -245,9 +253,9 @@ def convert_basis(f: MultilinearPoly, target: Basis, p=None) -> MultilinearPoly:
         raise InputError("target basis equals the current basis")
     if target is Basis.CHI:
         p = f.p
-    elif p is None or not 0 < Fraction(p) < 1:
+    elif p is None:
         raise InputError("chi -> phi conversion requires p in (0,1)")
-    p = Fraction(p)
+    p = exact_bias(p)
     src_pos, src_neg, _ = basis_constants(f.basis, p)
     dst_pos, dst_neg, _ = basis_constants(target, p)
     # b_i = lin*b'_i + shift, solved from both bases' values at x_i = +-1;

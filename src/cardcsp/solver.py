@@ -191,16 +191,17 @@ def kernelize(f: MultilinearPoly, dist: CardinalDist, gamma, d: int,
               dense_cap: int, variance: Optional[Fraction] = None
               ) -> Tuple[RoundingOutcome, Fraction]:
     """The kernel step of decide and `cardcsp kernel`: at p = 1/2, check
-    project_null's Gram dimension sum_{k < deg f} C(n, k) against dense_cap
-    (ResourceError, payload f, before any work), project and round_bisection;
-    otherwise round_global.  Returns the outcome and the base correction
-    that the reduced polynomial drops: fhat(0) at p = 1/2, else 0."""
+    project_null's unknowns sum_{k < deg f} C(n, k), the size of its tables
+    on levels < deg f, against dense_cap (ResourceError, payload f, before
+    any work), project and round_bisection; otherwise round_global.
+    Returns the outcome and the base correction that the reduced
+    polynomial drops: fhat(0) at p = 1/2, else 0."""
     gamma = check_gamma(gamma)
     if dist.p == Fraction(1, 2):
-        gram_dim = sum(comb(f.n, k) for k in range(f.degree_bound))
-        if gram_dim > dense_cap:
+        unknowns = sum(comb(f.n, k) for k in range(f.degree_bound))
+        if unknowns > dense_cap:
             raise ResourceError(
-                f"projection Gram dimension {gram_dim} exceeds dense cap "
+                f"projection with {unknowns} unknowns exceeds dense cap "
                 f"{dense_cap}", payload=f)
         proj = project_null(f, dist, mode="exact")
         return (round_bisection(f, proj.h, gamma, d=d, allow_large_residual=True),

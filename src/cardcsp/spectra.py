@@ -10,10 +10,13 @@ depends only on (|S|, |T|, |S^T|).  Two entry conventions are supported:
 
 They coincide at p = 1/2.  The exact form is authoritative: its null space
 is exactly span{(sum_i phi_i) phi_S : |S| <= d-1} because the constraint
-polynomial vanishes on the support.  Each generator (in table form) and the
-projection's reduction by (sum_i phi_i) h are poly.times_constraint.  The
-variance form subtracts delta_{|S|} * delta_{|T|} and drops the empty-set
-row/column.
+polynomial vanishes on the support.  The variance form subtracts
+delta_{|S|} * delta_{|T|} and drops the empty-set row/column.
+
+The projection onto that null space builds no Gram matrix.  Its Gram
+operator (two poly.times_constraint_table passes) commutes with S_n, so one
+small closed-form block per harmonic weight gives a polynomial that
+annihilates it, and the normal equations are solved by that polynomial.
 
 Eigenvectors are built from harmonic weight-k coefficient vectors
 (sum_{j not in T} fhat(T u j) = 0 for all |T| = k-1) extended upward by the
@@ -36,9 +39,9 @@ from typing import Dict, List, Tuple
 
 from .cardinal_dist import CardinalDist, extend_slice_sequence
 from .errors import InputError, ResourceError
-from .exact import Scalar, solve_linear_exact
-from .poly import (Basis, MultilinearPoly, phi_square_q, times_constraint,
-                   times_constraint_table, up)
+from .exact import Scalar, _over_common_denominator, scalar_inverse
+from .poly import (Basis, MultilinearPoly, exact_bias, phi_square_q,
+                   times_constraint, times_constraint_table, up)
 
 
 def subsets_upto(n: int, d: int, include_empty: bool = True) -> List[int]:
@@ -75,7 +78,7 @@ def alpha_table(n: int, p, d: int) -> AlphaTable:
         raise InputError(f"alpha table needs d >= 0 (d={d})")
     if n <= 2 * d:
         raise InputError(f"alpha table needs n > 2d (n={n}, d={d})")
-    p = Fraction(p)
+    p = exact_bias(p)
     q = phi_square_q(p)
     values: Dict[Tuple[int, int], Scalar] = {}
     for k in range(d + 1):
@@ -105,7 +108,7 @@ class SetSymmetricForm:
             raise InputError("kind must be 'A' or 'B'")
         if self.d < 0:
             raise InputError("d must be nonnegative")
-        self.p = Fraction(self.p)
+        self.p = exact_bias(self.p)
         self.dist = CardinalDist(self.n, self.p)
 
     def entry(self, s: int, t: int, c: int) -> Scalar:
@@ -121,9 +124,8 @@ class SetSymmetricForm:
 
 
 def _set_symmetric_matrix(labels: List[int], value) -> List[List[Scalar]]:
-    """Symmetric matrix over bitmask labels whose (S, T) entry depends only
-    on key = (|S|, |T|, |S^T|): value(key, i, j) runs once per key, at the
-    first pair (i <= j) that has it."""
+    """Symmetric matrix over bitmask labels whose (S, T) entry is
+    value(|S|, |T|, |S^T|), called once per distinct triple."""
     table: Dict[Tuple[int, int, int], Scalar] = {}
     size = len(labels)
     matrix = [[None] * size for _ in range(size)]
@@ -135,7 +137,7 @@ def _set_symmetric_matrix(labels: List[int], value) -> List[List[Scalar]]:
             key = (li, labels[j].bit_count(), (si & labels[j]).bit_count())
             val = table.get(key)
             if val is None:
-                val = table[key] = value(key, i, j)
+                val = table[key] = value(*key)
             row[j] = val
             matrix[j][i] = val
     return matrix
@@ -148,7 +150,7 @@ def build_dense(form: SetSymmetricForm, dense_cap: int = 2000):
     size = len(labels)
     if size > dense_cap:
         raise ResourceError(f"dense form of dimension {size} exceeds cap {dense_cap}")
-    return labels, _set_symmetric_matrix(labels, lambda key, i, j: form.entry(*key))
+    return labels, _set_symmetric_matrix(labels, form.entry)
 
 
 def quadratic_form_value(form: SetSymmetricForm, f: MultilinearPoly) -> Scalar:
@@ -337,11 +339,14 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
 
     Returns the generator coefficients h and the orthogonal residual
     f - fhat(0) - c* - (sum_i phi_i) h, where the constant c* absorbs the
-    empty-set component (the residual has no constant term).  Equivalently:
-    the generators are projected with their empty-set coordinate dropped.
-    The residual is orthogonal to 1 and to every generator, exactly: the
-    Gram system is solved in exact arithmetic (the only mode is "exact").
-    Chi input is accepted at p = 1/2 where the bases coincide.
+    empty-set component (the residual has no constant term).  h solves the
+    normal equations G h = b exactly (the only mode is "exact"): G is A,
+    then drop the constant, then A cut to levels < deg f, with A the
+    constraint product times_constraint_table, and b is A g_0 cut the same
+    way.  No Gram matrix is built: with s from _gram_annihilator,
+    h = -(1/s_0) sum_{k>=1} s_k G^{k-1} b.  Where G is singular (only if
+    n <= 2 deg f - 2, when a harmonic ladder ends below level deg f) that
+    is the minimum-norm h; the residual is unique either way.  Chi input is accepted at p = 1/2 where the bases coincide.
     """
     if mode != "exact":
         raise InputError("mode must be 'exact'")
@@ -349,36 +354,93 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
         raise InputError("f's variable count or bias differs from dist's")
     if f.basis is not Basis.PHI and dist.p != Fraction(1, 2):
         raise InputError("projection needs the phi basis for p != 1/2")
-    d = f.degree_bound
+    n, d = f.n, f.degree_bound
     g0 = f.without_constant()
     if d == 0:
-        zero = MultilinearPoly.zero(f.n, f.basis, f.p)
+        zero = MultilinearPoly.zero(n, f.basis, f.p)
         return ProjectionResult(h=zero, residual=zero, residual_norm_sq=Fraction(0))
-    gen_sets = subsets_upto(f.n, d - 1)
-    generators = []
-    for s in gen_sets:
-        gen = times_constraint_table({s: 1}, f.n, dist.q)
-        gen.pop(0, None)    # the constant direction is spanned separately
-        generators.append(gen)
-    # The generators are permutation-equivariant, so the Gram matrix is
-    # set-symmetric: one _dot per (|S|, |T|, |S^T|).
-    gram = _set_symmetric_matrix(
-        gen_sets, lambda key, i, j: _dot(generators[i], generators[j]))
-    rhs = [_dot(gen, g0.coeffs) for gen in generators]
-    coeffs = solve_linear_exact(gram, rhs)
-    h = MultilinearPoly(f.n, dict(zip(gen_sets, coeffs)), f.basis, f.p)
+    q = dist.q or 0     # an int 0 at p = 1/2 keeps int tables int
+    den, table = _over_ints(g0.coeffs.values())
+    b = _below(times_constraint_table(dict(zip(g0.coeffs, table)), n, q), d)
+    s = _gram_annihilator(n, d, q)
+    y: Dict[int, Scalar] = {}
+    for coeff in reversed(s[1:]):   # Horner: y = sum_{k>=1} s_k G^{k-1} b
+        image = times_constraint_table(y, n, q)
+        image.pop(0, None)
+        y = _below(times_constraint_table(image, n, q), d)
+        for mask, c in b.items():
+            y[mask] = y[mask] + coeff * c if mask in y else coeff * c
+    scale = scalar_inverse(-s[0] * den)
+    h = MultilinearPoly(n, {mask: c * scale for mask, c in y.items()}, f.basis, f.p)
     residual = (g0 - times_constraint(h)).without_constant()
     return ProjectionResult(h=h, residual=residual,
                             residual_norm_sq=residual.l2_norm_sq())
 
 
-def _dot(vec: dict, other: dict) -> Scalar:
-    if len(other) < len(vec):
-        vec, other = other, vec
-    total: Scalar = Fraction(0)
-    for s, c in vec.items():
-        oc = other.get(s)
-        if oc is not None:
-            total = total + c * oc
-    return total
+def _below(table: Dict[int, Scalar], d: int) -> Dict[int, Scalar]:
+    """The entries of table on levels < d."""
+    return {mask: c for mask, c in table.items() if mask.bit_count() < d}
 
+
+def _over_ints(values) -> Tuple[int, List[Scalar]]:
+    """(den, nums) with values == nums / den over ints when every value is
+    rational, else (1, values)."""
+    values = list(values)
+    try:
+        return _over_common_denominator(values)
+    except ValueError:
+        return 1, values
+
+
+def _gram_annihilator(n: int, d: int, q: Scalar) -> List[Scalar]:
+    """Coefficients s_0 .. s_D (low to high, s_0 != 0) of a polynomial with
+    G s(G) = 0 for project_null's Gram operator G on levels < d.
+
+    G commutes with S_n, so it keeps each ladder U^i v (i < d-j) of a
+    harmonic v of weight j < d (down v = 0), and there A is tridiagonal:
+    A U^i v = U^{i+1} v + i(n-2j-i+1) U^{i-1} v + q(j+i) U^i v, by the sl_2
+    relation down U^i v = i(n-2j-i+1) U^{i-1} v (Proctor 1982).  Block K_j
+    is A, then P_0 (level 0 is the i = 0 row of weight 0), then A, cut to
+    i < d-j.  The product of det(x - K_j) annihilates G (a ladder that
+    ends early, U^i v = 0, only adds roots).  Its x factors are stripped:
+    G is symmetric, so G s(G) = 0 still holds."""
+    m: List[Scalar] = [1]
+    for j in range(d):
+        size = d - j
+        ladder = [[0] * (size + 1) for _ in range(size + 1)]
+        for i in range(size + 1):
+            ladder[i][i] = q * (j + i)
+            if i < size:
+                ladder[i + 1][i] = 1
+            if i:
+                ladder[i - 1][i] = i * (n - 2 * j - i + 1)
+        kept = range(1 if j == 0 else 0, size + 1)
+        block = [[sum(ladder[a][k] * ladder[k][c] for k in kept) for c in range(size)]
+                 for a in range(size)]
+        m = _poly_mul(m, _charpoly(block))
+    while not m[0]:
+        m.pop(0)
+    return _over_ints(m)[1]
+
+
+def _charpoly(m: List[List[Scalar]]) -> List[Scalar]:
+    """det(x I - m), coefficients low to high (Faddeev-LeVerrier):
+    M_k = m M_{k-1} + c_{size-k+1} I and c_{size-k} = -tr(m M_k) / k."""
+    size = len(m)
+    coeffs: List[Scalar] = [0] * size + [1]
+    acc = [[0] * size for _ in range(size)]
+    for k in range(1, size + 1):
+        acc = [[sum(m[i][l] * acc[l][c] for l in range(size))
+                + (coeffs[size - k + 1] if i == c else 0) for c in range(size)]
+               for i in range(size)]
+        trace = sum(m[i][l] * acc[l][i] for i in range(size) for l in range(size))
+        coeffs[size - k] = -trace * Fraction(1, k)
+    return coeffs
+
+
+def _poly_mul(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
+    out: List[Scalar] = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] = out[i + k] + x * y
+    return out

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 import random
 
 import pytest
@@ -86,10 +86,16 @@ def rng():
     return random.Random(20240817)
 
 
+def dot(vec: dict, other: dict):
+    """sum_S vec[S] * other[S] over the keys the two tables share."""
+    return sum((c * other[s] for s, c in vec.items() if s in other), Fraction(0))
+
+
 def gauss_solve_reference(matrix, rhs):
-    """The Gaussian elimination solve_linear_exact replaced: Fraction/QE
-    arithmetic throughout, the first nonzero pivot at or below the current
-    row, pivot-free unknowns set to 0, ValueError when inconsistent."""
+    """Gaussian elimination on a square system, the reference for the
+    projection's normal equations: Fraction/QE arithmetic throughout, the
+    first nonzero pivot at or below the current row, pivot-free unknowns
+    set to 0, ValueError when inconsistent."""
     m = [row[:] for row in matrix]
     b = list(rhs)
     size = len(m)
@@ -121,11 +127,10 @@ def gauss_solve_reference(matrix, rhs):
 
 
 def nullspace_reference(matrix, ncols: int):
-    """The Gauss-Jordan null space spectra.harmonic_basis solved before its
-    closed form: a basis of the right null space of a rational matrix (list
-    of rows), one coordinate vector (list of Fractions) per free column
-    after row reduction, in increasing free-column order."""
-    m = [[Fraction(v) for v in row] for row in matrix]
+    """Gauss-Jordan null space: a basis of the right null space of a matrix
+    (list of rows) over Q or Q[sqrt(r)], one coordinate vector per free
+    column after row reduction, in increasing free-column order."""
+    m = [[v if isinstance(v, QE) else Fraction(v) for v in row] for row in matrix]
     nrows = len(m)
     pivots = []  # (row, col)
     row = 0
@@ -134,7 +139,7 @@ def nullspace_reference(matrix, ncols: int):
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        inv = Fraction(1) / m[row][col]
+        inv = scalar_inverse(m[row][col])
         m[row] = [v * inv for v in m[row]]
         for i in range(nrows):
             if i != row and m[i][col] != 0:
@@ -155,6 +160,29 @@ def nullspace_reference(matrix, ncols: int):
             vec[c] = -m[r][free]
         basis.append(vec)
     return basis
+
+
+def rank_reference(rows) -> int:
+    """Rank of an int matrix (list of rows) by fraction-free elimination:
+    row_i <- pivot * row_i - factor * row_top, each row then divided by the
+    gcd of its entries, so every entry stays a small int."""
+    m = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        pivot = top[col]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col]
+            if factor:
+                row = [pivot * a - factor * b for a, b in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

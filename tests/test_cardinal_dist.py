@@ -321,3 +321,11 @@ def test_chi_variance_rejects_irrational_coefficient():
     f = MultilinearPoly.from_subsets(4, {(1,): sqrt_scalar(F(2)), (2, 3): F(1)})
     with pytest.raises(InputError, match="rational"):
         chi_variance(f, CardinalDist(4, F(1, 2)))
+
+
+@pytest.mark.parametrize("n, p", [(8, 0.25), (10, 0.1)])
+def test_cardinal_dist_rejects_float_p(n, p):
+    # (8, 0.25) used to build the slice at p = 1/4, and (10, 0.1) failed
+    # with "p*n = 18014398509481985/18014398509481984 is not an integer"
+    with pytest.raises(InputError, match=f"p = {p} is not an int or Fraction"):
+        CardinalDist(n, p)

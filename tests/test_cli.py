@@ -128,7 +128,7 @@ def _must_not_run(*args, **kwargs):
 
 def test_kernel_checks_dense_cap_before_projection(capsys, tmp_path, monkeypatch):
     import cardcsp.solver as solver
-    # a 10-vertex path at p = 1/2: degree 2, Gram dimension C(10,0) + C(10,1) = 11
+    # a 10-vertex path at p = 1/2: degree 2, projection unknowns C(10,0) + C(10,1) = 11
     path = tmp_path / "p10.csp"
     path.write_text("csp 10 9 2 1/2\n" + "".join(
         f"c 2 {i} {i + 1}\ns +1 -1\ns -1 +1\n" for i in range(1, 10)))

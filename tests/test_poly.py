@@ -338,3 +338,11 @@ def test_qe_scalar_acts_as_a_scalar():
     constant = MultilinearPoly.constant(4, q, Basis.PHI, p)
     assert f + q == f + constant
     assert f - q == f - constant
+
+
+def test_phi_polynomial_rejects_float_p():
+    # 0.25 used to build a phi polynomial at p = 1/4
+    with pytest.raises(InputError, match="p = 0.25 is not an int or Fraction"):
+        MultilinearPoly(3, {1: F(1)}, Basis.PHI, 0.25)
+    with pytest.raises(InputError, match="p = 0.25 is not an int or Fraction"):
+        convert_basis(MultilinearPoly(3, {1: F(1)}), Basis.PHI, 0.25)

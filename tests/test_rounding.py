@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
-from cardcsp.exact import _bareiss_div, make_qe
+from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, int_numerators
 from cardcsp.rounding import (_WeightSolve, _best_candidate, _beta_weights,
@@ -408,7 +408,9 @@ def test_beta_closed_form_matches_recurrence():
     for big_d in range(2, 11):
         betas = [factorial(big_d - 2)]
         for i in range(1, big_d - 1):
-            betas.append(_bareiss_div(-i * betas[-1], big_d - i - 1))
+            quo, rem = divmod(-i * betas[-1], big_d - i - 1)
+            assert rem == 0, (big_d, i)
+            betas.append(quo)
         closed = _beta_weights(big_d)
         assert all(type(b) is int for b in closed)
         assert closed == betas == beta_weights_reference(big_d)[1:]

@@ -270,7 +270,7 @@ def test_decide_enum_cap_checked_before_enumeration(monkeypatch):
 
 
 def test_decide_dense_cap_checked_before_projection(monkeypatch):
-    inst = path_graph(10)  # degree 2: Gram dimension C(10,0) + C(10,1) = 11
+    inst = path_graph(10)  # degree 2: projection unknowns C(10,0) + C(10,1) = 11
     card = GlobalCardinality(10, F(1, 2))
     monkeypatch.setattr(solver, "project_null", _must_not_run)
     with pytest.raises(ResourceError) as err:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,14 +17,15 @@ from cardcsp.errors import InputError, ResourceError
 from cardcsp.oracle import brute_moment, brute_variance
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, subset_of,
                           up)
-from cardcsp.spectra import (SetSymmetricForm, _dot, alpha_table, build_dense,
+from cardcsp import spectra
+from cardcsp.spectra import (SetSymmetricForm, alpha_table, build_dense,
                              eigen_summary, eigenvalue_closed_form,
                              harmonic_basis, project_null, quadratic_form_value,
                              subsets_upto, vk_basis, vk_eigenvalue_exact)
 
-from conftest import (constraint_poly, csp_instances, gauss_solve_reference,
+from conftest import (constraint_poly, csp_instances, dot, gauss_solve_reference,
                       graph_instance, null_space_vector, nullspace_reference,
-                      random_poly)
+                      random_instance, random_poly, rank_reference)
 
 
 def test_alpha_zero_at_half():
@@ -75,6 +77,17 @@ def test_alpha_asymptotics():
 def test_alpha_requires_large_n():
     with pytest.raises(InputError):
         alpha_table(6, F(1, 2), 3)
+
+
+def test_alpha_table_rejects_float_p():
+    # 0.25 used to build the table for p = 1/4
+    with pytest.raises(InputError, match="p = 0.25 is not an int or Fraction"):
+        alpha_table(10, 0.25, 2)
+
+
+def test_vk_eigenvalue_rejects_float_p():
+    with pytest.raises(InputError, match="p = 0.25 is not an int or Fraction"):
+        vk_eigenvalue_exact(8, 0.25, 2, 1)
 
 
 @pytest.mark.parametrize("build", [lambda: harmonic_basis(5, -1),
@@ -182,7 +195,7 @@ def test_harmonic_basis_spans_the_up_row_null_space():
     for n in range(11):
         for k in range(n + 2):
             cols, rows = _up_rows(n, k)
-            reference = nullspace_reference(rows, len(cols))
+            null_dim = len(cols) - rank_reference(rows)
             basis = harmonic_basis(n, k)
             supports = [[(i, a) for i, a in enumerate(row) if a] for row in rows]
             for vec in basis:
@@ -191,7 +204,7 @@ def test_harmonic_basis_spans_the_up_row_null_space():
                     assert sum(a * dense[i] for i, a in support) == 0, (n, k)
             # inside the null space, independent (distinct largest masks),
             # and as many as the reference's dimension
-            assert len({max(vec) for vec in basis}) == len(basis) == len(reference), (n, k)
+            assert len({max(vec) for vec in basis}) == len(basis) == null_dim, (n, k)
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -249,7 +262,7 @@ def test_vk_spaces_mutually_orthogonal():
             for k in range(j + 1, d + 1):
                 for u in spaces[j][:3]:
                     for v in spaces[k][:3]:
-                        assert _dot(u, v) == 0
+                        assert dot(u, v) == 0
 
 
 def test_null_space_certification_exact():
@@ -372,7 +385,7 @@ def test_projection_orthogonality_and_idempotence(rng):
         for s in subsets_upto(n, f.degree_bound - 1):
             gen = null_space_vector(dist, subset_of(s))
             gen.pop((), None)
-            assert _dot(gen, dict(pr.residual.items_sorted())) == 0
+            assert dot(gen, dict(pr.residual.items_sorted())) == 0
         again = project_null(pr.residual, dist)
         assert again.h.coeffs == {}
         assert again.residual == pr.residual
@@ -380,8 +393,10 @@ def test_projection_orthogonality_and_idempotence(rng):
 
 
 def _project_null_reference(f, dist):
-    """(h, residual) as project_null computed them before the set-symmetric
-    table: one _dot per Gram entry and Gaussian elimination."""
+    """(h, residual) from the dense normal equations: one dot per Gram
+    entry, Gaussian elimination, and, where the Gram matrix is singular,
+    the exact projection of that solution off its null space, so h is the
+    minimum-norm solution."""
     g0 = f.without_constant()
     gen_sets = [subset_of(s) for s in subsets_upto(f.n, f.degree_bound - 1)]
     generators = []
@@ -389,9 +404,15 @@ def _project_null_reference(f, dist):
         vec = null_space_vector(dist, s)
         vec.pop((), None)
         generators.append(vec)
-    gram = [[_dot(a, b) for b in generators] for a in generators]
-    rhs = [_dot(a, dict(g0.items_sorted())) for a in generators]
+    gram = [[dot(a, b) for b in generators] for a in generators]
+    rhs = [dot(a, dict(g0.items_sorted())) for a in generators]
     coeffs = gauss_solve_reference(gram, rhs)
+    null = [dict(enumerate(vec)) for vec in nullspace_reference(gram, len(gram))]
+    if null:
+        weights = gauss_solve_reference([[dot(u, v) for v in null] for u in null],
+                                        [dot(u, dict(enumerate(coeffs))) for u in null])
+        for w, vec in zip(weights, null):
+            coeffs = [c - w * vec[i] for i, c in enumerate(coeffs)]
     h = MultilinearPoly.from_subsets(f.n, {s: c for s, c in zip(gen_sets, coeffs)
                                            if c}, f.basis, f.p)
     residual = (g0 - constraint_poly(f.n, f.basis, f.p) * h).without_constant()
@@ -420,6 +441,63 @@ def test_project_null_matches_per_entry_gram_reference(case):
     assert pr.h == h
     assert pr.residual == residual
     assert pr.residual_norm_sq == residual.l2_norm_sq()
+
+
+@st.composite
+def random_projection_cases(draw):
+    """A polynomial with random rational coefficients, degree 1..3, n <= 10:
+    chi at p = 1/2, phi at p = 1/3.  The Gram matrix is singular at
+    n = 2, d = 2 and n = 4, d = 3 (p = 1/2) and at n = 3, d = 3 (p = 1/3)."""
+    p = draw(st.sampled_from((F(1, 2), F(1, 3))))
+    n = p.denominator * draw(st.integers(1, 10 // p.denominator))
+    d = draw(st.integers(1, min(3, n)))
+    basis, bias = (Basis.CHI, None) if p == F(1, 2) else (Basis.PHI, p)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    f = random_poly(rng, n, d, draw(st.integers(1, 8)), basis, bias)
+    assume(f.degree_bound >= 1)
+    return f, CardinalDist(n, p)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(random_projection_cases())
+def test_project_null_matches_reference_on_random_polynomials(case):
+    f, dist = case
+    pr = project_null(f, dist)
+    h, residual = _project_null_reference(f, dist)
+    assert pr.h == h
+    assert pr.residual == residual
+    assert pr.residual_norm_sq == residual.l2_norm_sq()
+
+
+def test_project_null_builds_no_gram_matrix(monkeypatch):
+    def _no_dense_build(*args, **kwargs):
+        raise AssertionError("project_null built a dense matrix")
+
+    monkeypatch.setattr(spectra, "_set_symmetric_matrix", _no_dense_build)
+    rng = random.Random(3)
+    for n, p, d in ((10, F(1, 2), 3), (4, F(1, 2), 3), (9, F(1, 3), 3)):
+        basis, bias = (Basis.CHI, None) if p == F(1, 2) else (Basis.PHI, p)
+        f = random_poly(rng, n, d, 8, basis, bias)
+        pr = project_null(f, CardinalDist(n, p))
+        assert pr.h.degree_bound < f.degree_bound
+
+
+def test_projection_at_n24_d3_is_orthogonal_and_idempotent():
+    # 301 unknowns: no other test projects at d = 3 above n = 12
+    n = 24
+    f = to_polynomial(random_instance(random.Random(1), n, 3, 40))
+    assert f.degree_bound == 3
+    dist = CardinalDist(n, F(1, 2))
+    pr = project_null(f, dist)
+    residual = dict(pr.residual.items_sorted())
+    assert () not in residual       # orthogonal to 1
+    for s in subsets_upto(n, 2):
+        gen = null_space_vector(dist, subset_of(s))
+        gen.pop((), None)
+        assert dot(gen, residual) == 0, subset_of(s)
+    again = project_null(pr.residual, dist)
+    assert again.h.coeffs == {}
+    assert again.residual == pr.residual
 
 
 def test_import_cardcsp_leaves_numpy_unloaded():
