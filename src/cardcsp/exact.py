@@ -179,6 +179,13 @@ def scalar_inverse(x: Scalar) -> Scalar:
     return Fraction(1) / Fraction(x)
 
 
+def scalar_quotient(num: Scalar, den: Scalar) -> Scalar:
+    """num / den; two ints make one Fraction, with no inverse formed."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num * scalar_inverse(den)
+
+
 def as_fraction(x: Scalar) -> Fraction:
     """Coerce to Fraction; raises if x has an irrational part."""
     if isinstance(x, QE):
@@ -214,16 +221,18 @@ def sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(root, scale)
 
 
+def round_half_away(num: int, den: int) -> int:
+    """The int closest to num / den (den > 0); halves round away from zero."""
+    k = (2 * abs(num) + den) // (2 * den)
+    return k if num >= 0 else -k
+
+
 def nearest_multiple(x: Fraction, step: Fraction) -> Fraction:
     """Closest multiple of step to x; halves round away from zero."""
     if step <= 0:
         raise ValueError("step must be positive")
     q = Fraction(x) / step
-    if q >= 0:
-        k = (2 * q.numerator + q.denominator) // (2 * q.denominator)
-    else:
-        k = -((-2 * q.numerator + q.denominator) // (2 * q.denominator))
-    return k * step
+    return round_half_away(q.numerator, q.denominator) * step
 
 
 def _over_common_denominator(values):

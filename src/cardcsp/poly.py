@@ -16,7 +16,8 @@ product, evaluation and conversion read each basis through one
 (value at +1, value at -1, q) triple, basis_constants.
 
 On the bitmask keys, the adjoint pair up/down gives (sum_i b_i - shift) * h
-as times_constraint.
+as times_constraint, and g - (sum_i b_i) * h on tables as
+reduce_by_constraint.
 """
 
 from __future__ import annotations
@@ -349,6 +350,17 @@ def times_constraint_table(table: Mapping[int, Scalar], n: int, q: Scalar,
     for t, a in chain(down(table).items(), diagonal.items()):
         out[t] = out[t] + a if t in out else a
     return out
+
+
+def reduce_by_constraint(g: Mapping[int, Scalar], h: Mapping[int, Scalar], n: int,
+                         q: Scalar = 0) -> Dict[int, Scalar]:
+    """g - (sum_i b_i) * h on bitmask tables, zero entries dropped.  On int
+    numerators of g and h over one denominator, the result's numerators
+    are over that denominator too."""
+    out = dict(g)
+    for t, a in times_constraint_table(h, n, q).items():
+        out[t] = out[t] - a if t in out else -a
+    return {t: a for t, a in out.items() if a}
 
 
 def times_constraint(h: MultilinearPoly, shift=0) -> MultilinearPoly:

@@ -9,9 +9,12 @@ agrees with f - fhat(0) on every assignment with sum x_i = 0, and its squared
 coefficient norm is at most 7^d times the projection residual's when the
 residual is at most sqrt(n).
 
-Every reduction here is poly.times_constraint, (sum x_i - shift) h; on the
-scan's int numerators, its up half counts a candidate's survivors and its
-down half feeds reconstruct_h's equation constants.
+Every reduction here is the constraint product (sum x_i - shift) h on
+bitmask tables.  round_bisection forms g - (sum x_i) h with
+poly.reduce_by_constraint on int numerators over one denominator; on the
+scan's int numerators, the product's up half counts a candidate's survivors
+and its down half feeds reconstruct_h's equation constants; round_global
+subtracts the winner's through poly.times_constraint.
 
 General path: a variable is inactive in g when no nonzero coefficient of g
 contains it.  If some h of degree <= d-1 makes every variable of a d-set S
@@ -46,14 +49,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, FrozenSet, List, Optional
 
 from .cardinal_dist import CardinalDist, chi_variance
 from .errors import InputError, PreconditionError
-from .exact import QE, Scalar, as_fraction, nearest_multiple
+from .exact import QE, Scalar, round_half_away
 from .poly import (Basis, MultilinearPoly, Subset, down, int_numerators,
-                   times_constraint, up)
+                   reduce_by_constraint, times_constraint, up)
 
 
 def active_variables(f: MultilinearPoly) -> FrozenSet[int]:
@@ -110,49 +113,64 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     require_multiples=False skips the check for robustness experiments with
     sub-granularity noise), and projection residual norm^2 at most sqrt(n)
     (the blow-up guarantee's hypothesis) unless allow_large_residual is set.
+
+    f, h_f and every granularity of gamma_ladder go over one denominator
+    den, so the residual, the snap and the reduction run on int numerators
+    and each output coefficient is one Fraction.
     """
     if f.basis is not Basis.CHI:
         raise InputError("round_bisection works on the chi basis")
+    if (h_f.n, h_f.basis) != (f.n, f.basis):
+        raise InputError("h_f's variable count or basis differs from f's")
     gamma = check_gamma(gamma)
+    den_f, f_nums = int_numerators(f.coeffs, "round_bisection's f")
     if require_multiples:
-        for c in f.coeffs.values():
-            if (as_fraction(c) / gamma).denominator != 1:
-                raise InputError(f"coefficient {c} is not a multiple of gamma")
+        for mask, a in f_nums.items():
+            if a * gamma.denominator % (den_f * gamma.numerator):
+                raise InputError(f"coefficient {f.coeffs[mask]} is not a multiple of gamma")
     if d is None:
         d = f.degree_bound
     if d < 0:
         raise InputError("d must be nonnegative")
-    g0 = f.without_constant()
+    den_h, h_nums = int_numerators(h_f.coeffs, "round_bisection's h_f")
+    ladder = gamma_ladder(d, gamma)
+    den = lcm(den_f, den_h, *(step.denominator for step in ladder))
+    g0 = {mask: a * (den // den_f) for mask, a in f_nums.items() if mask}
+    h_nums = {mask: a * (den // den_h) for mask, a in h_nums.items()}
     # Norms are taken constant-free: the constant component of g0 - (sum x) h
     # is the remaining null direction of the variance form and carries no
     # kernel variables.
-    residual = (g0 - times_constraint(h_f)).without_constant()
-    residual_sq = residual.l2_norm_sq()
+    residual = reduce_by_constraint(g0, h_nums, f.n)
+    residual.pop(0, None)
+    residual_sum = sum(a * a for a in residual.values())
+    residual_sq = Fraction(residual_sum, den * den)
     # residual_sq <= sqrt(n)  <=>  residual_sq^2 <= n (exact comparison)
-    if as_fraction(residual_sq) ** 2 > f.n and not allow_large_residual:
+    if residual_sq ** 2 > f.n and not allow_large_residual:
         raise PreconditionError(
             f"projection residual {residual_sq} exceeds sqrt(n); the caller "
             "should not have taken the small-variance branch at this size")
-    ladder = gamma_ladder(d, gamma)
-    rounded: Dict[int, Fraction] = {}
-    for s, c in h_f.coeffs.items():
+    steps = [step.numerator * (den // step.denominator) for step in ladder]  # over den
+    rounded: Dict[int, int] = {}
+    for s, a in h_nums.items():
         w = s.bit_count()
         if w >= d:
             raise InputError("h_f must have degree at most d-1")
-        snapped = nearest_multiple(as_fraction(c), ladder[w])
-        if snapped != 0:
+        snapped = round_half_away(a, steps[w]) * steps[w]
+        if snapped:
             rounded[s] = snapped
-    h = MultilinearPoly(f.n, rounded, Basis.CHI)
-    reduced = g0 - times_constraint(h)
-    reduced_sq = reduced.without_constant().l2_norm_sq()
-    if not residual_sq:
-        if reduced_sq:
+    reduced = reduce_by_constraint(g0, rounded, f.n)
+    reduced_sum = sum(a * a for mask, a in reduced.items() if mask)
+    if not residual_sum:
+        if reduced_sum:
             raise AssertionError("exact projection must round to itself")
         blowup = Fraction(1)
     else:
-        blowup = as_fraction(reduced_sq) / as_fraction(residual_sq)
-    return RoundingOutcome(h=h, reduced=reduced,
-                           active_set=active_variables(reduced),
+        blowup = Fraction(reduced_sum, residual_sum)
+    h = MultilinearPoly(f.n, {s: Fraction(a, den) for s, a in rounded.items()}, Basis.CHI)
+    reduced_poly = MultilinearPoly(f.n, {mask: Fraction(a, den) for mask, a in reduced.items()},
+                                   Basis.CHI)
+    return RoundingOutcome(h=h, reduced=reduced_poly,
+                           active_set=active_variables(reduced_poly),
                            norm_blowup=blowup, residual_norm_sq=residual_sq)
 
 

@@ -14,9 +14,13 @@ polynomial vanishes on the support.  The variance form subtracts
 delta_{|S|} * delta_{|T|} and drops the empty-set row/column.
 
 The projection onto that null space builds no Gram matrix.  Its Gram
-operator (two poly.times_constraint_table passes) commutes with S_n, so one
-small closed-form block per harmonic weight gives a polynomial that
-annihilates it, and the normal equations are solved by that polynomial.
+operator (two constraint-product passes, the second forming only the levels
+below deg f) commutes with S_n, so one small closed-form block per harmonic
+weight gives a polynomial that annihilates it, and the normal equations are
+solved by that polynomial.  At p = 1/2 every value from f's coefficients to
+h and the residual is an int numerator over one denominator, and each
+output coefficient becomes a Fraction once; off p = 1/2 the same lines run
+on QE scalars.
 
 Eigenvectors are built from harmonic weight-k coefficient vectors
 (sum_{j not in T} fhat(T u j) = 0 for all |T| = k-1) extended upward by the
@@ -39,9 +43,9 @@ from typing import Dict, List, Tuple
 
 from .cardinal_dist import CardinalDist, extend_slice_sequence
 from .errors import InputError, ResourceError
-from .exact import Scalar, _over_common_denominator, scalar_inverse
-from .poly import (Basis, MultilinearPoly, exact_bias, phi_square_q,
-                   times_constraint, times_constraint_table, up)
+from .exact import Scalar, _over_common_denominator, scalar_quotient
+from .poly import (Basis, MultilinearPoly, down, exact_bias, phi_square_q,
+                   reduce_by_constraint, times_constraint_table, up)
 
 
 def subsets_upto(n: int, d: int, include_empty: bool = True) -> List[int]:
@@ -346,7 +350,13 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
     way.  No Gram matrix is built: with s from _gram_annihilator,
     h = -(1/s_0) sum_{k>=1} s_k G^{k-1} b.  Where G is singular (only if
     n <= 2 deg f - 2, when a harmonic ladder ends below level deg f) that
-    is the minimum-norm h; the residual is unique either way.  Chi input is accepted at p = 1/2 where the bases coincide.
+    is the minimum-norm h; the residual is unique either way.  Chi input is
+    accepted at p = 1/2 where the bases coincide.
+
+    The solve runs on g_0 = g / den with int numerators g (QEs off
+    p = 1/2, den = 1): with y the Horner sum on numerators and
+    D = -s_0 den, h = y / D and the residual is (-s_0 g - A y) / D, so each
+    output coefficient is divided by D once.
     """
     if mode != "exact":
         raise InputError("mode must be 'exact'")
@@ -355,31 +365,47 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
     if f.basis is not Basis.PHI and dist.p != Fraction(1, 2):
         raise InputError("projection needs the phi basis for p != 1/2")
     n, d = f.n, f.degree_bound
-    g0 = f.without_constant()
     if d == 0:
         zero = MultilinearPoly.zero(n, f.basis, f.p)
         return ProjectionResult(h=zero, residual=zero, residual_norm_sq=Fraction(0))
     q = dist.q or 0     # an int 0 at p = 1/2 keeps int tables int
-    den, table = _over_ints(g0.coeffs.values())
-    b = _below(times_constraint_table(dict(zip(g0.coeffs, table)), n, q), d)
+    g = {mask: c for mask, c in f.coeffs.items() if mask}
+    den, nums = _over_ints(g.values())
+    g = dict(zip(g, nums))
+    b = _times_constraint_below(g, n, q, d)
     s = _gram_annihilator(n, d, q)
     y: Dict[int, Scalar] = {}
     for coeff in reversed(s[1:]):   # Horner: y = sum_{k>=1} s_k G^{k-1} b
         image = times_constraint_table(y, n, q)
         image.pop(0, None)
-        y = _below(times_constraint_table(image, n, q), d)
+        y = _times_constraint_below(image, n, q, d)
         for mask, c in b.items():
             y[mask] = y[mask] + coeff * c if mask in y else coeff * c
-    scale = scalar_inverse(-s[0] * den)
-    h = MultilinearPoly(n, {mask: c * scale for mask, c in y.items()}, f.basis, f.p)
-    residual = (g0 - times_constraint(h)).without_constant()
-    return ProjectionResult(h=h, residual=residual,
-                            residual_norm_sq=residual.l2_norm_sq())
+    out_den = -s[0] * den
+    r = reduce_by_constraint({mask: -s[0] * c for mask, c in g.items()}, y, n, q)
+    r.pop(0, None)
+    return ProjectionResult(
+        h=MultilinearPoly(n, {mask: scalar_quotient(c, out_den) for mask, c in y.items()},
+                          f.basis, f.p),
+        residual=MultilinearPoly(n, {mask: scalar_quotient(c, out_den)
+                                     for mask, c in r.items()}, f.basis, f.p),
+        residual_norm_sq=scalar_quotient(sum(c * c for c in r.values()), out_den * out_den))
 
 
-def _below(table: Dict[int, Scalar], d: int) -> Dict[int, Scalar]:
-    """The entries of table on levels < d."""
-    return {mask: c for mask, c in table.items() if mask.bit_count() < d}
+def _times_constraint_below(table: Dict[int, Scalar], n: int, q: Scalar,
+                            top: int) -> Dict[int, Scalar]:
+    """The levels < top of times_constraint_table(table, n, q) for a table
+    on levels <= top: up only from levels < top-1 and the diagonal only on
+    levels < top, so no entry on level top or above is formed."""
+    out = up({mask: c for mask, c in table.items() if mask.bit_count() < top - 1}, n)
+    for mask, c in down(table).items():
+        out[mask] = out[mask] + c if mask in out else c
+    if q:
+        for mask, c in table.items():
+            if mask.bit_count() < top:
+                c = mask.bit_count() * q * c
+                out[mask] = out[mask] + c if mask in out else c
+    return out
 
 
 def _over_ints(values) -> Tuple[int, List[Scalar]]:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from cardcsp.csp_model import Constraint, CspInstance
 from cardcsp.errors import InputError
-from cardcsp.exact import QE, as_fraction, make_qe, scalar_inverse
+from cardcsp.exact import QE, as_fraction, make_qe, nearest_multiple, scalar_inverse
 from cardcsp.oracle import _revolving_door
-from cardcsp.poly import Basis, MultilinearPoly, phi_square_q, phi_values
-from cardcsp.rounding import active_bound_constant
+from cardcsp.poly import (Basis, MultilinearPoly, phi_square_q, phi_values,
+                          times_constraint)
+from cardcsp.rounding import RoundingOutcome, active_bound_constant, gamma_ladder
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -492,3 +493,20 @@ def round_global_scan_reference(f, dist, gamma, d, variance):
         f_cur = f_cur - shifted * h_level
         h_total = h_total + h_level
     return h_total, f_cur, levels
+
+
+def round_bisection_reference(f, h_f, gamma, d):
+    """round_bisection's values on MultilinearPoly Fraction arithmetic: the
+    residual g0 - (sum x_i) h_f, the nearest_multiple snap per weight,
+    reduced = g0 - (sum x_i) h and the constant-free norms."""
+    g0 = f.without_constant()
+    residual_sq = (g0 - times_constraint(h_f)).without_constant().l2_norm_sq()
+    ladder = gamma_ladder(d, gamma)
+    h = MultilinearPoly(f.n, {s: nearest_multiple(as_fraction(c), ladder[s.bit_count()])
+                              for s, c in h_f.coeffs.items()}, Basis.CHI)
+    reduced = g0 - times_constraint(h)
+    reduced_sq = reduced.without_constant().l2_norm_sq()
+    blowup = reduced_sq / residual_sq if residual_sq else Fraction(1)
+    return RoundingOutcome(h=h, reduced=reduced,
+                           active_set=frozenset(reduced.variables_used()),
+                           norm_blowup=blowup, residual_norm_sq=residual_sq)

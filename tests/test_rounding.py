@@ -1,3 +1,5 @@
+import random
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations
 from math import factorial
@@ -6,22 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cardcsp.poly as poly
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, int_numerators
-from cardcsp.rounding import (_WeightSolve, _best_candidate, _beta_weights,
-                              active_bound_constant, active_variables,
+from cardcsp.rounding import (RoundingOutcome, _WeightSolve, _best_candidate,
+                              _beta_weights, active_bound_constant, active_variables,
                               gamma_denominator, gamma_ladder, reconstruct_h,
                               round_bisection, round_global)
 from cardcsp.solver import kernelize
 from cardcsp.spectra import project_null
 
 from conftest import (beta_weights_reference, constraint_poly, csp_instances,
-                      random_poly, reconstruct_h_reference,
-                      round_global_scan_reference, survivors_reference)
+                      random_instance, random_poly, reconstruct_h_reference,
+                      round_bisection_reference, round_global_scan_reference,
+                      survivors_reference)
 
 
 def mono(n, subset, c=F(1)):
@@ -389,6 +393,101 @@ def test_round_bisection_rejects_negative_degree():
     h_f = MultilinearPoly.zero(6)
     with pytest.raises(InputError, match="d must be nonnegative"):
         round_bisection(f, h_f, F(1, 4), d=-1, allow_large_residual=True)
+
+
+def test_round_bisection_rejects_mismatched_sizes():
+    # h_f on another space used to be caught only inside the polynomial
+    # subtraction that formed the residual
+    f = mono(6, (1, 2), F(1, 4))
+    for h_f in (MultilinearPoly.zero(8), mono(8, (1,)),
+                MultilinearPoly.zero(6, Basis.PHI, F(1, 3))):
+        with pytest.raises(InputError, match="h_f's variable count or basis differs"):
+            round_bisection(f, h_f, F(1, 4), allow_large_residual=True)
+
+
+def test_round_bisection_rejects_irrational_f():
+    # a QE coefficient used to raise a bare ValueError from exact.as_fraction
+    f = MultilinearPoly(6, {0b11: make_qe(0, 1, 2)})
+    for require_multiples in (True, False):
+        with pytest.raises(InputError, match=r"f needs rational coefficients.*sqrt\(2\)"):
+            round_bisection(f, MultilinearPoly.zero(6), F(1, 4),
+                            allow_large_residual=True, require_multiples=require_multiples)
+
+
+def test_round_bisection_rejects_irrational_h_f():
+    # at the parent: "value (17/2 + -1*sqrt(2)) is not rational", a ValueError
+    f = mono(6, (1, 2), F(1, 4))
+    h_f = MultilinearPoly(6, {1: make_qe(0, 1, 2)})
+    with pytest.raises(InputError, match=r"h_f needs rational coefficients.*sqrt\(2\)"):
+        round_bisection(f, h_f, F(1, 4), allow_large_residual=True)
+
+
+@st.composite
+def bisection_cases(draw):
+    """(f, h_f, d, require_multiples) at p = 1/2, n <= 10, d <= 3: h_f is
+    the projection of a counting polynomial (coefficients multiples of
+    gamma = 1/2^d), or random sub-granular noise on the granularity ladder
+    (exact halves included) beside a random rational f."""
+    n = 2 * draw(st.integers(1, 5))
+    d = draw(st.integers(1, min(3, n)))
+    if draw(st.booleans()):
+        f = to_polynomial(draw(csp_instances(n, d)))
+        return f, project_null(f, CardinalDist(n, F(1, 2))).h, d, True
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    f = random_poly(rng, n, d, draw(st.integers(0, 8)))
+    ladder = gamma_ladder(d, F(1, 2 ** d))
+    noise = {}
+    for _ in range(draw(st.integers(0, 8))):
+        mask = sum(1 << v for v in rng.sample(range(n), rng.randint(0, min(d - 1, n))))
+        noise[mask] = ladder[mask.bit_count()] * (rng.randint(-3, 3) + F(rng.randint(-4, 4), 8))
+    return f, MultilinearPoly(n, noise), d, False
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(bisection_cases())
+def test_round_bisection_matches_fraction_reference(case):
+    f, h_f, d, require_multiples = case
+    gamma = F(1, 2 ** d)
+    out = round_bisection(f, h_f, gamma, d=d, allow_large_residual=True,
+                          require_multiples=require_multiples)
+    ref = round_bisection_reference(f, h_f, gamma, d)
+    for field in fields(RoundingOutcome):
+        assert getattr(out, field.name) == getattr(ref, field.name), field.name
+    for got, want in ((out.h, ref.h), (out.reduced, ref.reduced)):
+        assert [type(c) for c in got.coeffs.values()] == [F] * len(want.coeffs)
+    assert type(out.norm_blowup) is F and type(out.residual_norm_sq) is F
+    if ref.residual_norm_sq ** 2 > f.n:
+        with pytest.raises(PreconditionError):
+            round_bisection(f, h_f, gamma, d=d, require_multiples=require_multiples)
+
+
+def test_kernel_step_adds_no_polynomial_and_forms_no_level_above_deg_f(monkeypatch):
+    # project_null and round_bisection reduce on int tables: no polynomial
+    # sum (the Fraction route made three), and no up/down entry above deg f
+    # (b and every Gram application used to form levels deg f and deg f + 1)
+    adds, tops = [], []
+    add, flip = MultilinearPoly.__add__, poly._flip_each
+
+    def counting_add(self, other, sign=1):
+        adds.append((self, other))
+        return add(self, other, sign)
+
+    def recording_flip(table, toggle):
+        out = flip(table, toggle)
+        tops.append(max((mask.bit_count() for mask in out), default=0))
+        return out
+
+    polys = [to_polynomial(random_instance(random.Random(n), n, d, 2 * n))
+             for n, d in ((10, 2), (12, 3))]
+    monkeypatch.setattr(MultilinearPoly, "__add__", counting_add)
+    monkeypatch.setattr(poly, "_flip_each", recording_flip)
+    for f, d in zip(polys, (2, 3)):
+        assert f.degree_bound == d
+        tops.clear()
+        proj = project_null(f, CardinalDist(f.n, F(1, 2)))
+        out = round_bisection(f, proj.h, F(1, 2 ** d), d=d, allow_large_residual=True)
+        assert out.active_set and tops and max(tops) <= d
+    assert adds == []
 
 
 def test_reconstruction_rejects_irrational_coefficients():

@@ -467,6 +467,12 @@ def test_project_null_matches_reference_on_random_polynomials(case):
     assert pr.h == h
     assert pr.residual == residual
     assert pr.residual_norm_sq == residual.l2_norm_sq()
+    # Fraction where the value is rational, QE where it is not, as the
+    # reference's MultilinearPoly arithmetic gives
+    for got, want in ((pr.h, h), (pr.residual, residual)):
+        assert {s: type(c) for s, c in got.coeffs.items()} == \
+            {s: type(c) for s, c in want.coeffs.items()}
+    assert type(pr.residual_norm_sq) is type(residual.l2_norm_sq())
 
 
 def test_project_null_builds_no_gram_matrix(monkeypatch):
