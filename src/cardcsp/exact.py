@@ -186,13 +186,6 @@ def scalar_quotient(num: Scalar, den: Scalar) -> Scalar:
     return num * scalar_inverse(den)
 
 
-def as_fraction(x: Scalar) -> Fraction:
-    """Coerce to Fraction; raises if x has an irrational part."""
-    if isinstance(x, QE):
-        raise ValueError(f"value {x!r} is not rational")
-    return Fraction(x)
-
-
 def fraction_str(x: Scalar) -> str:
     """Render exactly: 'a/b' for rationals, 'a/b + c/d*sqrt(r)' otherwise."""
     if isinstance(x, QE):
@@ -225,14 +218,6 @@ def round_half_away(num: int, den: int) -> int:
     """The int closest to num / den (den > 0); halves round away from zero."""
     k = (2 * abs(num) + den) // (2 * den)
     return k if num >= 0 else -k
-
-
-def nearest_multiple(x: Fraction, step: Fraction) -> Fraction:
-    """Closest multiple of step to x; halves round away from zero."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    q = Fraction(x) / step
-    return round_half_away(q.numerator, q.denominator) * step
 
 
 def _over_common_denominator(values):

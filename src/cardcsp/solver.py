@@ -12,7 +12,8 @@ Var_{D_p}(f) against 4*b*t^2 where b is the fourth-moment constant
     positive probability, and s >= 2*sqrt(b)*t makes that margin at least t;
   - below it, kernelize (projection + rounding at p = 1/2, the reconstruction
     scan otherwise) and take the exact maximum over feasible assignments to
-    the kernel.
+    the kernel, a bit-sliced walk that adds each term to every point of a
+    cube of up to 2^16 points at once, on Python-int bit planes.
 
 The factor 4 in the threshold (rather than b*t^2 alone) is what makes the
 fourth-moment arithmetic close at exactly t; the fourth-moment constants are
@@ -25,9 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
-from typing import List, Optional, Tuple
+from operator import and_, or_
+from typing import Dict, List, Optional, Tuple
 
 from .cardinal_dist import CardinalDist, chi_expectation, chi_variance
 from .config import DEFAULT_CONFIG, SolverConfig
@@ -36,8 +39,7 @@ from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
 from .errors import InputError, ResourceError
 from .exact import scalar_json, sqrt_upper
 from .poly import Assignment, MultilinearPoly, int_numerators
-from .rounding import (RoundingOutcome, active_bound_constant, check_gamma,
-                       gamma_denominator, round_bisection, round_global)
+from .rounding import RoundingOutcome, check_gamma, round_bisection, round_global
 from .spectra import project_null
 
 
@@ -69,20 +71,6 @@ def certification_threshold(d: int, p, t, mode: str = "paper_safe") -> Fraction:
     if mode != "paper_safe":
         raise InputError(f"unknown threshold mode {mode!r}")
     return 4 * fourth_moment_bound(d, p) * Fraction(t) ** 2
-
-
-def kernel_bound_constant(d: int, p) -> Fraction:
-    """C with |kernel| <= C * t^2 on the small-variance branch (loose).
-
-    Bisection: at most d * 7^d * ||residual||^2-blowup * (Gamma_d/gamma)^2
-    nonzero coefficients, residual^2 <= 2 Var < 8 b t^2.  General p: the
-    active-set guarantee C'_{p,d} * Var / gamma^2 with Var < 4 b t^2."""
-    p = Fraction(p)
-    gamma = Fraction(1, 2 ** d)
-    b = fourth_moment_bound(d, p)
-    if p == Fraction(1, 2):
-        return d * 7 ** d * 8 * b / gamma ** 2 * gamma_denominator(d) ** 2
-    return active_bound_constant(p, d) * 4 * b / gamma ** 2
 
 
 @dataclass
@@ -145,18 +133,76 @@ def _feasible_layers(size: int, card: GlobalCardinality) -> range:
     return range(max(0, size - card.num_positive), min(size, card.num_negative) + 1)
 
 
+# The kernel walk holds one Python int per low kernel variable, one bit per
+# point of the 2^KERNEL_BLOCK cube; a wider kernel is walked one fixed set of
+# top variables at a time, so no int grows past 2^16 bits.
+KERNEL_BLOCK = 16
+
+
+@cache
+def _cube(b: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(full, planes, layers) for the 2^b cube: bit x of full is set for
+    every x, bit x of planes[i] is bit i of x, and layers[r] holds the x
+    with r bits set, read off a bit-sliced popcount counter of the planes.
+    Cached: the ints depend on b alone."""
+    full = (1 << (1 << b)) - 1
+    planes = tuple(full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                   for i in range(b))
+    counter = [0] * b.bit_length()
+    for plane in planes:
+        _add_plane(counter, plane, 0)
+    return full, planes, tuple(
+        reduce(and_, (digit if r >> k & 1 else full ^ digit
+                      for k, digit in enumerate(counter)), full)
+        for r in range(b + 1))
+
+
+def _add_plane(counter: List[int], plane: int, level: int) -> None:
+    """Add 2^level at every point of plane to a bit-sliced counter (bit x of
+    counter[k] is bit k of point x's count), rippling the carry upward; the
+    counter is long enough that the carry never leaves it."""
+    while plane:
+        counter[level], plane = counter[level] ^ plane, counter[level] & plane
+        level += 1
+
+
+def _first_minimum(acc: List[int], points: int, planes: Tuple[int, ...]) -> int:
+    """The point of the nonempty set `points` with the least count on the
+    bit-sliced counter acc, ties broken toward bit i set for the lowest i."""
+    for digit in reversed(acc):
+        if points & ~digit:
+            points &= ~digit
+    for plane in planes:
+        if points & plane:
+            points &= plane
+    return points.bit_length() - 1
+
+
 def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
                      base_correction, cap: int = DEFAULT_CONFIG.kernel_cap
                      ) -> Tuple[Fraction, Tuple[int, ...]]:
     """Exact max of reduced + base_correction over feasible kernel assignments.
 
-    Only feasible points are visited: for each -1 count j in _feasible_layers,
-    every j-subset of the kernel takes the value -1.  reduced's coefficients
-    are put over one common denominator as int numerators on their bitmask
-    keys, so a term's sign at a point is the parity of its mask's overlap
-    with the point's -1 mask.  Returns (opt, values over sorted(kernel)),
-    ties resolved toward the lexicographically smallest assignment (-1
-    before +1): the -1 mask that holds the lowest differing bit.
+    reduced's coefficients are put over one common denominator as int
+    numerators c_S on their bitmask keys, so the value at a point with -1
+    set N is total - 2 sum {c_S : |S n N| odd}; the walk finds the N with
+    the least odd sum on a bit-sliced cube (Biham 1997).  The
+    b = min(|K|, KERNEL_BLOCK) lowest kernel variables get one int plane
+    each, bit x set where the variable is -1 at point x of the 2^b cube;
+    a bit-sliced popcount counter of those planes gives each -1 layer.  The
+    top |K| - b variables are fixed one -1 set at a time (a chunk), with
+    only the -1 counts that leave a feasible layer of the cube; fixing them
+    folds each c_S into the coefficient of S's low part, negated where
+    |S n chunk| is odd.  A term's parity plane is the XOR of its low
+    variables' planes, complemented where its coefficient is negative, and
+    |c| times it is added to a bit-sliced ripple-carry counter, so every
+    point's count is its odd sum up to a constant of the chunk.  The
+    least count over the chunk's feasible points is read from the top
+    counter plane down.  Returns (opt, values over sorted(kernel)), ties
+    resolved toward the lexicographically smallest assignment (-1 before
+    +1): the -1 mask that holds the lowest differing bit.  Within a chunk
+    that is a greedy pass over the planes, across chunks a comparison of
+    each chunk's winner, whose value is recomputed from the int table.
     """
     kernel = tuple(sorted(kernel))
     size = len(kernel)
@@ -175,10 +221,40 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     den, table = int_numerators(reduced.coeffs, "the reduced polynomial")
     terms = list(table.items())
     total = sum(table.values())
+    b = min(size, KERNEL_BLOCK)
+    low = [1 << (v - 1) for v in kernel[:b]]
+    top = [1 << (v - 1) for v in kernel[b:]]
+    full, planes, layer = _cube(b)
+    plane_of = dict(zip(low, planes))
+    low_mask = sum(low)
+    parts: Dict[int, List[Tuple[int, int]]] = {}    # low part -> [(top part, c)]
+    for mask, c in terms:
+        if mask & low_mask:
+            parts.setdefault(mask & low_mask, []).append((mask & ~low_mask, c))
+    parity = []
+    for part, rest in parts.items():
+        plane = 0
+        while part:
+            plane ^= plane_of[part & -part]
+            part &= part - 1
+        parity.append((plane, rest))
     best = best_mask = None
-    for j in layers:
-        for negs in combinations([1 << (v - 1) for v in kernel], j):
-            neg_mask = sum(negs)
+    for count in range(max(0, layers.start - b), min(size - b, layers.stop - 1) + 1):
+        points = reduce(or_, layer[max(0, layers.start - count):layers.stop - count], 0)
+        for chunk in combinations(top, count):
+            chunk = sum(chunk)
+            weighted = []
+            for plane, rest in parity:
+                w = sum(-c if (m & chunk).bit_count() & 1 else c for m, c in rest)
+                if w:
+                    weighted.append((plane if w > 0 else full ^ plane, abs(w)))
+            acc = [0] * sum(w for _, w in weighted).bit_length()
+            for plane, w in weighted:
+                for level in range(w.bit_length()):
+                    if w >> level & 1:
+                        _add_plane(acc, plane, level)
+            x = _first_minimum(acc, points, planes)
+            neg_mask = chunk + sum(bit for i, bit in enumerate(low) if x >> i & 1)
             val = total - 2 * sum(c for m, c in terms if (m & neg_mask).bit_count() & 1)
             if best is None or val > best or (
                     val == best and neg_mask & (diff := neg_mask ^ best_mask) & -diff):

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, factorial
 from typing import Dict, List, Tuple
@@ -418,7 +419,8 @@ def _over_ints(values) -> Tuple[int, List[Scalar]]:
         return 1, values
 
 
-def _gram_annihilator(n: int, d: int, q: Scalar) -> List[Scalar]:
+@cache
+def _gram_annihilator(n: int, d: int, q: Scalar) -> Tuple[Scalar, ...]:
     """Coefficients s_0 .. s_D (low to high, s_0 != 0) of a polynomial with
     G s(G) = 0 for project_null's Gram operator G on levels < d.
 
@@ -429,7 +431,8 @@ def _gram_annihilator(n: int, d: int, q: Scalar) -> List[Scalar]:
     is A, then P_0 (level 0 is the i = 0 row of weight 0), then A, cut to
     i < d-j.  The product of det(x - K_j) annihilates G (a ladder that
     ends early, U^i v = 0, only adds roots).  Its x factors are stripped:
-    G is symmetric, so G s(G) = 0 still holds."""
+    G is symmetric, so G s(G) = 0 still holds.  It depends on (n, d, q)
+    alone, so it is cached, as a tuple that no caller can change."""
     m: List[Scalar] = [1]
     for j in range(d):
         size = d - j
@@ -446,7 +449,7 @@ def _gram_annihilator(n: int, d: int, q: Scalar) -> List[Scalar]:
         m = _poly_mul(m, _charpoly(block))
     while not m[0]:
         m.pop(0)
-    return _over_ints(m)[1]
+    return tuple(_over_ints(m)[1])
 
 
 def _charpoly(m: List[List[Scalar]]) -> List[Scalar]:

@@ -10,13 +10,29 @@ from hypothesis import strategies as st
 
 from cardcsp.csp_model import Constraint, CspInstance
 from cardcsp.errors import InputError
-from cardcsp.exact import QE, as_fraction, make_qe, nearest_multiple, scalar_inverse
+from cardcsp.exact import QE, make_qe, round_half_away, scalar_inverse
 from cardcsp.oracle import _revolving_door
-from cardcsp.poly import (Basis, MultilinearPoly, phi_square_q, phi_values,
+from cardcsp.poly import (Basis, MultilinearPoly, int_numerators, phi_square_q, phi_values,
                           times_constraint)
 from cardcsp.rounding import RoundingOutcome, active_bound_constant, gamma_ladder
+from cardcsp.solver import _feasible_layers
 
 CUT = frozenset({(1, -1), (-1, 1)})
+
+
+def as_fraction(x) -> Fraction:
+    """Coerce to Fraction; raises if x has an irrational part."""
+    if isinstance(x, QE):
+        raise ValueError(f"value {x!r} is not rational")
+    return Fraction(x)
+
+
+def nearest_multiple(x: Fraction, step: Fraction) -> Fraction:
+    """Closest multiple of step to x; halves round away from zero."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    q = Fraction(x) / step
+    return round_half_away(q.numerator, q.denominator) * step
 
 
 def graph_instance(n, edges):
@@ -510,3 +526,24 @@ def round_bisection_reference(f, h_f, gamma, d):
     return RoundingOutcome(h=h, reduced=reduced,
                            active_set=frozenset(reduced.variables_used()),
                            norm_blowup=blowup, residual_norm_sq=residual_sq)
+
+
+def enumerate_kernel_point_loop(reduced, kernel, card, base_correction):
+    """enumerate_kernel's value and witness one feasible point at a time:
+    for each feasible -1 count j, every j-subset of the sorted kernel is -1
+    in turn, its value summed over the int numerators of reduced, and the
+    -1 mask that holds the lowest differing bit wins a tie."""
+    kernel = tuple(sorted(kernel))
+    den, table = int_numerators(reduced.coeffs, "the reduced polynomial")
+    terms = list(table.items())
+    total = sum(table.values())
+    best = best_mask = None
+    for j in _feasible_layers(len(kernel), card):
+        for negs in combinations([1 << (v - 1) for v in kernel], j):
+            neg_mask = sum(negs)
+            val = total - 2 * sum(c for m, c in terms if (m & neg_mask).bit_count() & 1)
+            if best is None or val > best or (
+                    val == best and neg_mask & (diff := neg_mask ^ best_mask) & -diff):
+                best, best_mask = val, neg_mask
+    arg = tuple(-1 if best_mask >> (v - 1) & 1 else 1 for v in kernel)
+    return Fraction(best, den) + Fraction(base_correction), arg

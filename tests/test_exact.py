@@ -2,10 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from cardcsp.exact import (QE, as_fraction, fraction_str, make_qe, nearest_multiple,
-                           sqrt_scalar, sqrt_upper)
+from cardcsp.exact import QE, fraction_str, make_qe, sqrt_scalar, sqrt_upper
 
-from conftest import nullspace_reference
+from conftest import as_fraction, nearest_multiple, nullspace_reference
 
 
 def test_rational_radicand_collapses():

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,12 +17,13 @@ from cardcsp.errors import InputError, ResourceError
 from cardcsp.exact import sqrt_scalar
 from cardcsp.oracle import brute_force_decision, brute_opt
 from cardcsp.poly import MultilinearPoly
+from cardcsp.rounding import active_bound_constant, gamma_denominator
 from cardcsp.solver import (average, certification_threshold, decide,
-                            enumerate_kernel, general_fourth_moment_bound,
-                            instance_variance, kernel_bound_constant)
+                            enumerate_kernel, fourth_moment_bound,
+                            general_fourth_moment_bound, instance_variance)
 
-from conftest import (CUT, complete_graph, graph_instance, path_graph, random_instance,
-                      star_graph, valid_biases)
+from conftest import (CUT, complete_graph, enumerate_kernel_point_loop, graph_instance,
+                      path_graph, random_instance, random_poly, star_graph, valid_biases)
 
 
 def test_decide_k4_no():
@@ -164,14 +167,14 @@ MIXED_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 8, 12)
 
 
 @st.composite
-def kernel_problems(draw):
-    """A chi polynomial on a kernel of at most 8 variables, a bias and a
-    base correction.  n is a small multiple of p's denominator, so a kernel
-    close to n leaves whole -1 layers infeasible at both ends; small-integer
-    coefficients make ties common."""
+def kernel_problems(draw, max_size=8, max_multiple=4):
+    """A chi polynomial on a kernel of at most max_size variables, a bias
+    and a base correction.  n is a small multiple of p's denominator, so a
+    kernel close to n leaves whole -1 layers infeasible at both ends;
+    small-integer coefficients make ties common."""
     p = draw(st.sampled_from((F(1, 2), F(1, 3), F(1, 4), F(2, 3))))
-    n = p.denominator * draw(st.integers(1, 4))
-    size = draw(st.integers(0, min(8, n)))
+    n = p.denominator * draw(st.integers(1, max_multiple))
+    size = draw(st.integers(0, min(max_size, n)))
     kernel = tuple(sorted(draw(st.permutations(range(1, n + 1)))[:size]))
     if draw(st.booleans()):
         coefficient = st.integers(-1, 1).map(F)
@@ -196,6 +199,43 @@ def test_enumerate_kernel_matches_reference_walk(problem):
     reduced, kernel, card, base_correction = problem
     assert enumerate_kernel(reduced, kernel, card, base_correction) == \
         _enumerate_kernel_reference(reduced, kernel, card, base_correction)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kernel_problems(max_size=12, max_multiple=6), st.integers(1, solver.KERNEL_BLOCK))
+def test_enumerate_kernel_matches_point_loop(problem, block):
+    # a block below |K| walks the kernel in chunks of its top variables
+    with mock.patch.object(solver, "KERNEL_BLOCK", block):
+        assert enumerate_kernel(*problem) == enumerate_kernel_point_loop(*problem)
+
+
+@pytest.mark.parametrize("n, p, degree, terms", [
+    (18, F(1, 2), 3, 30),
+    (20, F(1, 4), 2, 40),
+    (40, F(1, 20), 2, 60),
+])
+def test_enumerate_kernel_chunked_matches_point_loop(n, p, degree, terms):
+    reduced = random_poly(random.Random(n), n, degree, terms)
+    kernel = tuple(range(1, n + 1))
+    card = GlobalCardinality(n, p)
+    start = time.perf_counter()
+    walked = enumerate_kernel(reduced, kernel, card, F(1, 3))
+    elapsed = time.perf_counter() - start
+    assert walked == enumerate_kernel_point_loop(reduced, kernel, card, F(1, 3))
+    if n == 40:     # 821 feasible points in 301 chunks
+        assert elapsed < 1
+
+
+@pytest.mark.parametrize("n, p, lowest", [
+    (18, F(1, 2), (-1,) * 9 + (1,) * 9),   # the first chunk wins every tie
+    (20, F(9, 10), (-1,) * 18),            # only the last chunk holds 18 -1s
+])
+def test_enumerate_kernel_zero_polynomial_picks_lowest_assignment(n, p, lowest):
+    kernel = tuple(range(1, 19))
+    card = GlobalCardinality(n, p)
+    reduced = MultilinearPoly.zero(n)
+    walked = enumerate_kernel(reduced, kernel, card, 0)
+    assert walked == (0, lowest) == enumerate_kernel_point_loop(reduced, kernel, card, 0)
 
 
 def test_decide_enum_cap_counts_feasible_points_only():
@@ -359,6 +399,20 @@ def test_random_instances_match_oracle(rng):
             assert v.opt == brute_opt(inst, card)[0]
             assert constraint_count(inst, v.witness) == v.opt
             assert sum(v.witness) == card.target_sum
+
+
+def kernel_bound_constant(d: int, p) -> F:
+    """C with |kernel| <= C * t^2 on the small-variance branch (loose).
+
+    Bisection: at most d * 7^d * ||residual||^2-blowup * (Gamma_d/gamma)^2
+    nonzero coefficients, residual^2 <= 2 Var < 8 b t^2.  General p: the
+    active-set guarantee C'_{p,d} * Var / gamma^2 with Var < 4 b t^2."""
+    p = F(p)
+    gamma = F(1, 2 ** d)
+    b = fourth_moment_bound(d, p)
+    if p == F(1, 2):
+        return d * 7 ** d * 8 * b / gamma ** 2 * gamma_denominator(d) ** 2
+    return active_bound_constant(p, d) * 4 * b / gamma ** 2
 
 
 def test_kernel_size_within_loose_bound(rng):

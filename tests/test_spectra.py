@@ -15,8 +15,8 @@ from cardcsp.cardinal_dist import CardinalDist
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.oracle import brute_moment, brute_variance
-from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, subset_of,
-                          up)
+from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
+                          subset_of, up)
 from cardcsp import spectra
 from cardcsp.spectra import (SetSymmetricForm, alpha_table, build_dense,
                              eigen_summary, eigenvalue_closed_form,
@@ -441,6 +441,15 @@ def test_project_null_matches_per_entry_gram_reference(case):
     assert pr.h == h
     assert pr.residual == residual
     assert pr.residual_norm_sq == residual.l2_norm_sq()
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (6, 2), (10, 2), (12, 3), (9, 4)])
+@pytest.mark.parametrize("q", [0, phi_square_q(F(1, 3))])
+def test_gram_annihilator_cache_matches_fresh_computation(n, d, q):
+    cached = spectra._gram_annihilator(n, d, q)
+    assert isinstance(cached, tuple)
+    assert cached == spectra._gram_annihilator.__wrapped__(n, d, q)
+    assert spectra._gram_annihilator(n, d, q) is cached
 
 
 @st.composite
