@@ -19,8 +19,7 @@ from .rounding import (RoundingOutcome, active_variables, reconstruct_h,
                        round_bisection, round_global)
 from .solver import Verdict, average, certification_threshold, decide, enumerate_kernel
 from .spectra import (AlphaTable, ProjectionResult, SetSymmetricForm, alpha_table,
-                      build_dense, eigen_summary, eigenvalue_closed_form,
-                      project_null)
+                      eigen_summary, eigenvalue_closed_form, project_null)
 
 __version__ = "0.1.0"
 
@@ -33,6 +32,6 @@ __all__ = [
     "Assignment", "Basis", "MultilinearPoly", "convert_basis", "RoundingOutcome",
     "active_variables", "reconstruct_h", "round_bisection", "round_global", "Verdict",
     "average", "certification_threshold", "decide", "enumerate_kernel", "AlphaTable",
-    "ProjectionResult", "SetSymmetricForm", "alpha_table", "build_dense",
-    "eigen_summary", "eigenvalue_closed_form", "project_null",
+    "ProjectionResult", "SetSymmetricForm", "alpha_table", "eigen_summary",
+    "eigenvalue_closed_form", "project_null",
 ]

@@ -12,7 +12,7 @@ from .errors import InputError
 class SolverConfig:
     enum_cap: int = 10 ** 7          # max slice points any exhaustive walk may visit
     kernel_cap: int = 40             # max kernel variables the solver will enumerate
-    dense_cap: int = 2000            # max projection unknowns; max dense form dimension
+    dense_cap: int = 2000            # max projection unknowns; max spectra form dimension
     p0: Fraction = Fraction(1, 100)  # solver accepts p in [p0, 1-p0]
 
     def __post_init__(self):

@@ -22,15 +22,20 @@ h and the residual is an int numerator over one denominator, and each
 output coefficient becomes a Fraction once; off p = 1/2 the same lines run
 on QE scalars.
 
+The spectra come from the same kind of blocks: a form commutes with S_n, so
+on the ladder U^i v / i! of a harmonic v of weight j it is one small matrix,
+shared by the C(n,j) - C(n,j-1) such v and similar to a symmetric one (the
+ladder vectors are orthogonal).
+
 Eigenvectors are built from harmonic weight-k coefficient vectors
 (sum_{j not in T} fhat(T u j) = 0 for all |T| = k-1) extended upward by the
 alpha table:  i*a_{k,k+i-1} + (k+i)*q*a_{k,k+i} + (n-2k-i)*a_{k,k+i+1} = 0.
 At p = 1/2 the extended vectors are exact eigenvectors with eigenvalue
 
-  tau'_0 = sum_{l=0}^{k} (-1)^l C(k,l) tau_{2l},
-  tau_{2l} = sum_{i=0}^{d-k} a_{k,k+i} sum_t C(l,t) C(n-k-2l, i-t) delta_{2l+i-2t},
+  lambda_k = sum_{i=0}^{d-k} a_{k,k+i} C(n-2k, i) sum_{l=0}^{k} (-1)^l C(k,l) delta_{2l+i},
 
-whose leading term is the closed form sum_{even i <= d-k} ((i-1)!!)^2 / i!.
+row 0 of the weight-k block weighted by the alpha table, whose leading term
+is the closed form sum_{even i <= d-k} ((i-1)!!)^2 / i!.
 """
 
 from __future__ import annotations
@@ -124,39 +129,6 @@ class SetSymmetricForm:
             return base
         return base - self.dist.delta(s) * self.dist.delta(t)
 
-    def labels(self) -> List[int]:
-        return subsets_upto(self.n, self.d, include_empty=(self.kind == "A"))
-
-
-def _set_symmetric_matrix(labels: List[int], value) -> List[List[Scalar]]:
-    """Symmetric matrix over bitmask labels whose (S, T) entry is
-    value(|S|, |T|, |S^T|), called once per distinct triple."""
-    table: Dict[Tuple[int, int, int], Scalar] = {}
-    size = len(labels)
-    matrix = [[None] * size for _ in range(size)]
-    for i in range(size):
-        si = labels[i]
-        li = si.bit_count()
-        row = matrix[i]
-        for j in range(i, size):
-            key = (li, labels[j].bit_count(), (si & labels[j]).bit_count())
-            val = table.get(key)
-            if val is None:
-                val = table[key] = value(*key)
-            row[j] = val
-            matrix[j][i] = val
-    return matrix
-
-
-def build_dense(form: SetSymmetricForm, dense_cap: int = 2000):
-    """(labels, matrix) with exact entries; entries shared via the
-    (|S|,|T|,|S^T|) table so the dense build is cheap."""
-    labels = form.labels()
-    size = len(labels)
-    if size > dense_cap:
-        raise ResourceError(f"dense form of dimension {size} exceeds cap {dense_cap}")
-    return labels, _set_symmetric_matrix(labels, form.entry)
-
 
 def quadratic_form_value(form: SetSymmetricForm, f: MultilinearPoly) -> Scalar:
     """f^T M f without materializing the dense matrix (sparse f)."""
@@ -204,26 +176,14 @@ def eigenvalue_closed_form(d: int, k: int) -> Fraction:
 
 def vk_eigenvalue_exact(n: int, p, d: int, k: int) -> Scalar:
     """Exact eigenvalue of the extended weight-k eigenspace in the simplified
-    form (authoritative at p = 1/2 where simplified == exact)."""
+    form (authoritative at p = 1/2 where simplified == exact): row 0 of the
+    weight-k block weighted by the alpha table, since the extended vector
+    is sum_i alpha_{k,k+i} W_i v."""
     if not 0 <= k <= d:
         raise InputError("need 0 <= k <= d")
-    dist = CardinalDist(n, p)
     alphas = alpha_table(n, p, d)
-    tau: Dict[int, Scalar] = {}
-    for l in range(0, k + 1):
-        acc: Scalar = Fraction(0)
-        for i in range(0, d - k + 1):
-            inner: Scalar = Fraction(0)
-            for t in range(0, min(i, l) + 1):
-                cnt = comb(l, t) * comb(n - k - 2 * l, i - t)
-                if cnt:
-                    inner = inner + cnt * dist.delta(2 * l + i - 2 * t)
-            acc = acc + alphas.get(k, k + i) * inner
-        tau[2 * l] = acc
-    total: Scalar = Fraction(0)
-    for l in range(0, k + 1):
-        total = total + (-1) ** l * comb(k, l) * tau[2 * l]
-    return total
+    row = _weight_block(SetSymmetricForm(n, d, p, "A", exact=False), k)[0]
+    return sum((alphas.get(k, k + i) * c for i, c in enumerate(row)), Fraction(0))
 
 
 def harmonic_basis(n: int, k: int) -> List[Dict[int, Fraction]]:
@@ -291,22 +251,80 @@ class EigenSummary:
     clusters: List[EigenCluster]
 
 
-NULL_TOL = 1e-7   # float eigenvalues this close to 0 count as the null space
+def _weight_block(form: SetSymmetricForm, j: int) -> List[List[Scalar]]:
+    """The form on the ladder W_i v = U^i v / i! of a harmonic v of weight j:
+    row k, column i holds the coefficient of W_k v in form(W_i v), for the
+    levels i, k = 0 .. min(d-j, n-2j) (from 1 for kind B at j = 0).
+
+    Read at v = prod_{r<=j} (x_{a_r} - x_{b_r}) and the set
+    T_k = {b_r} u (k variables off the pairs), where (W_k v)(T_k) = (-1)^j:
+    (W_i v)(T) is (-1)^b when T holds one of each pair, b of them b_r, and
+    i variables off the pairs, f of those in T_k, and 0 otherwise."""
+    n = form.n
+    levels = range(1 if form.kind == "B" and j == 0 else 0, min(form.d - j, n - 2 * j) + 1)
+    block = []
+    for k in levels:
+        row = []
+        for i in levels:
+            total: Scalar = 0
+            for b in range(j + 1):
+                for f in range(min(i, k) + 1):
+                    count = comb(j, b) * comb(k, f) * comb(n - 2 * j - k, i - f)
+                    if count:
+                        total = total + (-1) ** b * count * form.entry(j + i, j + k, b + f)
+            row.append((-1) ** j * total)
+        block.append(row)
+    return block
+
+
+def _real_roots(coeffs: List[float]) -> List[float]:
+    """The roots, ascending, of a real-rooted polynomial (coefficients low to
+    high): it is monotone between consecutive roots of its derivative
+    (Rolle), so each such bracket, and the two out to Cauchy's bound, holds
+    one root, found by bisection."""
+    if len(coeffs) < 3:
+        return [-coeffs[0] / coeffs[1]] if len(coeffs) == 2 else []
+
+    def value(x: float) -> float:
+        out = 0.0
+        for c in reversed(coeffs):
+            out = out * x + c
+        return out
+
+    bound = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    edges = [-bound, *_real_roots([i * c for i, c in enumerate(coeffs)][1:]), bound]
+    roots = []
+    for lo, hi in zip(edges, edges[1:]):
+        rising = value(hi) > value(lo)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if (value(mid) < 0) == rising:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(lo)
+    return roots
 
 
 def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000) -> EigenSummary:
-    """Dense symmetric eigensolve; clusters grouped within 10/n of each other
-    and matched to the nearest closed-form value."""
-    import numpy as np   # only the eigensolve needs it; keeps `import cardcsp` light
-
-    labels, matrix = build_dense(form, dense_cap)
-    size = len(labels)
-    m = np.empty((size, size))
-    for i, row in enumerate(matrix):
-        m[i] = [float(v) for v in row]
-    eigenvalues = np.linalg.eigvalsh(m)
-    null_dim = int(np.sum(np.abs(eigenvalues) <= NULL_TOL))
-    nonzero = sorted(float(v) for v in eigenvalues if abs(v) > NULL_TOL)
+    """The spectrum from one block per harmonic weight j <= min(d, n/2), with
+    multiplicity C(n,j) - C(n,j-1): null_dim counts the zero roots of the
+    blocks' characteristic polynomials exactly, the other roots are floats.
+    Clusters are grouped within 10/n of each other and matched to the
+    nearest closed-form value.  dense_cap bounds the form's dimension."""
+    n, d = form.n, form.d
+    size = sum(comb(n, k) for k in range(d + 1)) - (form.kind == "B")
+    if size > dense_cap:
+        raise ResourceError(f"form of dimension {size} exceeds cap {dense_cap}")
+    null_dim = 0
+    nonzero: List[float] = []
+    for j in range(min(d, n // 2) + 1):
+        multiplicity = comb(n, j) - (comb(n, j - 1) if j else 0)
+        coeffs = _charpoly(_weight_block(form, j))
+        zeros = next(i for i, c in enumerate(coeffs) if c)
+        null_dim += zeros * multiplicity
+        nonzero.extend(root for root in _real_roots([float(c) for c in coeffs[zeros:]])
+                       for _ in range(multiplicity))
+    nonzero.sort()
     gap = 10.0 / form.n
     clusters: List[EigenCluster] = []
     candidates = [float(eigenvalue_closed_form(form.d, k))

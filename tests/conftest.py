@@ -16,6 +16,7 @@ from cardcsp.poly import (Basis, MultilinearPoly, int_numerators, phi_square_q, 
                           times_constraint)
 from cardcsp.rounding import RoundingOutcome, active_bound_constant, gamma_ladder
 from cardcsp.solver import _feasible_layers
+from cardcsp.spectra import subsets_upto
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -200,6 +201,43 @@ def rank_reference(rows) -> int:
                 m[i] = [a // g for a in row] if g > 1 else row
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# The dense moment form and its float eigensolve: the reference for the
+# exact per-weight blocks of spectra.eigen_summary.
+# ---------------------------------------------------------------------------
+
+DENSE_NULL_TOL = 1e-7   # float eigenvalues this close to 0 count as the null space
+
+
+def build_dense(form):
+    """(labels, matrix) with exact entries over the labels subsets_upto(n, d)
+    (without the empty set for kind B); the (S, T) entry is
+    form.entry(|S|, |T|, |S^T|), computed once per distinct triple."""
+    labels = subsets_upto(form.n, form.d, include_empty=(form.kind == "A"))
+    table = {}
+    size = len(labels)
+    matrix = [[None] * size for _ in range(size)]
+    for i, si in enumerate(labels):
+        for j in range(i, size):
+            key = (si.bit_count(), labels[j].bit_count(), (si & labels[j]).bit_count())
+            if key not in table:
+                table[key] = form.entry(*key)
+            matrix[i][j] = matrix[j][i] = table[key]
+    return labels, matrix
+
+
+def dense_spectrum_reference(form):
+    """(null_dim, sorted nonzero eigenvalues) of the dense form from
+    numpy.linalg.eigvalsh, counting |value| <= DENSE_NULL_TOL as zero."""
+    import numpy as np
+    _, matrix = build_dense(form)
+    size = len(matrix)   # reshape keeps the 0 x 0 form (kind B, d = 0) two-dimensional
+    values = np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in matrix],
+                                         dtype=float).reshape(size, size))
+    nonzero = sorted(float(v) for v in values if abs(v) > DENSE_NULL_TOL)
+    return len(values) - len(nonzero), nonzero
 
 
 # ---------------------------------------------------------------------------

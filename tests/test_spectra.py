@@ -18,12 +18,13 @@ from cardcsp.oracle import brute_moment, brute_variance
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
                           subset_of, up)
 from cardcsp import spectra
-from cardcsp.spectra import (SetSymmetricForm, alpha_table, build_dense,
-                             eigen_summary, eigenvalue_closed_form,
-                             harmonic_basis, project_null, quadratic_form_value,
-                             subsets_upto, vk_basis, vk_eigenvalue_exact)
+from cardcsp.spectra import (SetSymmetricForm, alpha_table, eigen_summary,
+                             eigenvalue_closed_form, harmonic_basis, project_null,
+                             quadratic_form_value, subsets_upto, vk_basis,
+                             vk_eigenvalue_exact)
 
-from conftest import (constraint_poly, csp_instances, dot, gauss_solve_reference,
+from conftest import (build_dense, constraint_poly, csp_instances,
+                      dense_spectrum_reference, dot, gauss_solve_reference,
                       graph_instance, null_space_vector, nullspace_reference,
                       random_instance, random_poly, rank_reference)
 
@@ -132,10 +133,14 @@ def test_quadratic_forms_match_brute(rng):
             assert quadratic_form_value(form_b, f) == brute_variance(f, card)
 
 
-def test_build_dense_cap():
+def test_eigen_summary_checks_dense_cap_before_any_block(monkeypatch):
+    def _no_block(*args):
+        raise AssertionError("eigen_summary built a block past its cap")
+
+    monkeypatch.setattr(spectra, "_weight_block", _no_block)
     form = SetSymmetricForm(n=30, d=3, p=F(1, 2), kind="A")
-    with pytest.raises(ResourceError):
-        build_dense(form, dense_cap=100)
+    with pytest.raises(ResourceError, match="dimension 4526 exceeds cap 100"):
+        eigen_summary(form, dense_cap=100)
 
 
 def test_closed_form_values():
@@ -232,7 +237,7 @@ def test_vk_basis_at_n12_k4_is_an_exact_eigenbasis():
     form = SetSymmetricForm(n=n, d=d, p=F(1, 2), kind="A")
     ev = vk_eigenvalue_exact(n, F(1, 2), d, k)
     for vec in basis[::91]:
-        for s in form.labels():
+        for s in subsets_upto(n, d):
             image = sum((c * form.entry(s.bit_count(), t.bit_count(), (s & t).bit_count())
                          for t, c in vec.items()), F(0))
             assert image == ev * vec.get(s, 0)
@@ -252,6 +257,48 @@ def test_vk_vectors_are_exact_eigenvectors_at_half():
         for i in range(len(labels)):
             image = sum((m[i][j] * dense[j] for j in range(len(labels))), F(0))
             assert image == ev * dense[i]
+
+
+@pytest.mark.parametrize("n, d, k", [(20, 3, 1), (10, 4, 2), (10, 4, 4)])
+def test_vk_eigenvalue_matches_dense_form_past_first_order(n, d, k):
+    # with k >= 1 and d - k >= 2 the tau_{2l} sums gave 518/323 for 520/323
+    # at (20, 3, 1) and 67/35 for 128/63 at (10, 4, 2), and (10, 4, 4)
+    # raised a bare ValueError from comb
+    form = SetSymmetricForm(n=n, d=d, p=F(1, 2), kind="A")
+    labels, m = build_dense(form)
+    idx = {s: i for i, s in enumerate(labels)}
+    ev = vk_eigenvalue_exact(n, F(1, 2), d, k)
+    basis = vk_basis(n, F(1, 2), d, k)
+    for vec in (basis[0], basis[-1]):
+        support = [(idx[s], c) for s, c in vec.items()]
+        for i, s in enumerate(labels):
+            image = sum((m[i][j] * c for j, c in support), F(0))
+            assert image == ev * vec.get(s, 0), (s, image)
+
+
+def _spectrum_grid():
+    """(n, p) for n = 2..10 and p in {1/2, 1/4, 1/3, 2/5} with pn an integer;
+    with d = 0..4, kinds A and B and both entry conventions, 240 forms,
+    n < 2d among them (ladders that end below level d)."""
+    for n in range(2, 11):
+        for p in (F(1, 2), F(1, 4), F(1, 3), F(2, 5)):
+            if (p * n).denominator == 1:
+                yield pytest.param(n, p, id=f"n{n}-p{p.numerator}_{p.denominator}")
+
+
+@pytest.mark.parametrize("n, p", _spectrum_grid())
+def test_eigen_summary_matches_dense_reference(n, p):
+    for d in range(5):
+        for kind in ("A", "B"):
+            for exact in (True, False):
+                form = SetSymmetricForm(n=n, d=d, p=p, kind=kind, exact=exact)
+                summary = eigen_summary(form)
+                null_dim, nonzero = dense_spectrum_reference(form)
+                case = (n, str(p), d, kind, exact)
+                assert summary.null_dim == null_dim, case
+                assert len(summary.nonzero_eigenvalues) == len(nonzero), case
+                for got, want in zip(summary.nonzero_eigenvalues, nonzero):
+                    assert abs(got - want) <= 1e-9, case
 
 
 def test_vk_spaces_mutually_orthogonal():
@@ -484,19 +531,6 @@ def test_project_null_matches_reference_on_random_polynomials(case):
     assert type(pr.residual_norm_sq) is type(residual.l2_norm_sq())
 
 
-def test_project_null_builds_no_gram_matrix(monkeypatch):
-    def _no_dense_build(*args, **kwargs):
-        raise AssertionError("project_null built a dense matrix")
-
-    monkeypatch.setattr(spectra, "_set_symmetric_matrix", _no_dense_build)
-    rng = random.Random(3)
-    for n, p, d in ((10, F(1, 2), 3), (4, F(1, 2), 3), (9, F(1, 3), 3)):
-        basis, bias = (Basis.CHI, None) if p == F(1, 2) else (Basis.PHI, p)
-        f = random_poly(rng, n, d, 8, basis, bias)
-        pr = project_null(f, CardinalDist(n, p))
-        assert pr.h.degree_bound < f.degree_bound
-
-
 def test_projection_at_n24_d3_is_orthogonal_and_idempotent():
     # 301 unknowns: no other test projects at d = 3 above n = 12
     n = 24
@@ -516,13 +550,17 @@ def test_projection_at_n24_d3_is_orthogonal_and_idempotent():
 
 
 def test_import_cardcsp_leaves_numpy_unloaded():
-    # numpy serves eigen_summary alone, so a plain import must not pay for it
+    # numpy is a test dependency only: neither the import nor a spectrum
+    # report may load it
     src = os.path.dirname(os.path.dirname(cardcsp.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, cardcsp; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    script = ("import contextlib, io, sys, cardcsp, cardcsp.cli\n"
+              "loaded = 'numpy' in sys.modules\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cardcsp.cli.main(['spectra', '--n', '24', '--d', '2', '--p', '1/2'])\n"
+              "print(loaded, code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False 0 False"
 
 
 def test_set_symmetric_form_rejects_negative_degree():
