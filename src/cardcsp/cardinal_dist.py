@@ -125,6 +125,12 @@ def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     the variance form of spectra.quadratic_form_value on the phi-converted
     polynomial.
     """
+    return _chi_mean_variance(f, dist)[1]
+
+
+def _chi_mean_variance(f: MultilinearPoly,
+                       dist: CardinalDist) -> Tuple[Fraction, Fraction]:
+    """(E_{D_p}[f], Var_{D_p}(f)) from one conversion of f to int numerators."""
     den, terms, mean = _chi_numerators(f, dist)
     second = [0] * (min(2 * f.degree_bound, f.n) + 1)
     for k, (mask, a) in enumerate(terms):
@@ -132,7 +138,7 @@ def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
         for other, b in terms[k + 1:]:
             second[(mask ^ other).bit_count()] += 2 * a * b
     square = sum(h * dist.chi_moment(j) for j, h in enumerate(second) if h)
-    return Fraction(square, den * den) - mean * mean
+    return mean, Fraction(square, den * den) - mean * mean
 
 
 def sample(dist: CardinalDist, seed) -> Assignment:

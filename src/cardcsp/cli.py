@@ -13,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .cardinal_dist import (CardinalDist, chi_expectation, chi_variance,
-                            delta_sequence, mc_moment)
+from .cardinal_dist import (CardinalDist, _chi_mean_variance, delta_sequence,
+                            mc_moment)
 from .config import DEFAULT_CONFIG, load_config
 from .csp_model import parse_instance, to_polynomial
 from .errors import CardCspError
@@ -110,8 +110,7 @@ def _cmd_moments(args) -> int:
     inst, card = _load_instance(args.instance)
     dist = CardinalDist.from_card(card)
     f = to_polynomial(inst)
-    avg = chi_expectation(f, dist)
-    var = chi_variance(f, dist)
+    avg, var = _chi_mean_variance(f, dist)
     doc = {
         "schema": 1,
         "avg": scalar_json(avg),

@@ -12,8 +12,8 @@ Var_{D_p}(f) against 4*b*t^2 where b is the fourth-moment constant
     positive probability, and s >= 2*sqrt(b)*t makes that margin at least t;
   - below it, kernelize (projection + rounding at p = 1/2, the reconstruction
     scan otherwise) and take the exact maximum over feasible assignments to
-    the kernel, a bit-sliced walk that adds each term to every point of a
-    cube of up to 2^16 points at once, on Python-int bit planes.
+    the kernel, a bit-sliced walk that adds each term to every feasible
+    point at once, on Python-int bit planes with one bit per feasible point.
 
 The factor 4 in the threshold (rather than b*t^2 alone) is what makes the
 fourth-moment arithmetic close at exactly t; the fourth-moment constants are
@@ -26,19 +26,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import combinations
+from functools import lru_cache
 from math import comb
-from operator import and_, or_
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .cardinal_dist import CardinalDist, chi_expectation, chi_variance
+from .cardinal_dist import (CardinalDist, _chi_mean_variance, chi_expectation,
+                            chi_variance)
 from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
                         to_polynomial, validate_instance)
 from .errors import InputError, ResourceError
 from .exact import scalar_json, sqrt_upper
-from .poly import Assignment, MultilinearPoly, int_numerators
+from .poly import Assignment, MultilinearPoly, exact_bias, int_numerators
 from .rounding import RoundingOutcome, check_gamma, round_bisection, round_global
 from .spectra import project_null
 
@@ -52,17 +51,24 @@ def general_fourth_moment_bound(d: int, p) -> Fraction:
     """The all-p fourth-moment constant; d^{3/2} is replaced by a rational
     upper bound so the threshold stays exactly comparable (a larger b only
     widens the small-variance branch, which is exact)."""
-    p = Fraction(p)
+    p = exact_bias(p)
     ratio = ((1 - p) / p) ** 2 + (p / (1 - p)) ** 2
     d_three_halves = d * sqrt_upper(Fraction(d))
     return 12 * d_three_halves * (256 * ratio ** 2) ** d
 
 
 def fourth_moment_bound(d: int, p) -> Fraction:
-    p = Fraction(p)
+    p = exact_bias(p)
     if p == Fraction(1, 2):
         return bisection_fourth_moment_bound(d)
     return general_fourth_moment_bound(d, p)
+
+
+def _check_target(t) -> int:
+    """t itself; InputError for anything but an int (a bool included)."""
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise InputError(f"t must be an int, got {t!r}")
+    return t
 
 
 def certification_threshold(d: int, p, t, mode: str = "paper_safe") -> Fraction:
@@ -70,7 +76,7 @@ def certification_threshold(d: int, p, t, mode: str = "paper_safe") -> Fraction:
     OPT >= AVG + t: 4 * b * t^2."""
     if mode != "paper_safe":
         raise InputError(f"unknown threshold mode {mode!r}")
-    return 4 * fourth_moment_bound(d, p) * Fraction(t) ** 2
+    return 4 * fourth_moment_bound(d, p) * _check_target(t) ** 2
 
 
 @dataclass
@@ -133,28 +139,26 @@ def _feasible_layers(size: int, card: GlobalCardinality) -> range:
     return range(max(0, size - card.num_positive), min(size, card.num_negative) + 1)
 
 
-# The kernel walk holds one Python int per low kernel variable, one bit per
-# point of the 2^KERNEL_BLOCK cube; a wider kernel is walked one fixed set of
-# top variables at a time, so no int grows past 2^16 bits.
-KERNEL_BLOCK = 16
-
-
-@cache
-def _cube(b: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """(full, planes, layers) for the 2^b cube: bit x of full is set for
-    every x, bit x of planes[i] is bit i of x, and layers[r] holds the x
-    with r bits set, read off a bit-sliced popcount counter of the planes.
-    Cached: the ints depend on b alone."""
-    full = (1 << (1 << b)) - 1
-    planes = tuple(full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-                   for i in range(b))
-    counter = [0] * b.bit_length()
-    for plane in planes:
-        _add_plane(counter, plane, 0)
-    return full, planes, tuple(
-        reduce(and_, (digit if r >> k & 1 else full ^ digit
-                      for k, digit in enumerate(counter)), full)
-        for r in range(b + 1))
+@lru_cache(maxsize=64)
+def _feasible_planes(size: int, layers: range) -> Tuple[int, Tuple[int, ...]]:
+    """(points, planes) over the -1 sets of `size` variables whose size lies
+    in `layers`, one bit per set: bit x of planes[i] is set where variable
+    i is -1 at point x.  Built by Pascal's rule (Knuth, TAOCP 4A 7.2.1.3):
+    such sets of m + 1 variables are those of the first m, then those of
+    the first m with one member fewer and variable m + 1 added.  Cached:
+    the ints depend on (size, layers) alone."""
+    # rows[k]: (count, planes) of the sets of the first m variables with
+    # layers.start - k .. layers.stop - 1 - k members, from the empty set at
+    # m = 0.  Only k <= size - m can still reach row 0, and a row past the
+    # top layer would need fewer than 0 members: it stays the empty pad.
+    rows = [(int(k in layers), ()) for k in range(layers[-1] + 1)]
+    for m in range(size):
+        rows = [(count + other,
+                 tuple(a | b << count for a, b in zip(old, new))
+                 + (((1 << other) - 1) << count,))
+                for (count, old), (other, new)
+                in zip(rows[:size - m], rows[1:] + [(0, (0,) * m)])]
+    return rows[0]
 
 
 def _add_plane(counter: List[int], plane: int, level: int) -> None:
@@ -166,18 +170,6 @@ def _add_plane(counter: List[int], plane: int, level: int) -> None:
         level += 1
 
 
-def _first_minimum(acc: List[int], points: int, planes: Tuple[int, ...]) -> int:
-    """The point of the nonempty set `points` with the least count on the
-    bit-sliced counter acc, ties broken toward bit i set for the lowest i."""
-    for digit in reversed(acc):
-        if points & ~digit:
-            points &= ~digit
-    for plane in planes:
-        if points & plane:
-            points &= plane
-    return points.bit_length() - 1
-
-
 def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
                      base_correction, cap: int = DEFAULT_CONFIG.kernel_cap
                      ) -> Tuple[Fraction, Tuple[int, ...]]:
@@ -186,23 +178,16 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     reduced's coefficients are put over one common denominator as int
     numerators c_S on their bitmask keys, so the value at a point with -1
     set N is total - 2 sum {c_S : |S n N| odd}; the walk finds the N with
-    the least odd sum on a bit-sliced cube (Biham 1997).  The
-    b = min(|K|, KERNEL_BLOCK) lowest kernel variables get one int plane
-    each, bit x set where the variable is -1 at point x of the 2^b cube;
-    a bit-sliced popcount counter of those planes gives each -1 layer.  The
-    top |K| - b variables are fixed one -1 set at a time (a chunk), with
-    only the -1 counts that leave a feasible layer of the cube; fixing them
-    folds each c_S into the coefficient of S's low part, negated where
-    |S n chunk| is odd.  A term's parity plane is the XOR of its low
-    variables' planes, complemented where its coefficient is negative, and
-    |c| times it is added to a bit-sliced ripple-carry counter, so every
-    point's count is its odd sum up to a constant of the chunk.  The
-    least count over the chunk's feasible points is read from the top
-    counter plane down.  Returns (opt, values over sorted(kernel)), ties
-    resolved toward the lexicographically smallest assignment (-1 before
-    +1): the -1 mask that holds the lowest differing bit.  Within a chunk
-    that is a greedy pass over the planes, across chunks a comparison of
-    each chunk's winner, whose value is recomputed from the int table.
+    the least odd sum, bit-sliced (Biham 1997) over exactly the feasible
+    points: each kernel variable gets one int plane with one bit per -1 set
+    of a feasible layer (`_feasible_planes`).  A term's parity plane is the
+    XOR of its variables' planes, complemented where its coefficient is
+    negative, and |c| times it is added to a bit-sliced ripple-carry
+    counter, so every point's count is its odd sum up to a constant.  The
+    least count is read from the top counter plane down.  Returns (opt,
+    values over sorted(kernel)), ties resolved toward the lexicographically
+    smallest assignment (-1 before +1) by a greedy pass over the planes;
+    the winner's value is recomputed from the int table.
     """
     kernel = tuple(sorted(kernel))
     size = len(kernel)
@@ -219,47 +204,33 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     if not layers:
         raise InputError("no feasible kernel assignment (inconsistent budgets)")
     den, table = int_numerators(reduced.coeffs, "the reduced polynomial")
-    terms = list(table.items())
     total = sum(table.values())
-    b = min(size, KERNEL_BLOCK)
-    low = [1 << (v - 1) for v in kernel[:b]]
-    top = [1 << (v - 1) for v in kernel[b:]]
-    full, planes, layer = _cube(b)
-    plane_of = dict(zip(low, planes))
-    low_mask = sum(low)
-    parts: Dict[int, List[Tuple[int, int]]] = {}    # low part -> [(top part, c)]
+    points, planes = _feasible_planes(size, layers)
+    bits = [1 << (v - 1) for v in kernel]
+    plane_of = dict(zip(bits, planes))
+    full = (1 << points) - 1
+    terms = [(mask, c) for mask, c in table.items() if mask]
+    counter = [0] * sum(abs(c) for _, c in terms).bit_length()
     for mask, c in terms:
-        if mask & low_mask:
-            parts.setdefault(mask & low_mask, []).append((mask & ~low_mask, c))
-    parity = []
-    for part, rest in parts.items():
         plane = 0
-        while part:
-            plane ^= plane_of[part & -part]
-            part &= part - 1
-        parity.append((plane, rest))
-    best = best_mask = None
-    for count in range(max(0, layers.start - b), min(size - b, layers.stop - 1) + 1):
-        points = reduce(or_, layer[max(0, layers.start - count):layers.stop - count], 0)
-        for chunk in combinations(top, count):
-            chunk = sum(chunk)
-            weighted = []
-            for plane, rest in parity:
-                w = sum(-c if (m & chunk).bit_count() & 1 else c for m, c in rest)
-                if w:
-                    weighted.append((plane if w > 0 else full ^ plane, abs(w)))
-            acc = [0] * sum(w for _, w in weighted).bit_length()
-            for plane, w in weighted:
-                for level in range(w.bit_length()):
-                    if w >> level & 1:
-                        _add_plane(acc, plane, level)
-            x = _first_minimum(acc, points, planes)
-            neg_mask = chunk + sum(bit for i, bit in enumerate(low) if x >> i & 1)
-            val = total - 2 * sum(c for m, c in terms if (m & neg_mask).bit_count() & 1)
-            if best is None or val > best or (
-                    val == best and neg_mask & (diff := neg_mask ^ best_mask) & -diff):
-                best, best_mask = val, neg_mask
-    arg = tuple(-1 if best_mask >> (v - 1) & 1 else 1 for v in kernel)
+        while mask:
+            plane ^= plane_of[mask & -mask]
+            mask &= mask - 1
+        if c < 0:
+            plane, c = full ^ plane, -c
+        for level in range(c.bit_length()):
+            if c >> level & 1:
+                _add_plane(counter, plane, level)
+    least = full
+    for digit in reversed(counter):
+        if least & ~digit:
+            least &= ~digit
+    for plane in planes:
+        if least & plane:
+            least &= plane
+    neg_mask = sum(bit for bit, plane in zip(bits, planes) if least & plane)
+    best = total - 2 * sum(c for m, c in table.items() if (m & neg_mask).bit_count() & 1)
+    arg = tuple(-1 if neg_mask & bit else 1 for bit in bits)
     return Fraction(best, den) + base_correction, arg
 
 
@@ -306,8 +277,7 @@ def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
 def decide(inst: CspInstance, card: GlobalCardinality, t: int,
            config: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Decide whether some valid assignment satisfies >= AVG + t constraints."""
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise InputError(f"t must be an int, got {t!r}")
+    _check_target(t)
     if inst.n != card.n:
         raise InputError("instance and cardinality constraint sizes differ")
     validate_instance(inst)
@@ -315,8 +285,7 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
         raise InputError(f"p = {card.p} outside [{config.p0}, {1 - config.p0}]")
     f = to_polynomial(inst)
     dist = CardinalDist.from_card(card)
-    avg = chi_expectation(f, dist)
-    var = chi_variance(f, dist)
+    avg, var = _chi_mean_variance(f, dist)
     d = max(inst.d, 1)
     if t <= 0:
         return Verdict(answer="CertifiedAbove", branch="LargeVariance",

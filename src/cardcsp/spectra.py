@@ -54,10 +54,10 @@ from .poly import (Basis, MultilinearPoly, down, exact_bias, phi_square_q,
                    reduce_by_constraint, times_constraint_table, up)
 
 
-def subsets_upto(n: int, d: int, include_empty: bool = True) -> List[int]:
+def subsets_upto(n: int, d: int) -> List[int]:
     """Bitmasks of all subsets of [1..n] of size <= d, ordered by (size, lex)."""
     bits = [1 << i for i in range(n)]
-    out: List[int] = [0] if include_empty else []
+    out: List[int] = [0]
     for k in range(1, d + 1):
         out.extend(sum(c) for c in combinations(bits, k))
     return out

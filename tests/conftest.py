@@ -215,7 +215,9 @@ def build_dense(form):
     """(labels, matrix) with exact entries over the labels subsets_upto(n, d)
     (without the empty set for kind B); the (S, T) entry is
     form.entry(|S|, |T|, |S^T|), computed once per distinct triple."""
-    labels = subsets_upto(form.n, form.d, include_empty=(form.kind == "A"))
+    labels = subsets_upto(form.n, form.d)
+    if form.kind == "B":
+        labels = labels[1:]     # the empty set, mask 0, comes first
     table = {}
     size = len(labels)
     matrix = [[None] * size for _ in range(size)]

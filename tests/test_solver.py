@@ -9,10 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cardcsp.cardinal_dist as cardinal_dist
 import cardcsp.poly as poly
 import cardcsp.solver as solver
+from cardcsp.cardinal_dist import CardinalDist, chi_expectation, chi_variance
 from cardcsp.config import SolverConfig, parse_config
-from cardcsp.csp_model import Constraint, CspInstance, GlobalCardinality, constraint_count
+from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality, constraint_count,
+                               to_polynomial)
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.exact import sqrt_scalar
 from cardcsp.oracle import brute_force_decision, brute_opt
@@ -77,6 +80,34 @@ def test_threshold_values():
     assert certification_threshold(2, F(1, 3), 1) > certification_threshold(2, F(1, 2), 1)
     with pytest.raises(InputError):
         certification_threshold(2, F(1, 2), 1, mode="other")
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, True, "1/2", 0, 1, F(3, 2)])
+def test_threshold_rejects_a_bias_that_is_not_exact(p):
+    # a float p used to give a threshold with a 265-digit denominator, and
+    # p = 0 a bare ZeroDivisionError
+    for bound in (certification_threshold, fourth_moment_bound,
+                  general_fourth_moment_bound):
+        args = (2, p, 1) if bound is certification_threshold else (2, p)
+        with pytest.raises(InputError, match="p"):
+            bound(*args)
+
+
+@pytest.mark.parametrize("t", [1.5, 1.0, True, F(1), "1"])
+def test_threshold_rejects_a_target_that_is_not_an_int(t):
+    with pytest.raises(InputError, match="t must be an int"):
+        certification_threshold(2, F(1, 2), t)
+
+
+def test_decide_converts_f_once_for_both_moments():
+    inst = complete_graph(6)
+    card = GlobalCardinality(6, F(1, 3))
+    with mock.patch.object(cardinal_dist, "_chi_numerators",
+                           wraps=cardinal_dist._chi_numerators) as convert:
+        v = decide(inst, card, 1)
+    assert convert.call_count == 1
+    f, dist = to_polynomial(inst), CardinalDist.from_card(card)
+    assert (v.avg, v.variance) == (chi_expectation(f, dist), chi_variance(f, dist))
 
 
 def test_general_bound_reduces_monotonically_toward_half():
@@ -202,11 +233,27 @@ def test_enumerate_kernel_matches_reference_walk(problem):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(kernel_problems(max_size=12, max_multiple=6), st.integers(1, solver.KERNEL_BLOCK))
-def test_enumerate_kernel_matches_point_loop(problem, block):
-    # a block below |K| walks the kernel in chunks of its top variables
-    with mock.patch.object(solver, "KERNEL_BLOCK", block):
-        assert enumerate_kernel(*problem) == enumerate_kernel_point_loop(*problem)
+@given(kernel_problems(max_size=16, max_multiple=8))
+def test_enumerate_kernel_matches_point_loop(problem):
+    assert enumerate_kernel(*problem) == enumerate_kernel_point_loop(*problem)
+
+
+@pytest.mark.parametrize("size, n, p", [
+    (0, 3, F(2, 3)), (1, 2, F(1, 2)), (5, 6, F(1, 3)), (10, 10, F(1, 2)),
+    (12, 20, F(1, 4)), (18, 20, F(9, 10)), (40, 40, F(1, 20)),
+])
+def test_feasible_planes_hold_each_feasible_set_once(size, n, p):
+    layers = solver._feasible_layers(size, GlobalCardinality(n, p))
+    points, planes = solver._feasible_planes(size, layers)
+    assert points == sum(comb(size, j) for j in layers)
+    assert len(planes) == size
+    assert all(plane >> points == 0 for plane in planes)
+    assert [plane.bit_count() for plane in planes] == \
+        [sum(comb(size - 1, j - 1) for j in layers if j)] * size
+    sets = {frozenset(i for i, plane in enumerate(planes) if plane >> x & 1)
+            for x in range(points)}
+    assert len(sets) == points
+    assert all(len(negs) in layers for negs in sets)
 
 
 @pytest.mark.parametrize("n, p, degree, terms", [
@@ -222,13 +269,13 @@ def test_enumerate_kernel_chunked_matches_point_loop(n, p, degree, terms):
     walked = enumerate_kernel(reduced, kernel, card, F(1, 3))
     elapsed = time.perf_counter() - start
     assert walked == enumerate_kernel_point_loop(reduced, kernel, card, F(1, 3))
-    if n == 40:     # 821 feasible points in 301 chunks
+    if n == 40:     # 821 feasible points, layers 0-2 of 40 variables
         assert elapsed < 1
 
 
 @pytest.mark.parametrize("n, p, lowest", [
-    (18, F(1, 2), (-1,) * 9 + (1,) * 9),   # the first chunk wins every tie
-    (20, F(9, 10), (-1,) * 18),            # only the last chunk holds 18 -1s
+    (18, F(1, 2), (-1,) * 9 + (1,) * 9),   # only the layer of 9 -1s is feasible
+    (20, F(9, 10), (-1,) * 18),            # layers 16-18: the last wins every tie
 ])
 def test_enumerate_kernel_zero_polynomial_picks_lowest_assignment(n, p, lowest):
     kernel = tuple(range(1, 19))
