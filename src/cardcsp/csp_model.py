@@ -15,13 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import InputError, ParseError
 from .poly import Assignment, Basis, MultilinearPoly, check_assignment, exact_bias
 
 Pattern = Tuple[int, ...]
+
+# the +-1 entries of a pattern, and their spellings in the file format
+_SIGNS = frozenset((-1, 1))
+_SIGN_OF = {"1": 1, "+1": 1, "-1": -1}
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ def _check_scope(variables: Tuple[int, ...], n: int, d: int) -> None:
         raise InputError(f"constraint arity {len(variables)} outside [1..{d}]")
     if len(set(variables)) != len(variables):
         raise InputError(f"duplicate variable in constraint {variables}")
-    if any(not 1 <= v <= n for v in variables):
+    if min(variables) < 1 or max(variables) > n:
         raise InputError(f"variable out of range in constraint {variables}")
 
 
@@ -93,8 +98,12 @@ def validate_instance(inst: CspInstance) -> None:
         _check_scope(c.variables, inst.n, inst.d)
         if not c.patterns:
             raise InputError("empty predicate")
-        for pat in c.patterns:
-            _check_pattern(pat, c.arity)
+        # one pass over all the patterns' lengths and entries; only a bad
+        # predicate is walked pattern by pattern, to name the first culprit
+        if (set(map(len, c.patterns)) != {c.arity}
+                or not _SIGNS.issuperset(chain.from_iterable(c.patterns))):
+            for pat in c.patterns:
+                _check_pattern(pat, c.arity)
 
 
 def _at_line(line: int, check, *args):
@@ -107,12 +116,13 @@ def _at_line(line: int, check, *args):
 
 def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     """Parse the line-oriented instance format; errors carry line numbers."""
-    lines = text.splitlines()
     tokens: List[Tuple[int, List[str]]] = []
-    for idx, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            tokens.append((idx, body.split()))
+    for idx, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        fields = raw.split()
+        if fields:
+            tokens.append((idx, fields))
     if not tokens:
         raise ParseError("empty instance", 1)
     line_no, head = tokens[0]
@@ -128,14 +138,14 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     card = _at_line(line_no, GlobalCardinality, n, p)
 
     constraints: List[Constraint] = []
-    pos = 1
-    while pos < len(tokens):
+    pos, end = 1, len(tokens)
+    while pos < end:
         line_no, tok = tokens[pos]
         if tok[0] != "c":
             raise ParseError(f"expected constraint line 'c ...', got {tok[0]!r}", line_no)
         try:
             arity = int(tok[1])
-            variables = tuple(int(v) for v in tok[2:])
+            variables = tuple(map(int, tok[2:]))
         except (IndexError, ValueError) as exc:
             raise ParseError(f"bad constraint line: {exc}", line_no) from exc
         if len(variables) != arity:
@@ -143,18 +153,18 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
         _at_line(line_no, _check_scope, variables, n, d)
         pos += 1
         patterns = set()
-        while pos < len(tokens) and tokens[pos][1][0] == "s":
+        while pos < end:
             s_line, s_tok = tokens[pos]
-            vals = []
-            for field in s_tok[1:]:
-                if field in ("1", "+1"):
-                    vals.append(1)
-                elif field == "-1":
-                    vals.append(-1)
-                else:
-                    raise ParseError(f"pattern entry {field!r} is not +-1", s_line)
-            _at_line(s_line, _check_pattern, tuple(vals), arity)
-            patterns.add(tuple(vals))
+            if s_tok[0] != "s":
+                break
+            try:
+                pat = tuple(map(_SIGN_OF.__getitem__, s_tok[1:]))
+            except KeyError as exc:
+                raise ParseError(f"pattern entry {exc.args[0]!r} is not +-1",
+                                 s_line) from None
+            if len(pat) != arity:
+                raise ParseError(f"pattern {pat} has arity {len(pat)}, not {arity}", s_line)
+            patterns.add(pat)
             pos += 1
         if not patterns:
             raise ParseError("constraint has no satisfying patterns", line_no)
@@ -175,29 +185,47 @@ def format_instance(inst: CspInstance, card: GlobalCardinality) -> str:
     return "\n".join(out) + "\n"
 
 
+@lru_cache(maxsize=256)
+def _chi_table(arity: int, patterns: FrozenSet[Pattern]) -> Tuple[Tuple[int, int], ...]:
+    """One predicate's chi expansion (O'Donnell 2014, ch. 1): its indicator
+    prod_j (1 + pat_j x_j) / 2^arity summed over patterns, as (local mask,
+    numerator over 2^arity) per subset of positions in (size, lex) order,
+    zeros kept.  Bit j of a local mask is position j.  Cached: the table
+    depends on the predicate alone, and dense instances repeat a few."""
+    # bit j of a pattern's mask is set when its position j is -1
+    neg_masks = [sum(1 << j for j, v in enumerate(pat) if v < 0) for pat in patterns]
+    table = []
+    for r in range(arity + 1):
+        for positions in combinations(range(arity), r):
+            mask = sum(1 << j for j in positions)
+            odd = sum((mask & neg).bit_count() & 1 for neg in neg_masks)
+            table.append((mask, len(neg_masks) - 2 * odd))
+    return tuple(table)
+
+
 def to_polynomial(inst: CspInstance) -> MultilinearPoly:
     """Chi-basis polynomial whose value at any assignment is the number of
     satisfied constraints.  Every coefficient is a multiple of 2^-arity of
     the constraint contributing it, hence of 2^-d overall: the coefficients
-    are summed as int numerators over 2^top, top the largest arity."""
-    top = max((c.arity for c in inst.constraints), default=0)
+    are summed as int numerators over 2^top, top the largest arity.  Each
+    constraint adds its predicate's `_chi_table` with local masks mapped to
+    its variables' bits."""
+    top = max((len(c.variables) for c in inst.constraints), default=0)
     nums: Dict[int, int] = {}
     for c in inst.constraints:
-        k = c.arity
-        weight = 1 << (top - k)
-        # bit j of a pattern's mask is set when its position j is -1
-        neg_masks = [sum(1 << j for j, v in enumerate(pat) if v < 0)
-                     for pat in c.patterns]
-        # prod_j (1 + pat_j x_{v_j}) / 2^k expands over subsets of positions
-        for r in range(k + 1):
-            for positions in combinations(range(k), r):
-                mask = sum(1 << j for j in positions)
-                odd = sum((mask & neg).bit_count() & 1 for neg in neg_masks)
-                key = sum(1 << (c.variables[j] - 1) for j in positions)
-                nums[key] = nums.get(key, 0) + (len(neg_masks) - 2 * odd) * weight
+        # keys[local]: the global bitmask of the positions in local
+        keys = [0]
+        for v in c.variables:
+            bit = 1 << (v - 1)
+            keys += [key | bit for key in keys]
+        weight = 1 << (top - len(c.variables))
+        for local, num in _chi_table(len(c.variables), frozenset(c.patterns)):
+            key = keys[local]
+            nums[key] = nums.get(key, 0) + num * weight
     den = 1 << top
-    return MultilinearPoly(inst.n, {s: Fraction(v, den) for s, v in nums.items() if v},
-                           Basis.CHI)
+    # one Fraction per distinct numerator, shared by its terms
+    value = {v: Fraction(v, den) for v in set(nums.values()) if v}
+    return MultilinearPoly(inst.n, {s: value[v] for s, v in nums.items() if v}, Basis.CHI)
 
 
 def constraint_count(inst: CspInstance, a: Assignment) -> int:

@@ -30,8 +30,7 @@ from functools import lru_cache
 from math import comb
 from typing import List, Optional, Tuple
 
-from .cardinal_dist import (CardinalDist, _chi_mean_variance, chi_expectation,
-                            chi_variance)
+from .cardinal_dist import CardinalDist, _chi_mean_variance, chi_expectation
 from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
                         to_polynomial, validate_instance)
@@ -126,11 +125,6 @@ def average(inst: CspInstance, card: GlobalCardinality) -> Fraction:
     """AVG: the mean satisfied-constraint count under D_p."""
     dist = CardinalDist.from_card(card)
     return chi_expectation(to_polynomial(inst), dist)
-
-
-def instance_variance(inst: CspInstance, card: GlobalCardinality) -> Fraction:
-    dist = CardinalDist.from_card(card)
-    return chi_variance(to_polynomial(inst), dist)
 
 
 def _feasible_layers(size: int, card: GlobalCardinality) -> range:

@@ -27,7 +27,7 @@ on the ladder U^i v / i! of a harmonic v of weight j it is one small matrix,
 shared by the C(n,j) - C(n,j-1) such v and similar to a symmetric one (the
 ladder vectors are orthogonal).
 
-Eigenvectors are built from harmonic weight-k coefficient vectors
+The eigenvectors are harmonic weight-k coefficient vectors
 (sum_{j not in T} fhat(T u j) = 0 for all |T| = k-1) extended upward by the
 alpha table:  i*a_{k,k+i-1} + (k+i)*q*a_{k,k+i} + (n-2k-i)*a_{k,k+i+1} = 0.
 At p = 1/2 the extended vectors are exact eigenvectors with eigenvalue
@@ -184,52 +184,6 @@ def vk_eigenvalue_exact(n: int, p, d: int, k: int) -> Scalar:
     alphas = alpha_table(n, p, d)
     row = _weight_block(SetSymmetricForm(n, d, p, "A", exact=False), k)[0]
     return sum((alphas.get(k, k + i) * c for i, c in enumerate(row)), Fraction(0))
-
-
-def harmonic_basis(n: int, k: int) -> List[Dict[int, Fraction]]:
-    """Specht basis of the weight-k harmonic vectors (down(v) = 0: every
-    partial sum sum_{j not in T} v(T u j) over |T| = k-1 vanishes), keyed by
-    bitmask; dimension C(n,k)-C(n,k-1) for k <= n/2, else 0.
-
-    One vector per top set B = (b_1 < ... < b_k), in lex order: with
-    a_1 < ... < a_k the first k variables outside B, B is kept when
-    a_i < b_i for every i, and its vector is the table of
-    prod_i (x_{a_i} - x_{b_i}), 2^k entries of +-1.  Each x_a - x_b has
-    down = 0, so the product does.  The vector's largest mask is B itself,
-    so the vectors are independent (Filmus 2016, the Specht-module basis).
-    """
-    if n < 0 or k < 0:
-        raise InputError(f"harmonic basis needs n, k >= 0 (n={n}, k={k})")
-    out = []
-    for top in combinations(range(n), k):
-        rest = [i for i in range(n) if i not in top][:k]
-        if len(rest) < k or any(a > b for a, b in zip(rest, top)):
-            continue
-        vec = {0: Fraction(1)}
-        for a, b in zip(rest, top):
-            vec = ({m | 1 << a: c for m, c in vec.items()}
-                   | {m | 1 << b: -c for m, c in vec.items()})
-        out.append(vec)
-    return out
-
-
-def vk_basis(n: int, p, d: int, k: int) -> List[Dict[int, Scalar]]:
-    """Basis of the extended weight-k eigenspace inside {phi_S : |S| <= d}
-    on bitmask keys: harmonic at weight k, alpha-extended above, zero below."""
-    if not 0 <= k <= d:
-        raise InputError("need 0 <= k <= d")
-    alphas = alpha_table(n, p, d)
-    out = []
-    for vec in harmonic_basis(n, k):
-        ext: Dict[int, Scalar] = dict(vec)
-        # up^m / m! sums vec over the weight-k subsets of each weight-(k+m) set
-        layer = vec
-        for size in range(k + 1, d + 1):
-            layer = {t: c / (size - k) for t, c in up(layer, n).items()}
-            a = alphas.get(k, size)
-            ext.update((t, a * c) for t, c in layer.items() if a * c)
-        out.append(ext)
-    return out
 
 
 @dataclass

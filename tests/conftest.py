@@ -8,15 +8,16 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from cardcsp.csp_model import Constraint, CspInstance
+from cardcsp.cardinal_dist import CardinalDist, chi_variance
+from cardcsp.csp_model import Constraint, CspInstance, to_polynomial
 from cardcsp.errors import InputError
 from cardcsp.exact import QE, make_qe, round_half_away, scalar_inverse
 from cardcsp.oracle import _revolving_door
 from cardcsp.poly import (Basis, MultilinearPoly, int_numerators, phi_square_q, phi_values,
-                          times_constraint)
+                          times_constraint, up)
 from cardcsp.rounding import RoundingOutcome, active_bound_constant, gamma_ladder
 from cardcsp.solver import _feasible_layers
-from cardcsp.spectra import subsets_upto
+from cardcsp.spectra import alpha_table, subsets_upto
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -587,3 +588,54 @@ def enumerate_kernel_point_loop(reduced, kernel, card, base_correction):
                 best, best_mask = val, neg_mask
     arg = tuple(-1 if best_mask >> (v - 1) & 1 else 1 for v in kernel)
     return Fraction(best, den) + Fraction(base_correction), arg
+
+
+def instance_variance(inst, card):
+    """Var over the slice of the instance's counting polynomial."""
+    return chi_variance(to_polynomial(inst), CardinalDist.from_card(card))
+
+
+def harmonic_basis(n, k):
+    """Specht basis of the weight-k harmonic vectors (down(v) = 0: every
+    partial sum sum_{j not in T} v(T u j) over |T| = k-1 vanishes), keyed by
+    bitmask; dimension C(n,k)-C(n,k-1) for k <= n/2, else 0.
+
+    One vector per top set B = (b_1 < ... < b_k), in lex order: with
+    a_1 < ... < a_k the first k variables outside B, B is kept when
+    a_i < b_i for every i, and its vector is the table of
+    prod_i (x_{a_i} - x_{b_i}), 2^k entries of +-1.  Each x_a - x_b has
+    down = 0, so the product does.  The vector's largest mask is B itself,
+    so the vectors are independent (Filmus 2016, the Specht-module basis).
+    """
+    if n < 0 or k < 0:
+        raise InputError(f"harmonic basis needs n, k >= 0 (n={n}, k={k})")
+    out = []
+    for top in combinations(range(n), k):
+        rest = [i for i in range(n) if i not in top][:k]
+        if len(rest) < k or any(a > b for a, b in zip(rest, top)):
+            continue
+        vec = {0: Fraction(1)}
+        for a, b in zip(rest, top):
+            vec = ({m | 1 << a: c for m, c in vec.items()}
+                   | {m | 1 << b: -c for m, c in vec.items()})
+        out.append(vec)
+    return out
+
+
+def vk_basis(n, p, d, k):
+    """Basis of the extended weight-k eigenspace inside {phi_S : |S| <= d}
+    on bitmask keys: harmonic at weight k, alpha-extended above, zero below."""
+    if not 0 <= k <= d:
+        raise InputError("need 0 <= k <= d")
+    alphas = alpha_table(n, p, d)
+    out = []
+    for vec in harmonic_basis(n, k):
+        ext = dict(vec)
+        # up^m / m! sums vec over the weight-k subsets of each weight-(k+m) set
+        layer = vec
+        for size in range(k + 1, d + 1):
+            layer = {t: c / (size - k) for t, c in up(layer, n).items()}
+            a = alphas.get(k, size)
+            ext.update((t, a * c) for t, c in layer.items() if a * c)
+        out.append(ext)
+    return out

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcsp.csp_model import (GlobalCardinality, constraint_count, format_instance,
-                               parse_instance, to_polynomial)
+from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality,
+                               constraint_count, format_instance, parse_instance,
+                               to_polynomial, validate_instance)
 from cardcsp.errors import InputError, ParseError
 from cardcsp.poly import Basis, MultilinearPoly
 
@@ -25,6 +26,8 @@ K4_FILE = """\
 csp 4 6 2 1/2
 """ + "".join(f"c 2 {i} {j}\ns +1 -1\ns -1 +1\n"
               for i in range(1, 5) for j in range(i + 1, 5) if i < j)
+
+EVEN_PARITY = frozenset(pat for pat in product((-1, 1), repeat=3) if pat.count(-1) % 2 == 0)
 
 
 def test_parse_cut_edge():
@@ -60,6 +63,59 @@ def test_parse_rejects_bad_pattern_arity():
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert err.value.line == 3
+    assert str(err.value) == "line 3: pattern (1, 1, 1) has arity 3, not 2"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("csp 3 1 2 1/3\nc 2 1 2\ns +1 0\n", 3, "pattern entry '0' is not +-1"),
+    ("csp 3 1 2 1/3\nc 2 1 2\ns 1 x 1\n", 3, "pattern entry 'x' is not +-1"),
+    ("csp 3 1 2 1/3\nc 2 1 2\ns\n", 3, "pattern () has arity 0, not 2"),
+    ("csp 3 1 2 1/3\nc 2 1 2\ns +1 -1\ns\n", 4, "pattern () has arity 0, not 2"),
+    ("csp 3 1 2 1/3\nc 2 1 2 # edge\ns +1 -1 # one\ns -1 0 # two\n", 4,
+     "pattern entry '0' is not +-1"),
+    ("csp 3 1 2 1/3 # header\nc 2 1 2 # edge\ns 1 1 1 # three\n", 3,
+     "pattern (1, 1, 1) has arity 3, not 2"),
+    ("csp 3 1 2 1/3\ns +1 -1\nc 2 1 2\ns +1 -1\n", 2,
+     "expected constraint line 'c ...', got 's'"),
+    ("csp 3 1 2 1/3\nc 3 1 2\ns +1 -1\n", 2, "arity 3 but 2 variables"),
+    ("csp 3 1 2 1/3\nc 1 1 2\ns +1\n", 2, "arity 1 but 2 variables"),
+    ("csp 3 1 2 1/3\nc 2 1 2\ns 1\n", 3, "pattern (1,) has arity 1, not 2"),
+], ids=["bad-entry", "bad-entry-first", "empty-s", "empty-s-after-good",
+        "comment-bad-entry", "comment-bad-arity", "s-before-c", "c-arity-above",
+        "c-arity-below", "pattern-arity-short"])
+def test_parse_error_message_and_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_parse_ignores_trailing_comments():
+    commented = ("csp 2 1 2 1/2 # header\n  # a comment line\n"
+                 "c 2 1 2# edge\ns +1 -1 # one\ns\t-1\t+1#two\n")
+    assert parse_instance(commented) == parse_instance(CUT_EDGE_FILE)
+
+
+@pytest.mark.parametrize("constraint, message", [
+    (Constraint((1, 2), frozenset()), "empty predicate"),
+    (Constraint((1, 2), frozenset({(1, -1), (1,)})), "pattern (1,) has arity 1, not 2"),
+    (Constraint((1, 2), frozenset({(1, -1), (1, 0)})),
+     "pattern (1, 0) has entries outside +-1"),
+    (Constraint((1, 2), {(-1, 1), ("1", -1)}),
+     "pattern ('1', -1) has entries outside +-1"),
+    (Constraint((1, 3), frozenset({(1, 1)})), "variable out of range in constraint (1, 3)"),
+    (Constraint((2, 2), frozenset({(1, 1)})), "duplicate variable in constraint (2, 2)"),
+])
+def test_validate_instance_names_the_bad_part(constraint, message):
+    with pytest.raises(InputError) as err:
+        validate_instance(CspInstance(n=2, d=2, constraints=(constraint,)))
+    assert str(err.value) == message
+
+
+def test_validate_instance_accepts_entries_equal_to_signs():
+    # entries are compared by value, as `v in (-1, 1)` does
+    validate_instance(CspInstance(n=2, d=2, constraints=(
+        Constraint((1, 2), {(True, -1), (1.0, -1.0)}),)))
 
 
 def test_parse_rejects_wrong_count():
@@ -191,4 +247,22 @@ def test_to_polynomial_matches_fraction_reference(inst):
     # arities are drawn per constraint, so most instances mix them
     ref = _to_polynomial_reference(inst)
     # same coefficients, same term order
+    assert list(to_polynomial(inst).coeffs.items()) == list(ref.coeffs.items())
+
+
+@pytest.mark.parametrize("inst", [
+    complete_graph(10),
+    CspInstance(n=8, d=3, constraints=tuple(
+        Constraint(e, EVEN_PARITY) for e in combinations(range(1, 9), 3))),
+    CspInstance(n=2, d=2, constraints=(
+        Constraint((1, 2), frozenset({(1, -1), (1, 1), (-1, -1)})),
+        Constraint((2, 1), frozenset({(1, -1), (1, 1), (-1, -1)})))),
+    CspInstance(n=3, d=2, constraints=(
+        Constraint((3, 1), {(1, -1), (-1, -1)}),
+        Constraint((1,), {(-1,)}),
+        Constraint((1, 3), frozenset({(1, -1), (-1, -1)})))),
+], ids=["K10-cut", "parity-n8", "one-predicate-both-orders", "plain-set"])
+def test_to_polynomial_shared_predicates_match_reference(inst):
+    # each distinct predicate is expanded once and mapped onto every scope
+    ref = _to_polynomial_reference(inst)
     assert list(to_polynomial(inst).coeffs.items()) == list(ref.coeffs.items())

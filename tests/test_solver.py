@@ -23,10 +23,11 @@ from cardcsp.poly import MultilinearPoly
 from cardcsp.rounding import active_bound_constant, gamma_denominator
 from cardcsp.solver import (average, certification_threshold, decide,
                             enumerate_kernel, fourth_moment_bound,
-                            general_fourth_moment_bound, instance_variance)
+                            general_fourth_moment_bound)
 
 from conftest import (CUT, complete_graph, enumerate_kernel_point_loop, graph_instance,
-                      path_graph, random_instance, random_poly, star_graph, valid_biases)
+                      instance_variance, path_graph, random_instance, random_poly,
+                      star_graph, valid_biases)
 
 
 def test_decide_k4_no():

@@ -19,14 +19,14 @@ from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_squar
                           subset_of, up)
 from cardcsp import spectra
 from cardcsp.spectra import (SetSymmetricForm, alpha_table, eigen_summary,
-                             eigenvalue_closed_form, harmonic_basis, project_null,
-                             quadratic_form_value, subsets_upto, vk_basis,
-                             vk_eigenvalue_exact)
+                             eigenvalue_closed_form, project_null,
+                             quadratic_form_value, subsets_upto, vk_eigenvalue_exact)
 
 from conftest import (build_dense, constraint_poly, csp_instances,
                       dense_spectrum_reference, dot, gauss_solve_reference,
-                      graph_instance, null_space_vector, nullspace_reference,
-                      random_instance, random_poly, rank_reference)
+                      graph_instance, harmonic_basis, null_space_vector,
+                      nullspace_reference, random_instance, random_poly,
+                      rank_reference, vk_basis)
 
 
 def test_alpha_zero_at_half():
