@@ -167,6 +167,9 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
             patterns.add(pat)
             pos += 1
         if not patterns:
+            if pos < end and tokens[pos][1][0] != "c":
+                raise ParseError(f"expected pattern line 's ...', got {tokens[pos][1][0]!r}",
+                                 tokens[pos][0])
             raise ParseError("constraint has no satisfying patterns", line_no)
         constraints.append(Constraint(variables, frozenset(patterns)))
     if len(constraints) != m:

@@ -10,11 +10,11 @@ coefficient norm is at most 7^d times the projection residual's when the
 residual is at most sqrt(n).
 
 Every reduction here is the constraint product (sum x_i - shift) h on
-bitmask tables.  round_bisection forms g - (sum x_i) h with
-poly.reduce_by_constraint on int numerators over one denominator; on the
-scan's int numerators, the product's up half counts a candidate's survivors
-and its down half feeds reconstruct_h's equation constants; round_global
-subtracts the winner's through poly.times_constraint.
+bitmask tables of int numerators over one denominator.  round_bisection
+forms g - (sum x_i) h with poly.reduce_by_constraint; in the scan, the
+product's up half decides which of a candidate's top-weight sets survive,
+its down half feeds the reconstruction's equation constants, and
+round_global subtracts the winner's with poly.times_constraint_table.
 
 General path: a variable is inactive in g when no nonzero coefficient of g
 contains it.  If some h of degree <= d-1 makes every variable of a d-set S
@@ -27,21 +27,25 @@ the weight-(w+1) equations "coefficient of T vanishes" for T inside S1 u P
 
 so that all mixed coefficients cancel, leaving a relation between h(S1) and
 h(S2) for S2 inside P; the vanishing coefficient of P itself then closes the
-system.  reconstruct_h evaluates exactly that, weight d-1 down to weight 0,
+system.  _reconstruct evaluates exactly that, weight d-1 down to weight 0,
 on int numerators: each weight's equation constants go over one common
-denominator, the sum over S2 collapses into one weighted sum over the
-subsets of P, and each h entry becomes one Fraction.
+denominator, and the sum over S2 collapses into one weighted sum over the
+subsets of P.  reconstruct_h wraps it, Fractions in and out.
 
 round_global runs the deterministic scan: for degree level d down to 1 it
 tries every candidate subset and keeps the one whose reconstruction makes
 the most variables inactive in the current top-degree part
 (lexicographically first maximizer; scan stops early once a candidate meets
-the theoretical active-set bound).  A candidate's top-weight h depends only
-on the weight-level coefficients, so those go over one denominator once per
-level, and each candidate's surviving variables are counted on the int
-numerators, with no Fraction or polynomial per candidate.  The winner is
-reconstructed in full and subtracted.  The union of the surviving variables
-is the kernel.
+the theoretical active-set bound).  f goes over one denominator once, and
+every level reads and updates that one int table.  A candidate's top-weight
+h(s1) depends only on the row s1, its pivot and the level's slice of the
+table, and the pivot is the candidate itself unless the two meet, so each
+distinct (row, pivot) value is solved once per level and shared between
+candidates.  A candidate is dropped as soon as its active sets leave no
+more survivors than the best so far.  The winner is reconstructed in full
+on the table and subtracted on ints, and only the returned h and reduced
+polynomial are built from Fractions, one per coefficient.  The union of
+the surviving variables is the kernel.
 """
 
 from __future__ import annotations
@@ -50,13 +54,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .cardinal_dist import CardinalDist, chi_variance
 from .errors import InputError, PreconditionError
-from .exact import QE, Scalar, round_half_away
-from .poly import (Basis, MultilinearPoly, Subset, down, int_numerators,
-                   reduce_by_constraint, times_constraint, up)
+from .exact import Scalar, round_half_away
+from .poly import (Basis, MultilinearPoly, down, int_numerators, mask_of,
+                   reduce_by_constraint, times_constraint_table)
 
 
 def active_variables(f: MultilinearPoly) -> FrozenSet[int]:
@@ -190,87 +194,108 @@ def _submasks(bits: List[int], sizes) -> List[List[int]]:
     return [[sum(c) for c in combinations(bits, k)] for k in sizes]
 
 
-def _pivot(s1_mask: int, order: List[int], size: int) -> int:
-    """Bitmask of a size-`size` pivot disjoint from s1, taking the bits of
-    `order` (the pool's, then every variable's from the smallest) in turn.
-    All size-`size` subsets of s1 u pivot then contain a pool element, as
-    the hypothesis requires."""
-    pivot = 0
-    for bit in order:
-        if not bit & (s1_mask | pivot):
-            pivot |= bit
-            if pivot.bit_count() == size:
-                return pivot
-    raise InputError("not enough variables to build a pivot set")
+def _pivot(s1: int, pool: int, size: int, n: int) -> int:
+    """Bitmask of a size-`size` pivot disjoint from s1: the lowest bits of
+    pool outside s1, then the lowest bits outside both.  All size-`size`
+    subsets of s1 u pivot then contain a pool element, as the hypothesis
+    requires."""
+    pivot, need = 0, size
+    for free in (pool & ~s1, ((1 << n) - 1) & ~(s1 | pool)):
+        while free and need:
+            low = free & -free
+            pivot |= low
+            free ^= low
+            need -= 1
+    if need:
+        raise InputError("not enough variables to build a pivot set")
+    return pivot
 
 
 class _WeightSolve:
     """The weight-(D-1) solve on one weight-D table of int numerators.
 
     table[T] / den is the equation constant E(T) of a weight-D set T (zero
-    when absent).  For each (D-1)-set s1 with pivot P, the beta-weighted sum
-    over s2 inside P collapses, because each t2 inside P with |t2| = i lies
-    in D - i of the (D-1)-subsets of P:
+    when absent).  For a (D-1)-set s1 and a pivot P disjoint from it, the
+    beta-weighted sum over s2 inside P collapses, because each t2 inside P
+    with |t2| = i lies in D - i of the (D-1)-subsets of P:
 
         R(s1) = sum_i beta_i (D-i) sum_{t1 < s1, |t1| = D-i} sum_{t2 < P, |t2| = i} E(t1 u t2)
-        N(s1) = -(-1)^D ((D-1)! E(P) - (-1)^D R(s1))
+        N(s1) = R(s1) - (-1)^D (D-1)! E(P)
 
     on numerators, and h(s1) = N(s1) / (D! den).
     """
 
     def __init__(self, n: int, big_d: int, table: Dict[int, int]):
-        self.n = n
-        self.big_d = big_d
-        self.table = table
+        bits = [1 << j for j in range(n)]
         self.weights = [beta * (big_d - i)
                         for i, beta in enumerate(_beta_weights(big_d), 1)]
-        # rows: (mask of s1, [masks of the (D-i)-subsets of s1 for i = 1..D-1])
-        self.rows = [(sum(bits), _submasks(bits, range(big_d - 1, 0, -1)))
-                     for bits in combinations([1 << j for j in range(n)], big_d - 1)]
+        self.closing = -factorial(big_d - 1) * (-1) ** big_d
+        # every weight-D set, absent ones at zero, so a lookup needs no default
+        self.table = dict.fromkeys((sum(c) for c in combinations(bits, big_d)), 0)
+        self.table.update(table)
+        # row s1 -> [masks of the (D-i)-subsets of s1 for i = 1..D-1]
+        self.rows = {sum(c): _submasks(c, range(big_d - 1, 0, -1))
+                     for c in combinations(bits, big_d - 1)}
+        self.n = n
+        self._big_d = big_d
         self._pivot_subs: Dict[int, List[List[int]]] = {}
+        # N per (row, pivot) pair, keyed pivot << n | s1
+        self.memo: Dict[int, int] = {}
 
-    def _subsets_of_pivot(self, pivot: int) -> List[List[int]]:
-        """Masks of the i-subsets of the pivot for i = 1..D-1."""
+    def numerator(self, s1: int, pivot: int) -> int:
+        """N(s1) with pivot P, each distinct pair solved once."""
+        key = pivot << self.n | s1
+        num = self.memo.get(key)
+        if num is not None:
+            return num
         subs = self._pivot_subs.get(pivot)
         if subs is None:
             bits = [1 << v for v in range(self.n) if pivot >> v & 1]
-            subs = self._pivot_subs[pivot] = _submasks(bits, range(1, self.big_d))
-        return subs
+            subs = self._pivot_subs[pivot] = _submasks(bits, range(1, self._big_d))
+        table = self.table
+        r_total = 0
+        for weight, t1s, t2s in zip(self.weights, self.rows[s1], subs):
+            r_total += weight * sum([table[t1 | t2] for t1 in t1s for t2 in t2s])
+        num = self.memo[key] = r_total + self.closing * table[pivot]
+        return num
 
-    def numerators(self, pool: Subset) -> List[int]:
-        """N(s1) for every row, with pivots built from `pool`."""
-        get = self.table.get
-        fact = factorial(self.big_d - 1)
-        sign = -1 if self.big_d % 2 else 1          # (-1)^D
-        order = [1 << (v - 1) for v in pool] + [1 << j for j in range(self.n)]
-        out = []
-        for mask, s1_subs in self.rows:
-            pivot = _pivot(mask, order, self.big_d)
-            r_total = 0
-            for weight, t1s, t2s in zip(self.weights, s1_subs,
-                                        self._subsets_of_pivot(pivot)):
-                acc = 0
-                for t1 in t1s:
-                    for t2 in t2s:
-                        acc += get(t1 | t2, 0)
-                r_total += weight * acc
-            out.append(-sign * (fact * get(pivot, 0) - sign * r_total))
-        return out
 
-    def active_mask(self, nums: List[int]) -> int:
-        """Union of the weight-D sets T left nonzero in the table minus
-        (sum x_i) h: up(N)(T) - D! E(T) != 0 on numerators.  The down and
-        shift terms of the constraint product stay below weight D."""
-        acc = up({mask: num for (mask, _), num in zip(self.rows, nums) if num},
-                 self.n)
-        scale = factorial(self.big_d)
-        for t, a in self.table.items():
-            acc[t] = acc.get(t, 0) - scale * a
-        union = 0
-        for t, a in acc.items():
-            if a:
-                union |= t
-        return union
+def _reconstruct(table: Dict[int, int], n: int, pool: int, shift: int,
+                 solve: Optional[_WeightSolve] = None) -> Tuple[int, Dict[int, int]]:
+    """(scale, h) with h's int numerators over scale * den: the h that
+    would make every variable of the pool bitmask inactive in
+    f - (sum_i x_i - shift) h, for f's int numerators `table` over den.
+
+    Each weight w is one _WeightSolve on the equation constants E(T),
+    |T| = w+1: the coefficients of f - (sum_i x_i - shift) h over h's
+    weights above w, over den times the factorials of those weights.  The
+    up half of that product lands on weights already solved, so each solved
+    weight only subtracts its down half and adds its shift term.  `solve`,
+    when given, is the top weight's _WeightSolve on this table, with the
+    pairs it has solved already.
+    """
+    h: Dict[int, int] = {}
+    scale = 1
+    for big_d in range(pool.bit_count(), 0, -1):
+        if solve is None:
+            solve = _WeightSolve(n, big_d,
+                                 {t: a for t, a in table.items() if t.bit_count() == big_d})
+        level: Dict[int, int] = {}
+        for s1 in solve.rows:
+            num = solve.numerator(s1, _pivot(s1, pool, big_d, n))
+            if num:
+                level[s1] = num
+        fact = factorial(big_d)
+        scale *= fact
+        h = {s: fact * a for s, a in h.items()}
+        h.update(level)
+        table = {t: fact * a for t, a in table.items() if t.bit_count() < big_d}
+        for t, a in down(level).items():
+            table[t] = table.get(t, 0) - a
+        for t, a in level.items():
+            table[t] = table.get(t, 0) + shift * a
+        solve = None
+    return scale, h
 
 
 def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> MultilinearPoly:
@@ -283,14 +308,8 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
     for the caller to check on the reduced polynomial.  The map f -> h is
     linear, and h's coefficients are multiples of gamma/d! at the top weight
     when f's are multiples of gamma (denominators grow by one factorial per
-    weight below that).
-
-    Each weight w is one _WeightSolve on the equation constants E(T),
-    |T| = w+1: the coefficients of f - (sum_i x_i - shift) h over h's
-    weights above w, as int numerators over one denominator.  The up half
-    of that product lands on weights already solved, so each solved weight
-    only subtracts its down half and adds its shift term; each h entry is
-    one Fraction.
+    weight below that).  The solve runs on f's int numerators over one
+    denominator; each h entry is one Fraction.
     """
     if f.basis is not Basis.CHI:
         raise InputError("reconstruct_h works on the chi basis")
@@ -300,23 +319,9 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
     if any(not 1 <= v <= f.n for v in pool):
         raise InputError("pivot pool variable out of range")
     den, table = int_numerators(f.coeffs, "the reconstruction")
-    h: Dict[int, Fraction] = {}
-    for big_d in range(len(pool), 0, -1):
-        solve = _WeightSolve(f.n, big_d,
-                             {t: a for t, a in table.items() if t.bit_count() == big_d})
-        fact = factorial(big_d)
-        level: Dict[int, int] = {}
-        for (mask, _), num in zip(solve.rows, solve.numerators(pool)):
-            if num:
-                h[mask] = Fraction(num, fact * den)
-                level[mask] = num
-        den *= fact
-        table = {t: fact * a for t, a in table.items() if t.bit_count() < big_d}
-        for t, a in down(level).items():
-            table[t] = table.get(t, 0) - a
-        for t, a in level.items():
-            table[t] = table.get(t, 0) + shift * a
-    return MultilinearPoly(f.n, h, Basis.CHI)
+    scale, h = _reconstruct(table, f.n, mask_of(pool, f.n), shift)
+    den *= scale
+    return MultilinearPoly(f.n, {s: Fraction(a, den) for s, a in h.items()}, Basis.CHI)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +336,15 @@ def active_bound_constant(p: Fraction, d: int) -> Fraction:
         / (2 * p) ** (4 * d)
 
 
+def _scaled_sum(table: Dict[int, int], scale: int, other: Dict[int, int],
+                sign: int) -> Dict[int, int]:
+    """scale * table + sign * other on int tables, zero entries dropped."""
+    out = {t: scale * a for t, a in table.items()}
+    for t, a in other.items():
+        out[t] = out[t] + sign * a if t in out else sign * a
+    return {t: a for t, a in out.items() if a}
+
+
 def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
                  d: Optional[int] = None, variance: Optional[Fraction] = None,
                  allow_large_variance: bool = False) -> RoundingOutcome:
@@ -338,15 +352,14 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
 
     Precondition (hypothesis of the active-set guarantee): Var_{D_p}(f) below
     sqrt(n); allow_large_variance skips the check (the caller should then
-    surface a warning).  The reduction is value-preserving on the support
-    regardless of which candidates win, so correctness of downstream
-    enumeration never depends on the scan's choices; only the kernel-size
-    bound does.
+    surface a warning).  variance, when given, must be an int or Fraction.
+    The reduction is value-preserving on the support regardless of which
+    candidates win, so correctness of downstream enumeration never depends
+    on the scan's choices; only the kernel-size bound does.
     """
     if f.basis is not Basis.CHI:
         raise InputError("round_global works on the chi basis")
-    if any(isinstance(c, QE) for c in f.coeffs.values()):
-        raise InputError("round_global needs rational coefficients")
+    den, table = int_numerators(f.coeffs, "round_global")
     if f.n != dist.n:
         raise InputError("variable counts differ between f and dist")
     gamma = check_gamma(gamma)
@@ -354,7 +367,12 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
         d = f.degree_bound
     if d < 0:
         raise InputError("d must be nonnegative")
-    var = chi_variance(f, dist) if variance is None else Fraction(variance)
+    if variance is None:
+        var = chi_variance(f, dist)
+    elif isinstance(variance, bool) or not isinstance(variance, (int, Fraction)):
+        raise InputError(f"variance = {variance!r} is not an int or Fraction")
+    else:
+        var = Fraction(variance)
     if var < 0:
         raise InputError("variance must be nonnegative")
     if var * var > f.n and not allow_large_variance:
@@ -369,44 +387,104 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
     # (then only a perfect candidate stops the scan early).
     bar = n - int(bound) if bound < n else 0
     exit_threshold = bar if bar >= 1 else n
-    f_cur = f
-    h_total = MultilinearPoly.zero(n, Basis.CHI)
+    h_total: Dict[int, int] = {}
     for level in range(d, 0, -1):
-        # reconstruct_h pairs each weight-(level-1) set with a disjoint
+        # the reconstruction pairs each weight-(level-1) set with a disjoint
         # level-set pivot; with fewer than 2*level - 1 variables none exists,
         # so the level is left as it is (its variables stay in the kernel)
         if n < 2 * level - 1:
             continue
-        best_subset = _best_candidate(f_cur, level, exit_threshold)
-        if best_subset is None:
+        top = {t: a for t, a in table.items() if t.bit_count() == level}
+        if not top:
             continue
-        h_level = reconstruct_h(f_cur, best_subset, shift)
-        f_cur = f_cur - times_constraint(h_level, shift)
-        h_total = h_total + h_level
-    return RoundingOutcome(h=h_total, reduced=f_cur,
-                           active_set=active_variables(f_cur),
-                           norm_blowup=None)
+        scan = _LevelScan(n, level, top)
+        pool = _best_candidate(scan, exit_threshold)
+        scale, h_level = _reconstruct(table, n, pool, shift, scan.solve)
+        den *= scale
+        table = _scaled_sum(table, scale, times_constraint_table(h_level, n, 0, shift), -1)
+        h_total = _scaled_sum(h_total, scale, h_level, 1)
+    reduced = MultilinearPoly(n, {s: Fraction(a, den) for s, a in table.items()}, Basis.CHI)
+    return RoundingOutcome(
+        h=MultilinearPoly(n, {s: Fraction(a, den) for s, a in h_total.items()}, Basis.CHI),
+        reduced=reduced, active_set=active_variables(reduced), norm_blowup=None)
 
 
-def _best_candidate(f_cur: MultilinearPoly, level: int,
-                    exit_threshold: int) -> Optional[Subset]:
-    """The level-set whose top-weight reconstruction leaves the most
-    variables inactive at weight `level` (lexicographically first maximizer,
-    or the first to reach exit_threshold); None when f_cur has no
-    weight-`level` coefficient.  A candidate's top-weight h depends on
-    f_cur's weight-`level` coefficients alone, so one int table serves the
-    whole scan."""
-    _, table = int_numerators({s: c for s, c in f_cur.coeffs.items()
-                               if s.bit_count() == level}, "the reconstruction")
-    if not table:
-        return None
-    n = f_cur.n
-    solve = _WeightSolve(n, level, table)
-    best_count, best_subset = -1, None
-    for cand in combinations(range(1, n + 1), level):
-        count = n - solve.active_mask(solve.numerators(cand)).bit_count()
-        if count > best_count:
-            best_count, best_subset = count, cand
+class _LevelScan:
+    """One degree level of the scan on an int table.
+
+    A candidate's top-weight h is N(s1) / (level! den) on the table's
+    weight-`level` part alone.  Its pivot for row s1 is the candidate
+    itself unless the two meet, so one N per distinct (row, pivot) pair
+    serves every candidate of the level.
+    """
+
+    def __init__(self, n: int, level: int, table: Dict[int, int]):
+        self.n = n
+        self.level = level
+        self.solve = _WeightSolve(n, level, table)
+        self.scale = factorial(level)
+        # each weight-level set T with its rows T minus j
+        self.sets = [(sum(c), [sum(c) - b for b in c])
+                     for c in combinations([1 << j for j in range(n)], level)]
+
+    def survivors(self, cand: int, floor: int) -> Optional[int]:
+        """Variables left inactive at weight `level` by the candidate
+        bitmask: n minus the union of the weight-level sets T with
+        sum_{j in T} N(T minus j) - level! E(T) != 0, the coefficient of T
+        in the table minus (sum x_i) h on numerators (the down and shift
+        terms of the constraint product stay below weight `level`).  None
+        as soon as that count is at most floor.
+
+        The sets that stop a candidate move to the front of the list: they
+        often stop the next one too.  The order changes no count."""
+        n, solve = self.n, self.solve
+        # numerator's memo is read here first: most lookups hit, and a hit
+        # then costs no call
+        memo, numerator, table = solve.memo, solve.numerator, solve.table
+        own = cand << n                 # the memo key's pivot part for a disjoint row
+        need = n - floor                # active variables that drop the candidate
+        union, hits = 0, []
+        for t, rows in self.sets:
+            if not t & ~union:
+                continue
+            acc = -self.scale * table[t]
+            for s1 in rows:
+                common = s1 & cand
+                if common:
+                    # the candidate's bits outside s1, then the lowest bits
+                    # outside both (_pivot with the candidate as the pool)
+                    used = s1 | cand
+                    pivot = cand ^ common
+                    for _ in range(common.bit_count()):
+                        low = ~used & (used + 1)
+                        pivot |= low
+                        used |= low
+                    num = memo.get(pivot << n | s1)
+                else:
+                    pivot = cand
+                    num = memo.get(own | s1)
+                acc += numerator(s1, pivot) if num is None else num
+            if acc:
+                union |= t
+                hits.append((t, rows))
+                if union.bit_count() >= need:
+                    front = {u for u, _ in hits}
+                    self.sets = hits + [e for e in self.sets if e[0] not in front]
+                    return None
+        return n - union.bit_count()
+
+
+def _best_candidate(scan: _LevelScan, exit_threshold: int) -> int:
+    """Bitmask of the level-set whose top-weight reconstruction leaves the
+    most variables inactive at the scan's weight (lexicographically first
+    maximizer, or the first to reach exit_threshold).  A candidate is
+    dropped as soon as it cannot beat the best so far."""
+    best_count, best = -1, 0
+    for bits in combinations([1 << j for j in range(scan.n)], scan.level):
+        cand = sum(bits)
+        count = scan.survivors(cand, best_count)
+        if count is not None:
+            best_count, best = count, cand
             if count >= exit_threshold:
                 break
-    return best_subset
+    return best

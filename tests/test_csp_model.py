@@ -80,9 +80,14 @@ def test_parse_rejects_bad_pattern_arity():
     ("csp 3 1 2 1/3\nc 3 1 2\ns +1 -1\n", 2, "arity 3 but 2 variables"),
     ("csp 3 1 2 1/3\nc 1 1 2\ns +1\n", 2, "arity 1 but 2 variables"),
     ("csp 3 1 2 1/3\nc 2 1 2\ns 1\n", 3, "pattern (1,) has arity 1, not 2"),
+    ("csp 3 1 2 1/3\nc 2 1 2\ns* 1 1\n", 3, "expected pattern line 's ...', got 's*'"),
+    ("csp 3 1 2 1/3\nc 2 1 2\nS 1 1\n", 3, "expected pattern line 's ...', got 'S'"),
+    ("csp 3 1 2 1/3\nc 2 1 2\n", 2, "constraint has no satisfying patterns"),
+    ("csp 3 2 2 1/3\nc 2 1 2\nc 2 2 3\ns 1 1\n", 2, "constraint has no satisfying patterns"),
 ], ids=["bad-entry", "bad-entry-first", "empty-s", "empty-s-after-good",
         "comment-bad-entry", "comment-bad-arity", "s-before-c", "c-arity-above",
-        "c-arity-below", "pattern-arity-short"])
+        "c-arity-below", "pattern-arity-short", "mistyped-s-tag", "capital-s-tag",
+        "no-patterns-at-end", "no-patterns-before-c"])
 def test_parse_error_message_and_line(text, line, message):
     with pytest.raises(ParseError) as err:
         parse_instance(text)

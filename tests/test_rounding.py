@@ -14,8 +14,8 @@ from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
-from cardcsp.poly import Basis, MultilinearPoly, int_numerators
-from cardcsp.rounding import (RoundingOutcome, _WeightSolve, _best_candidate,
+from cardcsp.poly import Basis, MultilinearPoly, int_numerators, mask_of, subset_of
+from cardcsp.rounding import (RoundingOutcome, _LevelScan, _best_candidate,
                               _beta_weights, active_bound_constant, active_variables,
                               gamma_denominator, gamma_ladder, reconstruct_h,
                               round_bisection, round_global)
@@ -379,6 +379,15 @@ def test_round_global_rejects_negative_variance_and_degree():
         round_global(f, dist, F(1, 4), d=-1, allow_large_variance=True)
 
 
+@pytest.mark.parametrize("variance", [0.01, True, "1/2"])
+def test_round_global_variance_must_be_exact(variance):
+    # each of these used to become a Fraction (0.01's binary value among them)
+    f = mono(9, (1, 2))
+    with pytest.raises(InputError, match="is not an int or Fraction"):
+        round_global(f, CardinalDist(9, F(1, 3)), F(1, 4), variance=variance,
+                     allow_large_variance=True)
+
+
 def test_round_global_rejects_mismatched_sizes():
     # an n = 6 f on the n = 8 slice: with variance given, nothing else would
     # notice, and the scan would run on the other slice's shift
@@ -534,11 +543,16 @@ def biased_polys(draw):
     return f, CardinalDist(n, p), d
 
 
-def _int_survivors(f_cur, level):
+def _level_scan(f_cur, level):
     _, table = int_numerators({s: c for s, c in f_cur.coeffs.items()
                                if s.bit_count() == level}, "the scan")
-    solve = _WeightSolve(f_cur.n, level, table)
-    return [f_cur.n - solve.active_mask(solve.numerators(cand)).bit_count()
+    return _LevelScan(f_cur.n, level, table)
+
+
+def _int_survivors(f_cur, level):
+    # floor -1 never stops a candidate: every count is exact
+    scan = _level_scan(f_cur, level)
+    return [scan.survivors(mask_of(cand, f_cur.n), -1)
             for cand in combinations(range(1, f_cur.n + 1), level)]
 
 
@@ -554,7 +568,7 @@ def test_int_scan_matches_fraction_scan(drawn):
         assert _int_survivors(f_cur, level) == [
             survivors_reference(f_cur, cand, level, shift)
             for cand in combinations(range(1, f.n + 1), level)]
-        assert _best_candidate(f_cur, level, exit_threshold) == winner
+        assert subset_of(_best_candidate(_level_scan(f_cur, level), exit_threshold)) == winner
     out = round_global(f, dist, gamma, d=d, variance=var, allow_large_variance=True)
     assert out.h == h_ref
     assert out.reduced == reduced_ref
@@ -574,3 +588,55 @@ def test_int_reconstruct_h_matches_fraction_reconstruction(drawn, data):
             reconstruct_h(f, pool, shift)
         return
     assert reconstruct_h(f, pool, shift) == expected
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(biased_polys(), st.data())
+def test_best_candidate_matches_reference_loop_at_any_exit_threshold(drawn, data):
+    # dropping a candidate once it cannot beat the best, and the sets that
+    # stopped earlier candidates going first, leave the winner as the
+    # reference loop's: the first strict maximizer, or the first candidate
+    # to reach exit_threshold
+    f, dist, d = drawn
+    n = f.n
+    levels = [w for w in range(1, d + 1) if n >= 2 * w - 1
+              and any(s.bit_count() == w for s in f.coeffs)]
+    if not levels:
+        return
+    level = data.draw(st.sampled_from(levels))
+    exit_threshold = data.draw(st.integers(1, n))
+    shift = dist.card.target_sum
+    best_count, winner = -1, None
+    for cand in combinations(range(1, n + 1), level):
+        count = survivors_reference(f, cand, level, shift)
+        if count > best_count:
+            best_count, winner = count, cand
+            if count >= exit_threshold:
+                break
+    assert subset_of(_best_candidate(_level_scan(f, level), exit_threshold)) == winner
+
+
+@pytest.mark.parametrize("p", [F(1, 3), F(1, 4)])
+def test_round_global_matches_scan_reference_at_n12_d3(p):
+    # a kernel part on variables 1..5 (weight-3 terms included) plus
+    # (sum x_i - shift) h*: the level-3 scan runs through all 220
+    # candidates, and its winner is not the first
+    n, d = 12, 3
+    rng = random.Random(0)
+    dist = CardinalDist(n, p)
+    base = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, dist.card.target_sum)
+    g = MultilinearPoly.from_subsets(
+        n, {tuple(sorted(rng.sample(range(1, 6), rng.randint(1, 3)))): F(rng.randint(1, 4), 8)
+            for _ in range(8)})
+    h_star = MultilinearPoly.from_subsets(
+        n, {tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, 2)))): F(rng.randint(-3, 3), 4)
+            for _ in range(8)})
+    f = g + base * h_star
+    gamma = F(1, 2 ** d)
+    var = chi_variance(f, dist)
+    h_ref, reduced_ref, levels = round_global_scan_reference(f, dist, gamma, d, var)
+    assert [(level, winner) for level, _, _, winner in levels] == [(3, (6, 7, 8)), (2, (6, 7))]
+    out = round_global(f, dist, gamma, d=d, variance=var, allow_large_variance=True)
+    assert out.h == h_ref
+    assert out.reduced == reduced_ref
+    assert out.active_set == active_variables(reduced_ref) == {1, 2, 3, 4, 5}
