@@ -18,19 +18,24 @@ each shared index expands by phi_i^2 = q*phi_i + 1, giving
 
 The moments of an instance are taken in the chi basis, where eps_k is
 rational for every p; the pairwise phi moments feed the set-symmetric forms
-in spectra.
+in spectra.  Their core, _chi_mean_variance, reads f as int numerators over
+one denominator and eps_0 .. eps_n as int numerators over another
+(_chi_moment_table, cached per (n, pn) on first use), so the mean and the
+variance are one Fraction each; chi_expectation and chi_variance are its
+wrappers for a MultilinearPoly and a CardinalDist.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, sqrt
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .csp_model import GlobalCardinality
 from .errors import InputError
-from .exact import Scalar
+from .exact import Scalar, _over_common_denominator
 from .poly import (Assignment, Basis, MultilinearPoly, exact_bias, int_numerators,
                    phi_square_q)
 
@@ -94,51 +99,68 @@ def delta_sequence(n: int, p, kmax: int) -> List[Scalar]:
     return extend_slice_sequence([Fraction(1)], kmax, n, q=CardinalDist(n, p).q)
 
 
-def _chi_numerators(f: MultilinearPoly, dist: CardinalDist):
-    """(den, [(mask, num)], E_{D_p}[f]): f's coefficients as int numerators
-    over one denominator, and the mean, from the numerators binned by |S|
-    and weighted by the rational chi moment sequence."""
+@lru_cache(maxsize=256)
+def _chi_moment_table(n: int, num_negative: int) -> Tuple[int, Tuple[int, ...]]:
+    """(den, nums): E[chi_S] = nums[k] / den for |S| = k = 0 .. n on the
+    slice of n variables with num_negative entries -1, the eps recurrence
+    put over one denominator.  Cached per (n, pn), filled on first use."""
+    eps = extend_slice_sequence([Fraction(1)], n, n, shift=n - 2 * num_negative)
+    den, nums = _over_common_denominator(eps)
+    return den, tuple(nums)
+
+
+def _chi_mean_variance(den: int, table: Dict[int, int], n: int, num_negative: int,
+                       variance: bool = True) -> Tuple[Fraction, Optional[Fraction]]:
+    """(E[f], Var(f)) on the slice for the chi polynomial f = table / den
+    (int numerators keyed by bitmask), or (E[f], None) without variance.
+
+    E[chi_S] depends on |S| alone, so each a_S goes to the bin popcount(S)
+    for the mean; E[f^2] = sum_{S,T} a_S a_T E[chi_{S delta T}], so a_S^2
+    goes to bin 0 and 2 a_S a_T to bin popcount(S xor T), with no f*f
+    formed.  The bins are weighted by _chi_moment_table's numerators, and
+    the mean and the variance are one Fraction each.
+    """
+    eps_den, eps = _chi_moment_table(n, num_negative)
+    first = [0] * (n + 1)
+    for mask, a in table.items():
+        first[mask.bit_count()] += a
+    mean_num = sum(h * eps[j] for j, h in enumerate(first) if h)
+    if not variance:
+        return Fraction(mean_num, den * eps_den), None
+    terms = list(table.items())
+    second = [0] * (n + 1)
+    for k, (mask, a) in enumerate(terms):
+        second[0] += a * a
+        twice = 2 * a
+        for other, b in terms[k + 1:]:
+            second[(mask ^ other).bit_count()] += twice * b
+    square_num = sum(h * eps[j] for j, h in enumerate(second) if h)
+    scale = den * eps_den
+    return (Fraction(mean_num, scale),
+            Fraction(square_num * eps_den - mean_num * mean_num, scale * scale))
+
+
+def _chi_table_of(f: MultilinearPoly, dist: CardinalDist) -> Tuple[int, Dict[int, int]]:
+    """f's int numerators over one denominator, after the checks of the
+    chi-basis moments."""
     if f.basis is not Basis.CHI:
         raise InputError("chi-basis moments expect the chi basis")
     if f.n != dist.n:
         raise InputError("variable counts differ")
-    den, table = int_numerators(f.coeffs, "the chi-basis moment")
-    first = [0] * (f.degree_bound + 1)
-    for mask, a in table.items():
-        first[mask.bit_count()] += a
-    mean = Fraction(sum(h * dist.chi_moment(j) for j, h in enumerate(first) if h), den)
-    return den, list(table.items()), mean
+    return int_numerators(f.coeffs, "the chi-basis moment")
 
 
 def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     """E_{D_p}[f] for a chi-basis f with rational coefficients."""
-    return _chi_numerators(f, dist)[2]
+    return _chi_mean_variance(*_chi_table_of(f, dist), dist.n, dist.card.num_negative,
+                              variance=False)[0]
 
 
 def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
-    """Var_{D_p}(f) for chi-basis f with rational coefficients.
-
-    E[f^2] = sum_{S,T} a_S a_T eps_{|S delta T|}, so the products are binned
-    by |S delta T| instead of forming f*f: with f over one common
-    denominator as int numerators keyed by int bitmasks, a_S^2 goes to bin 0
-    and 2 a_S a_T to bin popcount(mask_S ^ mask_T).  Agrees exactly with
-    the variance form of spectra.quadratic_form_value on the phi-converted
-    polynomial.
-    """
-    return _chi_mean_variance(f, dist)[1]
-
-
-def _chi_mean_variance(f: MultilinearPoly,
-                       dist: CardinalDist) -> Tuple[Fraction, Fraction]:
-    """(E_{D_p}[f], Var_{D_p}(f)) from one conversion of f to int numerators."""
-    den, terms, mean = _chi_numerators(f, dist)
-    second = [0] * (min(2 * f.degree_bound, f.n) + 1)
-    for k, (mask, a) in enumerate(terms):
-        second[0] += a * a
-        for other, b in terms[k + 1:]:
-            second[(mask ^ other).bit_count()] += 2 * a * b
-    square = sum(h * dist.chi_moment(j) for j, h in enumerate(second) if h)
-    return mean, Fraction(square, den * den) - mean * mean
+    """Var_{D_p}(f) for chi-basis f with rational coefficients, binned by
+    |S delta T| (_chi_mean_variance).  Agrees exactly with the variance
+    form of spectra.quadratic_form_value on the phi-converted polynomial."""
+    return _chi_mean_variance(*_chi_table_of(f, dist), dist.n, dist.card.num_negative)[1]
 
 
 def sample(dist: CardinalDist, seed) -> Assignment:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cardinal_dist import (CardinalDist, _chi_mean_variance, delta_sequence,
                             mc_moment)
 from .config import DEFAULT_CONFIG, load_config
-from .csp_model import parse_instance, to_polynomial
+from .csp_model import _compile, parse_instance, to_polynomial
 from .errors import CardCspError
 from .exact import scalar_json
 from .oracle import brute_average, brute_force_decision, brute_opt, hyper_ratio
@@ -108,9 +108,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_moments(args) -> int:
     inst, card = _load_instance(args.instance)
-    dist = CardinalDist.from_card(card)
-    f = to_polynomial(inst)
-    avg, var = _chi_mean_variance(f, dist)
+    avg, var = _chi_mean_variance(*_compile(inst), card.n, card.num_negative)
     doc = {
         "schema": 1,
         "avg": scalar_json(avg),
@@ -118,7 +116,8 @@ def _cmd_moments(args) -> int:
         "variance": scalar_json(var),
     }
     if args.mc:
-        est, err = mc_moment(f, dist, args.power, args.mc, args.seed)
+        est, err = mc_moment(to_polynomial(inst), CardinalDist.from_card(card),
+                             args.power, args.mc, args.seed)
         doc["mc"] = {"power": args.power, "samples": args.mc,
                      "estimate": est, "stderr": err, "seed": args.seed}
     _emit(doc)

@@ -206,13 +206,14 @@ def _chi_table(arity: int, patterns: FrozenSet[Pattern]) -> Tuple[Tuple[int, int
     return tuple(table)
 
 
-def to_polynomial(inst: CspInstance) -> MultilinearPoly:
-    """Chi-basis polynomial whose value at any assignment is the number of
-    satisfied constraints.  Every coefficient is a multiple of 2^-arity of
-    the constraint contributing it, hence of 2^-d overall: the coefficients
-    are summed as int numerators over 2^top, top the largest arity.  Each
-    constraint adds its predicate's `_chi_table` with local masks mapped to
-    its variables' bits."""
+def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
+    """(den, {mask: numerator}) of the counting polynomial: its chi
+    coefficients as int numerators over den = 2^top, top the largest
+    arity, zeros dropped.  Every coefficient is a multiple of 2^-arity of
+    the constraint contributing it, hence of 2^-top overall.  Each
+    constraint adds its predicate's `_chi_table` with local masks mapped
+    to its variables' bits.  This is the table every layer of decide
+    reads."""
     top = max((len(c.variables) for c in inst.constraints), default=0)
     nums: Dict[int, int] = {}
     for c in inst.constraints:
@@ -225,10 +226,16 @@ def to_polynomial(inst: CspInstance) -> MultilinearPoly:
         for local, num in _chi_table(len(c.variables), frozenset(c.patterns)):
             key = keys[local]
             nums[key] = nums.get(key, 0) + num * weight
-    den = 1 << top
-    # one Fraction per distinct numerator, shared by its terms
-    value = {v: Fraction(v, den) for v in set(nums.values()) if v}
-    return MultilinearPoly(inst.n, {s: value[v] for s, v in nums.items() if v}, Basis.CHI)
+    return 1 << top, {s: v for s, v in nums.items() if v}
+
+
+def to_polynomial(inst: CspInstance) -> MultilinearPoly:
+    """Chi-basis polynomial whose value at any assignment is the number of
+    satisfied constraints: _compile's numerators, one Fraction per
+    distinct numerator, shared by its terms."""
+    den, nums = _compile(inst)
+    value = {v: Fraction(v, den) for v in set(nums.values())}
+    return MultilinearPoly(inst.n, {s: value[v] for s, v in nums.items()}, Basis.CHI)
 
 
 def constraint_count(inst: CspInstance, a: Assignment) -> int:

@@ -9,8 +9,16 @@ agrees with f - fhat(0) on every assignment with sum x_i = 0, and its squared
 coefficient norm is at most 7^d times the projection residual's when the
 residual is at most sqrt(n).
 
+Each path is an int core on f's numerators over one denominator that
+returns an IntOutcome (h and the reduced table over one denominator, and
+the bisection path's squared norms as ints): _round_bisection takes h_f as
+(y, D), spectra._project's output, and _round_global starts from f's
+table.  round_bisection and round_global are their wrappers: they convert
+f and h_f to numerators and build the Fraction RoundingOutcome, one
+Fraction per coefficient.
+
 Every reduction here is the constraint product (sum x_i - shift) h on
-bitmask tables of int numerators over one denominator.  round_bisection
+bitmask tables of int numerators over one denominator.  _round_bisection
 forms g - (sum x_i) h with poly.reduce_by_constraint; in the scan, the
 product's up half decides which of a candidate's top-weight sets survive,
 its down half feeds the reconstruction's equation constants, and
@@ -43,9 +51,8 @@ table, and the pivot is the candidate itself unless the two meet, so each
 distinct (row, pivot) value is solved once per level and shared between
 candidates.  A candidate is dropped as soon as its active sets leave no
 more survivors than the best so far.  The winner is reconstructed in full
-on the table and subtracted on ints, and only the returned h and reduced
-polynomial are built from Fractions, one per coefficient.  The union of
-the surviving variables is the kernel.
+on the table and subtracted on ints.  The union of the surviving
+variables is the kernel.
 """
 
 from __future__ import annotations
@@ -54,9 +61,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .cardinal_dist import CardinalDist, chi_variance
+from .cardinal_dist import CardinalDist, _chi_mean_variance
+from .csp_model import GlobalCardinality
 from .errors import InputError, PreconditionError
 from .exact import Scalar, round_half_away
 from .poly import (Basis, MultilinearPoly, down, int_numerators, mask_of,
@@ -106,6 +114,32 @@ class RoundingOutcome:
     residual_norm_sq: Optional[Scalar] = None
 
 
+class IntOutcome(NamedTuple):
+    """A kernel step on int numerators over den, keyed by bitmask: h, the
+    reduced table and, on the bisection path, the constant-free squared
+    norms of the projection residual and of the reduction over den^2."""
+
+    den: int
+    h: Dict[int, int]
+    reduced: Dict[int, int]
+    residual_sum: Optional[int] = None
+    reduced_sum: Optional[int] = None
+
+    def outcome(self, n: int) -> RoundingOutcome:
+        """The Fraction-valued RoundingOutcome, one Fraction per coefficient."""
+        den = self.den
+        h = MultilinearPoly(n, {s: Fraction(a, den) for s, a in self.h.items()}, Basis.CHI)
+        reduced = MultilinearPoly(n, {s: Fraction(a, den) for s, a in self.reduced.items()},
+                                  Basis.CHI)
+        blowup = residual_sq = None
+        if self.residual_sum is not None:
+            blowup = (Fraction(self.reduced_sum, self.residual_sum) if self.residual_sum
+                      else Fraction(1))
+            residual_sq = Fraction(self.residual_sum, den * den)
+        return RoundingOutcome(h=h, reduced=reduced, active_set=active_variables(reduced),
+                               norm_blowup=blowup, residual_norm_sq=residual_sq)
+
+
 def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
                     d: Optional[int] = None,
                     allow_large_residual: bool = False,
@@ -117,10 +151,7 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     require_multiples=False skips the check for robustness experiments with
     sub-granularity noise), and projection residual norm^2 at most sqrt(n)
     (the blow-up guarantee's hypothesis) unless allow_large_residual is set.
-
-    f, h_f and every granularity of gamma_ladder go over one denominator
-    den, so the residual, the snap and the reduction run on int numerators
-    and each output coefficient is one Fraction.
+    The work is the int core _round_bisection on f's and h_f's numerators.
     """
     if f.basis is not Basis.CHI:
         raise InputError("round_bisection works on the chi basis")
@@ -128,15 +159,27 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
         raise InputError("h_f's variable count or basis differs from f's")
     gamma = check_gamma(gamma)
     den_f, f_nums = int_numerators(f.coeffs, "round_bisection's f")
+    den_h, h_nums = int_numerators(h_f.coeffs, "round_bisection's h_f")
+    return _round_bisection(f.n, den_f, f_nums, den_h, h_nums, gamma,
+                            f.degree_bound if d is None else d,
+                            allow_large_residual, require_multiples).outcome(f.n)
+
+
+def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
+                     h_nums: Dict[int, int], gamma: Fraction, d: int,
+                     allow_large_residual: bool = False,
+                     require_multiples: bool = True) -> IntOutcome:
+    """round_bisection on int numerators: f = f_nums / den_f and
+    h_f = h_nums / den_h (den_h may be negative, as project's D).  f, h_f
+    and every granularity of gamma_ladder go over one denominator den, so
+    the residual, the snap and the reduction run on ints, and the reduced
+    table keeps f's constant out."""
     if require_multiples:
         for mask, a in f_nums.items():
             if a * gamma.denominator % (den_f * gamma.numerator):
-                raise InputError(f"coefficient {f.coeffs[mask]} is not a multiple of gamma")
-    if d is None:
-        d = f.degree_bound
+                raise InputError(f"coefficient {Fraction(a, den_f)} is not a multiple of gamma")
     if d < 0:
         raise InputError("d must be nonnegative")
-    den_h, h_nums = int_numerators(h_f.coeffs, "round_bisection's h_f")
     ladder = gamma_ladder(d, gamma)
     den = lcm(den_f, den_h, *(step.denominator for step in ladder))
     g0 = {mask: a * (den // den_f) for mask, a in f_nums.items() if mask}
@@ -144,15 +187,14 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     # Norms are taken constant-free: the constant component of g0 - (sum x) h
     # is the remaining null direction of the variance form and carries no
     # kernel variables.
-    residual = reduce_by_constraint(g0, h_nums, f.n)
+    residual = reduce_by_constraint(g0, h_nums, n)
     residual.pop(0, None)
     residual_sum = sum(a * a for a in residual.values())
-    residual_sq = Fraction(residual_sum, den * den)
-    # residual_sq <= sqrt(n)  <=>  residual_sq^2 <= n (exact comparison)
-    if residual_sq ** 2 > f.n and not allow_large_residual:
+    # residual_sum / den^2 <= sqrt(n)  <=>  residual_sum^2 <= n den^4
+    if residual_sum ** 2 > n * den ** 4 and not allow_large_residual:
         raise PreconditionError(
-            f"projection residual {residual_sq} exceeds sqrt(n); the caller "
-            "should not have taken the small-variance branch at this size")
+            f"projection residual {Fraction(residual_sum, den * den)} exceeds sqrt(n); "
+            "the caller should not have taken the small-variance branch at this size")
     steps = [step.numerator * (den // step.denominator) for step in ladder]  # over den
     rounded: Dict[int, int] = {}
     for s, a in h_nums.items():
@@ -162,20 +204,11 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
         snapped = round_half_away(a, steps[w]) * steps[w]
         if snapped:
             rounded[s] = snapped
-    reduced = reduce_by_constraint(g0, rounded, f.n)
+    reduced = reduce_by_constraint(g0, rounded, n)
     reduced_sum = sum(a * a for mask, a in reduced.items() if mask)
-    if not residual_sum:
-        if reduced_sum:
-            raise AssertionError("exact projection must round to itself")
-        blowup = Fraction(1)
-    else:
-        blowup = Fraction(reduced_sum, residual_sum)
-    h = MultilinearPoly(f.n, {s: Fraction(a, den) for s, a in rounded.items()}, Basis.CHI)
-    reduced_poly = MultilinearPoly(f.n, {mask: Fraction(a, den) for mask, a in reduced.items()},
-                                   Basis.CHI)
-    return RoundingOutcome(h=h, reduced=reduced_poly,
-                           active_set=active_variables(reduced_poly),
-                           norm_blowup=blowup, residual_norm_sq=residual_sq)
+    if not residual_sum and reduced_sum:
+        raise AssertionError("exact projection must round to itself")
+    return IntOutcome(den, rounded, reduced, residual_sum, reduced_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +401,7 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
     if d < 0:
         raise InputError("d must be nonnegative")
     if variance is None:
-        var = chi_variance(f, dist)
+        var = _chi_mean_variance(den, table, f.n, dist.card.num_negative)[1]
     elif isinstance(variance, bool) or not isinstance(variance, (int, Fraction)):
         raise InputError(f"variance = {variance!r} is not an int or Fraction")
     else:
@@ -378,9 +411,16 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
     if var * var > f.n and not allow_large_variance:
         raise PreconditionError(
             f"variance {var} exceeds sqrt(n); the large-variance branch applies")
-    shift = dist.card.target_sum
-    n = f.n
-    cprime = active_bound_constant(dist.p, d) if d else Fraction(0)
+    return _round_global(den, table, f.n, dist.card, gamma, d, var).outcome(f.n)
+
+
+def _round_global(den: int, table: Dict[int, int], n: int, card: GlobalCardinality,
+                  gamma: Fraction, d: int, var: Fraction) -> IntOutcome:
+    """round_global's scan on f's int numerators table / den, level d down
+    to 1, every level reading and updating that one table; h and the
+    reduced table come back over one denominator."""
+    shift = card.target_sum
+    cprime = active_bound_constant(card.p, d) if d else Fraction(0)
     bound = cprime * var / (gamma * gamma)
     # Early-exit bar: once a candidate leaves at most `bound` variables
     # active, the guarantee is met; a vacuous bound disables the shortcut
@@ -403,10 +443,7 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
         den *= scale
         table = _scaled_sum(table, scale, times_constraint_table(h_level, n, 0, shift), -1)
         h_total = _scaled_sum(h_total, scale, h_level, 1)
-    reduced = MultilinearPoly(n, {s: Fraction(a, den) for s, a in table.items()}, Basis.CHI)
-    return RoundingOutcome(
-        h=MultilinearPoly(n, {s: Fraction(a, den) for s, a in h_total.items()}, Basis.CHI),
-        reduced=reduced, active_set=active_variables(reduced), norm_blowup=None)
+    return IntOutcome(den, h_total, table)
 
 
 class _LevelScan:

@@ -15,6 +15,17 @@ Var_{D_p}(f) against 4*b*t^2 where b is the fourth-moment constant
     the kernel, a bit-sliced walk that adds each term to every feasible
     point at once, on Python-int bit planes with one bit per feasible point.
 
+decide runs every layer on one int table, f's numerators over one
+denominator keyed by bitmask, from the compile (csp_model._compile) through
+the moments (cardinal_dist._chi_mean_variance), the kernel step
+(_kernel_step: spectra._project and rounding._round_bisection, or
+rounding._round_global) to the walk (_walk); only the verdict's scalars are
+Fractions.  The public layer functions (enumerate_kernel here, and
+to_polynomial, chi_expectation, chi_variance, project_null,
+round_bisection and round_global) are wrappers of the same cores that
+convert Fractions in and out, and kernelize builds the Fraction
+RoundingOutcome that `cardcsp kernel` prints.
+
 The factor 4 in the threshold (rather than b*t^2 alone) is what makes the
 fourth-moment arithmetic close at exactly t; the fourth-moment constants are
 loose, so small instances essentially always take the kernel branch, which
@@ -27,18 +38,19 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import List, Optional, Tuple
+from math import comb, gcd
+from typing import Dict, List, Optional, Tuple
 
-from .cardinal_dist import CardinalDist, _chi_mean_variance, chi_expectation
+from .cardinal_dist import CardinalDist, _chi_mean_variance
 from .config import DEFAULT_CONFIG, SolverConfig
-from .csp_model import (CspInstance, GlobalCardinality, constraint_count,
-                        to_polynomial, validate_instance)
+from .csp_model import (CspInstance, GlobalCardinality, _compile, constraint_count,
+                        validate_instance)
 from .errors import InputError, ResourceError
 from .exact import scalar_json, sqrt_upper
-from .poly import Assignment, MultilinearPoly, exact_bias, int_numerators
-from .rounding import RoundingOutcome, check_gamma, round_bisection, round_global
-from .spectra import project_null
+from .poly import Assignment, Basis, MultilinearPoly, exact_bias, int_numerators
+from .rounding import (IntOutcome, RoundingOutcome, _round_bisection, _round_global,
+                       check_gamma)
+from .spectra import _project
 
 
 def bisection_fourth_moment_bound(d: int) -> Fraction:
@@ -121,26 +133,41 @@ class Verdict:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
+def _check_instance(inst: CspInstance, card: GlobalCardinality) -> None:
+    """The instance checks decide and average run before compiling."""
+    if inst.n != card.n:
+        raise InputError("instance and cardinality constraint sizes differ")
+    validate_instance(inst)
+
+
 def average(inst: CspInstance, card: GlobalCardinality) -> Fraction:
     """AVG: the mean satisfied-constraint count under D_p."""
-    dist = CardinalDist.from_card(card)
-    return chi_expectation(to_polynomial(inst), dist)
+    _check_instance(inst, card)
+    return _chi_mean_variance(*_compile(inst), card.n, card.num_negative,
+                              variance=False)[0]
 
 
 def _feasible_layers(size: int, card: GlobalCardinality) -> range:
     """The -1 counts a kernel of `size` variables can take and still extend
-    to the slice: at most p*n entries -1 and at most (1-p)n entries +1."""
-    return range(max(0, size - card.num_positive), min(size, card.num_negative) + 1)
+    to the slice: at most p*n entries -1 and at most (1-p)n entries +1.
+    InputError when there is none."""
+    layers = range(max(0, size - card.num_positive), min(size, card.num_negative) + 1)
+    if not layers:
+        raise InputError("no feasible kernel assignment (inconsistent budgets)")
+    return layers
 
 
-@lru_cache(maxsize=64)
-def _feasible_planes(size: int, layers: range) -> Tuple[int, Tuple[int, ...]]:
+# _feasible_planes keeps an entry only up to this many points, 8 KB per
+# plane: the corpora's slices have at most 924 points
+CACHED_POINTS = 1 << 16
+
+
+def _build_planes(size: int, layers: range) -> Tuple[int, Tuple[int, ...]]:
     """(points, planes) over the -1 sets of `size` variables whose size lies
     in `layers`, one bit per set: bit x of planes[i] is set where variable
     i is -1 at point x.  Built by Pascal's rule (Knuth, TAOCP 4A 7.2.1.3):
     such sets of m + 1 variables are those of the first m, then those of
-    the first m with one member fewer and variable m + 1 added.  Cached:
-    the ints depend on (size, layers) alone."""
+    the first m with one member fewer and variable m + 1 added."""
     # rows[k]: (count, planes) of the sets of the first m variables with
     # layers.start - k .. layers.stop - 1 - k members, from the empty set at
     # m = 0.  Only k <= size - m can still reach row 0, and a row past the
@@ -155,6 +182,18 @@ def _feasible_planes(size: int, layers: range) -> Tuple[int, Tuple[int, ...]]:
     return rows[0]
 
 
+_cached_planes = lru_cache(maxsize=64)(_build_planes)
+
+
+def _feasible_planes(size: int, layers: range) -> Tuple[int, Tuple[int, ...]]:
+    """_build_planes(size, layers), cached (the ints depend on size and
+    layers alone) when it has at most CACHED_POINTS points, so the cache
+    holds at most 64 entries of at most size planes of 8 KB."""
+    if sum(comb(size, j) for j in layers) > CACHED_POINTS:
+        return _build_planes(size, layers)
+    return _cached_planes(size, layers)
+
+
 def _add_plane(counter: List[int], plane: int, level: int) -> None:
     """Add 2^level at every point of plane to a bit-sliced counter (bit x of
     counter[k] is bit k of point x's count), rippling the carry upward; the
@@ -167,43 +206,60 @@ def _add_plane(counter: List[int], plane: int, level: int) -> None:
 def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
                      base_correction, cap: int = DEFAULT_CONFIG.kernel_cap
                      ) -> Tuple[Fraction, Tuple[int, ...]]:
-    """Exact max of reduced + base_correction over feasible kernel assignments.
-
-    reduced's coefficients are put over one common denominator as int
-    numerators c_S on their bitmask keys, so the value at a point with -1
-    set N is total - 2 sum {c_S : |S n N| odd}; the walk finds the N with
-    the least odd sum, bit-sliced (Biham 1997) over exactly the feasible
-    points: each kernel variable gets one int plane with one bit per -1 set
-    of a feasible layer (`_feasible_planes`).  A term's parity plane is the
-    XOR of its variables' planes, complemented where its coefficient is
-    negative, and |c| times it is added to a bit-sliced ripple-carry
-    counter, so every point's count is its odd sum up to a constant.  The
-    least count is read from the top counter plane down.  Returns (opt,
-    values over sorted(kernel)), ties resolved toward the lexicographically
-    smallest assignment (-1 before +1) by a greedy pass over the planes;
-    the winner's value is recomputed from the int table.
+    """Exact max of reduced + base_correction over feasible kernel
+    assignments: (opt, values over sorted(kernel)), ties resolved toward
+    the lexicographically smallest assignment (-1 before +1).  Checks the
+    kernel, its size against cap, reduced's variables and base_correction
+    (an int or Fraction), then walks reduced's int numerators with _walk.
     """
     kernel = tuple(sorted(kernel))
     size = len(kernel)
     if len(set(kernel)) < size or any(not 1 <= v <= reduced.n for v in kernel):
         raise InputError(f"kernel {kernel} is not a set of variables in [1..{reduced.n}]")
-    if size > cap:
-        raise ResourceError(f"kernel size {size} exceeds cap {cap}",
-                            payload=kernel)
+    _check_kernel_cap(kernel, cap)
     extra = set(reduced.variables_used()) - set(kernel)
     if extra:
         raise InputError(f"reduced polynomial depends on non-kernel variables {sorted(extra)}")
-    base_correction = Fraction(base_correction)
+    if isinstance(base_correction, bool) or not isinstance(base_correction, (int, Fraction)):
+        raise InputError(f"base_correction = {base_correction!r} is not an int or Fraction")
     layers = _feasible_layers(size, card)
-    if not layers:
-        raise InputError("no feasible kernel assignment (inconsistent budgets)")
     den, table = int_numerators(reduced.coeffs, "the reduced polynomial")
+    best, arg = _walk(table, kernel, layers)
+    return Fraction(best, den) + base_correction, arg
+
+
+def _check_kernel_cap(kernel: Tuple[int, ...], cap: int) -> None:
+    if len(kernel) > cap:
+        raise ResourceError(f"kernel size {len(kernel)} exceeds cap {cap}", payload=kernel)
+
+
+def _walk(table: Dict[int, int], kernel: Tuple[int, ...],
+          layers: range) -> Tuple[int, Tuple[int, ...]]:
+    """(best, values over the sorted kernel): the max over the feasible
+    points of the int table {mask: c_S} on the kernel's variables, and its
+    argument.
+
+    The value at a point with -1 set N is total - 2 sum {c_S : |S n N|
+    odd}; the walk finds the N with the least odd sum, bit-sliced (Biham
+    1997) over exactly the feasible points: each kernel variable gets one
+    int plane with one bit per -1 set of a feasible layer
+    (`_feasible_planes`).  A term's parity plane is the XOR of its
+    variables' planes, complemented where its coefficient is negative, and
+    |c| / g times it, g the terms' gcd, is added to a bit-sliced
+    ripple-carry counter, so every point's count is its odd sum over g up
+    to a constant.  The least count is
+    read from the top counter plane down; a tie goes to the
+    lexicographically smallest assignment by a greedy pass over the
+    planes, and the winner's value is recomputed from the table.
+    """
     total = sum(table.values())
-    points, planes = _feasible_planes(size, layers)
+    points, planes = _feasible_planes(len(kernel), layers)
     bits = [1 << (v - 1) for v in kernel]
     plane_of = dict(zip(bits, planes))
     full = (1 << points) - 1
-    terms = [(mask, c) for mask, c in table.items() if mask]
+    # the counter only ranks the points: the terms' gcd divides out
+    common = gcd(*(c for mask, c in table.items() if mask))
+    terms = [(mask, c // common) for mask, c in table.items() if mask]
     counter = [0] * sum(abs(c) for _, c in terms).bit_length()
     for mask, c in terms:
         plane = 0
@@ -224,31 +280,52 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
             least &= plane
     neg_mask = sum(bit for bit, plane in zip(bits, planes) if least & plane)
     best = total - 2 * sum(c for m, c in table.items() if (m & neg_mask).bit_count() & 1)
-    arg = tuple(-1 if neg_mask & bit else 1 for bit in bits)
-    return Fraction(best, den) + base_correction, arg
+    return best, tuple(-1 if neg_mask & bit else 1 for bit in bits)
 
 
 def kernelize(f: MultilinearPoly, dist: CardinalDist, gamma, d: int,
-              dense_cap: int, variance: Optional[Fraction] = None
-              ) -> Tuple[RoundingOutcome, Fraction]:
-    """The kernel step of decide and `cardcsp kernel`: at p = 1/2, check
-    project_null's unknowns sum_{k < deg f} C(n, k), the size of its tables
-    on levels < deg f, against dense_cap (ResourceError, payload f, before
-    any work), project and round_bisection; otherwise round_global.
-    Returns the outcome and the base correction that the reduced
+              dense_cap: int) -> Tuple[RoundingOutcome, Fraction]:
+    """The kernel step of `cardcsp kernel` on a chi polynomial: _kernel_step
+    on f's int numerators, with the Fraction RoundingOutcome built from its
+    result.  Returns the outcome and the base correction that the reduced
     polynomial drops: fhat(0) at p = 1/2, else 0."""
     gamma = check_gamma(gamma)
-    if dist.p == Fraction(1, 2):
-        unknowns = sum(comb(f.n, k) for k in range(f.degree_bound))
-        if unknowns > dense_cap:
-            raise ResourceError(
-                f"projection with {unknowns} unknowns exceeds dense cap "
-                f"{dense_cap}", payload=f)
-        proj = project_null(f, dist, mode="exact")
-        return (round_bisection(f, proj.h, gamma, d=d, allow_large_residual=True),
-                f.coefficient(()))
-    return (round_global(f, dist, gamma, d=d, variance=variance,
-                         allow_large_variance=True), Fraction(0))
+    if f.basis is not Basis.CHI:
+        raise InputError("the kernel step works on the chi basis")
+    if f.n != dist.n:
+        raise InputError("variable counts differ between f and dist")
+    if d < 0:
+        raise InputError("d must be nonnegative")
+    den, table = int_numerators(f.coeffs, "the kernel step")
+    step, base = _kernel_step(den, table, dist.card, gamma, d, dense_cap)
+    return step.outcome(f.n), Fraction(base, step.den)
+
+
+def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
+                 gamma: Fraction, d: int, dense_cap: int,
+                 variance: Optional[Fraction] = None) -> Tuple[IntOutcome, int]:
+    """The one kernel step of decide and `cardcsp kernel`, on f's int
+    numerators table / den.  At p = 1/2: check project's unknowns
+    sum_{k < deg f} C(n, k), the size of its tables on levels < deg f,
+    against dense_cap (ResourceError, payload f, before any work), project
+    and _round_bisection; otherwise _round_global, with f's variance unless
+    the caller has it.  Returns the step's IntOutcome and fhat(0) over its
+    den at p = 1/2 (the constant the reduced table leaves out), else 0."""
+    n = card.n
+    if card.p != Fraction(1, 2):
+        if variance is None:
+            variance = _chi_mean_variance(den, table, n, card.num_negative)[1]
+        return _round_global(den, table, n, card, gamma, d, variance), 0
+    degree = max((mask.bit_count() for mask in table), default=0)
+    unknowns = sum(comb(n, k) for k in range(degree))
+    if unknowns > dense_cap:
+        raise ResourceError(
+            f"projection with {unknowns} unknowns exceeds dense cap "
+            f"{dense_cap}",
+            payload=MultilinearPoly(n, {mask: Fraction(c, den) for mask, c in table.items()}))
+    y, den_h = _project({mask: c for mask, c in table.items() if mask}, den, n, degree, 0)
+    step = _round_bisection(n, den, table, den_h, y, gamma, d, allow_large_residual=True)
+    return step, table.get(0, 0) * (step.den // den)
 
 
 def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
@@ -270,16 +347,17 @@ def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
 
 def decide(inst: CspInstance, card: GlobalCardinality, t: int,
            config: SolverConfig = DEFAULT_CONFIG) -> Verdict:
-    """Decide whether some valid assignment satisfies >= AVG + t constraints."""
+    """Decide whether some valid assignment satisfies >= AVG + t constraints.
+
+    Every layer from the compile to the kernel walk reads one int table,
+    f's numerators over one denominator keyed by bitmask: no polynomial
+    and no per-coefficient Fraction is built on the way."""
     _check_target(t)
-    if inst.n != card.n:
-        raise InputError("instance and cardinality constraint sizes differ")
-    validate_instance(inst)
+    _check_instance(inst, card)
     if not config.p0 <= card.p <= 1 - config.p0:
         raise InputError(f"p = {card.p} outside [{config.p0}, {1 - config.p0}]")
-    f = to_polynomial(inst)
-    dist = CardinalDist.from_card(card)
-    avg, var = _chi_mean_variance(f, dist)
+    den, table = _compile(inst)
+    avg, var = _chi_mean_variance(den, table, card.n, card.num_negative)
     d = max(inst.d, 1)
     if t <= 0:
         return Verdict(answer="CertifiedAbove", branch="LargeVariance",
@@ -298,20 +376,26 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
     if card.p != Fraction(1, 2) and var * var > card.n:
         warnings.append(
             "variance exceeds sqrt(n); the kernel-size bound is heuristic here")
-    outcome, base_correction = kernelize(f, dist, Fraction(1, 2 ** d), d,
-                                         config.dense_cap, variance=var)
-    if card.p == Fraction(1, 2) and Fraction(outcome.residual_norm_sq) ** 2 > card.n:
+    step, base = _kernel_step(den, table, card, Fraction(1, 2 ** d), d,
+                              config.dense_cap, var)
+    # the residual's squared norm residual_sum / den^2 against sqrt(n)
+    if step.residual_sum is not None and step.residual_sum ** 2 > card.n * step.den ** 4:
         warnings.append(
             "projection residual exceeds sqrt(n); the 7^d blow-up bound "
             "is heuristic here")
-    kernel = tuple(sorted(outcome.active_set))
-    points = sum(comb(len(kernel), j) for j in _feasible_layers(len(kernel), card))
+    used = 0
+    for mask in step.reduced:
+        used |= mask
+    kernel = tuple(v for v in range(1, card.n + 1) if used >> (v - 1) & 1)
+    layers = _feasible_layers(len(kernel), card)
+    points = sum(comb(len(kernel), j) for j in layers)
     if points > config.enum_cap:
         raise ResourceError(
             f"kernel walk of {points} feasible points exceeds enumeration cap "
             f"{config.enum_cap}", payload=kernel)
-    opt, arg = enumerate_kernel(outcome.reduced, kernel, card, base_correction,
-                                cap=config.kernel_cap)
+    _check_kernel_cap(kernel, config.kernel_cap)
+    best, arg = _walk(step.reduced, kernel, layers)
+    opt = Fraction(best + base, step.den)
     witness = _complete_witness(kernel, arg, card)
     achieved = constraint_count(inst, witness)
     if achieved != opt:

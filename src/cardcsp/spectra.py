@@ -17,10 +17,11 @@ The projection onto that null space builds no Gram matrix.  Its Gram
 operator (two constraint-product passes, the second forming only the levels
 below deg f) commutes with S_n, so one small closed-form block per harmonic
 weight gives a polynomial that annihilates it, and the normal equations are
-solved by that polynomial.  At p = 1/2 every value from f's coefficients to
-h and the residual is an int numerator over one denominator, and each
-output coefficient becomes a Fraction once; off p = 1/2 the same lines run
-on QE scalars.
+solved by that polynomial.  The solve is the core _project: at p = 1/2
+every value from f's numerators to h = y / D is an int over one
+denominator (off p = 1/2 the same lines run on QE scalars), and it forms
+no residual.  project_null is its wrapper: it forms the residual and
+turns each output coefficient into a Fraction once.
 
 The spectra come from the same kind of blocks: a form commutes with S_n, so
 on the ladder U^i v / i! of a harmonic v of weight j it is one small matrix,
@@ -326,10 +327,11 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
     is the minimum-norm h; the residual is unique either way.  Chi input is
     accepted at p = 1/2 where the bases coincide.
 
-    The solve runs on g_0 = g / den with int numerators g (QEs off
-    p = 1/2, den = 1): with y the Horner sum on numerators and
-    D = -s_0 den, h = y / D and the residual is (-s_0 g - A y) / D, so each
-    output coefficient is divided by D once.
+    The solve is the core _project on g_0 = g / den with int numerators g
+    (QEs off p = 1/2, den = 1): it returns y, the Horner sum on
+    numerators, and D = -s_0 den, so h = y / D.  This wrapper forms the
+    residual (-s_0 g - A y) / D, and divides each output coefficient by D
+    once.
     """
     if mode != "exact":
         raise InputError("mode must be 'exact'")
@@ -345,6 +347,25 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
     g = {mask: c for mask, c in f.coeffs.items() if mask}
     den, nums = _over_ints(g.values())
     g = dict(zip(g, nums))
+    y, out_den = _project(g, den, n, d, q)
+    s0 = _gram_annihilator(n, d, q)[0]
+    r = reduce_by_constraint({mask: -s0 * c for mask, c in g.items()}, y, n, q)
+    r.pop(0, None)
+    return ProjectionResult(
+        h=MultilinearPoly(n, {mask: scalar_quotient(c, out_den) for mask, c in y.items()},
+                          f.basis, f.p),
+        residual=MultilinearPoly(n, {mask: scalar_quotient(c, out_den)
+                                     for mask, c in r.items()}, f.basis, f.p),
+        residual_norm_sq=scalar_quotient(sum(c * c for c in r.values()), out_den * out_den))
+
+
+def _project(g: Dict[int, Scalar], den: Scalar, n: int, d: int,
+             q: Scalar) -> Tuple[Dict[int, Scalar], Scalar]:
+    """(y, D) with h = y / D: project_null's solve on the numerators g of
+    f minus its constant over den, d = deg f (y is empty at d = 0).  y is
+    the Horner sum sum_{k>=1} s_k G^{k-1} b on numerators and
+    D = -s_0 den.  Ints at p = 1/2 (q = 0); the residual is formed only by
+    callers that read it."""
     b = _times_constraint_below(g, n, q, d)
     s = _gram_annihilator(n, d, q)
     y: Dict[int, Scalar] = {}
@@ -354,15 +375,7 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
         y = _times_constraint_below(image, n, q, d)
         for mask, c in b.items():
             y[mask] = y[mask] + coeff * c if mask in y else coeff * c
-    out_den = -s[0] * den
-    r = reduce_by_constraint({mask: -s[0] * c for mask, c in g.items()}, y, n, q)
-    r.pop(0, None)
-    return ProjectionResult(
-        h=MultilinearPoly(n, {mask: scalar_quotient(c, out_den) for mask, c in y.items()},
-                          f.basis, f.p),
-        residual=MultilinearPoly(n, {mask: scalar_quotient(c, out_den)
-                                     for mask, c in r.items()}, f.basis, f.p),
-        residual_norm_sq=scalar_quotient(sum(c * c for c in r.values()), out_den * out_den))
+    return y, -s[0] * den
 
 
 def _times_constraint_below(table: Dict[int, Scalar], n: int, q: Scalar,

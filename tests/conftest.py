@@ -8,16 +8,18 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from cardcsp.cardinal_dist import CardinalDist, chi_variance
+from cardcsp.cardinal_dist import CardinalDist, chi_expectation, chi_variance
 from cardcsp.csp_model import Constraint, CspInstance, to_polynomial
 from cardcsp.errors import InputError
 from cardcsp.exact import QE, make_qe, round_half_away, scalar_inverse
 from cardcsp.oracle import _revolving_door
 from cardcsp.poly import (Basis, MultilinearPoly, int_numerators, phi_square_q, phi_values,
                           times_constraint, up)
-from cardcsp.rounding import RoundingOutcome, active_bound_constant, gamma_ladder
-from cardcsp.solver import _feasible_layers
-from cardcsp.spectra import alpha_table, subsets_upto
+from cardcsp.rounding import (RoundingOutcome, active_bound_constant, gamma_ladder,
+                              round_bisection, round_global)
+from cardcsp.solver import (Verdict, _complete_witness, _feasible_layers,
+                            certification_threshold, enumerate_kernel)
+from cardcsp.spectra import alpha_table, project_null, subsets_upto
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -639,3 +641,44 @@ def vk_basis(n, p, d, k):
             ext.update((t, a * c) for t, c in layer.items() if a * c)
         out.append(ext)
     return out
+
+
+def reference_verdict(inst, card, t):
+    """decide's Verdict assembled from the public Fraction-level layers, in
+    the order perfbench's replay calls them: to_polynomial, chi_expectation
+    and chi_variance, the threshold, project_null and round_bisection at
+    p = 1/2 or round_global otherwise, enumerate_kernel, and the witness
+    completion.  The warnings are decide's, tested on the same values."""
+    f = to_polynomial(inst)
+    dist = CardinalDist.from_card(card)
+    avg, var = chi_expectation(f, dist), chi_variance(f, dist)
+    d = max(inst.d, 1)
+    threshold = certification_threshold(d, card.p, t)
+    if var >= threshold:
+        return Verdict(answer="CertifiedAbove", branch="LargeVariance",
+                       avg=avg, variance=var, threshold_used=threshold, t=t)
+    warnings = []
+    if 4 * t ** 4 > card.n:
+        warnings.append(
+            f"t^2 = {t * t} exceeds sqrt(n)/2: the rounding norm hypothesis "
+            "is not established at this size; results remain exact")
+    gamma = Fraction(1, 2 ** d)
+    if card.p == Fraction(1, 2):
+        proj = project_null(f, dist)
+        outcome = round_bisection(f, proj.h, gamma, d=d, allow_large_residual=True)
+        base = f.coefficient(())
+        if outcome.residual_norm_sq ** 2 > card.n:
+            warnings.append("projection residual exceeds sqrt(n); the 7^d blow-up "
+                            "bound is heuristic here")
+    else:
+        if var * var > card.n:
+            warnings.append(
+                "variance exceeds sqrt(n); the kernel-size bound is heuristic here")
+        outcome = round_global(f, dist, gamma, d=d, variance=var, allow_large_variance=True)
+        base = Fraction(0)
+    kernel = tuple(sorted(outcome.active_set))
+    opt, arg = enumerate_kernel(outcome.reduced, kernel, card, base)
+    return Verdict(answer="SolvedExactly", branch="SmallVariance", avg=avg, variance=var,
+                   threshold_used=threshold, t=t, opt=opt,
+                   witness=_complete_witness(kernel, arg, card), kernel=kernel,
+                   warnings=warnings)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcsp.cardinal_dist import (CardinalDist, chi_expectation, chi_variance,
-                                   delta_sequence, mc_moment, sample)
+from cardcsp.cardinal_dist import (CardinalDist, _chi_moment_table, chi_expectation,
+                                   chi_variance, delta_sequence, mc_moment, sample)
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError
 from cardcsp.exact import sqrt_scalar
@@ -329,3 +329,12 @@ def test_cardinal_dist_rejects_float_p(n, p):
     # with "p*n = 18014398509481985/18014398509481984 is not an integer"
     with pytest.raises(InputError, match=f"p = {p} is not an int or Fraction"):
         CardinalDist(n, p)
+
+
+def test_cached_chi_moment_table_matches_chi_moment():
+    for n in range(1, 31):
+        for negatives in range(1, n):
+            den, nums = _chi_moment_table(n, negatives)
+            assert type(den) is int and all(type(num) is int for num in nums)
+            dist = CardinalDist(n, F(negatives, n))
+            assert [F(num, den) for num in nums] == [dist.chi_moment(k) for k in range(n + 1)]

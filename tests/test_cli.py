@@ -137,7 +137,7 @@ def test_kernel_checks_dense_cap_before_projection(capsys, tmp_path, monkeypatch
     code, doc, _ = run(capsys, ["kernel", "--instance", str(path), "--config", str(cfg)])
     assert code == 0 and doc["active_set"]
     cfg.write_text("dense_cap = 10\n")
-    monkeypatch.setattr(solver, "project_null", _must_not_run)
+    monkeypatch.setattr(solver, "_project", _must_not_run)
     code, doc, err = run(capsys, ["kernel", "--instance", str(path), "--config", str(cfg)])
     assert code == 2 and doc is None
     assert "11" in err and "dense cap 10" in err

@@ -22,7 +22,7 @@ from cardcsp.rounding import (RoundingOutcome, _LevelScan, _best_candidate,
 from cardcsp.solver import kernelize
 from cardcsp.spectra import project_null
 
-from conftest import (beta_weights_reference, constraint_poly, csp_instances,
+from conftest import (beta_weights_reference, constraint_poly, csp_instances, path_graph,
                       random_instance, random_poly, reconstruct_h_reference,
                       round_bisection_reference, round_global_scan_reference,
                       survivors_reference)
@@ -357,7 +357,7 @@ def _fail(*args, **kwargs):
 def test_gamma_must_be_exact(monkeypatch, step, gamma):
     # round_global(..., 0.1) ran with gamma = 3602879701896397/36028797018963968;
     # kernelize checks gamma before its projection starts
-    monkeypatch.setattr("cardcsp.solver.project_null", _fail)
+    monkeypatch.setattr("cardcsp.solver._project", _fail)
     f = mono(8, (1, 2), F(1, 4))
     calls = {
         "round_bisection": lambda: round_bisection(f, MultilinearPoly.zero(8), gamma,
@@ -640,3 +640,29 @@ def test_round_global_matches_scan_reference_at_n12_d3(p):
     assert out.h == h_ref
     assert out.reduced == reduced_ref
     assert out.active_set == active_variables(reduced_ref) == {1, 2, 3, 4, 5}
+
+
+@st.composite
+def bisection_instances(draw):
+    """A counting polynomial's instance at p = 1/2: n even, up to 10, d <= 3."""
+    n = draw(st.sampled_from((2, 4, 6, 8, 10)))
+    return draw(csp_instances(n, draw(st.integers(1, 3))))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(bisection_instances())
+def test_projection_and_rounding_report_one_residual(inst):
+    # project_null forms the residual only in its wrapper, round_bisection
+    # on its own ints: both are f - fhat(0) - (sum x_i) h_f without constant
+    f = to_polynomial(inst)
+    proj = project_null(f, CardinalDist(inst.n, F(1, 2)))
+    out = round_bisection(f, proj.h, F(1, 2 ** inst.d), d=inst.d, allow_large_residual=True)
+    assert out.residual_norm_sq == proj.residual_norm_sq == proj.residual.l2_norm_sq()
+
+
+def test_path_reduces_to_a_constant_term():
+    # decide's walk adds fhat(0) to a reduced table that has a constant of its own
+    f = to_polynomial(path_graph(6))
+    proj = project_null(f, CardinalDist(6, F(1, 2)))
+    out = round_bisection(f, proj.h, F(1, 4), d=2, allow_large_residual=True)
+    assert out.reduced.coefficient(()) == F(1, 2) and f.coefficient(()) == F(5, 2)

@@ -25,9 +25,9 @@ from cardcsp.solver import (average, certification_threshold, decide,
                             enumerate_kernel, fourth_moment_bound,
                             general_fourth_moment_bound)
 
-from conftest import (CUT, complete_graph, enumerate_kernel_point_loop, graph_instance,
-                      instance_variance, path_graph, random_instance, random_poly,
-                      star_graph, valid_biases)
+from conftest import (CUT, complete_graph, csp_instances, enumerate_kernel_point_loop,
+                      graph_instance, instance_variance, path_graph, random_instance,
+                      random_poly, reference_verdict, star_graph, valid_biases)
 
 
 def test_decide_k4_no():
@@ -65,6 +65,23 @@ def test_average_closed_form():
         assert average(inst, card) == (F(1, 2) + F(1, 2 * (n - 1))) * inst.m
 
 
+@pytest.mark.parametrize("inst, message", [
+    # x_1 twice: decide rejects it; the compiled table would read 1/4, the slice 0
+    (CspInstance(n=4, d=2, constraints=(Constraint((1, 1), frozenset({(1, -1)})),)),
+     "duplicate variable"),
+    (CspInstance(n=6, d=1, constraints=(Constraint((1, 2), CUT),)), "arity 2 outside"),
+])
+def test_average_runs_decides_instance_checks(inst, message):
+    card = GlobalCardinality(inst.n, F(1, 2))
+    with pytest.raises(InputError, match=message) as from_average:
+        average(inst, card)
+    with pytest.raises(InputError) as from_decide:
+        decide(inst, card, 1)
+    assert str(from_average.value) == str(from_decide.value)
+    with pytest.raises(InputError, match="sizes differ"):
+        average(path_graph(4), GlobalCardinality(6, F(1, 2)))
+
+
 def test_average_always_true_constraint():
     from cardcsp.csp_model import Constraint, CspInstance
     full = frozenset({(1,), (-1,)})
@@ -100,13 +117,13 @@ def test_threshold_rejects_a_target_that_is_not_an_int(t):
         certification_threshold(2, F(1, 2), t)
 
 
-def test_decide_converts_f_once_for_both_moments():
+def test_decide_reads_the_slice_moments_once_for_both_moments():
     inst = complete_graph(6)
     card = GlobalCardinality(6, F(1, 3))
-    with mock.patch.object(cardinal_dist, "_chi_numerators",
-                           wraps=cardinal_dist._chi_numerators) as convert:
+    with mock.patch.object(cardinal_dist, "_chi_moment_table",
+                           wraps=cardinal_dist._chi_moment_table) as moments:
         v = decide(inst, card, 1)
-    assert convert.call_count == 1
+    assert moments.call_count == 1
     f, dist = to_polynomial(inst), CardinalDist.from_card(card)
     assert (v.avg, v.variance) == (chi_expectation(f, dist), chi_variance(f, dist))
 
@@ -153,6 +170,15 @@ def test_enumerate_kernel_rejects_a_kernel_that_is_not_a_set_of_variables(kernel
     reduced = MultilinearPoly.from_subsets(4, {(1,): F(1)})
     with pytest.raises(InputError, match="not a set of variables"):
         enumerate_kernel(reduced, kernel, card, 0)
+
+
+@pytest.mark.parametrize("base_correction", [0.1, True, "1/3", None])
+def test_enumerate_kernel_rejects_a_base_correction_that_is_not_exact(base_correction):
+    # 0.1 used to enter as 3602879701896397/36028797018963968 and "1/3" as 1/3
+    card = GlobalCardinality(4, F(1, 2))
+    reduced = MultilinearPoly.from_subsets(4, {(1,): F(1)})
+    with pytest.raises(InputError, match="base_correction .* is not an int or Fraction"):
+        enumerate_kernel(reduced, (1,), card, base_correction)
 
 
 def test_enumerate_kernel_cap():
@@ -257,6 +283,54 @@ def test_feasible_planes_hold_each_feasible_set_once(size, n, p):
     assert all(len(negs) in layers for negs in sets)
 
 
+def test_feasible_planes_cache_keeps_small_entries_only():
+    solver._cached_planes.cache_clear()
+    size = 17      # one layer of C(17, 8) = 24,310 points, all 2^17 above the bound
+    small, large = range(8, 9), range(0, size + 1)
+    assert comb(size, 8) <= solver.CACHED_POINTS < 2 ** size
+    assert solver._feasible_planes(size, small) is solver._feasible_planes(size, small)
+    points, planes = solver._feasible_planes(size, large)
+    assert points == 2 ** size and len(planes) == size
+    assert solver._cached_planes.cache_info().currsize == 1
+    # every seed-1 corpus slice (n <= 12) fits below the bound
+    assert comb(12, 6) <= solver.CACHED_POINTS
+
+
+@st.composite
+def decide_problems(draw):
+    """(instance, cardinality, t): p in {1/2, 1/3, 1/4}, d in {1, 2, 3},
+    n <= 10 with pn integral, t in {1, 2}."""
+    p = draw(st.sampled_from((F(1, 2), F(1, 3), F(1, 4))))
+    n = draw(st.sampled_from([n for n in range(2, 11) if (p * n).denominator == 1]))
+    inst = draw(csp_instances(n, draw(st.integers(1, 3))))
+    return inst, GlobalCardinality(n, p), draw(st.integers(1, 2))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(decide_problems())
+@example((path_graph(6), GlobalCardinality(6, F(1, 2)), 1))   # reduced constant 1/2
+@example((complete_graph(6), GlobalCardinality(6, F(1, 3)), 1))
+def test_decide_matches_the_public_layers(problem):
+    inst, card, t = problem
+    assert decide(inst, card, t).to_json() == reference_verdict(inst, card, t).to_json()
+
+
+def test_decide_builds_no_polynomial(monkeypatch):
+    # from the compile to the Verdict every layer reads one int table
+    built = []
+    init = MultilinearPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultilinearPoly, "__init__", counted)
+    for p, n in ((F(1, 2), 8), (F(1, 3), 9)):
+        v = decide(random_instance(random.Random(n), n, 2, 14), GlobalCardinality(n, p), 1)
+        assert v.branch == "SmallVariance" and v.kernel
+    assert built == []
+
+
 @pytest.mark.parametrize("n, p, degree, terms", [
     (18, F(1, 2), 3, 30),
     (20, F(1, 4), 2, 40),
@@ -351,7 +425,7 @@ def _must_not_run(*args, **kwargs):
 def test_decide_enum_cap_checked_before_enumeration(monkeypatch):
     inst = path_graph(10)
     card = GlobalCardinality(10, F(1, 2))
-    monkeypatch.setattr(solver, "enumerate_kernel", _must_not_run)
+    monkeypatch.setattr(solver, "_walk", _must_not_run)
     with pytest.raises(ResourceError) as err:
         decide(inst, card, 1, SolverConfig(enum_cap=1))
     assert err.value.payload  # the kernel is handed back
@@ -360,7 +434,7 @@ def test_decide_enum_cap_checked_before_enumeration(monkeypatch):
 def test_decide_dense_cap_checked_before_projection(monkeypatch):
     inst = path_graph(10)  # degree 2: projection unknowns C(10,0) + C(10,1) = 11
     card = GlobalCardinality(10, F(1, 2))
-    monkeypatch.setattr(solver, "project_null", _must_not_run)
+    monkeypatch.setattr(solver, "_project", _must_not_run)
     with pytest.raises(ResourceError) as err:
         decide(inst, card, 1, SolverConfig(dense_cap=10))
     assert "11" in str(err.value) and err.value.payload is not None
