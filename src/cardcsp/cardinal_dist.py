@@ -36,8 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from .csp_model import GlobalCardinality
 from .errors import InputError
 from .exact import Scalar, _over_common_denominator
-from .poly import (Assignment, Basis, MultilinearPoly, exact_bias, int_numerators,
-                   phi_square_q)
+from .poly import Assignment, Basis, MultilinearPoly, chi_numerators, exact_bias, phi_square_q
 
 
 class CardinalDist:
@@ -140,27 +139,18 @@ def _chi_mean_variance(den: int, table: Dict[int, int], n: int, num_negative: in
             Fraction(square_num * eps_den - mean_num * mean_num, scale * scale))
 
 
-def _chi_table_of(f: MultilinearPoly, dist: CardinalDist) -> Tuple[int, Dict[int, int]]:
-    """f's int numerators over one denominator, after the checks of the
-    chi-basis moments."""
-    if f.basis is not Basis.CHI:
-        raise InputError("chi-basis moments expect the chi basis")
-    if f.n != dist.n:
-        raise InputError("variable counts differ")
-    return int_numerators(f.coeffs, "the chi-basis moment")
-
-
 def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     """E_{D_p}[f] for a chi-basis f with rational coefficients."""
-    return _chi_mean_variance(*_chi_table_of(f, dist), dist.n, dist.card.num_negative,
-                              variance=False)[0]
+    return _chi_mean_variance(*chi_numerators(f, dist.n, "the chi-basis moment"), dist.n,
+                              dist.card.num_negative, variance=False)[0]
 
 
 def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
     """Var_{D_p}(f) for chi-basis f with rational coefficients, binned by
     |S delta T| (_chi_mean_variance).  Agrees exactly with the variance
     form of spectra.quadratic_form_value on the phi-converted polynomial."""
-    return _chi_mean_variance(*_chi_table_of(f, dist), dist.n, dist.card.num_negative)[1]
+    return _chi_mean_variance(*chi_numerators(f, dist.n, "the chi-basis moment"), dist.n,
+                              dist.card.num_negative)[1]
 
 
 def sample(dist: CardinalDist, seed) -> Assignment:

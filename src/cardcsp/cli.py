@@ -21,7 +21,7 @@ from .errors import CardCspError
 from .exact import scalar_json
 from .oracle import brute_average, brute_force_decision, brute_opt, hyper_ratio
 from .poly import Basis, convert_basis
-from .solver import decide, fourth_moment_bound, kernelize
+from .solver import _kernel_step, decide, fourth_moment_bound
 from .spectra import SetSymmetricForm, eigen_summary
 
 EXIT_YES = 0
@@ -60,10 +60,9 @@ def _cmd_solve(args) -> int:
 def _cmd_kernel(args) -> int:
     inst, card = _load_instance(args.instance)
     config = load_config(args.config) if args.config else DEFAULT_CONFIG
-    f = to_polynomial(inst)
-    dist = CardinalDist.from_card(card)
     gamma = args.gamma if args.gamma is not None else Fraction(1, 2 ** inst.d)
-    outcome, _ = kernelize(f, dist, gamma, inst.d, config.dense_cap)
+    step, _ = _kernel_step(*_compile(inst), card, gamma, inst.d, config.dense_cap)
+    outcome = step.outcome(card.n)
     bound = None
     if outcome.norm_blowup is not None:
         bound = {"limit": 7 ** inst.d,

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InputError
+from .exact import check_exact
 
 
 @dataclass(frozen=True)
@@ -20,9 +21,7 @@ class SolverConfig:
             cap = getattr(self, name)
             if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
                 raise InputError(f"{name} = {cap!r} is not a nonnegative integer")
-        if not isinstance(self.p0, (int, Fraction)):
-            raise InputError(f"p0 = {self.p0!r} is not an int or Fraction")
-        if not 0 < self.p0 < Fraction(1, 2):
+        if not 0 < check_exact("p0", self.p0) < Fraction(1, 2):
             raise InputError(f"p0 = {self.p0} outside (0, 1/2)")
 
 

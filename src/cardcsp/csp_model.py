@@ -20,7 +20,7 @@ from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import InputError, ParseError
-from .poly import Assignment, Basis, MultilinearPoly, check_assignment, exact_bias
+from .poly import Assignment, MultilinearPoly, check_assignment, exact_bias
 
 Pattern = Tuple[int, ...]
 
@@ -231,11 +231,8 @@ def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
 
 def to_polynomial(inst: CspInstance) -> MultilinearPoly:
     """Chi-basis polynomial whose value at any assignment is the number of
-    satisfied constraints: _compile's numerators, one Fraction per
-    distinct numerator, shared by its terms."""
-    den, nums = _compile(inst)
-    value = {v: Fraction(v, den) for v in set(nums.values())}
-    return MultilinearPoly(inst.n, {s: value[v] for s, v in nums.items()}, Basis.CHI)
+    satisfied constraints: _compile's numerators as Fractions."""
+    return MultilinearPoly.from_numerators(inst.n, *_compile(inst))
 
 
 def constraint_count(inst: CspInstance, a: Assignment) -> int:

@@ -18,6 +18,8 @@ from functools import total_ordering
 from math import isqrt, lcm
 from typing import Union
 
+from .errors import InputError
+
 Scalar = Union[int, Fraction, "QE"]
 
 
@@ -212,6 +214,14 @@ def sqrt_upper(x: Fraction) -> Fraction:
     while root * root * den < num:
         root += 1
     return Fraction(root, scale)
+
+
+def check_exact(name: str, value) -> Union[int, Fraction]:
+    """value itself; InputError, naming it, unless it is an int or Fraction
+    (a bool, a float or a string is not an exact number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"{name} = {value!r} is not an int or Fraction")
+    return value
 
 
 def round_half_away(num: int, den: int) -> int:

@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import InputError
-from .exact import QE, Scalar, _over_common_denominator, make_qe
+from .exact import QE, Scalar, _over_common_denominator, check_exact, make_qe
 
 Subset = Tuple[int, ...]
 Assignment = Tuple[int, ...]  # entries in {-1, +1}, position i holds x_{i+1}
@@ -42,9 +42,7 @@ class Basis(Enum):
 def exact_bias(p) -> Fraction:
     """The bias p as a Fraction in (0, 1); InputError, naming p, for a
     float, bool or any other value that is not an int or Fraction."""
-    if not isinstance(p, (int, Fraction)) or isinstance(p, bool):
-        raise InputError(f"p = {p!r} is not an int or Fraction")
-    if not 0 < p < 1:
+    if not 0 < check_exact("p", p) < 1:
         raise InputError("p must lie in (0,1)")
     return Fraction(p)
 
@@ -93,6 +91,13 @@ class MultilinearPoly:
                      basis: Basis = Basis.CHI, p=None) -> "MultilinearPoly":
         """The polynomial with coefficient coeffs[S] on each sorted tuple S."""
         return MultilinearPoly(n, {mask_of(s, n): c for s, c in coeffs.items()}, basis, p)
+
+    @staticmethod
+    def from_numerators(n: int, den: int, table: Mapping[int, int]) -> "MultilinearPoly":
+        """The chi polynomial table / den from int numerators keyed by
+        bitmask, one Fraction per distinct numerator, shared by its terms."""
+        value = {a: Fraction(a, den) for a in set(table.values())}
+        return MultilinearPoly(n, {s: value[a] for s, a in table.items()}, Basis.CHI)
 
     @staticmethod
     def zero(n: int, basis: Basis = Basis.CHI, p=None) -> "MultilinearPoly":
@@ -313,6 +318,16 @@ def int_numerators(table: Mapping[int, Scalar], what: str) -> Tuple[int, Dict[in
     except ValueError as exc:
         raise InputError(f"{what} needs rational coefficients: {exc}") from exc
     return den, dict(zip(table, nums))
+
+
+def chi_numerators(f: MultilinearPoly, n: int, what: str) -> Tuple[int, Dict[int, int]]:
+    """int_numerators of f, a chi polynomial on n variables; InputError,
+    naming `what`, for another basis or variable count."""
+    if f.basis is not Basis.CHI or f.n != n:
+        fault = "variable counts differ" if f.n != n else "not the chi basis"
+        raise InputError(f"{what}'s variable count or basis differs: {fault} "
+                         f"({f.basis.value} on {f.n} variables, chi on {n} expected)")
+    return int_numerators(f.coeffs, what)
 
 
 def _flip_each(table: Mapping[int, Scalar], toggle: int) -> Dict[int, Scalar]:

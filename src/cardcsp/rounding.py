@@ -13,9 +13,10 @@ Each path is an int core on f's numerators over one denominator that
 returns an IntOutcome (h and the reduced table over one denominator, and
 the bisection path's squared norms as ints): _round_bisection takes h_f as
 (y, D), spectra._project's output, and _round_global starts from f's
-table.  round_bisection and round_global are their wrappers: they convert
-f and h_f to numerators and build the Fraction RoundingOutcome, one
-Fraction per coefficient.
+table.  round_bisection and round_global are their wrappers: they check
+f and h_f and convert them to numerators (poly.chi_numerators), and
+IntOutcome.outcome builds the Fraction RoundingOutcome
+(MultilinearPoly.from_numerators).
 
 Every reduction here is the constraint product (sum x_i - shift) h on
 bitmask tables of int numerators over one denominator.  _round_bisection
@@ -66,9 +67,9 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 from .cardinal_dist import CardinalDist, _chi_mean_variance
 from .csp_model import GlobalCardinality
 from .errors import InputError, PreconditionError
-from .exact import Scalar, round_half_away
-from .poly import (Basis, MultilinearPoly, down, int_numerators, mask_of,
-                   reduce_by_constraint, times_constraint_table)
+from .exact import Scalar, check_exact, round_half_away
+from .poly import (MultilinearPoly, chi_numerators, down, mask_of, reduce_by_constraint,
+                   times_constraint_table)
 
 
 def active_variables(f: MultilinearPoly) -> FrozenSet[int]:
@@ -90,9 +91,7 @@ def gamma_ladder(d: int, gamma: Fraction) -> List[Fraction]:
 def check_gamma(gamma) -> Fraction:
     """gamma as a Fraction; InputError unless it is a positive int or
     Fraction (a float's binary value is not the granularity meant)."""
-    if isinstance(gamma, bool) or not isinstance(gamma, (int, Fraction)):
-        raise InputError(f"gamma = {gamma!r} is not an int or Fraction")
-    if gamma <= 0:
+    if check_exact("gamma", gamma) <= 0:
         raise InputError("gamma must be positive")
     return Fraction(gamma)
 
@@ -126,11 +125,10 @@ class IntOutcome(NamedTuple):
     reduced_sum: Optional[int] = None
 
     def outcome(self, n: int) -> RoundingOutcome:
-        """The Fraction-valued RoundingOutcome, one Fraction per coefficient."""
+        """The Fraction-valued RoundingOutcome."""
         den = self.den
-        h = MultilinearPoly(n, {s: Fraction(a, den) for s, a in self.h.items()}, Basis.CHI)
-        reduced = MultilinearPoly(n, {s: Fraction(a, den) for s, a in self.reduced.items()},
-                                  Basis.CHI)
+        h = MultilinearPoly.from_numerators(n, den, self.h)
+        reduced = MultilinearPoly.from_numerators(n, den, self.reduced)
         blowup = residual_sq = None
         if self.residual_sum is not None:
             blowup = (Fraction(self.reduced_sum, self.residual_sum) if self.residual_sum
@@ -142,42 +140,34 @@ class IntOutcome(NamedTuple):
 
 def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
                     d: Optional[int] = None,
-                    allow_large_residual: bool = False,
-                    require_multiples: bool = True) -> RoundingOutcome:
+                    allow_large_residual: bool = False) -> RoundingOutcome:
     """Snap h_f level by level and return the rounded reduction of f.
 
-    Requires the chi basis (bisection constraint), f's coefficients multiples
-    of gamma (the reduced polynomial's integrality claim rests on this;
-    require_multiples=False skips the check for robustness experiments with
-    sub-granularity noise), and projection residual norm^2 at most sqrt(n)
-    (the blow-up guarantee's hypothesis) unless allow_large_residual is set.
-    The work is the int core _round_bisection on f's and h_f's numerators.
+    Requires f and h_f in the chi basis on the same variables (bisection
+    constraint), f's coefficients multiples of gamma (the reduced
+    polynomial's integrality claim rests on this), and projection residual
+    norm^2 at most sqrt(n) (the blow-up guarantee's hypothesis) unless
+    allow_large_residual is set.  The work is the int core _round_bisection
+    on f's and h_f's numerators.
     """
-    if f.basis is not Basis.CHI:
-        raise InputError("round_bisection works on the chi basis")
-    if (h_f.n, h_f.basis) != (f.n, f.basis):
-        raise InputError("h_f's variable count or basis differs from f's")
-    gamma = check_gamma(gamma)
-    den_f, f_nums = int_numerators(f.coeffs, "round_bisection's f")
-    den_h, h_nums = int_numerators(h_f.coeffs, "round_bisection's h_f")
-    return _round_bisection(f.n, den_f, f_nums, den_h, h_nums, gamma,
+    den_f, f_nums = chi_numerators(f, f.n, "round_bisection's f")
+    den_h, h_nums = chi_numerators(h_f, f.n, "round_bisection's h_f")
+    return _round_bisection(f.n, den_f, f_nums, den_h, h_nums, check_gamma(gamma),
                             f.degree_bound if d is None else d,
-                            allow_large_residual, require_multiples).outcome(f.n)
+                            allow_large_residual).outcome(f.n)
 
 
 def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
                      h_nums: Dict[int, int], gamma: Fraction, d: int,
-                     allow_large_residual: bool = False,
-                     require_multiples: bool = True) -> IntOutcome:
+                     allow_large_residual: bool = False) -> IntOutcome:
     """round_bisection on int numerators: f = f_nums / den_f and
     h_f = h_nums / den_h (den_h may be negative, as project's D).  f, h_f
     and every granularity of gamma_ladder go over one denominator den, so
     the residual, the snap and the reduction run on ints, and the reduced
     table keeps f's constant out."""
-    if require_multiples:
-        for mask, a in f_nums.items():
-            if a * gamma.denominator % (den_f * gamma.numerator):
-                raise InputError(f"coefficient {Fraction(a, den_f)} is not a multiple of gamma")
+    for a in f_nums.values():
+        if a * gamma.denominator % (den_f * gamma.numerator):
+            raise InputError(f"coefficient {Fraction(a, den_f)} is not a multiple of gamma")
     if d < 0:
         raise InputError("d must be nonnegative")
     ladder = gamma_ladder(d, gamma)
@@ -342,19 +332,16 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
     linear, and h's coefficients are multiples of gamma/d! at the top weight
     when f's are multiples of gamma (denominators grow by one factorial per
     weight below that).  The solve runs on f's int numerators over one
-    denominator; each h entry is one Fraction.
+    denominator.
     """
-    if f.basis is not Basis.CHI:
-        raise InputError("reconstruct_h works on the chi basis")
+    den, table = chi_numerators(f, f.n, "reconstruct_h's f")
     pool = tuple(sorted(set(pivot_pool)))
     if not pool:
         raise InputError("pivot pool must be nonempty")
     if any(not 1 <= v <= f.n for v in pool):
         raise InputError("pivot pool variable out of range")
-    den, table = int_numerators(f.coeffs, "the reconstruction")
     scale, h = _reconstruct(table, f.n, mask_of(pool, f.n), shift)
-    den *= scale
-    return MultilinearPoly(f.n, {s: Fraction(a, den) for s, a in h.items()}, Basis.CHI)
+    return MultilinearPoly.from_numerators(f.n, den * scale, h)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +377,7 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
     candidates win, so correctness of downstream enumeration never depends
     on the scan's choices; only the kernel-size bound does.
     """
-    if f.basis is not Basis.CHI:
-        raise InputError("round_global works on the chi basis")
-    den, table = int_numerators(f.coeffs, "round_global")
-    if f.n != dist.n:
-        raise InputError("variable counts differ between f and dist")
+    den, table = chi_numerators(f, dist.n, "round_global's f")
     gamma = check_gamma(gamma)
     if d is None:
         d = f.degree_bound
@@ -402,10 +385,8 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
         raise InputError("d must be nonnegative")
     if variance is None:
         var = _chi_mean_variance(den, table, f.n, dist.card.num_negative)[1]
-    elif isinstance(variance, bool) or not isinstance(variance, (int, Fraction)):
-        raise InputError(f"variance = {variance!r} is not an int or Fraction")
     else:
-        var = Fraction(variance)
+        var = Fraction(check_exact("variance", variance))
     if var < 0:
         raise InputError("variance must be nonnegative")
     if var * var > f.n and not allow_large_variance:

@@ -10,21 +10,23 @@ Var_{D_p}(f) against 4*b*t^2 where b is the fourth-moment constant
     some valid assignment beats the average by the full standard-deviation
     margin: E[X]=0, E[X^2]=s^2, E[X^4] <= b*s^4 imply X >= s/(2*sqrt(b)) with
     positive probability, and s >= 2*sqrt(b)*t makes that margin at least t;
-  - below it, kernelize (projection + rounding at p = 1/2, the reconstruction
-    scan otherwise) and take the exact maximum over feasible assignments to
-    the kernel, a bit-sliced walk that adds each term to every feasible
-    point at once, on Python-int bit planes with one bit per feasible point.
+  - below it, take the kernel step (projection + rounding at p = 1/2, the
+    reconstruction scan otherwise) and the exact maximum over feasible
+    assignments to the kernel, a bit-sliced walk that adds each term to
+    every feasible point at once, on Python-int bit planes with one bit per
+    feasible point.
 
 decide runs every layer on one int table, f's numerators over one
 denominator keyed by bitmask, from the compile (csp_model._compile) through
 the moments (cardinal_dist._chi_mean_variance), the kernel step
 (_kernel_step: spectra._project and rounding._round_bisection, or
-rounding._round_global) to the walk (_walk); only the verdict's scalars are
-Fractions.  The public layer functions (enumerate_kernel here, and
-to_polynomial, chi_expectation, chi_variance, project_null,
-round_bisection and round_global) are wrappers of the same cores that
-convert Fractions in and out, and kernelize builds the Fraction
-RoundingOutcome that `cardcsp kernel` prints.
+rounding._round_global) to the capped walk (_capped_walk: the enum_cap and
+kernel_cap checks, then _walk); only the verdict's scalars are Fractions.
+`cardcsp kernel` runs the same _kernel_step on the same compiled table.
+The public layer functions (enumerate_kernel here, and to_polynomial,
+chi_expectation, chi_variance, project_null, round_bisection and
+round_global) are wrappers of the same cores that convert Fractions in and
+out.
 
 The factor 4 in the threshold (rather than b*t^2 alone) is what makes the
 fourth-moment arithmetic close at exactly t; the fourth-moment constants are
@@ -41,15 +43,14 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Dict, List, Optional, Tuple
 
-from .cardinal_dist import CardinalDist, _chi_mean_variance
+from .cardinal_dist import _chi_mean_variance
 from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import (CspInstance, GlobalCardinality, _compile, constraint_count,
                         validate_instance)
 from .errors import InputError, ResourceError
-from .exact import scalar_json, sqrt_upper
-from .poly import Assignment, Basis, MultilinearPoly, exact_bias, int_numerators
-from .rounding import (IntOutcome, RoundingOutcome, _round_bisection, _round_global,
-                       check_gamma)
+from .exact import check_exact, scalar_json, sqrt_upper
+from .poly import Assignment, MultilinearPoly, chi_numerators, exact_bias
+from .rounding import IntOutcome, _round_bisection, _round_global, check_gamma
 from .spectra import _project
 
 
@@ -69,7 +70,13 @@ def general_fourth_moment_bound(d: int, p) -> Fraction:
 
 
 def fourth_moment_bound(d: int, p) -> Fraction:
-    p = exact_bias(p)
+    """b for degree d at bias p, computed once per (d, p): p is checked on
+    every call, the bound only on a cache miss."""
+    return _fourth_moment_bound(d, exact_bias(p))
+
+
+@lru_cache(maxsize=64)
+def _fourth_moment_bound(d: int, p: Fraction) -> Fraction:
     if p == Fraction(1, 2):
         return bisection_fourth_moment_bound(d)
     return general_fourth_moment_bound(d, p)
@@ -209,28 +216,39 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     """Exact max of reduced + base_correction over feasible kernel
     assignments: (opt, values over sorted(kernel)), ties resolved toward
     the lexicographically smallest assignment (-1 before +1).  Checks the
-    kernel, its size against cap, reduced's variables and base_correction
-    (an int or Fraction), then walks reduced's int numerators with _walk.
+    kernel, reduced (a chi polynomial on the kernel's variables) and
+    base_correction (an int or Fraction), then walks reduced's int
+    numerators with _capped_walk under DEFAULT_CONFIG.enum_cap and the
+    kernel cap `cap`.
     """
     kernel = tuple(sorted(kernel))
-    size = len(kernel)
-    if len(set(kernel)) < size or any(not 1 <= v <= reduced.n for v in kernel):
+    if len(set(kernel)) < len(kernel) or any(not 1 <= v <= reduced.n for v in kernel):
         raise InputError(f"kernel {kernel} is not a set of variables in [1..{reduced.n}]")
-    _check_kernel_cap(kernel, cap)
     extra = set(reduced.variables_used()) - set(kernel)
     if extra:
         raise InputError(f"reduced polynomial depends on non-kernel variables {sorted(extra)}")
-    if isinstance(base_correction, bool) or not isinstance(base_correction, (int, Fraction)):
-        raise InputError(f"base_correction = {base_correction!r} is not an int or Fraction")
-    layers = _feasible_layers(size, card)
-    den, table = int_numerators(reduced.coeffs, "the reduced polynomial")
-    best, arg = _walk(table, kernel, layers)
+    check_exact("base_correction", base_correction)
+    den, table = chi_numerators(reduced, reduced.n, "the reduced polynomial")
+    best, arg = _capped_walk(table, kernel, card, DEFAULT_CONFIG.enum_cap, cap)
     return Fraction(best, den) + base_correction, arg
 
 
-def _check_kernel_cap(kernel: Tuple[int, ...], cap: int) -> None:
-    if len(kernel) > cap:
-        raise ResourceError(f"kernel size {len(kernel)} exceeds cap {cap}", payload=kernel)
+def _capped_walk(table: Dict[int, int], kernel: Tuple[int, ...], card: GlobalCardinality,
+                 enum_cap: int, kernel_cap: int) -> Tuple[int, Tuple[int, ...]]:
+    """The walk of decide and enumerate_kernel: the kernel's feasible
+    layers, then its feasible-point count against enum_cap and its size
+    against kernel_cap (ResourceError, payload the kernel, before any plane
+    is built), then _walk."""
+    layers = _feasible_layers(len(kernel), card)
+    points = sum(comb(len(kernel), j) for j in layers)
+    if points > enum_cap:
+        raise ResourceError(
+            f"kernel walk of {points} feasible points exceeds enumeration cap "
+            f"{enum_cap}", payload=kernel)
+    if len(kernel) > kernel_cap:
+        raise ResourceError(f"kernel size {len(kernel)} exceeds cap {kernel_cap}",
+                            payload=kernel)
+    return _walk(table, kernel, layers)
 
 
 def _walk(table: Dict[int, int], kernel: Tuple[int, ...],
@@ -283,35 +301,18 @@ def _walk(table: Dict[int, int], kernel: Tuple[int, ...],
     return best, tuple(-1 if neg_mask & bit else 1 for bit in bits)
 
 
-def kernelize(f: MultilinearPoly, dist: CardinalDist, gamma, d: int,
-              dense_cap: int) -> Tuple[RoundingOutcome, Fraction]:
-    """The kernel step of `cardcsp kernel` on a chi polynomial: _kernel_step
-    on f's int numerators, with the Fraction RoundingOutcome built from its
-    result.  Returns the outcome and the base correction that the reduced
-    polynomial drops: fhat(0) at p = 1/2, else 0."""
-    gamma = check_gamma(gamma)
-    if f.basis is not Basis.CHI:
-        raise InputError("the kernel step works on the chi basis")
-    if f.n != dist.n:
-        raise InputError("variable counts differ between f and dist")
-    if d < 0:
-        raise InputError("d must be nonnegative")
-    den, table = int_numerators(f.coeffs, "the kernel step")
-    step, base = _kernel_step(den, table, dist.card, gamma, d, dense_cap)
-    return step.outcome(f.n), Fraction(base, step.den)
-
-
 def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
                  gamma: Fraction, d: int, dense_cap: int,
                  variance: Optional[Fraction] = None) -> Tuple[IntOutcome, int]:
     """The one kernel step of decide and `cardcsp kernel`, on f's int
-    numerators table / den.  At p = 1/2: check project's unknowns
-    sum_{k < deg f} C(n, k), the size of its tables on levels < deg f,
-    against dense_cap (ResourceError, payload f, before any work), project
-    and _round_bisection; otherwise _round_global, with f's variance unless
-    the caller has it.  Returns the step's IntOutcome and fhat(0) over its
-    den at p = 1/2 (the constant the reduced table leaves out), else 0."""
-    n = card.n
+    numerators table / den.  Check gamma (check_gamma); at p = 1/2, check
+    project's unknowns sum_{k < deg f} C(n, k), the size of its tables on
+    levels < deg f, against dense_cap (ResourceError, payload f, before any
+    work), project and _round_bisection; otherwise _round_global, with f's
+    variance unless the caller has it.  Returns the step's IntOutcome and
+    fhat(0) over its den at p = 1/2 (the constant the reduced table leaves
+    out), else 0."""
+    gamma, n = check_gamma(gamma), card.n
     if card.p != Fraction(1, 2):
         if variance is None:
             variance = _chi_mean_variance(den, table, n, card.num_negative)[1]
@@ -322,7 +323,7 @@ def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
         raise ResourceError(
             f"projection with {unknowns} unknowns exceeds dense cap "
             f"{dense_cap}",
-            payload=MultilinearPoly(n, {mask: Fraction(c, den) for mask, c in table.items()}))
+            payload=MultilinearPoly.from_numerators(n, den, table))
     y, den_h = _project({mask: c for mask, c in table.items() if mask}, den, n, degree, 0)
     step = _round_bisection(n, den, table, den_h, y, gamma, d, allow_large_residual=True)
     return step, table.get(0, 0) * (step.den // den)
@@ -387,14 +388,7 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
     for mask in step.reduced:
         used |= mask
     kernel = tuple(v for v in range(1, card.n + 1) if used >> (v - 1) & 1)
-    layers = _feasible_layers(len(kernel), card)
-    points = sum(comb(len(kernel), j) for j in layers)
-    if points > config.enum_cap:
-        raise ResourceError(
-            f"kernel walk of {points} feasible points exceeds enumeration cap "
-            f"{config.enum_cap}", payload=kernel)
-    _check_kernel_cap(kernel, config.kernel_cap)
-    best, arg = _walk(step.reduced, kernel, layers)
+    best, arg = _capped_walk(step.reduced, kernel, card, config.enum_cap, config.kernel_cap)
     opt = Fraction(best + base, step.den)
     witness = _complete_witness(kernel, arg, card)
     achieved = constraint_count(inst, witness)

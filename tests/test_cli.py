@@ -122,6 +122,38 @@ def test_kernel_report(capsys, p4_file):
     assert set(doc["active_set"]) <= {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("p", ["1/2", "1/3"])
+def test_kernel_report_matches_the_public_rounding(capsys, tmp_path, p):
+    # the command reads _compile's table over 2^d; round_bisection and
+    # round_global read to_polynomial's reduced denominators
+    import random
+    from fractions import Fraction
+
+    from cardcsp.cardinal_dist import CardinalDist
+    from cardcsp.csp_model import GlobalCardinality, format_instance, to_polynomial
+    from cardcsp.exact import scalar_json
+    from cardcsp.rounding import round_bisection, round_global
+    from cardcsp.spectra import project_null
+    from conftest import random_instance
+
+    inst = random_instance(random.Random(11), 6, 2, 8)
+    card = GlobalCardinality(6, Fraction(p))
+    path = tmp_path / "inst.csp"
+    path.write_text(format_instance(inst, card))
+    code, doc, _ = run(capsys, ["kernel", "--instance", str(path)])
+    f, dist, gamma = to_polynomial(inst), CardinalDist.from_card(card), Fraction(1, 4)
+    if card.p == Fraction(1, 2):
+        out = round_bisection(f, project_null(f, dist).h, gamma, d=2,
+                              allow_large_residual=True)
+    else:
+        out = round_global(f, dist, gamma, d=2, allow_large_variance=True)
+    assert code == 0
+    assert doc["active_set"] == sorted(out.active_set)
+    assert doc["h"] == {",".join(map(str, s)) or "const": scalar_json(c)
+                        for s, c in out.h.items_sorted()}
+    assert doc["blowup"] == (None if out.norm_blowup is None else scalar_json(out.norm_blowup))
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("ran past a cap that should have stopped it")
 

@@ -19,7 +19,7 @@ from cardcsp.rounding import (RoundingOutcome, _LevelScan, _best_candidate,
                               _beta_weights, active_bound_constant, active_variables,
                               gamma_denominator, gamma_ladder, reconstruct_h,
                               round_bisection, round_global)
-from cardcsp.solver import kernelize
+from cardcsp.solver import _kernel_step
 from cardcsp.spectra import project_null
 
 from conftest import (beta_weights_reference, constraint_poly, csp_instances, path_graph,
@@ -133,19 +133,18 @@ def test_round_bisection_precondition():
     assert out.reduced is not None
 
 
-def test_round_bisection_snap_ignores_subgranularity_noise(rng):
-    # f = (sum x) x1 + eps x2 x3 with eps below half the top granularity:
-    # the snap recovers h = x1 and the reduction is exactly the noise term
+def test_round_bisection_snap_ignores_subgranularity_noise():
+    # f = (sum x) x1 + gamma x2 x3 and h_f = x1 plus noise below half of
+    # each weight's granularity: the snap recovers h = x1 and the reduction
+    # is exactly f's term off the constraint
     n, d, gamma = 12, 2, F(1, 4)
-    dist = CardinalDist(n, F(1, 2))
     constraint = constraint_poly(n, Basis.CHI)
-    eps = gamma / (2 * 2) / 2            # < gamma/(2 d!)
-    f = constraint * mono(n, (1,)) + mono(n, (2, 3), eps)
-    pr = project_null(f, dist)
-    out = round_bisection(f, pr.h, gamma, d=d, require_multiples=False,
-                          allow_large_residual=True)
+    f = constraint * mono(n, (1,)) + mono(n, (2, 3), gamma)
+    ladder = gamma_ladder(d, gamma)
+    noise = mono(n, (), ladder[0] / 3) + mono(n, (4,), -ladder[1] / 3)
+    out = round_bisection(f, mono(n, (1,)) + noise, gamma, d=d, allow_large_residual=True)
     assert dict(out.h.items_sorted()) == {(1,): F(1)}
-    assert dict(out.reduced.without_constant().items_sorted()) == {(2, 3): eps}
+    assert dict(out.reduced.without_constant().items_sorted()) == {(2, 3): gamma}
 
 
 def test_round_bisection_slice_equivalence(rng):
@@ -353,10 +352,11 @@ def _fail(*args, **kwargs):
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.1, True])
-@pytest.mark.parametrize("step", ["round_bisection", "round_global", "kernelize"])
+@pytest.mark.parametrize("step", ["round_bisection", "round_global", "kernel_step"])
 def test_gamma_must_be_exact(monkeypatch, step, gamma):
     # round_global(..., 0.1) ran with gamma = 3602879701896397/36028797018963968;
-    # kernelize checks gamma before its projection starts
+    # the kernel step of decide and `cardcsp kernel` checks gamma before its
+    # projection starts
     monkeypatch.setattr("cardcsp.solver._project", _fail)
     f = mono(8, (1, 2), F(1, 4))
     calls = {
@@ -364,7 +364,8 @@ def test_gamma_must_be_exact(monkeypatch, step, gamma):
                                                    allow_large_residual=True),
         "round_global": lambda: round_global(f, CardinalDist(8, F(1, 4)), gamma,
                                              allow_large_variance=True),
-        "kernelize": lambda: kernelize(f, CardinalDist(8, F(1, 2)), gamma, 2, 2000),
+        "kernel_step": lambda: _kernel_step(4, {0b11: 1}, GlobalCardinality(8, F(1, 2)),
+                                            gamma, 2, 2000),
     }
     with pytest.raises(InputError, match="is not an int or Fraction"):
         calls[step]()
@@ -417,10 +418,8 @@ def test_round_bisection_rejects_mismatched_sizes():
 def test_round_bisection_rejects_irrational_f():
     # a QE coefficient used to raise a bare ValueError from exact.as_fraction
     f = MultilinearPoly(6, {0b11: make_qe(0, 1, 2)})
-    for require_multiples in (True, False):
-        with pytest.raises(InputError, match=r"f needs rational coefficients.*sqrt\(2\)"):
-            round_bisection(f, MultilinearPoly.zero(6), F(1, 4),
-                            allow_large_residual=True, require_multiples=require_multiples)
+    with pytest.raises(InputError, match=r"f needs rational coefficients.*sqrt\(2\)"):
+        round_bisection(f, MultilinearPoly.zero(6), F(1, 4), allow_large_residual=True)
 
 
 def test_round_bisection_rejects_irrational_h_f():
@@ -433,32 +432,32 @@ def test_round_bisection_rejects_irrational_h_f():
 
 @st.composite
 def bisection_cases(draw):
-    """(f, h_f, d, require_multiples) at p = 1/2, n <= 10, d <= 3: h_f is
-    the projection of a counting polynomial (coefficients multiples of
-    gamma = 1/2^d), or random sub-granular noise on the granularity ladder
-    (exact halves included) beside a random rational f."""
+    """(f, h_f, d) at p = 1/2, n <= 10, d <= 3, f's coefficients multiples
+    of gamma = 1/2^d: h_f is the projection of a counting polynomial, or
+    random sub-granular noise on the granularity ladder (exact halves
+    included) beside a random f."""
     n = 2 * draw(st.integers(1, 5))
     d = draw(st.integers(1, min(3, n)))
     if draw(st.booleans()):
         f = to_polynomial(draw(csp_instances(n, d)))
-        return f, project_null(f, CardinalDist(n, F(1, 2))).h, d, True
+        return f, project_null(f, CardinalDist(n, F(1, 2))).h, d
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    f = random_poly(rng, n, d, draw(st.integers(0, 8)))
+    # random_poly's denominators divide 12
+    f = random_poly(rng, n, d, draw(st.integers(0, 8))).scale(12 * F(1, 2 ** d))
     ladder = gamma_ladder(d, F(1, 2 ** d))
     noise = {}
     for _ in range(draw(st.integers(0, 8))):
         mask = sum(1 << v for v in rng.sample(range(n), rng.randint(0, min(d - 1, n))))
         noise[mask] = ladder[mask.bit_count()] * (rng.randint(-3, 3) + F(rng.randint(-4, 4), 8))
-    return f, MultilinearPoly(n, noise), d, False
+    return f, MultilinearPoly(n, noise), d
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(bisection_cases())
 def test_round_bisection_matches_fraction_reference(case):
-    f, h_f, d, require_multiples = case
+    f, h_f, d = case
     gamma = F(1, 2 ** d)
-    out = round_bisection(f, h_f, gamma, d=d, allow_large_residual=True,
-                          require_multiples=require_multiples)
+    out = round_bisection(f, h_f, gamma, d=d, allow_large_residual=True)
     ref = round_bisection_reference(f, h_f, gamma, d)
     for field in fields(RoundingOutcome):
         assert getattr(out, field.name) == getattr(ref, field.name), field.name
@@ -467,7 +466,7 @@ def test_round_bisection_matches_fraction_reference(case):
     assert type(out.norm_blowup) is F and type(out.residual_norm_sq) is F
     if ref.residual_norm_sq ** 2 > f.n:
         with pytest.raises(PreconditionError):
-            round_bisection(f, h_f, gamma, d=d, require_multiples=require_multiples)
+            round_bisection(f, h_f, gamma, d=d)
 
 
 def test_kernel_step_adds_no_polynomial_and_forms_no_level_above_deg_f(monkeypatch):

@@ -13,13 +13,13 @@ import cardcsp.cardinal_dist as cardinal_dist
 import cardcsp.poly as poly
 import cardcsp.solver as solver
 from cardcsp.cardinal_dist import CardinalDist, chi_expectation, chi_variance
-from cardcsp.config import SolverConfig, parse_config
+from cardcsp.config import DEFAULT_CONFIG, SolverConfig, parse_config
 from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality, constraint_count,
                                to_polynomial)
 from cardcsp.errors import InputError, ResourceError
-from cardcsp.exact import sqrt_scalar
-from cardcsp.oracle import brute_force_decision, brute_opt
-from cardcsp.poly import MultilinearPoly
+from cardcsp.exact import make_qe, sqrt_scalar
+from cardcsp.oracle import brute_force_decision, brute_opt, slice_assignments
+from cardcsp.poly import Basis, MultilinearPoly
 from cardcsp.rounding import active_bound_constant, gamma_denominator
 from cardcsp.solver import (average, certification_threshold, decide,
                             enumerate_kernel, fourth_moment_bound,
@@ -128,6 +128,24 @@ def test_decide_reads_the_slice_moments_once_for_both_moments():
     assert (v.avg, v.variance) == (chi_expectation(f, dist), chi_variance(f, dist))
 
 
+def test_fourth_moment_bound_is_computed_once_per_degree_and_bias(monkeypatch):
+    # certification_threshold used to rerun sqrt_upper on every verdict
+    general, calls = solver.general_fourth_moment_bound, []
+
+    def counted(d, p):
+        calls.append((d, p))
+        return general(d, p)
+
+    solver._fourth_moment_bound.cache_clear()
+    monkeypatch.setattr(solver, "general_fourth_moment_bound", counted)
+    for _ in range(3):
+        assert certification_threshold(3, F(1, 3), 2) == 16 * general(3, F(1, 3))
+    assert calls == [(3, F(1, 3))]
+    for p in (1 / 3, F(0), True):   # p is checked on every call, cached or not
+        with pytest.raises(InputError, match="p"):
+            certification_threshold(3, p, 2)
+
+
 def test_general_bound_reduces_monotonically_toward_half():
     b3 = general_fourth_moment_bound(2, F(1, 3))
     b25 = general_fourth_moment_bound(2, F(2, 5))
@@ -186,6 +204,31 @@ def test_enumerate_kernel_cap():
     reduced = MultilinearPoly.from_subsets(6, {(1, 2): F(1)})
     with pytest.raises(ResourceError):
         enumerate_kernel(reduced, (1, 2), card, 0, cap=1)
+
+
+def test_enumerate_kernel_rejects_a_polynomial_off_the_chi_basis():
+    # phi_1 at p = 1/3 used to be read as the chi polynomial x_1, opt 1; its
+    # maximum on the slice is phi_1(+1) = sqrt(p/(1-p)) = (3/2) sqrt(2/9)
+    card = GlobalCardinality(3, F(1, 3))
+    reduced = MultilinearPoly.from_subsets(3, {(1,): 1}, Basis.PHI, F(1, 3))
+    best = max(reduced.evaluate(a) for a in slice_assignments(card))
+    assert best == make_qe(0, F(3, 2), F(2, 9)) != 1
+    with pytest.raises(InputError, match="not the chi basis"):
+        enumerate_kernel(reduced, (1,), card, 0)
+
+
+def test_enumerate_kernel_checks_the_enumeration_cap_before_walking(monkeypatch):
+    # 24 kernel variables on the n = 48 bisection slice: every -1 count
+    # fits, so the walk would visit 2^24 points, over the default enum_cap;
+    # a direct call used to be bounded by kernel_cap alone
+    card = GlobalCardinality(48, F(1, 2))
+    kernel = tuple(range(1, 25))
+    reduced = MultilinearPoly.from_subsets(48, {kernel[i:i + 2]: F(1) for i in range(0, 24, 2)})
+    assert len(kernel) <= DEFAULT_CONFIG.kernel_cap and 2 ** 24 > DEFAULT_CONFIG.enum_cap
+    monkeypatch.setattr(solver, "_walk", _must_not_run)
+    with pytest.raises(ResourceError, match=str(2 ** 24)) as err:
+        enumerate_kernel(reduced, kernel, card, 0)
+    assert err.value.payload == kernel
 
 
 def test_enumerate_kernel_rejects_irrational_coefficients():
