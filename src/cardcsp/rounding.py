@@ -18,12 +18,13 @@ f and h_f and convert them to numerators (poly.chi_numerators), and
 IntOutcome.outcome builds the Fraction RoundingOutcome
 (MultilinearPoly.from_numerators).
 
-Every reduction here is the constraint product (sum x_i - shift) h on
-bitmask tables of int numerators over one denominator.  _round_bisection
-forms g - (sum x_i) h with poly.reduce_by_constraint; in the scan, the
-product's up half decides which of a candidate's top-weight sets survive,
-its down half feeds the reconstruction's equation constants, and
-round_global subtracts the winner's with poly.times_constraint_table.
+Every reduction here is g minus the constraint product (sum x_i - shift) h
+on bitmask tables of int numerators over one denominator, and each is one
+call of poly.reduce_by_constraint: _round_bisection forms g - (sum x_i) h,
+_reconstruct takes each solved weight w off the equation constants (at
+top = w + 1, so only the product's down half and shift term are formed),
+and _round_global subtracts the winner's product.  The scan's survivor
+count reads the product's up half on one top-weight set at a time.
 
 General path: a variable is inactive in g when no nonzero coefficient of g
 contains it.  If some h of degree <= d-1 makes every variable of a d-set S
@@ -68,24 +69,12 @@ from .cardinal_dist import CardinalDist, _chi_mean_variance
 from .csp_model import GlobalCardinality
 from .errors import InputError, PreconditionError
 from .exact import Scalar, check_exact, round_half_away
-from .poly import (MultilinearPoly, chi_numerators, down, mask_of, reduce_by_constraint,
-                   times_constraint_table)
+from .poly import MultilinearPoly, chi_numerators, mask_of, reduce_by_constraint
 
 
 def active_variables(f: MultilinearPoly) -> FrozenSet[int]:
     """Variables occurring in some nonzero coefficient of f."""
     return frozenset(f.variables_used())
-
-
-def gamma_ladder(d: int, gamma: Fraction) -> List[Fraction]:
-    """Granularity per weight: entry w is gamma / (d! (d-1)! ... (w+1)!)."""
-    gamma = Fraction(gamma)
-    out = [gamma] * (d + 1)
-    acc = Fraction(1)
-    for w in range(d - 1, -1, -1):
-        acc *= factorial(w + 1)
-        out[w] = gamma / acc
-    return out
 
 
 def check_gamma(gamma) -> Fraction:
@@ -102,6 +91,13 @@ def gamma_denominator(d: int) -> int:
     for j in range(2, d + 1):
         out *= factorial(j)
     return out
+
+
+def gamma_ladder(d: int, gamma: Fraction) -> List[Fraction]:
+    """Granularity per weight: entry w is gamma / (d! (d-1)! ... (w+1)!),
+    that is gamma Gamma_w / Gamma_d."""
+    top = gamma_denominator(d)
+    return [Fraction(gamma) * gamma_denominator(w) / top for w in range(d + 1)]
 
 
 @dataclass
@@ -293,7 +289,8 @@ def _reconstruct(table: Dict[int, int], n: int, pool: int, shift: int,
     |T| = w+1: the coefficients of f - (sum_i x_i - shift) h over h's
     weights above w, over den times the factorials of those weights.  The
     up half of that product lands on weights already solved, so each solved
-    weight only subtracts its down half and adds its shift term.  `solve`,
+    weight w is taken off with reduce_by_constraint at top = w + 1, which
+    forms only the down half and the shift term.  `solve`,
     when given, is the top weight's _WeightSolve on this table, with the
     pairs it has solved already.
     """
@@ -312,11 +309,9 @@ def _reconstruct(table: Dict[int, int], n: int, pool: int, shift: int,
         scale *= fact
         h = {s: fact * a for s, a in h.items()}
         h.update(level)
-        table = {t: fact * a for t, a in table.items() if t.bit_count() < big_d}
-        for t, a in down(level).items():
-            table[t] = table.get(t, 0) - a
-        for t, a in level.items():
-            table[t] = table.get(t, 0) + shift * a
+        table = reduce_by_constraint(
+            {t: fact * a for t, a in table.items() if t.bit_count() < big_d},
+            level, n, 0, shift, big_d)
         solve = None
     return scale, h
 
@@ -354,15 +349,6 @@ def active_bound_constant(p: Fraction, d: int) -> Fraction:
     p = min(Fraction(p), 1 - Fraction(p))
     return Fraction(20 * d * d * 7 ** d * factorial(d) ** (2 * d * d)) \
         / (2 * p) ** (4 * d)
-
-
-def _scaled_sum(table: Dict[int, int], scale: int, other: Dict[int, int],
-                sign: int) -> Dict[int, int]:
-    """scale * table + sign * other on int tables, zero entries dropped."""
-    out = {t: scale * a for t, a in table.items()}
-    for t, a in other.items():
-        out[t] = out[t] + sign * a if t in out else sign * a
-    return {t: a for t, a in out.items() if a}
 
 
 def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
@@ -422,9 +408,12 @@ def _round_global(den: int, table: Dict[int, int], n: int, card: GlobalCardinali
         pool = _best_candidate(scan, exit_threshold)
         scale, h_level = _reconstruct(table, n, pool, shift, scan.solve)
         den *= scale
-        table = _scaled_sum(table, scale, times_constraint_table(h_level, n, 0, shift), -1)
-        h_total = _scaled_sum(h_total, scale, h_level, 1)
-    return IntOutcome(den, h_total, table)
+        table = reduce_by_constraint({t: scale * a for t, a in table.items()},
+                                     h_level, n, 0, shift)
+        h_total = {t: scale * a for t, a in h_total.items()}
+        for t, a in h_level.items():
+            h_total[t] = h_total.get(t, 0) + a
+    return IntOutcome(den, {t: a for t, a in h_total.items() if a}, table)
 
 
 class _LevelScan:

@@ -155,13 +155,10 @@ def average(inst: CspInstance, card: GlobalCardinality) -> Fraction:
 
 
 def _feasible_layers(size: int, card: GlobalCardinality) -> range:
-    """The -1 counts a kernel of `size` variables can take and still extend
-    to the slice: at most p*n entries -1 and at most (1-p)n entries +1.
-    InputError when there is none."""
-    layers = range(max(0, size - card.num_positive), min(size, card.num_negative) + 1)
-    if not layers:
-        raise InputError("no feasible kernel assignment (inconsistent budgets)")
-    return layers
+    """The -1 counts a kernel of `size` <= n variables can take and still
+    extend to the slice: at most p*n entries -1 and at most (1-p)n entries
+    +1.  Never empty: size <= n = p*n + (1-p)n."""
+    return range(max(0, size - card.num_positive), min(size, card.num_negative) + 1)
 
 
 # _feasible_planes keeps an entry only up to this many points, 8 KB per
@@ -215,20 +212,21 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
                      ) -> Tuple[Fraction, Tuple[int, ...]]:
     """Exact max of reduced + base_correction over feasible kernel
     assignments: (opt, values over sorted(kernel)), ties resolved toward
-    the lexicographically smallest assignment (-1 before +1).  Checks the
-    kernel, reduced (a chi polynomial on the kernel's variables) and
+    the lexicographically smallest assignment (-1 before +1).  Checks
+    reduced (a chi polynomial on the slice's n variables that depends only
+    on the kernel's), the kernel (a set of the slice's variables) and
     base_correction (an int or Fraction), then walks reduced's int
     numerators with _capped_walk under DEFAULT_CONFIG.enum_cap and the
     kernel cap `cap`.
     """
+    den, table = chi_numerators(reduced, card.n, "the reduced polynomial")
     kernel = tuple(sorted(kernel))
-    if len(set(kernel)) < len(kernel) or any(not 1 <= v <= reduced.n for v in kernel):
-        raise InputError(f"kernel {kernel} is not a set of variables in [1..{reduced.n}]")
+    if len(set(kernel)) < len(kernel) or any(not 1 <= v <= card.n for v in kernel):
+        raise InputError(f"kernel {kernel} is not a set of variables in [1..{card.n}]")
     extra = set(reduced.variables_used()) - set(kernel)
     if extra:
         raise InputError(f"reduced polynomial depends on non-kernel variables {sorted(extra)}")
     check_exact("base_correction", base_correction)
-    den, table = chi_numerators(reduced, reduced.n, "the reduced polynomial")
     best, arg = _capped_walk(table, kernel, card, DEFAULT_CONFIG.enum_cap, cap)
     return Fraction(best, den) + base_correction, arg
 

@@ -14,14 +14,16 @@ polynomial vanishes on the support.  The variance form subtracts
 delta_{|S|} * delta_{|T|} and drops the empty-set row/column.
 
 The projection onto that null space builds no Gram matrix.  Its Gram
-operator (two constraint-product passes, the second forming only the levels
-below deg f) commutes with S_n, so one small closed-form block per harmonic
-weight gives a polynomial that annihilates it, and the normal equations are
-solved by that polynomial.  The solve is the core _project: at p = 1/2
+operator (two passes of the constraint product poly.times_constraint_table,
+the second with top = deg f, so it forms only the levels below deg f)
+commutes with S_n, so one small closed-form block per harmonic weight gives
+a polynomial that annihilates it, and the normal equations are solved by
+that polynomial.  The solve is the core _project: at p = 1/2
 every value from f's numerators to h = y / D is an int over one
 denominator (off p = 1/2 the same lines run on QE scalars), and it forms
-no residual.  project_null is its wrapper: it forms the residual and
-turns each output coefficient into a Fraction once.
+no residual; at deg f = 0 it returns an empty y.  project_null is its
+wrapper: it forms the residual (poly.reduce_by_constraint) and turns each
+output coefficient into a Fraction once.
 
 The spectra come from the same kind of blocks: a form commutes with S_n, so
 on the ladder U^i v / i! of a harmonic v of weight j it is one small matrix,
@@ -51,8 +53,8 @@ from typing import Dict, List, Tuple
 from .cardinal_dist import CardinalDist, extend_slice_sequence
 from .errors import InputError, ResourceError
 from .exact import Scalar, _over_common_denominator, scalar_quotient
-from .poly import (Basis, MultilinearPoly, down, exact_bias, phi_square_q,
-                   reduce_by_constraint, times_constraint_table, up)
+from .poly import (Basis, MultilinearPoly, exact_bias, phi_square_q,
+                   reduce_by_constraint, times_constraint_table)
 
 
 def subsets_upto(n: int, d: int) -> List[int]:
@@ -340,9 +342,6 @@ def project_null(f: MultilinearPoly, dist: CardinalDist,
     if f.basis is not Basis.PHI and dist.p != Fraction(1, 2):
         raise InputError("projection needs the phi basis for p != 1/2")
     n, d = f.n, f.degree_bound
-    if d == 0:
-        zero = MultilinearPoly.zero(n, f.basis, f.p)
-        return ProjectionResult(h=zero, residual=zero, residual_norm_sq=Fraction(0))
     q = dist.q or 0     # an int 0 at p = 1/2 keeps int tables int
     g = {mask: c for mask, c in f.coeffs.items() if mask}
     den, nums = _over_ints(g.values())
@@ -366,32 +365,16 @@ def _project(g: Dict[int, Scalar], den: Scalar, n: int, d: int,
     the Horner sum sum_{k>=1} s_k G^{k-1} b on numerators and
     D = -s_0 den.  Ints at p = 1/2 (q = 0); the residual is formed only by
     callers that read it."""
-    b = _times_constraint_below(g, n, q, d)
+    b = times_constraint_table(g, n, q, top=d)
     s = _gram_annihilator(n, d, q)
     y: Dict[int, Scalar] = {}
     for coeff in reversed(s[1:]):   # Horner: y = sum_{k>=1} s_k G^{k-1} b
         image = times_constraint_table(y, n, q)
         image.pop(0, None)
-        y = _times_constraint_below(image, n, q, d)
+        y = times_constraint_table(image, n, q, top=d)
         for mask, c in b.items():
             y[mask] = y[mask] + coeff * c if mask in y else coeff * c
     return y, -s[0] * den
-
-
-def _times_constraint_below(table: Dict[int, Scalar], n: int, q: Scalar,
-                            top: int) -> Dict[int, Scalar]:
-    """The levels < top of times_constraint_table(table, n, q) for a table
-    on levels <= top: up only from levels < top-1 and the diagonal only on
-    levels < top, so no entry on level top or above is formed."""
-    out = up({mask: c for mask, c in table.items() if mask.bit_count() < top - 1}, n)
-    for mask, c in down(table).items():
-        out[mask] = out[mask] + c if mask in out else c
-    if q:
-        for mask, c in table.items():
-            if mask.bit_count() < top:
-                c = mask.bit_count() * q * c
-                out[mask] = out[mask] + c if mask in out else c
-    return out
 
 
 def _over_ints(values) -> Tuple[int, List[Scalar]]:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cardcsp.errors import InputError
 from cardcsp.exact import QE, make_qe
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
-                          times_constraint, up)
+                          reduce_by_constraint, times_constraint, times_constraint_table,
+                          up)
 
 from conftest import (basis_polys, constraint_poly, convert_basis_reference,
                       evaluate_reference, mul_reference, random_poly,
@@ -317,15 +318,48 @@ def test_times_constraint_matches_polynomial_product(case):
     assert _exact(out.coeffs.values())
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+# (n, a, b): two int tables on bitmask keys over n <= 9 variables
+TABLE_PAIRS = st.integers(0, 9).flatmap(lambda n: st.tuples(
     st.just(n), *[st.dictionaries(st.integers(0, 2 ** n - 1), st.integers(-9, 9),
-                                  max_size=20)] * 2)))
+                                  max_size=20)] * 2))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(TABLE_PAIRS)
 def test_up_and_down_are_adjoint(drawn):
     n, a, b = drawn
     lhs = sum(v * b.get(t, 0) for t, v in up(a, n).items())
     rhs = sum(v * down(b).get(s, 0) for s, v in a.items())
     assert lhs == rhs
+
+
+def _nonzero(table):
+    return {t: a for t, a in table.items() if a}
+
+
+@pytest.mark.parametrize("q", [0, phi_square_q(F(1, 3))])
+@pytest.mark.parametrize("shift", [0, 3])
+@settings(max_examples=100, deadline=None, database=None)
+@given(TABLE_PAIRS)
+def test_constraint_product_below_top_and_reduction(q, shift, drawn):
+    # for h on levels <= top, the product cut at top is the levels < top
+    # of (constraint_poly - shift) * h, and the reduction is g minus that,
+    # zeros dropped
+    n, g, table = drawn
+    basis, p = (Basis.CHI, None) if q == 0 else (Basis.PHI, F(1, 3))
+    for top in [None, *range(n + 2)]:
+        h = {t: a for t, a in table.items() if top is None or t.bit_count() <= top}
+        full = ((constraint_poly(n, basis, p) - shift) * MultilinearPoly(n, h, basis, p)).coeffs
+        assert _nonzero(times_constraint_table(h, n, q, shift)) == full
+        cut = times_constraint_table(h, n, q, shift, top)
+        if top is not None:
+            assert all(t.bit_count() < top for t in cut)
+            full = {t: a for t, a in full.items() if t.bit_count() < top}
+        assert _nonzero(cut) == full
+        reduced = reduce_by_constraint(g, h, n, q, shift, top)
+        assert reduced == _nonzero({t: g.get(t, 0) - full.get(t, 0) for t in {*g, *full}})
+        kept = [t for t in g if t in reduced]
+        assert list(reduced)[:len(kept)] == kept
 
 
 def test_qe_scalar_acts_as_a_scalar():

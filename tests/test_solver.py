@@ -238,12 +238,13 @@ def test_enumerate_kernel_rejects_irrational_coefficients():
         enumerate_kernel(reduced, (1,), card, 0)
 
 
-def test_enumerate_kernel_rejects_kernel_without_feasible_layer():
-    # five kernel variables cannot fit a slice of four
+def test_enumerate_kernel_rejects_a_polynomial_on_more_variables_than_the_slice():
+    # this call used to return (2, (1, 1)): an assignment to variables 5
+    # and 6 of a 4-variable slice
     card = GlobalCardinality(4, F(1, 2))
-    reduced = MultilinearPoly.from_subsets(5, {(5,): F(1)})
-    with pytest.raises(InputError, match="no feasible kernel assignment"):
-        enumerate_kernel(reduced, (1, 2, 3, 4, 5), card, 0)
+    reduced = MultilinearPoly.from_subsets(6, {(5,): 1, (6,): 1})
+    with pytest.raises(InputError, match="variable counts differ"):
+        enumerate_kernel(reduced, (5, 6), card, 0)
 
 
 def _enumerate_kernel_reference(reduced, kernel, card, base_correction):

@@ -7,7 +7,7 @@ import types
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cardcsp
@@ -516,6 +516,9 @@ def random_projection_cases(draw):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(random_projection_cases())
+# a constant f projects to h = 0 with a zero residual in either basis
+@example((MultilinearPoly.constant(6, F(5, 2)), CardinalDist(6, F(1, 2))))
+@example((MultilinearPoly.constant(6, F(5, 2), Basis.PHI, F(1, 3)), CardinalDist(6, F(1, 3))))
 def test_project_null_matches_reference_on_random_polynomials(case):
     f, dist = case
     pr = project_null(f, dist)
