@@ -1,4 +1,5 @@
-"""The uniform distribution D_p on assignments with exactly p*n entries equal to -1.
+"""The slice of assignments with exactly p*n entries -1, and the uniform
+distribution D_p on it: one class, GlobalCardinality (alias CardinalDist).
 
 Moments of basis monomials under D_p are captured by two scalar sequences:
 
@@ -18,51 +19,70 @@ each shared index expands by phi_i^2 = q*phi_i + 1, giving
 
 The moments of an instance are taken in the chi basis, where eps_k is
 rational for every p; the pairwise phi moments feed the set-symmetric forms
-in spectra.  Their core, _chi_mean_variance, reads f as int numerators over
-one denominator and eps_0 .. eps_n as int numerators over another
-(_chi_moment_table, cached per (n, pn) on first use), so the mean and the
-variance are one Fraction each; chi_expectation and chi_variance are its
-wrappers for a MultilinearPoly and a CardinalDist.
+in spectra.  eps has one source, _chi_moment_table (eps_0 .. eps_top as int
+numerators over one denominator, no level above top built), read by
+chi_moment and by _chi_mean_variance, which asks for deg f levels for the
+mean and 2 deg f for the variance of f's int numerators; chi_expectation
+and chi_variance are its wrappers for a MultilinearPoly.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, sqrt
 from typing import Dict, List, Optional, Tuple
 
-from .csp_model import GlobalCardinality
 from .errors import InputError
-from .exact import Scalar, _over_common_denominator
+from .exact import Scalar, _over_common_denominator, number_str
 from .poly import Assignment, Basis, MultilinearPoly, chi_numerators, exact_bias, phi_square_q
 
 
-class CardinalDist:
-    """D_p with cached moment sequences; immutable after construction."""
+@dataclass(frozen=True)
+class GlobalCardinality:
+    """Sum x_i = (1-2p)n, and D_p on it; equal when (n, p) are.  num_negative
+    is derived once, q and the moment sequences on first use."""
 
-    def __init__(self, n: int, p):
-        p = exact_bias(p)
-        self.card = GlobalCardinality(n=n, p=p)
-        self.n = n
-        self.p = p
-        self.q: Scalar = phi_square_q(p)
-        self._delta: List[Scalar] = [Fraction(1)]
-        self._eps: List[Fraction] = [Fraction(1)]
-        self._pair: dict = {}
+    n: int
+    p: Fraction
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+            raise InputError(f"n = {number_str(self.n)} is not a positive integer")
+        p = exact_bias(self.p)
+        negatives = p * self.n
+        if negatives.denominator != 1:
+            raise InputError(f"p*n = {number_str(negatives)} is not an integer")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "num_negative", negatives.numerator)
+        object.__setattr__(self, "_delta", [Fraction(1)])
+        object.__setattr__(self, "_pair", {})
+
+    @property
+    def num_positive(self) -> int:
+        return self.n - self.num_negative
+
+    @property
+    def target_sum(self) -> int:
+        return self.n - 2 * self.num_negative
+
+    @cached_property
+    def q(self) -> Scalar:
+        return phi_square_q(self.p)
 
     @staticmethod
-    def from_card(card: GlobalCardinality) -> "CardinalDist":
-        return CardinalDist(card.n, card.p)
+    def from_card(card: "GlobalCardinality") -> "GlobalCardinality":
+        return card     # the slice is its own distribution
 
     def delta(self, k: int) -> Scalar:
         return extend_slice_sequence(self._delta, k, self.n, q=self.q)[k]
 
     def chi_moment(self, k: int) -> Fraction:
-        """E[chi_S] for |S| = k (rational for every p)."""
-        return extend_slice_sequence(self._eps, k, self.n,
-                                     shift=(1 - 2 * self.p) * self.n)[k]
+        """E[chi_S] for |S| = k (rational for every p), from _chi_moment_table."""
+        den, nums = _chi_moment_table(self.n, self.num_negative, k)
+        return Fraction(nums[k], den)
 
     def phi_pair_moment(self, common: int, sym_diff: int) -> Scalar:
         """E[phi_S phi_T] as a function of c = |S^T| and u = |S delta T|."""
@@ -76,6 +96,9 @@ class CardinalDist:
         return val
 
 
+CardinalDist = GlobalCardinality
+
+
 def extend_slice_sequence(xs: List[Scalar], k: int, n: int, q: Scalar = 0,
                           shift: Scalar = 0, offset: int = 0) -> List[Scalar]:
     """Extend xs = [x_0 = 1, ...] in place through x_k, 0 <= k <= n, by
@@ -83,7 +106,7 @@ def extend_slice_sequence(xs: List[Scalar], k: int, n: int, q: Scalar = 0,
     delta is offset = shift = 0, eps is q = offset = 0 with shift = (1-2p)n,
     and spectra's alpha_{k,k+i} is shift = 0 with offset = k."""
     if not 0 <= k <= n:
-        raise InputError(f"index {k} outside [0..n] with n = {n}")
+        raise InputError(f"index {number_str(k)} outside [0..n] with n = {n}")
     while len(xs) <= k:
         j = len(xs) - 1
         prev = xs[j - 1] if j else 0
@@ -94,21 +117,23 @@ def extend_slice_sequence(xs: List[Scalar], k: int, n: int, q: Scalar = 0,
 def delta_sequence(n: int, p, kmax: int) -> List[Scalar]:
     """delta_0 .. delta_kmax for D_p; requires 0 <= kmax <= n and p*n integral."""
     if not 0 <= kmax <= n:
-        raise InputError(f"kmax = {kmax} outside [0..n] with n = {n}")
-    return extend_slice_sequence([Fraction(1)], kmax, n, q=CardinalDist(n, p).q)
+        raise InputError(f"kmax = {number_str(kmax)} outside [0..n] with n = {number_str(n)}")
+    card = GlobalCardinality(n, p)
+    return [card.delta(k) for k in range(kmax + 1)]
 
 
 @lru_cache(maxsize=256)
-def _chi_moment_table(n: int, num_negative: int) -> Tuple[int, Tuple[int, ...]]:
-    """(den, nums): E[chi_S] = nums[k] / den for |S| = k = 0 .. n on the
+def _chi_moment_table(n: int, num_negative: int, top: int) -> Tuple[int, Tuple[int, ...]]:
+    """(den, nums): E[chi_S] = nums[k] / den for |S| = k = 0 .. top on the
     slice of n variables with num_negative entries -1, the eps recurrence
-    put over one denominator.  Cached per (n, pn), filled on first use."""
-    eps = extend_slice_sequence([Fraction(1)], n, n, shift=n - 2 * num_negative)
+    put over one denominator; no level above top is built.  Cached per
+    (n, pn, top)."""
+    eps = extend_slice_sequence([Fraction(1)], top, n, shift=n - 2 * num_negative)
     den, nums = _over_common_denominator(eps)
     return den, tuple(nums)
 
 
-def _chi_mean_variance(den: int, table: Dict[int, int], n: int, num_negative: int,
+def _chi_mean_variance(den: int, table: Dict[int, int], card: GlobalCardinality,
                        variance: bool = True) -> Tuple[Fraction, Optional[Fraction]]:
     """(E[f], Var(f)) on the slice for the chi polynomial f = table / den
     (int numerators keyed by bitmask), or (E[f], None) without variance.
@@ -116,18 +141,21 @@ def _chi_mean_variance(den: int, table: Dict[int, int], n: int, num_negative: in
     E[chi_S] depends on |S| alone, so each a_S goes to the bin popcount(S)
     for the mean; E[f^2] = sum_{S,T} a_S a_T E[chi_{S delta T}], so a_S^2
     goes to bin 0 and 2 a_S a_T to bin popcount(S xor T), with no f*f
-    formed.  The bins are weighted by _chi_moment_table's numerators, and
-    the mean and the variance are one Fraction each.
+    formed.  The bins reach deg f for the mean and min(2 deg f, n) for the
+    variance, and are weighted by _chi_moment_table's numerators up to that
+    level; the mean and the variance are one Fraction each.
     """
-    eps_den, eps = _chi_moment_table(n, num_negative)
-    first = [0] * (n + 1)
+    degree = max((mask.bit_count() for mask in table), default=0)
+    top = min(2 * degree, card.n) if variance else degree
+    eps_den, eps = _chi_moment_table(card.n, card.num_negative, top)
+    first = [0] * (degree + 1)
     for mask, a in table.items():
         first[mask.bit_count()] += a
     mean_num = sum(h * eps[j] for j, h in enumerate(first) if h)
     if not variance:
         return Fraction(mean_num, den * eps_den), None
     terms = list(table.items())
-    second = [0] * (n + 1)
+    second = [0] * (top + 1)
     for k, (mask, a) in enumerate(terms):
         second[0] += a * a
         twice = 2 * a
@@ -139,29 +167,28 @@ def _chi_mean_variance(den: int, table: Dict[int, int], n: int, num_negative: in
             Fraction(square_num * eps_den - mean_num * mean_num, scale * scale))
 
 
-def chi_expectation(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
+def chi_expectation(f: MultilinearPoly, dist: GlobalCardinality) -> Fraction:
     """E_{D_p}[f] for a chi-basis f with rational coefficients."""
-    return _chi_mean_variance(*chi_numerators(f, dist.n, "the chi-basis moment"), dist.n,
-                              dist.card.num_negative, variance=False)[0]
+    return _chi_mean_variance(*chi_numerators(f, dist.n, "the chi-basis moment"), dist,
+                              variance=False)[0]
 
 
-def chi_variance(f: MultilinearPoly, dist: CardinalDist) -> Fraction:
+def chi_variance(f: MultilinearPoly, dist: GlobalCardinality) -> Fraction:
     """Var_{D_p}(f) for chi-basis f with rational coefficients, binned by
     |S delta T| (_chi_mean_variance).  Agrees exactly with the variance
     form of spectra.quadratic_form_value on the phi-converted polynomial."""
-    return _chi_mean_variance(*chi_numerators(f, dist.n, "the chi-basis moment"), dist.n,
-                              dist.card.num_negative)[1]
+    return _chi_mean_variance(*chi_numerators(f, dist.n, "the chi-basis moment"), dist)[1]
 
 
-def sample(dist: CardinalDist, seed) -> Assignment:
+def sample(dist: GlobalCardinality, seed) -> Assignment:
     """One uniform draw from supp(D_p): a seeded shuffle of the +-1 multiset."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    values = [1] * dist.card.num_positive + [-1] * dist.card.num_negative
+    values = [1] * dist.num_positive + [-1] * dist.num_negative
     rng.shuffle(values)
     return tuple(values)
 
 
-def mc_moment(f: MultilinearPoly, dist: CardinalDist, k: int, n_samples: int,
+def mc_moment(f: MultilinearPoly, dist: GlobalCardinality, k: int, n_samples: int,
               seed) -> Tuple[float, float]:
     """Monte Carlo estimate of E_{D_p}[f^k] with its standard error.
 

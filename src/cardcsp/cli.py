@@ -13,12 +13,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .cardinal_dist import (CardinalDist, _chi_mean_variance, delta_sequence,
-                            mc_moment)
+from .cardinal_dist import _chi_mean_variance, delta_sequence, mc_moment
 from .config import DEFAULT_CONFIG, load_config
 from .csp_model import _compile, parse_instance, to_polynomial
-from .errors import CardCspError
-from .exact import scalar_json
+from .errors import CardCspError, InputError
+from .exact import parse_rational, scalar_json
 from .oracle import brute_average, brute_force_decision, brute_opt, hyper_ratio
 from .poly import Basis, convert_basis
 from .solver import _kernel_step, decide, fourth_moment_bound
@@ -35,12 +34,12 @@ def _emit(doc: dict) -> None:
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for an exact rational such as 1/3; a bad value is a
-    usage error, not a traceback."""
+    """argparse type for an exact rational such as 1/3 (exact.parse_rational);
+    a bad value is a usage error, not a traceback."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        return parse_rational(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {exc}") from None
 
 
 def _load_instance(path: str):
@@ -107,7 +106,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_moments(args) -> int:
     inst, card = _load_instance(args.instance)
-    avg, var = _chi_mean_variance(*_compile(inst), card.n, card.num_negative)
+    avg, var = _chi_mean_variance(*_compile(inst), card)
     doc = {
         "schema": 1,
         "avg": scalar_json(avg),
@@ -115,8 +114,7 @@ def _cmd_moments(args) -> int:
         "variance": scalar_json(var),
     }
     if args.mc:
-        est, err = mc_moment(to_polynomial(inst), CardinalDist.from_card(card),
-                             args.power, args.mc, args.seed)
+        est, err = mc_moment(to_polynomial(inst), card, args.power, args.mc, args.seed)
         doc["mc"] = {"power": args.power, "samples": args.mc,
                      "estimate": est, "stderr": err, "seed": args.seed}
     _emit(doc)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import check_exact
+from .exact import check_exact, number_str, parse_rational
 
 
 @dataclass(frozen=True)
@@ -20,14 +20,14 @@ class SolverConfig:
         for name in ("enum_cap", "kernel_cap", "dense_cap"):
             cap = getattr(self, name)
             if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-                raise InputError(f"{name} = {cap!r} is not a nonnegative integer")
+                raise InputError(f"{name} = {number_str(cap)} is not a nonnegative integer")
         if not 0 < check_exact("p0", self.p0) < Fraction(1, 2):
-            raise InputError(f"p0 = {self.p0} outside (0, 1/2)")
+            raise InputError(f"p0 = {number_str(self.p0)} outside (0, 1/2)")
 
 
 DEFAULT_CONFIG = SolverConfig()
 
-_KEY_TYPES = {"enum_cap": int, "kernel_cap": int, "dense_cap": int, "p0": Fraction}
+_KEY_TYPES = {"enum_cap": int, "kernel_cap": int, "dense_cap": int, "p0": parse_rational}
 
 
 def parse_config(text: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
@@ -45,7 +45,7 @@ def parse_config(text: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig
             raise InputError(f"config line {idx}: unknown key {key!r}")
         try:
             updates[key] = convert(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, InputError) as exc:
             raise InputError(f"config line {idx}: bad value for {key}: {exc}") from exc
     return replace(base, **updates)
 

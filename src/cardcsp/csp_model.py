@@ -6,21 +6,24 @@ Instance file format (UTF-8, line oriented, '#' starts a comment):
     c <arity> <v1> ... <vk>        # one block per constraint
     s <+-1> ... <+-1>              # one line per satisfying pattern
 
-Variables are 1-indexed.  Constraints of arity below d are allowed as-is
-(no dummy-variable padding); duplicate constraints are kept (the objective
-counts satisfied constraints with multiplicity).
+p is read by exact.parse_rational: p_num/p_den, or a decimal such as 0.25,
+of at most 1000 digits.  Variables are 1-indexed.  Constraints of arity
+below d are allowed as-is (no dummy-variable padding); duplicate
+constraints are kept (the objective counts satisfied constraints with
+multiplicity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Tuple
 
+from .cardinal_dist import GlobalCardinality
 from .errors import InputError, ParseError
-from .poly import Assignment, MultilinearPoly, check_assignment, exact_bias
+from .exact import parse_rational
+from .poly import Assignment, MultilinearPoly, check_assignment
 
 Pattern = Tuple[int, ...]
 
@@ -48,33 +51,6 @@ class CspInstance:
     @property
     def m(self) -> int:
         return len(self.constraints)
-
-
-@dataclass(frozen=True)
-class GlobalCardinality:
-    """Sum x_i = (1-2p)n; exactly p*n variables take the value -1."""
-
-    n: int
-    p: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InputError(f"n = {self.n!r} is not a positive integer")
-        exact_bias(self.p)
-        if (self.p * self.n).denominator != 1:
-            raise InputError(f"p*n = {self.p * self.n} is not an integer")
-
-    @property
-    def num_negative(self) -> int:
-        return int(self.p * self.n)
-
-    @property
-    def num_positive(self) -> int:
-        return self.n - self.num_negative
-
-    @property
-    def target_sum(self) -> int:
-        return self.n - 2 * self.num_negative
 
 
 def _check_scope(variables: Tuple[int, ...], n: int, d: int) -> None:
@@ -130,8 +106,8 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
         raise ParseError("expected header 'csp <n> <m> <d> <p_num>/<p_den>'", line_no)
     try:
         n, m, d = int(head[1]), int(head[2]), int(head[3])
-        p = Fraction(head[4])
-    except (ValueError, ZeroDivisionError) as exc:
+        p = parse_rational(head[4])
+    except (ValueError, InputError) as exc:
         raise ParseError(f"bad header field: {exc}", line_no) from exc
     if n < 1 or m < 0 or d < 1:
         raise ParseError("n and d must be positive, m nonnegative", line_no)
@@ -213,7 +189,9 @@ def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
     the constraint contributing it, hence of 2^-top overall.  Each
     constraint adds its predicate's `_chi_table` with local masks mapped
     to its variables' bits.  This is the table every layer of decide
-    reads."""
+    reads, so the instance is checked here (validate_instance), once, on
+    every route from an instance to a table."""
+    validate_instance(inst)
     top = max((len(c.variables) for c in inst.constraints), default=0)
     nums: Dict[int, int] = {}
     for c in inst.constraints:

@@ -12,6 +12,7 @@ Zero tolerance everywhere: equality of these scalars is exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -222,6 +223,53 @@ def check_exact(name: str, value) -> Union[int, Fraction]:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InputError(f"{name} = {value!r} is not an int or Fraction")
     return value
+
+
+# The grammar of an exact rational written as text: a/b, or a decimal with
+# an optional exponent; ASCII digits, an optional sign, no underscores.
+_RATIONAL = re.compile(r"\s*[-+]?(?:(?P<num>\d+)/(?P<den>\d+)"
+                       r"|(?=\.?\d)(?P<int>\d*)(?:\.(?P<frac>\d*))?"
+                       r"(?:[eE](?P<exp>[-+]?\d+))?)\s*", re.ASCII)
+# The most digits parse_rational reads in one number, exponent included;
+# a decimal's exponent must also lie in [-RATIONAL_DIGITS, RATIONAL_DIGITS].
+RATIONAL_DIGITS = 1000
+# A message prints a number only while its numerator and denominator fit
+# in this many bits each (about 60 digits).
+MESSAGE_BITS = 200
+
+
+def number_str(value) -> str:
+    """str(value) for an int or Fraction of at most MESSAGE_BITS bits over
+    at most MESSAGE_BITS bits, its size in digits for a longer one (str of
+    an int past 4,300 digits raises), and repr(value) for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        return repr(value)
+    bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+    if bits > MESSAGE_BITS:
+        return f"<a number of about {bits * 30103 // 100000} digits>"
+    return str(value)
+
+
+def parse_rational(text: str) -> Fraction:
+    """The exact rational that text spells: [sign] digits/digits, or a
+    decimal [sign] digits[.digits][e[sign]digits] (".5" too), with
+    surrounding whitespace ignored.  InputError, with a bounded message,
+    for any other text, a zero denominator, more than RATIONAL_DIGITS
+    digits, or an exponent outside [-RATIONAL_DIGITS, RATIONAL_DIGITS]:
+    no work grows past those bounds."""
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise InputError(f"{shown} is not a/b or a decimal")
+    parts = match.group("num", "den", "int", "frac", "exp")
+    if sum(len(part) for part in parts if part) > RATIONAL_DIGITS:
+        raise InputError(f"{shown} has more than {RATIONAL_DIGITS} digits")
+    if match["den"] is not None and not int(match["den"]):
+        raise InputError(f"{shown} has a zero denominator")
+    if abs(int(match["exp"] or 0)) > RATIONAL_DIGITS:
+        raise InputError(f"{shown} has an exponent outside "
+                         f"[-{RATIONAL_DIGITS}, {RATIONAL_DIGITS}]")
+    return Fraction(text)   # a subset of Fraction's grammar, now of bounded size
 
 
 def round_half_away(num: int, den: int) -> int:

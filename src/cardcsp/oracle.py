@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .config import DEFAULT_CONFIG
 from .csp_model import CspInstance, GlobalCardinality, constraint_count
 from .errors import DegenerateInput, InputError, ResourceError
-from .exact import QE, Scalar, make_qe
+from .exact import QE, Scalar, make_qe, number_str
 from .poly import Assignment, Basis, MultilinearPoly, basis_constants
 
 DEFAULT_ENUM_CAP = DEFAULT_CONFIG.enum_cap
@@ -46,7 +46,7 @@ def slice_count(card: GlobalCardinality) -> int:
 def _check_cap(card: GlobalCardinality, cap: int) -> None:
     total = slice_count(card)
     if total > cap:
-        raise ResourceError(f"slice has {total} assignments, above cap {cap}")
+        raise ResourceError(f"slice has {number_str(total)} assignments, above cap {cap}")
 
 
 def slice_assignments(card: GlobalCardinality) -> Iterator[Assignment]:

@@ -65,10 +65,9 @@ from itertools import combinations
 from math import factorial, lcm
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .cardinal_dist import CardinalDist, _chi_mean_variance
-from .csp_model import GlobalCardinality
+from .cardinal_dist import GlobalCardinality, _chi_mean_variance
 from .errors import InputError, PreconditionError
-from .exact import Scalar, check_exact, round_half_away
+from .exact import Scalar, check_exact, number_str, round_half_away
 from .poly import MultilinearPoly, chi_numerators, mask_of, reduce_by_constraint
 
 
@@ -163,7 +162,8 @@ def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
     table keeps f's constant out."""
     for a in f_nums.values():
         if a * gamma.denominator % (den_f * gamma.numerator):
-            raise InputError(f"coefficient {Fraction(a, den_f)} is not a multiple of gamma")
+            raise InputError(f"coefficient {number_str(Fraction(a, den_f))} is not a "
+                             "multiple of gamma")
     if d < 0:
         raise InputError("d must be nonnegative")
     ladder = gamma_ladder(d, gamma)
@@ -351,7 +351,7 @@ def active_bound_constant(p: Fraction, d: int) -> Fraction:
         / (2 * p) ** (4 * d)
 
 
-def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
+def round_global(f: MultilinearPoly, dist: GlobalCardinality, gamma,
                  d: Optional[int] = None, variance: Optional[Fraction] = None,
                  allow_large_variance: bool = False) -> RoundingOutcome:
     """Kernel extraction for sum x_i = (1-2p)n via the level-by-level scan.
@@ -370,15 +370,15 @@ def round_global(f: MultilinearPoly, dist: CardinalDist, gamma,
     if d < 0:
         raise InputError("d must be nonnegative")
     if variance is None:
-        var = _chi_mean_variance(den, table, f.n, dist.card.num_negative)[1]
+        var = _chi_mean_variance(den, table, dist)[1]
     else:
         var = Fraction(check_exact("variance", variance))
     if var < 0:
         raise InputError("variance must be nonnegative")
     if var * var > f.n and not allow_large_variance:
         raise PreconditionError(
-            f"variance {var} exceeds sqrt(n); the large-variance branch applies")
-    return _round_global(den, table, f.n, dist.card, gamma, d, var).outcome(f.n)
+            f"variance {number_str(var)} exceeds sqrt(n); the large-variance branch applies")
+    return _round_global(den, table, f.n, dist, gamma, d, var).outcome(f.n)
 
 
 def _round_global(den: int, table: Dict[int, int], n: int, card: GlobalCardinality,

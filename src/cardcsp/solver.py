@@ -45,10 +45,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .cardinal_dist import _chi_mean_variance
 from .config import DEFAULT_CONFIG, SolverConfig
-from .csp_model import (CspInstance, GlobalCardinality, _compile, constraint_count,
-                        validate_instance)
+from .csp_model import CspInstance, GlobalCardinality, _compile, constraint_count
 from .errors import InputError, ResourceError
-from .exact import check_exact, scalar_json, sqrt_upper
+from .exact import check_exact, number_str, scalar_json, sqrt_upper
 from .poly import Assignment, MultilinearPoly, chi_numerators, exact_bias
 from .rounding import IntOutcome, _round_bisection, _round_global, check_gamma
 from .spectra import _project
@@ -141,17 +140,16 @@ class Verdict:
 
 
 def _check_instance(inst: CspInstance, card: GlobalCardinality) -> None:
-    """The instance checks decide and average run before compiling."""
+    """The size match decide and average check before compiling (the
+    compile checks the instance itself)."""
     if inst.n != card.n:
         raise InputError("instance and cardinality constraint sizes differ")
-    validate_instance(inst)
 
 
 def average(inst: CspInstance, card: GlobalCardinality) -> Fraction:
     """AVG: the mean satisfied-constraint count under D_p."""
     _check_instance(inst, card)
-    return _chi_mean_variance(*_compile(inst), card.n, card.num_negative,
-                              variance=False)[0]
+    return _chi_mean_variance(*_compile(inst), card, variance=False)[0]
 
 
 def _feasible_layers(size: int, card: GlobalCardinality) -> range:
@@ -313,7 +311,7 @@ def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
     gamma, n = check_gamma(gamma), card.n
     if card.p != Fraction(1, 2):
         if variance is None:
-            variance = _chi_mean_variance(den, table, n, card.num_negative)[1]
+            variance = _chi_mean_variance(den, table, card)[1]
         return _round_global(den, table, n, card, gamma, d, variance), 0
     degree = max((mask.bit_count() for mask in table), default=0)
     unknowns = sum(comb(n, k) for k in range(degree))
@@ -354,9 +352,10 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
     _check_target(t)
     _check_instance(inst, card)
     if not config.p0 <= card.p <= 1 - config.p0:
-        raise InputError(f"p = {card.p} outside [{config.p0}, {1 - config.p0}]")
+        raise InputError(f"p = {number_str(card.p)} outside "
+                         f"[{number_str(config.p0)}, {number_str(1 - config.p0)}]")
     den, table = _compile(inst)
-    avg, var = _chi_mean_variance(den, table, card.n, card.num_negative)
+    avg, var = _chi_mean_variance(den, table, card)
     d = max(inst.d, 1)
     if t <= 0:
         return Verdict(answer="CertifiedAbove", branch="LargeVariance",

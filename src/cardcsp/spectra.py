@@ -45,12 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
-from .cardinal_dist import CardinalDist, extend_slice_sequence
+from .cardinal_dist import GlobalCardinality, extend_slice_sequence
 from .errors import InputError, ResourceError
 from .exact import Scalar, _over_common_denominator, scalar_quotient
 from .poly import (Basis, MultilinearPoly, exact_bias, phi_square_q,
@@ -108,7 +108,7 @@ def alpha_table(n: int, p, d: int) -> AlphaTable:
 class SetSymmetricForm:
     """Quadratic form over {phi_S : |S| <= d}; kind 'A' (second moment) or
     'B' (variance, empty set omitted).  Its entries are moments of the
-    slice distribution CardinalDist(n, p), kept as `dist`."""
+    slice distribution GlobalCardinality(n, p), kept as `dist`."""
 
     n: int
     d: int
@@ -122,7 +122,7 @@ class SetSymmetricForm:
         if self.d < 0:
             raise InputError("d must be nonnegative")
         self.p = exact_bias(self.p)
-        self.dist = CardinalDist(self.n, self.p)
+        self.dist = GlobalCardinality(self.n, self.p)
 
     def entry(self, s: int, t: int, c: int) -> Scalar:
         """Matrix entry for |S|=s, |T|=t, |S^T|=c."""
@@ -312,7 +312,7 @@ class ProjectionResult:
     residual_norm_sq: Scalar
 
 
-def project_null(f: MultilinearPoly, dist: CardinalDist,
+def project_null(f: MultilinearPoly, dist: GlobalCardinality,
                  mode: str = "exact") -> ProjectionResult:
     """Least-squares projection of f - fhat(0) onto the null space of the
     variance form: span{1} + span{(sum_i phi_i) phi_S : |S| <= deg(f)-1}.
@@ -387,7 +387,7 @@ def _over_ints(values) -> Tuple[int, List[Scalar]]:
         return 1, values
 
 
-@cache
+@lru_cache(maxsize=256)
 def _gram_annihilator(n: int, d: int, q: Scalar) -> Tuple[Scalar, ...]:
     """Coefficients s_0 .. s_D (low to high, s_0 != 0) of a polynomial with
     G s(G) = 0 for project_null's Gram operator G on levels < d.
@@ -400,7 +400,8 @@ def _gram_annihilator(n: int, d: int, q: Scalar) -> Tuple[Scalar, ...]:
     i < d-j.  The product of det(x - K_j) annihilates G (a ladder that
     ends early, U^i v = 0, only adds roots).  Its x factors are stripped:
     G is symmetric, so G s(G) = 0 still holds.  It depends on (n, d, q)
-    alone, so it is cached, as a tuple that no caller can change."""
+    alone, so it is cached per (n, d, q), up to 256 entries, as a tuple
+    that no caller can change."""
     m: List[Scalar] = [1]
     for j in range(d):
         size = d - j

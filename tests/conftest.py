@@ -526,7 +526,7 @@ def survivors_reference(f_cur, cand, level, shift):
 def round_global_scan_reference(f, dist, gamma, d, variance):
     """round_global's scan: (h_total, reduced, [(level, f_cur,
     exit_threshold, winner)] for every scanned level)."""
-    shift = dist.card.target_sum
+    shift = dist.target_sum
     n = f.n
     cprime = active_bound_constant(dist.p, d) if d else Fraction(0)
     bound = cprime * Fraction(variance) / (Fraction(gamma) ** 2)

@@ -203,7 +203,7 @@ def test_criterion_5_rounding_guarantees():
     for _ in range(trials):
         n, p = 12, F(1, 3)
         dist = CardinalDist(n, p)
-        shift = dist.card.target_sum
+        shift = dist.target_sum
         base = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, shift)
         gamma = F(1, 4)
         g = MultilinearPoly.from_subsets(

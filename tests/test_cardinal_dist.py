@@ -1,11 +1,15 @@
+import dataclasses
 from fractions import Fraction as F
 from math import comb
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cardcsp
+from cardcsp import cardinal_dist
 from cardcsp.cardinal_dist import (CardinalDist, _chi_moment_table, chi_expectation,
                                    chi_variance, delta_sequence, mc_moment, sample)
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
@@ -149,7 +153,7 @@ def test_null_space_identities(rng):
     # exactly; in the phi basis the variance form vanishes on c + (sum phi_i) h
     for n, p in ((8, F(1, 4)), (9, F(1, 3)), (10, F(1, 2))):
         dist = CardinalDist(n, p)
-        constraint = constraint_poly(n, Basis.CHI) - dist.card.target_sum
+        constraint = constraint_poly(n, Basis.CHI) - dist.target_sum
         phi_constraint = constraint_poly(n, Basis.PHI, p)
         form_b = SetSymmetricForm(n=n, d=3, p=p, kind="B")
         for _ in range(10):
@@ -178,7 +182,7 @@ def test_sample_counts_and_determinism():
     assert sample(dist, 42) == a
     assert sample(dist, 43) != a or True  # different seed may coincide; no assert on inequality
     dist4 = CardinalDist(4, F(1, 2))
-    options = set(slice_assignments(dist4.card))
+    options = set(slice_assignments(dist4))
     assert sample(dist4, 0) in options and len(options) == 6
 
 
@@ -331,10 +335,49 @@ def test_cardinal_dist_rejects_float_p(n, p):
         CardinalDist(n, p)
 
 
-def test_cached_chi_moment_table_matches_chi_moment():
+def _chi_moment_closed_form(n, negatives, k):
+    """E[chi_S] for |S| = k: the -1 count of S is hypergeometric, so the
+    mean is [z^k] (1+z)^(n-pn) (1-z)^pn / C(n, k)."""
+    return F(sum((-1) ** j * comb(negatives, j) * comb(n - negatives, k - j)
+                 for j in range(k + 1)), comb(n, k))
+
+
+def test_chi_moment_table_matches_the_closed_form():
     for n in range(1, 31):
         for negatives in range(1, n):
-            den, nums = _chi_moment_table(n, negatives)
+            want = [_chi_moment_closed_form(n, negatives, k) for k in range(n + 1)]
+            den, nums = _chi_moment_table(n, negatives, n)
             assert type(den) is int and all(type(num) is int for num in nums)
+            assert [F(num, den) for num in nums] == want
+            for top in range(n + 1):
+                den, nums = _chi_moment_table(n, negatives, top)
+                assert len(nums) == top + 1
+                assert [F(num, den) for num in nums] == want[:top + 1]
             dist = CardinalDist(n, F(negatives, n))
-            assert [F(num, den) for num in nums] == [dist.chi_moment(k) for k in range(n + 1)]
+            assert [dist.chi_moment(k) for k in range(n + 1)] == want
+
+
+def test_moments_read_the_table_only_up_to_the_bins():
+    # the mean's bins reach deg f, the variance's min(2 deg f, n)
+    f = MultilinearPoly.from_subsets(12, {(): F(1), (1, 2): F(1, 2), (3,): F(2)})
+    for n, want in ((12, [(12, 4, 2), (12, 4, 4)]), (3, [(3, 1, 2), (3, 1, 3)])):
+        g = MultilinearPoly.from_subsets(n, {s: c for s, c in f.items_sorted()
+                                             if all(v <= n for v in s)})
+        dist = CardinalDist(n, F(1, 3))
+        with mock.patch.object(cardinal_dist, "_chi_moment_table",
+                               wraps=cardinal_dist._chi_moment_table) as table:
+            chi_expectation(g, dist)
+            chi_variance(g, dist)
+        assert [c.args for c in table.call_args_list] == want
+
+
+def test_one_slice_type():
+    assert cardcsp.CardinalDist is cardcsp.GlobalCardinality
+    card = GlobalCardinality(6, F(1, 3))
+    # slices compare and hash by value; the -1 count is an int set once
+    assert CardinalDist(6, F(1, 3)) == card and len({card, CardinalDist(6, F(1, 3))}) == 1
+    assert CardinalDist(6, F(1, 2)) != card
+    assert type(card.__dict__["num_negative"]) is int and card.num_negative == 2
+    assert CardinalDist.from_card(card) is card
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        card.p = F(1, 2)

@@ -232,6 +232,20 @@ def test_rational_options_reject_bad_values_as_usage_errors(capsys, p4_file, bad
         assert "not a rational number" in err
 
 
+def test_unbounded_rationals_end_in_an_error_exit(capsys, tmp_path):
+    # each of these used to print a traceback and exit 1, the code of "no"
+    path = tmp_path / "huge.csp"
+    path.write_text("csp 2 0 1 5e-1000000\n")
+    code, doc, err = run(capsys, ["solve", "--instance", str(path), "--t", "1"])
+    assert code == 2 and doc is None and "line 1: bad header field" in err
+    for flag, argv in (("--p", ["delta", "--n", "4", "--kmax", "2"]),
+                       ("--p", ["spectra", "--n", "6", "--d", "2"]),
+                       ("--gamma", ["kernel", "--instance", str(path)])):
+        code, doc, err = run(capsys, argv + [flag, "5e-100000"])
+        assert code == 64 and doc is None
+        assert "not a rational number" in err and "exponent outside" in err
+
+
 @pytest.mark.parametrize("gamma", ["0", "-1/4"])
 def test_kernel_rejects_nonpositive_gamma_off_half(capsys, tmp_path, gamma):
     path = tmp_path / "p6.csp"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -121,6 +122,44 @@ def test_validate_instance_accepts_entries_equal_to_signs():
     # entries are compared by value, as `v in (-1, 1)` does
     validate_instance(CspInstance(n=2, d=2, constraints=(
         Constraint((1, 2), {(True, -1), (1.0, -1.0)}),)))
+
+
+@pytest.mark.parametrize("constraint, message", [
+    (Constraint((1, 1), frozenset({(1, -1)})), "duplicate variable in constraint (1, 1)"),
+    (Constraint((1, 2), frozenset({(1,)})), "pattern (1,) has arity 1, not 2"),
+    (Constraint((1, 2), frozenset({(1, 0)})), "pattern (1, 0) has entries outside +-1"),
+])
+def test_to_polynomial_checks_an_api_instance(constraint, message):
+    # the compile used to take these as they came: the duplicate scope gave
+    # a polynomial worth 1/2 at (-1, +1), where constraint_count is 0
+    with pytest.raises(InputError) as err:
+        to_polynomial(CspInstance(2, 2, (constraint,)))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("p", ["5e-1000000", "5e-10000000", "1e3999999999999",
+                               "1/" + "7" * 1001, "1" * 1001 + "/3", "0x1/2", "1/2/3"])
+def test_parse_bounds_the_header_bias(p):
+    # 5e-1000000 used to end in a bare ValueError after 0.2 s, and the
+    # exponent 3999999999999 did not finish
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="bad header field") as err:
+        parse_instance(f"csp 2 0 1 {p}\n")
+    assert err.value.line == 1 and len(str(err.value)) < 200
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p", ["1/2", "2/4", "0.5", "0.5e0", ".5", "5e-1", "+1/2", "5.0E-1"])
+def test_parse_reads_the_header_bias_as_a_fraction_or_a_decimal(p):
+    assert parse_instance(f"csp 2 0 1 {p}\n")[1].p == F(1, 2)
+
+
+def test_slice_messages_stay_bounded():
+    # a p*n of over 4,300 digits used to raise a bare ValueError
+    for n, p, message in ((6, F(1, 10 ** 5000), r"p\*n = <a number of about \d+ digits>"),
+                          (-10 ** 5000, F(1, 2), r"n = <a number of about \d+ digits>")):
+        with pytest.raises(InputError, match=message):
+            GlobalCardinality(n, p)
 
 
 def test_parse_rejects_wrong_count():

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from cardcsp.exact import QE, fraction_str, make_qe, sqrt_scalar, sqrt_upper
+from cardcsp.errors import InputError
+from cardcsp.exact import (QE, RATIONAL_DIGITS, fraction_str, make_qe, number_str,
+                           parse_rational, sqrt_scalar, sqrt_upper)
 
 from conftest import as_fraction, nearest_multiple, nullspace_reference
 
@@ -108,3 +110,35 @@ def test_nullspace_exact():
     assert len(basis) == 2
     for vec in basis:
         assert sum(vec) == 0
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/3", F(1, 3)), ("-2/6", F(-1, 3)), ("+7", F(7)), (" 1/2 ", F(1, 2)),
+    ("0.25", F(1, 4)), ("-.5", F(-1, 2)), ("5.", F(5)), ("12e-1", F(6, 5)),
+    ("1E3", F(1000)), ("0.5e0", F(1, 2)), ("1" * RATIONAL_DIGITS, F(int("1" * RATIONAL_DIGITS))),
+    (f"1e-{RATIONAL_DIGITS}", F(1, 10 ** RATIONAL_DIGITS)),
+])
+def test_parse_rational_reads_fractions_and_decimals(text, value):
+    assert parse_rational(text) == value == F(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("abc", "is not a/b or a decimal"), ("", "is not a/b or a decimal"),
+    (".", "is not a/b or a decimal"), ("1/-2", "is not a/b or a decimal"),
+    ("1_000", "is not a/b or a decimal"), ("1 / 2", "is not a/b or a decimal"),
+    ("\u0661/2", "is not a/b or a decimal"), ("1/0", "zero denominator"),
+    ("1" * (RATIONAL_DIGITS + 1), "more than 1000 digits"),
+    ("1/" + "3" * RATIONAL_DIGITS, "more than 1000 digits"),
+    (f"1e{RATIONAL_DIGITS + 1}", "exponent outside"), ("5e-1000000", "exponent outside"),
+])
+def test_parse_rational_rejects_other_text(text, message):
+    with pytest.raises(InputError, match=message) as err:
+        parse_rational(text)
+    assert len(str(err.value)) < 100
+
+
+def test_number_str_bounds_what_a_message_prints():
+    assert number_str(F(-3, 4)) == "-3/4" and number_str(12) == "12"
+    assert number_str(2.5) == "2.5" and number_str("6") == "'6'" and number_str(True) == "True"
+    assert number_str(10 ** 5000) == "<a number of about 5000 digits>"
+    assert number_str(F(1, 3 ** 200)) == "<a number of about 95 digits>"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
-from cardcsp.csp_model import GlobalCardinality
+from cardcsp.csp_model import CspInstance, GlobalCardinality
 from cardcsp.errors import DegenerateInput, InputError, ResourceError
 from cardcsp.oracle import (_slice_pairs, brute_average, brute_force_decision,
                             brute_moment, brute_moments, brute_opt, hyper_ratio,
@@ -205,3 +205,11 @@ def test_brute_moments_of_chi_polynomial_are_fractions(rng):
         f = random_poly(rng, n, 3, 8)
         moments = brute_moments(f, GlobalCardinality(n, p), (1, 2, 4))
         assert all(type(v) is F for v in moments.values())
+
+
+def test_slice_cap_message_stays_bounded():
+    # C(16000, 8000) has over 4,300 digits: formatting it in the cap message
+    # used to raise a bare ValueError instead of the ResourceError
+    card = GlobalCardinality(16000, F(1, 2))
+    with pytest.raises(ResourceError, match=r"slice has <a number of about \d+ digits>"):
+        brute_opt(CspInstance(16000, 1, ()), card)

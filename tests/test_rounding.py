@@ -178,9 +178,9 @@ def reductions(draw):
     if p == F(1, 2):
         pr = project_null(f, dist)
         out = round_bisection(f, pr.h, gamma, d=d, allow_large_residual=True)
-        return f, dist.card, out.reduced, f.coefficient(())
+        return f, dist, out.reduced, f.coefficient(())
     out = round_global(f, dist, gamma, d=d, allow_large_variance=True)
-    return f, dist.card, out.reduced, F(0)
+    return f, dist, out.reduced, F(0)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -274,7 +274,7 @@ def test_round_global_constant_on_support():
     # f = (sum x - shift) x1 + 7 is constant on the slice: empty kernel
     n, p = 9, F(1, 3)
     dist = CardinalDist(n, p)
-    shift = dist.card.target_sum
+    shift = dist.target_sum
     base = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, shift)
     f = base * mono(n, (1,)) + MultilinearPoly.constant(n, F(7))
     out = round_global(f, dist, F(1, 4), allow_large_variance=True)
@@ -301,7 +301,7 @@ def test_round_global_planted_kernel(rng):
     n, p = 12, F(1, 3)
     dist = CardinalDist(n, p)
     card = GlobalCardinality(n, p)
-    shift = dist.card.target_sum
+    shift = dist.target_sum
     base = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, shift)
     gamma = F(1, 4)
     for trial in range(10):
@@ -562,7 +562,7 @@ def test_int_scan_matches_fraction_scan(drawn):
     gamma = F(1, 2 ** d)
     var = chi_variance(f, dist)
     h_ref, reduced_ref, levels = round_global_scan_reference(f, dist, gamma, d, var)
-    shift = dist.card.target_sum
+    shift = dist.target_sum
     for level, f_cur, exit_threshold, winner in levels:
         assert _int_survivors(f_cur, level) == [
             survivors_reference(f_cur, cand, level, shift)
@@ -579,7 +579,7 @@ def test_int_scan_matches_fraction_scan(drawn):
 def test_int_reconstruct_h_matches_fraction_reconstruction(drawn, data):
     f, dist, d = drawn
     pool = data.draw(st.frozensets(st.integers(1, f.n), min_size=1, max_size=d))
-    shift = data.draw(st.sampled_from((0, dist.card.target_sum, -2, 5)))
+    shift = data.draw(st.sampled_from((0, dist.target_sum, -2, 5)))
     try:
         expected = reconstruct_h_reference(f, pool, shift)
     except InputError:
@@ -604,7 +604,7 @@ def test_best_candidate_matches_reference_loop_at_any_exit_threshold(drawn, data
         return
     level = data.draw(st.sampled_from(levels))
     exit_threshold = data.draw(st.integers(1, n))
-    shift = dist.card.target_sum
+    shift = dist.target_sum
     best_count, winner = -1, None
     for cand in combinations(range(1, n + 1), level):
         count = survivors_reference(f, cand, level, shift)
@@ -623,7 +623,7 @@ def test_round_global_matches_scan_reference_at_n12_d3(p):
     n, d = 12, 3
     rng = random.Random(0)
     dist = CardinalDist(n, p)
-    base = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, dist.card.target_sum)
+    base = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, dist.target_sum)
     g = MultilinearPoly.from_subsets(
         n, {tuple(sorted(rng.sample(range(1, 6), rng.randint(1, 3)))): F(rng.randint(1, 4), 8)
             for _ in range(8)})
