@@ -6,8 +6,9 @@ Instance file format (UTF-8, line oriented, '#' starts a comment):
     c <arity> <v1> ... <vk>        # one block per constraint
     s <+-1> ... <+-1>              # one line per satisfying pattern
 
-p is read by exact.parse_rational: p_num/p_den, or a decimal such as 0.25,
-of at most 1000 digits.  Variables are 1-indexed.  Constraints of arity
+n, m and d are ints of at most HEADER_COUNT_MAX (10^7).  p is read by
+exact.parse_rational: p_num/p_den, or a decimal such as 0.25, of at most
+1000 digits.  Variables are 1-indexed.  Constraints of arity
 below d are allowed as-is (no dummy-variable padding); duplicate
 constraints are kept (the objective counts satisfied constraints with
 multiplicity).
@@ -22,10 +23,14 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from .cardinal_dist import GlobalCardinality
 from .errors import InputError, ParseError
-from .exact import parse_rational
+from .exact import RATIONAL_DIGITS, number_str, parse_rational
 from .poly import Assignment, MultilinearPoly, check_assignment
 
 Pattern = Tuple[int, ...]
+
+# The largest n, m or d a header may declare: n = 10^6 reads, and a larger
+# count is refused before any work sized by it starts.
+HEADER_COUNT_MAX = 10 ** 7
 
 # the +-1 entries of a pattern, and their spellings in the file format
 _SIGNS = frozenset((-1, 1))
@@ -90,6 +95,19 @@ def _at_line(line: int, check, *args):
         raise ParseError(str(exc), line) from exc
 
 
+def _header_count(name: str, text: str) -> int:
+    """The header's n, m or d as an int.  InputError, naming the field,
+    for more than RATIONAL_DIGITS characters (before any conversion) or a
+    value above HEADER_COUNT_MAX, shown with number_str; ValueError for
+    text that is not an int."""
+    if len(text) > RATIONAL_DIGITS:
+        raise InputError(f"{name} has more than {RATIONAL_DIGITS} digits")
+    value = int(text)
+    if value > HEADER_COUNT_MAX:
+        raise InputError(f"{name} = {number_str(value)} is above {HEADER_COUNT_MAX}")
+    return value
+
+
 def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     """Parse the line-oriented instance format; errors carry line numbers."""
     tokens: List[Tuple[int, List[str]]] = []
@@ -105,7 +123,7 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     if head[0] != "csp" or len(head) != 5:
         raise ParseError("expected header 'csp <n> <m> <d> <p_num>/<p_den>'", line_no)
     try:
-        n, m, d = int(head[1]), int(head[2]), int(head[3])
+        n, m, d = (_header_count(name, text) for name, text in zip("nmd", head[1:4]))
         p = parse_rational(head[4])
     except (ValueError, InputError) as exc:
         raise ParseError(f"bad header field: {exc}", line_no) from exc

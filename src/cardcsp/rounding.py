@@ -52,15 +52,27 @@ h(s1) depends only on the row s1, its pivot and the level's slice of the
 table, and the pivot is the candidate itself unless the two meet, so each
 distinct (row, pivot) value is solved once per level and shared between
 candidates.  A candidate is dropped as soon as its active sets leave no
-more survivors than the best so far.  The winner is reconstructed in full
-on the table and subtracted on ints.  The union of the surviving
-variables is the kernel.
+more survivors than the best so far, and the sets that dropped it are
+swapped to the front of the scan's order, in O(hits).  Level 1 needs no
+solve: candidate {a} leaves inactive exactly the variables whose weight-1
+coefficient equals a's.  The winner is reconstructed in full on the table
+and subtracted on ints.  The union of the surviving variables is the
+kernel.
+
+Everything a solve or a scan reads except its table depends on (n, level)
+alone: the weight-level sets with the index of each row T minus j, the
+rows' submask lists, the beta weights and the closing constant, and the
+zero-filled key set (_shape); and on (pivot, level), each pivot's submask
+lists (_pivot_subs).  Both are lru_caches shared by every instance of that
+size, never changed; a scan copies only its table and its order of sets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
@@ -230,6 +242,41 @@ def _pivot(s1: int, pool: int, size: int, n: int) -> int:
     return pivot
 
 
+class _Shape(NamedTuple):
+    """Everything a weight-D solve on n variables reads except its table.
+    Shared by every solve and scan of that (n, D), so never changed."""
+
+    weights: List[int]          # beta_i (D-i) for i = 1..D-1
+    closing: int                # -(-1)^D (D-1)!, the weight of E(P)
+    zeros: Dict[int, int]       # every weight-D set at 0
+    rows: List[int]             # the (D-1)-sets s1, lex order
+    row_subs: List[List[List[int]]]   # per row, its (D-i)-subsets for i = 1..D-1
+    sets: List[Tuple[int, Tuple[int, ...]]]   # each D-set T, the indices of its rows T - j
+
+
+@lru_cache(maxsize=8)
+def _shape(n: int, big_d: int) -> _Shape:
+    """The _Shape of weight big_d on n variables.  Eight entries hold
+    levels 1..3 of two sizes.  A shape outlives its scans: at big_d = 3 it
+    holds about 4 MB at n = 48 and 35 MB at n = 100."""
+    bits = [1 << j for j in range(n)]
+    row_sets = list(combinations(bits, big_d - 1))
+    rows = [sum(c) for c in row_sets]
+    index = {s1: r for r, s1 in enumerate(rows)}
+    sets = [(sum(c), tuple(index[sum(c) - b] for b in c)) for c in combinations(bits, big_d)]
+    return _Shape([beta * (big_d - i) for i, beta in enumerate(_beta_weights(big_d), 1)],
+                  -factorial(big_d - 1) * (-1) ** big_d, dict.fromkeys((t for t, _ in sets), 0),
+                  rows, [_submasks(c, range(big_d - 1, 0, -1)) for c in row_sets], sets)
+
+
+@lru_cache(maxsize=4096)
+def _pivot_subs(pivot: int, big_d: int) -> List[List[int]]:
+    """Masks of the i-subsets of the pivot bitmask, one list per
+    i = 1..D-1."""
+    bits = [1 << v for v in range(pivot.bit_length()) if pivot >> v & 1]
+    return _submasks(bits, range(1, big_d))
+
+
 class _WeightSolve:
     """The weight-(D-1) solve on one weight-D table of int numerators.
 
@@ -241,41 +288,35 @@ class _WeightSolve:
         R(s1) = sum_i beta_i (D-i) sum_{t1 < s1, |t1| = D-i} sum_{t2 < P, |t2| = i} E(t1 u t2)
         N(s1) = R(s1) - (-1)^D (D-1)! E(P)
 
-    on numerators, and h(s1) = N(s1) / (D! den).
+    on numerators, and h(s1) = N(s1) / (D! den).  Rows are named by their
+    index in the (n, D) _Shape; the solve's own state is its copy of the
+    table and its memo.
     """
 
     def __init__(self, n: int, big_d: int, table: Dict[int, int]):
-        bits = [1 << j for j in range(n)]
-        self.weights = [beta * (big_d - i)
-                        for i, beta in enumerate(_beta_weights(big_d), 1)]
-        self.closing = -factorial(big_d - 1) * (-1) ** big_d
+        self.shape = _shape(n, big_d)
         # every weight-D set, absent ones at zero, so a lookup needs no default
-        self.table = dict.fromkeys((sum(c) for c in combinations(bits, big_d)), 0)
+        self.table = dict(self.shape.zeros)
         self.table.update(table)
-        # row s1 -> [masks of the (D-i)-subsets of s1 for i = 1..D-1]
-        self.rows = {sum(c): _submasks(c, range(big_d - 1, 0, -1))
-                     for c in combinations(bits, big_d - 1)}
         self.n = n
         self._big_d = big_d
-        self._pivot_subs: Dict[int, List[List[int]]] = {}
         # N per (row, pivot) pair, keyed pivot << n | s1
         self.memo: Dict[int, int] = {}
 
-    def numerator(self, s1: int, pivot: int) -> int:
-        """N(s1) with pivot P, each distinct pair solved once."""
-        key = pivot << self.n | s1
+    def numerator(self, row: int, pivot: int) -> int:
+        """N(s1) of row index `row` with pivot P, each distinct pair solved
+        once."""
+        shape = self.shape
+        key = pivot << self.n | shape.rows[row]
         num = self.memo.get(key)
         if num is not None:
             return num
-        subs = self._pivot_subs.get(pivot)
-        if subs is None:
-            bits = [1 << v for v in range(self.n) if pivot >> v & 1]
-            subs = self._pivot_subs[pivot] = _submasks(bits, range(1, self._big_d))
         table = self.table
         r_total = 0
-        for weight, t1s, t2s in zip(self.weights, self.rows[s1], subs):
+        for weight, t1s, t2s in zip(shape.weights, shape.row_subs[row],
+                                    _pivot_subs(pivot, self._big_d)):
             r_total += weight * sum([table[t1 | t2] for t1 in t1s for t2 in t2s])
-        num = self.memo[key] = r_total + self.closing * table[pivot]
+        num = self.memo[key] = r_total + shape.closing * table[pivot]
         return num
 
 
@@ -301,8 +342,8 @@ def _reconstruct(table: Dict[int, int], n: int, pool: int, shift: int,
             solve = _WeightSolve(n, big_d,
                                  {t: a for t, a in table.items() if t.bit_count() == big_d})
         level: Dict[int, int] = {}
-        for s1 in solve.rows:
-            num = solve.numerator(s1, _pivot(s1, pool, big_d, n))
+        for row, s1 in enumerate(solve.shape.rows):
+            num = solve.numerator(row, _pivot(s1, pool, big_d, n))
             if num:
                 level[s1] = num
         fact = factorial(big_d)
@@ -422,7 +463,10 @@ class _LevelScan:
     A candidate's top-weight h is N(s1) / (level! den) on the table's
     weight-`level` part alone.  Its pivot for row s1 is the candidate
     itself unless the two meet, so one N per distinct (row, pivot) pair
-    serves every candidate of the level.
+    serves every candidate of the level.  The sets, their rows and every
+    submask list come from the (n, level) _Shape, built once per size; a
+    scan owns only its copy of the table (in its _WeightSolve) and its
+    order of the sets.
     """
 
     def __init__(self, n: int, level: int, table: Dict[int, int]):
@@ -430,9 +474,8 @@ class _LevelScan:
         self.level = level
         self.solve = _WeightSolve(n, level, table)
         self.scale = factorial(level)
-        # each weight-level set T with its rows T minus j
-        self.sets = [(sum(c), [sum(c) - b for b in c])
-                     for c in combinations([1 << j for j in range(n)], level)]
+        # each weight-level set T with the indices of its rows T minus j
+        self.sets = list(self.solve.shape.sets)
 
     def survivors(self, cand: int, floor: int) -> Optional[int]:
         """Variables left inactive at weight `level` by the candidate
@@ -442,41 +485,51 @@ class _LevelScan:
         terms of the constraint product stay below weight `level`).  None
         as soon as that count is at most floor.
 
-        The sets that stop a candidate move to the front of the list: they
-        often stop the next one too.  The order changes no count."""
-        n, solve = self.n, self.solve
-        # numerator's memo is read here first: most lookups hit, and a hit
-        # then costs no call
-        memo, numerator, table = solve.memo, solve.numerator, solve.table
+        Each row's N is looked up, and its pivot built, once per candidate.
+        The sets that stop a candidate are swapped into the front positions
+        of the list, in O(hits): they often stop the next one too.  The
+        order changes no count."""
+        n, solve, sets = self.n, self.solve, self.sets
+        # numerator's memo is read here first, so a pair solved for an
+        # earlier candidate costs no call
+        memo, numerator, table, rows = solve.memo, solve.numerator, solve.table, solve.shape.rows
+        nums: List[Optional[int]] = [None] * len(rows)   # N per row index, this candidate
         own = cand << n                 # the memo key's pivot part for a disjoint row
         need = n - floor                # active variables that drop the candidate
         union, hits = 0, []
-        for t, rows in self.sets:
+        for pos, (t, row_ids) in enumerate(sets):
             if not t & ~union:
                 continue
             acc = -self.scale * table[t]
-            for s1 in rows:
-                common = s1 & cand
-                if common:
-                    # the candidate's bits outside s1, then the lowest bits
-                    # outside both (_pivot with the candidate as the pool)
-                    used = s1 | cand
-                    pivot = cand ^ common
-                    for _ in range(common.bit_count()):
-                        low = ~used & (used + 1)
-                        pivot |= low
-                        used |= low
-                    num = memo.get(pivot << n | s1)
-                else:
-                    pivot = cand
-                    num = memo.get(own | s1)
-                acc += numerator(s1, pivot) if num is None else num
+            for row in row_ids:
+                num = nums[row]
+                if num is None:
+                    s1 = rows[row]
+                    common = s1 & cand
+                    if common:
+                        # the candidate's bits outside s1, then the lowest
+                        # bits outside both (_pivot with the candidate as
+                        # the pool)
+                        used = s1 | cand
+                        pivot = cand ^ common
+                        for _ in range(common.bit_count()):
+                            low = ~used & (used + 1)
+                            pivot |= low
+                            used |= low
+                        num = memo.get(pivot << n | s1)
+                    else:
+                        pivot = cand
+                        num = memo.get(own | s1)
+                    if num is None:
+                        num = numerator(row, pivot)
+                    nums[row] = num
+                acc += num
             if acc:
                 union |= t
-                hits.append((t, rows))
+                hits.append(pos)
                 if union.bit_count() >= need:
-                    front = {u for u, _ in hits}
-                    self.sets = hits + [e for e in self.sets if e[0] not in front]
+                    for front, at in enumerate(hits):
+                        sets[front], sets[at] = sets[at], sets[front]
                     return None
         return n - union.bit_count()
 
@@ -485,9 +538,19 @@ def _best_candidate(scan: _LevelScan, exit_threshold: int) -> int:
     """Bitmask of the level-set whose top-weight reconstruction leaves the
     most variables inactive at the scan's weight (lexicographically first
     maximizer, or the first to reach exit_threshold).  A candidate is
-    dropped as soon as it cannot beat the best so far."""
+    dropped as soon as it cannot beat the best so far.
+
+    Level 1 is closed form: the coefficient of {j} after candidate {a} is
+    E(a) - E(j), so {a} leaves inactive exactly the variables whose
+    weight-1 value (0 when absent) equals its own."""
+    n = scan.n
+    if scan.level == 1:
+        values = [scan.solve.table[1 << j] for j in range(n)]
+        counts = Counter(values)
+        # the first j with the largest count, counts capped at exit_threshold
+        return 1 << max(range(n), key=lambda j: min(counts[values[j]], exit_threshold))
     best_count, best = -1, 0
-    for bits in combinations([1 << j for j in range(scan.n)], scan.level):
+    for bits in combinations([1 << j for j in range(n)], scan.level):
         cand = sum(bits)
         count = scan.survivors(cand, best_count)
         if count is not None:

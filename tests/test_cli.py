@@ -246,6 +246,17 @@ def test_unbounded_rationals_end_in_an_error_exit(capsys, tmp_path):
         assert "not a rational number" in err and "exponent outside" in err
 
 
+def test_an_unbounded_header_count_ends_in_an_error_exit(capsys, tmp_path):
+    # a 3,001-digit n used to print a traceback (OverflowError) and exit 1,
+    # the code of "no"
+    path = tmp_path / "huge-n.csp"
+    path.write_text("csp 1" + "0" * 3000 + " 1 1 1/2\nc 1 1\ns +1\n")
+    code, doc, err = run(capsys, ["solve", "--instance", str(path), "--t", "1"])
+    assert code == 2 and doc is None
+    assert "line 1: bad header field: n has more than 1000 digits" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("gamma", ["0", "-1/4"])
 def test_kernel_rejects_nonpositive_gamma_off_half(capsys, tmp_path, gamma):
     path = tmp_path / "p6.csp"

@@ -154,6 +154,27 @@ def test_parse_reads_the_header_bias_as_a_fraction_or_a_decimal(p):
     assert parse_instance(f"csp 2 0 1 {p}\n")[1].p == F(1, 2)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("csp 1" + "0" * 3000 + " 1 1 1/2", "n has more than 1000 digits"),
+    ("csp 1" + "0" * 900 + " 1 1 1/2", r"n = <a number of about 900 digits> is above"),
+    ("csp 4 1" + "0" * 20 + " 1 1/2", "m = 1" + "0" * 20 + " is above 10000000"),
+    ("csp 4 1 " + "9" * 5000 + " 1/2", "d has more than 1000 digits"),
+], ids=["n-3001-digits", "n-901-digits", "m-21-digits", "d-5000-digits"])
+def test_parse_bounds_the_header_counts(header, message):
+    # a 3,001-digit n used to parse, and decide then ended in a bare
+    # OverflowError from 1 << n
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="bad header field: " + message) as err:
+        parse_instance(header + "\nc 1 1\ns +1\n")
+    assert err.value.line == 1 and len(str(err.value)) < 200
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_reads_a_header_n_of_a_million():
+    inst, card = parse_instance("csp 1000000 1 1 1/2\nc 1 1\ns +1\n")
+    assert inst.n == card.n == 10 ** 6 and card.num_negative == 5 * 10 ** 5
+
+
 def test_slice_messages_stay_bounded():
     # a p*n of over 4,300 digits used to raise a bare ValueError
     for n, p, message in ((6, F(1, 10 ** 5000), r"p\*n = <a number of about \d+ digits>"),

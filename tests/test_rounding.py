@@ -5,7 +5,7 @@ from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cardcsp.poly as poly
@@ -589,21 +589,35 @@ def test_int_reconstruct_h_matches_fraction_reconstruction(drawn, data):
     assert reconstruct_h(f, pool, shift) == expected
 
 
+def _weight_one(n, values):
+    """(f, slice, d = 1) with weight-1 coefficients values[j] on variable
+    j + 1 (None: absent), at p = 1/3."""
+    return (MultilinearPoly.from_subsets(n, {(j,): F(v) for j, v in enumerate(values, 1)
+                                             if v is not None}), CardinalDist(n, F(1, 3)), 1)
+
+
 @settings(max_examples=120, deadline=None, database=None)
-@given(biased_polys(), st.data())
-def test_best_candidate_matches_reference_loop_at_any_exit_threshold(drawn, data):
-    # dropping a candidate once it cannot beat the best, and the sets that
-    # stopped earlier candidates going first, leave the winner as the
-    # reference loop's: the first strict maximizer, or the first candidate
-    # to reach exit_threshold
+@given(biased_polys(), st.integers(0, 2), st.integers(1, 9))
+# level 1 ties: 1 and 2 are each on three variables, and x1 comes first
+@example(_weight_one(9, [1, 2, 1, 2, 3, 3, 1, 2, None]), 0, 9)
+# level 1: the four absent variables count as 0, the most common value
+@example(_weight_one(9, [1, 1, 2, 2, 1, None, None, None, None]), 0, 9)
+# level 1: x2 reaches exit_threshold 3 before the more common 2 is met
+@example(_weight_one(9, [5, 1, 1, 1, 2, 2, 2, 2, None]), 0, 3)
+def test_best_candidate_matches_reference_loop_at_any_exit_threshold(drawn, pick,
+                                                                     exit_threshold):
+    # dropping a candidate once it cannot beat the best, the sets that
+    # stopped earlier candidates going first, and level 1 in closed form
+    # leave the winner as the reference loop's: the first strict maximizer,
+    # or the first candidate to reach exit_threshold
     f, dist, d = drawn
     n = f.n
     levels = [w for w in range(1, d + 1) if n >= 2 * w - 1
               and any(s.bit_count() == w for s in f.coeffs)]
     if not levels:
         return
-    level = data.draw(st.sampled_from(levels))
-    exit_threshold = data.draw(st.integers(1, n))
+    level = levels[pick % len(levels)]
+    exit_threshold = min(exit_threshold, n)
     shift = dist.target_sum
     best_count, winner = -1, None
     for cand in combinations(range(1, n + 1), level):
@@ -613,6 +627,29 @@ def test_best_candidate_matches_reference_loop_at_any_exit_threshold(drawn, data
             if count >= exit_threshold:
                 break
     assert subset_of(_best_candidate(_level_scan(f, level), exit_threshold)) == winner
+
+
+def test_scans_of_one_size_share_only_the_unchanging_shape():
+    # the second table on the same (n, level) reads the shape the first scan
+    # read, after that scan has reordered its sets, and still counts as the
+    # reference does; the shared zero table and set order stay as built
+    n, level = 9, 3
+    shift = CardinalDist(n, F(1, 3)).target_sum
+    rng = random.Random(5)
+    f1, f2 = (to_polynomial(random_instance(rng, n, level, 12)) for _ in range(2))
+    assert {s for s in f1.coeffs if s.bit_count() == level} - set(f2.coeffs)
+    first = _level_scan(f1, level)
+    _best_candidate(first, n + 1)
+    shape = first.solve.shape
+    assert first.sets != shape.sets                 # the first scan reordered its own copy
+    second = _level_scan(f2, level)
+    assert second.solve.shape is shape
+    cands = list(combinations(range(1, n + 1), level))
+    counts = [survivors_reference(f2, cand, level, shift) for cand in cands]
+    assert [second.survivors(mask_of(cand, n), -1) for cand in cands] == counts
+    assert subset_of(_best_candidate(second, n + 1)) == cands[counts.index(max(counts))]
+    assert set(shape.zeros.values()) == {0}
+    assert [t for t, _ in shape.sets] == [mask_of(cand, n) for cand in cands]
 
 
 @pytest.mark.parametrize("p", [F(1, 3), F(1, 4)])
