@@ -60,8 +60,8 @@ def _cmd_kernel(args) -> int:
     inst, card = _load_instance(args.instance)
     config = load_config(args.config) if args.config else DEFAULT_CONFIG
     gamma = args.gamma if args.gamma is not None else Fraction(1, 2 ** inst.d)
-    step, _ = _kernel_step(*_compile(inst), card, gamma, inst.d, config.dense_cap)
-    outcome = step.outcome(card.n)
+    outcome = _kernel_step(*_compile(inst), card, gamma, inst.d,
+                           config.dense_cap).outcome(card.n)
     bound = None
     if outcome.norm_blowup is not None:
         bound = {"limit": 7 ** inst.d,

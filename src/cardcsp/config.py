@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import check_exact, number_str, parse_rational
+from .exact import check_exact, number_str, parse_count, parse_rational
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,8 @@ class SolverConfig:
 
 DEFAULT_CONFIG = SolverConfig()
 
-_KEY_TYPES = {"enum_cap": int, "kernel_cap": int, "dense_cap": int, "p0": parse_rational}
+_KEY_TYPES = {"enum_cap": parse_count, "kernel_cap": parse_count,
+              "dense_cap": parse_count, "p0": lambda key, text: parse_rational(text)}
 
 
 def parse_config(text: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
@@ -44,8 +45,8 @@ def parse_config(text: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig
         if convert is None:
             raise InputError(f"config line {idx}: unknown key {key!r}")
         try:
-            updates[key] = convert(value)
-        except (ValueError, InputError) as exc:
+            updates[key] = convert(key, value)
+        except InputError as exc:
             raise InputError(f"config line {idx}: bad value for {key}: {exc}") from exc
     return replace(base, **updates)
 

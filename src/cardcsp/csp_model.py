@@ -6,7 +6,9 @@ Instance file format (UTF-8, line oriented, '#' starts a comment):
     c <arity> <v1> ... <vk>        # one block per constraint
     s <+-1> ... <+-1>              # one line per satisfying pattern
 
-n, m and d are ints of at most HEADER_COUNT_MAX (10^7).  p is read by
+Every count (n, m, d, an arity, a variable) is read by exact.parse_count:
+ASCII digits only, with no sign and no underscore, at most 1000 of them;
+n, m and d are at most HEADER_COUNT_MAX (10^7).  p is read by
 exact.parse_rational: p_num/p_den, or a decimal such as 0.25, of at most
 1000 digits.  Variables are 1-indexed.  Constraints of arity
 below d are allowed as-is (no dummy-variable padding); duplicate
@@ -23,7 +25,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from .cardinal_dist import GlobalCardinality
 from .errors import InputError, ParseError
-from .exact import RATIONAL_DIGITS, number_str, parse_rational
+from .exact import parse_count, parse_rational
 from .poly import Assignment, MultilinearPoly, check_assignment
 
 Pattern = Tuple[int, ...]
@@ -95,19 +97,6 @@ def _at_line(line: int, check, *args):
         raise ParseError(str(exc), line) from exc
 
 
-def _header_count(name: str, text: str) -> int:
-    """The header's n, m or d as an int.  InputError, naming the field,
-    for more than RATIONAL_DIGITS characters (before any conversion) or a
-    value above HEADER_COUNT_MAX, shown with number_str; ValueError for
-    text that is not an int."""
-    if len(text) > RATIONAL_DIGITS:
-        raise InputError(f"{name} has more than {RATIONAL_DIGITS} digits")
-    value = int(text)
-    if value > HEADER_COUNT_MAX:
-        raise InputError(f"{name} = {number_str(value)} is above {HEADER_COUNT_MAX}")
-    return value
-
-
 def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     """Parse the line-oriented instance format; errors carry line numbers."""
     tokens: List[Tuple[int, List[str]]] = []
@@ -123,9 +112,10 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     if head[0] != "csp" or len(head) != 5:
         raise ParseError("expected header 'csp <n> <m> <d> <p_num>/<p_den>'", line_no)
     try:
-        n, m, d = (_header_count(name, text) for name, text in zip("nmd", head[1:4]))
+        n, m, d = (parse_count(name, text, HEADER_COUNT_MAX)
+                   for name, text in zip("nmd", head[1:4]))
         p = parse_rational(head[4])
-    except (ValueError, InputError) as exc:
+    except InputError as exc:
         raise ParseError(f"bad header field: {exc}", line_no) from exc
     if n < 1 or m < 0 or d < 1:
         raise ParseError("n and d must be positive, m nonnegative", line_no)
@@ -138,9 +128,9 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
         if tok[0] != "c":
             raise ParseError(f"expected constraint line 'c ...', got {tok[0]!r}", line_no)
         try:
-            arity = int(tok[1])
-            variables = tuple(map(int, tok[2:]))
-        except (IndexError, ValueError) as exc:
+            arity = parse_count("arity", tok[1])
+            variables = tuple(parse_count("variable", text) for text in tok[2:])
+        except (IndexError, InputError) as exc:
             raise ParseError(f"bad constraint line: {exc}", line_no) from exc
         if len(variables) != arity:
             raise ParseError(f"arity {arity} but {len(variables)} variables", line_no)

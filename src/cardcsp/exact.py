@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
-from typing import Union
+from typing import Optional, Union
 
 from .errors import InputError
 
@@ -250,6 +250,12 @@ def number_str(value) -> str:
     return str(value)
 
 
+def _shown(text: str) -> str:
+    """text for a message: its repr, or its start and length past 40
+    characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """The exact rational that text spells: [sign] digits/digits, or a
     decimal [sign] digits[.digits][e[sign]digits] (".5" too), with
@@ -257,7 +263,7 @@ def parse_rational(text: str) -> Fraction:
     for any other text, a zero denominator, more than RATIONAL_DIGITS
     digits, or an exponent outside [-RATIONAL_DIGITS, RATIONAL_DIGITS]:
     no work grows past those bounds."""
-    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    shown = _shown(text)
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise InputError(f"{shown} is not a/b or a decimal")
@@ -270,6 +276,21 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"{shown} has an exponent outside "
                          f"[-{RATIONAL_DIGITS}, {RATIONAL_DIGITS}]")
     return Fraction(text)   # a subset of Fraction's grammar, now of bounded size
+
+
+def parse_count(name: str, text: str, most: Optional[int] = None) -> int:
+    """The count that text spells: ASCII digits only, with no sign, no
+    underscore and no whitespace.  InputError, naming `name`, with a
+    bounded message, for more than RATIONAL_DIGITS characters (checked
+    before int()), any other text, or a value above `most` when given."""
+    if len(text) > RATIONAL_DIGITS:
+        raise InputError(f"{name} has more than {RATIONAL_DIGITS} digits")
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(f"{name} = {_shown(text)} is not a count in ASCII digits")
+    value = int(text)
+    if most is not None and value > most:
+        raise InputError(f"{name} = {number_str(value)} is above {most}")
+    return value
 
 
 def round_half_away(num: int, den: int) -> int:

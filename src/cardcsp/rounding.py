@@ -4,19 +4,20 @@ Bisection path (p = 1/2): snap the projection h_f to controlled
 denominators, one weight level at a time from d-1 down to 0.  Weight w is
 snapped to the nearest multiple of gamma / (d! (d-1)! ... (w+1)!), halves
 away from zero, so the final h has all coefficients in (gamma/Gamma_d) * Z
-with Gamma_d = d!(d-1)!...2!.  The reduced polynomial f - fhat(0) - (sum x_i) h
-agrees with f - fhat(0) on every assignment with sum x_i = 0, and its squared
-coefficient norm is at most 7^d times the projection residual's when the
-residual is at most sqrt(n).
+with Gamma_d = d!(d-1)!...2!.  The reduced polynomial f - (sum x_i) h
+agrees with f on every assignment with sum x_i = 0, and its squared
+coefficient norm (constant left out) is at most 7^d times the projection
+residual's when the residual is at most sqrt(n).
 
-Each path is an int core on f's numerators over one denominator that
-returns an IntOutcome (h and the reduced table over one denominator, and
-the bisection path's squared norms as ints): _round_bisection takes h_f as
-(y, D), spectra._project's output, and _round_global starts from f's
-table.  round_bisection and round_global are their wrappers: they check
-f and h_f and convert them to numerators (poly.chi_numerators), and
+Each path is an int core on f's numerators over one denominator, and both
+return the kernel step's one result, an IntOutcome, whose reduced table is
+f - (sum x_i - shift) h whole: _round_bisection takes h_f as (y, D),
+spectra._project's output, and _round_global starts from f's table.
+round_bisection and round_global are their wrappers: they check f and h_f
+and convert them to numerators (poly.chi_numerators), and
 IntOutcome.outcome builds the Fraction RoundingOutcome
-(MultilinearPoly.from_numerators).
+(MultilinearPoly.from_numerators).  Only round_bisection's public contract
+leaves fhat(0) out of the reduction and refuses a residual above sqrt(n).
 
 Every reduction here is g minus the constraint product (sum x_i - shift) h
 on bitmask tables of int numerators over one denominator, and each is one
@@ -38,15 +39,17 @@ the weight-(w+1) equations "coefficient of T vanishes" for T inside S1 u P
 so that all mixed coefficients cancel, leaving a relation between h(S1) and
 h(S2) for S2 inside P; the vanishing coefficient of P itself then closes the
 system.  _reconstruct evaluates exactly that, weight d-1 down to weight 0,
-on int numerators: each weight's equation constants go over one common
-denominator, and the sum over S2 collapses into one weighted sum over the
-subsets of P.  reconstruct_h wraps it, Fractions in and out.
+on int numerators, one _LevelSolve per weight: each weight's equation
+constants go over one common denominator, and the sum over S2 collapses
+into one weighted sum over the subsets of P.  reconstruct_h wraps it,
+Fractions in and out.
 
-round_global runs the deterministic scan: for degree level d down to 1 it
-tries every candidate subset and keeps the one whose reconstruction makes
-the most variables inactive in the current top-degree part
-(lexicographically first maximizer; scan stops early once a candidate meets
-the theoretical active-set bound).  f goes over one denominator once, and
+round_global runs the deterministic scan: for degree level d down to 1,
+one _LevelSolve on the level's part of the table tries every candidate
+subset and keeps the one whose reconstruction makes the most variables
+inactive in the current top-degree part (lexicographically first
+maximizer; scan stops early once a candidate meets the theoretical
+active-set bound).  f goes over one denominator once, and
 every level reads and updates that one int table.  A candidate's top-weight
 h(s1) depends only on the row s1, its pivot and the level's slice of the
 table, and the pivot is the candidate itself unless the two meet, so each
@@ -59,12 +62,12 @@ coefficient equals a's.  The winner is reconstructed in full on the table
 and subtracted on ints.  The union of the surviving variables is the
 kernel.
 
-Everything a solve or a scan reads except its table depends on (n, level)
+Everything a _LevelSolve reads except its table depends on (n, level)
 alone: the weight-level sets with the index of each row T minus j, the
 rows' submask lists, the beta weights and the closing constant, and the
 zero-filled key set (_shape); and on (pivot, level), each pivot's submask
 lists (_pivot_subs).  Both are lru_caches shared by every instance of that
-size, never changed; a scan copies only its table and its order of sets.
+size, never changed.
 """
 
 from __future__ import annotations
@@ -121,34 +124,50 @@ class RoundingOutcome:
 
 
 class IntOutcome(NamedTuple):
-    """A kernel step on int numerators over den, keyed by bitmask: h, the
-    reduced table and, on the bisection path, the constant-free squared
-    norms of the projection residual and of the reduction over den^2."""
+    """The kernel step at every p, on int numerators over den keyed by
+    bitmask: h and the reduced table f - (sum x_i - shift) h, f's constant
+    included, so that reduced / den equals f on the slice.  On the
+    bisection path also the constant-free squared norm of the projection
+    residual over den^2."""
 
     den: int
     h: Dict[int, int]
     reduced: Dict[int, int]
     residual_sum: Optional[int] = None
-    reduced_sum: Optional[int] = None
+
+    @property
+    def kernel(self) -> Tuple[int, ...]:
+        """The variables of the reduced table, in increasing order."""
+        used = 0
+        for mask in self.reduced:
+            used |= mask
+        return tuple(v for v in range(1, used.bit_length() + 1) if used >> (v - 1) & 1)
+
+    def residual_above_sqrt_n(self, n: int) -> bool:
+        """Whether the projection residual's squared norm exceeds sqrt(n),
+        the hypothesis of the 7^d blow-up bound; never on the scan path."""
+        # residual_sum / den^2 > sqrt(n)  <=>  residual_sum^2 > n den^4
+        return self.residual_sum is not None and self.residual_sum ** 2 > n * self.den ** 4
 
     def outcome(self, n: int) -> RoundingOutcome:
         """The Fraction-valued RoundingOutcome."""
         den = self.den
-        h = MultilinearPoly.from_numerators(n, den, self.h)
-        reduced = MultilinearPoly.from_numerators(n, den, self.reduced)
         blowup = residual_sq = None
         if self.residual_sum is not None:
-            blowup = (Fraction(self.reduced_sum, self.residual_sum) if self.residual_sum
+            reduced_sum = sum(a * a for mask, a in self.reduced.items() if mask)
+            blowup = (Fraction(reduced_sum, self.residual_sum) if self.residual_sum
                       else Fraction(1))
             residual_sq = Fraction(self.residual_sum, den * den)
-        return RoundingOutcome(h=h, reduced=reduced, active_set=active_variables(reduced),
+        return RoundingOutcome(h=MultilinearPoly.from_numerators(n, den, self.h),
+                               reduced=MultilinearPoly.from_numerators(n, den, self.reduced),
+                               active_set=frozenset(self.kernel),
                                norm_blowup=blowup, residual_norm_sq=residual_sq)
 
 
 def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
                     d: Optional[int] = None,
                     allow_large_residual: bool = False) -> RoundingOutcome:
-    """Snap h_f level by level and return the rounded reduction of f.
+    """Snap h_f level by level to h and return f - fhat(0) - (sum x_i) h.
 
     Requires f and h_f in the chi basis on the same variables (bisection
     constraint), f's coefficients multiples of gamma (the reduced
@@ -159,19 +178,25 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     """
     den_f, f_nums = chi_numerators(f, f.n, "round_bisection's f")
     den_h, h_nums = chi_numerators(h_f, f.n, "round_bisection's h_f")
-    return _round_bisection(f.n, den_f, f_nums, den_h, h_nums, check_gamma(gamma),
-                            f.degree_bound if d is None else d,
-                            allow_large_residual).outcome(f.n)
+    step = _round_bisection(f.n, den_f, f_nums, den_h, h_nums, check_gamma(gamma),
+                            f.degree_bound if d is None else d)
+    if step.residual_above_sqrt_n(f.n) and not allow_large_residual:
+        raise PreconditionError(
+            f"projection residual {Fraction(step.residual_sum, step.den ** 2)} exceeds "
+            "sqrt(n); the caller should not have taken the small-variance branch at this size")
+    reduced = {mask: a for mask, a in step.reduced.items() if mask}
+    constant = step.reduced.get(0, 0) - f_nums.get(0, 0) * (step.den // den_f)
+    if constant:
+        reduced[0] = constant
+    return step._replace(reduced=reduced).outcome(f.n)
 
 
 def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
-                     h_nums: Dict[int, int], gamma: Fraction, d: int,
-                     allow_large_residual: bool = False) -> IntOutcome:
+                     h_nums: Dict[int, int], gamma: Fraction, d: int) -> IntOutcome:
     """round_bisection on int numerators: f = f_nums / den_f and
     h_f = h_nums / den_h (den_h may be negative, as project's D).  f, h_f
     and every granularity of gamma_ladder go over one denominator den, so
-    the residual, the snap and the reduction run on ints, and the reduced
-    table keeps f's constant out."""
+    the residual, the snap and the reduction run on ints."""
     for a in f_nums.values():
         if a * gamma.denominator % (den_f * gamma.numerator):
             raise InputError(f"coefficient {number_str(Fraction(a, den_f))} is not a "
@@ -180,19 +205,14 @@ def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
         raise InputError("d must be nonnegative")
     ladder = gamma_ladder(d, gamma)
     den = lcm(den_f, den_h, *(step.denominator for step in ladder))
-    g0 = {mask: a * (den // den_f) for mask, a in f_nums.items() if mask}
+    g = {mask: a * (den // den_f) for mask, a in f_nums.items()}
     h_nums = {mask: a * (den // den_h) for mask, a in h_nums.items()}
-    # Norms are taken constant-free: the constant component of g0 - (sum x) h
-    # is the remaining null direction of the variance form and carries no
-    # kernel variables.
-    residual = reduce_by_constraint(g0, h_nums, n)
+    # The residual's norm is taken constant-free: the constant component of
+    # g - (sum x) h is the remaining null direction of the variance form and
+    # carries no kernel variables.
+    residual = reduce_by_constraint(g, h_nums, n)
     residual.pop(0, None)
     residual_sum = sum(a * a for a in residual.values())
-    # residual_sum / den^2 <= sqrt(n)  <=>  residual_sum^2 <= n den^4
-    if residual_sum ** 2 > n * den ** 4 and not allow_large_residual:
-        raise PreconditionError(
-            f"projection residual {Fraction(residual_sum, den * den)} exceeds sqrt(n); "
-            "the caller should not have taken the small-variance branch at this size")
     steps = [step.numerator * (den // step.denominator) for step in ladder]  # over den
     rounded: Dict[int, int] = {}
     for s, a in h_nums.items():
@@ -202,11 +222,10 @@ def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
         snapped = round_half_away(a, steps[w]) * steps[w]
         if snapped:
             rounded[s] = snapped
-    reduced = reduce_by_constraint(g0, rounded, n)
-    reduced_sum = sum(a * a for mask, a in reduced.items() if mask)
-    if not residual_sum and reduced_sum:
+    reduced = reduce_by_constraint(g, rounded, n)
+    if not residual_sum and any(reduced.keys() - {0}):
         raise AssertionError("exact projection must round to itself")
-    return IntOutcome(den, rounded, reduced, residual_sum, reduced_sum)
+    return IntOutcome(den, rounded, reduced, residual_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +296,9 @@ def _pivot_subs(pivot: int, big_d: int) -> List[List[int]]:
     return _submasks(bits, range(1, big_d))
 
 
-class _WeightSolve:
-    """The weight-(D-1) solve on one weight-D table of int numerators.
+class _LevelSolve:
+    """One weight-D level on an int table: the weight-(D-1) solve of the
+    reconstruction, and the scan's survivor count and choice of candidate.
 
     table[T] / den is the equation constant E(T) of a weight-D set T (zero
     when absent).  For a (D-1)-set s1 and a pivot P disjoint from it, the
@@ -288,9 +308,13 @@ class _WeightSolve:
         R(s1) = sum_i beta_i (D-i) sum_{t1 < s1, |t1| = D-i} sum_{t2 < P, |t2| = i} E(t1 u t2)
         N(s1) = R(s1) - (-1)^D (D-1)! E(P)
 
-    on numerators, and h(s1) = N(s1) / (D! den).  Rows are named by their
-    index in the (n, D) _Shape; the solve's own state is its copy of the
-    table and its memo.
+    on numerators, and h(s1) = N(s1) / (D! den).  A scan candidate's
+    top-weight h is that N on the table's weight-D part alone, its pivot
+    for row s1 the candidate itself unless the two meet, so one N per
+    distinct (row, pivot) pair serves every candidate of the level.  Rows
+    and sets are named by their index in the (n, D) _Shape, built once per
+    size; a solve owns only its copy of the table, its memo and its order
+    of the sets.
     """
 
     def __init__(self, n: int, big_d: int, table: Dict[int, int]):
@@ -299,9 +323,11 @@ class _WeightSolve:
         self.table = dict(self.shape.zeros)
         self.table.update(table)
         self.n = n
-        self._big_d = big_d
+        self.big_d = big_d
         # N per (row, pivot) pair, keyed pivot << n | s1
         self.memo: Dict[int, int] = {}
+        # each weight-D set T with the indices of its rows T minus j
+        self.sets = list(self.shape.sets)
 
     def numerator(self, row: int, pivot: int) -> int:
         """N(s1) of row index `row` with pivot P, each distinct pair solved
@@ -314,33 +340,114 @@ class _WeightSolve:
         table = self.table
         r_total = 0
         for weight, t1s, t2s in zip(shape.weights, shape.row_subs[row],
-                                    _pivot_subs(pivot, self._big_d)):
+                                    _pivot_subs(pivot, self.big_d)):
             r_total += weight * sum([table[t1 | t2] for t1 in t1s for t2 in t2s])
         num = self.memo[key] = r_total + shape.closing * table[pivot]
         return num
 
+    def survivors(self, cand: int, floor: int) -> Optional[int]:
+        """Variables left inactive at weight D by the candidate bitmask: n
+        minus the union of the weight-D sets T with
+        sum_{j in T} N(T minus j) - D! E(T) != 0, the coefficient of T in
+        the table minus (sum x_i) h on numerators (the down and shift terms
+        of the constraint product stay below weight D).  None as soon as
+        that count is at most floor.
+
+        Each row's N is looked up, and its pivot built, once per candidate.
+        The sets that stop a candidate are swapped into the front positions
+        of the list, in O(hits): they often stop the next one too.  The
+        order changes no count."""
+        n, sets, memo, table, rows = self.n, self.sets, self.memo, self.table, self.shape.rows
+        # the memo is read here first, so a pair solved for an earlier
+        # candidate costs no call
+        numerator, scale = self.numerator, factorial(self.big_d)
+        nums: List[Optional[int]] = [None] * len(rows)   # N per row index, this candidate
+        own = cand << n                 # the memo key's pivot part for a disjoint row
+        need = n - floor                # active variables that drop the candidate
+        union, hits = 0, []
+        for pos, (t, row_ids) in enumerate(sets):
+            if not t & ~union:
+                continue
+            acc = -scale * table[t]
+            for row in row_ids:
+                num = nums[row]
+                if num is None:
+                    s1 = rows[row]
+                    common = s1 & cand
+                    if common:
+                        # the candidate's bits outside s1, then the lowest
+                        # bits outside both (_pivot with the candidate as
+                        # the pool)
+                        used = s1 | cand
+                        pivot = cand ^ common
+                        for _ in range(common.bit_count()):
+                            low = ~used & (used + 1)
+                            pivot |= low
+                            used |= low
+                        num = memo.get(pivot << n | s1)
+                    else:
+                        pivot = cand
+                        num = memo.get(own | s1)
+                    if num is None:
+                        num = numerator(row, pivot)
+                    nums[row] = num
+                acc += num
+            if acc:
+                union |= t
+                hits.append(pos)
+                if union.bit_count() >= need:
+                    for front, at in enumerate(hits):
+                        sets[front], sets[at] = sets[at], sets[front]
+                    return None
+        return n - union.bit_count()
+
+    def best(self, exit_threshold: int) -> int:
+        """Bitmask of the D-set whose top-weight reconstruction leaves the
+        most variables inactive at weight D (lexicographically first
+        maximizer, or the first to reach exit_threshold).  A candidate is
+        dropped as soon as it cannot beat the best so far.
+
+        D = 1 is closed form: the coefficient of {j} after candidate {a} is
+        E(a) - E(j), so {a} leaves inactive exactly the variables whose
+        weight-1 value (0 when absent) equals its own."""
+        n = self.n
+        if self.big_d == 1:
+            values = [self.table[1 << j] for j in range(n)]
+            counts = Counter(values)
+            # the first j with the largest count, counts capped at exit_threshold
+            return 1 << max(range(n), key=lambda j: min(counts[values[j]], exit_threshold))
+        best_count, best = -1, 0
+        for bits in combinations([1 << j for j in range(n)], self.big_d):
+            cand = sum(bits)
+            count = self.survivors(cand, best_count)
+            if count is not None:
+                best_count, best = count, cand
+                if count >= exit_threshold:
+                    break
+        return best
+
 
 def _reconstruct(table: Dict[int, int], n: int, pool: int, shift: int,
-                 solve: Optional[_WeightSolve] = None) -> Tuple[int, Dict[int, int]]:
+                 solve: Optional[_LevelSolve] = None) -> Tuple[int, Dict[int, int]]:
     """(scale, h) with h's int numerators over scale * den: the h that
     would make every variable of the pool bitmask inactive in
     f - (sum_i x_i - shift) h, for f's int numerators `table` over den.
 
-    Each weight w is one _WeightSolve on the equation constants E(T),
+    Each weight w is one _LevelSolve on the equation constants E(T),
     |T| = w+1: the coefficients of f - (sum_i x_i - shift) h over h's
     weights above w, over den times the factorials of those weights.  The
     up half of that product lands on weights already solved, so each solved
     weight w is taken off with reduce_by_constraint at top = w + 1, which
-    forms only the down half and the shift term.  `solve`,
-    when given, is the top weight's _WeightSolve on this table, with the
-    pairs it has solved already.
+    forms only the down half and the shift term.  `solve`, when given, is
+    the top weight's _LevelSolve on this table, with the pairs the scan has
+    solved already.
     """
     h: Dict[int, int] = {}
     scale = 1
     for big_d in range(pool.bit_count(), 0, -1):
         if solve is None:
-            solve = _WeightSolve(n, big_d,
-                                 {t: a for t, a in table.items() if t.bit_count() == big_d})
+            solve = _LevelSolve(n, big_d,
+                                {t: a for t, a in table.items() if t.bit_count() == big_d})
         level: Dict[int, int] = {}
         for row, s1 in enumerate(solve.shape.rows):
             num = solve.numerator(row, _pivot(s1, pool, big_d, n))
@@ -445,9 +552,8 @@ def _round_global(den: int, table: Dict[int, int], n: int, card: GlobalCardinali
         top = {t: a for t, a in table.items() if t.bit_count() == level}
         if not top:
             continue
-        scan = _LevelScan(n, level, top)
-        pool = _best_candidate(scan, exit_threshold)
-        scale, h_level = _reconstruct(table, n, pool, shift, scan.solve)
+        solve = _LevelSolve(n, level, top)
+        scale, h_level = _reconstruct(table, n, solve.best(exit_threshold), shift, solve)
         den *= scale
         table = reduce_by_constraint({t: scale * a for t, a in table.items()},
                                      h_level, n, 0, shift)
@@ -455,106 +561,3 @@ def _round_global(den: int, table: Dict[int, int], n: int, card: GlobalCardinali
         for t, a in h_level.items():
             h_total[t] = h_total.get(t, 0) + a
     return IntOutcome(den, {t: a for t, a in h_total.items() if a}, table)
-
-
-class _LevelScan:
-    """One degree level of the scan on an int table.
-
-    A candidate's top-weight h is N(s1) / (level! den) on the table's
-    weight-`level` part alone.  Its pivot for row s1 is the candidate
-    itself unless the two meet, so one N per distinct (row, pivot) pair
-    serves every candidate of the level.  The sets, their rows and every
-    submask list come from the (n, level) _Shape, built once per size; a
-    scan owns only its copy of the table (in its _WeightSolve) and its
-    order of the sets.
-    """
-
-    def __init__(self, n: int, level: int, table: Dict[int, int]):
-        self.n = n
-        self.level = level
-        self.solve = _WeightSolve(n, level, table)
-        self.scale = factorial(level)
-        # each weight-level set T with the indices of its rows T minus j
-        self.sets = list(self.solve.shape.sets)
-
-    def survivors(self, cand: int, floor: int) -> Optional[int]:
-        """Variables left inactive at weight `level` by the candidate
-        bitmask: n minus the union of the weight-level sets T with
-        sum_{j in T} N(T minus j) - level! E(T) != 0, the coefficient of T
-        in the table minus (sum x_i) h on numerators (the down and shift
-        terms of the constraint product stay below weight `level`).  None
-        as soon as that count is at most floor.
-
-        Each row's N is looked up, and its pivot built, once per candidate.
-        The sets that stop a candidate are swapped into the front positions
-        of the list, in O(hits): they often stop the next one too.  The
-        order changes no count."""
-        n, solve, sets = self.n, self.solve, self.sets
-        # numerator's memo is read here first, so a pair solved for an
-        # earlier candidate costs no call
-        memo, numerator, table, rows = solve.memo, solve.numerator, solve.table, solve.shape.rows
-        nums: List[Optional[int]] = [None] * len(rows)   # N per row index, this candidate
-        own = cand << n                 # the memo key's pivot part for a disjoint row
-        need = n - floor                # active variables that drop the candidate
-        union, hits = 0, []
-        for pos, (t, row_ids) in enumerate(sets):
-            if not t & ~union:
-                continue
-            acc = -self.scale * table[t]
-            for row in row_ids:
-                num = nums[row]
-                if num is None:
-                    s1 = rows[row]
-                    common = s1 & cand
-                    if common:
-                        # the candidate's bits outside s1, then the lowest
-                        # bits outside both (_pivot with the candidate as
-                        # the pool)
-                        used = s1 | cand
-                        pivot = cand ^ common
-                        for _ in range(common.bit_count()):
-                            low = ~used & (used + 1)
-                            pivot |= low
-                            used |= low
-                        num = memo.get(pivot << n | s1)
-                    else:
-                        pivot = cand
-                        num = memo.get(own | s1)
-                    if num is None:
-                        num = numerator(row, pivot)
-                    nums[row] = num
-                acc += num
-            if acc:
-                union |= t
-                hits.append(pos)
-                if union.bit_count() >= need:
-                    for front, at in enumerate(hits):
-                        sets[front], sets[at] = sets[at], sets[front]
-                    return None
-        return n - union.bit_count()
-
-
-def _best_candidate(scan: _LevelScan, exit_threshold: int) -> int:
-    """Bitmask of the level-set whose top-weight reconstruction leaves the
-    most variables inactive at the scan's weight (lexicographically first
-    maximizer, or the first to reach exit_threshold).  A candidate is
-    dropped as soon as it cannot beat the best so far.
-
-    Level 1 is closed form: the coefficient of {j} after candidate {a} is
-    E(a) - E(j), so {a} leaves inactive exactly the variables whose
-    weight-1 value (0 when absent) equals its own."""
-    n = scan.n
-    if scan.level == 1:
-        values = [scan.solve.table[1 << j] for j in range(n)]
-        counts = Counter(values)
-        # the first j with the largest count, counts capped at exit_threshold
-        return 1 << max(range(n), key=lambda j: min(counts[values[j]], exit_threshold))
-    best_count, best = -1, 0
-    for bits in combinations([1 << j for j in range(n)], scan.level):
-        cand = sum(bits)
-        count = scan.survivors(cand, best_count)
-        if count is not None:
-            best_count, best = count, cand
-            if count >= exit_threshold:
-                break
-    return best

@@ -22,6 +22,8 @@ the moments (cardinal_dist._chi_mean_variance), the kernel step
 (_kernel_step: spectra._project and rounding._round_bisection, or
 rounding._round_global) to the capped walk (_capped_walk: the enum_cap and
 kernel_cap checks, then _walk); only the verdict's scalars are Fractions.
+Both routes return one rounding.IntOutcome, whose reduced table equals f
+on the slice, so the walk's maximum over its kernel is opt itself.
 `cardcsp kernel` runs the same _kernel_step on the same compiled table.
 The public layer functions (enumerate_kernel here, and to_polynomial,
 chi_expectation, chi_variance, project_null, round_bisection and
@@ -299,20 +301,19 @@ def _walk(table: Dict[int, int], kernel: Tuple[int, ...],
 
 def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
                  gamma: Fraction, d: int, dense_cap: int,
-                 variance: Optional[Fraction] = None) -> Tuple[IntOutcome, int]:
+                 variance: Optional[Fraction] = None) -> IntOutcome:
     """The one kernel step of decide and `cardcsp kernel`, on f's int
-    numerators table / den.  Check gamma (check_gamma); at p = 1/2, check
-    project's unknowns sum_{k < deg f} C(n, k), the size of its tables on
-    levels < deg f, against dense_cap (ResourceError, payload f, before any
-    work), project and _round_bisection; otherwise _round_global, with f's
-    variance unless the caller has it.  Returns the step's IntOutcome and
-    fhat(0) over its den at p = 1/2 (the constant the reduced table leaves
-    out), else 0."""
+    numerators table / den, as one IntOutcome at every p.  Check gamma
+    (check_gamma); at p = 1/2, check project's unknowns
+    sum_{k < deg f} C(n, k), the size of its tables on levels < deg f,
+    against dense_cap (ResourceError, payload f, before any work), project
+    and _round_bisection; otherwise _round_global, with f's variance unless
+    the caller has it."""
     gamma, n = check_gamma(gamma), card.n
     if card.p != Fraction(1, 2):
         if variance is None:
             variance = _chi_mean_variance(den, table, card)[1]
-        return _round_global(den, table, n, card, gamma, d, variance), 0
+        return _round_global(den, table, n, card, gamma, d, variance)
     degree = max((mask.bit_count() for mask in table), default=0)
     unknowns = sum(comb(n, k) for k in range(degree))
     if unknowns > dense_cap:
@@ -321,8 +322,7 @@ def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
             f"{dense_cap}",
             payload=MultilinearPoly.from_numerators(n, den, table))
     y, den_h = _project({mask: c for mask, c in table.items() if mask}, den, n, degree, 0)
-    step = _round_bisection(n, den, table, den_h, y, gamma, d, allow_large_residual=True)
-    return step, table.get(0, 0) * (step.den // den)
+    return _round_bisection(n, den, table, den_h, y, gamma, d)
 
 
 def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
@@ -374,19 +374,14 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
     if card.p != Fraction(1, 2) and var * var > card.n:
         warnings.append(
             "variance exceeds sqrt(n); the kernel-size bound is heuristic here")
-    step, base = _kernel_step(den, table, card, Fraction(1, 2 ** d), d,
-                              config.dense_cap, var)
-    # the residual's squared norm residual_sum / den^2 against sqrt(n)
-    if step.residual_sum is not None and step.residual_sum ** 2 > card.n * step.den ** 4:
+    step = _kernel_step(den, table, card, Fraction(1, 2 ** d), d, config.dense_cap, var)
+    if step.residual_above_sqrt_n(card.n):
         warnings.append(
             "projection residual exceeds sqrt(n); the 7^d blow-up bound "
             "is heuristic here")
-    used = 0
-    for mask in step.reduced:
-        used |= mask
-    kernel = tuple(v for v in range(1, card.n + 1) if used >> (v - 1) & 1)
+    kernel = step.kernel
     best, arg = _capped_walk(step.reduced, kernel, card, config.enum_cap, config.kernel_cap)
-    opt = Fraction(best + base, step.den)
+    opt = Fraction(best, step.den)
     witness = _complete_witness(kernel, arg, card)
     achieved = constraint_count(inst, witness)
     if achieved != opt:

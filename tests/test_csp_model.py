@@ -170,6 +170,25 @@ def test_parse_bounds_the_header_counts(header, message):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("csp 1_0 0 1 1/2\n", 1, "bad header field: n = '1_0' is not a count"),
+    ("csp \u0664 1 1 1/2\nc 1 1\ns +1\n", 1, "bad header field: n = '\u0664' is not a count"),
+    ("csp 4 +1 1 1/2\nc 1 1\ns +1\n", 1, "bad header field: m = '\\+1' is not a count"),
+    ("csp 4 1 1 1/2\nc 1 +0_1\ns +1\n", 2, "bad constraint line: variable = '\\+0_1' is not"),
+    ("csp 4 1 1 1/2\nc 0_1 1\ns +1\n", 2, "bad constraint line: arity = '0_1' is not"),
+    ("csp 4 1 1 1/2\nc 1 \u0661\ns +1\n", 2, "bad constraint line: variable = '\u0661' is not"),
+    ("csp 4 1 1 1/2\nc 1 " + "0" * 1000 + "1\ns +1\n", 2,
+     "bad constraint line: variable has more than 1000 digits"),
+], ids=["n-underscore", "n-arabic-indic", "m-sign", "variable-sign-underscore",
+        "arity-underscore", "variable-arabic-indic", "variable-1001-digits"])
+def test_parse_reads_counts_in_ascii_digits_only(text, line, message):
+    # int() read each of these: n = 10, n = 4, m = 1, variable 1, arity 1,
+    # variable 1, and a 1,001-character variable
+    with pytest.raises(ParseError, match=message) as err:
+        parse_instance(text)
+    assert err.value.line == line
+
+
 def test_parse_reads_a_header_n_of_a_million():
     inst, card = parse_instance("csp 1000000 1 1 1/2\nc 1 1\ns +1\n")
     assert inst.n == card.n == 10 ** 6 and card.num_negative == 5 * 10 ** 5

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 import cardcsp.poly as poly
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
-from cardcsp.csp_model import GlobalCardinality, to_polynomial
+from cardcsp.csp_model import GlobalCardinality, _compile, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, int_numerators, mask_of, subset_of
-from cardcsp.rounding import (RoundingOutcome, _LevelScan, _best_candidate,
-                              _beta_weights, active_bound_constant, active_variables,
+from cardcsp.rounding import (RoundingOutcome, _LevelSolve, _beta_weights,
+                              active_bound_constant, active_variables,
                               gamma_denominator, gamma_ladder, reconstruct_h,
                               round_bisection, round_global)
 from cardcsp.solver import _kernel_step
@@ -165,32 +165,39 @@ def test_round_bisection_slice_equivalence(rng):
 
 @st.composite
 def reductions(draw):
-    """decide's kernelization on a random instance: round_bisection at
-    p = 1/2 (n even) or round_global at p = 1/3 (n a multiple of 3), with
-    decide's gamma and the constant decide adds back to the reduced
-    polynomial."""
+    """decide's kernelization on a random instance at p = 1/2 (n even) or
+    p = 1/3 (n a multiple of 3), with decide's gamma, twice: the public
+    round_bisection or round_global with the constant a caller adds back to
+    its reduced polynomial, and the int kernel step _kernel_step."""
     p = draw(st.sampled_from((F(1, 2), F(1, 3))))
     n = draw(st.sampled_from((2, 4, 6, 8) if p == F(1, 2) else (3, 6)))
     d = draw(st.integers(1, 3))
-    f = to_polynomial(draw(csp_instances(n, d)))
+    inst = draw(csp_instances(n, d))
+    f = to_polynomial(inst)
     dist = CardinalDist(n, p)
     gamma = F(1, 2 ** d)
+    step = _kernel_step(*_compile(inst), dist, gamma, d, 2000)
     if p == F(1, 2):
         pr = project_null(f, dist)
         out = round_bisection(f, pr.h, gamma, d=d, allow_large_residual=True)
-        return f, dist, out.reduced, f.coefficient(())
+        return f, dist, out.reduced, f.coefficient(()), step
     out = round_global(f, dist, gamma, d=d, allow_large_variance=True)
-    return f, dist, out.reduced, F(0)
+    return f, dist, out.reduced, F(0), step
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(reductions())
 def test_reduced_plus_base_correction_equals_f_on_the_slice(drawn):
     # enumerate_kernel maximizes reduced + base_correction over the kernel
-    # alone; that is f's maximum over the slice only if the two agree there
-    f, card, reduced, base_correction = drawn
+    # alone; that is f's maximum over the slice only if the two agree there.
+    # The kernel step's reduced table is f on the slice with no correction,
+    # and its kernel is the variables that table uses.
+    f, card, reduced, base_correction, step = drawn
+    step_reduced = MultilinearPoly.from_numerators(f.n, step.den, step.reduced)
     for a in slice_assignments(card):
         assert reduced.evaluate(a) + base_correction == f.evaluate(a)
+        assert step_reduced.evaluate(a) == f.evaluate(a)
+    assert step.kernel == tuple(sorted(active_variables(step_reduced)))
 
 
 def test_round_bisection_rejects_non_multiples():
@@ -545,7 +552,7 @@ def biased_polys(draw):
 def _level_scan(f_cur, level):
     _, table = int_numerators({s: c for s, c in f_cur.coeffs.items()
                                if s.bit_count() == level}, "the scan")
-    return _LevelScan(f_cur.n, level, table)
+    return _LevelSolve(f_cur.n, level, table)
 
 
 def _int_survivors(f_cur, level):
@@ -567,7 +574,7 @@ def test_int_scan_matches_fraction_scan(drawn):
         assert _int_survivors(f_cur, level) == [
             survivors_reference(f_cur, cand, level, shift)
             for cand in combinations(range(1, f.n + 1), level)]
-        assert subset_of(_best_candidate(_level_scan(f_cur, level), exit_threshold)) == winner
+        assert subset_of(_level_scan(f_cur, level).best(exit_threshold)) == winner
     out = round_global(f, dist, gamma, d=d, variance=var, allow_large_variance=True)
     assert out.h == h_ref
     assert out.reduced == reduced_ref
@@ -626,7 +633,7 @@ def test_best_candidate_matches_reference_loop_at_any_exit_threshold(drawn, pick
             best_count, winner = count, cand
             if count >= exit_threshold:
                 break
-    assert subset_of(_best_candidate(_level_scan(f, level), exit_threshold)) == winner
+    assert subset_of(_level_scan(f, level).best(exit_threshold)) == winner
 
 
 def test_scans_of_one_size_share_only_the_unchanging_shape():
@@ -639,15 +646,15 @@ def test_scans_of_one_size_share_only_the_unchanging_shape():
     f1, f2 = (to_polynomial(random_instance(rng, n, level, 12)) for _ in range(2))
     assert {s for s in f1.coeffs if s.bit_count() == level} - set(f2.coeffs)
     first = _level_scan(f1, level)
-    _best_candidate(first, n + 1)
-    shape = first.solve.shape
+    first.best(n + 1)
+    shape = first.shape
     assert first.sets != shape.sets                 # the first scan reordered its own copy
     second = _level_scan(f2, level)
-    assert second.solve.shape is shape
+    assert second.shape is shape
     cands = list(combinations(range(1, n + 1), level))
     counts = [survivors_reference(f2, cand, level, shift) for cand in cands]
     assert [second.survivors(mask_of(cand, n), -1) for cand in cands] == counts
-    assert subset_of(_best_candidate(second, n + 1)) == cands[counts.index(max(counts))]
+    assert subset_of(second.best(n + 1)) == cands[counts.index(max(counts))]
     assert set(shape.zeros.values()) == {0}
     assert [t for t, _ in shape.sets] == [mask_of(cand, n) for cand in cands]
 
@@ -697,7 +704,7 @@ def test_projection_and_rounding_report_one_residual(inst):
 
 
 def test_path_reduces_to_a_constant_term():
-    # decide's walk adds fhat(0) to a reduced table that has a constant of its own
+    # round_bisection leaves fhat(0) out of a reduction that has a constant of its own
     f = to_polynomial(path_graph(6))
     proj = project_null(f, CardinalDist(6, F(1, 2)))
     out = round_bisection(f, proj.h, F(1, 4), d=2, allow_large_residual=True)

@@ -13,6 +13,7 @@ import cardcsp.cardinal_dist as cardinal_dist
 import cardcsp.poly as poly
 import cardcsp.solver as solver
 from cardcsp.cardinal_dist import CardinalDist, chi_expectation, chi_variance
+from cardcsp.cli import main
 from cardcsp.config import DEFAULT_CONFIG, SolverConfig, parse_config
 from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality, constraint_count,
                                to_polynomial)
@@ -518,6 +519,23 @@ def test_config_rejects_unread_keys_and_bad_values():
     for line in ("threads = 2", "float_tol = 1e-9", "enum_cap = lots", "p0 = 1/0"):
         with pytest.raises(InputError):
             parse_config(line)
+
+
+@pytest.mark.parametrize("line", [
+    "enum_cap = 1_000", "dense_cap = \u0663\u0660", "kernel_cap = +12", "kernel_cap = 0x10",
+    "enum_cap = " + "1" * 4000],
+    ids=["underscore", "arabic-indic", "sign", "hex", "4000-digits"])
+def test_config_reads_caps_in_ascii_digits_only(line, capsys, tmp_path):
+    # int() read these as 1000, 30, 12 and a 4,000-digit cap
+    key = line.split()[0]
+    with pytest.raises(InputError, match=f"config line 1: bad value for {key}: {key} "):
+        parse_config(line)
+    config, instance = tmp_path / "bad.cfg", tmp_path / "k4.csp"
+    config.write_text(line + "\n")
+    instance.write_text("csp 4 1 2 1/2\nc 2 1 2\ns +1 -1\ns -1 +1\n")
+    assert main(["solve", "--instance", str(instance), "--t", "1",
+                 "--config", str(config)]) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
 
 
 def test_config_bounds_the_bias_floor():
