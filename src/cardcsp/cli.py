@@ -16,8 +16,8 @@ from fractions import Fraction
 from .cardinal_dist import _chi_mean_variance, delta_sequence, mc_moment
 from .config import DEFAULT_CONFIG, load_config
 from .csp_model import _compile, parse_instance, to_polynomial
-from .errors import CardCspError, InputError
-from .exact import parse_rational, scalar_json
+from .errors import CardCspError, InputError, ResourceError
+from .exact import number_str, parse_count, parse_rational, scalar_json
 from .oracle import brute_average, brute_force_decision, brute_opt, hyper_ratio
 from .poly import Basis, convert_basis
 from .solver import _kernel_step, decide, fourth_moment_bound
@@ -40,6 +40,15 @@ def _fraction(text: str) -> Fraction:
         return parse_rational(text)
     except InputError as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {exc}") from None
+
+
+def _count(text: str) -> int:
+    """argparse type for a count such as 12, in the instance format's
+    grammar (exact.parse_count); a bad value is a usage error."""
+    try:
+        return parse_count("value", text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_instance(path: str):
@@ -105,6 +114,9 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.mc > DEFAULT_CONFIG.enum_cap:   # each sample is a slice point visited
+        raise ResourceError(f"{number_str(args.mc)} Monte Carlo samples exceed "
+                            f"enum cap {DEFAULT_CONFIG.enum_cap}")
     inst, card = _load_instance(args.instance)
     avg, var = _chi_mean_variance(*_compile(inst), card)
     doc = {
@@ -176,38 +188,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.set_defaults(func=_cmd_kernel)
 
     p_spectra = sub.add_parser("spectra", help="eigen report of the moment forms")
-    p_spectra.add_argument("--n", type=int, required=True)
-    p_spectra.add_argument("--d", type=int, required=True)
+    p_spectra.add_argument("--n", type=_count, required=True)
+    p_spectra.add_argument("--d", type=_count, required=True)
     p_spectra.add_argument("--p", type=_fraction, required=True)
     p_spectra.add_argument("--kind", choices=["A", "B"], default="A")
     p_spectra.add_argument("--entries", choices=["exact", "simplified"],
                            default="exact")
-    p_spectra.add_argument("--dense-cap", type=int, default=DEFAULT_CONFIG.dense_cap)
+    p_spectra.add_argument("--dense-cap", type=_count, default=DEFAULT_CONFIG.dense_cap)
     p_spectra.set_defaults(func=_cmd_spectra)
 
     p_delta = sub.add_parser("delta", help="moment coefficients of the slice")
-    p_delta.add_argument("--n", type=int, required=True)
+    p_delta.add_argument("--n", type=_count, required=True)
     p_delta.add_argument("--p", type=_fraction, required=True)
-    p_delta.add_argument("--kmax", type=int, required=True)
+    p_delta.add_argument("--kmax", type=_count, required=True)
     p_delta.set_defaults(func=_cmd_delta)
 
     p_moments = sub.add_parser("moments", help="closed-form slice moments of an instance")
     p_moments.add_argument("--instance", required=True)
-    p_moments.add_argument("--mc", type=int, default=0,
+    p_moments.add_argument("--mc", type=_count, default=0,
                            help="also run a Monte Carlo check with this many samples")
-    p_moments.add_argument("--power", type=int, default=2, choices=[1, 2, 4])
+    p_moments.add_argument("--power", type=_count, default=2, choices=[1, 2, 4])
     p_moments.add_argument("--seed", type=int, default=0)
     p_moments.set_defaults(func=_cmd_moments)
 
     p_hyper = sub.add_parser("hyper", help="fourth-moment ratio versus the bound")
     p_hyper.add_argument("--instance", required=True)
-    p_hyper.add_argument("--enum-cap", type=int, default=DEFAULT_CONFIG.enum_cap)
+    p_hyper.add_argument("--enum-cap", type=_count, default=DEFAULT_CONFIG.enum_cap)
     p_hyper.set_defaults(func=_cmd_hyper)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive ground truth")
     p_oracle.add_argument("--instance", required=True)
     p_oracle.add_argument("--t", type=int, default=None)
-    p_oracle.add_argument("--enum-cap", type=int, default=DEFAULT_CONFIG.enum_cap)
+    p_oracle.add_argument("--enum-cap", type=_count, default=DEFAULT_CONFIG.enum_cap)
     p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 
@@ -216,6 +228,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse of Python 3.11 reads an option's value "--" as [] and
+        # calls no type on it; no option here takes a list
+        if any(isinstance(value, list) for value in vars(args).values()):
+            parser.error("an option's value is '--'")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

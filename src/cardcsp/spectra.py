@@ -13,17 +13,23 @@ is exactly span{(sum_i phi_i) phi_S : |S| <= d-1} because the constraint
 polynomial vanishes on the support.  The variance form subtracts
 delta_{|S|} * delta_{|T|} and drops the empty-set row/column.
 
-The projection onto that null space builds no Gram matrix.  Its Gram
-operator (two passes of the constraint product poly.times_constraint_table,
-the second with top = deg f, so it forms only the levels below deg f)
-commutes with S_n, so one small closed-form block per harmonic weight gives
-a polynomial that annihilates it, and the normal equations are solved by
-that polynomial.  The solve is the core _project: at p = 1/2
-every value from f's numerators to h = y / D is an int over one
-denominator (off p = 1/2 the same lines run on QE scalars), and it forms
-no residual; at deg f = 0 it returns an empty y.  project_null is its
-wrapper: it forms the residual (poly.reduce_by_constraint) and turns each
-output coefficient into a Fraction once.
+The projection onto that null space builds no Gram matrix, and solves no
+system per instance.  Its Gram operator (two passes of the constraint
+product poly.times_constraint_table, the second with top = deg f, so it
+forms only the levels below deg f) commutes with S_n, so one small
+closed-form block per harmonic weight gives a polynomial that annihilates
+it, and the normal equations are solved by that polynomial.  The whole map
+from f to h commutes with S_n too, so the coefficient of f_S in h_T depends
+on (|S|, |T|, |S n T|) alone (the Johnson scheme): _projection_weights
+solves the normal equations by that polynomial once per (n, deg f, q), on
+one unit table per level, and caches the few numbers it reads off.  The
+core _project evaluates that operator on f's numerators through superset
+sums, with no constraint product: at p = 1/2 every value from f's
+numerators to h = y / D is an int over one denominator (off p = 1/2 the
+same lines run on QE scalars), and it forms no residual; at deg f = 0 it
+returns an empty y.  project_null is its wrapper: it forms the residual
+(poly.reduce_by_constraint) and turns each output coefficient into a
+Fraction once.
 
 The spectra come from the same kind of blocks: a form commutes with S_n, so
 on the ladder U^i v / i! of a harmonic v of weight j it is one small matrix,
@@ -43,6 +49,7 @@ is the closed form sum_{even i <= d-k} ((i-1)!!)^2 / i!.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -269,7 +276,7 @@ def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000) -> EigenSummary
     Clusters are grouped within 10/n of each other and matched to the
     nearest closed-form value.  dense_cap bounds the form's dimension."""
     n, d = form.n, form.d
-    size = sum(comb(n, k) for k in range(d + 1)) - (form.kind == "B")
+    size = sum(comb(n, k) for k in range(min(d, n) + 1)) - (form.kind == "B")
     if size > dense_cap:
         raise ResourceError(f"form of dimension {size} exceeds cap {dense_cap}")
     null_dim = 0
@@ -283,19 +290,27 @@ def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000) -> EigenSummary
                        for _ in range(multiplicity))
     nonzero.sort()
     gap = 10.0 / form.n
-    clusters: List[EigenCluster] = []
-    candidates = [float(eigenvalue_closed_form(form.d, k))
-                  for k in range(0 if form.kind == "A" else 1, form.d + 1)]
-    start = 0
+    groups, start = [], 0
     for i in range(1, len(nonzero) + 1):
         if i == len(nonzero) or nonzero[i] - nonzero[i - 1] > gap:
-            vals = nonzero[start:i]
-            center = sum(vals) / len(vals)
-            nearest = min(candidates, key=lambda c: abs(c - center)) if candidates else float("nan")
-            clusters.append(EigenCluster(value=center, multiplicity=len(vals),
-                                         closed_form=nearest,
-                                         gap=abs(center - nearest)))
+            groups.append(nonzero[start:i])
             start = i
+    centers = [sum(vals) / len(vals) for vals in groups]
+    # The closed forms of k = d .. 0 (1 for kind B) rise with d - k, so none
+    # past the first above every center can be nearest: d bounds no loop.
+    candidates: List[float] = []
+    top = max(centers, default=0.0)
+    for k in range(d, -1 if form.kind == "A" else 0, -1):
+        candidates.append(float(eigenvalue_closed_form(d, k)))
+        if candidates[-1] > top:
+            break
+    clusters: List[EigenCluster] = []
+    for vals, center in zip(groups, centers):
+        # ties go to the larger closed form
+        nearest = (min(candidates, key=lambda c: (abs(c - center), -c)) if candidates
+                   else float("nan"))
+        clusters.append(EigenCluster(value=center, multiplicity=len(vals),
+                                     closed_form=nearest, gap=abs(center - nearest)))
     return EigenSummary(n=form.n, d=form.d, p=form.p, kind=form.kind,
                         null_dim=null_dim, nonzero_eigenvalues=nonzero,
                         clusters=clusters)
@@ -330,8 +345,10 @@ def project_null(f: MultilinearPoly, dist: GlobalCardinality,
     accepted at p = 1/2 where the bases coincide.
 
     The solve is the core _project on g_0 = g / den with int numerators g
-    (QEs off p = 1/2, den = 1): it returns y, the Horner sum on
-    numerators, and D = -s_0 den, so h = y / D.  This wrapper forms the
+    (QEs off p = 1/2, den = 1): it returns y and D = -s_0 den, so
+    h = y / D, reading y off the operator that _projection_weights caches
+    per (n, deg f, q); that cache's builder is the one place the sum above
+    runs, by Horner, on one unit table per level.  This wrapper forms the
     residual (-s_0 g - A y) / D, and divides each output coefficient by D
     once.
     """
@@ -361,20 +378,85 @@ def project_null(f: MultilinearPoly, dist: GlobalCardinality,
 def _project(g: Dict[int, Scalar], den: Scalar, n: int, d: int,
              q: Scalar) -> Tuple[Dict[int, Scalar], Scalar]:
     """(y, D) with h = y / D: project_null's solve on the numerators g of
-    f minus its constant over den, d = deg f (y is empty at d = 0).  y is
-    the Horner sum sum_{k>=1} s_k G^{k-1} b on numerators and
-    D = -s_0 den.  Ints at p = 1/2 (q = 0); the residual is formed only by
-    callers that read it."""
-    b = times_constraint_table(g, n, q, top=d)
-    s = _gram_annihilator(n, d, q)
+    f minus its constant over den, d = deg f (y is empty at d = 0), read
+    from the cached operator _projection_weights(n, d, q):
+
+      y_T = sum_{U <= T} sum_k w[k][|T|][|U|] F_k(U),
+      F_k(U) = sum of g_S over |S| = k, S >= U,
+
+    for every T on the levels below d, zero entries dropped, and
+    D = -s_0 den.  The superset sums take one pass over the submasks of
+    each term, so the cost is O(terms 2^d + sum_{l<d} C(n, l) 2^l).  Ints
+    at p = 1/2 (q = 0); the residual is formed only by callers that read
+    it."""
+    s0, weights = _projection_weights(n, d, q)
+    sums = [defaultdict(int) for _ in range(d + 1)]     # sums[k][U] = F_k(U)
+    for mask, c in g.items():
+        k = mask.bit_count()
+        row = sums[k]
+        sub = mask if k < d else (mask - 1) & mask
+        while sub:
+            row[sub] += c
+            sub = (sub - 1) & mask
+        row[0] += c
+    levels = [defaultdict(int) for _ in range(d)]       # levels[l][U], l = |T|
+    for k in range(1, d + 1):
+        for sub, value in sums[k].items():
+            j = sub.bit_count()
+            for l in range(j, d):
+                levels[l][sub] += weights[k][l][j] * value
     y: Dict[int, Scalar] = {}
-    for coeff in reversed(s[1:]):   # Horner: y = sum_{k>=1} s_k G^{k-1} b
-        image = times_constraint_table(y, n, q)
-        image.pop(0, None)
-        y = times_constraint_table(image, n, q, top=d)
-        for mask, c in b.items():
-            y[mask] = y[mask] + coeff * c if mask in y else coeff * c
-    return y, -s[0] * den
+    bits = [1 << i for i in range(n)]
+    for l, table in enumerate(levels):
+        empty = table.pop(0, 0)
+        for mask in map(sum, combinations(bits, l)):
+            total, sub = empty, mask
+            while sub:
+                if sub in table:
+                    total += table[sub]
+                sub = (sub - 1) & mask
+            if total:
+                y[mask] = total
+    return y, -s0 * den
+
+
+@lru_cache(maxsize=256)
+def _projection_weights(n: int, d: int,
+                        q: Scalar) -> Tuple[Scalar, Tuple[Tuple[Tuple[Scalar, ...], ...], ...]]:
+    """(s_0, w): _project's operator for (n, d, q), cached per (n, d, q),
+    up to 256 entries, as tuples that no caller can change.
+
+    The map g -> y commutes with S_n, so the coefficient of g_S in y_T is
+    c[k][l][i], a function of k = |S|, l = |T| and i = |S n T| alone (the
+    Johnson scheme).  Its binomial transform
+    w[k][l][j] = sum_i (-1)^(j-i) C(j, i) c[k][l][i] gives
+    c[k][l][i] = sum_{j<=i} C(i, j) w[k][l][j], one term per U <= S n T,
+    which is _project's sum over U.  c[k] is read from the one solve of
+    the normal equations on the unit table {S_k = {1..k}: 1}: with s from
+    _gram_annihilator and G = A P_0 A cut to levels < d, A the constraint
+    product, y = sum_{k>=1} s_k G^(k-1) b by Horner, b = A g cut the same
+    way.  Where G is singular (only if n <= 2d - 2) that is the
+    minimum-norm solution.  c[k][l][i] is y at {1..i} u {k+1..k+l-i}, 0
+    where no T meets S_k in i elements."""
+    s = _gram_annihilator(n, d, q)
+    weights: List[Tuple[Tuple[Scalar, ...], ...]] = [()]
+    for k in range(1, d + 1):
+        b = times_constraint_table({(1 << k) - 1: 1}, n, q, top=d)
+        y: Dict[int, Scalar] = {}
+        for coeff in reversed(s[1:]):
+            image = times_constraint_table(y, n, q)
+            image.pop(0, None)
+            y = times_constraint_table(image, n, q, top=d)
+            for mask, c in b.items():
+                y[mask] = y[mask] + coeff * c if mask in y else coeff * c
+        rows = []
+        for l in range(d):
+            c = [y.get((1 << i) - 1 | ((1 << (l - i)) - 1) << k, 0) if l - i <= n - k else 0
+                 for i in range(min(k, l) + 1)]
+            rows.append(tuple(sum((-1) ** (j - i) * comb(j, i) * c[i] for i in range(j + 1))
+                              for j in range(len(c))))
+        weights.append(tuple(rows))
+    return s[0], tuple(weights)
 
 
 def _over_ints(values) -> Tuple[int, List[Scalar]]:

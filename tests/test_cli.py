@@ -85,8 +85,9 @@ def test_delta_table(capsys):
 def test_delta_domain_error(capsys):
     code, _, err = run(capsys, ["delta", "--n", "4", "--p", "1/2", "--kmax", "9"])
     assert code == 2 and "kmax" in err
+    # a negative kmax is not a count: a usage error since the count reader
     code, _, err = run(capsys, ["delta", "--n", "6", "--p", "1/2", "--kmax", "-1"])
-    assert code == 2 and "kmax" in err
+    assert code == 64 and "kmax" in err
 
 
 def test_spectra_report(capsys):
@@ -268,6 +269,85 @@ def test_kernel_rejects_nonpositive_gamma_off_half(capsys, tmp_path, gamma):
 
 
 def test_spectra_rejects_negative_degree(capsys):
+    # read by the count reader, so a usage error; SetSymmetricForm's own
+    # check is test_spectra's test_set_symmetric_form_rejects_negative_degree
     code, doc, err = run(capsys, ["spectra", "--n", "6", "--d", "-1", "--p", "1/2"])
+    assert code == 64 and doc is None
+    assert "argument --d: value = '-1' is not a count in ASCII digits" in err
+
+
+COUNT_FLAGS = [
+    (["delta", "--p", "1/2", "--kmax", "2"], "--n", "10"),
+    (["delta", "--n", "10", "--p", "1/2"], "--kmax", "2"),
+    (["spectra", "--d", "2", "--p", "1/2"], "--n", "6"),
+    (["spectra", "--n", "6", "--p", "1/2"], "--d", "2"),
+    (["spectra", "--n", "6", "--d", "2", "--p", "1/2"], "--dense-cap", "2000"),
+    (["moments", "--instance", "P4"], "--mc", "20"),
+    (["moments", "--instance", "P4", "--mc", "20"], "--power", "2"),
+    (["hyper", "--instance", "P4"], "--enum-cap", "100"),
+    (["oracle", "--instance", "P4"], "--enum-cap", "100"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, good", COUNT_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in COUNT_FLAGS])
+def test_count_options_read_ascii_digits_only(capsys, p4_file, argv, flag, good):
+    # argparse's int read an underscore, a sign, surrounding whitespace
+    # and other scripts' digits; the count reader refuses each
+    argv = [p4_file if a == "P4" else a for a in argv]
+    code, want, _ = run(capsys, argv + [flag, good])
+    assert code == 0
+    code, doc, _ = run(capsys, argv + [flag, "0" + good])
+    assert (code, doc) == (0, want)
+    for bad in (good[0] + "_" + good[1:], "+" + good, "-" + good, " " + good,
+                good + "\n", good.replace("2", "\u0662").replace("0", "\u0660")
+                .replace("6", "\u0666").replace("1", "\u0661"), "", "1e3", "0x10"):
+        code, doc, err = run(capsys, argv + [f"{flag}={bad}"])
+        assert code == 64 and doc is None, bad
+        assert f"argument {flag}: value" in err and "Traceback" not in err
+    code, doc, err = run(capsys, argv + [f"{flag}={'9' * 1001}"])
+    assert code == 64 and "value has more than 1000 digits" in err
+
+
+def test_count_flags_refuse_underscores_signs_and_other_digits(capsys):
+    # int() read these as n = 10, kmax = 2 and n = 6
+    code, doc, err = run(capsys, ["delta", "--n", "1_0", "--p", "1/2", "--kmax", "\u0662"])
+    assert code == 64 and doc is None and "'1_0' is not a count" in err
+    code, doc, err = run(capsys, ["spectra", "--n", "+0_6", "--d", "2", "--p", "1/2"])
+    assert code == 64 and doc is None and "'+0_6' is not a count" in err
+
+
+def test_target_and_seed_stay_signed(capsys, k4_file):
+    # t <= 0 is a defined branch of decide; a seed is any int
+    code, doc, _ = run(capsys, ["solve", "--instance", k4_file, "--t", "-2"])
+    assert code == 0 and doc["branch"] == "LargeVariance"
+    code, doc, _ = run(capsys, ["moments", "--instance", k4_file, "--mc", "5", "--seed", "-3"])
+    assert code == 0 and doc["mc"]["seed"] == -3
+
+
+def test_monte_carlo_samples_are_capped_before_sampling(capsys, k4_file, monkeypatch):
+    import cardcsp.cli as cli
+    monkeypatch.setattr(cli, "mc_moment", _must_not_run)
+    code, doc, err = run(capsys, ["moments", "--instance", k4_file, "--mc", "1" + "0" * 30])
     assert code == 2 and doc is None
-    assert "d must be nonnegative" in err
+    assert "Monte Carlo samples exceed enum cap 10000000" in err
+
+
+def test_spectra_of_a_huge_degree_ends(capsys):
+    # the dimension sum and the closed forms used to loop d times
+    code, doc, _ = run(capsys, ["spectra", "--n", "6", "--d", "1" + "0" * 30, "--p", "1/2"])
+    _, at_n, _ = run(capsys, ["spectra", "--n", "6", "--d", "6", "--p", "1/2"])
+    assert code == 0
+    assert doc["null_dim"] == at_n["null_dim"]
+    assert [c["value"] for c in doc["clusters"]] == [c["value"] for c in at_n["clusters"]]
+
+
+@pytest.mark.parametrize("argv", [["delta", "--n=--", "--p", "1/2", "--kmax", "2"],
+                                  ["delta", "--n", "10", "--p=--", "--kmax", "2"],
+                                  ["solve", "--instance=--", "--t", "1"]])
+def test_an_option_valued_double_dash_is_a_usage_error(capsys, argv):
+    # argparse handed these on as [] past the option's type: a TypeError
+    # traceback and exit 1, or a domain error naming n = []
+    code, doc, err = run(capsys, argv)
+    assert code == 64 and doc is None
+    assert "an option's value is '--'" in err and "Traceback" not in err

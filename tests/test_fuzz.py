@@ -1,5 +1,7 @@
 """Seeded fuzzing of the text entry points: parse_instance, parse_config,
-and the CLI's rational options (--p of `delta`, --gamma of `kernel`).
+the CLI's rational options (--p of `delta`, --gamma of `kernel`) and its
+count options (--n and --kmax of `delta`; --n, --d and --dense-cap of
+`spectra`; --mc of `moments`; --enum-cap of `hyper` and `oracle`).
 
 Each input is a valid text with one to four mutations: a piece inserted or
 written over a character, a span deleted, or a line repeated.  The pieces
@@ -7,7 +9,8 @@ are the characters the grammars turn on (digits, sign, underscore, slash,
 point, exponent, '#', '=', whitespace), non-ASCII digits, and digit runs
 past the 1000-digit bound.  Every input must end in a result or a
 CardCspError, and every CLI run in exit code 0, 1, 2 or 64 with no
-traceback, each within PER_INPUT_S seconds.  Hypothesis runs derandomized,
+traceback, each within PER_INPUT_S seconds; a count option exits 64
+exactly when exact.parse_count refuses its text.  Hypothesis runs derandomized,
 so the inputs are the same on every run; the whole file takes a few
 seconds.
 """
@@ -20,10 +23,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from cardcsp import cli
 from cardcsp.cli import main
 from cardcsp.config import parse_config
 from cardcsp.csp_model import parse_instance
 from cardcsp.errors import CardCspError
+from cardcsp.exact import parse_count
 
 PER_INPUT_S = 2.0
 
@@ -121,3 +128,40 @@ def test_cli_rational_options_end_in_an_exit_code(instance_files, data):
     code, err = run_cli(argv)
     assert code in (0, 1, 2, 64)
     assert "Traceback" not in err
+
+
+# (argv without the option, the option, its valid value); INSTANCE stands for
+# the p = 1/2 instance file.
+COUNT_RUNS = [
+    (["delta", "--p", "1/2", "--kmax", "2"], "--n", "10"),
+    (["delta", "--n", "10", "--p", "1/2"], "--kmax", "3"),
+    (["spectra", "--d", "2", "--p", "1/2"], "--n", "6"),
+    (["spectra", "--n", "6", "--p", "1/2"], "--d", "2"),
+    (["spectra", "--n", "6", "--d", "2", "--p", "1/2"], "--dense-cap", "2000"),
+    (["moments", "--instance", "INSTANCE"], "--mc", "20"),
+    (["hyper", "--instance", "INSTANCE"], "--enum-cap", "100"),
+    (["oracle", "--instance", "INSTANCE"], "--enum-cap", "100"),
+]
+
+
+def is_count(text):
+    try:
+        parse_count("value", text)
+    except CardCspError:
+        return False
+    return True
+
+
+@FUZZ
+@given(st.data())
+def test_cli_count_options_end_in_an_exit_code(instance_files, data):
+    argv, flag, good = data.draw(st.sampled_from(COUNT_RUNS))
+    value = data.draw(mutated([good]))
+    argv = [instance_files[0] if a == "INSTANCE" else a for a in argv] + [f"{flag}={value}"]
+    # The sampler's time grows with an accepted --mc up to the enum cap; the
+    # reading of the count and the cap check are what this test drives.
+    with mock.patch.object(cli, "mc_moment", return_value=(0.0, 0.0)):
+        code, err = run_cli(argv)
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in err
+    assert (code == 64) == (not is_count(value)), (argv, err)

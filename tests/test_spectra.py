@@ -5,6 +5,7 @@ import sys
 import time
 import types
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,7 +17,7 @@ from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.oracle import brute_moment, brute_variance
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
-                          subset_of, up)
+                          subset_of, times_constraint_table, up)
 from cardcsp import spectra
 from cardcsp.spectra import (SetSymmetricForm, alpha_table, eigen_summary,
                              eigenvalue_closed_form, project_null,
@@ -497,6 +498,79 @@ def test_gram_annihilator_cache_matches_fresh_computation(n, d, q):
     assert isinstance(cached, tuple)
     assert cached == spectra._gram_annihilator.__wrapped__(n, d, q)
     assert spectra._gram_annihilator(n, d, q) is cached
+
+
+def _horner_project(g, den, n, d, q):
+    """(y, D) by the Horner solve of the normal equations on the numerators
+    g, y = sum_{k>=1} s_k G^(k-1) b and D = -s_0 den, explicit zeros
+    dropped: the per-instance route that _project's cached operator
+    replaced, and the builder of its weights."""
+    b = times_constraint_table(g, n, q, top=d)
+    s = spectra._gram_annihilator(n, d, q)
+    y = {}
+    for coeff in reversed(s[1:]):
+        image = times_constraint_table(y, n, q)
+        image.pop(0, None)
+        y = times_constraint_table(image, n, q, top=d)
+        for mask, c in b.items():
+            y[mask] = y[mask] + coeff * c if mask in y else coeff * c
+    return {mask: c for mask, c in y.items() if c}, -s[0] * den
+
+
+def _random_int_table(rng, n, d):
+    """Int numerators on levels 1..d, at least one on level d."""
+    levels = [[sum(c) for c in combinations([1 << i for i in range(n)], k)]
+              for k in range(d + 1)]
+    table = {rng.choice(levels[d]): rng.choice((-1, 1)) * rng.randint(1, 9)} if d else {}
+    pool = [mask for level in levels[1:] for mask in level]
+    for mask in rng.sample(pool, min(len(pool), rng.randint(0, 12))):
+        table[mask] = rng.randint(-9, 9)
+    return table
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_project_operator_matches_the_horner_sum_on_int_tables(n):
+    # d = 0 gives an empty y; G is singular where n <= 2d - 2 (n <= 6 here)
+    for d in range(min(4, n) + 1):
+        rng = random.Random(f"{n}:{d}")
+        for _ in range(3):
+            g, den = _random_int_table(rng, n, d), rng.randint(1, 9)
+            y, big_d = spectra._project(g, den, n, d, 0)
+            assert (y, big_d) == _horner_project(g, den, n, d, 0)
+            assert all(type(c) is int and c for c in y.values())
+            assert d or y == {}
+
+
+@pytest.mark.parametrize("p", [F(1, 3), F(1, 4)])
+def test_project_null_matches_the_horner_sum_on_qe_tables(p):
+    q = phi_square_q(p)
+    for n in range(p.denominator, 13, p.denominator):
+        for d in range(1, min(3, n) + 1):
+            rng = random.Random(f"{p}:{n}:{d}")
+            f = convert_basis(to_polynomial(random_instance(rng, n, d, n)), Basis.PHI, p)
+            g = {mask: c for mask, c in f.coeffs.items() if mask}
+            y, big_d = _horner_project(g, 1, n, f.degree_bound, q)
+            h = project_null(f, CardinalDist(n, p)).h
+            assert h.coeffs == {mask: c / big_d for mask, c in y.items()}
+
+
+def test_project_walks_no_constraint_product_per_instance(monkeypatch):
+    # the Horner loop survives only as the builder of the cached weights
+    g = {0b11: 4, 0b110: -2, 0b1: 3}
+    spectra._projection_weights(6, 2, 0)
+    monkeypatch.setattr(spectra, "times_constraint_table", None)
+    assert spectra._project(g, 8, 6, 2, 0)[0]
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (6, 2), (10, 2), (12, 3), (9, 4), (4, 3)])
+@pytest.mark.parametrize("q", [0, phi_square_q(F(1, 3))])
+def test_projection_weights_cache_matches_fresh_computation(n, d, q):
+    cached = spectra._projection_weights(n, d, q)
+    assert isinstance(cached, tuple)
+    assert all(isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+               for rows in cached[1])
+    assert cached == spectra._projection_weights.__wrapped__(n, d, q)
+    assert spectra._projection_weights(n, d, q) is cached
 
 
 @st.composite
