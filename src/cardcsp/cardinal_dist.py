@@ -193,32 +193,38 @@ def mc_moment(f: MultilinearPoly, dist: GlobalCardinality, k: int, n_samples: in
     """Monte Carlo estimate of E_{D_p}[f^k] with its standard error.
 
     Float-valued by design: this is the validation tool for parameter sizes
-    beyond exhaustive enumeration, not part of any exact code path.
+    beyond exhaustive enumeration, not part of any exact code path.  It
+    keeps no sample: the mean and the sum of squared deviations are two
+    passes over the same draw, replayed from one generator state.
     """
     if k not in (1, 2, 4):
         raise InputError("k must be 1, 2, or 4")
     if n_samples <= 0:
         raise InputError("need at least one sample")
-    rng = random.Random(seed)
+    state = random.Random(seed).getstate()
     coeffs = [(s, float(c)) for s, c in f.items_sorted()]
     if f.basis is Basis.PHI:
         pos = sqrt(f.p / (1 - f.p))
         neg = -sqrt((1 - f.p) / f.p)
     else:
         pos, neg = 1.0, -1.0
-    values = []
-    for _ in range(n_samples):
-        a = sample(dist, rng)
-        point = [pos if v > 0 else neg for v in a]
-        total = 0.0
-        for s, c in coeffs:
-            term = c
-            for i in s:
-                term *= point[i - 1]
-            total += term
-        values.append(total ** k)
-    mean = sum(values) / n_samples
+
+    def values():
+        rng = random.Random()
+        rng.setstate(state)
+        for _ in range(n_samples):
+            a = sample(dist, rng)
+            point = [pos if v > 0 else neg for v in a]
+            total = 0.0
+            for s, c in coeffs:
+                term = c
+                for i in s:
+                    term *= point[i - 1]
+                total += term
+            yield total ** k
+
+    mean = sum(values()) / n_samples
     if n_samples == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n_samples - 1)
+    var = sum((v - mean) ** 2 for v in values()) / (n_samples - 1)
     return mean, sqrt(var / n_samples)

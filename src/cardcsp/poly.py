@@ -19,8 +19,8 @@ On the bitmask keys, the adjoint pair up/down gives the constraint product
 (sum_i b_i - shift) * h as times_constraint, on tables as
 times_constraint_table (optionally only the levels below a top level), and
 g minus that product as reduce_by_constraint.  It is the one implementation
-of the product: the projection, the bisection rounding, the reconstruction
-and the scan all call these two.
+of the product: the projection's residual, the bisection rounding, the
+reconstruction and the scan all call these two.
 """
 
 from __future__ import annotations

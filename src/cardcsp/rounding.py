@@ -194,7 +194,7 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
 def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
                      h_nums: Dict[int, int], gamma: Fraction, d: int) -> IntOutcome:
     """round_bisection on int numerators: f = f_nums / den_f and
-    h_f = h_nums / den_h (den_h may be negative, as project's D).  f, h_f
+    h_f = h_nums / den_h (den_h of either sign).  f, h_f
     and every granularity of gamma_ladder go over one denominator den, so
     the residual, the snap and the reduction run on ints."""
     for a in f_nums.values():

@@ -14,24 +14,22 @@ polynomial vanishes on the support.  The variance form subtracts
 delta_{|S|} * delta_{|T|} and drops the empty-set row/column.
 
 The projection onto that null space builds no Gram matrix, and solves no
-system per instance.  Its Gram operator (two passes of the constraint
-product poly.times_constraint_table, the second with top = deg f, so it
-forms only the levels below deg f) commutes with S_n, so one small
-closed-form block per harmonic weight gives a polynomial that annihilates
-it, and the normal equations are solved by that polynomial.  The whole map
-from f to h commutes with S_n too, so the coefficient of f_S in h_T depends
-on (|S|, |T|, |S n T|) alone (the Johnson scheme): _projection_weights
-solves the normal equations by that polynomial once per (n, deg f, q), on
-one unit table per level, and caches the few numbers it reads off.  The
-core _project evaluates that operator on f's numerators through superset
-sums, with no constraint product: at p = 1/2 every value from f's
-numerators to h = y / D is an int over one denominator (off p = 1/2 the
-same lines run on QE scalars), and it forms no residual; at deg f = 0 it
-returns an empty y.  project_null is its wrapper: it forms the residual
+system per instance.  The map from f to h commutes with S_n, so the
+coefficient of f_S in h_T depends on (|S|, |T|, |S n T|) alone (the Johnson
+scheme).  _projection_weights reads those numbers once per (n, deg f, q)
+off the normal equations for one unit table {S_k} per level k, written on
+the orbits (|T|, |T n S_k|) of the stabiliser of S_k: at most
+d(d+1)/2 values, solved by the characteristic polynomial of that small
+system, so nothing in the build grows with n.  The core _project evaluates
+that operator on f's numerators through superset sums, with no constraint
+product: at p = 1/2 every value from f's numerators to h = y / D is an int
+over one positive denominator (off p = 1/2 the same lines run on QE
+scalars), and it forms no residual; at deg f = 0 it returns an empty y.
+project_null is its wrapper: it forms the residual
 (poly.reduce_by_constraint) and turns each output coefficient into a
 Fraction once.
 
-The spectra come from the same kind of blocks: a form commutes with S_n, so
+The spectra come from small blocks too: a form commutes with S_n, so
 on the ladder U^i v / i! of a harmonic v of weight j it is one small matrix,
 shared by the C(n,j) - C(n,j-1) such v and similar to a symmetric one (the
 ladder vectors are orthogonal).
@@ -60,8 +58,7 @@ from typing import Dict, List, Tuple
 from .cardinal_dist import GlobalCardinality, extend_slice_sequence
 from .errors import InputError, ResourceError
 from .exact import Scalar, _over_common_denominator, scalar_quotient
-from .poly import (Basis, MultilinearPoly, exact_bias, phi_square_q,
-                   reduce_by_constraint, times_constraint_table)
+from .poly import Basis, MultilinearPoly, exact_bias, phi_square_q, reduce_by_constraint
 
 
 def subsets_upto(n: int, d: int) -> List[int]:
@@ -337,20 +334,17 @@ def project_null(f: MultilinearPoly, dist: GlobalCardinality,
     empty-set component (the residual has no constant term).  h solves the
     normal equations G h = b exactly (the only mode is "exact"): G is A,
     then drop the constant, then A cut to levels < deg f, with A the
-    constraint product times_constraint_table, and b is A g_0 cut the same
-    way.  No Gram matrix is built: with s from _gram_annihilator,
-    h = -(1/s_0) sum_{k>=1} s_k G^{k-1} b.  Where G is singular (only if
-    n <= 2 deg f - 2, when a harmonic ladder ends below level deg f) that
-    is the minimum-norm h; the residual is unique either way.  Chi input is
-    accepted at p = 1/2 where the bases coincide.
+    constraint product, and b is A g_0 cut the same way.  Where G is
+    singular (only if n <= 2 deg f - 2) h is the minimum-norm solution; the
+    residual is unique either way.  Chi input is accepted at p = 1/2 where
+    the bases coincide.
 
     The solve is the core _project on g_0 = g / den with int numerators g
-    (QEs off p = 1/2, den = 1): it returns y and D = -s_0 den, so
-    h = y / D, reading y off the operator that _projection_weights caches
-    per (n, deg f, q); that cache's builder is the one place the sum above
-    runs, by Horner, on one unit table per level.  This wrapper forms the
-    residual (-s_0 g - A y) / D, and divides each output coefficient by D
-    once.
+    (QEs off p = 1/2, den = 1): it returns y and D = D_0 den, so h = y / D,
+    reading y off the operator that _projection_weights caches per
+    (n, deg f, q) over its denominator D_0.  This wrapper forms the
+    residual (D_0 g - A y) / D with poly.reduce_by_constraint, and divides
+    each output coefficient by D once.
     """
     if mode != "exact":
         raise InputError("mode must be 'exact'")
@@ -364,8 +358,8 @@ def project_null(f: MultilinearPoly, dist: GlobalCardinality,
     den, nums = _over_ints(g.values())
     g = dict(zip(g, nums))
     y, out_den = _project(g, den, n, d, q)
-    s0 = _gram_annihilator(n, d, q)[0]
-    r = reduce_by_constraint({mask: -s0 * c for mask, c in g.items()}, y, n, q)
+    d0 = _projection_weights(n, d, q)[0]
+    r = reduce_by_constraint({mask: d0 * c for mask, c in g.items()}, y, n, q)
     r.pop(0, None)
     return ProjectionResult(
         h=MultilinearPoly(n, {mask: scalar_quotient(c, out_den) for mask, c in y.items()},
@@ -385,11 +379,11 @@ def _project(g: Dict[int, Scalar], den: Scalar, n: int, d: int,
       F_k(U) = sum of g_S over |S| = k, S >= U,
 
     for every T on the levels below d, zero entries dropped, and
-    D = -s_0 den.  The superset sums take one pass over the submasks of
-    each term, so the cost is O(terms 2^d + sum_{l<d} C(n, l) 2^l).  Ints
-    at p = 1/2 (q = 0); the residual is formed only by callers that read
-    it."""
-    s0, weights = _projection_weights(n, d, q)
+    D = D_0 den, D_0 > 0.  The superset sums take one pass over the
+    submasks of each term, so the cost is
+    O(terms 2^d + sum_{l<d} C(n, l) 2^l).  Ints at p = 1/2 (q = 0); the
+    residual is formed only by callers that read it."""
+    d0, weights = _projection_weights(n, d, q)
     sums = [defaultdict(int) for _ in range(d + 1)]     # sums[k][U] = F_k(U)
     for mask, c in g.items():
         k = mask.bit_count()
@@ -417,46 +411,66 @@ def _project(g: Dict[int, Scalar], den: Scalar, n: int, d: int,
                 sub = (sub - 1) & mask
             if total:
                 y[mask] = total
-    return y, -s0 * den
+    return y, d0 * den
 
 
 @lru_cache(maxsize=256)
 def _projection_weights(n: int, d: int,
                         q: Scalar) -> Tuple[Scalar, Tuple[Tuple[Tuple[Scalar, ...], ...], ...]]:
-    """(s_0, w): _project's operator for (n, d, q), cached per (n, d, q),
+    """(D_0, w): _project's operator for (n, d, q), cached per (n, d, q),
     up to 256 entries, as tuples that no caller can change.
 
-    The map g -> y commutes with S_n, so the coefficient of g_S in y_T is
+    The map g -> h commutes with S_n, so the coefficient of g_S in h_T is
     c[k][l][i], a function of k = |S|, l = |T| and i = |S n T| alone (the
     Johnson scheme).  Its binomial transform
     w[k][l][j] = sum_i (-1)^(j-i) C(j, i) c[k][l][i] gives
     c[k][l][i] = sum_{j<=i} C(i, j) w[k][l][j], one term per U <= S n T,
-    which is _project's sum over U.  c[k] is read from the one solve of
-    the normal equations on the unit table {S_k = {1..k}: 1}: with s from
-    _gram_annihilator and G = A P_0 A cut to levels < d, A the constraint
-    product, y = sum_{k>=1} s_k G^(k-1) b by Horner, b = A g cut the same
-    way.  Where G is singular (only if n <= 2d - 2) that is the
-    minimum-norm solution.  c[k][l][i] is y at {1..i} u {k+1..k+l-i}, 0
-    where no T meets S_k in i elements."""
-    s = _gram_annihilator(n, d, q)
-    weights: List[Tuple[Tuple[Scalar, ...], ...]] = [()]
+    which is _project's sum over U.  The w are put over the lcm D_0 of
+    their denominators when all are rational, as at q = 0 (else D_0 = 1).
+
+    c[k] is h for the unit table {S_k = {1..k}: 1}, which is invariant
+    under the stabiliser of S_k, so h and every vector of its solve are
+    functions of the orbit (l, i) = (|T|, |T n S_k|), l - i <= n - k, and
+    the constraint product A acts on orbit values as
+    (A v)(l, i) = i v(l-1, i-1) + (l-i) v(l-1, i) + (k-i) v(l+1, i+1)
+                  + (n-k-l+i) v(l+1, i) + q l v(l, i).
+    The normal equations G h = b, G = A P_0 A cut to levels < d (P_0 drops
+    level 0) and b = A e_{S_k} cut the same way, are a system over at most
+    d(d+1)/2 orbit values.  G is self-adjoint, so with s its characteristic
+    polynomial stripped of its x factors, G s(G) = 0, and b lies in the
+    range of G: h = -(1/s_0) sum_{j>=1} s_j G^(j-1) b by Horner.  Where G is
+    singular (only if n <= 2d - 2) that is the minimum-norm solution.  No
+    step grows with n."""
+    weights: List[List[List[Scalar]]] = [[]]
     for k in range(1, d + 1):
-        b = times_constraint_table({(1 << k) - 1: 1}, n, q, top=d)
-        y: Dict[int, Scalar] = {}
+        # orbits by level, so orbit 0 is level 0 and the first `size` lie below d;
+        # a[r][m] is the coefficient of v(m) in (A v)(r)
+        orbits = [(l, i) for l in range(d + 1) for i in range(max(0, l + k - n), min(k, l) + 1)]
+        a = [[{(l - 1, i - 1): i, (l - 1, i): l - i, (l + 1, i + 1): k - i,
+               (l + 1, i): n - k - l + i, (l, i): q * l}.get(m, 0) for m in orbits]
+             for l, i in orbits]
+        size = sum(1 for l, _ in orbits if l < d)
+        gram = [[sum(a[r][m] * a[m][c] for m in range(1, len(orbits))) for c in range(size)]
+                for r in range(size)]
+        b = [a[r][orbits.index((k, k))] for r in range(size)]
+        s = _charpoly(gram)
+        while not s[0]:
+            s.pop(0)
+        y: List[Scalar] = [0] * size
         for coeff in reversed(s[1:]):
-            image = times_constraint_table(y, n, q)
-            image.pop(0, None)
-            y = times_constraint_table(image, n, q, top=d)
-            for mask, c in b.items():
-                y[mask] = y[mask] + coeff * c if mask in y else coeff * c
+            y = [sum(x * v for x, v in zip(row, y)) + coeff * b[r]
+                 for r, row in enumerate(gram)]
+        value = dict(zip(orbits, (scalar_quotient(v, -s[0]) for v in y)))
         rows = []
         for l in range(d):
-            c = [y.get((1 << i) - 1 | ((1 << (l - i)) - 1) << k, 0) if l - i <= n - k else 0
-                 for i in range(min(k, l) + 1)]
-            rows.append(tuple(sum((-1) ** (j - i) * comb(j, i) * c[i] for i in range(j + 1))
-                              for j in range(len(c))))
-        weights.append(tuple(rows))
-    return s[0], tuple(weights)
+            c = [value.get((l, i), 0) for i in range(min(k, l) + 1)]
+            rows.append([sum((-1) ** (j - i) * comb(j, i) * c[i] for i in range(j + 1))
+                         for j in range(len(c))])
+        weights.append(rows)
+    den, nums = _over_ints(w for rows in weights for row in rows for w in row)
+    flat = iter(nums)
+    return den, tuple(tuple(tuple(next(flat) for _ in row) for row in rows)
+                      for rows in weights)
 
 
 def _over_ints(values) -> Tuple[int, List[Scalar]]:
@@ -469,43 +483,10 @@ def _over_ints(values) -> Tuple[int, List[Scalar]]:
         return 1, values
 
 
-@lru_cache(maxsize=256)
-def _gram_annihilator(n: int, d: int, q: Scalar) -> Tuple[Scalar, ...]:
-    """Coefficients s_0 .. s_D (low to high, s_0 != 0) of a polynomial with
-    G s(G) = 0 for project_null's Gram operator G on levels < d.
-
-    G commutes with S_n, so it keeps each ladder U^i v (i < d-j) of a
-    harmonic v of weight j < d (down v = 0), and there A is tridiagonal:
-    A U^i v = U^{i+1} v + i(n-2j-i+1) U^{i-1} v + q(j+i) U^i v, by the sl_2
-    relation down U^i v = i(n-2j-i+1) U^{i-1} v (Proctor 1982).  Block K_j
-    is A, then P_0 (level 0 is the i = 0 row of weight 0), then A, cut to
-    i < d-j.  The product of det(x - K_j) annihilates G (a ladder that
-    ends early, U^i v = 0, only adds roots).  Its x factors are stripped:
-    G is symmetric, so G s(G) = 0 still holds.  It depends on (n, d, q)
-    alone, so it is cached per (n, d, q), up to 256 entries, as a tuple
-    that no caller can change."""
-    m: List[Scalar] = [1]
-    for j in range(d):
-        size = d - j
-        ladder = [[0] * (size + 1) for _ in range(size + 1)]
-        for i in range(size + 1):
-            ladder[i][i] = q * (j + i)
-            if i < size:
-                ladder[i + 1][i] = 1
-            if i:
-                ladder[i - 1][i] = i * (n - 2 * j - i + 1)
-        kept = range(1 if j == 0 else 0, size + 1)
-        block = [[sum(ladder[a][k] * ladder[k][c] for k in kept) for c in range(size)]
-                 for a in range(size)]
-        m = _poly_mul(m, _charpoly(block))
-    while not m[0]:
-        m.pop(0)
-    return tuple(_over_ints(m)[1])
-
-
 def _charpoly(m: List[List[Scalar]]) -> List[Scalar]:
     """det(x I - m), coefficients low to high (Faddeev-LeVerrier):
-    M_k = m M_{k-1} + c_{size-k+1} I and c_{size-k} = -tr(m M_k) / k."""
+    M_k = m M_{k-1} + c_{size-k+1} I and c_{size-k} = -tr(m M_k) / k.  On
+    an int matrix every c is an int, so the division is exact there."""
     size = len(m)
     coeffs: List[Scalar] = [0] * size + [1]
     acc = [[0] * size for _ in range(size)]
@@ -514,13 +495,5 @@ def _charpoly(m: List[List[Scalar]]) -> List[Scalar]:
                 + (coeffs[size - k + 1] if i == c else 0) for c in range(size)]
                for i in range(size)]
         trace = sum(m[i][l] * acc[l][i] for i in range(size) for l in range(size))
-        coeffs[size - k] = -trace * Fraction(1, k)
+        coeffs[size - k] = -trace // k if isinstance(trace, int) else -trace * Fraction(1, k)
     return coeffs
-
-
-def _poly_mul(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
-    out: List[Scalar] = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for k, y in enumerate(b):
-            out[i + k] = out[i + k] + x * y
-    return out

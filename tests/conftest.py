@@ -1,6 +1,7 @@
 """Shared generators: graphs as cut instances, random CSPs, random polynomials."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd
 import random
@@ -19,7 +20,7 @@ from cardcsp.rounding import (RoundingOutcome, active_bound_constant, gamma_ladd
                               round_bisection, round_global)
 from cardcsp.solver import (Verdict, _complete_witness, _feasible_layers,
                             certification_threshold, enumerate_kernel)
-from cardcsp.spectra import alpha_table, project_null, subsets_upto
+from cardcsp.spectra import _charpoly, _over_ints, alpha_table, project_null, subsets_upto
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -249,6 +250,47 @@ def dense_spectrum_reference(form):
 # References with chi and phi written out separately, for the code that
 # reads each basis through poly.basis_constants.
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def gram_annihilator_reference(n, d, q):
+    """Coefficients s_0 .. s_D (low to high, s_0 != 0) of a polynomial with
+    G s(G) = 0 for project_null's Gram operator G on levels < d: the ladder
+    route, independent of spectra's orbit build.
+
+    G commutes with S_n, so it keeps each ladder U^i v (i < d-j) of a
+    harmonic v of weight j < d (down v = 0), and there A is tridiagonal:
+    A U^i v = U^{i+1} v + i(n-2j-i+1) U^{i-1} v + q(j+i) U^i v, by the sl_2
+    relation down U^i v = i(n-2j-i+1) U^{i-1} v (Proctor 1982).  Block K_j
+    is A, then P_0 (level 0 is the i = 0 row of weight 0), then A, cut to
+    i < d-j.  The product of det(x - K_j) annihilates G (a ladder that
+    ends early, U^i v = 0, only adds roots).  Its x factors are stripped:
+    G is symmetric, so G s(G) = 0 still holds."""
+    m = [1]
+    for j in range(d):
+        size = d - j
+        ladder = [[0] * (size + 1) for _ in range(size + 1)]
+        for i in range(size + 1):
+            ladder[i][i] = q * (j + i)
+            if i < size:
+                ladder[i + 1][i] = 1
+            if i:
+                ladder[i - 1][i] = i * (n - 2 * j - i + 1)
+        kept = range(1 if j == 0 else 0, size + 1)
+        block = [[sum(ladder[a][k] * ladder[k][c] for k in kept) for c in range(size)]
+                 for a in range(size)]
+        m = _poly_mul(m, _charpoly(block))
+    while not m[0]:
+        m.pop(0)
+    return tuple(_over_ints(m)[1])
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] = out[i + k] + x * y
+    return out
+
 
 def constraint_poly(n, basis, p=None):
     """sum_i phi_i (or sum_i x_i in the chi basis): (constraint_poly - shift) * h

@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction as F
 from math import comb
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -280,6 +281,19 @@ def test_slice_sequences_reject_a_negative_index():
         dist.chi_moment(-2)
     with pytest.raises(InputError, match="kmax"):
         delta_sequence(6, F(1, 2), -1)
+
+
+def test_mc_moment_keeps_no_sample():
+    # the samples are drawn twice from one generator state, not stored: a
+    # list of 20,000 floats alone would trace 160 kB
+    f = MultilinearPoly.from_subsets(6, {(1,): F(1), (2, 3): F(-2)})
+    tracemalloc.start()
+    try:
+        mc_moment(f, CardinalDist(6, F(1, 2)), 2, 20000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
 
 
 def test_mc_moment_input_errors():

@@ -1,12 +1,14 @@
 """Golden outputs: decide's verdict JSON and the `cardcsp kernel` report on
-41 fixed instances at p in {1/2, 1/3}, n <= 10, d <= 3, pinned by digest.
+41 fixed instances at p in {1/2, 1/3}, n <= 10, d <= 3, and the 336 runs of
+a `cardcsp spectra` sweep, pinned by digest.
 
 A refactor that claims "every output unchanged" must leave each digest as
 it is; a changed witness tie-break, kernel, h or warning changes one.  The
 digests are the first 16 hex digits of the SHA-256 of each document's text
-(the verdict's to_json, the kernel report's stdout line).  Regenerate the
-table with `PYTHONPATH=src python tests/test_golden.py` only when an output
-is meant to change, and say which and why.
+(the verdict's to_json, the kernel report's stdout line; for the sweep,
+each run's exit code, stdout and stderr, in order).  Regenerate them with
+`PYTHONPATH=src python tests/test_golden.py` only when an output is meant
+to change, and say which and why.
 """
 
 import contextlib
@@ -65,6 +67,24 @@ def outputs(inst, p, directory):
     return verdict, out.getvalue()
 
 
+def spectra_sweep():
+    """The text of every `cardcsp spectra` run at p in {1/2, 1/3, 1/4}, n up
+    to 14 in multiples of p's denominator, d = 0..5, kinds A and B and both
+    entry conventions (n = 14, d = 5 exceeds the dense cap)."""
+    runs = []
+    for p in (F(1, 2), F(1, 3), F(1, 4)):
+        for n in range(p.denominator, 15, p.denominator):
+            for d in range(6):
+                for kind in "AB":
+                    for entries in ("exact", "simplified"):
+                        out, err = io.StringIO(), io.StringIO()
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            code = main(["spectra", "--n", str(n), "--d", str(d), "--p", str(p),
+                                         "--kind", kind, "--entries", entries])
+                        runs.append(f"{code}\n{out.getvalue()}{err.getvalue()}")
+    return runs
+
+
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -115,10 +135,19 @@ GOLDEN = {
 }
 
 
+SPECTRA_SWEEP = "a123a5e61fcb941e"
+
+
 @pytest.mark.parametrize("name, inst, p", golden_cases(), ids=[c[0] for c in golden_cases()])
 def test_outputs_match_golden_digests(name, inst, p, tmp_path):
     verdict, report = outputs(inst, p, str(tmp_path))
     assert (digest(verdict), digest(report)) == GOLDEN[name], (verdict, report)
+
+
+def test_spectra_sweep_matches_golden_digest():
+    runs = spectra_sweep()
+    assert len(runs) == 336
+    assert digest("".join(runs)) == SPECTRA_SWEEP
 
 
 if __name__ == "__main__":
@@ -126,3 +155,4 @@ if __name__ == "__main__":
         for name, inst, p in golden_cases():
             verdict, report = outputs(inst, p, directory)
             print(f'    "{name}": ("{digest(verdict)}", "{digest(report)}"),')
+    print(f'SPECTRA_SWEEP = "{digest("".join(spectra_sweep()))}"')

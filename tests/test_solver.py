@@ -559,6 +559,17 @@ def test_decide_scales_with_the_moments_it_reads():
     assert (v.avg, v.opt, v.kernel) == (F(1, 2), 1, (1,))
 
 
+@pytest.mark.parametrize("n, p", [(10000, F(1, 2)), (9999, F(1, 3))])
+def test_decide_one_constraint_at_ten_thousand_variables(n, p):
+    # the first step of scaling in n: about 0.1 s each on a shared 2-core
+    # host; n = 10^5 still spends 20 s in the p = 1/2 rounding's product
+    inst = CspInstance(n=n, d=1, constraints=(Constraint((1,), frozenset({(1,)})),))
+    start = time.perf_counter()
+    v = decide(inst, GlobalCardinality(n, p), 1)
+    assert time.perf_counter() - start < 2
+    assert (v.avg, v.opt, v.kernel) == (1 - p, 1, (1,))
+
+
 def test_decide_deterministic_json():
     inst = random_instance(__import__("random").Random(9), 9, 3, 12)
     card = GlobalCardinality(9, F(1, 3))

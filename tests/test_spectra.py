@@ -6,6 +6,7 @@ import time
 import types
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,16 +19,16 @@ from cardcsp.errors import InputError, ResourceError
 from cardcsp.oracle import brute_moment, brute_variance
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
                           subset_of, times_constraint_table, up)
-from cardcsp import spectra
+from cardcsp import poly, spectra
 from cardcsp.spectra import (SetSymmetricForm, alpha_table, eigen_summary,
                              eigenvalue_closed_form, project_null,
                              quadratic_form_value, subsets_upto, vk_eigenvalue_exact)
 
 from conftest import (build_dense, constraint_poly, csp_instances,
                       dense_spectrum_reference, dot, gauss_solve_reference,
-                      graph_instance, harmonic_basis, null_space_vector,
-                      nullspace_reference, random_instance, random_poly,
-                      rank_reference, vk_basis)
+                      gram_annihilator_reference, graph_instance, harmonic_basis,
+                      null_space_vector, nullspace_reference, random_instance,
+                      random_poly, rank_reference, vk_basis)
 
 
 def test_alpha_zero_at_half():
@@ -165,7 +166,6 @@ def test_vk_basis_partial_sums_vanish():
 
 
 def test_vk_dimension():
-    from math import comb
     n, d = 8, 2
     for k in (0, 1, 2):
         dim = comb(n, k) - (comb(n, k - 1) if k else 0)
@@ -215,7 +215,6 @@ def test_harmonic_basis_spans_the_up_row_null_space():
 
 @pytest.mark.parametrize("n", range(13))
 def test_harmonic_basis_is_harmonic_with_distinct_top_sets(n):
-    from math import comb
     for k in range(n + 2):
         basis = harmonic_basis(n, k)
         tops = []
@@ -331,7 +330,6 @@ def test_null_space_certification_exact():
 
 
 def test_eigen_summary_small_bisection():
-    from math import comb
     n, d = 24, 2
     t0 = time.monotonic()
     form_a = SetSymmetricForm(n=n, d=d, p=F(1, 2), kind="A")
@@ -383,7 +381,6 @@ def test_exact_vs_simplified_spectra_reported_off_half():
     n, d, p = 20, 2, F(1, 4)
     exact = eigen_summary(SetSymmetricForm(n=n, d=d, p=p, kind="A", exact=True))
     simplified = eigen_summary(SetSymmetricForm(n=n, d=d, p=p, kind="A", exact=False))
-    from math import comb
     assert exact.null_dim == comb(n, 1) + 1
     lo_e, hi_e = exact.nonzero_eigenvalues[0], exact.nonzero_eigenvalues[-1]
     lo_s = simplified.nonzero_eigenvalues[0] if simplified.nonzero_eigenvalues else 0.0
@@ -491,22 +488,13 @@ def test_project_null_matches_per_entry_gram_reference(case):
     assert pr.residual_norm_sq == residual.l2_norm_sq()
 
 
-@pytest.mark.parametrize("n, d", [(4, 1), (6, 2), (10, 2), (12, 3), (9, 4)])
-@pytest.mark.parametrize("q", [0, phi_square_q(F(1, 3))])
-def test_gram_annihilator_cache_matches_fresh_computation(n, d, q):
-    cached = spectra._gram_annihilator(n, d, q)
-    assert isinstance(cached, tuple)
-    assert cached == spectra._gram_annihilator.__wrapped__(n, d, q)
-    assert spectra._gram_annihilator(n, d, q) is cached
-
-
 def _horner_project(g, den, n, d, q):
     """(y, D) by the Horner solve of the normal equations on the numerators
-    g, y = sum_{k>=1} s_k G^(k-1) b and D = -s_0 den, explicit zeros
-    dropped: the per-instance route that _project's cached operator
-    replaced, and the builder of its weights."""
+    g over all n variables, y = sum_{k>=1} s_k G^(k-1) b and D = -s_0 den
+    with s from the ladder reference, explicit zeros dropped: the
+    per-instance route that _project's cached operator replaced."""
     b = times_constraint_table(g, n, q, top=d)
-    s = spectra._gram_annihilator(n, d, q)
+    s = gram_annihilator_reference(n, d, q)
     y = {}
     for coeff in reversed(s[1:]):
         image = times_constraint_table(y, n, q)
@@ -536,7 +524,10 @@ def test_project_operator_matches_the_horner_sum_on_int_tables(n):
         for _ in range(3):
             g, den = _random_int_table(rng, n, d), rng.randint(1, 9)
             y, big_d = spectra._project(g, den, n, d, 0)
-            assert (y, big_d) == _horner_project(g, den, n, d, 0)
+            ref_y, ref_d = _horner_project(g, den, n, d, 0)
+            assert {mask: F(c, big_d) for mask, c in y.items()} == {
+                mask: F(c, ref_d) for mask, c in ref_y.items()}
+            assert type(big_d) is int and big_d > 0
             assert all(type(c) is int and c for c in y.values())
             assert d or y == {}
 
@@ -554,12 +545,51 @@ def test_project_null_matches_the_horner_sum_on_qe_tables(p):
             assert h.coeffs == {mask: c / big_d for mask, c in y.items()}
 
 
+@pytest.mark.parametrize("q", [0, phi_square_q(F(1, 3))])
+def test_projection_weights_match_the_unit_table_horner_sum(q):
+    # c[k][l][i], the coefficient of g_S in h_T at |S| = k, |T| = l,
+    # |S n T| = i, read off the orbit-built weights and off the ladder
+    # reference's Horner solve on the unit table {S_k: 1} over all n
+    # variables; G is singular where n <= 2d - 2.  On QE scalars d > 2 runs
+    # to n = 7 only, as the whole grid takes 31 s there
+    for n in range(2, 17):
+        for d in range(min(4 if q == 0 or n <= 7 else 2, n) + 1):
+            d0, weights = spectra._projection_weights(n, d, q)
+            assert type(d0) is int and d0 > 0
+            for k in range(1, d + 1):
+                y, big_d = _horner_project({(1 << k) - 1: 1}, 1, n, d, q)
+                for l in range(d):
+                    for i in range(min(k, l) + 1):
+                        c = sum(comb(i, j) * weights[k][l][j] for j in range(i + 1))
+                        mask = (1 << i) - 1 | ((1 << (l - i)) - 1) << k
+                        want = y.get(mask, 0) if l - i <= n - k else 0
+                        assert c * big_d == want * d0, (n, d, k, l, i)
+
+
 def test_project_walks_no_constraint_product_per_instance(monkeypatch):
-    # the Horner loop survives only as the builder of the cached weights
-    g = {0b11: 4, 0b110: -2, 0b1: 3}
-    spectra._projection_weights(6, 2, 0)
-    monkeypatch.setattr(spectra, "times_constraint_table", None)
-    assert spectra._project(g, 8, 6, 2, 0)[0]
+    # neither the build of the weights nor the evaluation walks an n-bit
+    # table: the build works on orbit values, whose count is set by d alone
+    # (the evaluation runs at d = 3, as at d = 4 it visits 1.3e6 sets)
+    def must_not_run(*args):
+        raise AssertionError("walked an n-variable table")
+
+    monkeypatch.setattr(poly, "_flip_each", must_not_run)
+    spectra._projection_weights.cache_clear()
+    d0, weights = spectra._projection_weights(200, 4, 0)
+    assert len(weights) == 5 and type(d0) is int and d0 > 0
+    g = {0b111: 4, 0b110 << 150: -2, 1 << 199: 3}
+    y, big_d = spectra._project(g, 8, 200, 3, 0)
+    assert big_d == 8 * spectra._projection_weights(200, 3, 0)[0]
+    assert y and all(type(c) is int for c in y.values())
+
+
+def test_charpoly_stays_on_ints_for_int_matrices():
+    rng = random.Random(7)
+    for size in range(1, 11):
+        m = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        coeffs = spectra._charpoly(m)
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs == spectra._charpoly([[F(x) for x in row] for row in m])
 
 
 @pytest.mark.parametrize("n, d", [(4, 1), (6, 2), (10, 2), (12, 3), (9, 4), (4, 3)])
