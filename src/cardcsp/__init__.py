@@ -15,8 +15,7 @@ from .csp_model import (Constraint, CspInstance, GlobalCardinality,
 from .errors import (CardCspError, DegenerateInput, InputError, ParseError,
                      PreconditionError, ResourceError)
 from .poly import Assignment, Basis, MultilinearPoly, convert_basis
-from .rounding import (RoundingOutcome, active_variables, reconstruct_h,
-                       round_bisection, round_global)
+from .rounding import RoundingOutcome, reconstruct_h, round_bisection, round_global
 from .solver import Verdict, average, certification_threshold, decide, enumerate_kernel
 from .spectra import (AlphaTable, ProjectionResult, SetSymmetricForm, alpha_table,
                       eigen_summary, eigenvalue_closed_form, project_null)
@@ -30,8 +29,8 @@ __all__ = [
     "format_instance", "parse_instance", "to_polynomial", "CardCspError",
     "DegenerateInput", "InputError", "ParseError", "PreconditionError", "ResourceError",
     "Assignment", "Basis", "MultilinearPoly", "convert_basis", "RoundingOutcome",
-    "active_variables", "reconstruct_h", "round_bisection", "round_global", "Verdict",
-    "average", "certification_threshold", "decide", "enumerate_kernel", "AlphaTable",
+    "reconstruct_h", "round_bisection", "round_global", "Verdict", "average",
+    "certification_threshold", "decide", "enumerate_kernel", "AlphaTable",
     "ProjectionResult", "SetSymmetricForm", "alpha_table", "eigen_summary",
     "eigenvalue_closed_form", "project_null",
 ]

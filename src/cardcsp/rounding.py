@@ -86,11 +86,6 @@ from .exact import Scalar, check_exact, number_str, round_half_away
 from .poly import MultilinearPoly, chi_numerators, mask_of, reduce_by_constraint
 
 
-def active_variables(f: MultilinearPoly) -> FrozenSet[int]:
-    """Variables occurring in some nonzero coefficient of f."""
-    return frozenset(f.variables_used())
-
-
 def check_gamma(gamma) -> Fraction:
     """gamma as a Fraction; InputError unless it is a positive int or
     Fraction (a float's binary value is not the granularity meant)."""

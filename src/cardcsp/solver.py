@@ -241,7 +241,7 @@ def _capped_walk(table: Dict[int, int], kernel: Tuple[int, ...], card: GlobalCar
     points = sum(comb(len(kernel), j) for j in layers)
     if points > enum_cap:
         raise ResourceError(
-            f"kernel walk of {points} feasible points exceeds enumeration cap "
+            f"kernel walk of {number_str(points)} feasible points exceeds enumeration cap "
             f"{enum_cap}", payload=kernel)
     if len(kernel) > kernel_cap:
         raise ResourceError(f"kernel size {len(kernel)} exceeds cap {kernel_cap}",
@@ -318,7 +318,7 @@ def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
     unknowns = sum(comb(n, k) for k in range(degree))
     if unknowns > dense_cap:
         raise ResourceError(
-            f"projection with {unknowns} unknowns exceeds dense cap "
+            f"projection with {number_str(unknowns)} unknowns exceeds dense cap "
             f"{dense_cap}",
             payload=MultilinearPoly.from_numerators(n, den, table))
     y, den_h = _project({mask: c for mask, c in table.items() if mask}, den, n, degree, 0)

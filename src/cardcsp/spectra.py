@@ -16,18 +16,18 @@ delta_{|S|} * delta_{|T|} and drops the empty-set row/column.
 The projection onto that null space builds no Gram matrix, and solves no
 system per instance.  The map from f to h commutes with S_n, so the
 coefficient of f_S in h_T depends on (|S|, |T|, |S n T|) alone (the Johnson
-scheme).  _projection_weights reads those numbers once per (n, deg f, q)
-off the normal equations for one unit table {S_k} per level k, written on
-the orbits (|T|, |T n S_k|) of the stabiliser of S_k: at most
-d(d+1)/2 values, solved by the characteristic polynomial of that small
-system, so nothing in the build grows with n.  The core _project evaluates
-that operator on f's numerators through superset sums, with no constraint
-product: at p = 1/2 every value from f's numerators to h = y / D is an int
-over one positive denominator (off p = 1/2 the same lines run on QE
-scalars), and it forms no residual; at deg f = 0 it returns an empty y.
-project_null is its wrapper: it forms the residual
-(poly.reduce_by_constraint) and turns each output coefficient into a
-Fraction once.
+scheme).  _projection_weights reads those numbers once per (n, deg f, q) off
+the normal equations for one unit table {S_k} per level k, written on the
+orbits (|T|, |T n S_k|) of the stabiliser of S_k: at most d(d+1)/2 values,
+solved by the characteristic polynomial of that small system (_charpoly:
+Berkowitz's, with no division), so nothing in the build grows with n.  The
+core _project evaluates that operator on f's numerators through superset
+sums, with no constraint product: at p = 1/2 every value from f's numerators
+to h = y / D is an int over one positive denominator (off p = 1/2 the same
+lines run on QE scalars), and it forms no residual; at deg f = 0 it returns
+an empty y.  project_null is its wrapper: it forms the residual
+(poly.reduce_by_constraint) and turns each output coefficient into a Fraction
+once.
 
 The spectra come from small blocks too: a form commutes with S_n, so
 on the ladder U^i v / i! of a harmonic v of weight j it is one small matrix,
@@ -57,7 +57,7 @@ from typing import Dict, List, Tuple
 
 from .cardinal_dist import GlobalCardinality, extend_slice_sequence
 from .errors import InputError, ResourceError
-from .exact import Scalar, _over_common_denominator, scalar_quotient
+from .exact import MESSAGE_BITS, Scalar, _over_common_denominator, number_str, scalar_quotient
 from .poly import Basis, MultilinearPoly, exact_bias, phi_square_q, reduce_by_constraint
 
 
@@ -273,9 +273,14 @@ def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000) -> EigenSummary
     Clusters are grouped within 10/n of each other and matched to the
     nearest closed-form value.  dense_cap bounds the form's dimension."""
     n, d = form.n, form.d
-    size = sum(comb(n, k) for k in range(min(d, n) + 1)) - (form.kind == "B")
+    size = 0
+    for k in range(form.kind == "B", min(d, n) + 1):    # C(n, 0) counts the empty set
+        size += comb(n, k)
+        if size > dense_cap and size.bit_length() > MESSAGE_BITS:
+            break   # past the cap, and too long for number_str to write out
     if size > dense_cap:
-        raise ResourceError(f"form of dimension {size} exceeds cap {dense_cap}")
+        raise ResourceError(f"form of dimension {'at least ' * (size.bit_length() > MESSAGE_BITS)}"
+                            f"{number_str(size)} exceeds cap {dense_cap}")
     null_dim = 0
     nonzero: List[float] = []
     for j in range(min(d, n // 2) + 1):
@@ -484,16 +489,17 @@ def _over_ints(values) -> Tuple[int, List[Scalar]]:
 
 
 def _charpoly(m: List[List[Scalar]]) -> List[Scalar]:
-    """det(x I - m), coefficients low to high (Faddeev-LeVerrier):
-    M_k = m M_{k-1} + c_{size-k+1} I and c_{size-k} = -tr(m M_k) / k.  On
-    an int matrix every c is an int, so the division is exact there."""
-    size = len(m)
-    coeffs: List[Scalar] = [0] * size + [1]
-    acc = [[0] * size for _ in range(size)]
-    for k in range(1, size + 1):
-        acc = [[sum(m[i][l] * acc[l][c] for l in range(size))
-                + (coeffs[size - k + 1] if i == c else 0) for c in range(size)]
-               for i in range(size)]
-        trace = sum(m[i][l] * acc[l][i] for i in range(size) for l in range(size))
-        coeffs[size - k] = -trace // k if isinstance(trace, int) else -trace * Fraction(1, k)
-    return coeffs
+    """det(x I - m), coefficients low to high, with no division (Berkowitz,
+    IPL 18, 1984): bordering the leading k x k block B with its column col,
+    row r and corner a multiplies the polynomial so far, high to low, by
+    1, -a, -r col, -r B col, ..., -r B^(k-1) col, cut to k + 2 terms."""
+    coeffs: List[Scalar] = [1]
+    for k, row in enumerate(m):
+        col = [m[i][k] for i in range(k)]
+        factor = [1, -row[k]]
+        for _ in range(k):
+            factor.append(-sum(x * v for x, v in zip(row, col)))
+            col = [sum(x * v for x, v in zip(m[i], col)) for i in range(k)]
+        coeffs = [sum(factor[i - j] * coeffs[j] for j in range(min(i, k) + 1))
+                  for i in range(k + 2)]
+    return coeffs[::-1]

@@ -20,7 +20,7 @@ from cardcsp.rounding import (RoundingOutcome, active_bound_constant, gamma_ladd
                               round_bisection, round_global)
 from cardcsp.solver import (Verdict, _complete_witness, _feasible_layers,
                             certification_threshold, enumerate_kernel)
-from cardcsp.spectra import _charpoly, _over_ints, alpha_table, project_null, subsets_upto
+from cardcsp.spectra import _over_ints, alpha_table, project_null, subsets_upto
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
@@ -255,7 +255,7 @@ def dense_spectrum_reference(form):
 def gram_annihilator_reference(n, d, q):
     """Coefficients s_0 .. s_D (low to high, s_0 != 0) of a polynomial with
     G s(G) = 0 for project_null's Gram operator G on levels < d: the ladder
-    route, independent of spectra's orbit build.
+    route, independent of spectra's orbit build and of its _charpoly.
 
     G commutes with S_n, so it keeps each ladder U^i v (i < d-j) of a
     harmonic v of weight j < d (down v = 0), and there A is tridiagonal:
@@ -278,10 +278,26 @@ def gram_annihilator_reference(n, d, q):
         kept = range(1 if j == 0 else 0, size + 1)
         block = [[sum(ladder[a][k] * ladder[k][c] for k in kept) for c in range(size)]
                  for a in range(size)]
-        m = _poly_mul(m, _charpoly(block))
+        m = _poly_mul(m, faddeev_leverrier_reference(block))
     while not m[0]:
         m.pop(0)
     return tuple(_over_ints(m)[1])
+
+
+def faddeev_leverrier_reference(m):
+    """det(x I - m), coefficients low to high (Faddeev-LeVerrier):
+    M_k = m M_{k-1} + c_{size-k+1} I and c_{size-k} = -tr(m M_k) / k.  On
+    an int matrix every c is an int, so the division is exact there."""
+    size = len(m)
+    coeffs = [0] * size + [1]
+    acc = [[0] * size for _ in range(size)]
+    for k in range(1, size + 1):
+        acc = [[sum(m[i][l] * acc[l][c] for l in range(size))
+                + (coeffs[size - k + 1] if i == c else 0) for c in range(size)]
+               for i in range(size)]
+        trace = sum(m[i][l] * acc[l][i] for i in range(size) for l in range(size))
+        coeffs[size - k] = -trace // k if isinstance(trace, int) else -trace * Fraction(1, k)
+    return coeffs
 
 
 def _poly_mul(a, b):

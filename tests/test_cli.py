@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -266,6 +267,20 @@ def test_kernel_rejects_nonpositive_gamma_off_half(capsys, tmp_path, gamma):
     code, doc, err = run(capsys, ["kernel", "--instance", str(path), f"--gamma={gamma}"])
     assert code == 2 and doc is None
     assert "gamma must be positive" in err
+
+
+@pytest.mark.parametrize("n, d, dimension", [
+    ("14", "5", "3473"), ("20", "6", "60460"),
+    ("14400", "14400", "at least <a number of about 62 digits>")])
+def test_spectra_refuses_a_form_past_the_cap_before_summing_it(capsys, n, d, dimension):
+    # the form's dimension C(14400, 0) + ... + C(14400, 14400) = 2^14400 took
+    # 30 s to sum, then raised ValueError from str() past 4,300 digits (exit
+    # 1); the sum stops once it is past the cap and too long to write out
+    start = time.perf_counter()
+    code, doc, err = run(capsys, ["spectra", "--n", n, "--d", d, "--p", "1/2"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and doc is None
+    assert err == f"error: form of dimension {dimension} exceeds cap 2000\n"
 
 
 def test_spectra_rejects_negative_degree(capsys):

@@ -186,6 +186,13 @@ def test_multiply_commutative_associative_pointwise(rng):
         assert lhs == rhs
 
 
+def test_variables_used_examples():
+    assert MultilinearPoly.zero(5).variables_used() == set()
+    f = MultilinearPoly.from_subsets(5, {(1, 2): F(1), (3,): F(1)})
+    assert f.variables_used() == {1, 2, 3}
+    assert MultilinearPoly.constant(5, F(2)).variables_used() == set()
+
+
 def test_degree_bound_recomputed():
     f = MultilinearPoly.from_subsets(4, {(1, 2): F(1), (): F(1)})
     g = MultilinearPoly.from_subsets(4, {(1, 2): F(-1)})

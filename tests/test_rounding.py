@@ -16,9 +16,8 @@ from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, int_numerators, mask_of, subset_of
 from cardcsp.rounding import (RoundingOutcome, _LevelSolve, _beta_weights,
-                              active_bound_constant, active_variables,
-                              gamma_denominator, gamma_ladder, reconstruct_h,
-                              round_bisection, round_global)
+                              active_bound_constant, gamma_denominator, gamma_ladder,
+                              reconstruct_h, round_bisection, round_global)
 from cardcsp.solver import _kernel_step
 from cardcsp.spectra import project_null
 
@@ -30,13 +29,6 @@ from conftest import (beta_weights_reference, constraint_poly, csp_instances, pa
 
 def mono(n, subset, c=F(1)):
     return MultilinearPoly.from_subsets(n, {tuple(subset): c})
-
-
-def test_active_variables_examples():
-    assert active_variables(MultilinearPoly.zero(5)) == frozenset()
-    f = MultilinearPoly.from_subsets(5, {(1, 2): F(1), (3,): F(1)})
-    assert active_variables(f) == {1, 2, 3}
-    assert active_variables(MultilinearPoly.constant(5, F(2))) == frozenset()
 
 
 def test_gamma_ladder_values():
@@ -197,7 +189,7 @@ def test_reduced_plus_base_correction_equals_f_on_the_slice(drawn):
     for a in slice_assignments(card):
         assert reduced.evaluate(a) + base_correction == f.evaluate(a)
         assert step_reduced.evaluate(a) == f.evaluate(a)
-    assert step.kernel == tuple(sorted(active_variables(step_reduced)))
+    assert step.kernel == tuple(sorted(step_reduced.variables_used()))
 
 
 def test_round_bisection_rejects_non_multiples():
@@ -226,12 +218,12 @@ def test_reconstruct_poor_candidate_is_outscored():
     f = mono(n, (1, 2))
     h_bad = reconstruct_h(f, (1, 2))
     reduced_bad = f - constraint_poly(n, Basis.CHI) * h_bad
-    assert len(active_variables(reduced_bad)) == n - 2
+    assert len(reduced_bad.variables_used()) == n - 2
     assert reconstruct_h(f, (3, 4)).coeffs == {}
     dist = CardinalDist(n, F(1, 2))
     out = round_global(f, dist, F(1, 4), allow_large_variance=True)
     assert out.active_set == {1, 2}
-    assert 1 in active_variables(out.reduced)
+    assert 1 in out.reduced.variables_used()
 
 
 def test_reconstruct_linearity(rng):
@@ -578,7 +570,7 @@ def test_int_scan_matches_fraction_scan(drawn):
     out = round_global(f, dist, gamma, d=d, variance=var, allow_large_variance=True)
     assert out.h == h_ref
     assert out.reduced == reduced_ref
-    assert out.active_set == active_variables(reduced_ref)
+    assert out.active_set == reduced_ref.variables_used()
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -682,7 +674,7 @@ def test_round_global_matches_scan_reference_at_n12_d3(p):
     out = round_global(f, dist, gamma, d=d, variance=var, allow_large_variance=True)
     assert out.h == h_ref
     assert out.reduced == reduced_ref
-    assert out.active_set == active_variables(reduced_ref) == {1, 2, 3, 4, 5}
+    assert out.active_set == reduced_ref.variables_used() == {1, 2, 3, 4, 5}
 
 
 @st.composite

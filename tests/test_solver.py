@@ -183,6 +183,16 @@ def test_enumerate_kernel_rejects_stray_variables():
         enumerate_kernel(reduced, (1,), card, 0)
 
 
+def test_enumerate_kernel_names_a_walk_too_long_to_print():
+    # C(15000, 7500) feasible points has 4,515 digits, past what str() of an
+    # int writes; the message used to raise ValueError from its f-string
+    n = 15000
+    card = GlobalCardinality(n, F(1, 2))
+    with pytest.raises(ResourceError, match="kernel walk of <a number of about 4513 digits> "
+                                            "feasible points exceeds enumeration cap"):
+        enumerate_kernel(MultilinearPoly.zero(n), range(1, n + 1), card, 0)
+
+
 @pytest.mark.parametrize("kernel", [(0, 1), (1, 5), (1, 1, 2)])
 def test_enumerate_kernel_rejects_a_kernel_that_is_not_a_set_of_variables(kernel):
     card = GlobalCardinality(4, F(1, 2))

@@ -25,10 +25,10 @@ from cardcsp.spectra import (SetSymmetricForm, alpha_table, eigen_summary,
                              quadratic_form_value, subsets_upto, vk_eigenvalue_exact)
 
 from conftest import (build_dense, constraint_poly, csp_instances,
-                      dense_spectrum_reference, dot, gauss_solve_reference,
-                      gram_annihilator_reference, graph_instance, harmonic_basis,
-                      null_space_vector, nullspace_reference, random_instance,
-                      random_poly, rank_reference, vk_basis)
+                      dense_spectrum_reference, dot, faddeev_leverrier_reference,
+                      gauss_solve_reference, gram_annihilator_reference, graph_instance,
+                      harmonic_basis, null_space_vector, nullspace_reference,
+                      random_instance, random_poly, rank_reference, vk_basis)
 
 
 def test_alpha_zero_at_half():
@@ -550,10 +550,11 @@ def test_projection_weights_match_the_unit_table_horner_sum(q):
     # c[k][l][i], the coefficient of g_S in h_T at |S| = k, |T| = l,
     # |S n T| = i, read off the orbit-built weights and off the ladder
     # reference's Horner solve on the unit table {S_k: 1} over all n
-    # variables; G is singular where n <= 2d - 2.  On QE scalars d > 2 runs
-    # to n = 7 only, as the whole grid takes 31 s there
+    # variables; G is singular where n <= 2d - 2.  On QE scalars d = 4 runs
+    # to n = 7 only: the grid then takes 4-6 s on a shared 2-core host, most
+    # of it in the reference's Horner solve, against 33 s with d = 4 to n = 16
     for n in range(2, 17):
-        for d in range(min(4 if q == 0 or n <= 7 else 2, n) + 1):
+        for d in range(min(4 if q == 0 or n <= 7 else 3, n) + 1):
             d0, weights = spectra._projection_weights(n, d, q)
             assert type(d0) is int and d0 > 0
             for k in range(1, d + 1):
@@ -581,6 +582,28 @@ def test_project_walks_no_constraint_product_per_instance(monkeypatch):
     y, big_d = spectra._project(g, 8, 200, 3, 0)
     assert big_d == 8 * spectra._projection_weights(200, 3, 0)[0]
     assert y and all(type(c) is int for c in y.values())
+
+
+def _seeded_matrix(rng, size, kind):
+    """A size x size matrix of small ints, Fractions, or QEs a + b q with
+    q = phi_square_q(p) for kind "qe 1/3" or "qe 1/4"."""
+    def entry():
+        if kind == "int":
+            return rng.randint(-9, 9)
+        value = F(rng.randint(-9, 9), rng.randint(1, 6))
+        if kind == "fraction":
+            return value
+        return value + F(rng.randint(-4, 4), rng.randint(1, 3)) * phi_square_q(F(kind[3:]))
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "qe 1/3", "qe 1/4"])
+def test_charpoly_matches_the_faddeev_leverrier_reference(kind):
+    rng = random.Random(kind)
+    for size in range(11):
+        m = _seeded_matrix(rng, size, kind)
+        assert spectra._charpoly(m) == faddeev_leverrier_reference(m), size
+    assert spectra._charpoly([]) == [1]
 
 
 def test_charpoly_stays_on_ints_for_int_matrices():
