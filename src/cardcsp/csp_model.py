@@ -14,6 +14,16 @@ exact.parse_rational: p_num/p_den, or a decimal such as 0.25, of at most
 below d are allowed as-is (no dummy-variable padding); duplicate
 constraints are kept (the objective counts satisfied constraints with
 multiplicity).
+
+Where the checks run: parse_instance checks each line as it reads it and
+names the line (ParseError); it reads each distinct pattern line once per
+call and hands every constraint of one predicate the same frozenset.
+_compile checks an instance on every route to a table, so an instance
+built through the API is checked too: each scope while its bitmask keys
+are built (_scope_keys), and each distinct (arity, patterns) once, in the
+cached _chi_table.  validate_instance runs the same checks on its own.
+Each check has one definition (_check_scope, _check_predicate), which
+also writes every message; a fast path calls it only to raise.
 """
 
 from __future__ import annotations
@@ -21,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .cardinal_dist import GlobalCardinality
 from .errors import InputError, ParseError
-from .exact import parse_count, parse_rational
+from .exact import RATIONAL_DIGITS, parse_count, parse_rational
 from .poly import Assignment, MultilinearPoly, check_assignment
 
 Pattern = Tuple[int, ...]
@@ -61,6 +71,10 @@ class CspInstance:
 
 
 def _check_scope(variables: Tuple[int, ...], n: int, d: int) -> None:
+    """Raise InputError naming the first scope check that variables fail:
+    arity in [1..d], no repeated variable, every variable in [1..n].
+    The parser and the compile test the same conditions on their own fast
+    path and call this only to raise."""
     if not 1 <= len(variables) <= d:
         raise InputError(f"constraint arity {len(variables)} outside [1..{d}]")
     if len(set(variables)) != len(variables):
@@ -76,17 +90,22 @@ def _check_pattern(pat: Pattern, arity: int) -> None:
         raise InputError(f"pattern {pat} has entries outside +-1")
 
 
+def _check_predicate(patterns, arity: int) -> None:
+    """Raise InputError unless patterns is a nonempty set of +-1 tuples of
+    length arity: one pass over all their lengths and entries, and a walk
+    pattern by pattern only on a bad predicate, to name the first culprit."""
+    if not patterns:
+        raise InputError("empty predicate")
+    if (set(map(len, patterns)) != {arity}
+            or not _SIGNS.issuperset(chain.from_iterable(patterns))):
+        for pat in patterns:
+            _check_pattern(pat, arity)
+
+
 def validate_instance(inst: CspInstance) -> None:
     for c in inst.constraints:
         _check_scope(c.variables, inst.n, inst.d)
-        if not c.patterns:
-            raise InputError("empty predicate")
-        # one pass over all the patterns' lengths and entries; only a bad
-        # predicate is walked pattern by pattern, to name the first culprit
-        if (set(map(len, c.patterns)) != {c.arity}
-                or not _SIGNS.issuperset(chain.from_iterable(c.patterns))):
-            for pat in c.patterns:
-                _check_pattern(pat, c.arity)
+        _check_predicate(c.patterns, c.arity)
 
 
 def _at_line(line: int, check, *args):
@@ -97,68 +116,97 @@ def _at_line(line: int, check, *args):
         raise ParseError(str(exc), line) from exc
 
 
+def _read_scope(fields: List[str], n: int, d: int, line: int) -> Tuple[int, ...]:
+    """The variables of the constraint line `c <arity> <v1> ... <vk>`.  Its
+    counts take one ASCII-digit check and int(); only a line that fails
+    it, or holds more than RATIONAL_DIGITS digits in all, is read field by
+    field by exact.parse_count, which names a bad field."""
+    counts = fields[1:]
+    digits = "".join(counts)
+    if digits.isdigit() and digits.isascii() and len(digits) <= RATIONAL_DIGITS:
+        arity, *variables = map(int, counts)
+    else:
+        try:
+            arity = parse_count("arity", fields[1])
+            variables = [parse_count("variable", text) for text in counts[1:]]
+        except (IndexError, InputError) as exc:
+            raise ParseError(f"bad constraint line: {exc}", line) from exc
+    variables = tuple(variables)
+    if len(variables) != arity:
+        raise ParseError(f"arity {arity} but {len(variables)} variables", line)
+    if not (0 < arity <= d and 0 not in variables and max(variables) <= n
+            and len(set(variables)) == arity):
+        _at_line(line, _check_scope, variables, n, d)
+    return variables
+
+
 def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
-    """Parse the line-oriented instance format; errors carry line numbers."""
-    tokens: List[Tuple[int, List[str]]] = []
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        fields = raw.split()
-        if fields:
-            tokens.append((idx, fields))
-    if not tokens:
+    """Parse the line-oriented instance format in one pass over its lines;
+    errors carry line numbers.  A pattern line's text is read once per call
+    (pattern_of), and each distinct predicate is one shared frozenset, so
+    the constraints of a dense instance that repeat a predicate pay for it
+    once."""
+    lines = enumerate(text.splitlines(), start=1)
+    for head_line, raw in lines:
+        head = raw.split("#", 1)[0].split()
+        if head:
+            break
+    else:
         raise ParseError("empty instance", 1)
-    line_no, head = tokens[0]
     if head[0] != "csp" or len(head) != 5:
-        raise ParseError("expected header 'csp <n> <m> <d> <p_num>/<p_den>'", line_no)
+        raise ParseError("expected header 'csp <n> <m> <d> <p_num>/<p_den>'", head_line)
     try:
         n, m, d = (parse_count(name, text, HEADER_COUNT_MAX)
                    for name, text in zip("nmd", head[1:4]))
         p = parse_rational(head[4])
     except InputError as exc:
-        raise ParseError(f"bad header field: {exc}", line_no) from exc
+        raise ParseError(f"bad header field: {exc}", head_line) from exc
     if n < 1 or m < 0 or d < 1:
-        raise ParseError("n and d must be positive, m nonnegative", line_no)
-    card = _at_line(line_no, GlobalCardinality, n, p)
+        raise ParseError("n and d must be positive, m nonnegative", head_line)
+    card = _at_line(head_line, GlobalCardinality, n, p)
 
-    constraints: List[Constraint] = []
-    pos, end = 1, len(tokens)
-    while pos < end:
-        line_no, tok = tokens[pos]
-        if tok[0] != "c":
-            raise ParseError(f"expected constraint line 'c ...', got {tok[0]!r}", line_no)
-        try:
-            arity = parse_count("arity", tok[1])
-            variables = tuple(parse_count("variable", text) for text in tok[2:])
-        except (IndexError, InputError) as exc:
-            raise ParseError(f"bad constraint line: {exc}", line_no) from exc
-        if len(variables) != arity:
-            raise ParseError(f"arity {arity} but {len(variables)} variables", line_no)
-        _at_line(line_no, _check_scope, variables, n, d)
-        pos += 1
-        patterns = set()
-        while pos < end:
-            s_line, s_tok = tokens[pos]
-            if s_tok[0] != "s":
-                break
-            try:
-                pat = tuple(map(_SIGN_OF.__getitem__, s_tok[1:]))
-            except KeyError as exc:
-                raise ParseError(f"pattern entry {exc.args[0]!r} is not +-1",
-                                 s_line) from None
-            if len(pat) != arity:
-                raise ParseError(f"pattern {pat} has arity {len(pat)}, not {arity}", s_line)
-            patterns.add(pat)
-            pos += 1
-        if not patterns:
-            if pos < end and tokens[pos][1][0] != "c":
-                raise ParseError(f"expected pattern line 's ...', got {tokens[pos][1][0]!r}",
-                                 tokens[pos][0])
-            raise ParseError("constraint has no satisfying patterns", line_no)
-        constraints.append(Constraint(variables, frozenset(patterns)))
-    if len(constraints) != m:
-        raise ParseError(f"header declares m={m} but found {len(constraints)} constraints",
-                         tokens[0][0])
+    pattern_of: Dict[str, Pattern] = {}     # a pattern line's text -> its +-1 tuple
+    scopes: List[Tuple[Tuple[int, ...], Set[Pattern]]] = []
+    c_line, arity, patterns = 0, 0, set()   # the open constraint (c_line 0: none yet)
+    for line_no, raw in lines:
+        pat = pattern_of.get(raw)
+        if pat is None:
+            fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if not fields:
+                continue
+            tag = fields[0]
+            if tag == "s" and c_line:
+                try:
+                    pat = pattern_of[raw] = tuple(map(_SIGN_OF.__getitem__, fields[1:]))
+                except KeyError as exc:
+                    raise ParseError(f"pattern entry {exc.args[0]!r} is not +-1",
+                                     line_no) from None
+            else:
+                if c_line and not patterns:
+                    if tag != "c":
+                        raise ParseError(f"expected pattern line 's ...', got {tag!r}",
+                                         line_no)
+                    raise ParseError("constraint has no satisfying patterns", c_line)
+                if tag != "c":
+                    raise ParseError(f"expected constraint line 'c ...', got {tag!r}",
+                                     line_no)
+                variables = _read_scope(fields, n, d, line_no)
+                c_line, arity, patterns = line_no, len(variables), set()
+                scopes.append((variables, patterns))
+                continue
+        if len(pat) != arity:
+            raise ParseError(f"pattern {pat} has arity {len(pat)}, not {arity}", line_no)
+        patterns.add(pat)
+    if c_line and not patterns:
+        raise ParseError("constraint has no satisfying patterns", c_line)
+    if len(scopes) != m:
+        raise ParseError(f"header declares m={m} but found {len(scopes)} constraints",
+                         head_line)
+    shared: Dict[FrozenSet[Pattern], FrozenSet[Pattern]] = {}
+    constraints = []
+    for variables, patterns in scopes:
+        predicate = frozenset(patterns)
+        constraints.append(Constraint(variables, shared.setdefault(predicate, predicate)))
     return CspInstance(n=n, d=d, constraints=tuple(constraints)), card
 
 
@@ -177,8 +225,10 @@ def _chi_table(arity: int, patterns: FrozenSet[Pattern]) -> Tuple[Tuple[int, int
     """One predicate's chi expansion (O'Donnell 2014, ch. 1): its indicator
     prod_j (1 + pat_j x_j) / 2^arity summed over patterns, as (local mask,
     numerator over 2^arity) per subset of positions in (size, lex) order,
-    zeros kept.  Bit j of a local mask is position j.  Cached: the table
-    depends on the predicate alone, and dense instances repeat a few."""
+    zeros kept.  Bit j of a local mask is position j.  The predicate is
+    checked first (_check_predicate).  Cached: the table and the check
+    depend on the predicate alone, and dense instances repeat a few."""
+    _check_predicate(patterns, arity)
     # bit j of a pattern's mask is set when its position j is -1
     neg_masks = [sum(1 << j for j, v in enumerate(pat) if v < 0) for pat in patterns]
     table = []
@@ -190,6 +240,27 @@ def _chi_table(arity: int, patterns: FrozenSet[Pattern]) -> Tuple[Tuple[int, int
     return tuple(table)
 
 
+def _scope_keys(variables: Tuple[int, ...], n: int, d: int) -> List[int]:
+    """keys[local]: the global bitmask of the positions in local, built
+    while the scope is checked: the arity before any key, then each
+    variable's range, and that its bit is not yet in the last key (the
+    union so far), before it doubles the keys.  _check_scope names a
+    failure."""
+    if 0 < len(variables) <= d:
+        keys = [0]
+        for v in variables:
+            if not 0 < v <= n:
+                break
+            bit = 1 << (v - 1)
+            if keys[-1] & bit:
+                break
+            keys += [key | bit for key in keys]
+        else:
+            return keys
+    _check_scope(variables, n, d)
+    raise AssertionError(f"_check_scope passed the scope {variables} that _scope_keys refused")
+
+
 def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
     """(den, {mask: numerator}) of the counting polynomial: its chi
     coefficients as int numerators over den = 2^top, top the largest
@@ -197,19 +268,24 @@ def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
     the constraint contributing it, hence of 2^-top overall.  Each
     constraint adds its predicate's `_chi_table` with local masks mapped
     to its variables' bits.  This is the table every layer of decide
-    reads, so the instance is checked here (validate_instance), once, on
-    every route from an instance to a table."""
-    validate_instance(inst)
-    top = max((len(c.variables) for c in inst.constraints), default=0)
+    reads, so the instance is checked here, on every route from an
+    instance to a table, constraint by constraint as validate_instance
+    does: each scope while its keys are built (_scope_keys), and each
+    distinct predicate once, in _chi_table."""
+    # an arity above d fails its check below: it never sizes a weight
+    top = max((len(c.variables) for c in inst.constraints if len(c.variables) <= inst.d),
+              default=0)
     nums: Dict[int, int] = {}
     for c in inst.constraints:
-        # keys[local]: the global bitmask of the positions in local
-        keys = [0]
-        for v in c.variables:
-            bit = 1 << (v - 1)
-            keys += [key | bit for key in keys]
+        keys = _scope_keys(c.variables, inst.n, inst.d)
+        try:
+            table = _chi_table(len(c.variables), frozenset(c.patterns))
+        except InputError:
+            # name the culprit in the order of the instance's own set
+            _check_predicate(c.patterns, len(c.variables))
+            raise
         weight = 1 << (top - len(c.variables))
-        for local, num in _chi_table(len(c.variables), frozenset(c.patterns)):
+        for local, num in table:
             key = keys[local]
             nums[key] = nums.get(key, 0) + num * weight
     return 1 << top, {s: v for s, v in nums.items() if v}

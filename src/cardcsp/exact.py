@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError
 
@@ -248,6 +248,23 @@ def number_str(value) -> str:
     if bits > MESSAGE_BITS:
         return f"<a number of about {bits * 30103 // 100000} digits>"
     return str(value)
+
+
+def count_above(terms: Iterable[int], cap: int) -> Optional[str]:
+    """None when the sum of the nonnegative int terms is at most cap, else
+    that sum as a message shows it (number_str).  The sum stops at the
+    first partial sum above both cap and 2^MESSAGE_BITS; one more term is
+    read only to tell whether any was left, and then the text starts
+    "at least "."""
+    terms = iter(terms)
+    total = 0
+    for term in terms:
+        total += term
+        if total > cap and total.bit_length() > MESSAGE_BITS:
+            break
+    if total <= cap:
+        return None
+    return "at least " * (next(terms, None) is not None) + number_str(total)
 
 
 def _shown(text: str) -> str:

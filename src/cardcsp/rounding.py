@@ -109,6 +109,16 @@ def gamma_ladder(d: int, gamma: Fraction) -> List[Fraction]:
     return [Fraction(gamma) * gamma_denominator(w) / top for w in range(d + 1)]
 
 
+@lru_cache(maxsize=16)
+def _ladder_steps(d: int, gamma: Fraction) -> Tuple[int, Tuple[int, ...]]:
+    """(den, steps): gamma_ladder(d, gamma) as int steps over den, the lcm
+    of its denominators.  Cached: decide asks for gamma = 2^-d at a few d;
+    an entry holds d + 1 ints about the size of d! (d-1)! ... 2!."""
+    ladder = gamma_ladder(d, gamma)
+    den = lcm(*(step.denominator for step in ladder))
+    return den, tuple(step.numerator * (den // step.denominator) for step in ladder)
+
+
 @dataclass
 class RoundingOutcome:
     h: MultilinearPoly
@@ -198,8 +208,8 @@ def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
                              "multiple of gamma")
     if d < 0:
         raise InputError("d must be nonnegative")
-    ladder = gamma_ladder(d, gamma)
-    den = lcm(den_f, den_h, *(step.denominator for step in ladder))
+    den_steps, ladder = _ladder_steps(d, gamma)
+    den = lcm(den_f, den_h, den_steps)
     g = {mask: a * (den // den_f) for mask, a in f_nums.items()}
     h_nums = {mask: a * (den // den_h) for mask, a in h_nums.items()}
     # The residual's norm is taken constant-free: the constant component of
@@ -208,7 +218,7 @@ def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
     residual = reduce_by_constraint(g, h_nums, n)
     residual.pop(0, None)
     residual_sum = sum(a * a for a in residual.values())
-    steps = [step.numerator * (den // step.denominator) for step in ladder]  # over den
+    steps = [step * (den // den_steps) for step in ladder]  # over den
     rounded: Dict[int, int] = {}
     for s, a in h_nums.items():
         w = s.bit_count()

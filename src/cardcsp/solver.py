@@ -49,7 +49,7 @@ from .cardinal_dist import _chi_mean_variance
 from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import CspInstance, GlobalCardinality, _compile, constraint_count
 from .errors import InputError, ResourceError
-from .exact import check_exact, number_str, scalar_json, sqrt_upper
+from .exact import check_exact, count_above, number_str, scalar_json, sqrt_upper
 from .poly import Assignment, MultilinearPoly, chi_numerators, exact_bias
 from .rounding import IntOutcome, _round_bisection, _round_global, check_gamma
 from .spectra import _project
@@ -234,14 +234,15 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
 def _capped_walk(table: Dict[int, int], kernel: Tuple[int, ...], card: GlobalCardinality,
                  enum_cap: int, kernel_cap: int) -> Tuple[int, Tuple[int, ...]]:
     """The walk of decide and enumerate_kernel: the kernel's feasible
-    layers, then its feasible-point count against enum_cap and its size
-    against kernel_cap (ResourceError, payload the kernel, before any plane
-    is built), then _walk."""
+    layers, then its feasible-point count against enum_cap (count_above,
+    which stops summing past the cap) and its size against kernel_cap
+    (ResourceError, payload the kernel, before any plane is built), then
+    _walk."""
     layers = _feasible_layers(len(kernel), card)
-    points = sum(comb(len(kernel), j) for j in layers)
-    if points > enum_cap:
+    points = count_above((comb(len(kernel), j) for j in layers), enum_cap)
+    if points:
         raise ResourceError(
-            f"kernel walk of {number_str(points)} feasible points exceeds enumeration cap "
+            f"kernel walk of {points} feasible points exceeds enumeration cap "
             f"{enum_cap}", payload=kernel)
     if len(kernel) > kernel_cap:
         raise ResourceError(f"kernel size {len(kernel)} exceeds cap {kernel_cap}",
@@ -306,7 +307,8 @@ def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
     numerators table / den, as one IntOutcome at every p.  Check gamma
     (check_gamma); at p = 1/2, check project's unknowns
     sum_{k < deg f} C(n, k), the size of its tables on levels < deg f,
-    against dense_cap (ResourceError, payload f, before any work), project
+    against dense_cap (count_above, which stops summing past the cap;
+    ResourceError, payload f, before any work), project
     and _round_bisection; otherwise _round_global, with f's variance unless
     the caller has it."""
     gamma, n = check_gamma(gamma), card.n
@@ -315,10 +317,10 @@ def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
             variance = _chi_mean_variance(den, table, card)[1]
         return _round_global(den, table, n, card, gamma, d, variance)
     degree = max((mask.bit_count() for mask in table), default=0)
-    unknowns = sum(comb(n, k) for k in range(degree))
-    if unknowns > dense_cap:
+    unknowns = count_above((comb(n, k) for k in range(degree)), dense_cap)
+    if unknowns:
         raise ResourceError(
-            f"projection with {number_str(unknowns)} unknowns exceeds dense cap "
+            f"projection with {unknowns} unknowns exceeds dense cap "
             f"{dense_cap}",
             payload=MultilinearPoly.from_numerators(n, den, table))
     y, den_h = _project({mask: c for mask, c in table.items() if mask}, den, n, degree, 0)

@@ -57,7 +57,7 @@ from typing import Dict, List, Tuple
 
 from .cardinal_dist import GlobalCardinality, extend_slice_sequence
 from .errors import InputError, ResourceError
-from .exact import MESSAGE_BITS, Scalar, _over_common_denominator, number_str, scalar_quotient
+from .exact import Scalar, _over_common_denominator, count_above, scalar_quotient
 from .poly import Basis, MultilinearPoly, exact_bias, phi_square_q, reduce_by_constraint
 
 
@@ -273,14 +273,10 @@ def eigen_summary(form: SetSymmetricForm, dense_cap: int = 2000) -> EigenSummary
     Clusters are grouped within 10/n of each other and matched to the
     nearest closed-form value.  dense_cap bounds the form's dimension."""
     n, d = form.n, form.d
-    size = 0
-    for k in range(form.kind == "B", min(d, n) + 1):    # C(n, 0) counts the empty set
-        size += comb(n, k)
-        if size > dense_cap and size.bit_length() > MESSAGE_BITS:
-            break   # past the cap, and too long for number_str to write out
-    if size > dense_cap:
-        raise ResourceError(f"form of dimension {'at least ' * (size.bit_length() > MESSAGE_BITS)}"
-                            f"{number_str(size)} exceeds cap {dense_cap}")
+    # C(n, 0) counts the empty set
+    size = count_above((comb(n, k) for k in range(form.kind == "B", min(d, n) + 1)), dense_cap)
+    if size:
+        raise ResourceError(f"form of dimension {size} exceeds cap {dense_cap}")
     null_dim = 0
     nonzero: List[float] = []
     for j in range(min(d, n // 2) + 1):

@@ -5,14 +5,17 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd
 import random
+from typing import List, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
 from cardcsp.cardinal_dist import CardinalDist, chi_expectation, chi_variance
-from cardcsp.csp_model import Constraint, CspInstance, to_polynomial
-from cardcsp.errors import InputError
-from cardcsp.exact import QE, make_qe, round_half_away, scalar_inverse
+from cardcsp.csp_model import (HEADER_COUNT_MAX, _SIGN_OF, Constraint, CspInstance,
+                               GlobalCardinality, _at_line, _check_scope, to_polynomial)
+from cardcsp.errors import InputError, ParseError
+from cardcsp.exact import (QE, make_qe, parse_count, parse_rational, round_half_away,
+                           scalar_inverse)
 from cardcsp.oracle import _revolving_door
 from cardcsp.poly import (Basis, MultilinearPoly, int_numerators, phi_square_q, phi_values,
                           times_constraint, up)
@@ -70,6 +73,73 @@ def random_instance(rng: random.Random, n: int, d: int, m: int) -> CspInstance:
                         for _ in range(rng.randint(1, 2 ** k - 1))}
         cons.append(Constraint(variables, frozenset(patterns)))
     return CspInstance(n=n, d=d, constraints=tuple(cons))
+
+
+def parse_instance_reference(text: str):
+    """The parser parse_instance replaced: a token list of every non-blank
+    line first, then one walk over it that tokenizes, maps and checks each
+    pattern line of every constraint."""
+    tokens: List[Tuple[int, List[str]]] = []
+    for idx, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        fields = raw.split()
+        if fields:
+            tokens.append((idx, fields))
+    if not tokens:
+        raise ParseError("empty instance", 1)
+    line_no, head = tokens[0]
+    if head[0] != "csp" or len(head) != 5:
+        raise ParseError("expected header 'csp <n> <m> <d> <p_num>/<p_den>'", line_no)
+    try:
+        n, m, d = (parse_count(name, text, HEADER_COUNT_MAX)
+                   for name, text in zip("nmd", head[1:4]))
+        p = parse_rational(head[4])
+    except InputError as exc:
+        raise ParseError(f"bad header field: {exc}", line_no) from exc
+    if n < 1 or m < 0 or d < 1:
+        raise ParseError("n and d must be positive, m nonnegative", line_no)
+    card = _at_line(line_no, GlobalCardinality, n, p)
+
+    constraints: List[Constraint] = []
+    pos, end = 1, len(tokens)
+    while pos < end:
+        line_no, tok = tokens[pos]
+        if tok[0] != "c":
+            raise ParseError(f"expected constraint line 'c ...', got {tok[0]!r}", line_no)
+        try:
+            arity = parse_count("arity", tok[1])
+            variables = tuple(parse_count("variable", text) for text in tok[2:])
+        except (IndexError, InputError) as exc:
+            raise ParseError(f"bad constraint line: {exc}", line_no) from exc
+        if len(variables) != arity:
+            raise ParseError(f"arity {arity} but {len(variables)} variables", line_no)
+        _at_line(line_no, _check_scope, variables, n, d)
+        pos += 1
+        patterns = set()
+        while pos < end:
+            s_line, s_tok = tokens[pos]
+            if s_tok[0] != "s":
+                break
+            try:
+                pat = tuple(map(_SIGN_OF.__getitem__, s_tok[1:]))
+            except KeyError as exc:
+                raise ParseError(f"pattern entry {exc.args[0]!r} is not +-1",
+                                 s_line) from None
+            if len(pat) != arity:
+                raise ParseError(f"pattern {pat} has arity {len(pat)}, not {arity}", s_line)
+            patterns.add(pat)
+            pos += 1
+        if not patterns:
+            if pos < end and tokens[pos][1][0] != "c":
+                raise ParseError(f"expected pattern line 's ...', got {tokens[pos][1][0]!r}",
+                                 tokens[pos][0])
+            raise ParseError("constraint has no satisfying patterns", line_no)
+        constraints.append(Constraint(variables, frozenset(patterns)))
+    if len(constraints) != m:
+        raise ParseError(f"header declares m={m} but found {len(constraints)} constraints",
+                         tokens[0][0])
+    return CspInstance(n=n, d=d, constraints=tuple(constraints)), card
 
 
 @st.composite

@@ -12,8 +12,8 @@ from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality,
 from cardcsp.errors import InputError, ParseError
 from cardcsp.poly import Basis, MultilinearPoly
 
-from conftest import (complete_graph, csp_instances, graph_instance, random_instance,
-                      star_graph)
+from conftest import (CUT, complete_graph, csp_instances, graph_instance,
+                      parse_instance_reference, random_instance, star_graph)
 
 CUT_EDGE_FILE = """\
 # a single MaxCut edge under the bisection constraint
@@ -128,12 +128,23 @@ def test_validate_instance_accepts_entries_equal_to_signs():
     (Constraint((1, 1), frozenset({(1, -1)})), "duplicate variable in constraint (1, 1)"),
     (Constraint((1, 2), frozenset({(1,)})), "pattern (1,) has arity 1, not 2"),
     (Constraint((1, 2), frozenset({(1, 0)})), "pattern (1, 0) has entries outside +-1"),
+    # a valid constraint with the same predicate first: its table is cached
+    # by then, and the bad one is still named
+    ((Constraint((1, 2), CUT), Constraint((2, 2), CUT)),
+     "duplicate variable in constraint (2, 2)"),
+    ((Constraint((1, 2), CUT), Constraint((2, 3), CUT)),
+     "variable out of range in constraint (2, 3)"),
+    ((Constraint((2, 1), frozenset({(1, -1)})), Constraint((2,), frozenset({(1, -1)}))),
+     "pattern (1, -1) has arity 2, not 1"),
+    ((Constraint((1, 2), CUT), Constraint((1, 2, 2), CUT)),
+     "constraint arity 3 outside [1..2]"),
 ])
 def test_to_polynomial_checks_an_api_instance(constraint, message):
     # the compile used to take these as they came: the duplicate scope gave
     # a polynomial worth 1/2 at (-1, +1), where constraint_count is 0
+    constraints = constraint if isinstance(constraint, tuple) else (constraint,)
     with pytest.raises(InputError) as err:
-        to_polynomial(CspInstance(2, 2, (constraint,)))
+        to_polynomial(CspInstance(2, 2, constraints))
     assert str(err.value) == message
 
 
@@ -232,6 +243,75 @@ def instances(draw):
 def test_format_parse_round_trip_property(drawn):
     inst, card = drawn
     assert parse_instance(format_instance(inst, card)) == (inst, card)
+
+
+# pieces that every parser branch turns on: sign spellings, a bad entry,
+# counts a digit check refuses, and the tags of stray lines
+_SIGN_TEXTS = ["1", "+1", "-1", "-1", "+1"]
+_BAD_FIELDS = ["0", "x", "+1", "-1", "1_0", "\u0661", "7", "c", "s", "S", "s*", "csp",
+               "0" * 1001 + "1"]
+_STRAY_LINES = [["s", "+1", "-1"], ["c", "1", "1"], ["c"], ["s"], ["x", "1"], ["S", "1", "1"],
+                ["s*", "1"], []]
+
+
+@st.composite
+def instance_texts(draw):
+    """An instance text, mostly valid: a header, then constraint blocks whose
+    pattern lines repeat a few predicates, under up to three mutations (a
+    field replaced, a stray line inserted, a line dropped), rendered with
+    spaces or tabs, '1' or '+1', zero-padded counts, trailing comments and
+    blank lines."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    d = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        arity = draw(st.integers(1, d))
+        variables = draw(st.permutations(range(1, n + 1)))[:arity]
+        # leading zeros are read, past 1000 digits the count is refused
+        zeros = st.sampled_from([""] * 28 + ["0", "0" * 1000])
+        lines.append(["c", str(arity)] + [draw(zeros) + str(v) for v in variables])
+        for _ in range(draw(st.sampled_from([1, 1, 2, 2, 2, 3, 3, 0]))):
+            lines.append(["s"] + draw(st.lists(st.sampled_from(_SIGN_TEXTS),
+                                               min_size=arity, max_size=arity)))
+    blocks = sum(line[0] == "c" for line in lines)
+    m = blocks + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    p = draw(st.sampled_from(["1/2", "0.5", "2/4"] + ["1/3"] * (n == 6)))
+    lines.insert(0, ["csp", str(n), str(m), str(d), p])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        where = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["field", "stray", "drop"]))
+        if kind == "stray":
+            lines.insert(where, list(draw(st.sampled_from(_STRAY_LINES))))
+        elif where < len(lines) and kind == "drop":
+            del lines[where]
+        elif where < len(lines) and lines[where]:
+            line = lines[where]
+            line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(_BAD_FIELDS))
+    out = []
+    for fields in lines:
+        sep = draw(st.sampled_from([" ", " ", "\t", "  ", " \t "]))
+        indent = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        comment = draw(st.sampled_from(["", "", "", " # note", "#s +1", "\t# c 1 1"]))
+        out.append(indent + sep.join(fields) + comment)
+        if draw(st.integers(0, 9)) == 0:
+            out.append(draw(st.sampled_from(["", "   ", "# a comment line"])))
+    return draw(st.sampled_from(["\n", "\n", "\r\n"])).join(out) + "\n"
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(instance_texts())
+def test_parse_matches_the_token_list_reference(text):
+    # the one-pass parser with its per-call pattern-line cache and interned
+    # predicates reads every text as the parser it replaced did: the same
+    # instance, or the same ParseError message at the same line
+    assert _parse_outcome(parse_instance, text) == _parse_outcome(parse_instance_reference, text)
 
 
 def test_cardinality_invariants():
@@ -334,19 +414,31 @@ def test_to_polynomial_matches_fraction_reference(inst):
     assert list(to_polynomial(inst).coeffs.items()) == list(ref.coeffs.items())
 
 
-@pytest.mark.parametrize("inst", [
-    complete_graph(10),
-    CspInstance(n=8, d=3, constraints=tuple(
-        Constraint(e, EVEN_PARITY) for e in combinations(range(1, 9), 3))),
-    CspInstance(n=2, d=2, constraints=(
+PARITY_N8 = CspInstance(n=8, d=3, constraints=tuple(
+    Constraint(e, EVEN_PARITY) for e in combinations(range(1, 9), 3)))
+
+
+@pytest.mark.parametrize("inst, one_object", [
+    (complete_graph(10), True),
+    (PARITY_N8, True),
+    (CspInstance(n=2, d=2, constraints=(
         Constraint((1, 2), frozenset({(1, -1), (1, 1), (-1, -1)})),
-        Constraint((2, 1), frozenset({(1, -1), (1, 1), (-1, -1)})))),
-    CspInstance(n=3, d=2, constraints=(
+        Constraint((2, 1), frozenset({(1, -1), (1, 1), (-1, -1)})))), False),
+    (CspInstance(n=3, d=2, constraints=(
         Constraint((3, 1), {(1, -1), (-1, -1)}),
         Constraint((1,), {(-1,)}),
-        Constraint((1, 3), frozenset({(1, -1), (-1, -1)})))),
-], ids=["K10-cut", "parity-n8", "one-predicate-both-orders", "plain-set"])
-def test_to_polynomial_shared_predicates_match_reference(inst):
+        Constraint((1, 3), frozenset({(1, -1), (-1, -1)})))), False),
+    # the parser interns each predicate, also one whose lines are spelled
+    # differently in one constraint
+    (parse_instance(format_instance(complete_graph(12), GlobalCardinality(12, F(1, 2))))[0],
+     True),
+    (parse_instance(format_instance(PARITY_N8, GlobalCardinality(8, F(1, 2))).replace(
+        "s +1 +1 +1", "s 1 1 +1 # respelled", 1))[0], True),
+], ids=["K10-cut", "parity-n8", "one-predicate-both-orders", "plain-set", "K12-cut-parsed",
+        "parity-n8-parsed-respelled"])
+def test_to_polynomial_shared_predicates_match_reference(inst, one_object):
     # each distinct predicate is expanded once and mapped onto every scope
     ref = _to_polynomial_reference(inst)
     assert list(to_polynomial(inst).coeffs.items()) == list(ref.coeffs.items())
+    if one_object:
+        assert len({id(c.patterns) for c in inst.constraints}) == 1

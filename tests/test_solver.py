@@ -193,6 +193,25 @@ def test_enumerate_kernel_names_a_walk_too_long_to_print():
         enumerate_kernel(MultilinearPoly.zero(n), range(1, n + 1), card, 0)
 
 
+@pytest.mark.parametrize("refuse, message", [
+    # 15,001 feasible layers of a 15,000-variable kernel on a 30,000-variable
+    # slice: their sum, 2^15000, took minutes to reach enum_cap
+    (lambda: solver._capped_walk({}, tuple(range(1, 15001)), GlobalCardinality(30000, F(1, 2)),
+                                 DEFAULT_CONFIG.enum_cap, DEFAULT_CONFIG.kernel_cap),
+     "kernel walk of at least <a number of about 62 digits> feasible points"),
+    # C(15000, 0) + ... + C(15000, 7500), the unknowns of a degree-7501
+    # table, took 19 s to reach dense_cap
+    (lambda: solver._kernel_step(1, {(1 << 7501) - 1: 1}, GlobalCardinality(15000, F(1, 2)),
+                                 F(1, 4), 2, DEFAULT_CONFIG.dense_cap),
+     "projection with at least <a number of about 62 digits> unknowns"),
+], ids=["walk", "projection"])
+def test_caps_stop_summing_once_past(refuse, message):
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=message):
+        refuse()
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("kernel", [(0, 1), (1, 5), (1, 1, 2)])
 def test_enumerate_kernel_rejects_a_kernel_that_is_not_a_set_of_variables(kernel):
     card = GlobalCardinality(4, F(1, 2))
