@@ -22,8 +22,10 @@ rational for every p; the pairwise phi moments feed the set-symmetric forms
 in spectra.  eps has one source, _chi_moment_table (eps_0 .. eps_top as int
 numerators over one denominator, no level above top built), read by
 chi_moment and by _chi_mean_variance, which asks for deg f levels for the
-mean and 2 deg f for the variance of f's int numerators; chi_expectation
-and chi_variance are its wrappers for a MultilinearPoly.
+mean and min(2 deg f, n) for the variance, and reads f's int numerators
+through their superset sums (poly.superset_sums, the table the projection
+reads too) with no pair of terms; chi_expectation and chi_variance are its
+wrappers for a MultilinearPoly.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
 from .exact import Scalar, _over_common_denominator, number_str
-from .poly import Assignment, Basis, MultilinearPoly, chi_numerators, exact_bias, phi_square_q
+from .poly import (Assignment, Basis, MultilinearPoly, chi_numerators, exact_bias,
+                   phi_square_q, superset_sums)
 
 
 @dataclass(frozen=True)
@@ -133,51 +136,83 @@ def _chi_moment_table(n: int, num_negative: int, top: int) -> Tuple[int, Tuple[i
     return den, tuple(nums)
 
 
-def _chi_mean_variance(den: int, table: Dict[int, int], card: GlobalCardinality,
+@lru_cache(maxsize=256)
+def _pair_weights(eps: Tuple[int, ...], degree: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """w[k][l - k][j] for 0 <= k <= l <= degree and j <= k: the weight of
+    F_k(U) F_l(U), |U| = j, in the second moment of a degree-`degree` f,
+    over the moment table's denominator, eps = _chi_moment_table's
+    numerators at top = min(2 degree, n).
+
+    E[chi_S chi_T] = eps_{k+l-2i} for |S| = k, |T| = l, |S n T| = i, so its
+    binomial transform in i,
+      w[k][l][j] = (2 if k != l else 1) sum_{i<=j} (-1)^(j-i) C(j, i) eps_{k+l-2i},
+    gives E[chi_S chi_T] = sum_{U <= S n T} w[k][l][|U|] (halved off the
+    diagonal, which pairs (S, T) with (T, S)).  eps_m is 0 past the table:
+    such an m exceeds n, so no pair of sets has it, and the transform
+    returns the values of the pairs that exist whatever it is given there.
+    Cached per (moment table, degree), that is per (n, pn, deg f), up to
+    256 entries of O(degree^3) ints."""
+    def eps_at(m):
+        return eps[m] if m < len(eps) else 0
+
+    return tuple(
+        tuple(tuple((2 if l > k else 1) * sum((-1) ** (j - i) * comb(j, i) * eps_at(k + l - 2 * i)
+                                              for i in range(j + 1))
+                    for j in range(k + 1))
+              for l in range(k, degree + 1))
+        for k in range(degree + 1))
+
+
+def _chi_mean_variance(den: int, sums: List[Dict[int, int]], card: GlobalCardinality,
                        variance: bool = True) -> Tuple[Fraction, Optional[Fraction]]:
     """(E[f], Var(f)) on the slice for the chi polynomial f = table / den
-    (int numerators keyed by bitmask), or (E[f], None) without variance.
+    (int numerators keyed by bitmask), read from its superset sums
+    sums = poly.superset_sums(table), or (E[f], None) without variance.
 
-    E[chi_S] depends on |S| alone, so each a_S goes to the bin popcount(S)
-    for the mean; E[f^2] = sum_{S,T} a_S a_T E[chi_{S delta T}], so a_S^2
-    goes to bin 0 and 2 a_S a_T to bin popcount(S xor T), with no f*f
-    formed.  The bins reach deg f for the mean and min(2 deg f, n) for the
-    variance, and are weighted by _chi_moment_table's numerators up to that
-    level; the mean and the variance are one Fraction each.
+    E[chi_S] depends on |S| alone, so E[f] = sum_k F_k(empty) eps_k, and
+    E[f^2] = sum_{S,T} a_S a_T E[chi_S chi_T]
+           = sum_U sum_{k<=l} w[k][l][|U|] F_k(U) F_l(U)
+    (_pair_weights), with no f*f formed and no pair of terms visited:
+    O(|sums| deg f) lookups.  It reads _chi_moment_table once, up to deg f
+    for the mean and up to min(2 deg f, n) for the variance; the mean and
+    the variance are one Fraction each.
     """
-    degree = max((mask.bit_count() for mask in table), default=0)
+    degree = len(sums) - 1
     top = min(2 * degree, card.n) if variance else degree
     eps_den, eps = _chi_moment_table(card.n, card.num_negative, top)
-    first = [0] * (degree + 1)
-    for mask, a in table.items():
-        first[mask.bit_count()] += a
-    mean_num = sum(h * eps[j] for j, h in enumerate(first) if h)
-    if not variance:
-        return Fraction(mean_num, den * eps_den), None
-    terms = list(table.items())
-    second = [0] * (top + 1)
-    for k, (mask, a) in enumerate(terms):
-        second[0] += a * a
-        twice = 2 * a
-        for other, b in terms[k + 1:]:
-            second[(mask ^ other).bit_count()] += twice * b
-    square_num = sum(h * eps[j] for j, h in enumerate(second) if h)
+    mean_num = sum(row.get(0, 0) * eps[k] for k, row in enumerate(sums))
     scale = den * eps_den
+    if not variance:
+        return Fraction(mean_num, scale), None
+    weights = _pair_weights(eps, degree)
+    square_num = 0
+    for k, row in enumerate(sums):
+        diagonal, *off = weights[k]
+        square_num += sum(diagonal[sub.bit_count()] * a * a for sub, a in row.items())
+        for w, other in zip(off, sums[k + 1:]):
+            # the sets U of both levels, found from the smaller one
+            small, large = (row, other) if len(row) <= len(other) else (other, row)
+            for sub, a in small.items():
+                b = large.get(sub)
+                if b:
+                    square_num += w[sub.bit_count()] * a * b
     return (Fraction(mean_num, scale),
             Fraction(square_num * eps_den - mean_num * mean_num, scale * scale))
 
 
 def chi_expectation(f: MultilinearPoly, dist: GlobalCardinality) -> Fraction:
     """E_{D_p}[f] for a chi-basis f with rational coefficients."""
-    return _chi_mean_variance(*chi_numerators(f, dist.n, "the chi-basis moment"), dist,
-                              variance=False)[0]
+    den, table = chi_numerators(f, dist.n, "the chi-basis moment")
+    return _chi_mean_variance(den, superset_sums(table), dist, variance=False)[0]
 
 
 def chi_variance(f: MultilinearPoly, dist: GlobalCardinality) -> Fraction:
-    """Var_{D_p}(f) for chi-basis f with rational coefficients, binned by
-    |S delta T| (_chi_mean_variance).  Agrees exactly with the variance
-    form of spectra.quadratic_form_value on the phi-converted polynomial."""
-    return _chi_mean_variance(*chi_numerators(f, dist.n, "the chi-basis moment"), dist)[1]
+    """Var_{D_p}(f) for chi-basis f with rational coefficients, read from
+    f's superset sums (_chi_mean_variance).  Agrees exactly with the
+    variance form of spectra.quadratic_form_value on the phi-converted
+    polynomial."""
+    den, table = chi_numerators(f, dist.n, "the chi-basis moment")
+    return _chi_mean_variance(den, superset_sums(table), dist)[1]
 
 
 def sample(dist: GlobalCardinality, seed) -> Assignment:

@@ -19,7 +19,7 @@ from .csp_model import _compile, parse_instance, to_polynomial
 from .errors import CardCspError, InputError, ResourceError
 from .exact import number_str, parse_count, parse_rational, scalar_json
 from .oracle import brute_average, brute_force_decision, brute_opt, hyper_ratio
-from .poly import Basis, convert_basis
+from .poly import Basis, convert_basis, superset_sums
 from .solver import _kernel_step, decide, fourth_moment_bound
 from .spectra import SetSymmetricForm, eigen_summary
 
@@ -118,7 +118,8 @@ def _cmd_moments(args) -> int:
         raise ResourceError(f"{number_str(args.mc)} Monte Carlo samples exceed "
                             f"enum cap {DEFAULT_CONFIG.enum_cap}")
     inst, card = _load_instance(args.instance)
-    avg, var = _chi_mean_variance(*_compile(inst), card)
+    den, table = _compile(inst)
+    avg, var = _chi_mean_variance(den, superset_sums(table), card)
     doc = {
         "schema": 1,
         "avg": scalar_json(avg),

@@ -32,9 +32,10 @@ _KEY_TYPES = {"enum_cap": parse_count, "kernel_cap": parse_count,
 
 
 def parse_config(text: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
-    """Parse 'key = value' lines ('#' comments allowed) over a base config."""
+    """Parse 'key = value' lines ('#' comments allowed) over a base config;
+    a line ends at a line feed alone, as in the instance format."""
     updates = {}
-    for idx, raw in enumerate(text.splitlines(), start=1):
+    for idx, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue

@@ -1,6 +1,9 @@
 """CSP instances, the instance file format, and compilation to a counting polynomial.
 
-Instance file format (UTF-8, line oriented, '#' starts a comment):
+Instance file format (UTF-8, line oriented, '#' starts a comment; a line
+ends at a line feed alone, so CR LF works, and CR, VT, FF, U+001C..U+001E,
+U+0085, U+2028 and U+2029, where str.splitlines would also break, are
+whitespace inside a line):
 
     csp <n> <m> <d> <p_num>/<p_den>
     c <arity> <v1> ... <vk>        # one block per constraint
@@ -72,11 +75,15 @@ class CspInstance:
 
 def _check_scope(variables: Tuple[int, ...], n: int, d: int) -> None:
     """Raise InputError naming the first scope check that variables fail:
-    arity in [1..d], no repeated variable, every variable in [1..n].
-    The parser and the compile test the same conditions on their own fast
-    path and call this only to raise."""
+    arity in [1..d], every variable an int, no repeated variable, every
+    variable in [1..n].  A bool is an int here: True is variable 1, and
+    False is out of range.  The parser and the compile test the same
+    conditions on their own fast path and call this only to raise."""
     if not 1 <= len(variables) <= d:
         raise InputError(f"constraint arity {len(variables)} outside [1..{d}]")
+    for v in variables:
+        if not isinstance(v, int):
+            raise InputError(f"variable {v!r} in constraint {variables} is not an int")
     if len(set(variables)) != len(variables):
         raise InputError(f"duplicate variable in constraint {variables}")
     if min(variables) < 1 or max(variables) > n:
@@ -146,7 +153,9 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     (pattern_of), and each distinct predicate is one shared frozenset, so
     the constraints of a dense instance that repeat a predicate pay for it
     once."""
-    lines = enumerate(text.splitlines(), start=1)
+    # a line ends at "\n" alone; "\r" and the other breaks of str.splitlines
+    # are whitespace inside a line, so a line number counts newlines
+    lines = enumerate(text.split("\n"), start=1)
     for head_line, raw in lines:
         head = raw.split("#", 1)[0].split()
         if head:
@@ -244,19 +253,23 @@ def _scope_keys(variables: Tuple[int, ...], n: int, d: int) -> List[int]:
     """keys[local]: the global bitmask of the positions in local, built
     while the scope is checked: the arity before any key, then each
     variable's range, and that its bit is not yet in the last key (the
-    union so far), before it doubles the keys.  _check_scope names a
-    failure."""
+    union so far), before it doubles the keys.  A variable that is not an
+    int fails the range test or the shift with a TypeError.  _check_scope
+    names every failure."""
     if 0 < len(variables) <= d:
         keys = [0]
-        for v in variables:
-            if not 0 < v <= n:
-                break
-            bit = 1 << (v - 1)
-            if keys[-1] & bit:
-                break
-            keys += [key | bit for key in keys]
-        else:
-            return keys
+        try:
+            for v in variables:
+                if not 0 < v <= n:
+                    break
+                bit = 1 << (v - 1)
+                if keys[-1] & bit:
+                    break
+                keys += [key | bit for key in keys]
+            else:
+                return keys
+        except TypeError:
+            pass
     _check_scope(variables, n, d)
     raise AssertionError(f"_check_scope passed the scope {variables} that _scope_keys refused")
 

@@ -21,13 +21,16 @@ times_constraint_table (optionally only the levels below a top level), and
 g minus that product as reduce_by_constraint.  It is the one implementation
 of the product: the projection's residual, the bisection rounding, the
 reconstruction and the scan all call these two.
+
+superset_sums is the one builder of a table's superset sums, which the
+slice moments, the projection and its residual's norm read.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import InputError
 from .exact import QE, Scalar, _over_common_denominator, check_exact, make_qe
@@ -310,6 +313,25 @@ def submasks(mask: int):
         if not sub:
             return
         sub = (sub - 1) & mask
+
+
+def superset_sums(table: Mapping[int, Scalar]) -> List[Dict[int, Scalar]]:
+    """[F_0, .., F_d], d the table's largest popcount (0 when it is empty):
+    F_k[U] = sum of table[S] over the k-sets S >= U, for every U inside
+    some k-set of the table (an entry that cancels stays, at 0).  One pass
+    over the submasks of each term, O(terms 2^d); it only adds values, so
+    ints, Fractions and QEs share it."""
+    sums: List[Dict[int, Scalar]] = [
+        {} for _ in range(max(map(int.bit_count, table), default=0) + 1)]
+    for mask, c in table.items():
+        row = sums[mask.bit_count()]
+        get = row.get
+        sub = mask
+        while sub:
+            row[sub] = get(sub, 0) + c
+            sub = (sub - 1) & mask
+        row[0] = get(0, 0) + c
+    return sums
 
 
 def int_numerators(table: Mapping[int, Scalar], what: str) -> Tuple[int, Dict[int, int]]:

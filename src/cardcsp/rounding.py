@@ -19,6 +19,11 @@ IntOutcome.outcome builds the Fraction RoundingOutcome
 (MultilinearPoly.from_numerators).  Only round_bisection's public contract
 leaves fhat(0) out of the reduction and refuses a residual above sqrt(n).
 
+_round_bisection forms no residual: it takes the projection residual's
+constant-free squared norm from its caller (spectra._residual_norm, read
+off the normal equations, in the kernel step; round_bisection, which
+accepts any h_f, forms the residual g - (sum x_i) h_f and squares it).
+
 Every reduction here is g minus the constraint product (sum x_i - shift) h
 on bitmask tables of int numerators over one denominator, and each is one
 call of poly.reduce_by_constraint: _round_bisection forms g - (sum x_i) h,
@@ -83,7 +88,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 from .cardinal_dist import GlobalCardinality, _chi_mean_variance
 from .errors import InputError, PreconditionError
 from .exact import Scalar, check_exact, number_str, round_half_away
-from .poly import MultilinearPoly, chi_numerators, mask_of, reduce_by_constraint
+from .poly import MultilinearPoly, chi_numerators, mask_of, reduce_by_constraint, superset_sums
 
 
 def check_gamma(gamma) -> Fraction:
@@ -183,8 +188,17 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     """
     den_f, f_nums = chi_numerators(f, f.n, "round_bisection's f")
     den_h, h_nums = chi_numerators(h_f, f.n, "round_bisection's h_f")
+    # h_f may be any polynomial, so the residual is formed, over the lcm of
+    # the two denominators.  Its norm is taken constant-free: the constant
+    # component of g - (sum x) h is the remaining null direction of the
+    # variance form and carries no kernel variables.
+    den = lcm(den_f, den_h)
+    residual = reduce_by_constraint({mask: a * (den // den_f) for mask, a in f_nums.items()},
+                                    {mask: a * (den // den_h) for mask, a in h_nums.items()}, f.n)
+    residual.pop(0, None)
     step = _round_bisection(f.n, den_f, f_nums, den_h, h_nums, check_gamma(gamma),
-                            f.degree_bound if d is None else d)
+                            f.degree_bound if d is None else d,
+                            Fraction(sum(a * a for a in residual.values()), den * den))
     if step.residual_above_sqrt_n(f.n) and not allow_large_residual:
         raise PreconditionError(
             f"projection residual {Fraction(step.residual_sum, step.den ** 2)} exceeds "
@@ -197,11 +211,15 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
 
 
 def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
-                     h_nums: Dict[int, int], gamma: Fraction, d: int) -> IntOutcome:
+                     h_nums: Dict[int, int], gamma: Fraction, d: int,
+                     residual: Fraction) -> IntOutcome:
     """round_bisection on int numerators: f = f_nums / den_f and
-    h_f = h_nums / den_h (den_h of either sign).  f, h_f
-    and every granularity of gamma_ladder go over one denominator den, so
-    the residual, the snap and the reduction run on ints."""
+    h_f = h_nums / den_h (den_h of either sign), with `residual` the
+    constant-free squared norm of f - (sum x_i) h_f, which the caller
+    has (spectra._residual_norm for an exact projection, the formed
+    residual for any other h_f).  f, h_f and every granularity of
+    gamma_ladder go over one denominator den, so the snap and the
+    reduction run on ints, and the norm is residual_sum / den^2."""
     for a in f_nums.values():
         if a * gamma.denominator % (den_f * gamma.numerator):
             raise InputError(f"coefficient {number_str(Fraction(a, den_f))} is not a "
@@ -212,12 +230,12 @@ def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
     den = lcm(den_f, den_h, den_steps)
     g = {mask: a * (den // den_f) for mask, a in f_nums.items()}
     h_nums = {mask: a * (den // den_h) for mask, a in h_nums.items()}
-    # The residual's norm is taken constant-free: the constant component of
-    # g - (sum x) h is the remaining null direction of the variance form and
-    # carries no kernel variables.
-    residual = reduce_by_constraint(g, h_nums, n)
-    residual.pop(0, None)
-    residual_sum = sum(a * a for a in residual.values())
+    # the residual's entries are numerators over den, so its norm's
+    # denominator divides den^2
+    scale, rem = divmod(den * den, residual.denominator)
+    if rem:
+        raise AssertionError(f"residual norm {residual} is not over den^2 = {den * den}")
+    residual_sum = residual.numerator * scale
     steps = [step * (den // den_steps) for step in ladder]  # over den
     rounded: Dict[int, int] = {}
     for s, a in h_nums.items():
@@ -523,7 +541,7 @@ def round_global(f: MultilinearPoly, dist: GlobalCardinality, gamma,
     if d < 0:
         raise InputError("d must be nonnegative")
     if variance is None:
-        var = _chi_mean_variance(den, table, dist)[1]
+        var = _chi_mean_variance(den, superset_sums(table), dist)[1]
     else:
         var = Fraction(check_exact("variance", variance))
     if var < 0:

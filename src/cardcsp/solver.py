@@ -19,9 +19,12 @@ Var_{D_p}(f) against 4*b*t^2 where b is the fourth-moment constant
 decide runs every layer on one int table, f's numerators over one
 denominator keyed by bitmask, from the compile (csp_model._compile) through
 the moments (cardinal_dist._chi_mean_variance), the kernel step
-(_kernel_step: spectra._project and rounding._round_bisection, or
-rounding._round_global) to the capped walk (_capped_walk: the enum_cap and
-kernel_cap checks, then _walk); only the verdict's scalars are Fractions.
+(_kernel_step: spectra._project, spectra._residual_norm and
+rounding._round_bisection, or rounding._round_global) to the capped walk
+(_capped_walk: the enum_cap and kernel_cap checks, then _walk); only the
+verdict's scalars are Fractions.  It builds the table's superset sums
+(poly.superset_sums) once and hands them to the moments and to the
+projection and its residual's norm; the verdict keeps none of them.
 Both routes return one rounding.IntOutcome, whose reduced table equals f
 on the slice, so the walk's maximum over its kernel is opt itself.
 `cardcsp kernel` runs the same _kernel_step on the same compiled table.
@@ -50,9 +53,9 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import CspInstance, GlobalCardinality, _compile, constraint_count
 from .errors import InputError, ResourceError
 from .exact import check_exact, count_above, number_str, scalar_json, sqrt_upper
-from .poly import Assignment, MultilinearPoly, chi_numerators, exact_bias
+from .poly import Assignment, MultilinearPoly, chi_numerators, exact_bias, superset_sums
 from .rounding import IntOutcome, _round_bisection, _round_global, check_gamma
-from .spectra import _project
+from .spectra import _project, _residual_norm
 
 
 def bisection_fourth_moment_bound(d: int) -> Fraction:
@@ -151,7 +154,8 @@ def _check_instance(inst: CspInstance, card: GlobalCardinality) -> None:
 def average(inst: CspInstance, card: GlobalCardinality) -> Fraction:
     """AVG: the mean satisfied-constraint count under D_p."""
     _check_instance(inst, card)
-    return _chi_mean_variance(*_compile(inst), card, variance=False)[0]
+    den, table = _compile(inst)
+    return _chi_mean_variance(den, superset_sums(table), card, variance=False)[0]
 
 
 def _feasible_layers(size: int, card: GlobalCardinality) -> range:
@@ -302,19 +306,23 @@ def _walk(table: Dict[int, int], kernel: Tuple[int, ...],
 
 def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
                  gamma: Fraction, d: int, dense_cap: int,
-                 variance: Optional[Fraction] = None) -> IntOutcome:
+                 variance: Optional[Fraction] = None,
+                 sums: Optional[List[Dict[int, int]]] = None) -> IntOutcome:
     """The one kernel step of decide and `cardcsp kernel`, on f's int
-    numerators table / den, as one IntOutcome at every p.  Check gamma
+    numerators table / den, as one IntOutcome at every p; sums, when the
+    caller has it, is poly.superset_sums(table).  Check gamma
     (check_gamma); at p = 1/2, check project's unknowns
     sum_{k < deg f} C(n, k), the size of its tables on levels < deg f,
     against dense_cap (count_above, which stops summing past the cap;
-    ResourceError, payload f, before any work), project
-    and _round_bisection; otherwise _round_global, with f's variance unless
+    ResourceError, payload f, before any work), then project, take the
+    residual's norm from the same sums (spectra._residual_norm) and
+    _round_bisection; otherwise _round_global, with f's variance unless
     the caller has it."""
     gamma, n = check_gamma(gamma), card.n
     if card.p != Fraction(1, 2):
         if variance is None:
-            variance = _chi_mean_variance(den, table, card)[1]
+            variance = _chi_mean_variance(den, superset_sums(table) if sums is None else sums,
+                                          card)[1]
         return _round_global(den, table, n, card, gamma, d, variance)
     degree = max((mask.bit_count() for mask in table), default=0)
     unknowns = count_above((comb(n, k) for k in range(degree)), dense_cap)
@@ -323,8 +331,11 @@ def _kernel_step(den: int, table: Dict[int, int], card: GlobalCardinality,
             f"projection with {unknowns} unknowns exceeds dense cap "
             f"{dense_cap}",
             payload=MultilinearPoly.from_numerators(n, den, table))
-    y, den_h = _project({mask: c for mask, c in table.items() if mask}, den, n, degree, 0)
-    return _round_bisection(n, den, table, den_h, y, gamma, d)
+    if sums is None:
+        sums = superset_sums(table)
+    y, den_h = _project(sums, den, n, 0)
+    return _round_bisection(n, den, table, den_h, y, gamma, d,
+                            _residual_norm(table, sums, den, y, den_h))
 
 
 def _complete_witness(kernel: Tuple[int, ...], values: Tuple[int, ...],
@@ -357,7 +368,8 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
         raise InputError(f"p = {number_str(card.p)} outside "
                          f"[{number_str(config.p0)}, {number_str(1 - config.p0)}]")
     den, table = _compile(inst)
-    avg, var = _chi_mean_variance(den, table, card)
+    sums = superset_sums(table)
+    avg, var = _chi_mean_variance(den, sums, card)
     d = max(inst.d, 1)
     if t <= 0:
         return Verdict(answer="CertifiedAbove", branch="LargeVariance",
@@ -376,7 +388,7 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
     if card.p != Fraction(1, 2) and var * var > card.n:
         warnings.append(
             "variance exceeds sqrt(n); the kernel-size bound is heuristic here")
-    step = _kernel_step(den, table, card, Fraction(1, 2 ** d), d, config.dense_cap, var)
+    step = _kernel_step(den, table, card, Fraction(1, 2 ** d), d, config.dense_cap, var, sums)
     if step.residual_above_sqrt_n(card.n):
         warnings.append(
             "projection residual exceeds sqrt(n); the 7^d blow-up bound "

@@ -21,13 +21,17 @@ the normal equations for one unit table {S_k} per level k, written on the
 orbits (|T|, |T n S_k|) of the stabiliser of S_k: at most d(d+1)/2 values,
 solved by the characteristic polynomial of that small system (_charpoly:
 Berkowitz's, with no division), so nothing in the build grows with n.  The
-core _project evaluates that operator on f's numerators through superset
-sums, with no constraint product: at p = 1/2 every value from f's numerators
-to h = y / D is an int over one positive denominator (off p = 1/2 the same
-lines run on QE scalars), and it forms no residual; at deg f = 0 it returns
-an empty y.  project_null is its wrapper: it forms the residual
-(poly.reduce_by_constraint) and turns each output coefficient into a Fraction
-once.
+core _project evaluates that operator on the superset sums of f's numerators
+(poly.superset_sums, the table the slice moments read too; decide builds it
+once), with no constraint product: at p = 1/2 every value from f's
+numerators to h = y / D is an int over one positive denominator (off p = 1/2
+the same lines run on QE scalars), and it forms no residual; at deg f = 0 it
+returns an empty y.  h solves the normal equations, so the residual's
+constant-free squared norm is |P_0 f|^2 - <h, (sum_i x_i) P_0 f>, which
+_residual_norm reads off the same sums and f's table in O(|y| deg f)
+lookups; decide's kernel step takes it from there.  project_null is the
+wrapper: it forms the residual (poly.reduce_by_constraint), because it
+returns it, and turns each output coefficient into a Fraction once.
 
 The spectra come from small blocks too: a form commutes with S_n, so
 on the ladder U^i v / i! of a harmonic v of weight j it is one small matrix,
@@ -58,7 +62,8 @@ from typing import Dict, List, Tuple
 from .cardinal_dist import GlobalCardinality, extend_slice_sequence
 from .errors import InputError, ResourceError
 from .exact import Scalar, _over_common_denominator, count_above, scalar_quotient
-from .poly import Basis, MultilinearPoly, exact_bias, phi_square_q, reduce_by_constraint
+from .poly import (Basis, MultilinearPoly, exact_bias, phi_square_q, reduce_by_constraint,
+                   superset_sums)
 
 
 def subsets_upto(n: int, d: int) -> List[int]:
@@ -358,7 +363,7 @@ def project_null(f: MultilinearPoly, dist: GlobalCardinality,
     g = {mask: c for mask, c in f.coeffs.items() if mask}
     den, nums = _over_ints(g.values())
     g = dict(zip(g, nums))
-    y, out_den = _project(g, den, n, d, q)
+    y, out_den = _project(superset_sums(g), den, n, q)
     d0 = _projection_weights(n, d, q)[0]
     r = reduce_by_constraint({mask: d0 * c for mask, c in g.items()}, y, n, q)
     r.pop(0, None)
@@ -370,30 +375,23 @@ def project_null(f: MultilinearPoly, dist: GlobalCardinality,
         residual_norm_sq=scalar_quotient(sum(c * c for c in r.values()), out_den * out_den))
 
 
-def _project(g: Dict[int, Scalar], den: Scalar, n: int, d: int,
+def _project(sums: List[Dict[int, Scalar]], den: Scalar, n: int,
              q: Scalar) -> Tuple[Dict[int, Scalar], Scalar]:
-    """(y, D) with h = y / D: project_null's solve on the numerators g of
-    f minus its constant over den, d = deg f (y is empty at d = 0), read
-    from the cached operator _projection_weights(n, d, q):
+    """(y, D) with h = y / D: project_null's solve for f = table / den on
+    n variables, read from the superset sums of its numerators,
+    sums = poly.superset_sums(table), d = len(sums) - 1 = deg f (y is
+    empty at d = 0; level 0, f's constant, is never read), through the
+    cached operator _projection_weights(n, d, q):
 
-      y_T = sum_{U <= T} sum_k w[k][|T|][|U|] F_k(U),
-      F_k(U) = sum of g_S over |S| = k, S >= U,
+      y_T = sum_{U <= T} sum_{k>=1} w[k][|T|][|U|] F_k(U)
 
     for every T on the levels below d, zero entries dropped, and
-    D = D_0 den, D_0 > 0.  The superset sums take one pass over the
-    submasks of each term, so the cost is
-    O(terms 2^d + sum_{l<d} C(n, l) 2^l).  Ints at p = 1/2 (q = 0); the
-    residual is formed only by callers that read it."""
+    D = D_0 den, D_0 > 0.  Cost O(|sums| d + sum_{l<d} C(n, l) 2^l), and
+    each level's sets are built from the level below, so nothing is sized
+    by n at d = 1.  Ints at p = 1/2 (q = 0); the residual is formed only
+    by callers that read it."""
+    d = len(sums) - 1
     d0, weights = _projection_weights(n, d, q)
-    sums = [defaultdict(int) for _ in range(d + 1)]     # sums[k][U] = F_k(U)
-    for mask, c in g.items():
-        k = mask.bit_count()
-        row = sums[k]
-        sub = mask if k < d else (mask - 1) & mask
-        while sub:
-            row[sub] += c
-            sub = (sub - 1) & mask
-        row[0] += c
     levels = [defaultdict(int) for _ in range(d)]       # levels[l][U], l = |T|
     for k in range(1, d + 1):
         for sub, value in sums[k].items():
@@ -401,10 +399,12 @@ def _project(g: Dict[int, Scalar], den: Scalar, n: int, d: int,
             for l in range(j, d):
                 levels[l][sub] += weights[k][l][j] * value
     y: Dict[int, Scalar] = {}
-    bits = [1 << i for i in range(n)]
+    masks = [0]     # the l-sets in lex order, each extended by the bits above its top
     for l, table in enumerate(levels):
+        if l:
+            masks = [mask | 1 << i for mask in masks for i in range(mask.bit_length(), n)]
         empty = table.pop(0, 0)
-        for mask in map(sum, combinations(bits, l)):
+        for mask in masks:
             total, sub = empty, mask
             while sub:
                 if sub in table:
@@ -413,6 +413,36 @@ def _project(g: Dict[int, Scalar], den: Scalar, n: int, d: int,
             if total:
                 y[mask] = total
     return y, d0 * den
+
+
+def _residual_norm(table: Dict[int, int], sums: List[Dict[int, int]], den: int,
+                   y: Dict[int, int], big_d: int) -> Fraction:
+    """The constant-free squared norm of the projection residual
+    r = f - (sum_i x_i) h at p = 1/2, for f = table / den with
+    sums = poly.superset_sums(table) and (y, big_d) = _project(sums, ...),
+    h = y / big_d, without forming r.
+
+    h solves the normal equations, so P_0 r (P_0 drops the constant) is
+    orthogonal to A h', A the product by sum_i x_i, for every h' on the
+    levels below deg f, h itself included (also where the equations are
+    singular), and
+
+      |P_0 r|^2 = |P_0 f|^2 - <h, A P_0 f>,
+      (A P_0 f)_T = F_{|T|+1}(T) + sum_{j in T} f_{T - j}  (the second sum only at |T| >= 2),
+
+    O(terms + |y| deg f) lookups, with no walk over n bits."""
+    inner = 0
+    for mask, c in y.items():
+        value = sums[mask.bit_count() + 1].get(mask, 0)
+        if mask & (mask - 1):
+            rest = mask
+            while rest:
+                low = rest & -rest
+                value += table.get(mask ^ low, 0)
+                rest ^= low
+        inner += c * value
+    norm = sum(a * a for mask, a in table.items() if mask)
+    return Fraction(big_d * norm - den * inner, big_d * den * den)
 
 
 @lru_cache(maxsize=256)

@@ -27,6 +27,10 @@ from cardcsp.spectra import _over_ints, alpha_table, project_null, subsets_upto
 
 CUT = frozenset({(1, -1), (-1, 1)})
 
+# the characters str.splitlines breaks a line at besides "\n" and "\r";
+# the instance and config readers end a line at "\n" alone
+SPLITLINES_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 
 def as_fraction(x) -> Fraction:
     """Coerce to Fraction; raises if x has an irrational part."""
@@ -80,7 +84,7 @@ def parse_instance_reference(text: str):
     line first, then one walk over it that tokenizes, maps and checks each
     pattern line of every constraint."""
     tokens: List[Tuple[int, List[str]]] = []
-    for idx, raw in enumerate(text.splitlines(), start=1):
+    for idx, raw in enumerate(text.split("\n"), start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         fields = raw.split()
@@ -723,6 +727,37 @@ def enumerate_kernel_point_loop(reduced, kernel, card, base_correction):
 def instance_variance(inst, card):
     """Var over the slice of the instance's counting polynomial."""
     return chi_variance(to_polynomial(inst), CardinalDist.from_card(card))
+
+
+def seeded_int_table(rng: random.Random, n: int, degree: int, terms: int = 12) -> dict:
+    """Int numerators keyed by bitmask on levels 0..degree over n >= degree
+    variables, one of them nonzero on level degree."""
+    def mask(k):
+        return sum(1 << i for i in rng.sample(range(n), k))
+
+    table = {mask(rng.randint(0, degree)): rng.randint(-9, 9)
+             for _ in range(rng.randint(0, terms))}
+    table[mask(degree)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return table
+
+
+def chi_mean_variance_reference(den, table, card):
+    """(E[f], Var(f)) on the slice for f = table / den by the pair binning
+    that the superset sums replaced: each a_S to the bin |S| for the mean,
+    a_S^2 to bin 0 and 2 a_S a_T to bin |S xor T| for the second moment,
+    each bin weighted by E[chi_S] at its level; O(terms^2)."""
+    degree = max((mask.bit_count() for mask in table), default=0)
+    eps = [card.chi_moment(k) for k in range(min(2 * degree, card.n) + 1)]
+    terms = list(table.items())
+    first = [0] * (degree + 1)
+    second = [0] * len(eps)
+    for k, (mask, a) in enumerate(terms):
+        first[mask.bit_count()] += a
+        second[0] += a * a
+        for other, b in terms[k + 1:]:
+            second[(mask ^ other).bit_count()] += 2 * a * b
+    mean = sum(h * eps[j] for j, h in enumerate(first)) / den
+    return mean, sum(h * eps[j] for j, h in enumerate(second)) / (den * den) - mean * mean
 
 
 def harmonic_basis(n, k):

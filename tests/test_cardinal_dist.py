@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 
 import cardcsp
 from cardcsp import cardinal_dist
-from cardcsp.cardinal_dist import (CardinalDist, _chi_moment_table, chi_expectation,
-                                   chi_variance, delta_sequence, mc_moment, sample)
+from cardcsp.cardinal_dist import (CardinalDist, _chi_mean_variance, _chi_moment_table,
+                                   chi_expectation, chi_variance, delta_sequence, mc_moment,
+                                   sample)
 from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError
 from cardcsp.exact import sqrt_scalar
 from cardcsp.oracle import brute_moment, brute_variance, slice_assignments
-from cardcsp.poly import Basis, MultilinearPoly, convert_basis
+from cardcsp.poly import Basis, MultilinearPoly, convert_basis, superset_sums
 from cardcsp.spectra import SetSymmetricForm, alpha_table, quadratic_form_value
 from cardcsp.solver import bisection_fourth_moment_bound
 
-from conftest import (constraint_poly, csp_instances, random_instance, random_poly,
-                      star_graph)
+from conftest import (chi_mean_variance_reference, constraint_poly, csp_instances,
+                      random_instance, random_poly, seeded_int_table, star_graph)
 
 
 def phi_monomial(n, subset, p):
@@ -333,6 +334,22 @@ def test_chi_variance_mixed_denominators_match_reference(rng):
         for _ in range(10):
             f = random_poly(rng, 6, 3, 8)   # denominators 1..4
             assert chi_variance(f, dist) == _chi_variance_reference(f, dist)
+
+
+@pytest.mark.parametrize("p", [F(1, 2), F(1, 3), F(1, 4), F(2, 5)])
+def test_moments_from_superset_sums_match_the_pair_binning(p):
+    # every n <= 20 with p n integral and deg f <= 4, so n < 2 deg f too;
+    # the weights read eps only up to min(2 deg f, n), 0 past it
+    rng = random.Random(f"moments:{p}")
+    for n in range(p.denominator, 21, p.denominator):
+        card = CardinalDist(n, p)
+        for degree in range(min(4, n) + 1):
+            for _ in range(3):
+                table, den = seeded_int_table(rng, n, degree), rng.randint(1, 12)
+                want = chi_mean_variance_reference(den, table, card)
+                sums = superset_sums(table)
+                assert _chi_mean_variance(den, sums, card) == want, (n, degree, table)
+                assert _chi_mean_variance(den, sums, card, variance=False) == (want[0], None)
 
 
 def test_chi_variance_rejects_irrational_coefficient():

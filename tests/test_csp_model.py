@@ -12,7 +12,7 @@ from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality,
 from cardcsp.errors import InputError, ParseError
 from cardcsp.poly import Basis, MultilinearPoly
 
-from conftest import (CUT, complete_graph, csp_instances, graph_instance,
+from conftest import (CUT, SPLITLINES_BREAKS, complete_graph, csp_instances, graph_instance,
                       parse_instance_reference, random_instance, star_graph)
 
 CUT_EDGE_FILE = """\
@@ -96,6 +96,19 @@ def test_parse_error_message_and_line(text, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_parse_ends_a_line_at_a_line_feed_only(char):
+    # str.splitlines also broke lines at these, so this text of two line
+    # feeds was refused at line 3; inside a line they are whitespace
+    text = f"csp 2 1 2 1/2\nc 2 1 2{char}s +1 0\n"
+    for parse in (parse_instance, parse_instance_reference):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 2
+    crlf = f"csp 2 1 2 1/2\r\nc 2 1 2\r\ns +1{char}-1\r\n{char}s -1 +1\r\n"
+    assert parse_instance(crlf) == parse_instance(CUT_EDGE_FILE) == parse_instance_reference(crlf)
+
+
 def test_parse_ignores_trailing_comments():
     commented = ("csp 2 1 2 1/2 # header\n  # a comment line\n"
                  "c 2 1 2# edge\ns +1 -1 # one\ns\t-1\t+1#two\n")
@@ -111,6 +124,7 @@ def test_parse_ignores_trailing_comments():
      "pattern ('1', -1) has entries outside +-1"),
     (Constraint((1, 3), frozenset({(1, 1)})), "variable out of range in constraint (1, 3)"),
     (Constraint((2, 2), frozenset({(1, 1)})), "duplicate variable in constraint (2, 2)"),
+    (Constraint((1.0, 2), CUT), "variable 1.0 in constraint (1.0, 2) is not an int"),
 ])
 def test_validate_instance_names_the_bad_part(constraint, message):
     with pytest.raises(InputError) as err:
@@ -138,6 +152,11 @@ def test_validate_instance_accepts_entries_equal_to_signs():
      "pattern (1, -1) has arity 2, not 1"),
     ((Constraint((1, 2), CUT), Constraint((1, 2, 2), CUT)),
      "constraint arity 3 outside [1..2]"),
+    # the fast path's range test or shift raised a bare TypeError on these
+    (Constraint((1.0, 2), CUT), "variable 1.0 in constraint (1.0, 2) is not an int"),
+    (Constraint((1, "2"), CUT), "variable '2' in constraint (1, '2') is not an int"),
+    (Constraint((F(1), 2), CUT), "variable Fraction(1, 1) in constraint (Fraction(1, 1), 2) "
+                                 "is not an int"),
 ])
 def test_to_polynomial_checks_an_api_instance(constraint, message):
     # the compile used to take these as they came: the duplicate scope gave
@@ -146,6 +165,16 @@ def test_to_polynomial_checks_an_api_instance(constraint, message):
     with pytest.raises(InputError) as err:
         to_polynomial(CspInstance(2, 2, constraints))
     assert str(err.value) == message
+
+
+def test_a_bool_variable_is_its_int_value():
+    # bool is an int: True is variable 1 on every route, and False is out of range
+    as_bool = CspInstance(2, 2, (Constraint((True, 2), CUT),))
+    validate_instance(as_bool)
+    assert to_polynomial(as_bool) == to_polynomial(CspInstance(2, 2, (Constraint((1, 2), CUT),)))
+    assert constraint_count(as_bool, (-1, 1)) == 1
+    with pytest.raises(InputError, match="variable out of range in constraint"):
+        to_polynomial(CspInstance(2, 2, (Constraint((False, 2), CUT),)))
 
 
 @pytest.mark.parametrize("p", ["5e-1000000", "5e-10000000", "1e3999999999999",

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import product
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 from cardcsp.errors import InputError
 from cardcsp.exact import QE, make_qe
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
-                          reduce_by_constraint, times_constraint, times_constraint_table,
-                          up)
+                          reduce_by_constraint, superset_sums, times_constraint,
+                          times_constraint_table, up)
 
 from conftest import (basis_polys, constraint_poly, convert_basis_reference,
                       evaluate_reference, mul_reference, random_poly,
-                      restrict_reference)
+                      restrict_reference, seeded_int_table)
 
 BIASES = (F(1, 2), F(1, 3), F(1, 4))
 
@@ -367,6 +368,26 @@ def test_constraint_product_below_top_and_reduction(q, shift, drawn):
         assert reduced == _nonzero({t: g.get(t, 0) - full.get(t, 0) for t in {*g, *full}})
         kept = [t for t in g if t in reduced]
         assert list(reduced)[:len(kept)] == kept
+
+
+def test_superset_sums_match_their_definition():
+    # F_k[U] = sum of table[S] over |S| = k, S >= U, at every U inside a
+    # k-set of the table; nothing else is stored
+    rng = random.Random("superset")
+    assert superset_sums({}) == [{}]
+    for n in range(1, 9):
+        for degree in range(n + 1):
+            table = seeded_int_table(rng, n, degree)
+            sums = superset_sums(table)
+            assert len(sums) == degree + 1
+            for k, row in enumerate(sums):
+                want = {}
+                for u in range(1 << n):
+                    members = [a for s, a in table.items()
+                               if s.bit_count() == k and s & u == u]
+                    if members:
+                        want[u] = sum(members)
+                assert row == want
 
 
 def test_qe_scalar_acts_as_a_scalar():

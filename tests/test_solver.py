@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 from math import comb
@@ -26,9 +27,10 @@ from cardcsp.solver import (average, certification_threshold, decide,
                             enumerate_kernel, fourth_moment_bound,
                             general_fourth_moment_bound)
 
-from conftest import (CUT, complete_graph, csp_instances, enumerate_kernel_point_loop,
-                      graph_instance, instance_variance, path_graph, random_instance,
-                      random_poly, reference_verdict, star_graph, valid_biases)
+from conftest import (CUT, SPLITLINES_BREAKS, complete_graph, csp_instances,
+                      enumerate_kernel_point_loop, graph_instance, instance_variance,
+                      path_graph, random_instance, random_poly, reference_verdict, star_graph,
+                      valid_biases)
 
 
 def test_decide_k4_no():
@@ -71,6 +73,9 @@ def test_average_closed_form():
     (CspInstance(n=4, d=2, constraints=(Constraint((1, 1), frozenset({(1, -1)})),)),
      "duplicate variable"),
     (CspInstance(n=6, d=1, constraints=(Constraint((1, 2), CUT),)), "arity 2 outside"),
+    # these ended in a bare TypeError from the compile's fast path
+    (CspInstance(n=2, d=2, constraints=(Constraint((1.0, 2), CUT),)), "1.0 .* is not an int"),
+    (CspInstance(n=2, d=2, constraints=(Constraint(("1", 2), CUT),)), "'1' .* is not an int"),
 ])
 def test_average_runs_decides_instance_checks(inst, message):
     card = GlobalCardinality(inst.n, F(1, 2))
@@ -550,6 +555,15 @@ def test_config_rejects_unread_keys_and_bad_values():
             parse_config(line)
 
 
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_config_ends_a_line_at_a_line_feed_only(char):
+    # str.splitlines read this one line as two settings
+    with pytest.raises(InputError, match="config line 1: bad value for enum_cap"):
+        parse_config(f"enum_cap = 5{char}kernel_cap = 3\n")
+    assert (parse_config(f"enum_cap = 5\r\n{char}kernel_cap = 3{char}\r\n")
+            == SolverConfig(enum_cap=5, kernel_cap=3))
+
+
 @pytest.mark.parametrize("line", [
     "enum_cap = 1_000", "dense_cap = \u0663\u0660", "kernel_cap = +12", "kernel_cap = 0x10",
     "enum_cap = " + "1" * 4000],
@@ -590,13 +604,32 @@ def test_decide_scales_with_the_moments_it_reads():
 
 @pytest.mark.parametrize("n, p", [(10000, F(1, 2)), (9999, F(1, 3))])
 def test_decide_one_constraint_at_ten_thousand_variables(n, p):
-    # the first step of scaling in n: about 0.1 s each on a shared 2-core
-    # host; n = 10^5 still spends 20 s in the p = 1/2 rounding's product
+    # the first step of scaling in n: about 0.1 s each on a shared 2-core host
     inst = CspInstance(n=n, d=1, constraints=(Constraint((1,), frozenset({(1,)})),))
     start = time.perf_counter()
     v = decide(inst, GlobalCardinality(n, p), 1)
     assert time.perf_counter() - start < 2
     assert (v.avg, v.opt, v.kernel) == (1 - p, 1, (1,))
+
+
+def test_decide_one_constraint_at_a_hundred_thousand_variables():
+    # nothing at p = 1/2 is sized n^2: the projection residual's norm comes
+    # from the normal equations, not from the product (sum x_i) h, whose
+    # constant term became n keys of up to n bits (about 20 s and 700 MB
+    # RSS), and _project lists no n single-bit ints; about 0.15 s and
+    # 1.6 MB traced, most of it the witness, on a shared 2-core host
+    n = 10 ** 5
+    inst = CspInstance(n=n, d=1, constraints=(Constraint((1,), frozenset({(1,)})),))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        v = decide(inst, GlobalCardinality(n, F(1, 2)), 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5 and peak < 16_000_000
+    assert (v.avg, v.opt, v.kernel) == (F(1, 2), 1, (1,))
 
 
 def test_decide_deterministic_json():

@@ -18,8 +18,10 @@ from cardcsp.csp_model import GlobalCardinality, to_polynomial
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.oracle import brute_moment, brute_variance
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
-                          subset_of, times_constraint_table, up)
+                          reduce_by_constraint, subset_of, superset_sums,
+                          times_constraint_table, up)
 from cardcsp import poly, spectra
+from cardcsp.solver import _kernel_step
 from cardcsp.spectra import (SetSymmetricForm, alpha_table, eigen_summary,
                              eigenvalue_closed_form, project_null,
                              quadratic_form_value, subsets_upto, vk_eigenvalue_exact)
@@ -28,7 +30,8 @@ from conftest import (build_dense, constraint_poly, csp_instances,
                       dense_spectrum_reference, dot, faddeev_leverrier_reference,
                       gauss_solve_reference, gram_annihilator_reference, graph_instance,
                       harmonic_basis, null_space_vector, nullspace_reference,
-                      random_instance, random_poly, rank_reference, vk_basis)
+                      random_instance, random_poly, rank_reference, seeded_int_table,
+                      vk_basis)
 
 
 def test_alpha_zero_at_half():
@@ -523,7 +526,7 @@ def test_project_operator_matches_the_horner_sum_on_int_tables(n):
         rng = random.Random(f"{n}:{d}")
         for _ in range(3):
             g, den = _random_int_table(rng, n, d), rng.randint(1, 9)
-            y, big_d = spectra._project(g, den, n, d, 0)
+            y, big_d = spectra._project(superset_sums(g), den, n, 0)
             ref_y, ref_d = _horner_project(g, den, n, d, 0)
             assert {mask: F(c, big_d) for mask, c in y.items()} == {
                 mask: F(c, ref_d) for mask, c in ref_y.items()}
@@ -579,9 +582,33 @@ def test_project_walks_no_constraint_product_per_instance(monkeypatch):
     d0, weights = spectra._projection_weights(200, 4, 0)
     assert len(weights) == 5 and type(d0) is int and d0 > 0
     g = {0b111: 4, 0b110 << 150: -2, 1 << 199: 3}
-    y, big_d = spectra._project(g, 8, 200, 3, 0)
+    y, big_d = spectra._project(superset_sums(g), 8, 200, 0)
     assert big_d == 8 * spectra._projection_weights(200, 3, 0)[0]
     assert y and all(type(c) is int for c in y.values())
+
+
+def test_residual_norm_identity_matches_the_formed_residual():
+    # |P_0 r|^2 = |P_0 f|^2 - <h, A P_0 f> against r formed by the
+    # constraint product, and the kernel step's residual_sum against it, on
+    # seeded int tables at p = 1/2, singular normal equations (n <= 2d - 2)
+    # included
+    rng, singular = random.Random("residual"), 0
+    for n in range(2, 21, 2):
+        for degree in range(min(4, n) + 1):
+            for _ in range(3):
+                table, den = seeded_int_table(rng, n, degree), rng.randint(1, 12)
+                sums = superset_sums(table)
+                y, big_d = spectra._project(sums, den, n, 0)
+                formed = reduce_by_constraint({mask: a * big_d for mask, a in table.items()},
+                                              {mask: c * den for mask, c in y.items()}, n)
+                formed.pop(0, None)
+                want = F(sum(c * c for c in formed.values()), (den * big_d) ** 2)
+                assert spectra._residual_norm(table, sums, den, y, big_d) == want
+                step = _kernel_step(den, table, GlobalCardinality(n, F(1, 2)), F(1, den),
+                                    degree, 2000)
+                assert F(step.residual_sum, step.den ** 2) == want
+                singular += n <= 2 * degree - 2
+    assert singular == 3 * 4     # (n, d) = (2, 2), (4, 3), (4, 4), (6, 4)
 
 
 def _seeded_matrix(rng, size, kind):
