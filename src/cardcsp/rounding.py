@@ -30,7 +30,8 @@ call of poly.reduce_by_constraint: _round_bisection forms g - (sum x_i) h,
 _reconstruct takes each solved weight w off the equation constants (at
 top = w + 1, so only the product's down half and shift term are formed),
 and _round_global subtracts the winner's product.  The scan's survivor
-count reads the product's up half on one top-weight set at a time.
+count reads the product's up half on the top-weight sets one support set
+can reach.
 
 General path: a variable is inactive in g when no nonzero coefficient of g
 contains it.  If some h of degree <= d-1 makes every variable of a d-set S
@@ -54,25 +55,24 @@ one _LevelSolve on the level's part of the table tries every candidate
 subset and keeps the one whose reconstruction makes the most variables
 inactive in the current top-degree part (lexicographically first
 maximizer; scan stops early once a candidate meets the theoretical
-active-set bound).  f goes over one denominator once, and
-every level reads and updates that one int table.  A candidate's top-weight
-h(s1) depends only on the row s1, its pivot and the level's slice of the
-table, and the pivot is the candidate itself unless the two meet, so each
-distinct (row, pivot) value is solved once per level and shared between
-candidates.  A candidate is dropped as soon as its active sets leave no
-more survivors than the best so far, and the sets that dropped it are
-swapped to the front of the scan's order, in O(hits).  Level 1 needs no
-solve: candidate {a} leaves inactive exactly the variables whose weight-1
-coefficient equals a's.  The winner is reconstructed in full on the table
-and subtracted on ints.  The union of the surviving variables is the
-kernel.
+active-set bound).  f goes over one denominator once, and every level
+reads and updates that one int table.
 
-Everything a _LevelSolve reads except its table depends on (n, level)
-alone: the weight-level sets with the index of each row T minus j, the
-rows' submask lists, the beta weights and the closing constant, and the
-zero-filled key set (_shape); and on (pivot, level), each pivot's submask
-lists (_pivot_subs).  Both are lru_caches shared by every instance of that
-size, never changed.
+The count is taken on the level's support (_LevelSolve): the level's most
+common value is peeled off, which changes no count, and a symmetric part
+of f is constant at each weight, so what remains is often a few sets.  A
+candidate that meets none of them costs nothing; otherwise only the rows
+its support sets reach (_response) and the sets that hold them are read.
+A candidate is dropped as soon as it cannot beat the best so far.  Level
+1 needs no solve: candidate {a} leaves inactive exactly the variables
+whose weight-1 coefficient equals a's, read off the table.  The winner is
+reconstructed in full on the table (its top weight read off the peel) and
+subtracted on ints.  The union of the surviving variables is the kernel.
+
+What depends only on the size is built once in lru_caches shared by every
+instance and never changed: the weights W per level (_span_weights), the
+rows with their submask lists per (n, level >= 2) (_shape), each pivot's
+submask lists (_pivot_subs) and each (n, candidate, set) response.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .cardinal_dist import GlobalCardinality, _chi_mean_variance
@@ -267,56 +267,134 @@ def _submasks(bits: List[int], sizes) -> List[List[int]]:
     return [[sum(c) for c in combinations(bits, k)] for k in sizes]
 
 
+def _bits(mask: int) -> List[int]:
+    """The single-bit masks of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _lowest(mask: int, k: int) -> int:
+    """The lowest k bits of mask (all of them when it has fewer)."""
+    out = 0
+    for _ in range(k):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
 def _pivot(s1: int, pool: int, size: int, n: int) -> int:
     """Bitmask of a size-`size` pivot disjoint from s1: the lowest bits of
     pool outside s1, then the lowest bits outside both.  All size-`size`
     subsets of s1 u pivot then contain a pool element, as the hypothesis
     requires."""
-    pivot, need = 0, size
-    for free in (pool & ~s1, ((1 << n) - 1) & ~(s1 | pool)):
-        while free and need:
-            low = free & -free
-            pivot |= low
-            free ^= low
-            need -= 1
-    if need:
+    pivot = _lowest(pool & ~s1, size)
+    pivot |= _lowest(((1 << n) - 1) & ~(s1 | pool), size - pivot.bit_count())
+    if pivot.bit_count() < size:
         raise InputError("not enough variables to build a pivot set")
     return pivot
 
 
-class _Shape(NamedTuple):
-    """Everything a weight-D solve on n variables reads except its table.
-    Shared by every solve and scan of that (n, D), so never changed."""
+@lru_cache(maxsize=16)
+def _span_weights(big_d: int) -> Tuple[int, ...]:
+    """W[i], i = 1..D: the weight of E(U) in N(s1, P) for a weight-D set U
+    inside s1 u P with |U n P| = i (beta_i (D-i) below D, the closing
+    constant -(-1)^D (D-1)! at i = D, where U is P); W[0] is unused."""
+    return (0, *(beta * (big_d - i) for i, beta in enumerate(_beta_weights(big_d), 1)),
+            -factorial(big_d - 1) * (-1) ** big_d)
 
-    weights: List[int]          # beta_i (D-i) for i = 1..D-1
-    closing: int                # -(-1)^D (D-1)!, the weight of E(P)
-    zeros: Dict[int, int]       # every weight-D set at 0
+
+class _Shape(NamedTuple):
+    """The rows of a weight-D solve on n variables, D >= 2.  Shared by
+    every solve of that (n, D), so never changed."""
+
     rows: List[int]             # the (D-1)-sets s1, lex order
     row_subs: List[List[List[int]]]   # per row, its (D-i)-subsets for i = 1..D-1
-    sets: List[Tuple[int, Tuple[int, ...]]]   # each D-set T, the indices of its rows T - j
 
 
 @lru_cache(maxsize=8)
 def _shape(n: int, big_d: int) -> _Shape:
-    """The _Shape of weight big_d on n variables.  Eight entries hold
-    levels 1..3 of two sizes.  A shape outlives its scans: at big_d = 3 it
-    holds about 4 MB at n = 48 and 35 MB at n = 100."""
-    bits = [1 << j for j in range(n)]
-    row_sets = list(combinations(bits, big_d - 1))
-    rows = [sum(c) for c in row_sets]
-    index = {s1: r for r, s1 in enumerate(rows)}
-    sets = [(sum(c), tuple(index[sum(c) - b] for b in c)) for c in combinations(bits, big_d)]
-    return _Shape([beta * (big_d - i) for i, beta in enumerate(_beta_weights(big_d), 1)],
-                  -factorial(big_d - 1) * (-1) ** big_d, dict.fromkeys((t for t, _ in sets), 0),
-                  rows, [_submasks(c, range(big_d - 1, 0, -1)) for c in row_sets], sets)
+    """The _Shape of weight big_d >= 2 on n variables.  Eight entries hold
+    levels 2 and 3 of four sizes; at big_d = 3 an entry holds about
+    0.5 MB at n = 48 and 2.2 MB at n = 100."""
+    row_sets = list(combinations([1 << j for j in range(n)], big_d - 1))
+    return _Shape([sum(c) for c in row_sets],
+                  [_submasks(c, range(big_d - 1, 0, -1)) for c in row_sets])
 
 
 @lru_cache(maxsize=4096)
 def _pivot_subs(pivot: int, big_d: int) -> List[List[int]]:
     """Masks of the i-subsets of the pivot bitmask, one list per
     i = 1..D-1."""
-    bits = [1 << v for v in range(pivot.bit_length()) if pivot >> v & 1]
-    return _submasks(bits, range(1, big_d))
+    return _submasks(_bits(pivot), range(1, big_d))
+
+
+@lru_cache(maxsize=2048)
+def _response(n: int, cand: int, u: int) -> Tuple[int, ...]:
+    """The rows s1 whose pivot span s1 u P holds the weight-D set u, for
+    the candidate bitmask `cand` (D = |cand|) and a set u meeting it, each
+    followed by the weight W[|u n P|] of E(u) in N(s1, P): a flat tuple
+    row, weight, row, weight, ...  Two kinds, enumerated directly:
+
+    - rows disjoint from cand, whose pivot is cand: u - cand plus any
+      |u n cand| - 1 other bits outside cand;
+    - rows C u Y (C a k-subset of cand, 1 <= k < D; Y outside cand), whose
+      pivot is (cand - C) u L(Y), L(Y) the lowest k bits outside cand u Y.
+      The span holds u when Y u L(Y) holds u - cand; L(Y) lies within the
+      lowest D-1 bits outside cand, so Y holds the part of u - cand above
+      them.
+
+    A set that misses cand lies in no span, so it has no rows.
+
+    Cached: the scans of one size meet the same (candidate, set) pairs
+    table after table.  At n <= 9 an entry is a few rows, about 0.2 KB;
+    at n = 48 most are too, but the set equal to its candidate has
+    C(n-D, D-1) disjoint rows."""
+    big_d = cand.bit_count()
+    weights = _span_weights(big_d)
+    inside = u & cand
+    rest = u ^ inside
+    outside = ((1 << n) - 1) ^ cand
+    out: List[int] = []
+    weight = weights[inside.bit_count()]
+    for extra in combinations(_bits(outside ^ rest), inside.bit_count() - 1):
+        out += (rest | sum(extra), weight)
+    high = rest & ~_lowest(outside, big_d - 1)
+    cand_bits = _bits(cand)
+    for k in range(1, big_d - high.bit_count()):
+        for extra in combinations(_bits(outside ^ high), big_d - 1 - k - high.bit_count()):
+            y = high | sum(extra)
+            fill = _lowest(outside & ~y, k)
+            if rest & ~(y | fill):
+                continue
+            filled = (rest & fill).bit_count()
+            for c in combinations(cand_bits, k):
+                part = sum(c)
+                out += (part | y, weights[(inside & ~part).bit_count() + filled])
+    return tuple(out)
+
+
+def _coefficient(t: int, acc: int, nums: Dict[int, int]) -> int:
+    """acc plus the sum of N(t minus j) over j in t, rows absent from nums
+    counting 0."""
+    rest = t
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        acc += nums.get(t ^ low, 0)
+    return acc
+
+
+class _Peel(NamedTuple):
+    """A weight-D table minus its most common value."""
+
+    value: int                  # a, the most common value, absent sets counting 0
+    support: Dict[int, int]     # E(T) - a on the sets T where it is nonzero
+    used: int                   # the union of those sets
 
 
 class _LevelSolve:
@@ -331,42 +409,95 @@ class _LevelSolve:
         R(s1) = sum_i beta_i (D-i) sum_{t1 < s1, |t1| = D-i} sum_{t2 < P, |t2| = i} E(t1 u t2)
         N(s1) = R(s1) - (-1)^D (D-1)! E(P)
 
-    on numerators, and h(s1) = N(s1) / (D! den).  A scan candidate's
-    top-weight h is that N on the table's weight-D part alone, its pivot
-    for row s1 the candidate itself unless the two meet, so one N per
-    distinct (row, pivot) pair serves every candidate of the level.  Rows
-    and sets are named by their index in the (n, D) _Shape, built once per
-    size; a solve owns only its copy of the table, its memo and its order
-    of the sets.
+    on numerators, and h(s1) = N(s1) / (D! den): each weight-D set U inside
+    s1 u P enters N(s1) once, with weight W[|U n P|] (_span_weights).  A
+    scan candidate's top-weight h is that N on the table's weight-D part
+    alone, its pivot for row s1 the candidate itself unless the two meet.
+
+    N is linear in the table, and on the all-ones table N(s1) = (D-1)! for
+    every row and pivot, so N = N' + a (D-1)! with N' the N of the peeled
+    table E - a (_Peel): N' is summed from the responses of the support
+    sets the candidate meets (_response), and is 0 on every row none of
+    them reaches.  The coefficient of T in the table minus (sum x_i) h is
+    sum_{j in T} N(T - j) - D! E(T), and a adds D (D-1)! - D! = 0 to it:
+    the peel changes no count.  A candidate that meets no support set
+    leaves every support set active and nothing else; otherwise T can be
+    active only if it is a support set or holds a row with N' != 0.
     """
 
     def __init__(self, n: int, big_d: int, table: Dict[int, int]):
-        self.shape = _shape(n, big_d)
-        # every weight-D set, absent ones at zero, so a lookup needs no default
-        self.table = dict(self.shape.zeros)
-        self.table.update(table)
         self.n = n
         self.big_d = big_d
-        # N per (row, pivot) pair, keyed pivot << n | s1
-        self.memo: Dict[int, int] = {}
-        # each weight-D set T with the indices of its rows T minus j
-        self.sets = list(self.shape.sets)
+        self.table = table
 
-    def numerator(self, row: int, pivot: int) -> int:
-        """N(s1) of row index `row` with pivot P, each distinct pair solved
-        once."""
-        shape = self.shape
-        key = pivot << self.n | shape.rows[row]
-        num = self.memo.get(key)
-        if num is not None:
-            return num
-        table = self.table
-        r_total = 0
-        for weight, t1s, t2s in zip(shape.weights, shape.row_subs[row],
-                                    _pivot_subs(pivot, self.big_d)):
-            r_total += weight * sum([table[t1 | t2] for t1 in t1s for t2 in t2s])
-        num = self.memo[key] = r_total + shape.closing * table[pivot]
-        return num
+    @cached_property
+    def peel(self) -> _Peel:
+        """The level's _Peel.  a is 0 on a tie; otherwise a is more common
+        than the absent sets, which then enter the support at -a and are
+        fewer than the table's sets."""
+        n, big_d, table = self.n, self.big_d, self.table
+        counts = Counter(table.values())
+        counts[0] += comb(n, big_d) - len(table)
+        value = max(counts, key=lambda a: (counts[a], not a))
+        support = {t: e - value for t, e in table.items() if e != value}
+        if value:
+            for c in combinations(_bits((1 << n) - 1), big_d):
+                t = sum(c)
+                if t not in table:
+                    support[t] = -value
+        used = 0
+        for t in support:
+            used |= t
+        return _Peel(value, support, used)
+
+    def peeled_numerators(self, cand: int) -> Dict[int, int]:
+        """N' per row for the candidate bitmask's pivots, on the rows the
+        support sets it meets reach (zeros possible)."""
+        n = self.n
+        nums: Dict[int, int] = {}
+        for u, e in self.peel.support.items():
+            if u & cand:
+                entries = iter(_response(n, cand, u))
+                for row, weight in zip(entries, entries):
+                    nums[row] = nums.get(row, 0) + weight * e
+        return nums
+
+    def numerator(self, row_subs: List[List[int]], pivot: int) -> int:
+        """N(s1) with pivot P, for the row s1 with submask lists row_subs
+        (its _Shape entry), summed over the table's subsets of s1 u P."""
+        table, weights = self.table, _span_weights(self.big_d)
+        r_total = weights[self.big_d] * table.get(pivot, 0)
+        for weight, t1s, t2s in zip(weights[1:], row_subs, _pivot_subs(pivot, self.big_d)):
+            r_total += weight * sum([table.get(t1 | t2, 0) for t1 in t1s for t2 in t2s])
+        return r_total
+
+    def solve(self, pool: int) -> Dict[int, int]:
+        """N(s1) per (D-1)-set s1, rows in lex order, zeros dropped, with
+        the pivots built from the pool bitmask.  A pool of D bits builds
+        the scan's pivots, and N is N' + a (D-1)!; a larger pool sums N over
+        the subsets of each s1 u P.  D = 1 has one row, the empty set, and
+        N = E(P): no _Shape is built."""
+        n, big_d = self.n, self.big_d
+        if big_d == 1:
+            num = self.table.get(_pivot(0, pool, 1, n), 0)
+            return {0: num} if num else {}
+        if n < 2 * big_d - 1:
+            raise InputError("not enough variables to build a pivot set")
+        shape = _shape(n, big_d)
+        level: Dict[int, int] = {}
+        if pool.bit_count() == big_d:
+            nums = self.peeled_numerators(pool)
+            base = self.peel.value * factorial(big_d - 1)
+            for s1 in shape.rows:
+                num = nums.get(s1, 0) + base
+                if num:
+                    level[s1] = num
+            return level
+        for s1, row_subs in zip(shape.rows, shape.row_subs):
+            num = self.numerator(row_subs, _pivot(s1, pool, big_d, n))
+            if num:
+                level[s1] = num
+        return level
 
     def survivors(self, cand: int, floor: int) -> Optional[int]:
         """Variables left inactive at weight D by the candidate bitmask: n
@@ -376,52 +507,38 @@ class _LevelSolve:
         of the constraint product stay below weight D).  None as soon as
         that count is at most floor.
 
-        Each row's N is looked up, and its pivot built, once per candidate.
-        The sets that stop a candidate are swapped into the front positions
-        of the list, in O(hits): they often stop the next one too.  The
-        order changes no count."""
-        n, sets, memo, table, rows = self.n, self.sets, self.memo, self.table, self.shape.rows
-        # the memo is read here first, so a pair solved for an earlier
-        # candidate costs no call
-        numerator, scale = self.numerator, factorial(self.big_d)
-        nums: List[Optional[int]] = [None] * len(rows)   # N per row index, this candidate
-        own = cand << n                 # the memo key's pivot part for a disjoint row
+        Counted on the peeled table: the support sets are read first (each
+        is active unless its rows cancel it), then the sets that hold a row
+        with N' != 0."""
+        n = self.n
+        if floor >= n:
+            return None
+        _, support, used = self.peel
+        if not cand & used:
+            count = n - used.bit_count()
+            return count if count > floor else None
         need = n - floor                # active variables that drop the candidate
-        union, hits = 0, []
-        for pos, (t, row_ids) in enumerate(sets):
-            if not t & ~union:
-                continue
-            acc = -scale * table[t]
-            for row in row_ids:
-                num = nums[row]
-                if num is None:
-                    s1 = rows[row]
-                    common = s1 & cand
-                    if common:
-                        # the candidate's bits outside s1, then the lowest
-                        # bits outside both (_pivot with the candidate as
-                        # the pool)
-                        used = s1 | cand
-                        pivot = cand ^ common
-                        for _ in range(common.bit_count()):
-                            low = ~used & (used + 1)
-                            pivot |= low
-                            used |= low
-                        num = memo.get(pivot << n | s1)
-                    else:
-                        pivot = cand
-                        num = memo.get(own | s1)
-                    if num is None:
-                        num = numerator(row, pivot)
-                    nums[row] = num
-                acc += num
-            if acc:
+        nums = self.peeled_numerators(cand)
+        scale = -factorial(self.big_d)
+        union = 0
+        for t, e in support.items():
+            if t & ~union and _coefficient(t, scale * e, nums):
                 union |= t
-                hits.append(pos)
                 if union.bit_count() >= need:
-                    for front, at in enumerate(hits):
-                        sets[front], sets[at] = sets[at], sets[front]
                     return None
+        full = (1 << n) - 1
+        for row, num in nums.items():
+            if not num:
+                continue
+            free = full & ~row
+            if not row & ~union:
+                free &= ~union      # only the added bit can be new
+            for low in _bits(free):
+                t = row | low
+                if t & ~union and _coefficient(t, scale * support.get(t, 0), nums):
+                    union |= t
+                    if union.bit_count() >= need:
+                        return None
         return n - union.bit_count()
 
     def best(self, exit_threshold: int) -> int:
@@ -432,15 +549,27 @@ class _LevelSolve:
 
         D = 1 is closed form: the coefficient of {j} after candidate {a} is
         E(a) - E(j), so {a} leaves inactive exactly the variables whose
-        weight-1 value (0 when absent) equals its own."""
+        weight-1 value (0 when absent) equals its own; each value's first
+        variable is the lowest bit among its sets, and 0's, when some
+        variable is absent, the lowest absent one."""
         n = self.n
         if self.big_d == 1:
-            values = [self.table[1 << j] for j in range(n)]
-            counts = Counter(values)
-            # the first j with the largest count, counts capped at exit_threshold
-            return 1 << max(range(n), key=lambda j: min(counts[values[j]], exit_threshold))
+            table = self.table
+            counts = Counter(table.values())
+            counts[0] += n - len(table)
+            first: Dict[int, int] = {}      # each value's first variable
+            for t, a in table.items():
+                first[a] = min(first.get(a, n), t.bit_length() - 1)
+            if len(table) < n:
+                absent = 0
+                while 1 << absent in table:
+                    absent += 1
+                first[0] = min(first.get(0, n), absent)
+            # the first variable with the largest count, counts capped at exit_threshold
+            value = max(first, key=lambda a: (min(counts[a], exit_threshold), -first[a]))
+            return 1 << first[value]
         best_count, best = -1, 0
-        for bits in combinations([1 << j for j in range(n)], self.big_d):
+        for bits in combinations(_bits((1 << n) - 1), self.big_d):
             cand = sum(bits)
             count = self.survivors(cand, best_count)
             if count is not None:
@@ -462,8 +591,8 @@ def _reconstruct(table: Dict[int, int], n: int, pool: int, shift: int,
     up half of that product lands on weights already solved, so each solved
     weight w is taken off with reduce_by_constraint at top = w + 1, which
     forms only the down half and the shift term.  `solve`, when given, is
-    the top weight's _LevelSolve on this table, with the pairs the scan has
-    solved already.
+    the scan's _LevelSolve of the top weight on this table, whose peel the
+    top weight reads.
     """
     h: Dict[int, int] = {}
     scale = 1
@@ -471,11 +600,7 @@ def _reconstruct(table: Dict[int, int], n: int, pool: int, shift: int,
         if solve is None:
             solve = _LevelSolve(n, big_d,
                                 {t: a for t, a in table.items() if t.bit_count() == big_d})
-        level: Dict[int, int] = {}
-        for row, s1 in enumerate(solve.shape.rows):
-            num = solve.numerator(row, _pivot(s1, pool, big_d, n))
-            if num:
-                level[s1] = num
+        level = solve.solve(pool)
         fact = factorial(big_d)
         scale *= fact
         h = {s: fact * a for s, a in h.items()}

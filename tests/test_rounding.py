@@ -15,16 +15,16 @@ from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, int_numerators, mask_of, subset_of
-from cardcsp.rounding import (RoundingOutcome, _LevelSolve, _beta_weights,
-                              active_bound_constant, gamma_denominator, gamma_ladder,
-                              reconstruct_h, round_bisection, round_global)
+from cardcsp.rounding import (RoundingOutcome, _LevelSolve, _beta_weights, _pivot, _response,
+                              _span_weights, active_bound_constant, gamma_denominator,
+                              gamma_ladder, reconstruct_h, round_bisection, round_global)
 from cardcsp.solver import _kernel_step
 from cardcsp.spectra import project_null
 
 from conftest import (beta_weights_reference, constraint_poly, csp_instances, path_graph,
                       random_instance, random_poly, reconstruct_h_reference,
                       round_bisection_reference, round_global_scan_reference,
-                      survivors_reference)
+                      survivors_reference, top_active_reference)
 
 
 def mono(n, subset, c=F(1)):
@@ -629,26 +629,120 @@ def test_best_candidate_matches_reference_loop_at_any_exit_threshold(drawn, pick
 
 
 def test_scans_of_one_size_share_only_the_unchanging_shape():
-    # the second table on the same (n, level) reads the shape the first scan
-    # read, after that scan has reordered its sets, and still counts as the
-    # reference does; the shared zero table and set order stay as built
+    # the second table on the same (n, level) reads responses the first
+    # scan cached, which depend on the candidate and the set alone, and
+    # still counts and chooses as the reference does
     n, level = 9, 3
     shift = CardinalDist(n, F(1, 3)).target_sum
     rng = random.Random(5)
     f1, f2 = (to_polynomial(random_instance(rng, n, level, 12)) for _ in range(2))
     assert {s for s in f1.coeffs if s.bit_count() == level} - set(f2.coeffs)
-    first = _level_scan(f1, level)
-    first.best(n + 1)
-    shape = first.shape
-    assert first.sets != shape.sets                 # the first scan reordered its own copy
+    _response.cache_clear()
+    _level_scan(f1, level).best(n + 1)
+    cached = _response.cache_info()
+    assert cached.currsize > 0
     second = _level_scan(f2, level)
-    assert second.shape is shape
     cands = list(combinations(range(1, n + 1), level))
     counts = [survivors_reference(f2, cand, level, shift) for cand in cands]
     assert [second.survivors(mask_of(cand, n), -1) for cand in cands] == counts
     assert subset_of(second.best(n + 1)) == cands[counts.index(max(counts))]
-    assert set(shape.zeros.values()) == {0}
-    assert [t for t, _ in shape.sets] == [mask_of(cand, n) for cand in cands]
+    assert _response.cache_info().hits > cached.hits
+    support = second.peel.support
+    for cand in cands:
+        cand = mask_of(cand, n)
+        for u in support:
+            if u & cand:
+                assert _response(n, cand, u) == _response.__wrapped__(n, cand, u)
+
+
+@pytest.mark.parametrize("n, big_d", [(4, 1), (5, 2), (7, 2), (5, 3), (8, 3), (7, 4), (9, 4)])
+def test_responses_list_every_row_whose_span_holds_the_set(n, big_d):
+    # the direct enumeration against a loop over all C(n, D-1) rows: a row
+    # holds u when u lies inside s1 u P, its weight W[|u n P|]
+    bits = [1 << j for j in range(n)]
+    rows = [sum(c) for c in combinations(bits, big_d - 1)]
+    sets = [sum(c) for c in combinations(bits, big_d)]
+    weights = _span_weights(big_d)
+    for cand in sets[::3]:
+        for u in sets:
+            expected = set()
+            for s1 in rows:
+                pivot = _pivot(s1, cand, big_d, n)
+                if not u & ~(s1 | pivot):
+                    expected.add((s1, weights[(u & pivot).bit_count()]))
+            if not u & cand:
+                assert not expected
+                continue
+            entries = _response.__wrapped__(n, cand, u)
+            listed = list(zip(entries[::2], entries[1::2]))
+            assert len(listed) == len(set(listed)) and set(listed) == expected
+
+
+def test_best_keeps_the_first_candidate_past_an_unreachable_threshold():
+    # on a constant table every candidate leaves all 7 variables inactive;
+    # a threshold above n is never reached, and the first candidate, not
+    # the last, is the maximizer
+    n, level = 7, 3
+    table = {sum(c): 5 for c in combinations([1 << j for j in range(n)], level)}
+    for exit_threshold in (n, n + 1, n + 5):
+        assert _LevelSolve(n, level, table).best(exit_threshold) == 0b111
+    scan = _LevelSolve(n, level, table)
+    assert scan.survivors(0b111, -1) == n
+    assert scan.survivors(0b111, n) is None
+
+
+@pytest.mark.parametrize("n, level", [(3, 2), (6, 2), (5, 3), (8, 3)])
+@pytest.mark.parametrize("value", [1, -4])
+def test_a_constant_table_leaves_every_variable_inactive(n, level, value):
+    # the peel takes a constant table to an empty support: every candidate
+    # keeps all n variables, as the reference counts on the table itself
+    table = {sum(c): value for c in combinations([1 << j for j in range(n)], level)}
+    scan = _LevelSolve(n, level, table)
+    assert scan.peel == (value, {}, 0)
+    f = MultilinearPoly.from_numerators(n, 1, table)
+    for cand in combinations(range(1, n + 1), level):
+        assert scan.survivors(mask_of(cand, n), -1) == n
+    assert survivors_reference(f, (1, 2, 3)[:level], level, 0) == n
+
+
+@st.composite
+def peeled_tables(draw):
+    """(n, D, table, a): a weight-D int table on n <= 11 variables, mostly
+    one repeated value where it is dense, and an int shift a."""
+    big_d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2 * big_d - 1, 11))
+    sets = [sum(c) for c in combinations([1 << j for j in range(n)], big_d)]
+    common = draw(st.integers(-3, 3))
+    density = draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    table = {t: common for t in sets if rng.random() < density}
+    for t in rng.sample(sets, min(len(sets), draw(st.integers(0, 4)))):
+        table[t] = draw(st.integers(-4, 4))
+    return n, big_d, {t: e for t, e in table.items() if e}, draw(st.integers(-6, 6))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(peeled_tables())
+def test_adding_a_constant_to_every_set_changes_no_count(drawn):
+    # N is linear in the table and sum_{j in T} N(T - j) = D! on the
+    # all-ones table, so E + a (absent sets included) counts as E does,
+    # and the top-weight h read off the peel, N' + a (D-1)!, is the
+    # reference's on E and moves by a / D on E + a
+    n, big_d, table, a = drawn
+    shifted = {t: table.get(t, 0) + a
+               for t in (sum(c) for c in combinations([1 << j for j in range(n)], big_d))}
+    shifted = {t: e for t, e in shifted.items() if e}
+    f = MultilinearPoly.from_numerators(n, 1, table)
+    scan, scan_shifted = _LevelSolve(n, big_d, table), _LevelSolve(n, big_d, shifted)
+    for cand in combinations(range(1, n + 1), big_d):
+        h_top = reconstruct_h_reference(f, cand, 0, top_weight_only=True)
+        expected = n - len(top_active_reference(f, h_top, big_d, n))
+        mask = mask_of(cand, n)
+        assert scan.survivors(mask, -1) == scan_shifted.survivors(mask, -1) == expected
+        assert MultilinearPoly.from_numerators(n, factorial(big_d), scan.solve(mask)) == h_top
+        h_shifted = MultilinearPoly.from_numerators(n, factorial(big_d), scan_shifted.solve(mask))
+        assert h_shifted == h_top + MultilinearPoly.from_subsets(
+            n, {s: F(a, big_d) for s in combinations(range(1, n + 1), big_d - 1)})
 
 
 @pytest.mark.parametrize("p", [F(1, 3), F(1, 4)])

@@ -632,6 +632,26 @@ def test_decide_one_constraint_at_a_hundred_thousand_variables():
     assert (v.avg, v.opt, v.kernel) == (F(1, 2), 1, (1,))
 
 
+def test_decide_one_constraint_at_a_hundred_thousand_variables_off_bisection():
+    # the p = 1/4 twin: the level-1 scan reads the weight-1 values off the
+    # table (n - 1 absent variables at 0) and its reconstruction is
+    # h(empty) = E(pivot), so no list of n single-bit masks is built (about
+    # 21 s and 1.4 GB traced when there was); about 0.2 s and 1.6 MB traced
+    # on a shared 2-core host
+    n = 10 ** 5
+    inst = CspInstance(n=n, d=1, constraints=(Constraint((1,), frozenset({(1,)})),))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        v = decide(inst, GlobalCardinality(n, F(1, 4)), 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5 and peak < 16_000_000
+    assert (v.avg, v.opt, v.kernel) == (F(3, 4), 1, (1,))
+
+
 def test_decide_deterministic_json():
     inst = random_instance(__import__("random").Random(9), 9, 3, 12)
     card = GlobalCardinality(9, F(1, 3))
