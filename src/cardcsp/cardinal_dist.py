@@ -38,7 +38,7 @@ from math import comb, sqrt
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
-from .exact import Scalar, _over_common_denominator, number_str
+from .exact import Scalar, _over_common_denominator, check_positive_int, number_str
 from .poly import (Assignment, Basis, MultilinearPoly, chi_numerators, exact_bias,
                    phi_square_q, superset_sums)
 
@@ -52,8 +52,7 @@ class GlobalCardinality:
     p: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InputError(f"n = {number_str(self.n)} is not a positive integer")
+        check_positive_int("n", self.n)
         p = exact_bias(self.p)
         negatives = p * self.n
         if negatives.denominator != 1:

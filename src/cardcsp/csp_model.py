@@ -22,11 +22,12 @@ Where the checks run: parse_instance checks each line as it reads it and
 names the line (ParseError); it reads each distinct pattern line once per
 call and hands every constraint of one predicate the same frozenset.
 _compile checks an instance on every route to a table, so an instance
-built through the API is checked too: each scope while its bitmask keys
-are built (_scope_keys), and each distinct (arity, patterns) once, in the
-cached _chi_table.  validate_instance runs the same checks on its own.
-Each check has one definition (_check_scope, _check_predicate), which
-also writes every message; a fast path calls it only to raise.
+built through the API is checked too: its n and d first, then each scope
+while its bitmask keys are built (_scope_keys), and each distinct
+(arity, patterns) once, in the cached _chi_table.  validate_instance runs
+the same checks on its own.  Each check has one definition
+(exact.check_positive_int, _check_scope, _check_predicate), which also
+writes every message; a fast path calls it only to raise.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .cardinal_dist import GlobalCardinality
 from .errors import InputError, ParseError
-from .exact import RATIONAL_DIGITS, parse_count, parse_rational
+from .exact import RATIONAL_DIGITS, check_positive_int, parse_count, parse_rational
 from .poly import Assignment, MultilinearPoly, check_assignment
 
 Pattern = Tuple[int, ...]
@@ -110,6 +111,8 @@ def _check_predicate(patterns, arity: int) -> None:
 
 
 def validate_instance(inst: CspInstance) -> None:
+    check_positive_int("n", inst.n)
+    check_positive_int("d", inst.d)
     for c in inst.constraints:
         _check_scope(c.variables, inst.n, inst.d)
         _check_predicate(c.patterns, c.arity)
@@ -284,7 +287,9 @@ def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
     reads, so the instance is checked here, on every route from an
     instance to a table, constraint by constraint as validate_instance
     does: each scope while its keys are built (_scope_keys), and each
-    distinct predicate once, in _chi_table."""
+    distinct predicate once, in _chi_table; n and d first."""
+    check_positive_int("n", inst.n)
+    check_positive_int("d", inst.d)
     # an arity above d fails its check below: it never sizes a weight
     top = max((len(c.variables) for c in inst.constraints if len(c.variables) <= inst.d),
               default=0)

@@ -225,6 +225,14 @@ def check_exact(name: str, value) -> Union[int, Fraction]:
     return value
 
 
+def check_positive_int(name: str, value) -> int:
+    """value itself; InputError, naming it, unless it is an int >= 1 (a
+    bool is not: a count is never True)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{name} = {number_str(value)} is not a positive integer")
+    return value
+
+
 # The grammar of an exact rational written as text: a/b, or a decimal with
 # an optional exponent; ASCII digits, an optional sign, no underscores.
 _RATIONAL = re.compile(r"\s*[-+]?(?:(?P<num>\d+)/(?P<den>\d+)"

@@ -221,8 +221,8 @@ class MultilinearPoly:
             raise InputError("restrict is defined on the chi basis")
         if any(v not in (-1, 1) for v in fixed.values()):
             raise InputError("fixed values must be +1 or -1")
-        keep = ~mask_of(sorted(fixed), self.n)   # InputError for i outside [1..n]
-        negs = mask_of(sorted(i for i, v in fixed.items() if v < 0), self.n)
+        keep = ~mask_of_set(fixed, self.n)
+        negs = mask_of_set((i for i, v in fixed.items() if v < 0), self.n)
         out: Dict[int, Scalar] = {}
         for s, c in self.coeffs.items():
             key = s & keep
@@ -291,13 +291,26 @@ def convert_basis(f: MultilinearPoly, target: Basis, p=None) -> MultilinearPoly:
 
 def mask_of(subset: Iterable[int], n: int) -> int:
     """Bitmask of a strictly increasing subset of [1..n] (bit i-1 stands for
-    variable i); InputError for any other sequence."""
+    variable i); InputError for any other sequence, naming first an entry
+    that is not an int (a bool is one: True is variable 1)."""
     s = tuple(subset)
+    for v in s:
+        if not isinstance(v, int):
+            raise InputError(f"subset entry {v!r} is not an int")
     if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
         raise InputError(f"subset {s} is not strictly increasing")
     if s and (s[0] < 1 or s[-1] > n):
-        raise InputError(f"subset {s} out of range [1..{n}]")
+        raise InputError(f"subset {s} is not a set of variables in [1..{n}]")
     return sum(1 << (i - 1) for i in s)
+
+
+def mask_of_set(variables: Iterable[int], n: int) -> int:
+    """Bitmask of variables of [1..n] given in any order, repeats allowed:
+    each is read through mask_of before anything compares it."""
+    mask = 0
+    for v in variables:
+        mask |= mask_of((v,), n)
+    return mask
 
 
 def subset_of(mask: int) -> Subset:

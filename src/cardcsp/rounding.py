@@ -47,8 +47,10 @@ h(S2) for S2 inside P; the vanishing coefficient of P itself then closes the
 system.  _reconstruct evaluates exactly that, weight d-1 down to weight 0,
 on int numerators, one _LevelSolve per weight: each weight's equation
 constants go over one common denominator, and the sum over S2 collapses
-into one weighted sum over the subsets of P.  reconstruct_h wraps it,
-Fractions in and out.
+into one weighted sum over the weight-(w+1) subsets of S1 u P.  Every
+weight is solved as the scan solves a candidate (_LevelSolve.solve): a
+pool larger than the weight is relabelled to the lowest bits, where its
+pivots are a candidate's.  reconstruct_h wraps it, Fractions in and out.
 
 round_global runs the deterministic scan: for degree level d down to 1,
 one _LevelSolve on the level's part of the table tries every candidate
@@ -71,8 +73,7 @@ subtracted on ints.  The union of the surviving variables is the kernel.
 
 What depends only on the size is built once in lru_caches shared by every
 instance and never changed: the weights W per level (_span_weights), the
-rows with their submask lists per (n, level >= 2) (_shape), each pivot's
-submask lists (_pivot_subs) and each (n, candidate, set) response.
+rows per (n, level >= 2) (_shape) and each (n, candidate, set) response.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 from .cardinal_dist import GlobalCardinality, _chi_mean_variance
 from .errors import InputError, PreconditionError
 from .exact import Scalar, check_exact, number_str, round_half_away
-from .poly import MultilinearPoly, chi_numerators, mask_of, reduce_by_constraint, superset_sums
+from .poly import MultilinearPoly, chi_numerators, mask_of_set, reduce_by_constraint, superset_sums
 
 
 def check_gamma(gamma) -> Fraction:
@@ -262,11 +263,6 @@ def _beta_weights(big_d: int) -> List[int]:
             for i in range(1, big_d)]
 
 
-def _submasks(bits: List[int], sizes) -> List[List[int]]:
-    """Masks of the k-subsets of `bits`, one list per k in sizes."""
-    return [[sum(c) for c in combinations(bits, k)] for k in sizes]
-
-
 def _bits(mask: int) -> List[int]:
     """The single-bit masks of `mask`, lowest first."""
     out = []
@@ -287,16 +283,14 @@ def _lowest(mask: int, k: int) -> int:
     return out
 
 
-def _pivot(s1: int, pool: int, size: int, n: int) -> int:
-    """Bitmask of a size-`size` pivot disjoint from s1: the lowest bits of
-    pool outside s1, then the lowest bits outside both.  All size-`size`
-    subsets of s1 u pivot then contain a pool element, as the hypothesis
-    requires."""
-    pivot = _lowest(pool & ~s1, size)
-    pivot |= _lowest(((1 << n) - 1) & ~(s1 | pool), size - pivot.bit_count())
-    if pivot.bit_count() < size:
-        raise InputError("not enough variables to build a pivot set")
-    return pivot
+def _relabel(mask: int, image: Dict[int, int]) -> int:
+    """The mask whose bits are image[b] for the single-bit masks b of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= image[low]
+        mask ^= low
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -308,29 +302,12 @@ def _span_weights(big_d: int) -> Tuple[int, ...]:
             -factorial(big_d - 1) * (-1) ** big_d)
 
 
-class _Shape(NamedTuple):
-    """The rows of a weight-D solve on n variables, D >= 2.  Shared by
-    every solve of that (n, D), so never changed."""
-
-    rows: List[int]             # the (D-1)-sets s1, lex order
-    row_subs: List[List[List[int]]]   # per row, its (D-i)-subsets for i = 1..D-1
-
-
 @lru_cache(maxsize=8)
-def _shape(n: int, big_d: int) -> _Shape:
-    """The _Shape of weight big_d >= 2 on n variables.  Eight entries hold
-    levels 2 and 3 of four sizes; at big_d = 3 an entry holds about
-    0.5 MB at n = 48 and 2.2 MB at n = 100."""
-    row_sets = list(combinations([1 << j for j in range(n)], big_d - 1))
-    return _Shape([sum(c) for c in row_sets],
-                  [_submasks(c, range(big_d - 1, 0, -1)) for c in row_sets])
-
-
-@lru_cache(maxsize=4096)
-def _pivot_subs(pivot: int, big_d: int) -> List[List[int]]:
-    """Masks of the i-subsets of the pivot bitmask, one list per
-    i = 1..D-1."""
-    return _submasks(_bits(pivot), range(1, big_d))
+def _shape(n: int, big_d: int) -> List[int]:
+    """The rows of a weight-big_d solve on n variables, big_d >= 2: the
+    (big_d - 1)-sets in lex order.  Shared by every solve of that size, so
+    never changed; at big_d = 3 an entry holds 4,950 ints at n = 100."""
+    return [sum(c) for c in combinations([1 << j for j in range(n)], big_d - 1)]
 
 
 @lru_cache(maxsize=2048)
@@ -462,39 +439,34 @@ class _LevelSolve:
                     nums[row] = nums.get(row, 0) + weight * e
         return nums
 
-    def numerator(self, row_subs: List[List[int]], pivot: int) -> int:
-        """N(s1) with pivot P, for the row s1 with submask lists row_subs
-        (its _Shape entry), summed over the table's subsets of s1 u P."""
-        table, weights = self.table, _span_weights(self.big_d)
-        r_total = weights[self.big_d] * table.get(pivot, 0)
-        for weight, t1s, t2s in zip(weights[1:], row_subs, _pivot_subs(pivot, self.big_d)):
-            r_total += weight * sum([table.get(t1 | t2, 0) for t1 in t1s for t2 in t2s])
-        return r_total
-
     def solve(self, pool: int) -> Dict[int, int]:
-        """N(s1) per (D-1)-set s1, rows in lex order, zeros dropped, with
-        the pivots built from the pool bitmask.  A pool of D bits builds
-        the scan's pivots, and N is N' + a (D-1)!; a larger pool sums N over
-        the subsets of each s1 u P.  D = 1 has one row, the empty set, and
-        N = E(P): no _Shape is built."""
+        """N(s1) per (D-1)-set s1, zeros dropped, with the pivots built from
+        the pool bitmask: P is the lowest D bits outside s1, counted in the
+        order that lists the pool's bits first.  A pool of D bits is a
+        candidate, and N = N' + a (D-1)!.  A larger pool is relabelled, its
+        bits first and each part in increasing order: the pool is then the
+        lowest bits, so every P is the lowest D bits outside s1, as for the
+        candidate (1 << D) - 1, which solves the relabelled table; its rows
+        are mapped back.  D = 1 has one row, the empty set, and
+        N = E(P) with P the pool's lowest bit: no rows are listed."""
         n, big_d = self.n, self.big_d
         if big_d == 1:
-            num = self.table.get(_pivot(0, pool, 1, n), 0)
+            num = self.table.get(pool & -pool, 0)
             return {0: num} if num else {}
         if n < 2 * big_d - 1:
             raise InputError("not enough variables to build a pivot set")
-        shape = _shape(n, big_d)
+        if pool.bit_count() > big_d:
+            order = _bits(pool) + _bits(((1 << n) - 1) ^ pool)
+            image = {bit: 1 << i for i, bit in enumerate(order)}
+            table = {_relabel(t, image): e for t, e in self.table.items()}
+            level = _LevelSolve(n, big_d, table).solve((1 << big_d) - 1)
+            back = {new: bit for bit, new in image.items()}
+            return {_relabel(s1, back): num for s1, num in level.items()}
+        nums = self.peeled_numerators(pool)
+        base = self.peel.value * factorial(big_d - 1)
         level: Dict[int, int] = {}
-        if pool.bit_count() == big_d:
-            nums = self.peeled_numerators(pool)
-            base = self.peel.value * factorial(big_d - 1)
-            for s1 in shape.rows:
-                num = nums.get(s1, 0) + base
-                if num:
-                    level[s1] = num
-            return level
-        for s1, row_subs in zip(shape.rows, shape.row_subs):
-            num = self.numerator(row_subs, _pivot(s1, pool, big_d, n))
+        for s1 in _shape(n, big_d):
+            num = nums.get(s1, 0) + base
             if num:
                 level[s1] = num
         return level
@@ -626,12 +598,10 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
     denominator.
     """
     den, table = chi_numerators(f, f.n, "reconstruct_h's f")
-    pool = tuple(sorted(set(pivot_pool)))
+    pool = mask_of_set(pivot_pool, f.n)
     if not pool:
         raise InputError("pivot pool must be nonempty")
-    if any(not 1 <= v <= f.n for v in pool):
-        raise InputError("pivot pool variable out of range")
-    scale, h = _reconstruct(table, f.n, mask_of(pool, f.n), shift)
+    scale, h = _reconstruct(table, f.n, pool, shift)
     return MultilinearPoly.from_numerators(f.n, den * scale, h)
 
 

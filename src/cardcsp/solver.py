@@ -52,8 +52,10 @@ from .cardinal_dist import _chi_mean_variance
 from .config import DEFAULT_CONFIG, SolverConfig
 from .csp_model import CspInstance, GlobalCardinality, _compile, constraint_count
 from .errors import InputError, ResourceError
-from .exact import check_exact, count_above, number_str, scalar_json, sqrt_upper
-from .poly import Assignment, MultilinearPoly, chi_numerators, exact_bias, superset_sums
+from .exact import (check_exact, check_positive_int, count_above, number_str, scalar_json,
+                    sqrt_upper)
+from .poly import (Assignment, MultilinearPoly, chi_numerators, exact_bias, mask_of_set,
+                   subset_of, superset_sums)
 from .rounding import IntOutcome, _round_bisection, _round_global, check_gamma
 from .spectra import _project, _residual_norm
 
@@ -74,9 +76,9 @@ def general_fourth_moment_bound(d: int, p) -> Fraction:
 
 
 def fourth_moment_bound(d: int, p) -> Fraction:
-    """b for degree d at bias p, computed once per (d, p): p is checked on
-    every call, the bound only on a cache miss."""
-    return _fourth_moment_bound(d, exact_bias(p))
+    """b for degree d at bias p, computed once per (d, p): d (an int >= 1)
+    and p are checked on every call, the bound only on a cache miss."""
+    return _fourth_moment_bound(check_positive_int("d", d), exact_bias(p))
 
 
 @lru_cache(maxsize=64)
@@ -224,9 +226,10 @@ def enumerate_kernel(reduced: MultilinearPoly, kernel, card: GlobalCardinality,
     kernel cap `cap`.
     """
     den, table = chi_numerators(reduced, card.n, "the reduced polynomial")
-    kernel = tuple(sorted(kernel))
-    if len(set(kernel)) < len(kernel) or any(not 1 <= v <= card.n for v in kernel):
-        raise InputError(f"kernel {kernel} is not a set of variables in [1..{card.n}]")
+    given = tuple(kernel)
+    kernel = subset_of(mask_of_set(given, card.n))
+    if len(kernel) < len(given):
+        raise InputError(f"kernel {given} is not a set of variables in [1..{card.n}]")
     extra = set(reduced.variables_used()) - set(kernel)
     if extra:
         raise InputError(f"reduced polynomial depends on non-kernel variables {sorted(extra)}")
@@ -370,12 +373,11 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
     den, table = _compile(inst)
     sums = superset_sums(table)
     avg, var = _chi_mean_variance(den, sums, card)
-    d = max(inst.d, 1)
     if t <= 0:
         return Verdict(answer="CertifiedAbove", branch="LargeVariance",
                        avg=avg, variance=var, threshold_used=Fraction(0), t=t,
                        warnings=["t <= 0: OPT >= AVG holds for every instance"])
-    threshold = certification_threshold(d, card.p, t)
+    threshold = certification_threshold(inst.d, card.p, t)
     if var >= threshold:
         return Verdict(answer="CertifiedAbove", branch="LargeVariance",
                        avg=avg, variance=var, threshold_used=threshold, t=t)
@@ -388,7 +390,8 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
     if card.p != Fraction(1, 2) and var * var > card.n:
         warnings.append(
             "variance exceeds sqrt(n); the kernel-size bound is heuristic here")
-    step = _kernel_step(den, table, card, Fraction(1, 2 ** d), d, config.dense_cap, var, sums)
+    step = _kernel_step(den, table, card, Fraction(1, 2 ** inst.d), inst.d, config.dense_cap,
+                        var, sums)
     if step.residual_above_sqrt_n(card.n):
         warnings.append(
             "projection residual exceeds sqrt(n); the 7^d blow-up bound "

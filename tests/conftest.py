@@ -623,6 +623,19 @@ class _ReconstructorReference:
         self._f_cache.clear()
 
 
+def pivot_reference(s1, pool, size, n):
+    """Bitmask of the size-`size` pivot paired with the row bitmask s1: the
+    lowest `size` bits outside s1, counted in the order that lists the pool
+    bitmask's bits first (each part in increasing order), so that every
+    size-`size` subset of s1 u pivot contains a pool element."""
+    order = ([j for j in range(n) if pool >> j & 1]
+             + [j for j in range(n) if not pool >> j & 1])
+    chosen = [j for j in order if not s1 >> j & 1][:size]
+    if len(chosen) < size:
+        raise InputError("not enough variables to build a pivot set")
+    return sum(1 << j for j in chosen)
+
+
 def reconstruct_h_reference(f, pivot_pool, shift=0, top_weight_only=False):
     pool = tuple(sorted(set(pivot_pool)))
     rec = _ReconstructorReference(f, pool, shift)

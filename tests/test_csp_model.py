@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -10,6 +11,7 @@ from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality,
                                constraint_count, format_instance, parse_instance,
                                to_polynomial, validate_instance)
 from cardcsp.errors import InputError, ParseError
+from cardcsp.solver import average, decide
 from cardcsp.poly import Basis, MultilinearPoly
 
 from conftest import (CUT, SPLITLINES_BREAKS, complete_graph, csp_instances, graph_instance,
@@ -175,6 +177,28 @@ def test_a_bool_variable_is_its_int_value():
     assert constraint_count(as_bool, (-1, 1)) == 1
     with pytest.raises(InputError, match="variable out of range in constraint"):
         to_polynomial(CspInstance(2, 2, (Constraint((False, 2), CUT),)))
+
+
+INSTANCE_ROUTES = {
+    "to_polynomial": to_polynomial,
+    "validate_instance": validate_instance,
+    "average": lambda inst: average(inst, GlobalCardinality(4, F(1, 2))),
+    "decide": lambda inst: decide(inst, GlobalCardinality(4, F(1, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("route, name, value", [
+    *((route, "d", d) for route in INSTANCE_ROUTES for d in (2.0, 2.5, "2", None, 0, True)),
+    *((route, "n", 4.0) for route in INSTANCE_ROUTES),
+    # decide and average compare any other n with the slice's first
+    *((route, "n", n) for route in ("to_polynomial", "validate_instance") for n in (-1, False)),
+])
+def test_an_api_instance_needs_an_int_n_and_d_of_at_least_one(route, name, value):
+    # d = 2.0 used to end decide in a bare TypeError from Fraction(1, 2 ** d),
+    # d = "2" in one inside _scope_keys, and d = 2.5 compiled without complaint
+    inst = CspInstance(**{"n": 4, "d": 2, name: value}, constraints=(Constraint((1, 2), CUT),))
+    with pytest.raises(InputError, match=re.escape(f"{name} = {value!r} is not a positive integer")):
+        INSTANCE_ROUTES[route](inst)
 
 
 @pytest.mark.parametrize("p", ["5e-1000000", "5e-10000000", "1e3999999999999",

@@ -37,3 +37,67 @@ def test_the_cache_check_sees_each_unbounded_spelling():
     for source in ("@lru_cache(maxsize=64)\ndef f(): pass", "g = lru_cache(maxsize=256)(f)",
                    "from functools import cached_property, lru_cache"):
         assert not list(_unbounded_caches(ast.parse(source)))
+
+
+def _private_definitions(tree):
+    """(name, node) for each top-level name tree defines with one leading
+    underscore: functions, classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _unreferenced_private_names(trees):
+    """The top-level private names of trees that no code in trees reads
+    (a Name or an attribute) outside the name's own definition; a mention
+    in a docstring or a comment is not a read."""
+    reads = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                reads.setdefault(name, []).append(id(node))
+    found = []
+    for tree in trees:
+        for name, own in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(own)}
+            if all(read in inside for read in reads.get(name, ())):
+                found.append(name)
+    return found
+
+
+def test_every_private_name_in_the_package_is_used_by_the_package():
+    # a helper that only tests still call belongs in the tests
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    assert _unreferenced_private_names(trees) == []
+
+
+def test_the_private_name_check_counts_only_reads_outside_the_definition():
+    source = '''
+def _helper():
+    """Unlike _orphan, called below."""
+    return 1
+
+
+def _recursive(k):
+    return _recursive(k - 1) if k else 0
+
+
+def _orphan():
+    pass
+
+
+_TABLE = {}
+_UNUSED = 3
+VALUE = _helper() + len(_TABLE)
+'''
+    assert _unreferenced_private_names([ast.parse(source)]) == ["_recursive", "_orphan", "_UNUSED"]

@@ -1,16 +1,20 @@
 from fractions import Fraction as F
 from itertools import product
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardcsp.csp_model import GlobalCardinality
 from cardcsp.errors import InputError
 from cardcsp.exact import QE, make_qe
 from cardcsp.poly import (Basis, MultilinearPoly, convert_basis, down, phi_square_q,
                           reduce_by_constraint, superset_sums, times_constraint,
                           times_constraint_table, up)
+from cardcsp.rounding import reconstruct_h
+from cardcsp.solver import enumerate_kernel
 
 from conftest import (basis_polys, constraint_poly, convert_basis_reference,
                       evaluate_reference, mul_reference, random_poly,
@@ -24,6 +28,33 @@ def test_coefficients_must_be_exact_scalars(value):
     # a float coefficient used to be stored and fail later in the moments
     with pytest.raises(InputError, match="is not an int, Fraction or QE"):
         MultilinearPoly(4, {1: value})
+
+
+VARIABLE_ENTRY_POINTS = {
+    "from_subsets": lambda f, v: MultilinearPoly.from_subsets(4, {(v, 2): F(1)}),
+    "coefficient": lambda f, v: f.coefficient((v, 2)),
+    "restrict": lambda f, v: f.restrict({2: 1, v: -1}),
+    "reconstruct_h": lambda f, v: reconstruct_h(f, [2, v]),
+    "enumerate_kernel": lambda f, v: enumerate_kernel(f, (2, 3, v),
+                                                      GlobalCardinality(4, F(1, 2)), 0),
+}
+
+
+@pytest.mark.parametrize("entry", [1.0, "1", None, F(1)])
+@pytest.mark.parametrize("entry_point", list(VARIABLE_ENTRY_POINTS))
+def test_a_variable_that_is_not_an_int_is_named(entry_point, entry):
+    # 1.0 used to raise a bare TypeError from the shift, "1" from the range
+    # compare or the sort
+    f = MultilinearPoly.from_subsets(4, {(1,): F(1), (2, 3): F(1, 2)})
+    with pytest.raises(InputError, match=re.escape(f"subset entry {entry!r} is not an int")):
+        VARIABLE_ENTRY_POINTS[entry_point](f, entry)
+
+
+@pytest.mark.parametrize("entry_point", list(VARIABLE_ENTRY_POINTS))
+def test_a_bool_variable_is_its_int_value_at_every_entry_point(entry_point):
+    f = MultilinearPoly.from_subsets(4, {(1,): F(1), (1, 2): F(1, 2)})
+    call = VARIABLE_ENTRY_POINTS[entry_point]
+    assert call(f, True) == call(f, 1)
 
 
 def cut_poly(n=2):

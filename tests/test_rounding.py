@@ -15,14 +15,14 @@ from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, int_numerators, mask_of, subset_of
-from cardcsp.rounding import (RoundingOutcome, _LevelSolve, _beta_weights, _pivot, _response,
+from cardcsp.rounding import (RoundingOutcome, _LevelSolve, _beta_weights, _response,
                               _span_weights, active_bound_constant, gamma_denominator,
                               gamma_ladder, reconstruct_h, round_bisection, round_global)
 from cardcsp.solver import _kernel_step
 from cardcsp.spectra import project_null
 
 from conftest import (beta_weights_reference, constraint_poly, csp_instances, path_graph,
-                      random_instance, random_poly, reconstruct_h_reference,
+                      pivot_reference, random_instance, random_poly, reconstruct_h_reference,
                       round_bisection_reference, round_global_scan_reference,
                       survivors_reference, top_active_reference)
 
@@ -667,7 +667,7 @@ def test_responses_list_every_row_whose_span_holds_the_set(n, big_d):
         for u in sets:
             expected = set()
             for s1 in rows:
-                pivot = _pivot(s1, cand, big_d, n)
+                pivot = pivot_reference(s1, cand, big_d, n)
                 if not u & ~(s1 | pivot):
                     expected.add((s1, weights[(u & pivot).bit_count()]))
             if not u & cand:
@@ -676,6 +676,34 @@ def test_responses_list_every_row_whose_span_holds_the_set(n, big_d):
             entries = _response.__wrapped__(n, cand, u)
             listed = list(zip(entries[::2], entries[1::2]))
             assert len(listed) == len(set(listed)) and set(listed) == expected
+
+
+@pytest.mark.parametrize("big_d", [2, 3, 4])
+def test_a_pool_larger_than_the_weight_solves_as_the_span_sum(big_d):
+    # the lower weights of a reconstruction: every row's N(s1) against the
+    # sum over the weight-D sets U inside s1 u P, P the row's pivot built
+    # from the pool and U weighted W[|U n P|], over all C(n, D-1) rows
+    rng = random.Random(big_d)
+    weights = _span_weights(big_d)
+    for n in range(2 * big_d - 1, 2 * big_d + 2):
+        bits = [1 << j for j in range(n)]
+        rows = [sum(c) for c in combinations(bits, big_d - 1)]
+        sets = [sum(c) for c in combinations(bits, big_d)]
+        for size in range(big_d + 1, n + 1):
+            for density in (0.3, 0.9):
+                pool = sum(rng.sample(bits, size))
+                common = rng.randint(-3, 3)
+                table = {t: common if rng.random() < 0.7 else rng.randint(-5, 5)
+                         for t in sets if rng.random() < density}
+                table = {t: e for t, e in table.items() if e}
+                expected = {}
+                for s1 in rows:
+                    pivot = pivot_reference(s1, pool, big_d, n)
+                    num = sum(weights[(u & pivot).bit_count()] * e
+                              for u, e in table.items() if not u & ~(s1 | pivot))
+                    if num:
+                        expected[s1] = num
+                assert _LevelSolve(n, big_d, table).solve(pool) == expected
 
 
 def test_best_keeps_the_first_candidate_past_an_unreachable_threshold():

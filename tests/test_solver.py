@@ -123,6 +123,16 @@ def test_threshold_rejects_a_target_that_is_not_an_int(t):
         certification_threshold(2, F(1, 2), t)
 
 
+@pytest.mark.parametrize("d", [-1, 0, 1.5, 2.0, F(2), True, "2", None])
+def test_threshold_rejects_a_degree_that_is_not_a_positive_int(d):
+    # d = -1 used to give a negative threshold and d = 1.5 one through float
+    # powers, both cached
+    with pytest.raises(InputError, match="d = .* is not a positive integer"):
+        certification_threshold(d, F(1, 2), 1)
+    with pytest.raises(InputError, match="d = .* is not a positive integer"):
+        fourth_moment_bound(d, F(1, 3))
+
+
 def test_decide_reads_the_slice_moments_once_for_both_moments():
     inst = complete_graph(6)
     card = GlobalCardinality(6, F(1, 3))
