@@ -225,6 +225,14 @@ def check_exact(name: str, value) -> Union[int, Fraction]:
     return value
 
 
+def check_int(name: str, value) -> int:
+    """value itself; InputError, naming it, unless it is an int (a bool is
+    not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} = {value!r} is not an int")
+    return value
+
+
 def check_positive_int(name: str, value) -> int:
     """value itself; InputError, naming it, unless it is an int >= 1 (a
     bool is not: a count is never True)."""

@@ -63,17 +63,25 @@ reads and updates that one int table.
 The count is taken on the level's support (_LevelSolve): the level's most
 common value is peeled off, which changes no count, and a symmetric part
 of f is constant at each weight, so what remains is often a few sets.  A
-candidate that meets none of them costs nothing; otherwise only the rows
-its support sets reach (_response) and the sets that hold them are read.
-A candidate is dropped as soon as it cannot beat the best so far.  Level
-1 needs no solve: candidate {a} leaves inactive exactly the variables
-whose weight-1 coefficient equals a's, read off the table.  The winner is
-reconstructed in full on the table (its top weight read off the peel) and
-subtracted on ints.  The union of the surviving variables is the kernel.
+level of at most 64 candidates counts them all in one pass: each count is
+linear in the peeled table, so one int per row carries every candidate's
+N' in its own field (Knuth, TAOCP 4A 7.1.3), summed from one cached column
+per support set, and every field of every top-weight coefficient is tested
+for nonzero at once (_LevelSolve.packed_counts).  On a larger level a
+candidate that meets no support set costs nothing; otherwise only the rows
+its support sets reach (_response) and the sets that hold them are read,
+and a candidate is dropped as soon as it cannot beat the best so far.
+Both routes choose the same candidate.  Level 1 needs no solve: candidate
+{a} leaves inactive exactly the variables whose weight-1 coefficient
+equals a's, read off the table.  The winner is reconstructed in full on
+the table (its top weight read off the peel) and subtracted on ints.  The
+union of the surviving variables is the kernel.
 
 What depends only on the size is built once in lru_caches shared by every
 instance and never changed: the weights W per level (_span_weights), the
-rows per (n, level >= 2) (_shape) and each (n, candidate, set) response.
+rows per (n, level >= 2) (_shape), each (n, candidate, set) response, and
+on the small levels the packed layout (_packing) and each (n, level,
+width, set) column (_column).
 """
 
 from __future__ import annotations
@@ -88,7 +96,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .cardinal_dist import GlobalCardinality, _chi_mean_variance
 from .errors import InputError, PreconditionError
-from .exact import Scalar, check_exact, number_str, round_half_away
+from .exact import Scalar, check_exact, check_int, number_str, round_half_away
 from .poly import MultilinearPoly, chi_numerators, mask_of_set, reduce_by_constraint, superset_sums
 
 
@@ -98,6 +106,13 @@ def check_gamma(gamma) -> Fraction:
     if check_exact("gamma", gamma) <= 0:
         raise InputError("gamma must be positive")
     return Fraction(gamma)
+
+
+def _check_degree(d) -> int:
+    """d itself; InputError unless it is an int >= 0 (a bool is not)."""
+    if check_int("d", d) < 0:
+        raise InputError("d must be nonnegative")
+    return d
 
 
 def gamma_denominator(d: int) -> int:
@@ -189,6 +204,7 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     """
     den_f, f_nums = chi_numerators(f, f.n, "round_bisection's f")
     den_h, h_nums = chi_numerators(h_f, f.n, "round_bisection's h_f")
+    d = f.degree_bound if d is None else _check_degree(d)
     # h_f may be any polynomial, so the residual is formed, over the lcm of
     # the two denominators.  Its norm is taken constant-free: the constant
     # component of g - (sum x) h is the remaining null direction of the
@@ -197,8 +213,7 @@ def round_bisection(f: MultilinearPoly, h_f: MultilinearPoly, gamma,
     residual = reduce_by_constraint({mask: a * (den // den_f) for mask, a in f_nums.items()},
                                     {mask: a * (den // den_h) for mask, a in h_nums.items()}, f.n)
     residual.pop(0, None)
-    step = _round_bisection(f.n, den_f, f_nums, den_h, h_nums, check_gamma(gamma),
-                            f.degree_bound if d is None else d,
+    step = _round_bisection(f.n, den_f, f_nums, den_h, h_nums, check_gamma(gamma), d,
                             Fraction(sum(a * a for a in residual.values()), den * den))
     if step.residual_above_sqrt_n(f.n) and not allow_large_residual:
         raise PreconditionError(
@@ -225,8 +240,6 @@ def _round_bisection(n: int, den_f: int, f_nums: Dict[int, int], den_h: int,
         if a * gamma.denominator % (den_f * gamma.numerator):
             raise InputError(f"coefficient {number_str(Fraction(a, den_f))} is not a "
                              "multiple of gamma")
-    if d < 0:
-        raise InputError("d must be nonnegative")
     den_steps, ladder = _ladder_steps(d, gamma)
     den = lcm(den_f, den_h, den_steps)
     g = {mask: a * (den // den_f) for mask, a in f_nums.items()}
@@ -355,6 +368,56 @@ def _response(n: int, cand: int, u: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+# A level of at most this many candidates counts them all in one pass
+# (_LevelSolve.packed_counts), one field of an int per candidate.
+_PACKED_CANDIDATES = 64
+
+
+class _Packing(NamedTuple):
+    """The layout of a packed count on n variables at weight D."""
+
+    sets: Tuple[int, ...]                   # the weight-D sets in lex order; field k is sets[k]
+    rows: Dict[int, int]                    # each row's index in _shape(n, D)
+    below: Tuple[Tuple[int, ...], ...]      # per set T, the indices of the rows T - j
+    members: Tuple[Tuple[int, ...], ...]    # per set, its variables, counted from 0
+
+
+@lru_cache(maxsize=16)
+def _packing(n: int, big_d: int) -> _Packing:
+    """The _Packing of (n, big_d), big_d >= 2: a few hundred small ints."""
+    rows = {s1: i for i, s1 in enumerate(_shape(n, big_d))}
+    sets = tuple(sum(c) for c in combinations([1 << j for j in range(n)], big_d))
+    return _Packing(sets, rows,
+                    tuple(tuple(rows[t ^ low] for low in _bits(t)) for t in sets),
+                    tuple(tuple(low.bit_length() - 1 for low in _bits(t)) for t in sets))
+
+
+@lru_cache(maxsize=128)
+def _column(n: int, big_d: int, width: int, u: int) -> Tuple[int, ...]:
+    """The weight-D set u's part of N for every candidate at once: entry i,
+    for row i of _shape(n, big_d), holds in its field k (width bits, two's
+    complement across fields) u's weight in that row's N for the candidate
+    _packing(n, big_d).sets[k], read from _response; 0 where u lies in no
+    span.  A candidate's pivot per row is one set, so a field holds one
+    W value at most.
+
+    Cached: the tables of one size share their support sets.  Per (n,
+    big_d, width) at most C(n, big_d) columns exist.  The three shapes of
+    the benchmark's p = 1/3 corpus, (6, 2), (6, 3) and (9, 2), have 71 of
+    them, 0.15 MB of tuples and ints at width 64; all columns of the
+    largest shapes that qualify take 0.69 MB at (8, 3) and 0.40 MB at
+    (7, 4), and a column grows with its width (1.3 MB for (8, 3) at 128).
+    The 128 entries hold at most about 1.6 MB at width 64."""
+    packing = _packing(n, big_d)
+    column = [0] * len(packing.rows)
+    for k, cand in enumerate(packing.sets):
+        if u & cand:
+            entries = iter(_response(n, cand, u))
+            for row, weight in zip(entries, entries):
+                column[packing.rows[row]] += weight << (width * k)
+    return tuple(column)
+
+
 def _coefficient(t: int, acc: int, nums: Dict[int, int]) -> int:
     """acc plus the sum of N(t minus j) over j in t, rows absent from nums
     counting 0."""
@@ -400,6 +463,12 @@ class _LevelSolve:
     the peel changes no count.  A candidate that meets no support set
     leaves every support set active and nothing else; otherwise T can be
     active only if it is a support set or holds a row with N' != 0.
+
+    best counts a level of at most _PACKED_CANDIDATES candidates in one
+    pass (packed_counts): N' of every candidate at once, one field per
+    candidate, and the sum over j of every weight-D set T on all fields;
+    a larger level counts each candidate on its own (survivors), which
+    stops as soon as the candidate cannot beat the best so far.
     """
 
     def __init__(self, n: int, big_d: int, table: Dict[int, int]):
@@ -513,11 +582,57 @@ class _LevelSolve:
                         return None
         return n - union.bit_count()
 
+    def packed_counts(self) -> List[int]:
+        """survivors(cand, -1) for every candidate, in lex order, in one
+        pass over ints with one width-bit field per candidate.
+
+        N'(s1) = sum_u e_u column_u(s1) over the support (_column); for
+        every weight-D set T, sum_{j in T} N'(T - j) - D! e_T in all fields
+        at once.  A field holds at most D sum_u |e_u| max|W| + D! max|e_u|
+        in absolute value, and width is the least multiple of 64 that keeps
+        this below 2^(width-1): adding 2^(width-1) to every field then
+        leaves each one apart, in [1, 2^width), and equal to 2^(width-1)
+        exactly when its coefficient is 0, so flipping that bit and
+        ((x & low) + low | x) & high flag the nonzero fields.  The flags
+        are ORed per variable of T, and their sum over the variables holds
+        each candidate's count of active variables."""
+        n, big_d = self.n, self.big_d
+        support = self.peel.support
+        packing = _packing(n, big_d)
+        fact = factorial(big_d)
+        reach = (big_d * max(map(abs, _span_weights(big_d))) * sum(map(abs, support.values()))
+                 + fact * max(map(abs, support.values()), default=0))
+        width = 64 * (reach.bit_length() // 64 + 1)
+        fields = len(packing.sets)
+        ones = ((1 << width * fields) - 1) // ((1 << width) - 1)
+        high = ones << (width - 1)
+        low = high - ones
+        nums = [0] * len(packing.rows)
+        for u, e in support.items():
+            for i, entry in enumerate(_column(n, big_d, width, u)):
+                if entry:
+                    nums[i] += e * entry
+        active = [0] * n
+        for t, below, members in zip(packing.sets, packing.below, packing.members):
+            x = -fact * support.get(t, 0) * ones
+            for i in below:
+                x += nums[i]
+            if x:
+                x = (x + high) ^ high
+                flags = ((x & low) + low | x) & high
+                for j in members:
+                    active[j] |= flags
+        total = sum(a >> (width - 1) for a in active)
+        field = (1 << width) - 1
+        return [n - (total >> width * k & field) for k in range(fields)]
+
     def best(self, exit_threshold: int) -> int:
         """Bitmask of the D-set whose top-weight reconstruction leaves the
         most variables inactive at weight D (lexicographically first
-        maximizer, or the first to reach exit_threshold).  A candidate is
-        dropped as soon as it cannot beat the best so far.
+        maximizer, or the first to reach exit_threshold).  A level of at
+        most _PACKED_CANDIDATES candidates takes every count at once
+        (packed_counts); on a larger one, a candidate is dropped as soon as
+        it cannot beat the best so far.
 
         D = 1 is closed form: the coefficient of {j} after candidate {a} is
         E(a) - E(j), so {a} leaves inactive exactly the variables whose
@@ -540,11 +655,13 @@ class _LevelSolve:
             # the first variable with the largest count, counts capped at exit_threshold
             value = max(first, key=lambda a: (min(counts[a], exit_threshold), -first[a]))
             return 1 << first[value]
+        packed = (self.packed_counts() if comb(n, self.big_d) <= _PACKED_CANDIDATES
+                  else None)
         best_count, best = -1, 0
-        for bits in combinations(_bits((1 << n) - 1), self.big_d):
+        for k, bits in enumerate(combinations(_bits((1 << n) - 1), self.big_d)):
             cand = sum(bits)
-            count = self.survivors(cand, best_count)
-            if count is not None:
+            count = packed[k] if packed is not None else self.survivors(cand, best_count)
+            if count is not None and count > best_count:
                 best_count, best = count, cand
                 if count >= exit_threshold:
                     break
@@ -597,6 +714,7 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
     weight below that).  The solve runs on f's int numerators over one
     denominator.
     """
+    check_int("shift", shift)
     den, table = chi_numerators(f, f.n, "reconstruct_h's f")
     pool = mask_of_set(pivot_pool, f.n)
     if not pool:
@@ -631,10 +749,7 @@ def round_global(f: MultilinearPoly, dist: GlobalCardinality, gamma,
     """
     den, table = chi_numerators(f, dist.n, "round_global's f")
     gamma = check_gamma(gamma)
-    if d is None:
-        d = f.degree_bound
-    if d < 0:
-        raise InputError("d must be nonnegative")
+    d = f.degree_bound if d is None else _check_degree(d)
     if variance is None:
         var = _chi_mean_variance(den, superset_sums(table), dist)[1]
     else:

@@ -61,14 +61,18 @@ from .spectra import _project, _residual_norm
 
 
 def bisection_fourth_moment_bound(d: int) -> Fraction:
-    """b with E_D[g^4] <= b * E_D[g^2]^2 for degree-<=d g at p = 1/2."""
+    """b with E_D[g^4] <= b * E_D[g^2]^2 for degree-<=d g at p = 1/2;
+    InputError unless d is an int >= 1."""
+    d = check_positive_int("d", d)
     return Fraction(12 * d * 9 ** (2 * d))
 
 
 def general_fourth_moment_bound(d: int, p) -> Fraction:
     """The all-p fourth-moment constant; d^{3/2} is replaced by a rational
     upper bound so the threshold stays exactly comparable (a larger b only
-    widens the small-variance branch, which is exact)."""
+    widens the small-variance branch, which is exact); InputError unless d
+    is an int >= 1."""
+    d = check_positive_int("d", d)
     p = exact_bias(p)
     ratio = ((1 - p) / p) ** 2 + (p / (1 - p)) ** 2
     d_three_halves = d * sqrt_upper(Fraction(d))

@@ -2,20 +2,21 @@ import random
 from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cardcsp.poly as poly
+import cardcsp.rounding as rounding
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
 from cardcsp.csp_model import GlobalCardinality, _compile, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly, int_numerators, mask_of, subset_of
-from cardcsp.rounding import (RoundingOutcome, _LevelSolve, _beta_weights, _response,
+from cardcsp.rounding import (RoundingOutcome, _column, _LevelSolve, _beta_weights, _response,
                               _span_weights, active_bound_constant, gamma_denominator,
                               gamma_ladder, reconstruct_h, round_bisection, round_global)
 from cardcsp.solver import _kernel_step
@@ -388,6 +389,25 @@ def test_round_global_variance_must_be_exact(variance):
                      allow_large_variance=True)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, F(2), "2", True])
+@pytest.mark.parametrize("step, name", [("round_global", "d"), ("round_bisection", "d"),
+                                        ("reconstruct_h", "shift")])
+def test_kernel_step_wrappers_reject_a_degree_or_shift_that_is_not_an_int(step, name, value):
+    # d = 1.5 used to raise a bare TypeError, d = "2" one from a compare,
+    # d = True to run as d = 1, and shift = 1.5 a TypeError from the
+    # Fraction arithmetic
+    f = mono(8, (1, 2), F(1, 4))
+    calls = {
+        "round_global": lambda: round_global(f, CardinalDist(8, F(1, 4)), F(1, 4), d=value,
+                                             allow_large_variance=True),
+        "round_bisection": lambda: round_bisection(f, MultilinearPoly.zero(8), F(1, 4),
+                                                   d=value, allow_large_residual=True),
+        "reconstruct_h": lambda: reconstruct_h(f, (1, 2), shift=value),
+    }
+    with pytest.raises(InputError, match=f"{name} = .* is not an int"):
+        calls[step]()
+
+
 def test_round_global_rejects_mismatched_sizes():
     # an n = 6 f on the n = 8 slice: with variance given, nothing else would
     # notice, and the scan would run on the other slice's shift
@@ -653,6 +673,77 @@ def test_scans_of_one_size_share_only_the_unchanging_shape():
         for u in support:
             if u & cand:
                 assert _response(n, cand, u) == _response.__wrapped__(n, cand, u)
+
+
+# every (n, D >= 2) whose level has at most 64 candidates and a pivot set
+PACKED_SHAPES = [(n, big_d) for big_d in (2, 3, 4) for n in range(2 * big_d - 1, 12)
+                 if comb(n, big_d) <= 64]
+
+
+def _level_tables(n, big_d, rng):
+    """Weight-D tables of every kind the packed count must read: small
+    random entries, sparse and dense; none at all; one value on every set
+    (an empty support); one value on every set but one (a peel value that
+    is not 0); and entries near 2^70, which need fields wider than 64 bits."""
+    sets = [sum(c) for c in combinations([1 << j for j in range(n)], big_d)]
+    common = rng.choice((-3, -1, 2, 5))
+    odd = rng.choice(sets)
+    tables = [{t: rng.randint(-4, 4) for t in rng.sample(sets, min(len(sets), 4))},
+              {t: common if rng.random() < 0.7 else rng.randint(-5, 5) for t in sets},
+              {},
+              {t: common for t in sets},
+              {t: common if t != odd else common + rng.choice((-2, 1)) for t in sets},
+              {t: rng.choice((-1, 1)) * (2 ** 70 + rng.randint(-9, 9))
+               for t in rng.sample(sets, min(len(sets), 5))},
+              {t: 2 ** 70 if rng.random() < 0.8 else -(2 ** 70) + rng.randint(-3, 3)
+               for t in sets}]
+    return [{t: e for t, e in table.items() if e} for table in tables]
+
+
+@pytest.mark.parametrize("n, big_d", PACKED_SHAPES)
+def test_packed_counts_match_the_count_per_candidate(monkeypatch, n, big_d):
+    # the packed pass against survivors(c, -1) and the Fraction reference on
+    # every candidate, and best on both routes at every exit threshold; the
+    # large entries fail a width fixed at 64 bits, and the mixed signs fail
+    # a pass without the 2^(width-1) offset
+    rng = random.Random(1000 * n + big_d)
+    cands = list(combinations(range(1, n + 1), big_d))
+    for table in _level_tables(n, big_d, rng):
+        scan = _LevelSolve(n, big_d, table)
+        f = MultilinearPoly.from_numerators(n, 1, table)
+        counts = [scan.survivors(mask_of(cand, n), -1) for cand in cands]
+        assert scan.packed_counts() == counts
+        assert counts == [survivors_reference(f, cand, big_d, 0) for cand in cands]
+        packed = [_LevelSolve(n, big_d, table).best(t) for t in range(1, n + 2)]
+        with monkeypatch.context() as m:
+            m.setattr(rounding, "_PACKED_CANDIDATES", 0)
+            assert [_LevelSolve(n, big_d, table).best(t) for t in range(1, n + 2)] == packed
+
+
+def test_packed_columns_are_shared_by_the_tables_of_one_size():
+    # a second table of one size reads the first table's columns, the cache
+    # holds one column per support set and width at most, and a level of
+    # more than 64 candidates reads none
+    n, big_d = 8, 3
+    rng = random.Random(8)
+    sets = [sum(c) for c in combinations([1 << j for j in range(n)], big_d)]
+    tables = [{t: rng.randint(1, 3) for t in rng.sample(sets, 6)} for _ in range(30)]
+    _column.cache_clear()
+    _LevelSolve(n, big_d, tables[0]).best(n + 1)
+    first = _column.cache_info()
+    assert first.misses == first.currsize == 6
+    _LevelSolve(n, big_d, {t: e + 1 for t, e in tables[0].items()}).best(n + 1)
+    assert _column.cache_info().hits == first.hits + 6
+    for table in tables:
+        _LevelSolve(n, big_d, table).best(n + 1)
+        assert _column.cache_info().currsize <= comb(n, big_d)
+    assert _column.cache_info().currsize > 6
+    _column.cache_clear()
+    big = {t: rng.randint(1, 3) for t in rng.sample(
+        [sum(c) for c in combinations([1 << j for j in range(9)], 3)], 12)}
+    _LevelSolve(9, 3, big).best(10)
+    info = _column.cache_info()
+    assert info.hits == info.misses == 0
 
 
 @pytest.mark.parametrize("n, big_d", [(4, 1), (5, 2), (7, 2), (5, 3), (8, 3), (7, 4), (9, 4)])

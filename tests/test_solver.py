@@ -23,8 +23,8 @@ from cardcsp.exact import make_qe, sqrt_scalar
 from cardcsp.oracle import brute_force_decision, brute_opt, slice_assignments
 from cardcsp.poly import Basis, MultilinearPoly
 from cardcsp.rounding import active_bound_constant, gamma_denominator
-from cardcsp.solver import (average, certification_threshold, decide,
-                            enumerate_kernel, fourth_moment_bound,
+from cardcsp.solver import (average, bisection_fourth_moment_bound, certification_threshold,
+                            decide, enumerate_kernel, fourth_moment_bound,
                             general_fourth_moment_bound)
 
 from conftest import (CUT, SPLITLINES_BREAKS, complete_graph, csp_instances,
@@ -126,11 +126,14 @@ def test_threshold_rejects_a_target_that_is_not_an_int(t):
 @pytest.mark.parametrize("d", [-1, 0, 1.5, 2.0, F(2), True, "2", None])
 def test_threshold_rejects_a_degree_that_is_not_a_positive_int(d):
     # d = -1 used to give a negative threshold and d = 1.5 one through float
-    # powers, both cached
-    with pytest.raises(InputError, match="d = .* is not a positive integer"):
-        certification_threshold(d, F(1, 2), 1)
-    with pytest.raises(InputError, match="d = .* is not a positive integer"):
-        fourth_moment_bound(d, F(1, 3))
+    # powers, both cached; the two constants, public too, returned a float
+    # at d = 1.5, 0 at d = 0 and a bare ValueError at d = -1
+    for bound in (lambda: certification_threshold(d, F(1, 2), 1),
+                  lambda: fourth_moment_bound(d, F(1, 3)),
+                  lambda: bisection_fourth_moment_bound(d),
+                  lambda: general_fourth_moment_bound(d, F(1, 3))):
+        with pytest.raises(InputError, match="d = .* is not a positive integer"):
+            bound()
 
 
 def test_decide_reads_the_slice_moments_once_for_both_moments():
