@@ -107,6 +107,11 @@ def certification_threshold(d: int, p, t, mode: str = "paper_safe") -> Fraction:
     return 4 * fourth_moment_bound(d, p) * _check_target(t) ** 2
 
 
+# decide's threshold, computed once per (d, p, t): decide has checked all
+# three before it asks (t itself, d in the compile, p in GlobalCardinality)
+_cached_threshold = lru_cache(maxsize=64)(certification_threshold)
+
+
 @dataclass
 class Verdict:
     answer: str                       # "CertifiedAbove" | "SolvedExactly"
@@ -381,7 +386,7 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
         return Verdict(answer="CertifiedAbove", branch="LargeVariance",
                        avg=avg, variance=var, threshold_used=Fraction(0), t=t,
                        warnings=["t <= 0: OPT >= AVG holds for every instance"])
-    threshold = certification_threshold(inst.d, card.p, t)
+    threshold = _cached_threshold(inst.d, card.p, t)
     if var >= threshold:
         return Verdict(answer="CertifiedAbove", branch="LargeVariance",
                        avg=avg, variance=var, threshold_used=threshold, t=t)

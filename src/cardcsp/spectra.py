@@ -61,7 +61,7 @@ from typing import Dict, List, Tuple
 
 from .cardinal_dist import GlobalCardinality, extend_slice_sequence
 from .errors import InputError, ResourceError
-from .exact import Scalar, _over_common_denominator, count_above, scalar_quotient
+from .exact import Scalar, _over_common_denominator, check_int, count_above, scalar_quotient
 from .poly import (Basis, MultilinearPoly, exact_bias, phi_square_q, reduce_by_constraint,
                    superset_sums)
 
@@ -128,7 +128,7 @@ class SetSymmetricForm:
     def __post_init__(self):
         if self.kind not in ("A", "B"):
             raise InputError("kind must be 'A' or 'B'")
-        if self.d < 0:
+        if check_int("d", self.d) < 0:
             raise InputError("d must be nonnegative")
         self.p = exact_bias(self.p)
         self.dist = GlobalCardinality(self.n, self.p)

@@ -2,16 +2,18 @@ import re
 import time
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality,
+import cardcsp.cli as cli
+from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality, _compile, _expansion,
                                constraint_count, format_instance, parse_instance,
                                to_polynomial, validate_instance)
 from cardcsp.errors import InputError, ParseError
-from cardcsp.solver import average, decide
+from cardcsp.solver import _kernel_step, average, decide
 from cardcsp.poly import Basis, MultilinearPoly
 
 from conftest import (CUT, SPLITLINES_BREAKS, complete_graph, csp_instances, graph_instance,
@@ -495,3 +497,116 @@ def test_to_polynomial_shared_predicates_match_reference(inst, one_object):
     assert list(to_polynomial(inst).coeffs.items()) == list(ref.coeffs.items())
     if one_object:
         assert len({id(c.patterns) for c in inst.constraints}) == 1
+
+
+_SPELLINGS = {1: ("+1", "1"), -1: ("-1",)}
+
+
+@st.composite
+def valid_instance_texts(draw):
+    """A valid instance's text as a person might write it, with the
+    constraints it holds: csp_instances' constraints (arities at most d,
+    often below it), some repeated, rendered with leading whitespace,
+    trailing comments, comment and blank lines, '1' for '+1', LF or CR LF
+    and an optional last line feed; a predicate's block is spelled one way
+    throughout or afresh at each constraint."""
+    n, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    constraints = list(draw(csp_instances(n, d)).constraints)
+    for _ in range(draw(st.integers(0, 3)) if constraints else 0):
+        constraints.insert(draw(st.integers(0, len(constraints))),
+                           draw(st.sampled_from(constraints)))
+    indent = st.sampled_from(["", "", "", " ", "\t"])
+    comment = st.sampled_from(["", "", "", " # note", "\t# c 1 1", "#s +1"])
+    spelled_once = draw(st.booleans())
+    blocks = {}
+
+    def block(patterns):
+        if spelled_once and patterns in blocks:
+            return blocks[patterns]
+        lines = [draw(indent) + "s " + " ".join(draw(st.sampled_from(_SPELLINGS[v]))
+                                                 for v in pat) + draw(comment)
+                 for pat in draw(st.permutations(sorted(patterns)))]
+        blocks[patterns] = lines
+        return lines
+
+    lines = [f"csp {n} {len(constraints)} {d} 1/{n}" + draw(comment)]
+    for c in constraints:
+        lines.append(draw(indent) + "c " + " ".join(map(str, (c.arity,) + c.variables))
+                     + draw(comment))
+        lines += block(c.patterns)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# a comment line", "#c 2 1 2"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""])), tuple(constraints)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(valid_instance_texts())
+def test_parse_builds_the_table_the_compile_builds(case):
+    # the parser adds each constraint's terms as it reads; the instance keeps
+    # that table, which equals the compile of the same constraints built
+    # through the API and the Fraction reference
+    text, constraints = case
+    inst, _ = parse_instance(text)
+    assert inst.constraints == constraints
+    kept = _compile(inst)
+    assert _compile(inst) is kept
+    assert kept == _compile(CspInstance(inst.n, inst.d, inst.constraints))
+    assert MultilinearPoly.from_numerators(inst.n, *kept) == _to_polynomial_reference(inst)
+
+
+@pytest.mark.parametrize("inst, p", [
+    (complete_graph(6), F(1, 2)),
+    (complete_graph(6), F(1, 3)),
+    # f is the constant 1, so the scan reads no level and returns the
+    # compiled table itself as its reduced table
+    (CspInstance(3, 1, (Constraint((1,), frozenset({(1,), (-1,)})),)), F(1, 3)),
+], ids=["bisection", "scan", "scan-reads-no-level"])
+def test_decide_and_kernel_leave_the_kept_table_unchanged(inst, p, monkeypatch, capsys):
+    card = GlobalCardinality(inst.n, p)
+    inst, card = parse_instance(format_instance(inst, card))
+    den, table = _compile(inst)
+    before = list(table.items())
+    if len(table) == 1:
+        assert _kernel_step(den, table, card, F(1, 2), 1, 10 ** 6).reduced is table
+    for _ in range(2):
+        decide(inst, card, 1)
+    monkeypatch.setattr(cli, "_load_instance", lambda path: (inst, card))
+    assert cli.main(["kernel", "--instance", "kept"]) == 0
+    assert _compile(inst)[1] is table and list(table.items()) == before
+
+
+def test_expansion_holds_exactly_the_nonzero_chi_terms():
+    # every predicate of arity 1 to 3: the constant, then each nonempty
+    # subset of positions whose coefficient is not 0, in (size, lex) order,
+    # as numerators over 2^arity
+    for arity in (1, 2, 3):
+        cube = list(product((-1, 1), repeat=arity))
+        subsets = [pos for r in range(1, arity + 1) for pos in combinations(range(arity), r)]
+        for size in range(1, len(cube) + 1):
+            for patterns in combinations(cube, size):
+                constant, terms = _expansion(arity, frozenset(patterns))
+                reference = {pos: F(sum(prod(pat[j] for j in pos) for pat in patterns),
+                                    2 ** arity) for pos in subsets}
+                assert F(constant, 2 ** arity) == F(len(patterns), 2 ** arity)
+                assert [pos for pos, _ in terms] == [pos for pos in subsets if reference[pos]]
+                assert all(num and F(num, 2 ** arity) == reference[pos] for pos, num in terms)
+
+
+def test_parse_checks_a_large_variable_before_any_shift():
+    # the scope's bits are formed only after its range check
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="variable out of range") as err:
+        parse_instance("csp 4 1 1 1/2\nc 1 " + "9" * 999 + "\ns +1\n")
+    assert err.value.line == 2 and time.perf_counter() - start < 1
+
+
+def test_constraint_count_needs_no_compile():
+    # each scope is read off the point; the instance is not compiled
+    inst = CspInstance(8, 3, tuple(Constraint(e, frozenset(
+        pat for pat in product((-1, 1), repeat=3) if pat.count(-1) % 2 == 0))
+        for e in combinations(range(1, 9), 3)))
+    for a in product((-1, 1), repeat=8):
+        assert constraint_count(inst, a) == sum(
+            tuple(a[v - 1] for v in c.variables) in c.patterns for c in inst.constraints)
+    assert "_table" not in vars(inst)

@@ -165,6 +165,20 @@ def test_fourth_moment_bound_is_computed_once_per_degree_and_bias(monkeypatch):
             certification_threshold(3, p, 2)
 
 
+def test_decide_computes_its_threshold_once_per_degree_bias_and_target():
+    # decide used to recheck d, p and t and multiply two Fractions on every
+    # verdict; the public function still checks its arguments on every call
+    solver._cached_threshold.cache_clear()
+    inst, card = complete_graph(6), GlobalCardinality(6, F(1, 3))
+    with mock.patch.object(solver, "fourth_moment_bound",
+                           wraps=solver.fourth_moment_bound) as bound:
+        verdicts = [decide(inst, card, 1) for _ in range(3)]
+    assert bound.call_count == 1
+    assert {v.threshold_used for v in verdicts} == {certification_threshold(2, F(1, 3), 1)}
+    with pytest.raises(InputError, match="d = 2.0 is not a positive integer"):
+        certification_threshold(2.0, F(1, 3), 1)
+
+
 def test_general_bound_reduces_monotonically_toward_half():
     b3 = general_fourth_moment_bound(2, F(1, 3))
     b25 = general_fourth_moment_bound(2, F(2, 5))

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -723,6 +724,14 @@ def test_import_cardcsp_leaves_numpy_unloaded():
 def test_set_symmetric_form_rejects_negative_degree():
     with pytest.raises(InputError, match="d must be nonnegative"):
         SetSymmetricForm(n=6, d=-1, p=F(1, 2), kind="A")
+
+
+@pytest.mark.parametrize("d", [1.5, "2", True])
+def test_set_symmetric_form_reads_its_degree_as_an_int(d):
+    # 1.5 used to be accepted and eigen_summary then ended in a bare
+    # TypeError, "2" in one from the compare, and True ran as d = 1
+    with pytest.raises(InputError, match=re.escape(f"d = {d!r} is not an int")):
+        SetSymmetricForm(n=6, d=d, p=F(1, 3), kind="A")
 
 
 def test_form_reads_its_own_slice():
