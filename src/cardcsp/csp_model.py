@@ -20,17 +20,21 @@ multiplicity).
 
 Where the checks run: parse_instance checks each line as it reads it and
 names the line (ParseError), and builds the counting table in the same
-pass.  It checks each scope once, as it reads the constraint line
-(_Reader.scope), and reads a pattern block line by line the first time its
-text comes in a call; a block seen before maps at once to its predicate's
-shared frozenset and group.  The parsed instance keeps its table, so _compile
-checks nothing more for it.  An instance built through the API is checked
-on its first _compile, which then keeps its table too: its n and d first,
-then each scope (_check_scope) and each distinct (arity, patterns) once,
-in the cached _expansion.  validate_instance runs the same checks on its
-own.  Each check has one definition (exact.check_positive_int,
-_check_scope, _check_predicate), which also writes every message; a fast
-path calls it only to raise.
+pass.  A regular piece (a constraint line and its pattern block, see
+parse_instance) is read once per process: the cached _piece checks its
+scope with the same _read_scope as the line reader and reads its block
+through the cached _block, so every piece with one block shares one
+frozenset.  Any other piece goes to the line reader (_Reader), which names
+each error at its line.  The parsed instance keeps its table, so _compile
+and constraint_count check nothing more for it.  An instance built through
+the API is checked on its first _compile, which then keeps its table too:
+its n and d first, then each scope (_check_scope) and each distinct
+(arity, patterns) once, in the cached _expansion; constraint_count checks
+the n, d and scopes of an instance that keeps no table on each call
+(_check_scopes), and the oracle once per enumeration.
+validate_instance runs the same checks on its own.  Each check has one
+definition (exact.check_positive_int, _check_scope, _check_predicate),
+which also writes every message; a fast path calls it only to raise.
 """
 
 from __future__ import annotations
@@ -140,6 +144,78 @@ def _at_line(line: int, check, *args):
 # a count's value by its text, read by exact.parse_count: an instance names
 # each variable many times, and instances share their variables' names
 _count = lru_cache(maxsize=1024)(partial(parse_count, "count"))
+# the header's p by its text, and the slice by (n, p): a corpus repeats a
+# few of each.  GlobalCardinality is frozen and equal by (n, p), so every
+# instance of a slice shares one, and with it the moment lists (_delta,
+# _pair) that it grows on first use.
+_bias = lru_cache(maxsize=64)(parse_rational)
+_slice = lru_cache(maxsize=256)(GlobalCardinality)
+
+
+def _read_scope(counts: List[str], n: int, d: int) -> Optional[Tuple[Tuple[int, ...], Bits]]:
+    """The variables of a constraint line `c <arity> <v1> ... <vk>`, from
+    its counts (the fields after `c`), and their bits (_BIT); None unless
+    every count reads through the cached _count, there are arity variables
+    and the scope passes its check under n and d: the arity, the largest
+    variable (before any shift), then the sum of the bits: bit 0 clear (no
+    variable 0) and one bit per variable (no variable twice).  _Reader.scope
+    names a failure."""
+    try:
+        arity, *variables = map(_count, counts)
+    except (InputError, ValueError):    # a bad count, or none
+        return None
+    if len(variables) == arity and 0 < arity <= d and max(variables) <= n:
+        bits = tuple(map(_BIT, variables))
+        scope = sum(bits)
+        if not scope & 1 and scope.bit_count() == arity:
+            return tuple(variables), bits
+    return None
+
+
+@lru_cache(maxsize=512)
+def _block(block: str, arity: int) -> Optional[FrozenSet[Pattern]]:
+    """The predicate of a regular pattern block: lines `s <+-1> ... <+-1>`
+    of arity entries and no comment, which the line reader (_Reader.line)
+    reads the same way; None for any other block (a blank or commented
+    line, a bad entry or count of entries).  Cached, so every regular
+    piece (_piece) with this block shares one frozenset (512 entries hold
+    the 273 predicates of arity at most 3 as format_instance spells them)."""
+    patterns = set()
+    for line in block.split("\n"):
+        fields = line.split()
+        if "#" in line or len(fields) != arity + 1 or fields[0] != "s":
+            return None
+        try:
+            patterns.add(tuple(map(_SIGN_OF.__getitem__, fields[1:])))
+        except KeyError:
+            return None
+    return frozenset(patterns)
+
+
+# the longest piece parse_instance looks up in _piece, so that the cache
+# holds at most about 2 MB of piece text; a longer piece (a block of many
+# pattern lines) is read by the line reader
+_PIECE_CHARS = 1024
+
+
+@lru_cache(maxsize=2048)
+def _piece(piece: str, n: int, d: int) -> Optional[Tuple[Constraint, Bits, int]]:
+    """A regular piece of an instance of n variables and arity at most d
+    (parse_instance): a constraint line's text after `c`, whitespace first
+    and no comment, whose scope passes _read_scope, then a regular pattern
+    block (_block).  Its checked Constraint, its scope's bits and its count
+    of line feeds; None for any other piece, which the line reader
+    (_Reader) reads to name its error or to read what is irregular in it.
+    Cached: the constraints of a corpus repeat (2,048 entries hold the
+    distinct pieces of every benchmark corpus, whose largest has 1,039)."""
+    rest, _, block = piece.partition("\n")
+    if not rest[:1].isspace() or "#" in rest:
+        return None
+    scope = _read_scope(rest.split(), n, d)
+    predicate = scope and _block(block, len(scope[0]))
+    if predicate is None:
+        return None
+    return Constraint(scope[0], predicate), scope[1], piece.count("\n")
 
 
 @lru_cache(maxsize=256)
@@ -195,13 +271,12 @@ class _Reader:
     and the open constraint (c_line its line, 0 when none is open), which
     close() adds."""
 
-    __slots__ = ("n", "d", "constraints", "pattern_of", "groups", "top", "c_line", "variables",
-                 "bits", "patterns")
+    __slots__ = ("n", "d", "constraints", "groups", "top", "c_line", "variables", "bits",
+                 "patterns")
 
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
         self.constraints: List[Constraint] = []
-        self.pattern_of: Dict[str, Pattern] = {}    # a pattern line's text -> its +-1 tuple
         # a predicate -> its group (_counting_table), whose frozenset every
         # constraint of the predicate shares; top: the largest arity
         self.groups: Dict[FrozenSet[Pattern], Group] = {}
@@ -210,97 +285,79 @@ class _Reader:
 
     def lines(self, lines: List[str], line_no: int) -> None:
         """Read lines, the first of them at line_no."""
-        pattern_of, arity, add = self.pattern_of, len(self.variables), self.patterns.add
         for line_no, raw in enumerate(lines, line_no):
-            pat = pattern_of.get(raw)
-            if pat is None:
-                pat = self.line(raw, line_no)
-                if pat is None:     # a blank line, or a constraint opened
-                    arity, add = len(self.variables), self.patterns.add
-                    continue
-            if len(pat) != arity:
-                raise ParseError(f"pattern {pat} has arity {len(pat)}, not {arity}", line_no)
-            add(pat)
+            self.line(raw, line_no)
 
-    def line(self, raw: str, line_no: int) -> Optional[Pattern]:
-        """A pattern line's +-1 tuple, or None after a blank line or a
-        constraint line, which closes the open constraint and opens its
-        own; every error names the line."""
+    def line(self, raw: str, line_no: int) -> None:
+        """Read one line: a pattern line adds its +-1 tuple to the open
+        constraint, and a constraint line closes the open constraint and
+        opens its own; every error names the line."""
         fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not fields:
-            return None
+            return
         tag = fields[0]
         if tag == "s" and self.c_line:
             try:
-                pat = self.pattern_of[raw] = tuple(map(_SIGN_OF.__getitem__, fields[1:]))
+                pat = tuple(map(_SIGN_OF.__getitem__, fields[1:]))
             except KeyError as exc:
                 raise ParseError(f"pattern entry {exc.args[0]!r} is not +-1",
                                  line_no) from None
-            return pat
+            if len(pat) != len(self.variables):
+                raise ParseError(f"pattern {pat} has arity {len(pat)}, not "
+                                 f"{len(self.variables)}", line_no)
+            self.patterns.add(pat)
+            return
         if self.c_line and not self.patterns and tag != "c":
             raise ParseError(f"expected pattern line 's ...', got {tag!r}", line_no)
         self.close()
         if tag != "c":
             raise ParseError(f"expected constraint line 'c ...', got {tag!r}", line_no)
-        self.open(line_no, *self.scope(fields[1:], line_no))
-        return None
+        self.variables, self.bits = self.scope(fields[1:], line_no)
+        self.c_line, self.patterns = line_no, set()
 
     def scope(self, counts: List[str], line_no: int) -> Tuple[Tuple[int, ...], Bits]:
-        """The variables of the constraint line `c <arity> <v1> ... <vk>`
-        at line_no, from its counts (the fields after `c`), and their bits
-        (_BIT).  The counts are read through the cached _count; a line
-        with a count that exact.parse_count refuses is read again field by
-        field, to name the field.  The scope is checked once: the arity,
-        the largest variable, then the sum of the bits: bit 0 clear (no
-        variable 0) and one bit per variable (no variable twice);
-        _check_scope names a failure."""
+        """The variables of the constraint line at line_no, from its counts
+        (the fields after `c`), and their bits, by _read_scope; a line it
+        refuses is read again field by field, to name the field, the count
+        of variables or the scope check (_check_scope) that fails."""
+        scope = _read_scope(counts, self.n, self.d)
+        if scope is not None:
+            return scope
         try:
-            arity, *variables = map(_count, counts)
-        except (InputError, ValueError):    # a bad count, or none
-            try:
-                arity = parse_count("arity", counts[0])
-                variables = [parse_count("variable", text) for text in counts[1:]]
-            except (IndexError, InputError) as exc:
-                raise ParseError(f"bad constraint line: {exc}", line_no) from exc
-        variables = tuple(variables)
+            arity = parse_count("arity", counts[0])
+            variables = tuple(parse_count("variable", text) for text in counts[1:])
+        except (IndexError, InputError) as exc:
+            raise ParseError(f"bad constraint line: {exc}", line_no) from exc
         if len(variables) != arity:
             raise ParseError(f"arity {arity} but {len(variables)} variables", line_no)
-        if 0 < arity <= self.d and max(variables) <= self.n:
-            bits = tuple(map(_BIT, variables))
-            scope = sum(bits)
-            if not scope & 1 and scope.bit_count() == arity:
-                return variables, bits
         _at_line(line_no, _check_scope, variables, self.n, self.d)
         raise AssertionError(f"_check_scope passed the scope {variables} that scope() refused")
 
-    def open(self, line_no: int, variables: Tuple[int, ...], bits: Bits) -> None:
-        """Open the constraint of line line_no, given scope()'s variables
-        and bits."""
-        self.c_line, self.variables, self.bits, self.patterns = line_no, variables, bits, set()
-
-    def close(self) -> Optional[Tuple[FrozenSet[Pattern], List[Bits]]]:
-        """Add the open constraint, if one is, to its predicate's group,
-        and return the predicate and the group's scopes; a constraint
-        without patterns is an error."""
+    def close(self) -> None:
+        """Add the open constraint, if one is; a constraint without
+        patterns is an error."""
         if not self.c_line:
-            return None
+            return
         if not self.patterns:
             raise ParseError("constraint has no satisfying patterns", self.c_line)
-        predicate = frozenset(self.patterns)
+        self.add(Constraint(self.variables, frozenset(self.patterns)), self.bits)
+        self.c_line = 0
+
+    def add(self, constraint: Constraint, bits: Bits) -> None:
+        """Add a checked constraint, given its scope's bits, to its
+        predicate's group; a constraint whose frozenset is not its group's
+        is rebuilt with the group's, so that every constraint of a
+        predicate shares one."""
+        predicate = constraint.patterns
         group = self.groups.get(predicate)
         if group is None:
-            arity = len(self.variables)
+            arity = len(bits)
             group = self.groups[predicate] = (_expansion(arity, predicate), [], predicate)
             self.top = max(self.top, arity)
-        _, scopes, predicate = group
-        self.constraints.append(Constraint(self.variables, predicate))
-        scopes.append(self.bits)
-        self.c_line = 0
-        return predicate, scopes
-
-
-# a pattern block not read yet: no constraint has arity 0
-_UNREAD = (0, None, None)
+        elif group[2] is not predicate:
+            constraint = Constraint(constraint.variables, group[2])
+        self.constraints.append(constraint)
+        group[1].append(bits)
 
 
 def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
@@ -308,11 +365,13 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     counting table as it reads; errors carry line numbers.  After the
     header, the text splits at each line feed followed by "c": every piece
     but the first is the rest of a constraint line, then the pattern block
-    up to the next such line.  The first time a block's text comes in a
-    call it is read line by line (_Reader) and kept with its predicate's
-    shared frozenset and group, so the constraints of a dense instance that
-    repeat a block read only their constraint lines.  The counting table is
-    built from the groups once every line is read (_counting_table)."""
+    up to the next such line.  A regular piece of at most _PIECE_CHARS
+    characters maps through the cached _piece to its checked constraint,
+    so the constraints that instances repeat are read once per process;
+    any other piece, and every piece while a constraint is left open, is
+    read line by line (_Reader).  The
+    counting table is built from the groups once every line is read
+    (_counting_table)."""
     # a line ends at "\n" alone; "\r" and the other breaks of str.splitlines
     # are whitespace inside a line, so a line number counts newlines
     head_line, start = 1, 0
@@ -329,45 +388,37 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     try:
         n, m, d = (parse_count(name, text, HEADER_COUNT_MAX)
                    for name, text in zip("nmd", head[1:4]))
-        p = parse_rational(head[4])
+        p = _bias(head[4])
     except InputError as exc:
         raise ParseError(f"bad header field: {exc}", head_line) from exc
     if n < 1 or m < 0 or d < 1:
         raise ParseError("n and d must be positive, m nonnegative", head_line)
-    card = _at_line(head_line, GlobalCardinality, n, p)
+    card = _at_line(head_line, _slice, n, p)
 
     reader = _Reader(n, d)
-    constraints, scope_of = reader.constraints, reader.scope
+    add = reader.add
     # the first piece starts with the header line's own line feed
     # (without the text's last line feed, the last block reads as the others)
     first, *pieces = text[end:len(text) - text.endswith("\n")].split("\nc") if end >= 0 else ("",)
     reader.lines(first.split("\n")[1:], head_line + 1)
     line_no = head_line + first.count("\n")
-    blocks = {}     # a pattern block's text -> (arity, predicate, its group's scopes)
     for piece in pieces:
         line_no += 1
-        rest, _, block = piece.partition("\n")
-        if reader.c_line or rest[:1] != " " or "#" in rest:
-            # a constraint still open, or a constraint line to read in full
-            reader.line("c" + rest, line_no)
-        else:
-            variables, bits = scope_of(rest.split(), line_no)
-            arity, predicate, scopes = blocks.get(block, _UNREAD)
-            if arity == len(variables):
-                constraints.append(Constraint(variables, predicate))
-                scopes.append(bits)
-                line_no += piece.count("\n")
-                continue
-            reader.open(line_no, variables, bits)
-        reader.lines(block.split("\n"), line_no + 1)
-        if reader.c_line == line_no and reader.patterns:
-            blocks[block] = (len(reader.variables), *reader.close())
+        read = None if reader.c_line or len(piece) > _PIECE_CHARS else _piece(piece, n, d)
+        if read is not None:
+            constraint, bits, lines = read
+            add(constraint, bits)
+            line_no += lines
+            continue
+        reader.lines(("c" + piece).split("\n"), line_no)
+        if reader.patterns:
+            reader.close()
         line_no += piece.count("\n")
     reader.close()
-    if len(constraints) != m:
-        raise ParseError(f"header declares m={m} but found {len(constraints)} "
+    if len(reader.constraints) != m:
+        raise ParseError(f"header declares m={m} but found {len(reader.constraints)} "
                          "constraints", head_line)
-    inst = CspInstance(n=n, d=d, constraints=tuple(constraints))
+    inst = CspInstance(n=n, d=d, constraints=tuple(reader.constraints))
     object.__setattr__(inst, "_table", _counting_table(reader.groups.values(), reader.top))
     return inst, card
 
@@ -431,8 +482,27 @@ def to_polynomial(inst: CspInstance) -> MultilinearPoly:
     return MultilinearPoly.from_numerators(inst.n, den, {s: table[s] for s in order if s in table})
 
 
+def _check_scopes(inst: CspInstance) -> None:
+    """Raise InputError naming the first of inst's n, d and scopes that
+    fails its check (_check_scope), unless inst keeps its table (_compile),
+    whose scopes were checked when it was built."""
+    if getattr(inst, "_table", None) is None:
+        check_positive_int("n", inst.n)
+        check_positive_int("d", inst.d)
+        for c in inst.constraints:
+            _check_scope(c.variables, inst.n, inst.d)
+
+
 def constraint_count(inst: CspInstance, a: Assignment) -> int:
-    """Number of satisfied constraints, by direct predicate lookup: each
+    """Number of satisfied constraints, by direct predicate lookup, once
+    inst's scopes are checked (_check_scopes); the instance is not
+    compiled."""
+    _check_scopes(inst)
+    return _satisfied(inst, a)
+
+
+def _satisfied(inst: CspInstance, a: Assignment) -> int:
+    """constraint_count of an instance whose scopes are checked: each
     scope is read off one point indexed by variable (point[v] is a[v - 1])."""
     check_assignment(a, inst.n)
     entry = (None, *a).__getitem__

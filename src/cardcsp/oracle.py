@@ -16,7 +16,7 @@ from math import comb
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .config import DEFAULT_CONFIG
-from .csp_model import CspInstance, GlobalCardinality, constraint_count
+from .csp_model import CspInstance, GlobalCardinality, _check_scopes, _satisfied
 from .errors import DegenerateInput, InputError, ResourceError
 from .exact import QE, Scalar, make_qe, number_str
 from .poly import Assignment, Basis, MultilinearPoly, basis_constants
@@ -138,10 +138,11 @@ def brute_opt(inst: CspInstance, card: GlobalCardinality,
     if inst.n != card.n:
         raise InputError("instance and cardinality sizes differ")
     _check_cap(card, cap)
+    _check_scopes(inst)
     best: Optional[int] = None
     best_a: Optional[Assignment] = None
     for a in slice_assignments(card):
-        v = constraint_count(inst, a)
+        v = _satisfied(inst, a)
         if best is None or v > best or (v == best and a < best_a):
             best, best_a = v, a
     return best, best_a
@@ -151,9 +152,10 @@ def brute_average(inst: CspInstance, card: GlobalCardinality,
                   cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Mean satisfied-constraint count over the slice, exactly."""
     _check_cap(card, cap)
+    _check_scopes(inst)
     total = 0
     for a in slice_assignments(card):
-        total += constraint_count(inst, a)
+        total += _satisfied(inst, a)
     return Fraction(total, slice_count(card))
 
 

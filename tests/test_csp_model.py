@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cardcsp.cli as cli
+import cardcsp.csp_model as csp_model
 from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality, _compile, _expansion,
                                constraint_count, format_instance, parse_instance,
                                to_polynomial, validate_instance)
 from cardcsp.errors import InputError, ParseError
+from cardcsp.oracle import brute_average, brute_opt
 from cardcsp.solver import _kernel_step, average, decide
 from cardcsp.poly import Basis, MultilinearPoly
 
@@ -610,3 +612,116 @@ def test_constraint_count_needs_no_compile():
         assert constraint_count(inst, a) == sum(
             tuple(a[v - 1] for v in c.variables) in c.patterns for c in inst.constraints)
     assert "_table" not in vars(inst)
+
+
+def _clear_parse_caches():
+    for cache in (csp_model._piece, csp_model._block, csp_model._bias, csp_model._slice):
+        cache.cache_clear()
+
+
+def _shared_predicates(inst):
+    """{predicate: the ids of the frozensets its constraints hold}."""
+    ids = {}
+    for c in inst.constraints:
+        ids.setdefault(c.patterns, set()).add(id(c.patterns))
+    return ids
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(valid_instance_texts())
+def test_parse_reads_the_same_with_the_piece_cache_cold_warm_or_cleared(case):
+    # a piece read before maps to its cached constraint; the instance, its
+    # kept table and one frozenset per predicate do not depend on that
+    text, constraints = case
+    parsed = []
+    for clear in (True, False, True):
+        if clear:
+            _clear_parse_caches()
+        inst, card = parse_instance(text)
+        parsed.append((inst, card, _compile(inst)))
+        assert inst.constraints == constraints
+        assert all(len(ids) == 1 for ids in _shared_predicates(inst).values())
+    for inst, card, table in parsed[1:]:
+        assert (inst, card, table) == parsed[0]
+    assert parsed[1][2] == _compile(CspInstance(inst.n, inst.d, inst.constraints))
+
+
+@pytest.mark.parametrize("valid, invalid, message", [
+    ("csp 9 1 2 1/3\nc 2 1 9\ns +1 -1\ns -1 +1\n", "csp 8 1 2 1/2\nc 2 1 9\ns +1 -1\ns -1 +1\n",
+     "variable out of range in constraint (1, 9)"),
+    ("csp 3 1 3 1/3\nc 3 1 2 3\ns +1 -1 +1\n", "csp 3 1 2 1/3\nc 3 1 2 3\ns +1 -1 +1\n",
+     "constraint arity 3 outside [1..2]"),
+], ids=["variable-9-then-n-8", "arity-3-then-d-2"])
+def test_a_cached_piece_is_checked_again_under_another_header(valid, invalid, message):
+    # the piece cache is keyed by the instance's n and d as well as its text
+    for _ in range(2):
+        assert parse_instance(valid)[0].m == 1
+        with pytest.raises(ParseError) as err:
+            parse_instance(invalid)
+        assert err.value.line == 2 and str(err.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("bad, offset, message", [
+    ("c 2 1 7\ns +1 -1\ns -1 +1\n", 0, "variable out of range in constraint (1, 7)"),
+    ("c 2 1 2\ns +1 -1\ns -1 0\n", 2, "pattern entry '0' is not +-1"),
+    ("c 2 1 2\ns +1 -1\ns -1\n", 2, "pattern (-1,) has arity 1, not 2"),
+    ("c 2 1 2\nc 2 1 3\ns +1 -1\n", 0, "constraint has no satisfying patterns"),
+], ids=["scope", "entry", "pattern-arity", "no-patterns"])
+def test_an_error_after_cached_pieces_names_its_line(k, bad, offset, message):
+    # k - 1 regular cut constraints, read once to fill the cache, then a bad one
+    good = "".join(f"c 2 {i} {i + 1}\ns +1 -1\ns -1 +1\n" for i in range(1, k))
+    assert parse_instance(f"csp 6 {k - 1} 2 1/2\n" + good)[0].m == k - 1
+    line = 2 + 3 * (k - 1) + offset
+    with pytest.raises(ParseError) as err:
+        parse_instance(f"csp 6 {k + 1} 2 1/2\n" + good + bad)
+    assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["respelled-first", "respelled-last"])
+def test_parsed_predicates_share_one_frozenset_whatever_block_comes_first(first):
+    # a respelled block is read line by line into a frozenset of its own; a
+    # cached piece carries its block's frozenset, and each constraint takes
+    # its group's
+    text = format_instance(PARITY_N8, GlobalCardinality(8, F(1, 2)))
+    assert parse_instance(text)[0] == PARITY_N8     # the cache now holds every piece
+    head, *blocks = text.split("\nc")
+    index = 0 if first else len(blocks) - 1
+    blocks[index] = blocks[index].replace("s +1 +1 +1", "s 1 1 +1 # respelled")
+    inst, _ = parse_instance("\nc".join([head] + blocks))
+    test_to_polynomial_shared_predicates_match_reference(inst, True)
+
+
+def test_parse_shares_one_slice_per_n_and_p():
+    # p is read once per text and the slice built once per (n, p); a
+    # header error is raised afresh, with its line, every time
+    a, b = (parse_instance(f"csp 4 0 1 {p}\n")[1] for p in ("1/2", "1/2"))
+    assert a is b and a == GlobalCardinality(4, F(1, 2))
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse_instance("# p*n = 5/2\ncsp 5 0 1 1/2\n")
+        assert err.value.line == 2 and str(err.value) == "line 2: p*n = 5/2 is not an integer"
+
+
+@pytest.mark.parametrize("scope", [(0, 1), (-1, 1), (1, 3)])
+def test_constraint_count_checks_an_api_instance_s_scopes(scope):
+    # (0, 1) read variable 0 as a[-1], (-1, 1) counted a silent 0 or 1, and
+    # (1, 3) raised a bare IndexError; the oracle counted with them too
+    inst = CspInstance(2, 2, (Constraint(scope, CUT),))
+    card = GlobalCardinality(2, F(1, 2))
+    message = re.escape(f"variable out of range in constraint {scope}")
+    for count in (lambda: constraint_count(inst, (1, -1)), lambda: brute_opt(inst, card),
+                  lambda: brute_average(inst, card)):
+        with pytest.raises(InputError, match=message):
+            count()
+    assert "_table" not in vars(inst)
+
+
+def test_a_long_piece_is_read_but_not_cached():
+    # the piece cache holds no piece longer than _PIECE_CHARS, so a block of
+    # many pattern lines is not kept once its text is gone
+    held = csp_model._piece.cache_info().currsize
+    for v in (1, 2):
+        text = f"csp 4 1 1 1/2\nc 1 {v}\n" + "s +1\n" * (csp_model._PIECE_CHARS // 5 + 1)
+        assert parse_instance(text)[0] == CspInstance(4, 1, (Constraint((v,), frozenset({(1,)})),))
+    assert csp_model._piece.cache_info().currsize == held
