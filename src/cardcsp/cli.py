@@ -237,10 +237,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CardCspError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CardCspError, OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError: an instance or config file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -20,21 +20,21 @@ multiplicity).
 
 Where the checks run: parse_instance checks each line as it reads it and
 names the line (ParseError), and builds the counting table in the same
-pass.  A regular piece (a constraint line and its pattern block, see
-parse_instance) is read once per process: the cached _piece checks its
-scope with the same _read_scope as the line reader and reads its block
-through the cached _block, so every piece with one block shares one
-frozenset.  Any other piece goes to the line reader (_Reader), which names
-each error at its line.  The parsed instance keeps its table, so _compile
-and constraint_count check nothing more for it.  An instance built through
-the API is checked on its first _compile, which then keeps its table too:
-its n and d first, then each scope (_check_scope) and each distinct
-(arity, patterns) once, in the cached _expansion; constraint_count checks
-the n, d and scopes of an instance that keeps no table on each call
-(_check_scopes), and the oracle once per enumeration.
-validate_instance runs the same checks on its own.  Each check has one
-definition (exact.check_positive_int, _check_scope, _check_predicate),
-which also writes every message; a fast path calls it only to raise.
+pass.  One reader, _Reader, reads every constraint and pattern line.  The
+piece cache (_piece) sits in front of it: a constraint line and its
+pattern block that the process has read before map straight to their
+checked constraints, and any other piece is read by a fresh _Reader, or,
+on an error, by parse_instance's own, which names the error at its line.
+The parsed instance keeps its table, so _compile and constraint_count
+check nothing more for it.  An instance built through the API is checked
+by one walk over its n, d and scopes (_scopes): validate_instance checks
+each predicate on that walk, constraint_count runs it on each call for an
+instance that keeps no table (_check_scopes), the oracle once per
+enumeration, and the first _compile groups the constraints on it, checks
+each distinct (arity, patterns) once in the cached _expansion and keeps
+the table too.  Each check has one definition (exact.check_positive_int,
+_check_scope, _check_predicate), which also writes every message; a fast
+path calls it only to raise.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .cardinal_dist import GlobalCardinality
 from .errors import InputError, ParseError
@@ -125,12 +125,20 @@ def _check_predicate(patterns, arity: int) -> None:
             _check_pattern(pat, arity)
 
 
-def validate_instance(inst: CspInstance) -> None:
+def _scopes(inst: CspInstance) -> Iterator[Tuple[Constraint, Bits]]:
+    """inst's constraints, each with its scope's bits (_BIT), as inst's n
+    and d and then each scope in turn pass their checks: the one walk over
+    an API instance's n, d and scopes."""
     check_positive_int("n", inst.n)
     check_positive_int("d", inst.d)
     for c in inst.constraints:
         _check_scope(c.variables, inst.n, inst.d)
-        _check_predicate(c.patterns, c.arity)
+        yield c, tuple(map(_BIT, c.variables))
+
+
+def validate_instance(inst: CspInstance) -> None:
+    for c, bits in _scopes(inst):
+        _check_predicate(c.patterns, len(bits))
 
 
 def _at_line(line: int, check, *args):
@@ -150,72 +158,10 @@ _count = lru_cache(maxsize=1024)(partial(parse_count, "count"))
 # _pair) that it grows on first use.
 _bias = lru_cache(maxsize=64)(parse_rational)
 _slice = lru_cache(maxsize=256)(GlobalCardinality)
-
-
-def _read_scope(counts: List[str], n: int, d: int) -> Optional[Tuple[Tuple[int, ...], Bits]]:
-    """The variables of a constraint line `c <arity> <v1> ... <vk>`, from
-    its counts (the fields after `c`), and their bits (_BIT); None unless
-    every count reads through the cached _count, there are arity variables
-    and the scope passes its check under n and d: the arity, the largest
-    variable (before any shift), then the sum of the bits: bit 0 clear (no
-    variable 0) and one bit per variable (no variable twice).  _Reader.scope
-    names a failure."""
-    try:
-        arity, *variables = map(_count, counts)
-    except (InputError, ValueError):    # a bad count, or none
-        return None
-    if len(variables) == arity and 0 < arity <= d and max(variables) <= n:
-        bits = tuple(map(_BIT, variables))
-        scope = sum(bits)
-        if not scope & 1 and scope.bit_count() == arity:
-            return tuple(variables), bits
-    return None
-
-
-@lru_cache(maxsize=512)
-def _block(block: str, arity: int) -> Optional[FrozenSet[Pattern]]:
-    """The predicate of a regular pattern block: lines `s <+-1> ... <+-1>`
-    of arity entries and no comment, which the line reader (_Reader.line)
-    reads the same way; None for any other block (a blank or commented
-    line, a bad entry or count of entries).  Cached, so every regular
-    piece (_piece) with this block shares one frozenset (512 entries hold
-    the 273 predicates of arity at most 3 as format_instance spells them)."""
-    patterns = set()
-    for line in block.split("\n"):
-        fields = line.split()
-        if "#" in line or len(fields) != arity + 1 or fields[0] != "s":
-            return None
-        try:
-            patterns.add(tuple(map(_SIGN_OF.__getitem__, fields[1:])))
-        except KeyError:
-            return None
-    return frozenset(patterns)
-
-
-# the longest piece parse_instance looks up in _piece, so that the cache
-# holds at most about 2 MB of piece text; a longer piece (a block of many
-# pattern lines) is read by the line reader
-_PIECE_CHARS = 1024
-
-
-@lru_cache(maxsize=2048)
-def _piece(piece: str, n: int, d: int) -> Optional[Tuple[Constraint, Bits, int]]:
-    """A regular piece of an instance of n variables and arity at most d
-    (parse_instance): a constraint line's text after `c`, whitespace first
-    and no comment, whose scope passes _read_scope, then a regular pattern
-    block (_block).  Its checked Constraint, its scope's bits and its count
-    of line feeds; None for any other piece, which the line reader
-    (_Reader) reads to name its error or to read what is irregular in it.
-    Cached: the constraints of a corpus repeat (2,048 entries hold the
-    distinct pieces of every benchmark corpus, whose largest has 1,039)."""
-    rest, _, block = piece.partition("\n")
-    if not rest[:1].isspace() or "#" in rest:
-        return None
-    scope = _read_scope(rest.split(), n, d)
-    predicate = scope and _block(block, len(scope[0]))
-    if predicate is None:
-        return None
-    return Constraint(scope[0], predicate), scope[1], piece.count("\n")
+# a parsed predicate by its value, so that every constraint the reader
+# closes with it, in any instance or cached piece, shares one frozenset
+# (512 entries hold the 273 predicates of arity at most 3)
+_predicate = lru_cache(maxsize=512)(frozenset)
 
 
 @lru_cache(maxsize=256)
@@ -240,36 +186,12 @@ def _expansion(arity: int, patterns: FrozenSet[Pattern]) -> Expansion:
     return len(neg_masks), tuple(terms)
 
 
-def _counting_table(groups: Iterable[Group], top: int) -> Tuple[int, Dict[int, int]]:
-    """(den, {mask: numerator}) of the constraints in groups, one group
-    per predicate: its expansion, the bits (_BIT) of every scope it
-    applies to, and the predicate.  Numerators are over den = 2^top, top
-    the largest arity, zeros dropped.  A term's key, the sum of its
-    positions' bits, is formed for a whole group at once; keys are twice
-    the masks until the last step."""
-    nums: Dict[int, int] = defaultdict(int)
-    for (constant, terms), scopes, _ in groups:
-        arity = len(scopes[0])
-        shift = top - arity
-        nums[0] += len(scopes) * constant << shift
-        for positions, num in terms:
-            if len(positions) == arity:
-                keys = map(sum, scopes)
-            elif len(positions) == 1:
-                keys = map(itemgetter(positions[0]), scopes)
-            else:
-                keys = map(sum, map(itemgetter(*positions), scopes))
-            num <<= shift
-            for key in keys:
-                nums[key] += num
-    return 1 << top, {key >> 1: num for key, num in nums.items() if num}
-
-
 class _Reader:
-    """What parse_instance has read after its header, one line at a time:
-    the constraints so far, grouped by predicate for the counting table,
-    and the open constraint (c_line its line, 0 when none is open), which
-    close() adds."""
+    """The constraints of an instance so far, grouped by predicate for the
+    counting table (table()), and the open constraint (c_line its line, 0
+    when none is open), which close() adds.  parse_instance and the piece
+    cache (_piece) read every constraint and pattern line after the header
+    through line(); _compile adds an API instance's constraints."""
 
     __slots__ = ("n", "d", "constraints", "groups", "top", "c_line", "variables", "bits",
                  "patterns")
@@ -277,7 +199,7 @@ class _Reader:
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
         self.constraints: List[Constraint] = []
-        # a predicate -> its group (_counting_table), whose frozenset every
+        # a predicate -> its group (table()), whose frozenset every
         # constraint of the predicate shares; top: the largest arity
         self.groups: Dict[FrozenSet[Pattern], Group] = {}
         self.top = 0
@@ -313,16 +235,26 @@ class _Reader:
         if tag != "c":
             raise ParseError(f"expected constraint line 'c ...', got {tag!r}", line_no)
         self.variables, self.bits = self.scope(fields[1:], line_no)
-        self.c_line, self.patterns = line_no, set()
+        self.c_line = line_no
 
     def scope(self, counts: List[str], line_no: int) -> Tuple[Tuple[int, ...], Bits]:
         """The variables of the constraint line at line_no, from its counts
-        (the fields after `c`), and their bits, by _read_scope; a line it
-        refuses is read again field by field, to name the field, the count
-        of variables or the scope check (_check_scope) that fails."""
-        scope = _read_scope(counts, self.n, self.d)
-        if scope is not None:
-            return scope
+        (the fields after `c`), and their bits (_BIT).  The fast path reads
+        every count through the cached _count and checks the arity, the
+        largest variable (before any shift), then the sum of the bits: bit
+        0 clear (no variable 0) and one bit per variable (no variable
+        twice).  A line it refuses is read again field by field, to name
+        the field, the count of variables or the scope check
+        (_check_scope) that fails."""
+        try:
+            arity, *variables = map(_count, counts)
+        except (InputError, ValueError):    # a bad count, or none: refused below
+            arity, variables = 0, ()
+        if len(variables) == arity and 0 < arity <= self.d and max(variables) <= self.n:
+            bits = tuple(map(_BIT, variables))
+            scope = sum(bits)
+            if not scope & 1 and scope.bit_count() == arity:
+                return tuple(variables), bits
         try:
             arity = parse_count("arity", counts[0])
             variables = tuple(parse_count("variable", text) for text in counts[1:])
@@ -334,14 +266,14 @@ class _Reader:
         raise AssertionError(f"_check_scope passed the scope {variables} that scope() refused")
 
     def close(self) -> None:
-        """Add the open constraint, if one is; a constraint without
-        patterns is an error."""
+        """Add the open constraint, if one is, with its predicate's shared
+        frozenset (_predicate); a constraint without patterns is an error."""
         if not self.c_line:
             return
         if not self.patterns:
             raise ParseError("constraint has no satisfying patterns", self.c_line)
-        self.add(Constraint(self.variables, frozenset(self.patterns)), self.bits)
-        self.c_line = 0
+        self.add(Constraint(self.variables, _predicate(frozenset(self.patterns))), self.bits)
+        self.c_line, self.patterns = 0, set()
 
     def add(self, constraint: Constraint, bits: Bits) -> None:
         """Add a checked constraint, given its scope's bits, to its
@@ -359,19 +291,70 @@ class _Reader:
         self.constraints.append(constraint)
         group[1].append(bits)
 
+    def table(self) -> Tuple[int, Dict[int, int]]:
+        """(den, {mask: numerator}) of the constraints added, one group per
+        predicate: its expansion, the bits (_BIT) of every scope it applies
+        to, and the predicate.  Numerators are over den = 2^top, top the
+        largest arity, zeros dropped.  A term's key, the sum of its
+        positions' bits, is formed for a whole group at once; keys are
+        twice the masks until the last step."""
+        nums: Dict[int, int] = defaultdict(int)
+        for (constant, terms), scopes, _ in self.groups.values():
+            arity = len(scopes[0])
+            shift = self.top - arity
+            nums[0] += len(scopes) * constant << shift
+            for positions, num in terms:
+                if len(positions) == arity:
+                    keys = map(sum, scopes)
+                elif len(positions) == 1:
+                    keys = map(itemgetter(positions[0]), scopes)
+                else:
+                    keys = map(sum, map(itemgetter(*positions), scopes))
+                num <<= shift
+                for key in keys:
+                    nums[key] += num
+        return 1 << self.top, {key >> 1: num for key, num in nums.items() if num}
+
+
+# the longest piece parse_instance looks up in _piece, so that the cache
+# holds at most about 2 MB of piece text; a longer piece (a block of many
+# pattern lines) is read by the same function uncached
+_PIECE_CHARS = 1024
+
+
+@lru_cache(maxsize=2048)
+def _piece(piece: str, n: int, d: int) -> Optional[Tuple[Tuple[Constraint, Bits], ...]]:
+    """The constraints of a piece of an instance of n variables and arity
+    at most d (parse_instance), read by a fresh _Reader and checked, each
+    with its scope's bits (_BIT).  None when the reader raises or leaves a
+    constraint without patterns, whose error the next line decides;
+    parse_instance then reads the piece and the rest of its text with its
+    own reader, to name the error at its line.  Cached: the constraints of
+    a corpus repeat (2,048 entries hold the distinct pieces of every
+    benchmark corpus, whose largest has 1,039)."""
+    reader = _Reader(n, d)
+    try:
+        reader.lines(("c" + piece).split("\n"), 1)
+    except ParseError:
+        return None
+    if not reader.patterns:
+        return None
+    reader.close()
+    return tuple((c, tuple(map(_BIT, c.variables))) for c in reader.constraints)
+
 
 def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     """Parse the line-oriented instance format in one pass, building the
     counting table as it reads; errors carry line numbers.  After the
     header, the text splits at each line feed followed by "c": every piece
-    but the first is the rest of a constraint line, then the pattern block
-    up to the next such line.  A regular piece of at most _PIECE_CHARS
-    characters maps through the cached _piece to its checked constraint,
-    so the constraints that instances repeat are read once per process;
-    any other piece, and every piece while a constraint is left open, is
-    read line by line (_Reader).  The
-    counting table is built from the groups once every line is read
-    (_counting_table)."""
+    but the first is the rest of a constraint line, then the lines up to
+    the next such line.  Each piece maps through _piece (cached if it has
+    at most _PIECE_CHARS characters) to its checked constraints, so the
+    constraints that instances repeat are read once per process.  From a
+    piece it refuses, or one after a constraint the first piece left open,
+    the rest of the text is read line by line by the instance's own
+    _Reader, which names the line of any error.  The counting table is
+    built from the groups once every line is read (_Reader.table)."""
     # a line ends at "\n" alone; "\r" and the other breaks of str.splitlines
     # are whitespace inside a line, so a line number counts newlines
     head_line, start = 1, 0
@@ -399,27 +382,25 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     add = reader.add
     # the first piece starts with the header line's own line feed
     # (without the text's last line feed, the last block reads as the others)
-    first, *pieces = text[end:len(text) - text.endswith("\n")].split("\nc") if end >= 0 else ("",)
+    stop = len(text) - text.endswith("\n")
+    first, *pieces = text[end:stop].split("\nc") if end >= 0 else ("",)
     reader.lines(first.split("\n")[1:], head_line + 1)
-    line_no = head_line + first.count("\n")
-    for piece in pieces:
-        line_no += 1
-        read = None if reader.c_line or len(piece) > _PIECE_CHARS else _piece(piece, n, d)
-        if read is not None:
-            constraint, bits, lines = read
+    for k, piece in enumerate(pieces):
+        read = None if reader.c_line else (
+            _piece if len(piece) <= _PIECE_CHARS else _piece.__wrapped__)(piece, n, d)
+        if read is None:
+            # this piece and the rest, line by line, to name an error at its line
+            rest = "c" + "\nc".join(pieces[k:])
+            reader.lines(rest.split("\n"), text.count("\n", 0, stop - len(rest)) + 1)
+            break
+        for constraint, bits in read:
             add(constraint, bits)
-            line_no += lines
-            continue
-        reader.lines(("c" + piece).split("\n"), line_no)
-        if reader.patterns:
-            reader.close()
-        line_no += piece.count("\n")
     reader.close()
     if len(reader.constraints) != m:
         raise ParseError(f"header declares m={m} but found {len(reader.constraints)} "
                          "constraints", head_line)
     inst = CspInstance(n=n, d=d, constraints=tuple(reader.constraints))
-    object.__setattr__(inst, "_table", _counting_table(reader.groups.values(), reader.top))
+    object.__setattr__(inst, "_table", reader.table())
     return inst, card
 
 
@@ -441,29 +422,24 @@ def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
     table every layer of decide reads.  An instance keeps it (the
     attribute _table, not a dataclass field, so equality, hash and repr do
     not see it): parse_instance builds it while it reads, and an instance
-    built through the API is checked and compiled on its first call, as
-    validate_instance checks it: n and d first, then each scope
-    (_check_scope) and each predicate, each distinct one once, in the
-    cached _expansion.  No caller may change the table."""
+    built through the API is checked and compiled on its first call: one
+    walk over n, d and its scopes (_scopes), and each distinct (arity,
+    predicate) once, in the cached _expansion; its constraints are grouped
+    by the reader's add and its table built by the reader's table, as
+    parse_instance builds one.  No caller may change the table."""
     table = getattr(inst, "_table", None)
     if table is None:
-        check_positive_int("n", inst.n)
-        check_positive_int("d", inst.d)
-        groups: Dict[FrozenSet[Pattern], Group] = {}
-        top = 0
-        for c in inst.constraints:
-            _check_scope(c.variables, inst.n, inst.d)
+        reader = _Reader(inst.n, inst.d)
+        for c, bits in _scopes(inst):
             predicate = frozenset(c.patterns)
             try:
-                expansion = _expansion(len(c.variables), predicate)
+                _expansion(len(bits), predicate)
             except InputError:
                 # name the culprit in the order of the instance's own set
-                _check_predicate(c.patterns, len(c.variables))
+                _check_predicate(c.patterns, len(bits))
                 raise
-            groups.setdefault(predicate, (expansion, [], predicate))[1].append(
-                tuple(map(_BIT, c.variables)))
-            top = max(top, len(c.variables))
-        table = _counting_table(groups.values(), top)
+            reader.add(c if c.patterns is predicate else Constraint(c.variables, predicate), bits)
+        table = reader.table()
         object.__setattr__(inst, "_table", table)
     return table
 
@@ -484,13 +460,11 @@ def to_polynomial(inst: CspInstance) -> MultilinearPoly:
 
 def _check_scopes(inst: CspInstance) -> None:
     """Raise InputError naming the first of inst's n, d and scopes that
-    fails its check (_check_scope), unless inst keeps its table (_compile),
+    fails its check (_scopes), unless inst keeps its table (_compile),
     whose scopes were checked when it was built."""
     if getattr(inst, "_table", None) is None:
-        check_positive_int("n", inst.n)
-        check_positive_int("d", inst.d)
-        for c in inst.constraints:
-            _check_scope(c.variables, inst.n, inst.d)
+        for _ in _scopes(inst):
+            pass
 
 
 def constraint_count(inst: CspInstance, a: Assignment) -> int:

@@ -366,3 +366,18 @@ def test_an_option_valued_double_dash_is_a_usage_error(capsys, argv):
     code, doc, err = run(capsys, argv)
     assert code == 64 and doc is None
     assert "an option's value is '--'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "{bad}", "--t", "1"],
+    ["oracle", "--instance", "{bad}"],
+    ["hyper", "--instance", "{bad}"],
+    ["solve", "--instance", "{good}", "--t", "1", "--config", "{bad}"],
+], ids=["solve", "oracle", "hyper", "solve-config"])
+def test_a_file_that_is_not_utf8_ends_in_an_error_exit(capsys, tmp_path, p4_file, argv):
+    # a UnicodeDecodeError used to print a traceback and exit 1, the code of "no"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"csp 2 1 2 1/2\xff\n")
+    code, doc, err = run(capsys, [arg.format(bad=bad, good=p4_file) for arg in argv])
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err

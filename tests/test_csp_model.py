@@ -91,10 +91,14 @@ def test_parse_rejects_bad_pattern_arity():
     ("csp 3 1 2 1/3\nc 2 1 2\nS 1 1\n", 3, "expected pattern line 's ...', got 'S'"),
     ("csp 3 1 2 1/3\nc 2 1 2\n", 2, "constraint has no satisfying patterns"),
     ("csp 3 2 2 1/3\nc 2 1 2\nc 2 2 3\ns 1 1\n", 2, "constraint has no satisfying patterns"),
+    # a constraint without patterns: the piece after it names the error
+    ("csp 3 2 2 1/3\nc 2 1 2\ncx 1 2\ns +1 +1\n", 3, "expected pattern line 's ...', got 'cx'"),
+    ("csp 3 2 2 1/3\nc 2 1 2\n# note\ncsp\n", 4, "expected pattern line 's ...', got 'csp'"),
 ], ids=["bad-entry", "bad-entry-first", "empty-s", "empty-s-after-good",
         "comment-bad-entry", "comment-bad-arity", "s-before-c", "c-arity-above",
         "c-arity-below", "pattern-arity-short", "mistyped-s-tag", "capital-s-tag",
-        "no-patterns-at-end", "no-patterns-before-c"])
+        "no-patterns-at-end", "no-patterns-before-c", "no-patterns-before-cx",
+        "no-patterns-before-csp"])
 def test_parse_error_message_and_line(text, line, message):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
@@ -615,7 +619,7 @@ def test_constraint_count_needs_no_compile():
 
 
 def _clear_parse_caches():
-    for cache in (csp_model._piece, csp_model._block, csp_model._bias, csp_model._slice):
+    for cache in (csp_model._piece, csp_model._predicate, csp_model._bias, csp_model._slice):
         cache.cache_clear()
 
 
@@ -725,3 +729,21 @@ def test_a_long_piece_is_read_but_not_cached():
         text = f"csp 4 1 1 1/2\nc 1 {v}\n" + "s +1\n" * (csp_model._PIECE_CHARS // 5 + 1)
         assert parse_instance(text)[0] == CspInstance(4, 1, (Constraint((v,), frozenset({(1,)})),))
     assert csp_model._piece.cache_info().currsize == held
+
+
+def test_an_irregular_piece_is_read_once_per_process(monkeypatch):
+    # comments, a tab-indented constraint line (read in the piece before
+    # it), CR LF and a blank line inside a block: every piece is cached, so
+    # the second parse reads no line
+    text = ("csp 4 3 2 1/2\r\nc 2 1 2 # edge\r\ns +1 -1\r\n\r\n# the other sign\r\n"
+            "s -1 +1\r\n\tc 2 2 3\r\ns +1 -1\r\ns -1 +1\r\nc  1 4\t# alone\ns +1\n\n")
+    expected = CspInstance(4, 2, (Constraint((1, 2), CUT), Constraint((2, 3), CUT),
+                                  Constraint((4,), frozenset({(1,)}))))
+    assert parse_instance(text)[0] == expected
+    calls = []
+    read_line = csp_model._Reader.line
+    monkeypatch.setattr(csp_model._Reader, "line",
+                        lambda reader, *args: calls.append(args) or read_line(reader, *args))
+    inst, _ = parse_instance(text)
+    assert inst == expected and _compile(inst) == _compile(CspInstance(4, 2, expected.constraints))
+    assert calls == []
