@@ -53,5 +53,9 @@ def parse_config(text: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig
 
 
 def load_config(path: str, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
+    """parse_config of the file at path; InputError naming it if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base)
+        try:
+            return parse_config(fh.read(), base)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config file {path}: {exc}") from exc

@@ -17,10 +17,10 @@ product, evaluation and conversion read each basis through one
 
 On the bitmask keys, the adjoint pair up/down gives the constraint product
 (sum_i b_i - shift) * h as times_constraint, on tables as
-times_constraint_table (optionally only the levels below a top level), and
-g minus that product as reduce_by_constraint.  It is the one implementation
-of the product: the projection's residual, the bisection rounding, the
-reconstruction and the scan all call these two.
+times_constraint_table, and g minus that product as reduce_by_constraint.
+It is the one implementation of the product: the projection's residual,
+the bisection rounding and the reconstruction call these two, and no
+other module reads up, down or _flip_each.
 
 superset_sums is the one builder of a table's superset sums, which the
 slice moments, the projection and its residual's norm read.
@@ -392,34 +392,29 @@ def down(table: Mapping[int, Scalar]) -> Dict[int, Scalar]:
     return _flip_each(table, 0)
 
 
-def times_constraint_table(table: Mapping[int, Scalar], n: int, q: Scalar, shift=0,
-                           top=None) -> Dict[int, Scalar]:
+def times_constraint_table(table: Mapping[int, Scalar], n: int, q: Scalar,
+                           shift=0) -> Dict[int, Scalar]:
     """(sum_i b_i - shift) * h on h's bitmask table: b_i b_S is b_{S u i}
     for i not in S and q b_S + b_{S minus i} for i in S, so the product is
     up(h) + down(h) + (|S| q - shift) h; the diagonal is skipped when q and
-    shift are both 0.  With top, for h on levels <= top, only the levels
-    < top are formed: up only from levels < top-1 and the diagonal only on
-    levels < top."""
-    low = table if top is None else {t: a for t, a in table.items()
-                                     if t.bit_count() < top - 1}
-    out = up(low, n)
+    shift are both 0."""
+    out = up(table, n)
     for t, a in down(table).items():
         out[t] = out[t] + a if t in out else a
     if q or shift:
         for t, a in table.items():
-            if top is None or t.bit_count() < top:
-                a = (t.bit_count() * q - shift) * a
-                out[t] = out[t] + a if t in out else a
+            a = (t.bit_count() * q - shift) * a
+            out[t] = out[t] + a if t in out else a
     return out
 
 
 def reduce_by_constraint(g: Mapping[int, Scalar], h: Mapping[int, Scalar], n: int,
-                         q: Scalar = 0, shift=0, top=None) -> Dict[int, Scalar]:
-    """g - times_constraint_table(h, n, q, shift, top) on bitmask tables,
-    zero entries dropped, g's keys first in g's order.  On int numerators
-    of g and h over one denominator, the result's numerators are over that
+                         q: Scalar = 0, shift=0) -> Dict[int, Scalar]:
+    """g - times_constraint_table(h, n, q, shift) on bitmask tables, zero
+    entries dropped, g's keys first in g's order.  On int numerators of g
+    and h over one denominator, the result's numerators are over that
     denominator too."""
-    product = times_constraint_table(h, n, q, shift, top)
+    product = times_constraint_table(h, n, q, shift)
     out: Dict[int, Scalar] = {}
     for t, a in g.items():
         a -= product.pop(t, 0)

@@ -25,13 +25,12 @@ off the normal equations, in the kernel step; round_bisection, which
 accepts any h_f, forms the residual g - (sum x_i) h_f and squares it).
 
 Every reduction here is g minus the constraint product (sum x_i - shift) h
-on bitmask tables of int numerators over one denominator, and each is one
-call of poly.reduce_by_constraint: _round_bisection forms g - (sum x_i) h,
-_reconstruct takes each solved weight w off the equation constants (at
-top = w + 1, so only the product's down half and shift term are formed),
-and _round_global subtracts the winner's product.  The scan's survivor
-count reads the product's up half on the top-weight sets one support set
-can reach.
+on bitmask tables of int numerators over one denominator, formed in poly:
+_round_bisection forms g - (sum x_i) h (reduce_by_constraint), and
+_reconstruct takes each solved weight's whole product
+(times_constraint_table) off a table split by level, so the levels left
+are the winner's reduction.  The scan's survivor count reads the product's
+up half on the top-weight sets one support set can reach.
 
 General path: a variable is inactive in g when no nonzero coefficient of g
 contains it.  If some h of degree <= d-1 makes every variable of a d-set S
@@ -45,20 +44,20 @@ the weight-(w+1) equations "coefficient of T vanishes" for T inside S1 u P
 so that all mixed coefficients cancel, leaving a relation between h(S1) and
 h(S2) for S2 inside P; the vanishing coefficient of P itself then closes the
 system.  _reconstruct evaluates exactly that, weight d-1 down to weight 0,
-on int numerators, one _LevelSolve per weight: each weight's equation
-constants go over one common denominator, and the sum over S2 collapses
-into one weighted sum over the weight-(w+1) subsets of S1 u P.  Every
-weight is solved as the scan solves a candidate (_LevelSolve.solve): a
-pool larger than the weight is relabelled to the lowest bits, where its
-pivots are a candidate's.  reconstruct_h wraps it, Fractions in and out.
+on int numerators over den Gamma_D, one _LevelSolve per weight: the sum
+over S2 collapses into one weighted sum over the weight-(w+1) subsets of
+S1 u P.  Every weight is solved as the scan solves a candidate
+(_LevelSolve.solve): a pool larger than the weight is relabelled to the
+lowest bits, where its pivots are a candidate's.  reconstruct_h wraps it,
+Fractions in and out.
 
 round_global runs the deterministic scan: for degree level d down to 1,
 one _LevelSolve on the level's part of the table tries every candidate
 subset and keeps the one whose reconstruction makes the most variables
 inactive in the current top-degree part (lexicographically first
 maximizer; scan stops early once a candidate meets the theoretical
-active-set bound).  f goes over one denominator once, and every level
-reads and updates that one int table.
+active-set bound, C' Var / gamma^2, C' cached per (p, d)).  f goes over
+one denominator once, one dict per level, which the level's scan reads.
 
 The count is taken on the level's support (_LevelSolve): the level's most
 common value is peeled off, which changes no count, and a symmetric part
@@ -73,8 +72,8 @@ its support sets reach (_response) and the sets that hold them are read,
 and a candidate is dropped as soon as it cannot beat the best so far.
 Both routes choose the same candidate.  Level 1 needs no solve: candidate
 {a} leaves inactive exactly the variables whose weight-1 coefficient
-equals a's, read off the table.  The winner is reconstructed in full on
-the table (its top weight read off the peel) and subtracted on ints.  The
+equals a's, read off the table.  The winner is reconstructed on the levels
+(its top weight read off the scan's solve), which it leaves reduced.  The
 union of the surviving variables is the kernel.
 
 What depends only on the size is built once in lru_caches shared by every
@@ -97,7 +96,8 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 from .cardinal_dist import GlobalCardinality, _chi_mean_variance
 from .errors import InputError, PreconditionError
 from .exact import Scalar, check_exact, check_int, number_str, round_half_away
-from .poly import MultilinearPoly, chi_numerators, mask_of_set, reduce_by_constraint, superset_sums
+from .poly import (MultilinearPoly, chi_numerators, mask_of_set, reduce_by_constraint,
+                   superset_sums, times_constraint_table)
 
 
 def check_gamma(gamma) -> Fraction:
@@ -351,12 +351,16 @@ def _response(n: int, cand: int, u: int) -> Tuple[int, ...]:
     outside = ((1 << n) - 1) ^ cand
     out: List[int] = []
     weight = weights[inside.bit_count()]
-    for extra in combinations(_bits(outside ^ rest), inside.bit_count() - 1):
+    # bit lists are built only where a combination of one or more reads them
+    spare = _bits(outside ^ rest) if inside & (inside - 1) else ()
+    for extra in combinations(spare, inside.bit_count() - 1):
         out += (rest | sum(extra), weight)
     high = rest & ~_lowest(outside, big_d - 1)
+    room = big_d - 1 - high.bit_count()     # k plus the bits Y adds to high
+    free = _bits(outside ^ high) if room > 1 else ()
     cand_bits = _bits(cand)
-    for k in range(1, big_d - high.bit_count()):
-        for extra in combinations(_bits(outside ^ high), big_d - 1 - k - high.bit_count()):
+    for k in range(1, room + 1):
+        for extra in combinations(free, room - k):
             y = high | sum(extra)
             fill = _lowest(outside & ~y, k)
             if rest & ~(y | fill):
@@ -655,12 +659,16 @@ class _LevelSolve:
             # the first variable with the largest count, counts capped at exit_threshold
             value = max(first, key=lambda a: (min(counts[a], exit_threshold), -first[a]))
             return 1 << first[value]
-        packed = (self.packed_counts() if comb(n, self.big_d) <= _PACKED_CANDIDATES
-                  else None)
+        if comb(n, self.big_d) <= _PACKED_CANDIDATES:
+            counts = self.packed_counts()
+            # the first to reach exit_threshold beats every count before it
+            goal = min(exit_threshold, max(counts))
+            return _packing(n, self.big_d).sets[next(
+                k for k, count in enumerate(counts) if count >= goal)]
         best_count, best = -1, 0
-        for k, bits in enumerate(combinations(_bits((1 << n) - 1), self.big_d)):
+        for bits in combinations(_bits((1 << n) - 1), self.big_d):
             cand = sum(bits)
-            count = packed[k] if packed is not None else self.survivors(cand, best_count)
+            count = self.survivors(cand, best_count)
             if count is not None and count > best_count:
                 best_count, best = count, cand
                 if count >= exit_threshold:
@@ -668,37 +676,55 @@ class _LevelSolve:
         return best
 
 
-def _reconstruct(table: Dict[int, int], n: int, pool: int, shift: int,
-                 solve: Optional[_LevelSolve] = None) -> Tuple[int, Dict[int, int]]:
-    """(scale, h) with h's int numerators over scale * den: the h that
-    would make every variable of the pool bitmask inactive in
-    f - (sum_i x_i - shift) h, for f's int numerators `table` over den.
+def _by_level(table: Dict[int, int], top: int) -> List[Dict[int, int]]:
+    """table split by popcount into one dict per level 0 .. max(top, deg)."""
+    levels: List[Dict[int, int]] = [{} for _ in range(max(top, 0, *map(int.bit_count, table)) + 1)]
+    for t, a in table.items():
+        levels[t.bit_count()][t] = a
+    return levels
 
-    Each weight w is one _LevelSolve on the equation constants E(T),
-    |T| = w+1: the coefficients of f - (sum_i x_i - shift) h over h's
-    weights above w, over den times the factorials of those weights.  The
-    up half of that product lands on weights already solved, so each solved
-    weight w is taken off with reduce_by_constraint at top = w + 1, which
-    forms only the down half and the shift term.  `solve`, when given, is
-    the scan's _LevelSolve of the top weight on this table, whose peel the
-    top weight reads.
+
+def _reconstruct(levels: List[Dict[int, int]], n: int, pool: int, shift: int,
+                 solve: Optional[_LevelSolve] = None
+                 ) -> Tuple[int, Dict[int, int], List[Dict[int, int]]]:
+    """(scale, h, reduced) over scale * den, scale = gamma_denominator(D),
+    D = |pool|: the h that would make every variable of the pool bitmask
+    inactive in f - (sum_i x_i - shift) h, and that reduction by levels,
+    for f's int numerators over den split by level (_by_level, up to at
+    least D).
+
+    Every level goes over scale * den once.  Each weight w is one
+    _LevelSolve on the equation constants E(T), |T| = w+1, the level-(w+1)
+    part of f minus the products of the weights above w, and
+    h(s1) = N(s1) / (w+1)!, exact: from constants over den D! ... (w+2)!
+    the solve gives h over den D! ... (w+1)!, and scale * den is that
+    times w! ... 2!.  `solve`, when given, is the scan's _LevelSolve of
+    f's own level D, whose N over den the top weight reads, times
+    scale / D!.  Each weight's whole product (poly's
+    times_constraint_table) is subtracted once, into the levels where its
+    entries land; by linearity the levels left are f's reduction by h.
     """
+    big = pool.bit_count()
+    scale = gamma_denominator(big)
+    levels = [{t: scale * a for t, a in level.items()} for level in levels]
     h: Dict[int, int] = {}
-    scale = 1
-    for big_d in range(pool.bit_count(), 0, -1):
-        if solve is None:
-            solve = _LevelSolve(n, big_d,
-                                {t: a for t, a in table.items() if t.bit_count() == big_d})
-        level = solve.solve(pool)
+    for big_d in range(big, 0, -1):
         fact = factorial(big_d)
-        scale *= fact
-        h = {s: fact * a for s, a in h.items()}
-        h.update(level)
-        table = reduce_by_constraint(
-            {t: fact * a for t, a in table.items() if t.bit_count() < big_d},
-            level, n, 0, shift, big_d)
-        solve = None
-    return scale, h
+        if solve is not None:
+            h_w = {s: num * (scale // fact) for s, num in solve.solve(pool).items()}
+            solve = None
+        else:
+            nums = _LevelSolve(n, big_d, levels[big_d]).solve(pool)
+            if any(num % fact for num in nums.values()):
+                raise AssertionError(f"an N at weight {big_d - 1} is not a multiple of {big_d}!")
+            h_w = {s: num // fact for s, num in nums.items()}
+        for t, a in times_constraint_table(h_w, n, 0, shift).items():
+            level = levels[t.bit_count()]
+            a = level.pop(t, 0) - a
+            if a:
+                level[t] = a
+        h.update(h_w)
+    return scale, h, levels
 
 
 def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> MultilinearPoly:
@@ -719,7 +745,7 @@ def reconstruct_h(f: MultilinearPoly, pivot_pool, shift: int = 0) -> Multilinear
     pool = mask_of_set(pivot_pool, f.n)
     if not pool:
         raise InputError("pivot pool must be nonempty")
-    scale, h = _reconstruct(table, f.n, pool, shift)
+    scale, h, _ = _reconstruct(_by_level(table, pool.bit_count()), f.n, pool, shift)
     return MultilinearPoly.from_numerators(f.n, den * scale, h)
 
 
@@ -733,6 +759,10 @@ def active_bound_constant(p: Fraction, d: int) -> Fraction:
     p = min(Fraction(p), 1 - Fraction(p))
     return Fraction(20 * d * d * 7 ** d * factorial(d) ** (2 * d * d)) \
         / (2 * p) ** (4 * d)
+
+
+# _round_global's bound, computed once per (p, d): its callers have checked both
+_cached_bound_constant = lru_cache(maxsize=64)(active_bound_constant)
 
 
 def round_global(f: MultilinearPoly, dist: GlobalCardinality, gamma,
@@ -765,32 +795,32 @@ def round_global(f: MultilinearPoly, dist: GlobalCardinality, gamma,
 def _round_global(den: int, table: Dict[int, int], n: int, card: GlobalCardinality,
                   gamma: Fraction, d: int, var: Fraction) -> IntOutcome:
     """round_global's scan on f's int numerators table / den, level d down
-    to 1, every level reading and updating that one table; h and the
-    reduced table come back over one denominator."""
+    to 1, on that table split by level (_by_level): each level's scan reads
+    its own dict, and the winner's _reconstruct returns every level reduced
+    by its h; h and the reduced table come back over one denominator."""
     shift = card.target_sum
-    cprime = active_bound_constant(card.p, d) if d else Fraction(0)
+    cprime = _cached_bound_constant(card.p, d) if d else Fraction(0)
     bound = cprime * var / (gamma * gamma)
     # Early-exit bar: once a candidate leaves at most `bound` variables
     # active, the guarantee is met; a vacuous bound disables the shortcut
     # (then only a perfect candidate stops the scan early).
     bar = n - int(bound) if bound < n else 0
     exit_threshold = bar if bar >= 1 else n
+    split = levels = _by_level(table, d)
     h_total: Dict[int, int] = {}
     for level in range(d, 0, -1):
         # the reconstruction pairs each weight-(level-1) set with a disjoint
         # level-set pivot; with fewer than 2*level - 1 variables none exists,
         # so the level is left as it is (its variables stay in the kernel)
-        if n < 2 * level - 1:
+        if n < 2 * level - 1 or not levels[level]:
             continue
-        top = {t: a for t, a in table.items() if t.bit_count() == level}
-        if not top:
-            continue
-        solve = _LevelSolve(n, level, top)
-        scale, h_level = _reconstruct(table, n, solve.best(exit_threshold), shift, solve)
+        solve = _LevelSolve(n, level, levels[level])
+        scale, h_level, levels = _reconstruct(levels, n, solve.best(exit_threshold), shift,
+                                              solve)
         den *= scale
-        table = reduce_by_constraint({t: scale * a for t, a in table.items()},
-                                     h_level, n, 0, shift)
         h_total = {t: scale * a for t, a in h_total.items()}
         for t, a in h_level.items():
             h_total[t] = h_total.get(t, 0) + a
-    return IntOutcome(den, {t: a for t, a in h_total.items() if a}, table)
+    # a scan that reconstructs nothing returns f's own table
+    return IntOutcome(den, {t: a for t, a in h_total.items() if a}, table if levels is split
+                      else {t: a for level in levels for t, a in level.items()})

@@ -101,3 +101,35 @@ _UNUSED = 3
 VALUE = _helper() + len(_TABLE)
 '''
     assert _unreferenced_private_names([ast.parse(source)]) == ["_recursive", "_orphan", "_UNUSED"]
+
+
+# the one implementation of the constraint product reads these; every other
+# module forms the product through times_constraint_table or
+# reduce_by_constraint
+PRODUCT_HALVES = {"up", "down", "_flip_each"}
+
+
+def _product_half_reads(tree):
+    """Lines where tree imports a name of PRODUCT_HALVES or reads one as
+    an attribute, such as poly.up."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name in PRODUCT_HALVES for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in PRODUCT_HALVES:
+            yield node.lineno
+
+
+def test_only_poly_reads_the_halves_of_the_constraint_product():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "poly.py"
+             for line in _product_half_reads(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_product_half_check_sees_an_import_and_an_attribute():
+    for source in ("from .poly import reduce_by_constraint, up", "from .poly import down as d",
+                   "from . import poly\nx = poly.down(t)", "y = poly._flip_each(t, 0)"):
+        assert list(_product_half_reads(ast.parse(source)))
+    for source in ("from .poly import times_constraint_table", "up = 1\ndown = up + 1",
+                   "x = poly.times_constraint_table(t, n, 0)"):
+        assert not list(_product_half_reads(ast.parse(source)))

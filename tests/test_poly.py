@@ -381,21 +381,20 @@ def _nonzero(table):
 @settings(max_examples=100, deadline=None, database=None)
 @given(TABLE_PAIRS)
 def test_constraint_product_below_top_and_reduction(q, shift, drawn):
-    # for h on levels <= top, the product cut at top is the levels < top
-    # of (constraint_poly - shift) * h, and the reduction is g minus that,
-    # zeros dropped
+    # for h on levels <= top, the product is (constraint_poly - shift) * h,
+    # so its levels < top (the cut a caller keeps itself) are the
+    # reference's, and the reduction is g minus the product, zeros dropped
     n, g, table = drawn
     basis, p = (Basis.CHI, None) if q == 0 else (Basis.PHI, F(1, 3))
     for top in [None, *range(n + 2)]:
         h = {t: a for t, a in table.items() if top is None or t.bit_count() <= top}
         full = ((constraint_poly(n, basis, p) - shift) * MultilinearPoly(n, h, basis, p)).coeffs
-        assert _nonzero(times_constraint_table(h, n, q, shift)) == full
-        cut = times_constraint_table(h, n, q, shift, top)
+        product = times_constraint_table(h, n, q, shift)
+        assert _nonzero(product) == full
         if top is not None:
-            assert all(t.bit_count() < top for t in cut)
-            full = {t: a for t, a in full.items() if t.bit_count() < top}
-        assert _nonzero(cut) == full
-        reduced = reduce_by_constraint(g, h, n, q, shift, top)
+            cut = {t: a for t, a in product.items() if t.bit_count() < top}
+            assert _nonzero(cut) == {t: a for t, a in full.items() if t.bit_count() < top}
+        reduced = reduce_by_constraint(g, h, n, q, shift)
         assert reduced == _nonzero({t: g.get(t, 0) - full.get(t, 0) for t in {*g, *full}})
         kept = [t for t in g if t in reduced]
         assert list(reduced)[:len(kept)] == kept

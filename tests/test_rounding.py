@@ -15,7 +15,8 @@ from cardcsp.csp_model import GlobalCardinality, _compile, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
-from cardcsp.poly import Basis, MultilinearPoly, int_numerators, mask_of, subset_of
+from cardcsp.poly import (Basis, MultilinearPoly, int_numerators, mask_of,
+                          reduce_by_constraint, subset_of)
 from cardcsp.rounding import (RoundingOutcome, _column, _LevelSolve, _beta_weights, _response,
                               _span_weights, active_bound_constant, gamma_denominator,
                               gamma_ladder, reconstruct_h, round_bisection, round_global)
@@ -888,6 +889,63 @@ def test_round_global_matches_scan_reference_at_n12_d3(p):
     assert out.h == h_ref
     assert out.reduced == reduced_ref
     assert out.active_set == reduced_ref.variables_used() == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("n, d, p, seed", [(10, 3, F(2, 5), 3), (8, 4, F(1, 4), 3)],
+                         ids=["n10-d3-p2/5", "n8-d4-p1/4"])
+def test_int_scan_matches_scan_reference_past_the_drawn_shapes(n, d, p, seed):
+    # a bias other than 1/3 and 1/4, and a weight-4 level, whose
+    # reconstruction solves three lower weights: a small instance plus
+    # (sum x_i - shift) h*, so that every level's winner has an h of its
+    # own, and the winners are not all the first candidates
+    rng = random.Random(seed)
+    dist = CardinalDist(n, p)
+    base = constraint_poly(n, Basis.CHI) - MultilinearPoly.constant(n, dist.target_sum)
+    g = to_polynomial(random_instance(rng, n, d, 4))
+    h_star = MultilinearPoly.from_subsets(
+        n, {tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, d - 1)))):
+            F(rng.randint(-3, 3), 4) for _ in range(8)})
+    f = g + base * h_star
+    gamma = F(1, 2 ** d)
+    var = chi_variance(f, dist)
+    h_ref, reduced_ref, levels = round_global_scan_reference(f, dist, gamma, d, var)
+    assert [level for level, _, _, _ in levels] == list(range(d, 0, -1))
+    assert any(winner != tuple(range(1, level + 1)) for level, _, _, winner in levels)
+    for level, f_cur, exit_threshold, winner in levels:
+        assert subset_of(_level_scan(f_cur, level).best(exit_threshold)) == winner
+    out = round_global(f, dist, gamma, d=d, variance=var, allow_large_variance=True)
+    assert out.h == h_ref
+    assert out.reduced == reduced_ref
+    assert out.active_set == reduced_ref.variables_used()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(biased_polys(), st.data())
+def test_reconstruct_subtracts_the_product_it_replaces(drawn, data):
+    # the per-weight products, each subtracted into its levels, sum to the
+    # whole reduction of scale * f by h; the top weight read off a given
+    # level solve is the one solved on the scaled table
+    f, dist, d = drawn
+    n = f.n
+    size = data.draw(st.integers(1, max(1, f.degree_bound)))
+    pool = mask_of(sorted(data.draw(st.frozensets(st.integers(1, n), min_size=size,
+                                                   max_size=size))), n)
+    shift = data.draw(st.sampled_from((0, dist.target_sum, -2, 5)))
+    _, table = int_numerators(f.coeffs, "the test")
+    levels = rounding._by_level(table, size)
+    if n < 2 * size - 1:
+        with pytest.raises(InputError, match="pivot"):
+            rounding._reconstruct(levels, n, pool, shift)
+        return
+    scale, h, reduced = rounding._reconstruct(levels, n, pool, shift)
+    assert scale == gamma_denominator(size)
+    assert levels == rounding._by_level(table, size)       # the input is not changed
+    assert all(t.bit_count() == k and a for k, level in enumerate(reduced)
+               for t, a in level.items())
+    flat = {t: a for level in reduced for t, a in level.items()}
+    assert flat == reduce_by_constraint({t: scale * a for t, a in table.items()}, h, n, 0, shift)
+    solve = _LevelSolve(n, size, levels[size])
+    assert rounding._reconstruct(levels, n, pool, shift, solve) == (scale, h, reduced)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ import cardcsp.poly as poly
 import cardcsp.solver as solver
 from cardcsp.cardinal_dist import CardinalDist, chi_expectation, chi_variance
 from cardcsp.cli import main
-from cardcsp.config import DEFAULT_CONFIG, SolverConfig, parse_config
+from cardcsp.config import DEFAULT_CONFIG, SolverConfig, load_config, parse_config
 from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality, constraint_count,
                                to_polynomial)
 from cardcsp.errors import InputError, ResourceError
@@ -580,6 +581,17 @@ def test_config_rejects_unread_keys_and_bad_values():
     for line in ("threads = 2", "float_tol = 1e-9", "enum_cap = lots", "p0 = 1/0"):
         with pytest.raises(InputError):
             parse_config(line)
+
+
+def test_a_config_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    # load_config let a bare UnicodeDecodeError out, where every other bad
+    # config is an InputError
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"enum_cap = 5\xff\n")
+    with pytest.raises(InputError, match=f"config file {re.escape(str(path))}: 'utf-8' codec"):
+        load_config(str(path))
+    path.write_bytes(b"enum_cap = 5\n")
+    assert load_config(str(path)) == SolverConfig(enum_cap=5)
 
 
 @pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=lambda c: f"U+{ord(c):04X}")

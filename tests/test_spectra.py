@@ -497,13 +497,18 @@ def _horner_project(g, den, n, d, q):
     g over all n variables, y = sum_{k>=1} s_k G^(k-1) b and D = -s_0 den
     with s from the ladder reference, explicit zeros dropped: the
     per-instance route that _project's cached operator replaced."""
-    b = times_constraint_table(g, n, q, top=d)
+    def below_d(table):
+        # the levels < d of the constraint product
+        return {mask: c for mask, c in times_constraint_table(table, n, q).items()
+                if mask.bit_count() < d}
+
+    b = below_d(g)
     s = gram_annihilator_reference(n, d, q)
     y = {}
     for coeff in reversed(s[1:]):
         image = times_constraint_table(y, n, q)
         image.pop(0, None)
-        y = times_constraint_table(image, n, q, top=d)
+        y = below_d(image)
         for mask, c in b.items():
             y[mask] = y[mask] + coeff * c if mask in y else coeff * c
     return {mask: c for mask, c in y.items() if c}, -s[0] * den
