@@ -27,6 +27,13 @@ verdict's scalars are Fractions.  It builds the table's superset sums
 projection and its residual's norm; the verdict keeps none of them.
 Both routes return one rounding.IntOutcome, whose reduced table equals f
 on the slice, so the walk's maximum over its kernel is opt itself.
+decide walks that reduced table, or f's own table where f mentions only
+kernel variables and has fewer terms.  The choice cannot change the
+verdict: every feasible kernel point extends to a slice point, where the
+two tables (each over its own denominator) agree, and neither reads a
+variable outside the kernel; so both have the same maximum and the same
+maximisers, and the walk's tie-break reads only that set.  The kernel, and
+so the enum_cap and kernel_cap checks, is the reduced table's either way.
 `cardcsp kernel` runs the same _kernel_step on the same compiled table.
 The public layer functions (enumerate_kernel here, and to_polynomial,
 chi_expectation, chi_variance, project_null, round_bisection and
@@ -373,7 +380,14 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
 
     Every layer from the compile to the kernel walk reads one int table,
     f's numerators over one denominator keyed by bitmask: no polynomial
-    and no per-coefficient Fraction is built on the way."""
+    and no per-coefficient Fraction is built on the way.
+
+    Below the threshold, the walk reads the kernel step's reduced table
+    over the kernel, or f's own table when every mask of f lies inside the
+    kernel and f has fewer terms; opt is read over the walked table's own
+    denominator.  Both equal f on the slice and read only kernel
+    variables, so they agree at every feasible kernel point: the same
+    maximum, the same maximisers, and so the same tie-broken witness."""
     _check_target(t)
     _check_instance(inst, card)
     if not config.p0 <= card.p <= 1 - config.p0:
@@ -406,8 +420,13 @@ def decide(inst: CspInstance, card: GlobalCardinality, t: int,
             "projection residual exceeds sqrt(n); the 7^d blow-up bound "
             "is heuristic here")
     kernel = step.kernel
-    best, arg = _capped_walk(step.reduced, kernel, card, config.enum_cap, config.kernel_cap)
-    opt = Fraction(best, step.den)
+    walk_den, walk_table = step.den, step.reduced
+    if len(table) < len(walk_table):
+        outside = ~sum(1 << (v - 1) for v in kernel)
+        if not any(mask & outside for mask in table):
+            walk_den, walk_table = den, table
+    best, arg = _capped_walk(walk_table, kernel, card, config.enum_cap, config.kernel_cap)
+    opt = Fraction(best, walk_den)
     witness = _complete_witness(kernel, arg, card)
     achieved = constraint_count(inst, witness)
     if achieved != opt:

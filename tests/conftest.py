@@ -10,6 +10,7 @@ from typing import List, Tuple
 import pytest
 from hypothesis import strategies as st
 
+import cardcsp.solver as solver
 from cardcsp.cardinal_dist import CardinalDist, chi_expectation, chi_variance
 from cardcsp.csp_model import (HEADER_COUNT_MAX, _SIGN_OF, Constraint, CspInstance,
                                GlobalCardinality, _at_line, _check_scope, to_polynomial)
@@ -180,6 +181,20 @@ def valid_biases(n):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The tables solver._walk is handed during the test, in call order."""
+    tables = []
+    walk = solver._walk
+
+    def spy(table, kernel, layers):
+        tables.append(table)
+        return walk(table, kernel, layers)
+
+    monkeypatch.setattr(solver, "_walk", spy)
+    return tables
 
 
 def dot(vec: dict, other: dict):

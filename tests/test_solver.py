@@ -17,8 +17,8 @@ import cardcsp.solver as solver
 from cardcsp.cardinal_dist import CardinalDist, chi_expectation, chi_variance
 from cardcsp.cli import main
 from cardcsp.config import DEFAULT_CONFIG, SolverConfig, load_config, parse_config
-from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality, constraint_count,
-                               to_polynomial)
+from cardcsp.csp_model import (Constraint, CspInstance, GlobalCardinality, _compile,
+                               constraint_count, parse_instance, to_polynomial)
 from cardcsp.errors import InputError, ResourceError
 from cardcsp.exact import make_qe, sqrt_scalar
 from cardcsp.oracle import brute_force_decision, brute_opt, slice_assignments
@@ -420,6 +420,82 @@ def decide_problems(draw):
 def test_decide_matches_the_public_layers(problem):
     inst, card, t = problem
     assert decide(inst, card, t).to_json() == reference_verdict(inst, card, t).to_json()
+
+
+# f reads {1, 2, 3}; at p = 1/2 the reduction spreads x3's term over the
+# kernel [1..4], so f lies inside a larger kernel with fewer terms
+F_INSIDE_A_WIDER_KERNEL = "csp 4 2 2 1/2\nc 2 1 2\ns +1 -1\ns -1 +1\nc 1 3\ns -1\n"
+
+
+def _step(inst, card):
+    """(den, f's table, decide's kernel step) of inst."""
+    den, table = _compile(inst)
+    return den, table, solver._kernel_step(den, table, card, F(1, 2 ** inst.d), inst.d,
+                                           DEFAULT_CONFIG.dense_cap)
+
+
+def test_walks_of_f_and_of_the_reduction_agree_where_f_lies_inside_the_kernel():
+    # both equal f on the slice and read only kernel variables: one maximum
+    # (over each table's own denominator) and one tie-broken argmax.  Draws
+    # past 2^16 feasible points are skipped for time; the n = 22 test below
+    # walks 705,432
+    cases = [parse_instance(F_INSIDE_A_WIDER_KERNEL)]
+    rng = random.Random(37)
+    for _ in range(60):
+        p = rng.choice((F(1, 2), F(1, 3), F(1, 4)))
+        n = rng.choice([n for n in range(4, 25) if (p * n).denominator == 1])
+        inst = random_instance(rng, n, rng.randint(1, 3), rng.randint(1, n))
+        cases.append((inst, GlobalCardinality(n, p)))
+    inside = wider = 0
+    for inst, card in cases:
+        den, table, step = _step(inst, card)
+        kernel = step.kernel
+        reach = set().union(*map(poly.subset_of, table))
+        layers = solver._feasible_layers(len(kernel), card)
+        if not reach <= set(kernel) or sum(comb(len(kernel), j) for j in layers) > 1 << 16:
+            continue
+        best_f, arg_f = solver._walk(table, kernel, layers)
+        best_r, arg_r = solver._walk(step.reduced, kernel, layers)
+        assert arg_f == arg_r and F(best_f, den) == F(best_r, step.den), inst
+        inside += 1
+        wider += reach < set(kernel)
+    assert inside >= 50 and wider >= 5, (inside, wider)
+
+
+def test_decide_walks_f_where_f_lies_inside_the_kernel_and_is_sparser(walked):
+    inst, card = parse_instance(F_INSIDE_A_WIDER_KERNEL)
+    den, table, step = _step(inst, card)
+    assert len(table) < len(step.reduced) and step.kernel == (1, 2, 3, 4)
+    v = decide(inst, card, 1)
+    assert walked == [table] and v.kernel == step.kernel
+    assert v.opt == 2 and constraint_count(inst, v.witness) == 2
+
+
+def test_decide_walks_the_reduction_of_a_cut_core_plus_noise(walked):
+    # at p = 1/2 the projection takes the symmetric K_10 out of f: the
+    # reduction is the sparser table
+    inst = graph_instance(10, [(i, j) for i in range(1, 11) for j in range(i + 1, 11)]
+                          + [(1, 2), (2, 3), (5, 7)])
+    card = GlobalCardinality(10, F(1, 2))
+    den, table, step = _step(inst, card)
+    assert len(step.reduced) < len(table)
+    v = decide(inst, card, 1)
+    assert walked == [step.reduced] and walked[0] != table
+    assert v.opt == brute_opt(inst, card)[0]
+
+
+def test_decide_past_the_oracle_matches_the_walk_of_the_reduction():
+    # n = 22, d = 3, p = 1/2: the kernel keeps all 22 variables; f's 57
+    # terms lie inside it, the reduction has 1,248
+    inst = random_instance(random.Random(1), 22, 3, 30)
+    card = GlobalCardinality(22, F(1, 2))
+    den, table, step = _step(inst, card)
+    assert len(step.kernel) == 22 and len(table) < len(step.reduced)
+    best, arg = solver._capped_walk(step.reduced, step.kernel, card,
+                                    DEFAULT_CONFIG.enum_cap, DEFAULT_CONFIG.kernel_cap)
+    v = decide(inst, card, 1)
+    assert v.kernel == step.kernel and v.opt == F(best, step.den)
+    assert v.witness == solver._complete_witness(step.kernel, arg, card)
 
 
 def test_decide_builds_no_polynomial(monkeypatch):
