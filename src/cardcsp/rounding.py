@@ -26,11 +26,10 @@ accepts any h_f, forms the residual g - (sum x_i) h_f and squares it).
 
 Every reduction here is g minus the constraint product (sum x_i - shift) h
 on bitmask tables of int numerators over one denominator, formed in poly:
-_round_bisection forms g - (sum x_i) h (reduce_by_constraint), and
-_reconstruct takes each solved weight's whole product
-(times_constraint_table) off a table split by level, so the levels left
-are the winner's reduction.  The scan's survivor count reads the product's
-up half on the top-weight sets one support set can reach.
+_round_bisection forms g - (sum x_i) h (reduce_by_constraint), and the scan
+and _reconstruct take each solved weight's whole product off a table split
+by level (_subtract_product).  The scan's survivor count reads the
+product's up half on the top-weight sets one support set can reach.
 
 General path: a variable is inactive in g when no nonzero coefficient of g
 contains it.  If some h of degree <= d-1 makes every variable of a d-set S
@@ -43,13 +42,13 @@ the weight-(w+1) equations "coefficient of T vanishes" for T inside S1 u P
 
 so that all mixed coefficients cancel, leaving a relation between h(S1) and
 h(S2) for S2 inside P; the vanishing coefficient of P itself then closes the
-system.  _reconstruct evaluates exactly that, weight d-1 down to weight 0,
-on int numerators over den Gamma_D, one _LevelSolve per weight: the sum
-over S2 collapses into one weighted sum over the weight-(w+1) subsets of
-S1 u P.  Every weight is solved as the scan solves a candidate
-(_LevelSolve.solve): a pool larger than the weight is relabelled to the
-lowest bits, where its pivots are a candidate's.  reconstruct_h wraps it,
-Fractions in and out.
+system.  _reconstruct, behind reconstruct_h (Fractions in and out),
+evaluates exactly that, weight d-1 down to weight 0, on int numerators
+over den Gamma_D, one _LevelSolve per weight: the sum over S2 collapses
+into one weighted sum over the weight-(w+1) subsets of S1 u P.  Every
+weight is solved as the scan solves a candidate (_LevelSolve.solve): a
+pool larger than the weight is relabelled to the lowest bits, where its
+pivots are a candidate's.
 
 round_global runs the deterministic scan: for degree level d down to 1,
 one _LevelSolve on the level's part of the table tries every candidate
@@ -72,9 +71,9 @@ its support sets reach (_response) and the sets that hold them are read,
 and a candidate is dropped as soon as it cannot beat the best so far.
 Both routes choose the same candidate.  Level 1 needs no solve: candidate
 {a} leaves inactive exactly the variables whose weight-1 coefficient
-equals a's, read off the table.  The winner is reconstructed on the levels
-(its top weight read off the scan's solve), which it leaves reduced.  The
-union of the surviving variables is the kernel.
+equals a's, read off the table.  Only the winner's top weight, read off
+the level's own solve, is subtracted: the next level's solve recovers each
+lower weight exactly.  The union of the surviving variables is the kernel.
 
 What depends only on the size is built once in lru_caches shared by every
 instance and never changed: the weights W per level (_span_weights), the
@@ -684,25 +683,30 @@ def _by_level(table: Dict[int, int], top: int) -> List[Dict[int, int]]:
     return levels
 
 
-def _reconstruct(levels: List[Dict[int, int]], n: int, pool: int, shift: int,
-                 solve: Optional[_LevelSolve] = None
+def _subtract_product(levels: List[Dict[int, int]], h_w: Dict[int, int], n: int,
+                      shift: int) -> None:
+    """Subtract (sum_i x_i - shift) h_w from a table split by level, in place."""
+    for t, a in times_constraint_table(h_w, n, 0, shift).items():
+        level = levels[t.bit_count()]
+        a = level.pop(t, 0) - a
+        if a:
+            level[t] = a
+
+
+def _reconstruct(levels: List[Dict[int, int]], n: int, pool: int, shift: int
                  ) -> Tuple[int, Dict[int, int], List[Dict[int, int]]]:
     """(scale, h, reduced) over scale * den, scale = gamma_denominator(D),
     D = |pool|: the h that would make every variable of the pool bitmask
     inactive in f - (sum_i x_i - shift) h, and that reduction by levels,
     for f's int numerators over den split by level (_by_level, up to at
-    least D).
+    least D): reconstruct_h's core.
 
     Every level goes over scale * den once.  Each weight w is one
     _LevelSolve on the equation constants E(T), |T| = w+1, the level-(w+1)
-    part of f minus the products of the weights above w, and
-    h(s1) = N(s1) / (w+1)!, exact: from constants over den D! ... (w+2)!
+    part of f minus the products of the weights above w (_subtract_product),
+    and h(s1) = N(s1) / (w+1)!, exact: from constants over den D! ... (w+2)!
     the solve gives h over den D! ... (w+1)!, and scale * den is that
-    times w! ... 2!.  `solve`, when given, is the scan's _LevelSolve of
-    f's own level D, whose N over den the top weight reads, times
-    scale / D!.  Each weight's whole product (poly's
-    times_constraint_table) is subtracted once, into the levels where its
-    entries land; by linearity the levels left are f's reduction by h.
+    times w! ... 2!.  The levels left are f's reduction by h.
     """
     big = pool.bit_count()
     scale = gamma_denominator(big)
@@ -710,19 +714,11 @@ def _reconstruct(levels: List[Dict[int, int]], n: int, pool: int, shift: int,
     h: Dict[int, int] = {}
     for big_d in range(big, 0, -1):
         fact = factorial(big_d)
-        if solve is not None:
-            h_w = {s: num * (scale // fact) for s, num in solve.solve(pool).items()}
-            solve = None
-        else:
-            nums = _LevelSolve(n, big_d, levels[big_d]).solve(pool)
-            if any(num % fact for num in nums.values()):
-                raise AssertionError(f"an N at weight {big_d - 1} is not a multiple of {big_d}!")
-            h_w = {s: num // fact for s, num in nums.items()}
-        for t, a in times_constraint_table(h_w, n, 0, shift).items():
-            level = levels[t.bit_count()]
-            a = level.pop(t, 0) - a
-            if a:
-                level[t] = a
+        nums = _LevelSolve(n, big_d, levels[big_d]).solve(pool)
+        if any(num % fact for num in nums.values()):
+            raise AssertionError(f"an N at weight {big_d - 1} is not a multiple of {big_d}!")
+        h_w = {s: num // fact for s, num in nums.items()}
+        _subtract_product(levels, h_w, n, shift)
         h.update(h_w)
     return scale, h, levels
 
@@ -796,8 +792,10 @@ def _round_global(den: int, table: Dict[int, int], n: int, card: GlobalCardinali
                   gamma: Fraction, d: int, var: Fraction) -> IntOutcome:
     """round_global's scan on f's int numerators table / den, level d down
     to 1, on that table split by level (_by_level): each level's scan reads
-    its own dict, and the winner's _reconstruct returns every level reduced
-    by its h; h and the reduced table come back over one denominator."""
+    its own dict and subtracts only its winner's top weight, read off the
+    scan's solve (the next level's solve recovers each lower weight
+    exactly).  h and the reduced table come back over den times D! per
+    scanned level D."""
     shift = card.target_sum
     cprime = _cached_bound_constant(card.p, d) if d else Fraction(0)
     bound = cprime * var / (gamma * gamma)
@@ -809,18 +807,20 @@ def _round_global(den: int, table: Dict[int, int], n: int, card: GlobalCardinali
     split = levels = _by_level(table, d)
     h_total: Dict[int, int] = {}
     for level in range(d, 0, -1):
-        # the reconstruction pairs each weight-(level-1) set with a disjoint
+        # the solve pairs each weight-(level-1) set with a disjoint
         # level-set pivot; with fewer than 2*level - 1 variables none exists,
         # so the level is left as it is (its variables stay in the kernel)
         if n < 2 * level - 1 or not levels[level]:
             continue
         solve = _LevelSolve(n, level, levels[level])
-        scale, h_level, levels = _reconstruct(levels, n, solve.best(exit_threshold), shift,
-                                              solve)
-        den *= scale
-        h_total = {t: scale * a for t, a in h_total.items()}
-        for t, a in h_level.items():
-            h_total[t] = h_total.get(t, 0) + a
+        h_top = solve.solve(solve.best(exit_threshold))
+        # h_top / (level! den), a weight no earlier level solved: every level
+        # goes over level! den, a new list even at level 1, and loses its product
+        fact = factorial(level)
+        den *= fact
+        levels = [{t: fact * a for t, a in part.items()} for part in levels]
+        _subtract_product(levels, h_top, n, shift)
+        h_total = {**{t: fact * a for t, a in h_total.items()}, **h_top}
     # a scan that reconstructs nothing returns f's own table
-    return IntOutcome(den, {t: a for t, a in h_total.items() if a}, table if levels is split
+    return IntOutcome(den, h_total, table if levels is split
                       else {t: a for level in levels for t, a in level.items()})

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 import cardcsp.poly as poly
 import cardcsp.rounding as rounding
-from cardcsp.cardinal_dist import CardinalDist, chi_variance
+from cardcsp.cardinal_dist import CardinalDist, _chi_mean_variance, chi_variance
 from cardcsp.csp_model import GlobalCardinality, _compile, to_polynomial
 from cardcsp.errors import InputError, PreconditionError
 from cardcsp.exact import make_qe
 from cardcsp.oracle import slice_assignments
 from cardcsp.poly import (Basis, MultilinearPoly, int_numerators, mask_of,
                           reduce_by_constraint, subset_of)
-from cardcsp.rounding import (RoundingOutcome, _column, _LevelSolve, _beta_weights, _response,
-                              _span_weights, active_bound_constant, gamma_denominator,
-                              gamma_ladder, reconstruct_h, round_bisection, round_global)
+from cardcsp.rounding import (IntOutcome, RoundingOutcome, _column, _LevelSolve, _beta_weights,
+                              _response, _span_weights, active_bound_constant,
+                              gamma_denominator, gamma_ladder, reconstruct_h, round_bisection,
+                              round_global)
 from cardcsp.solver import _kernel_step
 from cardcsp.spectra import project_null
 
@@ -923,8 +924,7 @@ def test_int_scan_matches_scan_reference_past_the_drawn_shapes(n, d, p, seed):
 @given(biased_polys(), st.data())
 def test_reconstruct_subtracts_the_product_it_replaces(drawn, data):
     # the per-weight products, each subtracted into its levels, sum to the
-    # whole reduction of scale * f by h; the top weight read off a given
-    # level solve is the one solved on the scaled table
+    # whole reduction of scale * f by h
     f, dist, d = drawn
     n = f.n
     size = data.draw(st.integers(1, max(1, f.degree_bound)))
@@ -944,8 +944,92 @@ def test_reconstruct_subtracts_the_product_it_replaces(drawn, data):
                for t, a in level.items())
     flat = {t: a for level in reduced for t, a in level.items()}
     assert flat == reduce_by_constraint({t: scale * a for t, a in table.items()}, h, n, 0, shift)
-    solve = _LevelSolve(n, size, levels[size])
-    assert rounding._reconstruct(levels, n, pool, shift, solve) == (scale, h, reduced)
+
+
+def _planted_h(rng, n, d):
+    """h* over 8 with a nonzero entry at every weight 0 .. d-1."""
+    subsets = [tuple(sorted(rng.sample(range(1, n + 1), w))) for w in range(d)]
+    subsets += [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, d - 1))))
+                for _ in range(4)]
+    return MultilinearPoly.from_subsets(n, {s: F(rng.choice((-3, -2, -1, 1, 2, 3)), 8)
+                                            for s in subsets})
+
+
+def _scan(f, card, d, var):
+    """_round_global on f at gamma 2^-d: (h, reduced, kernel), values as polynomials."""
+    den, table = int_numerators(f.coeffs, "the test")
+    step = rounding._round_global(den, table, f.n, card, F(1, 2 ** d), d, var)
+    return (MultilinearPoly.from_numerators(f.n, step.den, step.h),
+            MultilinearPoly.from_numerators(f.n, step.den, step.reduced), step.kernel)
+
+
+def test_round_global_is_invariant_under_a_planted_product():
+    # f + (sum x_i - shift) h* scans to h(f) + h* and to f's reduced table:
+    # each level's solve recovers the planted top weight exactly and moves
+    # no count, so leaving lower weights to later levels loses nothing
+    rng = random.Random(3800)
+    draws = 0
+    while draws < 60:
+        p = rng.choice((F(1, 3), F(1, 4), F(2, 5)))
+        d = rng.choice((2, 3))
+        n = rng.randint(2 * d - 1, 12)
+        if (p * n).denominator != 1:
+            continue
+        draws += 1
+        card = GlobalCardinality(n, p)
+        f = to_polynomial(random_instance(rng, n, d, rng.randint(1, 2 * n)))
+        h_star = _planted_h(rng, n, d)
+        planted = f + (constraint_poly(n, Basis.CHI)
+                       - MultilinearPoly.constant(n, card.target_sum)) * h_star
+        var = chi_variance(f, CardinalDist(n, p))
+        h, reduced, kernel = _scan(f, card, d, var)
+        assert _scan(planted, card, d, var) == (h + h_star, reduced, kernel)
+
+
+def _round_global_full_reference(den, table, n, card, gamma, d, var):
+    """The scan that reconstructs every weight of each winner's h: the
+    level's _LevelSolve.best, then _reconstruct, which solves and
+    subtracts every weight below the level."""
+    shift = card.target_sum
+    bound = (active_bound_constant(card.p, d) if d else 0) * var / (gamma * gamma)
+    bar = n - int(bound) if bound < n else 0
+    exit_threshold = bar if bar >= 1 else n
+    levels = rounding._by_level(table, d)
+    h: dict = {}
+    for level in range(d, 0, -1):
+        if n < 2 * level - 1 or not levels[level]:
+            continue
+        pool = _LevelSolve(n, level, levels[level]).best(exit_threshold)
+        scale, h_level, levels = rounding._reconstruct(levels, n, pool, shift)
+        den *= scale
+        h = {t: scale * h.get(t, 0) + h_level.get(t, 0) for t in h.keys() | h_level.keys()}
+    return den, h, {t: a for level in levels for t, a in level.items()}
+
+
+def test_round_global_matches_the_full_reconstruction_reference():
+    # top-weight-only reduction per level against every weight of each
+    # winner's h reconstructed: same kernel, h and reduced values
+    rng = random.Random(3900)
+    draws = 0
+    while draws < 100:
+        p = rng.choice((F(1, 3), F(1, 4), F(2, 5), F(1, 5)))
+        n = rng.randint(3, 20)
+        if (p * n).denominator != 1:
+            continue
+        draws += 1
+        d = rng.randint(1, 3)
+        card = GlobalCardinality(n, p)
+        den, table = _compile(random_instance(rng, n, d, rng.randint(1, 2 * n)))
+        gamma = F(1, 2 ** d)
+        var = _chi_mean_variance(den, poly.superset_sums(table), card)[1]
+        step = rounding._round_global(den, table, n, card, gamma, d, var)
+        ref_den, ref_h, ref_reduced = _round_global_full_reference(den, table, n, card,
+                                                                   gamma, d, var)
+        assert step.kernel == IntOutcome(ref_den, ref_h, ref_reduced).kernel
+        assert ({t: F(a, step.den) for t, a in step.h.items()}
+                == {t: F(a, ref_den) for t, a in ref_h.items() if a})
+        assert ({t: F(a, step.den) for t, a in step.reduced.items()}
+                == {t: F(a, ref_den) for t, a in ref_reduced.items()})
 
 
 @st.composite
