@@ -1,19 +1,24 @@
 """Ground truth by exhaustive enumeration over supp(D_p).
 
 Everything here is deliberately independent of the closed-form machinery in
-cardinal_dist/spectra/solver: values come from walking every assignment with
-exactly p*n entries equal to -1 and evaluating directly.  The walk uses a
-revolving-door Gray code over the positions of the -1s, so consecutive
-assignments differ by one +1/-1 swap and polynomial values update
-incrementally (two coordinate flips per step).
+cardinal_dist/spectra/solver/rounding, none of which it imports: values come
+from walking every assignment with exactly p*n entries equal to -1 and
+evaluating directly.
+The points come in the order of a revolving-door Gray code over the
+positions of the -1s (consecutive assignments differ by one +1/-1 swap).
+brute_opt and brute_average count each point's satisfied constraints; the
+moments read f's value at each point off per-term tables, since a term's
+value depends only on how many of its variables are -1: each term keeps
+its |S| + 1 values as int numerators over one denominator, and a point
+adds one entry per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from math import comb, lcm
+from typing import Dict, Iterator, Optional, Tuple
 
 from .config import DEFAULT_CONFIG
 from .csp_model import CspInstance, GlobalCardinality, _check_scopes, _satisfied
@@ -49,6 +54,14 @@ def _check_cap(card: GlobalCardinality, cap: int) -> None:
         raise ResourceError(f"slice has {number_str(total)} assignments, above cap {cap}")
 
 
+def _check_walk(inst: CspInstance, card: GlobalCardinality, cap: int) -> None:
+    """What brute_opt and brute_average check before they walk the slice."""
+    if inst.n != card.n:
+        raise InputError("instance and cardinality sizes differ")
+    _check_cap(card, cap)
+    _check_scopes(inst)
+
+
 def slice_assignments(card: GlobalCardinality) -> Iterator[Assignment]:
     """Every assignment in supp(D_p), one +-1 swap between neighbors."""
     n = card.n
@@ -64,81 +77,46 @@ def slice_assignments(card: GlobalCardinality) -> Iterator[Assignment]:
         yield tuple(values)
 
 
-class _IncrementalEval:
-    """Tracks f's value along single-coordinate flips.
+def _slice_values(f: MultilinearPoly, card: GlobalCardinality
+                  ) -> Tuple[int, Fraction, Iterator[Tuple[int, int]]]:
+    """(den, r, points): f = (a + b*sqrt(r))/den at each slice point, as
+    int pairs (a, b) in slice_assignments' order.  r is the radicand of
+    f's irrational values (p(1-p) from the phi point values or from QE
+    coefficients), 0 if every value is rational.
 
-    Values live in Q[sqrt(r)] and are carried as (a, b) Fraction pairs with
-    a fixed radicand (inline pair arithmetic is several times faster than
-    generic scalar objects in this hot loop).  Flipping a member variable
-    scales a term by the rational ratio of the basis function's two point
-    values (-1 for chi).  Exact throughout.
-    """
+    A term c_S is c_S*pos^(|S|-j)*neg^j at a point with j of S's variables
+    at -1, so each term keeps its |S| + 1 values over one denominator, and
+    a point whose -1 set is N adds, per term, the entry at j = |S & N|."""
+    pos, neg, _ = basis_constants(f.basis, f.p)
+    values = [(mask, [c * pos ** (mask.bit_count() - j) * neg ** j
+                      for j in range(mask.bit_count() + 1)])
+              for mask, c in f.coeffs.items()]
+    radicands = {x.r for _, row in values for x in row if isinstance(x, QE)}
+    if len(radicands) > 1:
+        raise InputError("coefficients with more than one radicand")
+    r = radicands.pop() if radicands else Fraction(0)
+    pairs = [(mask, [(x.a, x.b) if isinstance(x, QE) else (Fraction(x), Fraction(0))
+                     for x in row]) for mask, row in values]
+    den = lcm(*(x.denominator for _, row in pairs for pair in row for x in pair))
+    tables = [(mask, [((a * den).numerator, (b * den).numerator) for a, b in row])
+              for mask, row in pairs]
 
-    def __init__(self, f: MultilinearPoly, start: Assignment):
-        pos, neg, _ = basis_constants(f.basis, f.p)
-        self.flip_to_neg = neg / pos
-        self.flip_to_pos = pos / neg
-        self.by_var: Dict[int, List[int]] = {}
-        zero = Fraction(0)
-        self.terms: List[list] = []
-        val_a, val_b = zero, zero
-        for idx, (s, c) in enumerate(f.items_sorted()):
-            restricted = MultilinearPoly.from_subsets(f.n, {s: c}, f.basis, f.p)
-            term = restricted.evaluate(start)
-            if isinstance(term, QE):
-                pair = [term.a, term.b]
-            else:
-                pair = [Fraction(term), zero]
-            self.terms.append(pair)
-            for i in s:
-                self.by_var.setdefault(i, []).append(idx)
-            val_a += pair[0]
-            val_b += pair[1]
-        self.value_pair = [val_a, val_b]
-
-    def flip(self, var: int, now_positive: bool) -> None:
-        idxs = self.by_var.get(var)
-        if not idxs:
-            return
-        value = self.value_pair
-        ratio = self.flip_to_pos if now_positive else self.flip_to_neg
-        delta = ratio - 1
-        for idx in idxs:
-            pair = self.terms[idx]
-            a, b = pair
-            value[0] += delta * a
-            value[1] += delta * b
-            pair[0], pair[1] = ratio * a, ratio * b
-
-
-def _slice_pairs(f: MultilinearPoly, card: GlobalCardinality):
-    """(a, b) value pairs of f at every slice point (incremental updates)."""
-    n = card.n
-    first = True
-    current: set = set()
-    evaluator = None
-    for subset in _revolving_door(n, card.num_negative):
-        new = set(subset)
-        if first:
-            start = tuple(-1 if i + 1 in new else 1 for i in range(n))
-            evaluator = _IncrementalEval(f, start)
-            first = False
-        else:
-            for i in current - new:
-                evaluator.flip(i, True)
-            for i in new - current:
-                evaluator.flip(i, False)
-        current = new
-        yield evaluator.value_pair
+    def points():
+        for subset in _revolving_door(card.n, card.num_negative):
+            negs = sum(1 << (i - 1) for i in subset)
+            a = b = 0
+            for mask, table in tables:
+                ea, eb = table[(mask & negs).bit_count()]
+                a += ea
+                b += eb
+            yield a, b
+    return den, r, points()
 
 
 def brute_opt(inst: CspInstance, card: GlobalCardinality,
               cap: int = DEFAULT_ENUM_CAP) -> Tuple[int, Assignment]:
     """Exact OPT and the lexicographically smallest argmax."""
-    if inst.n != card.n:
-        raise InputError("instance and cardinality sizes differ")
-    _check_cap(card, cap)
-    _check_scopes(inst)
+    _check_walk(inst, card, cap)
     best: Optional[int] = None
     best_a: Optional[Assignment] = None
     for a in slice_assignments(card):
@@ -151,8 +129,7 @@ def brute_opt(inst: CspInstance, card: GlobalCardinality,
 def brute_average(inst: CspInstance, card: GlobalCardinality,
                   cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Mean satisfied-constraint count over the slice, exactly."""
-    _check_cap(card, cap)
-    _check_scopes(inst)
+    _check_walk(inst, card, cap)
     total = 0
     for a in slice_assignments(card):
         total += _satisfied(inst, a)
@@ -175,31 +152,25 @@ def brute_moments(f: MultilinearPoly, card: GlobalCardinality, powers,
     if f.n != card.n:
         raise InputError("dimension mismatch")
     _check_cap(card, cap)
-    zero = Fraction(0)
-    r = Fraction(0) if f.basis is Basis.CHI else f.p * (1 - f.p)
-    sums = {k: [zero, zero] for k in powers}
-    want1, want2, want4 = (1 in powers), (2 in powers), (4 in powers)
-    for a, b in _slice_pairs(f, card):
-        if want1:
-            acc = sums[1]
-            acc[0] += a
-            acc[1] += b
-        if want2 or want4:
-            # (a + b sqrt r)^2 = (a^2 + b^2 r) + (2ab) sqrt r
-            sq_a = a * a + b * b * r
-            sq_b = 2 * a * b
-            if want2:
-                acc = sums[2]
-                acc[0] += sq_a
-                acc[1] += sq_b
-            if want4:
-                acc = sums[4]
-                acc[0] += sq_a * sq_a + sq_b * sq_b * r
-                acc[1] += 2 * sq_a * sq_b
+    den, r, points = _slice_values(f, card)
+    rn, rd = r.numerator, r.denominator
+    s1a = s1b = s2a = s2b = s4a = s4b = 0
+    for a, b in points:
+        # f^2 = (sq_a + sq_b sqrt r) / (den^2 rd), f^4 over den^4 rd^3
+        sq_a = a * a * rd + b * b * rn
+        sq_b = 2 * a * b * rd
+        s1a += a
+        s1b += b
+        s2a += sq_a
+        s2b += sq_b
+        s4a += sq_a * sq_a * rd + sq_b * sq_b * rn
+        s4b += 2 * sq_a * sq_b * rd
     count = slice_count(card)
+    sums = {1: (s1a, s1b, den), 2: (s2a, s2b, den ** 2 * rd), 4: (s4a, s4b, den ** 4 * rd ** 3)}
     out: Dict[int, Scalar] = {}
-    for k, (sa, sb) in sums.items():
-        out[k] = make_qe(sa / count, sb / count, r) if sb else sa / count
+    for k in powers:
+        sa, sb, scale = sums[k]
+        out[k] = make_qe(Fraction(sa, count * scale), Fraction(sb, count * scale), r)
     return out
 
 

@@ -1,14 +1,14 @@
-"""Golden outputs: decide's verdict JSON and the `cardcsp kernel` report on
-41 fixed instances at p in {1/2, 1/3}, n <= 10, d <= 3, and the 336 runs of
-a `cardcsp spectra` sweep, pinned by digest.
+"""Golden outputs: decide's verdict JSON, the `cardcsp kernel` report and
+the `cardcsp hyper` run on 41 fixed instances at p in {1/2, 1/3}, n <= 10,
+d <= 3, and the 336 runs of a `cardcsp spectra` sweep, pinned by digest.
 
 A refactor that claims "every output unchanged" must leave each digest as
 it is; a changed witness tie-break, kernel, h or warning changes one.  The
 digests are the first 16 hex digits of the SHA-256 of each document's text
-(the verdict's to_json, the kernel report's stdout line; for the sweep,
-each run's exit code, stdout and stderr, in order).  Regenerate them with
-`PYTHONPATH=src python tests/test_golden.py` only when an output is meant
-to change, and say which and why.
+(the verdict's to_json, the kernel report's stdout line; for the `hyper`
+runs and the sweep, each run's exit code, stdout and stderr, in order).
+Regenerate them with `PYTHONPATH=src python tests/test_golden.py` only when
+an output is meant to change, and say which and why.
 """
 
 import contextlib
@@ -77,11 +77,28 @@ def spectra_sweep():
             for d in range(6):
                 for kind in "AB":
                     for entries in ("exact", "simplified"):
-                        out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = main(["spectra", "--n", str(n), "--d", str(d), "--p", str(p),
-                                         "--kind", kind, "--entries", entries])
-                        runs.append(f"{code}\n{out.getvalue()}{err.getvalue()}")
+                        runs.append(run_cli(["spectra", "--n", str(n), "--d", str(d),
+                                             "--p", str(p), "--kind", kind,
+                                             "--entries", entries]))
+    return runs
+
+
+def run_cli(argv):
+    """One CLI run as its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"{code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def hyper_runs(directory):
+    """The text of `cardcsp hyper` on each golden case, in order."""
+    runs = []
+    for _, inst, p in golden_cases():
+        path = os.path.join(directory, "hyper.csp")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_instance(inst, GlobalCardinality(inst.n, p)))
+        runs.append(run_cli(["hyper", "--instance", path]))
     return runs
 
 
@@ -136,12 +153,19 @@ GOLDEN = {
 
 
 SPECTRA_SWEEP = "a123a5e61fcb941e"
+HYPER_RUNS = "6ed2f82a952f7cd3"
 
 
 @pytest.mark.parametrize("name, inst, p", golden_cases(), ids=[c[0] for c in golden_cases()])
 def test_outputs_match_golden_digests(name, inst, p, tmp_path):
     verdict, report = outputs(inst, p, str(tmp_path))
     assert (digest(verdict), digest(report)) == GOLDEN[name], (verdict, report)
+
+
+def test_hyper_runs_match_golden_digest(tmp_path):
+    runs = hyper_runs(str(tmp_path))
+    assert len(runs) == 41
+    assert digest("".join(runs)) == HYPER_RUNS
 
 
 def test_spectra_sweep_matches_golden_digest():
@@ -155,4 +179,5 @@ if __name__ == "__main__":
         for name, inst, p in golden_cases():
             verdict, report = outputs(inst, p, directory)
             print(f'    "{name}": ("{digest(verdict)}", "{digest(report)}"),')
+        print(f'HYPER_RUNS = "{digest("".join(hyper_runs(directory)))}"')
     print(f'SPECTRA_SWEEP = "{digest("".join(spectra_sweep()))}"')

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardcsp.cardinal_dist import CardinalDist, chi_variance
-from cardcsp.csp_model import CspInstance, GlobalCardinality
+from cardcsp.csp_model import Constraint, CspInstance, GlobalCardinality
 from cardcsp.errors import DegenerateInput, InputError, ResourceError
-from cardcsp.oracle import (_slice_pairs, brute_average, brute_force_decision,
+from cardcsp.exact import QE, make_qe
+from cardcsp.oracle import (_slice_values, brute_average, brute_force_decision,
                             brute_moment, brute_moments, brute_opt, hyper_ratio,
                             mean_restricted_variance, restriction_gap,
                             slice_assignments, slice_count)
-from cardcsp.poly import Basis, MultilinearPoly
+from cardcsp.poly import Basis, MultilinearPoly, convert_basis
 from cardcsp.spectra import project_null
 from cardcsp.solver import bisection_fourth_moment_bound
 
-from conftest import (basis_polys, complete_graph, constraint_poly, graph_instance,
-                      path_graph, random_poly, slice_pairs_reference, valid_biases)
+from conftest import (basis_polys, complete_graph, constraint_poly, evaluate_reference,
+                      graph_instance, path_graph, random_poly, slice_pairs_reference,
+                      valid_biases)
 
 
 def test_slice_enumeration_is_gray_coded():
@@ -44,6 +46,14 @@ def test_brute_opt_lex_smallest_argmax():
     card = GlobalCardinality(4, F(1, 2))
     _, arg = brute_opt(complete_graph(4), card)
     assert arg == (-1, -1, 1, 1)
+
+
+def test_brute_opt_and_brute_average_refuse_a_size_mismatch():
+    inst = CspInstance(3, 2, (Constraint((1, 2), frozenset({(1, -1)})),))
+    card = GlobalCardinality(4, F(1, 2))
+    for brute in (brute_opt, brute_average):
+        with pytest.raises(InputError, match="instance and cardinality sizes differ"):
+            brute(inst, card)
 
 
 def test_brute_opt_cap():
@@ -195,9 +205,43 @@ def slice_walks(draw):
 @given(slice_walks())
 def test_slice_walk_matches_two_branch_flip(drawn):
     f, card = drawn
-    walk = [tuple(pair) for pair in _slice_pairs(f, card)]
+    den, r, points = _slice_values(f, card)
+    points = list(points)
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for pair in points for v in pair)
+    assert r in (0, card.p * (1 - card.p))
+    walk = [(F(a, den), F(b, den)) for a, b in points]
     assert walk == list(slice_pairs_reference(f, card))
-    assert all(type(v) is F for pair in walk for v in pair)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(slice_walks())
+def test_brute_moments_are_the_mean_of_pointwise_powers(drawn):
+    f, card = drawn
+    points = list(slice_assignments(card))
+    moments = brute_moments(f, card, (1, 2, 4))
+    for k in (1, 2, 4):
+        expected = sum((evaluate_reference(f, a) ** k for a in points), F(0)) / len(points)
+        assert moments[k] == expected
+        assert type(moments[k]) is (QE if isinstance(expected, QE) else F)
+
+
+def test_brute_moments_keep_the_sqrt_part_of_chi_coefficients():
+    # the chi form of a phi polynomial at p = 1/3 has QE coefficients, and its
+    # moments keep the sqrt(p(1-p)) part that the phi form's moments have
+    n, p = 6, F(1, 3)
+    card = GlobalCardinality(n, p)
+    f = MultilinearPoly.from_subsets(n, {(1,): F(1), (2, 3): F(2)}, Basis.PHI, p)
+    g = convert_basis(f, Basis.CHI)
+    assert any(isinstance(c, QE) for _, c in g.items_sorted())
+    moments = brute_moments(g, card, (1, 2, 4))
+    assert moments == brute_moments(f, card, (1, 2, 4))
+    assert isinstance(moments[2], QE) and isinstance(moments[4], QE)
+    # sqrt(2) x_1 + sqrt(3) x_2 has no value of the form a + b sqrt(r)
+    mixed = MultilinearPoly.from_subsets(4, {(1,): make_qe(0, 1, 2), (2,): make_qe(0, 1, 3)},
+                                         Basis.CHI)
+    with pytest.raises(InputError, match="more than one radicand"):
+        brute_moments(mixed, GlobalCardinality(4, F(1, 2)), (2,))
 
 
 def test_brute_moments_of_chi_polynomial_are_fractions(rng):

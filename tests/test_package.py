@@ -133,3 +133,36 @@ def test_the_product_half_check_sees_an_import_and_an_attribute():
     for source in ("from .poly import times_constraint_table", "up = 1\ndown = up + 1",
                    "x = poly.times_constraint_table(t, n, 0)"):
         assert not list(_product_half_reads(ast.parse(source)))
+
+
+# the modules whose exact values the oracle checks; it computes without them
+SOLVER_CORES = {"cardinal_dist", "spectra", "solver", "rounding"}
+
+
+def _core_imports(tree):
+    """Lines where tree imports a module of SOLVER_CORES or a name from
+    one, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(SOLVER_CORES.intersection(name.split(".")) for name in names):
+            yield node.lineno
+
+
+def test_the_oracle_imports_no_solver_core():
+    path = SRC / "oracle.py"
+    assert list(_core_imports(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_the_core_import_check_sees_each_spelling():
+    for source in ("from .solver import decide", "from . import spectra",
+                   "from cardcsp.rounding import round_global", "import cardcsp.cardinal_dist as cd",
+                   "from cardcsp import solver", "def f():\n    from .spectra import project_null"):
+        assert list(_core_imports(ast.parse(source)))
+    for source in ("from .csp_model import GlobalCardinality", "from .poly import basis_constants",
+                   "from fractions import Fraction", "import math", "solver = 1"):
+        assert not list(_core_imports(ast.parse(source)))
