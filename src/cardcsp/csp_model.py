@@ -19,22 +19,25 @@ constraints are kept (the objective counts satisfied constraints with
 multiplicity).
 
 Where the checks run: parse_instance checks each line as it reads it and
-names the line (ParseError), and builds the counting table in the same
-pass.  One reader, _Reader, reads every constraint and pattern line.  The
-piece cache (_piece) sits in front of it: a constraint line and its
-pattern block that the process has read before map straight to their
-checked constraints, and any other piece is read by a fresh _Reader, or,
-on an error, by parse_instance's own, which names the error at its line.
-The parsed instance keeps its table, so _compile and constraint_count
-check nothing more for it.  An instance built through the API is checked
-by one walk over its n, d and scopes (_scopes): validate_instance checks
-each predicate on that walk, constraint_count runs it on each call for an
-instance that keeps no table (_check_scopes), the oracle once per
-enumeration, and the first _compile groups the constraints on it, checks
-each distinct (arity, patterns) once in the cached _expansion and keeps
-the table too.  Each check has one definition (exact.check_positive_int,
-_check_scope, _check_predicate), which also writes every message; a fast
-path calls it only to raise.
+names the line (ParseError).  One reader, _Reader, reads every constraint
+and pattern line into a list of checked constraints with their scopes'
+bits; it builds no table.  The piece cache (_piece) sits in front of it:
+a piece of text the process has read before maps straight to its
+reader's list, and any other piece is read by a fresh _Reader, or, on an
+error, by parse_instance's own, which names the error at its line.  The
+constraints of a predicate share one frozenset while _predicate holds it
+(every predicate of arity at most 3 fits).  One function, _table, builds
+every counting table: it groups the constraints by predicate and expands
+each distinct one once (_expansion).  A parsed instance keeps its table,
+so _compile and constraint_count check nothing more for it.  An instance
+built through the API is checked by one walk over its n, d and scopes
+(_scopes): validate_instance checks each predicate on that walk,
+constraint_count runs it on each call for an instance that keeps no
+table (_check_scopes), the oracle once per enumeration, and the first
+_compile checks each predicate on it in the cached _expansion, then
+builds the table with _table and keeps it.  Each check has one definition
+(exact.check_positive_int, _check_scope, _check_predicate), which also
+writes every message; a fast path calls it only to raise.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .cardinal_dist import GlobalCardinality
 from .errors import InputError, ParseError
@@ -55,7 +58,6 @@ Pattern = Tuple[int, ...]
 Term = Tuple[Tuple[int, ...], int]     # (positions, numerator) of one chi term
 Expansion = Tuple[int, Tuple[Term, ...]]  # a predicate's constant and its other terms
 Bits = Tuple[int, ...]                  # a scope's variables as bits (_BIT)
-Group = Tuple[Expansion, List[Bits], FrozenSet[Pattern]]
 
 # The largest n, m or d a header may declare: n = 10^6 reads, and a larger
 # count is refused before any work sized by it starts.
@@ -158,9 +160,9 @@ _count = lru_cache(maxsize=1024)(partial(parse_count, "count"))
 # _pair) that it grows on first use.
 _bias = lru_cache(maxsize=64)(parse_rational)
 _slice = lru_cache(maxsize=256)(GlobalCardinality)
-# a parsed predicate by its value, so that every constraint the reader
-# closes with it, in any instance or cached piece, shares one frozenset
-# (512 entries hold the 273 predicates of arity at most 3)
+# a parsed predicate by its value, so that the constraints the reader
+# closes with it, in any instance or cached piece, share one frozenset while
+# it is held here (512 entries hold the 273 predicates of arity at most 3)
 _predicate = lru_cache(maxsize=512)(frozenset)
 
 
@@ -187,22 +189,17 @@ def _expansion(arity: int, patterns: FrozenSet[Pattern]) -> Expansion:
 
 
 class _Reader:
-    """The constraints of an instance so far, grouped by predicate for the
-    counting table (table()), and the open constraint (c_line its line, 0
-    when none is open), which close() adds.  parse_instance and the piece
-    cache (_piece) read every constraint and pattern line after the header
-    through line(); _compile adds an API instance's constraints."""
+    """The constraints read so far, each checked and with its scope's bits
+    (_BIT), in read, and the open constraint (c_line its line, 0 when none
+    is open), which close() adds.  parse_instance and the piece cache
+    (_piece) read every constraint and pattern line after the header
+    through line()."""
 
-    __slots__ = ("n", "d", "constraints", "groups", "top", "c_line", "variables", "bits",
-                 "patterns")
+    __slots__ = ("n", "d", "read", "c_line", "variables", "bits", "patterns")
 
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
-        self.constraints: List[Constraint] = []
-        # a predicate -> its group (table()), whose frozenset every
-        # constraint of the predicate shares; top: the largest arity
-        self.groups: Dict[FrozenSet[Pattern], Group] = {}
-        self.top = 0
+        self.read: List[Tuple[Constraint, Bits]] = []
         self.c_line, self.variables, self.bits, self.patterns = 0, (), (), set()
 
     def lines(self, lines: List[str], line_no: int) -> None:
@@ -272,48 +269,40 @@ class _Reader:
             return
         if not self.patterns:
             raise ParseError("constraint has no satisfying patterns", self.c_line)
-        self.add(Constraint(self.variables, _predicate(frozenset(self.patterns))), self.bits)
+        constraint = Constraint(self.variables, _predicate(frozenset(self.patterns)))
+        self.read.append((constraint, self.bits))
         self.c_line, self.patterns = 0, set()
 
-    def add(self, constraint: Constraint, bits: Bits) -> None:
-        """Add a checked constraint, given its scope's bits, to its
-        predicate's group; a constraint whose frozenset is not its group's
-        is rebuilt with the group's, so that every constraint of a
-        predicate shares one."""
-        predicate = constraint.patterns
-        group = self.groups.get(predicate)
-        if group is None:
-            arity = len(bits)
-            group = self.groups[predicate] = (_expansion(arity, predicate), [], predicate)
-            self.top = max(self.top, arity)
-        elif group[2] is not predicate:
-            constraint = Constraint(constraint.variables, group[2])
-        self.constraints.append(constraint)
-        group[1].append(bits)
 
-    def table(self) -> Tuple[int, Dict[int, int]]:
-        """(den, {mask: numerator}) of the constraints added, one group per
-        predicate: its expansion, the bits (_BIT) of every scope it applies
-        to, and the predicate.  Numerators are over den = 2^top, top the
-        largest arity, zeros dropped.  A term's key, the sum of its
-        positions' bits, is formed for a whole group at once; keys are
-        twice the masks until the last step."""
-        nums: Dict[int, int] = defaultdict(int)
-        for (constant, terms), scopes, _ in self.groups.values():
-            arity = len(scopes[0])
-            shift = self.top - arity
-            nums[0] += len(scopes) * constant << shift
-            for positions, num in terms:
-                if len(positions) == arity:
-                    keys = map(sum, scopes)
-                elif len(positions) == 1:
-                    keys = map(itemgetter(positions[0]), scopes)
-                else:
-                    keys = map(sum, map(itemgetter(*positions), scopes))
-                num <<= shift
-                for key in keys:
-                    nums[key] += num
-        return 1 << self.top, {key >> 1: num for key, num in nums.items() if num}
+def _table(scoped: Iterable[Tuple[FrozenSet[Pattern], Bits]]) -> Tuple[int, Dict[int, int]]:
+    """(den, {mask: numerator}) of the constraints given as (predicate,
+    scope bits (_BIT)) pairs: the one builder of every counting table.  The
+    scopes are grouped by predicate, in order of first appearance, and each
+    distinct predicate is expanded once (_expansion).  Numerators are over
+    den = 2^top, top the largest arity, zeros dropped.  A term's key, the
+    sum of its positions' bits, is formed for a whole group at once; keys
+    are twice the masks until the last step."""
+    groups: Dict[FrozenSet[Pattern], List[Bits]] = defaultdict(list)
+    for predicate, bits in scoped:
+        groups[predicate].append(bits)
+    top = max((len(scopes[0]) for scopes in groups.values()), default=0)
+    nums: Dict[int, int] = defaultdict(int)
+    for predicate, scopes in groups.items():
+        arity = len(scopes[0])
+        constant, terms = _expansion(arity, predicate)
+        shift = top - arity
+        nums[0] += len(scopes) * constant << shift
+        for positions, num in terms:
+            if len(positions) == arity:
+                keys = map(sum, scopes)
+            elif len(positions) == 1:
+                keys = map(itemgetter(positions[0]), scopes)
+            else:
+                keys = map(sum, map(itemgetter(*positions), scopes))
+            num <<= shift
+            for key in keys:
+                nums[key] += num
+    return 1 << top, {key >> 1: num for key, num in nums.items() if num}
 
 
 # the longest piece parse_instance looks up in _piece, so that the cache
@@ -325,13 +314,13 @@ _PIECE_CHARS = 1024
 @lru_cache(maxsize=2048)
 def _piece(piece: str, n: int, d: int) -> Optional[Tuple[Tuple[Constraint, Bits], ...]]:
     """The constraints of a piece of an instance of n variables and arity
-    at most d (parse_instance), read by a fresh _Reader and checked, each
-    with its scope's bits (_BIT).  None when the reader raises or leaves a
-    constraint without patterns, whose error the next line decides;
-    parse_instance then reads the piece and the rest of its text with its
-    own reader, to name the error at its line.  Cached: the constraints of
-    a corpus repeat (2,048 entries hold the distinct pieces of every
-    benchmark corpus, whose largest has 1,039)."""
+    at most d (parse_instance), as a fresh _Reader reads them: checked,
+    each with its scope's bits (_BIT), kept as a tuple.  None when the
+    reader raises or leaves a constraint without patterns, whose error the
+    next line decides; parse_instance then reads the piece and the rest of
+    its text with its own reader, to name the error at its line.  Cached:
+    the constraints of a corpus repeat (2,048 entries hold the distinct
+    pieces of every benchmark corpus, whose largest has 1,039)."""
     reader = _Reader(n, d)
     try:
         reader.lines(("c" + piece).split("\n"), 1)
@@ -340,21 +329,21 @@ def _piece(piece: str, n: int, d: int) -> Optional[Tuple[Tuple[Constraint, Bits]
     if not reader.patterns:
         return None
     reader.close()
-    return tuple((c, tuple(map(_BIT, c.variables))) for c in reader.constraints)
+    return tuple(reader.read)
 
 
 def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
-    """Parse the line-oriented instance format in one pass, building the
-    counting table as it reads; errors carry line numbers.  After the
-    header, the text splits at each line feed followed by "c": every piece
-    but the first is the rest of a constraint line, then the lines up to
-    the next such line.  Each piece maps through _piece (cached if it has
-    at most _PIECE_CHARS characters) to its checked constraints, so the
-    constraints that instances repeat are read once per process.  From a
-    piece it refuses, or one after a constraint the first piece left open,
-    the rest of the text is read line by line by the instance's own
-    _Reader, which names the line of any error.  The counting table is
-    built from the groups once every line is read (_Reader.table)."""
+    """Parse the line-oriented instance format in one pass; errors carry
+    line numbers.  After the header, the text splits at each line feed
+    followed by "c": every piece but the first is the rest of a constraint
+    line, then the lines up to the next such line.  Each piece maps
+    through _piece (cached if it has at most _PIECE_CHARS characters) to
+    its checked constraints, so the constraints that instances repeat are
+    read once per process.  From a piece it refuses, or one after a
+    constraint the first piece left open, the rest of the text is read
+    line by line by the instance's own _Reader, which names the line of
+    any error.  Once every line is read, _table builds the counting table,
+    which the instance keeps."""
     # a line ends at "\n" alone; "\r" and the other breaks of str.splitlines
     # are whitespace inside a line, so a line number counts newlines
     head_line, start = 1, 0
@@ -379,7 +368,6 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
     card = _at_line(head_line, _slice, n, p)
 
     reader = _Reader(n, d)
-    add = reader.add
     # the first piece starts with the header line's own line feed
     # (without the text's last line feed, the last block reads as the others)
     stop = len(text) - text.endswith("\n")
@@ -393,14 +381,13 @@ def parse_instance(text: str) -> Tuple[CspInstance, GlobalCardinality]:
             rest = "c" + "\nc".join(pieces[k:])
             reader.lines(rest.split("\n"), text.count("\n", 0, stop - len(rest)) + 1)
             break
-        for constraint, bits in read:
-            add(constraint, bits)
+        reader.read.extend(read)
     reader.close()
-    if len(reader.constraints) != m:
-        raise ParseError(f"header declares m={m} but found {len(reader.constraints)} "
-                         "constraints", head_line)
-    inst = CspInstance(n=n, d=d, constraints=tuple(reader.constraints))
-    object.__setattr__(inst, "_table", reader.table())
+    if len(reader.read) != m:
+        raise ParseError(f"header declares m={m} but found {len(reader.read)} constraints",
+                         head_line)
+    inst = CspInstance(n=n, d=d, constraints=tuple(c for c, _ in reader.read))
+    object.__setattr__(inst, "_table", _table((c.patterns, bits) for c, bits in reader.read))
     return inst, card
 
 
@@ -421,15 +408,15 @@ def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
     the constraint contributing it, hence of 2^-top overall.  This is the
     table every layer of decide reads.  An instance keeps it (the
     attribute _table, not a dataclass field, so equality, hash and repr do
-    not see it): parse_instance builds it while it reads, and an instance
-    built through the API is checked and compiled on its first call: one
-    walk over n, d and its scopes (_scopes), and each distinct (arity,
-    predicate) once, in the cached _expansion; its constraints are grouped
-    by the reader's add and its table built by the reader's table, as
-    parse_instance builds one.  No caller may change the table."""
+    not see it): parse_instance builds it once it has read every line,
+    and an instance built through the API is checked and compiled on its
+    first call: one walk over n, d and its scopes (_scopes), each
+    constraint's predicate checked in the cached _expansion, and the table
+    built by _table, as parse_instance builds one.  No caller may change
+    the table."""
     table = getattr(inst, "_table", None)
     if table is None:
-        reader = _Reader(inst.n, inst.d)
+        scoped = []
         for c, bits in _scopes(inst):
             predicate = frozenset(c.patterns)
             try:
@@ -438,24 +425,17 @@ def _compile(inst: CspInstance) -> Tuple[int, Dict[int, int]]:
                 # name the culprit in the order of the instance's own set
                 _check_predicate(c.patterns, len(bits))
                 raise
-            reader.add(c if c.patterns is predicate else Constraint(c.variables, predicate), bits)
-        table = reader.table()
+            scoped.append((predicate, bits))
+        table = _table(scoped)
         object.__setattr__(inst, "_table", table)
     return table
 
 
 def to_polynomial(inst: CspInstance) -> MultilinearPoly:
     """Chi-basis polynomial whose value at any assignment is the number of
-    satisfied constraints: _compile's numerators as Fractions, each term
-    where a walk over every constraint's subsets of positions, in (size,
-    lex) order, first meets it."""
-    den, table = _compile(inst)
-    order: Dict[int, None] = {}
-    for c in inst.constraints:
-        bits = [1 << (v - 1) for v in c.variables]
-        order.update(dict.fromkeys(map(sum, chain.from_iterable(
-            combinations(bits, r) for r in range(len(bits) + 1)))))
-    return MultilinearPoly.from_numerators(inst.n, den, {s: table[s] for s in order if s in table})
+    satisfied constraints: _compile's table, its numerators as
+    Fractions."""
+    return MultilinearPoly.from_numerators(inst.n, *_compile(inst))
 
 
 def _check_scopes(inst: CspInstance) -> None:

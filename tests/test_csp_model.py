@@ -470,9 +470,7 @@ def _to_polynomial_reference(inst):
     lambda n: st.integers(1, 4).flatmap(lambda d: csp_instances(n, d))))
 def test_to_polynomial_matches_fraction_reference(inst):
     # arities are drawn per constraint, so most instances mix them
-    ref = _to_polynomial_reference(inst)
-    # same coefficients, same term order
-    assert list(to_polynomial(inst).coeffs.items()) == list(ref.coeffs.items())
+    assert to_polynomial(inst) == _to_polynomial_reference(inst)
 
 
 PARITY_N8 = CspInstance(n=8, d=3, constraints=tuple(
@@ -499,8 +497,7 @@ PARITY_N8 = CspInstance(n=8, d=3, constraints=tuple(
         "parity-n8-parsed-respelled"])
 def test_to_polynomial_shared_predicates_match_reference(inst, one_object):
     # each distinct predicate is expanded once and mapped onto every scope
-    ref = _to_polynomial_reference(inst)
-    assert list(to_polynomial(inst).coeffs.items()) == list(ref.coeffs.items())
+    assert to_polynomial(inst) == _to_polynomial_reference(inst)
     if one_object:
         assert len({id(c.patterns) for c in inst.constraints}) == 1
 
@@ -619,8 +616,28 @@ def test_constraint_count_needs_no_compile():
 
 
 def _clear_parse_caches():
-    for cache in (csp_model._piece, csp_model._predicate, csp_model._bias, csp_model._slice):
+    """Empty every lru_cache of csp_model, as a process finds them before
+    it reads its first instance."""
+    caches = [value for value in vars(csp_model).values() if hasattr(value, "cache_clear")]
+    assert {csp_model._piece, csp_model._count, csp_model._expansion} <= set(caches)
+    for cache in caches:
         cache.cache_clear()
+
+
+def test_a_cold_parse_expands_each_distinct_predicate_once(monkeypatch):
+    # m = 4 constraints over k = 3 predicates, every piece new: the reader
+    # builds no table, so only _table expands, once per distinct predicate
+    text = ("csp 4 4 3 1/2\nc 2 1 2\ns +1 -1\ns -1 +1\nc 2 3 4\ns +1 -1\ns -1 +1\n"
+            "c 3 1 2 3\ns +1 +1 +1\ns -1 -1 +1\nc 1 4\ns -1\n")
+    _clear_parse_caches()
+    expanded = []
+    expansion = csp_model._expansion
+    monkeypatch.setattr(csp_model, "_expansion",
+                        lambda *args: expanded.append(args) or expansion(*args))
+    inst, _ = parse_instance(text)
+    assert inst.m == 4
+    assert len(expanded) == 3 and set(expanded) == {(c.arity, c.patterns)
+                                                    for c in inst.constraints}
 
 
 def _shared_predicates(inst):
